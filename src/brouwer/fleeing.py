@@ -96,15 +96,8 @@ def run_property(
         raise ValueError("digit must be 0..9")
     if run_length < 1:
         raise ValueError("run length must be positive")
-    orc = oracle or default_oracle()
-    target = str(digit) * run_length
-
-    def holds(n: int) -> bool:
-        if n < 1:
-            raise ValueError("positions are 1-based")
-        return orc.digits(n + run_length - 1)[n - 1 : n + run_length - 1] == target
-
-    return DecidableProperty(f"run({digit}x{run_length})", holds)
+    pattern = pattern_property(str(digit) * run_length, oracle)
+    return DecidableProperty(f"run({digit}x{run_length})", pattern.holds)
 
 
 def pattern_property(
@@ -125,13 +118,16 @@ def pattern_property(
 
 
 def find_pattern(pattern: str, limit: int, oracle: Optional[DigitOracle] = None) -> Optional[int]:
-    """1-based position of the first match starting at or below limit, else None."""
+    """1-based position of the first match starting at or below limit, else None;
+    refuses when the oracle's limit cuts the window short of an answer."""
     orc = oracle or default_oracle()
-    window = orc.digits(min(limit + len(pattern) - 1, orc.limit))
-    i = window.find(pattern)
-    if i == -1 or i + 1 > limit:
-        return None
-    return i + 1
+    need = limit + len(pattern) - 1
+    i = orc.digits(min(need, orc.limit)).find(pattern)
+    if i != -1 and i < limit:
+        return i + 1
+    if need > orc.limit:
+        orc.digits(need)  # the oracle refuses the window its limit cut short
+    return None
 
 
 @dataclass(frozen=True)
@@ -154,25 +150,26 @@ def critical_number(p: DecidableProperty, horizon: int) -> CriticalSearch:
     return CriticalSearch(p, horizon, None)
 
 
-def _least_witness_upto(p: DecidableProperty, n: int, memo: dict) -> Optional[int]:
-    # incremental least-witness scan shared by the switch constructions
-    scanned = memo.get("scanned", 0)
-    if memo.get("witness") is None and scanned < n:
-        for k in range(scanned + 1, n + 1):
-            if p.holds(k):
-                memo["witness"] = k
-                break
-        memo["scanned"] = max(scanned, n if memo.get("witness") is None else memo["witness"])
-    w = memo.get("witness")
-    return w if w is not None and w <= n else None
+def _least_witness_scan(p: DecidableProperty) -> Callable[[int], Optional[int]]:
+    # least witness of p up to a stage, shared by the switch constructions;
+    # asked for stages 1, 2, 3, ... in turn (repeats allowed), it tests each once
+    found = None
+
+    def upto(stage: int) -> Optional[int]:
+        nonlocal found
+        if found is None and p.holds(stage):
+            found = stage
+        return found
+
+    return upto
 
 
 def berlin_r(p: DecidableProperty) -> Point:
     """Centers 0 until the least witness K of p is visible, then (-2)^(-K) forever."""
-    memo: dict = {}
+    witness = _least_witness_scan(p)
 
     def target(stage: int):
-        k = _least_witness_upto(p, stage, memo)
+        k = witness(stage)
         if k is None:
             return 0
         return Fraction((-1) ** k, 1 << k)
@@ -205,27 +202,20 @@ def veldman_f2(
     """
     if follower is not None and not isinstance(follower.generator.kind, Lawlike):
         raise ValueError("the follower must be lawlike")
-    witness_memo: dict = {}
+    witness = _least_witness_scan(p)
     base_rule = (
         follower.generator.kind.rule
         if follower is not None
         else centering_rule(lambda stage: family.limit)
     )
-    terms: dict[int, int] = {}
+    terms: list[int] = []
 
     def rule(n: int) -> int:
-        if n in terms:
-            return terms[n]
-        prefix = tuple(terms[i] for i in range(1, len(terms) + 1))
-        for stage in range(len(terms) + 1, n + 1):
-            k = _least_witness_upto(p, stage, witness_memo)
-            if k is None:
-                value = base_rule(stage)
-            else:
-                value = centered_term(family.member(k), prefix)
-            terms[stage] = value
-            prefix = prefix + (value,)
-        return terms[n]
+        while len(terms) < n:
+            stage = len(terms) + 1
+            k = witness(stage)
+            terms.append(base_rule(stage) if k is None else centered_term(family.member(k), terms))
+        return terms[n - 1]
 
     return Point(
         Generator(rng_spread(), Lawlike(rule), name=f"veldman_f2[{p.name}]")
@@ -237,10 +227,10 @@ def cambridge_c(
 ) -> Point:
     """Follows the family values a_n until the least witness K is visible,
     then stays at a_K: term n centers a_min(n, K)."""
-    memo: dict = {}
+    witness = _least_witness_scan(p)
 
     def target(stage: int):
-        k = _least_witness_upto(p, stage, memo)
+        k = witness(stage)
         if k is None:
             return family.member(stage)
         return family.member(k)

@@ -9,12 +9,12 @@ or stay unknown. Witnesses are always the least index found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
-from .dyadic import Dyadic, Interval, IntervalRelation, interval_relate, lambda_interval
+from .dyadic import Dyadic, Interval, lambda_interval
 from .spreads import (
     EventTrace,
     Generator,
@@ -29,14 +29,26 @@ from .spreads import (
 
 @dataclass(frozen=True)
 class Point:
+    """A generator over the interval law, optionally bundled with its trace.
+
+    Keeps one append-only stream of terms per trace (one in all for a lawlike
+    generator) and extends it from where it stopped, so each stage is emitted
+    once; sound because emission is a pure function of (generator, trace)."""
+
     generator: Generator
     trace: Optional[EventTrace] = None
+    _streams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
-    def _trace(self, override: Optional[EventTrace]) -> Optional[EventTrace]:
-        return override if override is not None else self.trace
+    def _stream(self, n: int, override: Optional[EventTrace]) -> list[int]:
+        trace = override if override is not None else self.trace
+        key = None if isinstance(self.generator.kind, Lawlike) else trace
+        stream = self._streams.setdefault(key, [])
+        if not 0 < n <= len(stream):  # emit_prefix also vets n and the trace
+            stream.extend(emit_prefix(self.generator, n, trace, tuple(stream)))
+        return stream
 
     def prefix(self, n: int, trace: Optional[EventTrace] = None) -> tuple[int, ...]:
-        return emit_prefix(self.generator, n, self._trace(trace))
+        return tuple(self._stream(n, trace)[:n])
 
     def term(self, n: int, trace: Optional[EventTrace] = None) -> int:
         return self.prefix(n, trace)[n - 1]
@@ -83,6 +95,14 @@ def _unknown(horizon: int) -> Verdict:
     return Verdict(VerdictValue.UNKNOWN, horizon)
 
 
+def _least_hit(horizon: int, hits: Iterable[bool]) -> Verdict:
+    """Holds at the first index (from 1) whose hit is true, else unknown."""
+    for n, hit in enumerate(hits, 1):
+        if hit:
+            return Verdict(VerdictValue.HOLDS, horizon, witness=n)
+    return _unknown(horizon)
+
+
 # --- canonical lawlike points ---
 
 
@@ -120,12 +140,8 @@ def lt_at(
     trace_b: Optional[EventTrace] = None,
 ) -> Verdict:
     """a < b iff some index n has a_n + 2 < b_n. Never Fails."""
-    pa = a.prefix(horizon, trace_a)
-    pb = b.prefix(horizon, trace_b)
-    for n in range(1, horizon + 1):
-        if pa[n - 1] + 2 < pb[n - 1]:
-            return Verdict(VerdictValue.HOLDS, horizon, witness=n)
-    return _unknown(horizon)
+    pairs = zip(a.prefix(horizon, trace_a), b.prefix(horizon, trace_b))
+    return _least_hit(horizon, (x + 2 < y for x, y in pairs))
 
 
 def _as_fraction(r) -> Fraction:
@@ -141,11 +157,8 @@ def lt_rational(
 ) -> Verdict:
     """a < r iff some index n has (a_n + 2)/2^n < r."""
     rv = _as_fraction(r)
-    pa = a.prefix(horizon, trace)
-    for n in range(1, horizon + 1):
-        if Fraction(pa[n - 1] + 2, 1 << n) < rv:
-            return Verdict(VerdictValue.HOLDS, horizon, witness=n)
-    return _unknown(horizon)
+    terms = enumerate(a.prefix(horizon, trace), 1)
+    return _least_hit(horizon, (Fraction(x + 2, 1 << n) < rv for n, x in terms))
 
 
 def gt_rational(
@@ -153,11 +166,8 @@ def gt_rational(
 ) -> Verdict:
     """a > r iff some index n has a_n/2^n > r."""
     rv = _as_fraction(r)
-    pa = a.prefix(horizon, trace)
-    for n in range(1, horizon + 1):
-        if Fraction(pa[n - 1], 1 << n) > rv:
-            return Verdict(VerdictValue.HOLDS, horizon, witness=n)
-    return _unknown(horizon)
+    terms = enumerate(a.prefix(horizon, trace), 1)
+    return _least_hit(horizon, (Fraction(x, 1 << n) > rv for n, x in terms))
 
 
 def apart_at(
@@ -188,18 +198,21 @@ def coincide_refute(
 
     The witness is the least h such that indices i, j <= h exhibit disjointness.
     Never Holds: coincidence itself is not finitely affirmable.
+    One pass, nested or not: with each side's greatest lower end and least
+    upper end over stages 1..h (units of 2^-h), some i <= h pairs disjointly
+    with stage h exactly when one side's least upper end is below the other's
+    lower end at h, or its greatest lower end above the other's upper end.
     """
     pa = a.prefix(horizon, trace_a)
     pb = b.prefix(horizon, trace_b)
-    ia = [lambda_interval(n, pa[n - 1]) for n in range(1, horizon + 1)]
-    ib = [lambda_interval(n, pb[n - 1]) for n in range(1, horizon + 1)]
-    for h in range(1, horizon + 1):
-        for i in range(1, h + 1):
-            if (
-                interval_relate(ia[i - 1], ib[h - 1]) is IntervalRelation.DISJOINT
-                or interval_relate(ia[h - 1], ib[i - 1]) is IntervalRelation.DISJOINT
-            ):
-                return Verdict(VerdictValue.FAILS, horizon, witness=h)
+    for h, (x, y) in enumerate(zip(pa, pb), 1):
+        if h == 1:
+            lo_a, hi_a, lo_b, hi_b = x, x + 2, y, y + 2
+        else:
+            lo_a, hi_a = max(2 * lo_a, x), min(2 * hi_a, x + 2)
+            lo_b, hi_b = max(2 * lo_b, y), min(2 * hi_b, y + 2)
+        if hi_a < y or y + 2 < lo_a or hi_b < x or x + 2 < lo_b:
+            return Verdict(VerdictValue.FAILS, horizon, witness=h)
     return _unknown(horizon)
 
 
@@ -213,12 +226,8 @@ def abs_diff_lt(
 ) -> Verdict:
     """|a - b| < bound iff some n has (|a_n - b_n| + 2)/2^n < bound."""
     bv = _as_fraction(bound)
-    pa = a.prefix(horizon, trace_a)
-    pb = b.prefix(horizon, trace_b)
-    for n in range(1, horizon + 1):
-        if Fraction(abs(pa[n - 1] - pb[n - 1]) + 2, 1 << n) < bv:
-            return Verdict(VerdictValue.HOLDS, horizon, witness=n)
-    return _unknown(horizon)
+    pairs = enumerate(zip(a.prefix(horizon, trace_a), b.prefix(horizon, trace_b)), 1)
+    return _least_hit(horizon, (Fraction(abs(x - y) + 2, 1 << n) < bv for n, (x, y) in pairs))
 
 
 # --- centering ---
@@ -303,10 +312,8 @@ def mapped_point(f: PrefixMap, a: Point, trace: Optional[EventTrace] = None) -> 
 
 def cpf_modulus(f: PrefixMap, a: Point, m: int, horizon: int) -> Verdict:
     """Least input length n <= horizon whose output already has length >= m."""
-    for n in range(1, horizon + 1):
-        if len(f.apply(a.prefix(n))) >= m:
-            return Verdict(VerdictValue.HOLDS, horizon, witness=n)
-    return _unknown(horizon)
+    lengths = (len(f.apply(a.prefix(n))) for n in range(1, horizon + 1))
+    return _least_hit(horizon, (length >= m for length in lengths))
 
 
 def continuity_modulus(

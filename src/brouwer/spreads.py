@@ -4,13 +4,15 @@ A spread law says which integers may start a sequence and which may follow
 a given prefix. Generators are stateless descriptions: a lawlike rule maps
 the 1-based term index to a value, a process strategy additionally consults
 an event trace (the record of when an assertion got decided, if ever).
-Emitting a prefix is a pure function of (generator, trace).
+Emitting a prefix is a pure function of (generator, trace); ``reals.Point``
+memoises on that, so a generator reading anything else (a random source)
+must be read through ``emit_prefix`` alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Union
+from typing import Callable, Optional, Sequence, Union
 
 from .dyadic import cmp_scaled, is_admissible_successor, scaled_floor
 
@@ -163,15 +165,18 @@ class Generator:
 
 
 def emit_prefix(
-    g: Generator, n: int, trace: Optional[EventTrace] = None
+    g: Generator, n: int, trace: Optional[EventTrace] = None, head: tuple[int, ...] = ()
 ) -> tuple[int, ...]:
-    """First n terms of g, validating admissibility stage by stage."""
+    """Terms len(head)+1 .. n of g, validating admissibility stage by stage.
+
+    The head, empty by default, must be the first terms of g under the trace.
+    """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
     if isinstance(g.kind, Process) and trace is None:
         raise ValueError(f"process generator {g.name or '?'} requires a trace")
-    prefix: tuple[int, ...] = ()
-    for stage in range(1, n + 1):
+    prefix = head
+    for stage in range(len(head) + 1, n + 1):
         if isinstance(g.kind, Lawlike):
             value = g.kind.rule(stage)
         else:
@@ -179,7 +184,7 @@ def emit_prefix(
         if not g.law.admits(prefix, value):
             raise AdmissibilityError(stage, value, prefix)
         prefix = prefix + (value,)
-    return prefix
+    return prefix[len(head) :]
 
 
 # --- nearest-midpoint centering emitter ---
@@ -198,7 +203,7 @@ def _nearer(target, n: int, a_small: int, a_big: int) -> int:
     return a_big
 
 
-def centered_term(target, prefix: tuple[int, ...]) -> int:
+def centered_term(target, prefix: Sequence[int]) -> int:
     """Admissible next index whose midpoint is nearest the target value."""
     n = len(prefix) + 1
     if not prefix:
@@ -224,21 +229,17 @@ def centering_strategy(target_at: Callable[[int, EventTrace], object]):
 def centering_rule(target_at: Callable[[int], object]) -> Callable[[int], int]:
     """Lawlike rule centering a per-stage target value.
 
-    Recomputes the chain from stage 1 with a per-closure memo, so term n is
-    a pure function of n.
+    Keeps the chain emitted so far in one append-only list and extends it on
+    demand, so term n is a pure function of n. The target is asked for
+    stages 1, 2, 3, ... in increasing order, each once unless it raised; the
+    witness-switch points in ``fleeing`` rely on that order.
     """
-    memo: dict[int, int] = {}
+    terms: list[int] = []
 
     def rule(n: int) -> int:
-        if n in memo:
-            return memo[n]
-        start = max(memo) if memo else 0
-        prefix = tuple(memo[i] for i in range(1, start + 1))
-        for stage in range(start + 1, n + 1):
-            value = centered_term(target_at(stage), prefix)
-            memo[stage] = value
-            prefix = prefix + (value,)
-        return memo[n]
+        while len(terms) < n:
+            terms.append(centered_term(target_at(len(terms) + 1), terms))
+        return terms[n - 1]
 
     return rule
 

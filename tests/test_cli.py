@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from brouwer import fleeing
 from brouwer.cli import DEFAULTS, REPLAYS, load_config, main
 
 PI_50 = "14159265358979323846264338327950288419716939937510"
@@ -60,6 +61,17 @@ def test_pi_find(capsys):
     )
     assert code == 0
     assert payload["position"] is None and payload["verdict"] == "none-below:700"
+
+
+def test_pi_find_refuses_past_the_oracle_limit(capsys, monkeypatch):
+    monkeypatch.setenv("BW_DIGIT_LIMIT", "500")
+    monkeypatch.setattr(fleeing, "_default_oracle", None)
+    code = main(["pi", "find", "--pattern", "999999", "--limit", "1000", "--json"])
+    captured = capsys.readouterr()
+    assert code == 64 and captured.out == ""
+    assert "resource refusal" in captured.err
+    code, out = run(capsys, "pi", "find", "--pattern", "1415", "--limit", "1000")
+    assert code == 0 and out.strip() == "found-at:1"
 
 
 def test_pi_find_rejects_non_digit_patterns(capsys):

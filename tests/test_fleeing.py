@@ -62,6 +62,16 @@ def test_six_nines_landmark():
     assert find_pattern("999999", SIX_NINES_AT - 1) is None
 
 
+def test_find_pattern_refuses_past_the_oracle_limit():
+    # the six nines lie beyond a 500-digit oracle: no answer below 1000 is honest
+    with pytest.raises(ResourceLimitError) as err:
+        find_pattern("999999", 1000, DigitOracle(limit=500))
+    assert (err.value.requested, err.value.limit) == (1005, 500)
+    # a match inside the clamped window is still an answer
+    assert find_pattern("999999", 1000, DigitOracle(limit=800)) == SIX_NINES_AT
+    assert find_pattern("999999", SIX_NINES_AT - 1, DigitOracle(limit=766)) is None
+
+
 def test_pattern_and_run_properties_agree():
     p_run = run_property(9, 6)
     p_pat = pattern_property("999999")
