@@ -1,14 +1,11 @@
 #!/usr/bin/env python3
-"""Compare the pi digit backends: compiled core vs standard-library route.
+"""Time the pi digit routes and check that they agree.
 
-The production path runs Chudnovsky binary splitting on GMP integers when
-gmpy2 is importable; otherwise it takes the standard-library route (Python
-ints at the leaves of the splitting, libmpdec ``decimal`` integers above
-them), which ``force_int=True`` selects even when gmpy2 is present. This
-script times both on the same sizes, plus the two cross-check routes
-(Machin at mid sizes, the spigot stream at small sizes, where its
-quadratic cost is still tolerable), and asserts that every route agrees
-with the standard-library output.
+The production path is Chudnovsky binary splitting on the standard
+library: Python ints at the leaves of the splitting, libmpdec ``decimal``
+integers above them. This script times it, plus the two cross-check
+routes (Machin at mid sizes, the spigot stream at small sizes, where its
+quadratic cost is still tolerable), and asserts that both agree with it.
 
 Usage: python benchmarks/pi_backends.py [max_digits]
 """
@@ -16,13 +13,7 @@ Usage: python benchmarks/pi_backends.py [max_digits]
 import sys
 import time
 
-from brouwer._pi_backends import (
-    BACKEND,
-    HAVE_GMP,
-    chudnovsky_digits,
-    machin_digits,
-    spigot_digits,
-)
+from brouwer._pi_backends import chudnovsky_digits, machin_digits, spigot_digits
 
 
 def timed(fn, *args):
@@ -35,19 +26,11 @@ def main() -> int:
     max_digits = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
     sizes = [n for n in (1_000, 10_000, 50_000, 200_000, 1_000_000) if n <= max_digits]
 
-    print(f"active backend: {BACKEND} (gmpy2 available: {HAVE_GMP})")
-    print(f"{'digits':>9}  {'chud/gmp':>10}  {'chud/std':>10}  {'machin':>10}  {'spigot':>10}")
+    print(f"{'digits':>9}  {'chudnovsky':>10}  {'machin':>10}  {'spigot':>10}")
 
     for n in sizes:
-        reference, t_std = timed(chudnovsky_digits, n, True)
-        row = [f"{n:>9}"]
-        if HAVE_GMP:
-            gmp, t_gmp = timed(chudnovsky_digits, n)
-            assert gmp == reference, f"gmpy2 Chudnovsky diverged at {n} digits"
-            row.append(f"{t_gmp:>9.3f}s")
-        else:
-            row.append(f"{'-':>10}")
-        row.append(f"{t_std:>9.3f}s")
+        reference, t_chud = timed(chudnovsky_digits, n)
+        row = [f"{n:>9}", f"{t_chud:>9.3f}s"]
 
         if n <= 50_000:
             mac, t_mac = timed(machin_digits, n)
@@ -65,7 +48,7 @@ def main() -> int:
 
         print("  ".join(row))
 
-    print("all routes agree with the standard-library output on every size tried")
+    print("Machin and the spigot agree with Chudnovsky on every size tried")
     return 0
 
 

@@ -1,14 +1,13 @@
-"""Decimal digit backends for pi.
+"""Decimal digit backends for pi, all on the standard library.
 
 Three independent routes:
 
-* Chudnovsky binary splitting - the production path. Runs on GMP integers
-  when gmpy2 imports (the compiled fast core). Otherwise it takes the
-  standard-library route: Python ints at the leaves of the splitting,
-  libmpdec (``decimal``) integers above them, a multiplication-only Newton
-  iteration for 1/sqrt(10005) and one ``decimal`` division. Python int
-  division and int-to-string are quadratic; libmpdec multiplies with a
-  number-theoretic transform and prints in linear time.
+* Chudnovsky binary splitting - the production path. Python ints at the
+  leaves of the splitting, libmpdec (``decimal``) integers above them, a
+  multiplication-only Newton iteration for 1/sqrt(10005) and one
+  ``decimal`` division. Python int division and int-to-string are
+  quadratic; libmpdec multiplies with a number-theoretic transform and
+  prints in linear time.
 * Machin arctangent series (16 atan 1/5 - 4 atan 1/239), binary splitting
   over exact fractions - an independent series for cross-checking.
 * Streaming spigot (linear fraction transformations, digit at a time) -
@@ -17,9 +16,8 @@ Three independent routes:
 All three return the decimal expansion after the leading integer part,
 so digits(5) == "14159".
 
-BACKEND names the live Chudnovsky core: "gmpy2" when gmpy2 imports, else
-"int", which names the standard-library route (Python ints at the leaves,
-libmpdec above them).
+BACKEND names the Chudnovsky core in benchmark records. It is always
+"int": the one route above, on Python ints and libmpdec.
 """
 
 from __future__ import annotations
@@ -28,39 +26,30 @@ import decimal
 from decimal import Decimal
 from itertools import count, islice
 from math import log, sqrt
+from typing import Callable
 
-try:
-    from gmpy2 import isqrt as _gmp_isqrt, mpz as _mpz
-
-    HAVE_GMP = True
-except ImportError:  # pragma: no cover - exercised only without gmpy2
-    HAVE_GMP = False
-
-BACKEND = "gmpy2" if HAVE_GMP else "int"
+BACKEND = "int"
 
 
-def _to_decimal_str(x: int) -> str:
-    """Divide-and-conquer int -> decimal string; avoids the str() digit cap."""
-    if HAVE_GMP:
-        return _mpz(x).digits(10)
-    if x < 0:
-        return "-" + _to_decimal_str(-x)
-    if x == 0:
-        return "0"
+def _first_decimals(n: int, pi_str: Callable[[int], str]) -> str:
+    """First n decimals of pi from pi_str(prec), prec + 1 or more digits
+    '31415...' of an x with |x - pi| < 10**-(prec - 10).
 
-    def rec(v: int, ndigits: int) -> str:
-        if ndigits <= 900:
-            return str(v).rjust(ndigits, "0")
-        half = ndigits // 2
-        hi, lo = divmod(v, 10**half)
-        return rec(hi, ndigits - half) + rec(lo, half)
-
-    nd = int(x.bit_length() * 0.30102999566398114) + 1
-    while 10**nd <= x:
-        nd += 1
-    while nd > 1 and 10 ** (nd - 1) > x:
-        nd -= 1
-    return rec(x, nd)
+    If digits n+1..n+10 of x are neither all 9 nor all 0, the fractional
+    part of x*10**n lies in [10**-10, 1 - 10**-10), so an error below
+    10**-(n + 10) cannot carry across the cut and x's first n digits are
+    pi's. prec = n + guard with guard >= 20 gives that error; otherwise
+    the guard doubles and the pass repeats.
+    """
+    if n < 1:
+        return ""
+    guard = 20
+    while True:
+        s = pi_str(n + guard)
+        tail = s[1 + n : 1 + n + 10]
+        if tail != "9" * 10 and tail != "0" * 10:
+            return s[1 : 1 + n]
+        guard *= 2
 
 
 # --- Chudnovsky binary splitting ---
@@ -70,20 +59,20 @@ _CH_B = 545140134
 _CH_C3_24 = 640320**3 // 24  # 10939058860032000
 
 
-def _chud_split(a: int, b: int, one):
+def _chud_split(a: int, b: int) -> tuple[int, int, int]:
     if b - a == 1:
         if a == 0:
-            p = q = one
+            p = q = 1
         else:
-            p = one * (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
-            q = one * a * a * a * _CH_C3_24
+            p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+            q = a * a * a * _CH_C3_24
         t = p * (_CH_A + _CH_B * a)
         if a & 1:
             t = -t
         return p, q, t
     m = (a + b) // 2
-    p1, q1, t1 = _chud_split(a, m, one)
-    p2, q2, t2 = _chud_split(m, b, one)
+    p1, q1, t1 = _chud_split(a, m)
+    p2, q2, t2 = _chud_split(m, b)
     return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
 
 
@@ -101,14 +90,18 @@ _EXACT = decimal.Context(
 )
 
 
-def _chud_split_dec(a: int, b: int) -> tuple[Decimal, Decimal, Decimal]:
+def _chud_split_dec(a: int, b: int, with_p=False) -> tuple[Decimal | None, Decimal, Decimal]:
+    """P, Q, T of terms a..b-1 as exact Decimal integers; P is None unless
+    with_p, since no caller reads P on the right spine of a splitting."""
     if b - a <= _LEAF_TERMS:
-        return tuple(map(Decimal, _chud_split(a, b, 1)))
+        p, q, t = _chud_split(a, b)
+        return Decimal(p) if with_p else None, Decimal(q), Decimal(t)
     m = (a + b) // 2
-    p1, q1, t1 = _chud_split_dec(a, m)
-    p2, q2, t2 = _chud_split_dec(m, b)
+    p1, q1, t1 = _chud_split_dec(a, m, True)
+    p2, q2, t2 = _chud_split_dec(m, b, with_p)
     mul = _EXACT.multiply
-    return mul(p1, p2), mul(q1, q2), _EXACT.add(mul(t1, q2), mul(p1, t2))
+    p = mul(p1, p2) if with_p else None
+    return p, mul(q1, q2), _EXACT.add(mul(t1, q2), mul(p1, t2))
 
 
 def _rounding(digits: int) -> decimal.Context:
@@ -144,7 +137,7 @@ def _inv_sqrt(a: int, digits: int) -> Decimal:
     return y
 
 
-def _pi_decimal_str(prec: int, terms: int) -> str:
+def _chudnovsky_str(prec: int) -> str:
     """Digits of pi, '31415...', with error below 10**-(prec + 7).
 
     The splitting is exact; the series tail it leaves is below
@@ -155,7 +148,7 @@ def _pi_decimal_str(prec: int, terms: int) -> str:
     1.3*10**-(prec + 8), the absolute one, pi being below 4, below
     10**-(prec + 7).
     """
-    _, q, t = _chud_split_dec(0, terms)
+    _, q, t = _chud_split_dec(0, max(2, int(prec / 14.18) + 2))
     ctx = _rounding(prec + 10)
     # 426880*sqrt(10005) = 426880*10005 / sqrt(10005)
     scale = ctx.multiply(426880 * 10005, _inv_sqrt(10005, prec + 10))
@@ -163,38 +156,10 @@ def _pi_decimal_str(prec: int, terms: int) -> str:
     return str(pi).replace(".", "")
 
 
-def chudnovsky_digits(n: int, force_int: bool = False) -> str:
-    """First n decimals of pi via Chudnovsky binary splitting.
-
-    Runs on gmpy2 when it imports, unless force_int asks for the
-    standard-library route. Each pass computes pi as a digit string x with
-    |x - pi| < 2*10**-(n + guard) (below 10**-(n + guard + 7) on the
-    standard-library route). If digits n+1..n+10 of x are neither all 9
-    nor all 0, the fractional part of x*10**n lies in [10**-10,
-    1 - 10**-10), so an error below 10**-(n + 10) cannot carry across the
-    cut and x's first n digits are pi's. guard >= 20 gives that error;
-    otherwise the guard doubles and the pass repeats.
-    """
-    if n < 1:
-        return ""
-    guard = 20
-    use_gmp = HAVE_GMP and not force_int
-    while True:
-        prec = n + guard
-        terms = max(2, int(prec / 14.18) + 2)
-        if use_gmp:
-            one = _mpz(1)
-            _, q, t = _chud_split(0, terms, one)
-            scaled_sqrt = _gmp_isqrt(10005 * one * 10 ** (2 * prec))
-            pi_scaled = 426880 * scaled_sqrt * q // t
-            s = _to_decimal_str(int(pi_scaled))
-        else:
-            s = _pi_decimal_str(prec, terms)
-        # widen the guard if the cut falls inside a 9-run or 0-run
-        tail = s[1 + n : 1 + n + 10]
-        if tail and (tail != "9" * len(tail) and tail != "0" * len(tail)):
-            return s[1 : 1 + n]
-        guard *= 2
+def chudnovsky_digits(n: int) -> str:
+    """First n decimals of pi via Chudnovsky binary splitting; each pass
+    reads pi within 10**-(n + guard + 7), see ``_first_decimals``."""
+    return _first_decimals(n, _chudnovsky_str)
 
 
 # --- Machin arctangent series ---
@@ -211,25 +176,20 @@ def _atan_inv_sum(v: int, a: int, b: int) -> tuple[int, int]:
     return (p1 * q2 * vpow + p2 * q1, q1 * q2 * vpow)
 
 
+def _machin_str(prec: int) -> str:
+    # floor(pi * 10**prec): the floor costs under 10**-prec, the series tails far less
+    n5 = int(prec * log(10) / log(25)) + 3
+    n239 = int(prec * log(10) / log(239 * 239)) + 3
+    p5, q5 = _atan_inv_sum(25, 0, n5)
+    p239, q239 = _atan_inv_sum(239 * 239, 0, n239)
+    num = 16 * p5 * 239 * q239 - 4 * p239 * 5 * q5
+    den = 5 * q5 * 239 * q239
+    return str(Decimal(num * 10**prec // den))
+
+
 def machin_digits(n: int) -> str:
     """First n decimals of pi via 16*atan(1/5) - 4*atan(1/239)."""
-    if n < 1:
-        return ""
-    guard = 20
-    while True:
-        prec = n + guard
-        n5 = int(prec * log(10) / log(25)) + 3
-        n239 = int(prec * log(10) / log(239 * 239)) + 3
-        p5, q5 = _atan_inv_sum(25, 0, n5)
-        p239, q239 = _atan_inv_sum(239 * 239, 0, n239)
-        num = 16 * p5 * 239 * q239 - 4 * p239 * 5 * q5
-        den = 5 * q5 * 239 * q239
-        pi_scaled = num * 10**prec // den
-        s = _to_decimal_str(pi_scaled)
-        tail = s[1 + n : 1 + n + 10]
-        if tail and (tail != "9" * len(tail) and tail != "0" * len(tail)):
-            return s[1 : 1 + n]
-        guard *= 2
+    return _first_decimals(n, _machin_str)
 
 
 # --- streaming spigot ---

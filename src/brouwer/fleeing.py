@@ -26,9 +26,9 @@ _ENV_LIMIT = "BW_DIGIT_LIMIT"
 class DigitOracle:
     """Prefix-cached decimal digits of pi, positions 1-based.
 
-    On construction the production algorithm (Chudnovsky binary splitting,
-    on gmpy2 when it imports, else on Python ints and ``decimal``) is
-    cross-checked against the streaming spigot.
+    On construction the production algorithm (Chudnovsky binary splitting
+    on Python ints and ``decimal``) is cross-checked against the streaming
+    spigot.
     """
 
     def __init__(self, self_test_digits: int = 1000, limit: Optional[int] = None):
@@ -36,7 +36,6 @@ class DigitOracle:
         self.limit = limit if limit is not None else (
             int(env) if env else DEFAULT_DIGIT_LIMIT
         )
-        self.backend = _pi_backends.BACKEND
         self._cache = ""
         if self_test_digits:
             n = min(self_test_digits, self.limit)

@@ -2,6 +2,7 @@ import os
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brouwer.errors import ResourceLimitError
 from brouwer.fleeing import (
@@ -70,6 +71,29 @@ def test_find_pattern_refuses_past_the_oracle_limit():
     # a match inside the clamped window is still an answer
     assert find_pattern("999999", 1000, DigitOracle(limit=800)) == SIX_NINES_AT
     assert find_pattern("999999", SIX_NINES_AT - 1, DigitOracle(limit=766)) is None
+
+
+def _answer_or_refusal(search):
+    try:
+        return search()
+    except ResourceLimitError:
+        return "refused"
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    limit=st.integers(1, 1000),
+    pattern=st.text("0123456789", min_size=1, max_size=3) | st.sampled_from(["999999", "14159"]),
+    horizon=st.integers(1, 1000),
+)
+def test_find_pattern_agrees_with_critical_number(limit, pattern, horizon):
+    # same least witness, or both refuse, whatever the oracle limit
+    orc = DigitOracle(self_test_digits=0, limit=limit)
+    found = _answer_or_refusal(lambda: find_pattern(pattern, horizon, orc))
+    scanned = _answer_or_refusal(
+        lambda: critical_number(pattern_property(pattern, orc), horizon).found_at
+    )
+    assert found == scanned
 
 
 def test_pattern_and_run_properties_agree():
