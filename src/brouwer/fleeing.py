@@ -47,10 +47,8 @@ class DigitOracle:
                 )
             self._cache = fast
 
-    def digits(self, n: int) -> str:
-        """The first n decimals, '1415...'."""
-        if n < 0:
-            raise ValueError("digit count must be non-negative")
+    def _cover(self, n: int) -> None:
+        """Make the cache hold at least n decimals, or refuse past the limit."""
         if n > self.limit:
             raise ResourceLimitError(
                 f"requested {n} digits, limit is {self.limit}",
@@ -61,12 +59,19 @@ class DigitOracle:
             # grow geometrically so repeated probing stays near-linear
             grow = max(n, 2 * len(self._cache), 64)
             self._cache = _pi_backends.chudnovsky_digits(min(grow, self.limit))
+
+    def digits(self, n: int) -> str:
+        """The first n decimals, '1415...'."""
+        if n < 0:
+            raise ValueError("digit count must be non-negative")
+        self._cover(n)
         return self._cache[:n]
 
     def digit_at(self, position: int) -> int:
         if position < 1:
             raise ValueError("digit positions are 1-based")
-        return int(self.digits(position)[position - 1])
+        self._cover(position)
+        return int(self._cache[position - 1])
 
 
 _default_oracle: Optional[DigitOracle] = None
@@ -111,7 +116,8 @@ def pattern_property(
     def holds(n: int) -> bool:
         if n < 1:
             raise ValueError("positions are 1-based")
-        return orc.digits(n + width - 1)[n - 1 : n + width - 1] == pattern
+        orc._cover(n + width - 1)
+        return orc._cache[n - 1 : n + width - 1] == pattern
 
     return DecidableProperty(f"pattern({pattern})", holds)
 

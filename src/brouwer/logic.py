@@ -28,6 +28,8 @@ complete).
 
 from __future__ import annotations
 
+import functools
+import itertools
 import json
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
@@ -666,22 +668,30 @@ def _upclosed_sets(parents: tuple[Optional[int], ...]) -> list[int]:
     return sets
 
 
+def _stage_tree(shape: tuple[Optional[int], ...], atoms, masks) -> StageTree:
+    return StageTree(shape, tuple(
+        frozenset(a for a, mask in zip(atoms, masks) if mask >> w & 1)
+        for w in range(len(shape))
+    ))
+
+
 def enumerate_models(bounds: SweepBounds) -> Iterator[StageTree]:
     atoms = ATOM_POOL[: bounds.max_atoms]
     for shape in enumerate_shapes(bounds.max_nodes):
-        n = len(shape)
         filt = _upclosed_sets(shape)
         def vals(i: int, acc: list[int]):
             if i == len(atoms):
-                valuation = tuple(
-                    frozenset(a for a, mask in zip(atoms, acc) if mask >> w & 1)
-                    for w in range(n)
-                )
-                yield StageTree(shape, valuation)
+                yield _stage_tree(shape, atoms, acc)
                 return
             for mask in filt:
                 yield from vals(i + 1, acc + [mask])
         yield from vals(0, [])
+
+
+def _valued_shapes(bounds: SweepBounds):
+    """Each shape with its tuples of atom up-sets, in enumerate_models' order."""
+    for shape in enumerate_shapes(bounds.max_nodes):
+        yield shape, itertools.product(_upclosed_sets(shape), repeat=bounds.max_atoms)
 
 
 def count_models(bounds: SweepBounds) -> int:
@@ -709,6 +719,56 @@ def enumerate_box_free(bounds: SweepBounds) -> list[Formula]:
                     fresh.append(ctor(l, r))
         levels.append(fresh)
     return [f for level in levels for f in level]
+
+
+def _level_starts(bounds: SweepBounds) -> list[int]:
+    """Where each level of enumerate_box_free starts, then its length: a level
+    has three formulas per operand pair with an operand on the level below."""
+    starts = [0, bounds.max_atoms + 1]
+    for _ in range(bounds.max_operand_depth):
+        lo, hi = starts[-2:]
+        starts.append(hi + 3 * (hi * hi - lo * lo))
+    return starts
+
+
+def _mask_closure(atom_masks: tuple[int, ...], starts: list[int], implies) -> dict[int, int]:
+    """Each distinct mask of enumerate_box_free's formulas on one model,
+    mapped to the index of its first formula.
+
+    A mask pair (a, b) stands for every operand pair with those masks. With
+    FA(a) a's first index on any lower level and FT(a) on the level just
+    below, the least pair with an operand on that level is (FA(a), FA(b))
+    if FA(a) is on it, else (FA(a), FT(b)), else (FT(a), FA(b))."""
+    first: dict[int, int] = {}
+    for i, a in enumerate(atom_masks + (0,)):
+        first.setdefault(a, i)
+    top = dict(first)
+    for lo, size in zip(starts, starts[1:-1]):
+        level: dict[int, int] = {}
+        for a, fa in first.items():
+            for b, fb in first.items():
+                if fa >= lo:
+                    l, r = fa, fb
+                elif b in top:
+                    l, r = fa, top[b]
+                elif a in top:
+                    l, r = top[a], fb
+                else:
+                    continue
+                # rank among the level's pairs: rows below lo pair with top operands only
+                if l < lo:
+                    pair = l * (size - lo) + r - lo
+                else:
+                    pair = lo * (size - lo) + (l - lo) * size + r
+                index = size + 3 * pair
+                for v in (a & b, a | b, implies(a, b)):
+                    if level.get(v, index + 1) > index:
+                        level[v] = index
+                    index += 1
+        top = level
+        for v, index in level.items():
+            first.setdefault(v, index)
+    return first
 
 
 # --- schemata and sweeps ---
@@ -803,7 +863,7 @@ class SweepResult:
 
 def _refuse_if_huge(bounds: SweepBounds, cap: int) -> tuple[int, int]:
     models = count_models(bounds)
-    formulas = len(enumerate_box_free(bounds))
+    formulas = _level_starts(bounds)[-1]
     if models * formulas > cap:
         raise ResourceLimitError(
             f"sweep would enumerate {models} models x {formulas} formulas "
@@ -818,43 +878,52 @@ def _sweep(
     schema_names: list[str], bounds: SweepBounds, cap: int
 ) -> tuple[dict[str, SweepResult], bool]:
     _refuse_if_huge(bounds, cap)
-    formulas = enumerate_box_free(bounds)
+    formulas = functools.cache(lambda: enumerate_box_free(bounds))  # for countermodels only
+    starts = _level_starts(bounds)
+    atoms = ATOM_POOL[: bounds.max_atoms]
+    # each instance is built once, over a placeholder atom for phi
+    slot = Atom("phi")
     instances = {
-        name: SCHEMAS[name].instances(bounds) for name in schema_names
+        name: [(indices, build, build(slot)) for indices, build in SCHEMAS[name].instances(bounds)]
+        for name in schema_names
     }
     found: dict[str, Optional[Countermodel]] = {name: None for name in schema_names}
     models_checked = 0
     instances_checked = {name: 0 for name in schema_names}
     monotone_ok = True
 
-    for model in enumerate_models(bounds):
-        models_checked += 1
-        mm = _Masks(model, bounds.max_box_index)
-        memo: dict = {}
-        seen_masks: set[int] = set()
-        for phi in formulas:
-            mask = mm.eval(phi, memo)
-            if monotone_ok and not mm.upclosed(mask):
-                monotone_ok = False
-            if mask in seen_masks:
-                continue
-            seen_masks.add(mask)
-            for name in schema_names:
-                if found[name] is not None:
-                    continue
-                for indices, build in instances[name]:
-                    inst = build(phi)
-                    inst_mask = mm.eval(inst, {})
-                    instances_checked[name] += 1
-                    if monotone_ok and not mm.upclosed(inst_mask):
-                        monotone_ok = False
-                    if inst_mask != mm.full:
-                        missing = ~inst_mask & mm.full
-                        node = (missing & -missing).bit_length() - 1
-                        found[name] = Countermodel(model, node, phi, indices, inst)
-                        break
-        if all(found[name] is not None for name in schema_names):
-            break
+    for shape, valuations in _valued_shapes(bounds):
+        mm = _Masks(StageTree(shape, (frozenset(),) * len(shape)), bounds.max_box_index)
+        implies = functools.cache(mm.implies_mask)
+        verdicts: dict[tuple[str, int, int], int] = {}
+        for atom_masks in valuations:
+            models_checked += 1
+            closure = _mask_closure(atom_masks, starts, implies)
+            for index, mask in sorted((i, m) for m, i in closure.items()):
+                if monotone_ok and not mm.upclosed(mask):
+                    monotone_ok = False
+                for name in schema_names:
+                    if found[name] is not None:
+                        continue
+                    for j, (indices, build, template) in enumerate(instances[name]):
+                        inst_mask = verdicts.get((name, j, mask))
+                        if inst_mask is None:
+                            inst_mask = verdicts[name, j, mask] = mm.eval(template, {id(slot): mask})
+                            if monotone_ok and not mm.upclosed(inst_mask):
+                                monotone_ok = False
+                        instances_checked[name] += 1
+                        if inst_mask != mm.full:
+                            missing = ~inst_mask & mm.full
+                            node = (missing & -missing).bit_length() - 1
+                            phi = formulas()[index]
+                            model = _stage_tree(shape, atoms, atom_masks)
+                            found[name] = Countermodel(model, node, phi, indices, build(phi))
+                            break
+            if all(found[name] is not None for name in schema_names):
+                break
+        else:
+            continue
+        break
 
     results = {
         name: SweepResult(
@@ -877,7 +946,16 @@ def validity_sweep(
     valuations, and stage-free instantiations within bounds. Returns the
     first countermodel in enumeration order (node count, then shape code,
     then valuation, then formula, then instance indices), or the validity
-    certificate with the counts."""
+    certificate with the counts.
+
+    The sweep works on masks, not formula trees. The nodes forcing a
+    stage-free formula form an up-set, its mask, and &, | and -> act on
+    masks as meet, join and implication of the finite Heyting algebra of
+    up-sets, so an instance's verdict depends only on phi's mask. Per model
+    the atom masks and _|_ are closed under the connectives level by level,
+    keeping each mask's first formula (_mask_closure); visiting the distinct
+    masks in that order gives the per-formula scan's counts and first
+    countermodel. Instance verdicts are memoised per shape and phi mask."""
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}; pick from {sorted(SCHEMAS)}")
     results, _ = _sweep([schema], bounds, cap)

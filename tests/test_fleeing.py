@@ -52,6 +52,24 @@ def test_resource_limit():
     assert len(orc.digits(500)) == 500
 
 
+def test_reads_either_side_of_the_oracle_limit():
+    # the last position inside the limit reads from the cache; one past it
+    # refuses, naming the digits it would need
+    orc = DigitOracle(self_test_digits=0, limit=770)
+    expected = default_oracle().digits(770)
+    assert orc.digit_at(770) == int(expected[769])
+    with pytest.raises(ResourceLimitError) as err:
+        orc.digit_at(771)
+    assert (err.value.requested, err.value.limit) == (771, 770)
+    nines = pattern_property("999999", orc)
+    assert nines.holds(SIX_NINES_AT)
+    assert not nines.holds(765)  # its window 765..770 ends on the limit
+    with pytest.raises(ResourceLimitError) as err:
+        nines.holds(766)
+    assert (err.value.requested, err.value.limit) == (771, 770)
+    assert orc.digits(770) == expected
+
+
 def test_env_limit(monkeypatch):
     monkeypatch.setenv("BW_DIGIT_LIMIT", "123")
     orc = DigitOracle()

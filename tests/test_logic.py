@@ -1,6 +1,12 @@
 """Stage logic: grammar, tree models, forcing, and the validity sweep."""
 
+import functools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings
@@ -10,22 +16,32 @@ from brouwer.errors import ResourceLimitError
 from brouwer.logic import (
     ATOM_POOL,
     BOT,
+    DEFAULT_SWEEP_CAP,
     EXPECTED_REFUTED,
     EXPECTED_VALID,
     And,
     Atom,
     Box,
     Bottom,
+    Countermodel,
     FormulaNestingError,
     FormulaSyntaxError,
     Implies,
     ModelError,
     Not,
     Or,
+    SCHEMAS,
     SomeStage,
     StageTree,
     SweepBounds,
+    SweepResult,
+    _level_starts,
+    _mask_closure,
     _Masks,
+    _refuse_if_huge,
+    _stage_tree,
+    _sweep,
+    _valued_shapes,
     atoms_of,
     count_models,
     dump_model,
@@ -506,3 +522,220 @@ def test_principle_suite_fast_bounds():
     counts = {r.models_checked for r in report.results.values()}
     assert counts == {count_models(FAST)}
     assert "lawlike" in report.restricted_cs5_note
+
+
+# --- the mask sweep against the per-formula reference loop ---
+
+
+def _reference_sweep(
+    schema_names: list[str], bounds: SweepBounds, cap: int
+) -> tuple[dict[str, SweepResult], bool]:
+    """The per-formula sweep the mask algebra replaced, kept verbatim as the oracle."""
+    _refuse_if_huge(bounds, cap)
+    formulas = enumerate_box_free(bounds)
+    instances = {
+        name: SCHEMAS[name].instances(bounds) for name in schema_names
+    }
+    found: dict[str, Optional[Countermodel]] = {name: None for name in schema_names}
+    models_checked = 0
+    instances_checked = {name: 0 for name in schema_names}
+    monotone_ok = True
+
+    for model in enumerate_models(bounds):
+        models_checked += 1
+        mm = _Masks(model, bounds.max_box_index)
+        memo: dict = {}
+        seen_masks: set[int] = set()
+        for phi in formulas:
+            mask = mm.eval(phi, memo)
+            if monotone_ok and not mm.upclosed(mask):
+                monotone_ok = False
+            if mask in seen_masks:
+                continue
+            seen_masks.add(mask)
+            for name in schema_names:
+                if found[name] is not None:
+                    continue
+                for indices, build in instances[name]:
+                    inst = build(phi)
+                    inst_mask = mm.eval(inst, {})
+                    instances_checked[name] += 1
+                    if monotone_ok and not mm.upclosed(inst_mask):
+                        monotone_ok = False
+                    if inst_mask != mm.full:
+                        missing = ~inst_mask & mm.full
+                        node = (missing & -missing).bit_length() - 1
+                        found[name] = Countermodel(model, node, phi, indices, inst)
+                        break
+        if all(found[name] is not None for name in schema_names):
+            break
+
+    results = {
+        name: SweepResult(
+            schema=name,
+            bounds=bounds,
+            models_checked=models_checked,
+            instances_checked=instances_checked[name],
+            countermodel=found[name],
+            monotone_ok=monotone_ok,
+        )
+        for name in schema_names
+    }
+    return results, monotone_ok
+
+
+def _outcome(result: SweepResult):
+    cm = result.countermodel
+    return (
+        result.models_checked,
+        result.instances_checked,
+        result.monotone_ok,
+        cm.as_dict() if cm is not None else None,
+    )
+
+
+def _assert_same_sweep(names, bounds):
+    got, got_ok = _sweep(names, bounds, DEFAULT_SWEEP_CAP)
+    want, want_ok = _reference_sweep(names, bounds, DEFAULT_SWEEP_CAP)
+    assert got_ok == want_ok
+    assert {n: _outcome(got[n]) for n in names} == {n: _outcome(want[n]) for n in names}
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_suite(bounds: SweepBounds) -> dict[str, SweepResult]:
+    return _reference_sweep(list(SCHEMAS), bounds, DEFAULT_SWEEP_CAP)[0]
+
+
+def _reference_single(name: str, bounds: SweepBounds) -> SweepResult:
+    suite = _reference_suite(bounds)
+    if suite[name].countermodel is None and suite[name].monotone_ok:
+        # a schema the joint run never refutes meets every model and mask
+        # there, as it would alone, and the joint audit covers its own; this
+        # saves one ~10 s reference pass per valid schema at five nodes
+        return suite[name]
+    return _reference_sweep([name], bounds, DEFAULT_SWEEP_CAP)[0][name]
+
+
+_ORACLE_BOUNDS = [
+    SweepBounds(max_nodes=n, max_atoms=2, max_operand_depth=d)
+    for n in range(1, 6)
+    for d in (1, 2)
+] + [
+    SweepBounds(max_nodes=2, max_atoms=3, max_operand_depth=2),
+    SweepBounds(max_nodes=4, max_atoms=3, max_operand_depth=1),
+]
+
+
+@pytest.mark.parametrize("bounds", _ORACLE_BOUNDS, ids=lambda b: f"{b.max_nodes}-{b.max_atoms}-{b.max_operand_depth}")
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_mask_sweep_matches_reference_per_schema(name, bounds):
+    assert _outcome(validity_sweep(name, bounds)) == _outcome(_reference_single(name, bounds))
+
+
+_SUBSETS = [list(SCHEMAS), ["cs4", "ic1"], ["cs5", "cs4"], ["md", "cs5", "ic3"]]
+
+
+# at the default bounds a subset with a valid schema costs a ~10 s reference
+# pass; the full suite's pass is shared with the per-schema cases
+@pytest.mark.parametrize(
+    "names,bounds",
+    [(names, FAST) for names in _SUBSETS]
+    + [(list(SCHEMAS), SweepBounds()), (["cs5", "cs4"], SweepBounds())],
+    ids=lambda v: "+".join(v) if isinstance(v, list) else f"{v.max_nodes}-{v.max_operand_depth}",
+)
+def test_mask_sweep_matches_reference_on_subsets(names, bounds):
+    if names == list(SCHEMAS):
+        report = principle_suite(bounds)
+        want = _reference_suite(bounds)
+        assert {n: _outcome(report.results[n]) for n in names} == {
+            n: _outcome(want[n]) for n in names
+        }
+        assert report.monotone_ok == all(r.monotone_ok for r in want.values())
+    else:
+        _assert_same_sweep(names, bounds)
+
+
+@given(
+    st.lists(st.sampled_from(sorted(SCHEMAS)), min_size=1, max_size=6, unique=True),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(1, 3),
+    st.integers(0, 2),
+)
+@settings(max_examples=40, deadline=None)
+def test_mask_sweep_matches_reference_random(names, nodes, atoms, box, depth):
+    if atoms == 3 and depth == 2:
+        nodes = min(nodes, 2)  # 8,116 formulas per model keep the reference slow
+    _assert_same_sweep(names, SweepBounds(nodes, atoms, box, depth))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [SweepBounds(max_nodes=4, max_atoms=2), SweepBounds(max_nodes=3, max_atoms=3, max_operand_depth=1)],
+    ids=["4-2-2", "3-3-1"],
+)
+def test_mask_closure_matches_a_formula_scan(bounds):
+    # the sweep's verdicts only see the order of the first indices, so the
+    # indices themselves are checked here, formula by formula
+    formulas = enumerate_box_free(bounds)
+    starts = _level_starts(bounds)
+    for shape, valuations in _valued_shapes(bounds):
+        implies = _Masks(StageTree(shape, (frozenset(),) * len(shape)), 1).implies_mask
+        for atom_masks in valuations:
+            masks = _Masks(_stage_tree(shape, ATOM_POOL[: bounds.max_atoms], atom_masks), 1)
+            memo: dict = {}
+            first: dict[int, int] = {}
+            for i, f in enumerate(formulas):
+                first.setdefault(masks.eval(f, memo), i)
+            assert _mask_closure(atom_masks, starts, implies) == first, (shape, atom_masks)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [SweepBounds(max_nodes=4, max_atoms=2), SweepBounds(max_nodes=3, max_atoms=3)],
+)
+def test_sweep_visits_models_in_enumeration_order(bounds):
+    atoms = ATOM_POOL[: bounds.max_atoms]
+    stream = [
+        _stage_tree(shape, atoms, masks)
+        for shape, valuations in _valued_shapes(bounds)
+        for masks in valuations
+    ]
+    assert [dump_model(m) for m in stream] == [dump_model(m) for m in enumerate_models(bounds)]
+
+
+@pytest.mark.parametrize("name", EXPECTED_REFUTED)
+def test_countermodel_is_the_last_model_checked(name):
+    result = validity_sweep(name, SweepBounds())
+    models = list(enumerate_models(SweepBounds()))
+    assert dump_model(models[result.models_checked - 1]) == dump_model(result.countermodel.model)
+
+
+def test_formula_count_without_building_the_formulas(monkeypatch):
+    for atoms in range(1, 5):
+        for depth in range(3):
+            bounds = SweepBounds(max_atoms=atoms, max_operand_depth=depth)
+            assert _level_starts(bounds)[-1] == len(enumerate_box_free(bounds))
+
+    # operand depth 3 means ~22 million formulas: the cap refuses before any is built
+    def never(bounds):
+        raise AssertionError("the formula list was built before the cap check")
+
+    monkeypatch.setattr("brouwer.logic.enumerate_box_free", never)
+    with pytest.raises(ResourceLimitError) as ei:
+        validity_sweep("ic1", SweepBounds(max_operand_depth=3))
+    assert ei.value.requested == 1254 * 21_918_630
+    assert ei.value.limit == DEFAULT_SWEEP_CAP
+
+
+def test_sweep_bounds_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "sweep_bounds.py"), "3"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    assert "(3,2,2)" in run.stdout
