@@ -13,13 +13,17 @@ rule that licenses it:
     ...
 
 Rules: Premise, DefAxiom, Assume, Discharge(m), MP(i,j), AndIntro(i,j),
-AndElim(i), OrIntro(i), ContraPos(i), DNE(i), and the stage axioms
-MD-inst, IC1-inst, IC2-inst, IC3-inst (with a reference: applied form;
-without: the axiom instance itself) plus CS5R-inst, the restricted
-stage-collapse. Assume opens a block; Discharge(m) cites a _|_ step in
-that block, closes it, and yields the negated assumption. Steps inside
-a closed block are no longer citable. The only way to leave a block is
-Discharge, so every verified conclusion is block-free.
+AndElim(i), OrIntro(i), ContraPos(i), DNE(i), and the stage rules
+MD-inst, IC1-inst, IC2-inst, IC3-inst and CS5R-inst. These are the
+schemata md, ic1, ic2, ic3 and cs5 of logic.SCHEMAS, matched against
+their templates, so the calculus uses exactly the principles that
+`logic sweep` validates; CS5R is the restricted cs5. Without a reference
+a step is the axiom instance itself; with one reference A it is the
+applied form "from A infer B", the instance A -> B. Assume opens a
+block; Discharge(m) cites a _|_ step in that block, closes it, and
+yields the negated assumption. Steps inside a closed block are no longer
+citable. The only way to leave a block is Discharge, so every verified
+conclusion is block-free.
 
 CS5R is the one rule with a side condition: every atom in its operand
 must be declared lawlike. Collapsing "settled at some stage" to "settled
@@ -50,6 +54,7 @@ from .logic import (
     Implies,
     Not,
     Or,
+    SCHEMAS,
     SomeStage,
     SweepBounds,
     atoms_of,
@@ -182,12 +187,12 @@ _RULE_ALIASES = {
     "orintro": "OrIntro",
     "contrapos": "ContraPos",
     "dne": "DNE",
-    "mdinst": "MD-inst",
-    "ic1inst": "IC1-inst",
-    "ic2inst": "IC2-inst",
-    "ic3inst": "IC3-inst",
-    "cs5rinst": "CS5R-inst",
 }
+# the stage rules are the schemata the sweep validates; CS5R is the restricted cs5
+_INSTANCE_RULES = {
+    "MD-inst": "md", "IC1-inst": "ic1", "IC2-inst": "ic2", "IC3-inst": "ic3", "CS5R-inst": "cs5"
+}
+_RULE_ALIASES.update({rule.lower().replace("-", ""): rule for rule in _INSTANCE_RULES})
 
 
 def _parse_rule(text: str, line_no: int) -> tuple[str, tuple[int, ...]]:
@@ -403,112 +408,26 @@ def check_script(source: Union[str, Script]) -> CheckResult:
                 inner3 = _destruct_not(inner2) if inner2 is not None else None
                 if inner3 is None or f != Not(inner3):
                     err = fail("reference must be a triple negation, formula its single one")
-        elif rule == "MD-inst":
-            if len(st.refs) == 1:
-                src = _destruct_not(refs[0])
-                if not (isinstance(src, SomeStage) and f == Not(src.operand)):
-                    err = fail("from ~<*>phi the rule yields ~phi")
-            else:
-                err = arity(0)
-                if not err:
-                    ok = False
-                    if isinstance(f, Implies):
-                        l, r = _destruct_not(f.left), _destruct_not(f.right)
-                        ok = (
-                            isinstance(l, SomeStage)
-                            and r is not None
-                            and l.operand == r
-                        )
-                    if not ok:
-                        err = fail("axiom form is ~<*>phi -> ~phi")
-        elif rule == "IC1-inst":
-            if len(st.refs) == 1:
-                ok = (
-                    isinstance(refs[0], Box)
-                    and isinstance(f, Box)
-                    and f.operand == refs[0].operand
-                    and f.n > refs[0].n
-                )
-                if not ok:
-                    err = fail("from [n]phi the rule yields [n+m]phi with m >= 1")
-            else:
-                err = arity(0)
-                if not err:
-                    ok = (
-                        isinstance(f, Implies)
-                        and isinstance(f.left, Box)
-                        and isinstance(f.right, Box)
-                        and f.left.operand == f.right.operand
-                        and f.right.n > f.left.n
-                    )
-                    if not ok:
-                        err = fail("axiom form is [n]phi -> [n+m]phi")
-        elif rule == "IC2-inst":
-            if len(st.refs) == 1:
-                src = _destruct_not(refs[0])
-                tgt = _destruct_not(f)
-                if (
-                    src is None
-                    or not isinstance(tgt, SomeStage)
-                    or tgt.operand != src
-                ):
-                    err = fail("from ~phi the rule yields ~<*>phi")
-            else:
-                err = arity(0)
-                if not err:
-                    ok = False
-                    if isinstance(f, Implies):
-                        l, r = _destruct_not(f.left), _destruct_not(f.right)
-                        ok = (
-                            l is not None
-                            and isinstance(r, SomeStage)
-                            and r.operand == l
-                        )
-                    if not ok:
-                        err = fail("axiom form is ~phi -> ~<*>phi")
-        elif rule == "IC3-inst":
-            if len(st.refs) == 1:
-                if not (isinstance(f, SomeStage) and f.operand == refs[0]):
-                    err = fail("from phi the rule yields <*>phi")
-            else:
-                err = arity(0)
-                if not err:
-                    ok = (
-                        isinstance(f, Implies)
-                        and isinstance(f.right, SomeStage)
-                        and f.right.operand == f.left
-                    )
-                    if not ok:
-                        err = fail("axiom form is phi -> <*>phi")
-        elif rule == "CS5R-inst":
-            operand: Optional[Formula] = None
-            if len(st.refs) == 1:
-                if isinstance(refs[0], SomeStage) and refs[0].operand == f:
-                    operand = f
-                else:
-                    err = fail("from <*>phi the restricted rule yields phi")
-            else:
-                err = arity(0)
-                if not err:
-                    if (
-                        isinstance(f, Implies)
-                        and isinstance(f.left, SomeStage)
-                        and f.left.operand == f.right
-                    ):
-                        operand = f.right
-                    else:
-                        err = fail("axiom form is <*>phi -> phi")
-            if operand is not None and err is None:
-                atoms = sorted(atoms_of(operand), key=lambda a: a.name)
+        elif rule in _INSTANCE_RULES:
+            schema = SCHEMAS[_INSTANCE_RULES[rule]]
+            # every template is an implication: "from A infer B" is the instance A -> B
+            if len(refs) > 1:
+                err = fail(f"needs 0 or 1 reference(s), got {len(refs)}")
+            elif (hit := schema.match(Implies(refs[0], f) if refs else f)) is None:
+                err = fail("from {} the rule yields {}".format(*schema.sides()) if refs
+                           else f"axiom form is {schema.template}")
+            elif rule == "CS5R-inst":
+                phi = hit[0]
+                atoms = sorted(atoms_of(phi), key=lambda a: a.name)
                 loose = [a.name for a in atoms if not a.lawlike]
                 if loose:
                     err = fail(
-                        f"stage collapse needs every atom of {show(operand)} declared "
+                        f"stage collapse needs every atom of {show(phi)} declared "
                         f"lawlike; {loose[0]!r} has no terminating test"
                     )
                 else:
                     warnings.append(
-                        f"step {n}: stage collapse on {show(operand)} (leans on the "
+                        f"step {n}: stage collapse on {show(phi)} (leans on the "
                         f"lawlike declaration of {', '.join(a.name for a in atoms)})"
                     )
         else:  # pragma: no cover
@@ -721,13 +640,13 @@ def ks_prerequisite_report(bounds: SweepBounds = SweepBounds()) -> PrerequisiteR
         ),
         blocked=(
             BlockedRule(
-                rule="case split on [n]phi | ~[n]phi",
+                rule=f"case split on {SCHEMAS['cs4'].template}",
                 schema="cs4",
                 role="branch on whether the test at stage n has decided the assertion",
                 countermodel=cs4.countermodel,
             ),
             BlockedRule(
-                rule="collapse <*>phi -> phi",
+                rule=f"collapse {SCHEMAS['cs5'].template}",
                 schema="cs5",
                 role="turn eventual settledness into a decision made now",
                 countermodel=cs5.countermodel,

@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
 
@@ -776,51 +777,105 @@ def _mask_closure(atom_masks: tuple[int, ...], starts: list[int], implies) -> di
 
 @dataclass(frozen=True)
 class Schema:
+    """A principle written once, as a template over the metavariable phi and
+    index variables that each stand for an integer >= 1. The sweep's
+    instances and the derivation checker's matcher both come from it.
+
+    The template is parsed once, with each distinct index expression (n,
+    n+m) replaced by its position: [1], [2], ... The public grammar takes
+    no index variables. Read left to right, each box brings in at most one
+    index variable not seen before, which the matcher solves for."""
+
     name: str
-    description: str
-    # instances(bounds) yields (indices, builder) where builder(phi) -> Formula
-    instances: Callable[[SweepBounds], list[tuple[dict, Callable[[Formula], Formula]]]]
+    template: str
+    _form: Formula = field(init=False, repr=False, compare=False)
+    _exprs: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
 
+    def __post_init__(self) -> None:
+        exprs: list[tuple[str, ...]] = []
 
-def _ic1_instances(b: SweepBounds):
-    out = []
-    for n in range(1, b.max_box_index):
-        for m in range(1, b.max_box_index - n + 1):
-            out.append(
-                (
-                    {"n": n, "m": m},
-                    lambda phi, n=n, m=m: Implies(Box(n, phi), Box(n + m, phi)),
-                )
-            )
-    return out
+        def position(m: "re.Match[str]") -> str:
+            expr = tuple(m.group(1).split("+"))
+            if expr not in exprs:
+                exprs.append(expr)
+            return f"[{exprs.index(expr) + 1}]"
+
+        object.__setattr__(self, "_form", parse(re.sub(r"\[([a-z+]+)\]", position, self.template)))
+        object.__setattr__(self, "_exprs", tuple(exprs))
+
+    def _show(self, f: Formula) -> str:
+        return re.sub(r"\[(\d+)\]", lambda m: f"[{'+'.join(self._exprs[int(m[1]) - 1])}]", show(f))
+
+    def sides(self) -> tuple[str, str]:
+        """The premise and conclusion of an implication template, as printed."""
+        return self._show(self._form.left), self._show(self._form.right)
+
+    def instances(self, bounds: SweepBounds) -> list[tuple[dict, Callable[[Formula], Formula]]]:
+        """(indices, build) per index binding, in lexicographic order, keeping
+        those whose every [.] index is at most max_box_index. build(phi)
+        embeds the very phi object it is given."""
+        names = list(dict.fromkeys(v for expr in self._exprs for v in expr))
+        top = bounds.max_box_index
+        out = []
+        for values in itertools.product(range(1, top + 1), repeat=len(names)):
+            indices = dict(zip(names, values))
+            boxes = [sum(indices[v] for v in expr) for expr in self._exprs]
+            if max(boxes, default=1) <= top:
+                out.append((indices, functools.partial(self._build, boxes)))
+        return out
+
+    def _build(self, boxes: list[int], phi: Formula) -> Formula:
+        def inst(t: Formula) -> Formula:
+            if isinstance(t, Atom):
+                return phi
+            if isinstance(t, (And, Or, Implies)):
+                return type(t)(inst(t.left), inst(t.right))
+            if isinstance(t, Box):
+                return Box(boxes[t.n - 1], inst(t.operand))
+            if isinstance(t, SomeStage):
+                return SomeStage(inst(t.operand))
+            return t
+
+        return inst(self._form)
+
+    def match(self, f: Formula) -> Optional[tuple[Formula, dict]]:
+        """(phi, indices) when f is an instance of the template, else None.
+        phi is bound by position; the indices need only be >= 1."""
+        phi: list[Formula] = []
+        indices: dict[str, int] = {}
+
+        def walk(t: Formula, g: Formula) -> bool:
+            kind = type(t)
+            if kind is Atom:
+                phi.append(g)
+                return g is phi[0] or g == phi[0]
+            if type(g) is not kind:
+                return False
+            if kind is Box:
+                expr = self._exprs[t.n - 1]
+                fresh = [v for v in expr if v not in indices]
+                rest = g.n - sum(indices[v] for v in expr if v in indices)
+                if fresh and rest >= 1:
+                    indices[fresh[0]] = rest
+                elif fresh or rest:
+                    return False
+            if kind is Box or kind is SomeStage:
+                return walk(t.operand, g.operand)
+            return kind is Bottom or walk(t.left, g.left) and walk(t.right, g.right)
+
+        return (phi[0], indices) if walk(self._form, f) else None
 
 
 SCHEMAS: dict[str, Schema] = {
-    "ic1": Schema("ic1", "[n]phi -> [n+m]phi", _ic1_instances),
-    "ic2": Schema(
-        "ic2",
-        "~phi -> ~<*>phi",
-        lambda b: [({}, lambda phi: Implies(Not(phi), Not(SomeStage(phi))))],
-    ),
-    "ic3": Schema(
-        "ic3", "phi -> <*>phi", lambda b: [({}, lambda phi: Implies(phi, SomeStage(phi)))]
-    ),
-    "md": Schema(
-        "md",
-        "~<*>phi -> ~phi",
-        lambda b: [({}, lambda phi: Implies(Not(SomeStage(phi)), Not(phi)))],
-    ),
-    "cs4": Schema(
-        "cs4",
-        "[n]phi | ~[n]phi",
-        lambda b: [
-            ({"n": n}, lambda phi, n=n: Or(Box(n, phi), Not(Box(n, phi))))
-            for n in range(1, b.max_box_index + 1)
-        ],
-    ),
-    "cs5": Schema(
-        "cs5", "<*>phi -> phi", lambda b: [({}, lambda phi: Implies(SomeStage(phi), phi))]
-    ),
+    s.name: s
+    for s in (
+        Schema("ic1", "[n]phi -> [n+m]phi"),
+        Schema("ic2", "~phi -> ~<*>phi"),
+        Schema("ic3", "phi -> <*>phi"),
+        Schema("md", "~<*>phi -> ~phi"),
+        Schema("cs4", "[n]phi | ~[n]phi"),
+        Schema("cs5", "<*>phi -> phi"),
+    )
 }
 
 EXPECTED_VALID = ("ic1", "ic2", "ic3", "md")

@@ -1,23 +1,33 @@
 """Derivation scripts: parsing, rule checking, and semantic soundness."""
 
+import functools
 import itertools
 import json
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from brouwer.derivation import (
     BUNDLED_SCRIPTS,
     Rejected,
+    Script,
     ScriptSyntaxError,
+    Step,
     Verified,
     check_script,
     ks_prerequisite_report,
     parse_script,
 )
 from brouwer.logic import (
+    BOT,
     And,
     Atom,
+    Box,
     Implies,
+    Not,
+    Or,
     SomeStage,
     StageTree,
     SweepBounds,
@@ -25,6 +35,7 @@ from brouwer.logic import (
     atoms_of,
     enumerate_shapes,
     forces,
+    is_stage_free,
     load_model,
     parse,
     show,
@@ -155,6 +166,19 @@ def test_comments_and_blank_lines_ignored():
         ("premise p\n1: p ; Premise\n2: p ; Premise(1)", 2, "exactly 0"),
         # leftover assumption
         ("1: p ; Assume\n2: p | q ; OrIntro(1)", 2, "never discharged"),
+        # the stage rules, in axiom form and applied to one reference
+        ("1: ~<*>a -> ~b ; MD-inst", 1, "axiom form is ~<*>phi -> ~phi"),
+        ("premise ~<*>a\n1: ~<*>a ; Premise\n2: a ; MD-inst(1)", 2, "from ~<*>phi the rule yields ~phi"),
+        ("1: [2]a -> [2]a ; IC1-inst", 1, "axiom form is [n]phi -> [n+m]phi"),
+        ("premise [2]a\n1: [2]a ; Premise\n2: [1]a ; IC1-inst(1)", 2, "from [n]phi the rule yields [n+m]phi"),
+        ("1: ~a -> ~<*>b ; IC2-inst", 1, "axiom form is ~phi -> ~<*>phi"),
+        ("premise ~a\n1: ~a ; Premise\n2: <*>~a ; IC2-inst(1)", 2, "from ~phi the rule yields ~<*>phi"),
+        ("1: <*>a -> a ; IC3-inst", 1, "axiom form is phi -> <*>phi"),
+        ("premise a\n1: a ; Premise\n2: <*>b ; IC3-inst(1)", 2, "from phi the rule yields <*>phi"),
+        ("assert a lawlike\n1: <*>a -> ~a ; CS5R-inst", 1, "axiom form is <*>phi -> phi"),
+        ("assert a lawlike\npremise <*>a\n1: <*>a ; Premise\n2: ~a ; CS5R-inst(1)", 2, "from <*>phi the rule yields phi"),
+        ("1: <*>b -> b ; CS5R-inst", 1, "no terminating test"),
+        ("premise a\n1: a ; Premise\n2: <*>a ; IC3-inst(1, 1)", 2, "needs 0 or 1 reference(s), got 2"),
     ],
 )
 def test_rejections(src, step, fragment):
@@ -318,3 +342,365 @@ def test_ks_prerequisite_report():
     m = load_model(json.dumps(doc["blocked"][1]["countermodel"]["model"]))
     inst = parse(doc["blocked"][1]["countermodel"]["instance"])
     assert not forces(m, m.index_of(doc["blocked"][1]["countermodel"]["node"]), inst)
+
+
+# --- the stage rules against the hand-written checker they replaced ---
+
+
+def _reference_destruct_not(f):
+    if isinstance(f, Implies) and f.right == BOT:
+        return f.left
+    return None
+
+
+def _reference_inst(rule, refs, f) -> bool:
+    """Whether the checker's hand-written *-inst branches, which the schema
+    templates replaced, accept the step: the branches are kept verbatim, with
+    just enough scaffolding around them to run on their own."""
+    st = SimpleNamespace(refs=tuple(refs))
+    _destruct_not = _reference_destruct_not
+    warnings, n = [], 0
+
+    def fail(reason):
+        return reason
+
+    def arity(k):
+        if len(st.refs) != k:
+            return fail(f"needs exactly {k} reference(s), got {len(st.refs)}")
+        return None
+
+    err = None
+    if rule not in _STAGE_RULES:
+        raise ValueError(rule)
+    elif rule == "MD-inst":
+        if len(st.refs) == 1:
+            src = _destruct_not(refs[0])
+            if not (isinstance(src, SomeStage) and f == Not(src.operand)):
+                err = fail("from ~<*>phi the rule yields ~phi")
+        else:
+            err = arity(0)
+            if not err:
+                ok = False
+                if isinstance(f, Implies):
+                    l, r = _destruct_not(f.left), _destruct_not(f.right)
+                    ok = (
+                        isinstance(l, SomeStage)
+                        and r is not None
+                        and l.operand == r
+                    )
+                if not ok:
+                    err = fail("axiom form is ~<*>phi -> ~phi")
+    elif rule == "IC1-inst":
+        if len(st.refs) == 1:
+            ok = (
+                isinstance(refs[0], Box)
+                and isinstance(f, Box)
+                and f.operand == refs[0].operand
+                and f.n > refs[0].n
+            )
+            if not ok:
+                err = fail("from [n]phi the rule yields [n+m]phi with m >= 1")
+        else:
+            err = arity(0)
+            if not err:
+                ok = (
+                    isinstance(f, Implies)
+                    and isinstance(f.left, Box)
+                    and isinstance(f.right, Box)
+                    and f.left.operand == f.right.operand
+                    and f.right.n > f.left.n
+                )
+                if not ok:
+                    err = fail("axiom form is [n]phi -> [n+m]phi")
+    elif rule == "IC2-inst":
+        if len(st.refs) == 1:
+            src = _destruct_not(refs[0])
+            tgt = _destruct_not(f)
+            if (
+                src is None
+                or not isinstance(tgt, SomeStage)
+                or tgt.operand != src
+            ):
+                err = fail("from ~phi the rule yields ~<*>phi")
+        else:
+            err = arity(0)
+            if not err:
+                ok = False
+                if isinstance(f, Implies):
+                    l, r = _destruct_not(f.left), _destruct_not(f.right)
+                    ok = (
+                        l is not None
+                        and isinstance(r, SomeStage)
+                        and r.operand == l
+                    )
+                if not ok:
+                    err = fail("axiom form is ~phi -> ~<*>phi")
+    elif rule == "IC3-inst":
+        if len(st.refs) == 1:
+            if not (isinstance(f, SomeStage) and f.operand == refs[0]):
+                err = fail("from phi the rule yields <*>phi")
+        else:
+            err = arity(0)
+            if not err:
+                ok = (
+                    isinstance(f, Implies)
+                    and isinstance(f.right, SomeStage)
+                    and f.right.operand == f.left
+                )
+                if not ok:
+                    err = fail("axiom form is phi -> <*>phi")
+    elif rule == "CS5R-inst":
+        operand: Optional[Formula] = None
+        if len(st.refs) == 1:
+            if isinstance(refs[0], SomeStage) and refs[0].operand == f:
+                operand = f
+            else:
+                err = fail("from <*>phi the restricted rule yields phi")
+        else:
+            err = arity(0)
+            if not err:
+                if (
+                    isinstance(f, Implies)
+                    and isinstance(f.left, SomeStage)
+                    and f.left.operand == f.right
+                ):
+                    operand = f.right
+                else:
+                    err = fail("axiom form is <*>phi -> phi")
+        if operand is not None and err is None:
+            atoms = sorted(atoms_of(operand), key=lambda a: a.name)
+            loose = [a.name for a in atoms if not a.lawlike]
+            if loose:
+                err = fail(
+                    f"stage collapse needs every atom of {show(operand)} declared "
+                    f"lawlike; {loose[0]!r} has no terminating test"
+                )
+            else:
+                warnings.append(
+                    f"step {n}: stage collapse on {show(operand)} (leans on the "
+                    f"lawlike declaration of {', '.join(a.name for a in atoms)})"
+                )
+    return err is None
+
+_STAGE_RULES = ("MD-inst", "IC1-inst", "IC2-inst", "IC3-inst", "CS5R-inst")
+_LAWLIKE_ATOMS = [Atom("a", True), Atom("b", True)]
+_ATOMS = [Atom("p"), Atom("q")] + _LAWLIKE_ATOMS
+
+
+def _stage_free(atoms):
+    return st.recursive(
+        st.sampled_from(atoms + [BOT]),
+        lambda sub: st.one_of(sub.map(Not), *(st.builds(c, sub, sub) for c in (And, Or, Implies))),
+        max_leaves=3,
+    )
+
+
+_ANY_PHI, _LAWLIKE_PHI = _stage_free(_ATOMS), _stage_free(_LAWLIKE_ATOMS)
+
+# premise and conclusion of each stage rule, with both phi slots and both
+# indices free, so that an instance can be bent just off the rule
+_SHAPES = {
+    "MD-inst": lambda l, r, n, k: (Not(SomeStage(l)), Not(r)),
+    "IC1-inst": lambda l, r, n, k: (Box(n, l), Box(k, r)),
+    "IC2-inst": lambda l, r, n, k: (Not(l), Not(SomeStage(r))),
+    "IC3-inst": lambda l, r, n, k: (l, SomeStage(r)),
+    "CS5R-inst": lambda l, r, n, k: (SomeStage(l), r),
+}
+
+
+def _drop_not(f):
+    return f.left if isinstance(f, Implies) and f.right == BOT else Not(f)
+
+
+@st.composite
+def _stage_steps(draw):
+    """(rule, refs, formula, intact): a stage-rule step that is an instance,
+    or one perturbed by another phi, m <= 0, a wrong shape, a dropped ~,
+    non-lawlike atoms or a second reference."""
+    rule = draw(st.sampled_from(_STAGE_RULES))
+    shape = draw(st.sampled_from([rule] * 3 + list(_SHAPES)))
+    lawlike = draw(st.booleans())
+    phi = draw(_LAWLIKE_PHI if lawlike else _ANY_PHI)
+    other = phi if draw(st.integers(0, 3)) else draw(_ANY_PHI)
+    n, m = draw(st.integers(1, 3)), draw(st.integers(-1, 3))
+    premise, conclusion = _SHAPES[shape](phi, other, n, max(1, n + m))
+    drop = draw(st.sampled_from([None, None, None, "premise", "conclusion"]))
+    if drop == "premise":
+        premise = _drop_not(premise)
+    elif drop == "conclusion":
+        conclusion = _drop_not(conclusion)
+    refs = [premise] * draw(st.integers(0, 2))
+    formula = conclusion if refs else Implies(premise, conclusion)
+    intact = (
+        shape == rule
+        and other == phi
+        and (m >= 1 or rule != "IC1-inst")
+        and drop is None
+        and len(refs) < 2
+        and (lawlike or rule != "CS5R-inst")
+    )
+    return rule, refs, formula, intact
+
+
+def _step_script(rule, refs, formula):
+    """The step, its references cited as one premise step ahead of it."""
+    steps = [Step(1, g, "Premise", (), 1) for g in refs[:1]]
+    steps.append(Step(len(steps) + 1, formula, rule, (1,) * len(refs), len(steps) + 1))
+    lawlike = frozenset(a.name for a in _LAWLIKE_ATOMS)
+    return Script(lawlike, frozenset(a.name for a in _ATOMS), tuple(refs[:1]), (), tuple(steps))
+
+
+@given(_stage_steps())
+@settings(max_examples=300, deadline=None)
+def test_stage_rules_match_the_hand_written_checker(step):
+    rule, refs, formula, intact = step
+    accepted = check_script(_step_script(rule, refs, formula)).ok
+    assert accepted == _reference_inst(rule, refs, formula)
+    if intact:
+        assert accepted
+
+
+# --- soundness of every rule but CS5R against forcing on small models ---
+
+
+@functools.lru_cache(maxsize=None)
+def _small_models():
+    return [(m, range(m.size)) for m in _models_over(["a", "p"], 4)]
+
+
+def _staged_over(free):
+    staged = st.one_of(st.builds(Box, st.integers(1, 3), free), free.map(SomeStage), free)
+    return st.one_of(
+        staged, staged.map(Not), *(st.builds(c, staged, staged) for c in (And, Implies))
+    )
+
+
+_STAGED = _staged_over(_stage_free([Atom("a", True), Atom("p")]))
+_RULES = (
+    "Premise", "DefAxiom", "Assume", "Discharge", "MP", "AndIntro", "AndElim", "OrIntro",
+    "ContraPos", "DNE",
+) + _STAGE_RULES
+
+
+def _stage_moves(g):
+    """What each stage rule draws from g, a step off it for IC1."""
+    out = []
+    if isinstance(g, Implies) and g.right == BOT:
+        if isinstance(g.left, SomeStage):
+            out.append(("MD-inst", Not(g.left.operand)))
+        if is_stage_free(g.left):
+            out.append(("IC2-inst", Not(SomeStage(g.left))))
+    if isinstance(g, Box):
+        out += [("IC1-inst", Box(k, g.operand)) for k in range(max(1, g.n - 1), g.n + 3)]
+    if is_stage_free(g):
+        out.append(("IC3-inst", SomeStage(g)))
+    if isinstance(g, SomeStage):
+        out.append(("CS5R-inst", g.operand))
+    return out
+
+
+def _moves(premises, defaxioms, leaves, seed):
+    """(rule, refs, formula) for each step one rule draws from the premises,
+    definitional axioms and leaf steps, or in axiom form from the seed: the
+    candidates for the step after the leaves."""
+    out = [("Premise", (), f) for f in premises] + [("DefAxiom", (), f) for f in defaxioms]
+    out += [("Assume", (), seed)] + [(rule, (), Implies(seed, c)) for rule, c in _stage_moves(seed)]
+    for leaf in leaves:
+        i, g = leaf.number, leaf.formula
+        out += [("OrIntro", (i,), Or(g, seed)), ("OrIntro", (i,), Or(seed, g))]
+        out += [(rule, (i,), c) for rule, c in _stage_moves(g)]
+        out += [(rule, (), Implies(g, c)) for rule, c in _stage_moves(g)]
+        if isinstance(g, (And, Or, Implies)):  # AndElim must refuse all but And
+            out += [("AndElim", (i,), g.left), ("AndElim", (i,), g.right)]
+        if isinstance(g, Implies):
+            out.append(("ContraPos", (i,), Implies(Not(g.right), Not(g.left))))
+            if isinstance(g.left, Implies):
+                out.append(("DNE", (i,), g.left.left))
+        if g == BOT and leaf.rule == "Assume":
+            out.append(("Discharge", (i,), Not(g)))
+        for other in leaves:
+            out.append(("AndIntro", (i, other.number), And(g, other.formula)))
+            if isinstance(other.formula, Implies) and other.formula.left == g:
+                out.append(("MP", (i, other.number), other.formula.right))
+    return out
+
+
+@st.composite
+def _small_scripts(draw):
+    """Up to two Premise, DefAxiom or Assume steps, then one step that a rule
+    draws from them, sometimes cited under another rule, negated or with its
+    sides swapped. The rule is drawn first, so that rules with few moves are
+    not crowded out."""
+    premises = tuple(draw(st.lists(_STAGED, max_size=2)))
+    defaxioms = tuple(draw(st.lists(_STAGED, max_size=1)))
+    leaves: list[Step] = []
+    for i in range(1, draw(st.integers(0, 2)) + 1):
+        kinds = ["Assume"] + ["Premise"] * bool(premises) + ["DefAxiom"] * bool(defaxioms)
+        kind = draw(st.sampled_from(kinds))
+        if kind != "Assume":
+            f = draw(st.sampled_from(premises if kind == "Premise" else defaxioms))
+        elif leaves and isinstance(leaves[0].formula, Implies) and draw(st.booleans()):
+            f = leaves[0].formula.left  # an argument for MP
+        else:
+            f = draw(st.one_of(st.just(BOT), _STAGED, _STAGED.map(lambda g: Not(Not(Not(g))))))
+        leaves.append(Step(i, f, kind, (), i))
+    moves = _moves(premises, defaxioms, leaves, draw(_STAGED))
+    stage_moves = [move for move in moves if move[0] in _STAGE_RULES]
+    rule = draw(st.sampled_from(sorted(
+        {rule for rule, _, _ in moves} | set(_STAGE_RULES if stage_moves else ())
+    )))
+    own = [move for move in moves if move[0] == rule]
+    perturb = draw(st.integers(0, 5))
+    if own and (perturb > 1 or rule not in _STAGE_RULES):
+        _, refs, formula = draw(st.sampled_from(own))
+    else:  # a stage rule offered any stage rule's move
+        _, refs, formula = draw(st.sampled_from(stage_moves))
+    if perturb == 2:
+        rule = draw(st.sampled_from(_RULES))
+    elif perturb == 3:
+        formula = _drop_not(formula)
+    elif perturb == 4 and isinstance(formula, (And, Or, Implies)):
+        formula = type(formula)(formula.right, formula.left)
+    last = Step(len(leaves) + 1, formula, rule, refs, len(leaves) + 1)
+    return Script(frozenset({"a"}), frozenset({"a", "p"}), premises, defaxioms, (*leaves, last))
+
+
+def _assert_sound(script) -> bool:
+    """Unless the checker rejects the last step or it is a CS5R-inst step,
+    check that every node of the small models that forces the premises,
+    definitional axioms and open assumptions forces the step's formula."""
+    result = check_script(script)
+    last = script.steps[-1]
+    undischarged = isinstance(result, Rejected) and result.reason.endswith("never discharged")
+    if last.rule == "CS5R-inst" or not (result.ok or undischarged):
+        return False
+    assumptions = [s.formula for s in script.steps if s.rule == "Assume"]
+    if last.rule == "Discharge":
+        assumptions.pop()
+    hypotheses = list(script.premises) + list(script.defaxioms) + assumptions
+    for m, nodes in _small_models():
+        for w in nodes:
+            if not forces(m, w, last.formula):
+                assert not all(forces(m, w, h) for h in hypotheses), (
+                    show(last.formula), last.rule, m.parents, m.valuation, w
+                )
+    return True
+
+
+@given(_small_scripts())
+@settings(max_examples=150, deadline=None)
+def test_accepted_steps_are_forced_where_their_hypotheses_are(script):
+    _assert_sound(script)
+
+
+@pytest.mark.parametrize("rule", _STAGE_RULES[:-1])
+def test_stage_rules_are_sound_on_every_shape(rule):
+    # each rule is offered every stage rule's shape, in both forms
+    accepted = 0
+    for shape, phi, (n, k) in itertools.product(
+        _SHAPES, [Atom("p"), Atom("a", True), Not(Atom("p"))], [(1, 2), (2, 1), (1, 1)]
+    ):
+        premise, conclusion = _SHAPES[shape](phi, phi, n, k)
+        for refs, formula in (([], Implies(premise, conclusion)), ([premise], conclusion)):
+            accepted += _assert_sound(_step_script(rule, refs, formula))
+    assert accepted > 0

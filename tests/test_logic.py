@@ -127,6 +127,8 @@ def test_pipe_sugar():
         "[1]<*>p",
         "P",  # names are lowercase
         "p ! q",
+        "[n]p",  # index variables live only in the schema templates
+        "[n+m]p",
     ],
 )
 def test_syntax_errors(text):
@@ -524,17 +526,88 @@ def test_principle_suite_fast_bounds():
     assert "lawlike" in report.restricted_cs5_note
 
 
+# --- schema templates against the hand-written instances they replaced ---
+
+
+def _pinned_ic1_instances(b: SweepBounds):
+    out = []
+    for n in range(1, b.max_box_index):
+        for m in range(1, b.max_box_index - n + 1):
+            out.append(
+                (
+                    {"n": n, "m": m},
+                    lambda phi, n=n, m=m: Implies(Box(n, phi), Box(n + m, phi)),
+                )
+            )
+    return out
+
+
+# the instance builders each schema had before templates, kept verbatim as the oracle
+_PINNED_INSTANCES = {
+    "ic1": _pinned_ic1_instances,
+    "ic2": lambda b: [({}, lambda phi: Implies(Not(phi), Not(SomeStage(phi))))],
+    "ic3": lambda b: [({}, lambda phi: Implies(phi, SomeStage(phi)))],
+    "md": lambda b: [({}, lambda phi: Implies(Not(SomeStage(phi)), Not(phi)))],
+    "cs4": lambda b: [
+        ({"n": n}, lambda phi, n=n: Or(Box(n, phi), Not(Box(n, phi))))
+        for n in range(1, b.max_box_index + 1)
+    ],
+    "cs5": lambda b: [({}, lambda phi: Implies(SomeStage(phi), phi))],
+}
+
+_SAMPLE_PHIS = [P, Atom("phi"), Atom("a", lawlike=True), BOT, Not(P), parse("p & ~q -> p | q")]
+
+
+def _subformulas(f):
+    yield f
+    for child in (getattr(f, "left", None), getattr(f, "right", None), getattr(f, "operand", None)):
+        if child is not None:
+            yield from _subformulas(child)
+
+
+@pytest.mark.parametrize("box", range(1, 6))
+@pytest.mark.parametrize("name", sorted(SCHEMAS))
+def test_template_instances_match_pinned_builders(name, box):
+    bounds = SweepBounds(max_box_index=box)
+    got, want = SCHEMAS[name].instances(bounds), _PINNED_INSTANCES[name](bounds)
+    assert [indices for indices, _ in got] == [indices for indices, _ in want]
+    for (indices, build), (_, pinned) in zip(got, want):
+        for phi in _SAMPLE_PHIS:
+            inst = build(phi)
+            assert inst == pinned(phi)
+            # the sweep's mask memo keys on id(phi), so phi itself is embedded
+            assert any(g is phi for g in _subformulas(inst))
+            assert SCHEMAS[name].match(inst) == (phi, indices)
+
+
+def test_template_text_and_matcher():
+    for schema in SCHEMAS.values():
+        if schema.name != "cs4":
+            assert " -> ".join(schema.sides()) == schema.template
+    ic1 = SCHEMAS["ic1"]
+    # indices are not bounded by any sweep bound, only by >= 1
+    assert ic1.match(parse("[2]a -> [7]a")) == (Atom("a"), {"n": 2, "m": 5})
+    assert ic1.match(parse("[2]a -> [2]a")) is None
+    assert ic1.match(parse("[3]a -> [2]a")) is None
+    assert ic1.match(parse("[1]a -> [2]b")) is None
+    assert SCHEMAS["cs4"].match(parse("[2]p | ~[3]p")) is None
+    assert SCHEMAS["ic2"].match(parse("~phi -> ~<*>phi")) == (Atom("phi"), {})
+    assert SCHEMAS["ic3"].match(parse("p -> <*>~p")) is None
+    assert SCHEMAS["md"].match(parse("~<*>p -> p")) is None
+
+
 # --- the mask sweep against the per-formula reference loop ---
 
 
 def _reference_sweep(
     schema_names: list[str], bounds: SweepBounds, cap: int
 ) -> tuple[dict[str, SweepResult], bool]:
-    """The per-formula sweep the mask algebra replaced, kept verbatim as the oracle."""
+    """The per-formula sweep the mask algebra replaced, kept verbatim as the
+    oracle but for taking its instances from the pinned builders."""
     _refuse_if_huge(bounds, cap)
     formulas = enumerate_box_free(bounds)
     instances = {
-        name: SCHEMAS[name].instances(bounds) for name in schema_names
+        name: _PINNED_INSTANCES[name](bounds) for name in schema_names
     }
     found: dict[str, Optional[Countermodel]] = {name: None for name in schema_names}
     models_checked = 0
