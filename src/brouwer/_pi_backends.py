@@ -1,6 +1,6 @@
 """Decimal digit backends for pi, all on the standard library.
 
-Three independent routes:
+Four independent routes:
 
 * Chudnovsky binary splitting - the production path. Python ints at the
   leaves of the splitting, libmpdec (``decimal``) integers above them, a
@@ -8,12 +8,18 @@ Three independent routes:
   ``decimal`` division. Python int division and int-to-string are
   quadratic; libmpdec multiplies with a number-theoretic transform and
   prints in linear time.
+* Certified Machin enclosure - the self-test of ``fleeing.DigitOracle``.
+  Integers lo < 10**m * pi < hi from 16 atan 1/5 - 4 atan 1/239, term by
+  term with floor divisions whose errors are all counted, so the digits
+  it returns are proved, not guarded; quadratic, but 1.5-2 ms for a
+  thousand digits.
 * Machin arctangent series (16 atan 1/5 - 4 atan 1/239), binary splitting
   over exact fractions - an independent series for cross-checking.
 * Streaming spigot (linear fraction transformations, digit at a time) -
-  exact by construction, no guard digits involved.
+  exact by construction, no guard digits involved; the reference of the
+  tests and ``benchmarks/``.
 
-All three return the decimal expansion after the leading integer part,
+All four return the decimal expansion after the leading integer part,
 so digits(5) == "14159".
 
 BACKEND names the Chudnovsky core in benchmark records. It is always
@@ -160,6 +166,72 @@ def chudnovsky_digits(n: int) -> str:
     """First n decimals of pi via Chudnovsky binary splitting; each pass
     reads pi within 10**-(n + guard + 7), see ``_first_decimals``."""
     return _first_decimals(n, _chudnovsky_str)
+
+
+# --- certified Machin enclosure ---
+
+
+def _atan_inv_floor(x: int, one: int) -> tuple[int, int]:
+    """(s, b) with |one * atan(1/x) - s| < b, for integers x >= 2, one >= 1.
+
+    atan(1/x) = sum_k (-1)**k T_k / one, T_k = one / ((2k+1) * x**(2k+1)).
+    p_k = p_{k-1} // x**2 from p_0 = one // x is floor(one / x**(2k+1)),
+    because floor(floor(a/b)/c) = floor(a/(bc)) for positive integers; so
+    t_k = p_k // (2k+1) is floor(T_k), and T_k lies in [t_k, t_k + 1).
+    The loop stops at the first K with p_K = 0, that is one < x**(2K+1),
+    where every later T_k is below 1: the omitted alternating tail, its
+    terms decreasing, is at most T_K < 1 in size. The K kept floors err by
+    less than 1 each, and s sums them with their signs, so the total error
+    is below K + 1 = b.
+    """
+    x2 = x * x
+    p = one // x
+    s = k = 0
+    while p:
+        t = p // (2 * k + 1)
+        s += -t if k & 1 else t
+        p //= x2
+        k += 1
+    return s, k + 1
+
+
+def _machin_enclosure(m: int) -> tuple[int, int]:
+    """Integers lo < 10**m * pi < hi from pi = 16 atan(1/5) - 4 atan(1/239).
+
+    With |10**m atan(1/5) - s5| < b5 and |10**m atan(1/239) - s239| < b239
+    (``_atan_inv_floor``), 10**m * pi lies within 16*b5 + 4*b239 of
+    16*s5 - 4*s239. The width is about 25*m: near a thousand digits, the
+    last five of the m are uncertain.
+    """
+    one = 10**m
+    s5, b5 = _atan_inv_floor(5, one)
+    s239, b239 = _atan_inv_floor(239, one)
+    mid = 16 * s5 - 4 * s239
+    err = 16 * b5 + 4 * b239
+    return mid - err, mid + err
+
+
+def certified_digits(n: int) -> str:
+    """First n decimals of pi, proved digit by digit by the Machin enclosure.
+
+    With cut = 10**guard, lo < 10**(n + guard) * pi < hi gives
+    lo // cut <= floor(10**n * pi) <= hi // cut, so when the two ends agree
+    their common value is floor(10**n * pi), '3' and the n decimals. When
+    they differ - pi's expansion runs through many nines or zeros after
+    digit n, as it does at the six nines from position 762 - the guard
+    doubles and the enclosure is recomputed. No Chudnovsky code, no guard
+    heuristic and no ``decimal`` arithmetic is involved; ``Decimal`` only
+    prints the integer, past ``str(int)``'s digit cap.
+    """
+    if n < 1:
+        return ""
+    guard = 10
+    while True:
+        lo, hi = _machin_enclosure(n + guard)
+        cut = 10**guard
+        if lo // cut == hi // cut:
+            return str(Decimal(lo // cut))[1:]
+        guard *= 2
 
 
 # --- Machin arctangent series ---

@@ -28,56 +28,17 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import random
 import sys
-from fractions import Fraction
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
-from .derivation import (
-    BUNDLED_SCRIPTS,
-    Rejected,
-    ScriptSyntaxError,
-    check_script,
-    ks_prerequisite_report,
-)
-from .drift import (
-    KIND_ALIASES,
-    bundled_drift,
-    checking_sequence,
-    rationality_descriptor,
-    vienna_e,
-)
-from .errors import ResourceLimitError
-from .fleeing import (
-    berlin_r,
-    critical_number,
-    default_oracle,
-    find_pattern,
-    run_property,
-)
-from .logic import (
-    SweepBounds,
-    dump_model,
-    forces,
-    load_model,
-    parse,
-    show,
-    validity_sweep,
-)
-from .reals import apart_at, coincide_refute, lt_at, value_point, zero_point, one_point
-from .spreads import (
-    EventTrace,
-    Generator,
-    Process,
-    emit_prefix,
-    never_trace,
-    parse_trace,
-    rng_spread,
-    universal_spread,
-)
+from .errors import ResourceLimitError, SettingError
+
+if TYPE_CHECKING:
+    from .spreads import EventTrace
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
+EXIT_USAGE = 2
 EXIT_RESOURCE = 64
 
 CONFIG_FILE = "brouwer.toml"
@@ -117,10 +78,16 @@ def _emit(payload: dict, seed: int) -> None:
 # --- point specs for `real cmp` ---
 
 POINT_SPECS = ("zero", "one", "half", "berlin-s", "berlin-r", "vienna-e")
+# the keys of drift.KIND_ALIASES, sorted; spelled out so the parser needs no drift import
+DRIFT_KINDS = ("cond", "conditional", "direct", "osc", "oscillatory")
 
 
 def _build_point(spec: str, trace: EventTrace, digit: int, run: int):
-    from .drift import berlin_s
+    from fractions import Fraction
+
+    from .drift import berlin_s, vienna_e
+    from .fleeing import berlin_r, run_property
+    from .reals import one_point, value_point, zero_point
 
     if spec == "zero":
         return zero_point()
@@ -138,9 +105,12 @@ def _build_point(spec: str, trace: EventTrace, digit: int, run: int):
 
 
 # --- subcommand handlers ---
+# Each handler imports the modules it uses, so a command loads only those.
 
 
 def _cmd_pi(args, cfg) -> int:
+    from .fleeing import default_oracle, find_pattern
+
     oracle = default_oracle()
     if args.pi_cmd == "digits":
         n = args.n if args.n is not None else cfg["digits"]
@@ -174,6 +144,8 @@ def _cmd_pi(args, cfg) -> int:
 
 
 def _cmd_fleeing(args, cfg) -> int:
+    from .fleeing import critical_number, run_property
+
     horizon = args.horizon if args.horizon is not None else cfg["horizon"]
     search = critical_number(run_property(args.digit, args.run), horizon)
     if args.json:
@@ -194,6 +166,17 @@ def _cmd_fleeing(args, cfg) -> int:
 
 
 def _cmd_spread(args, cfg) -> int:
+    import random
+
+    from .spreads import (
+        Generator,
+        Process,
+        emit_prefix,
+        never_trace,
+        rng_spread,
+        universal_spread,
+    )
+
     seed = args.seed if args.seed is not None else cfg["seed"]
     law = rng_spread() if args.law == "rng" else universal_spread()
     rng = random.Random(seed)
@@ -224,6 +207,9 @@ def _cmd_spread(args, cfg) -> int:
 
 
 def _cmd_real(args, cfg) -> int:
+    from .reals import apart_at, coincide_refute, lt_at
+    from .spreads import parse_trace
+
     horizon = args.horizon if args.horizon is not None else cfg["horizon"]
     lhs_trace = parse_trace(args.lhs_trace)
     rhs_trace = parse_trace(args.rhs_trace)
@@ -258,6 +244,9 @@ def _cmd_real(args, cfg) -> int:
 
 
 def _cmd_drift(args, cfg) -> int:
+    from .drift import KIND_ALIASES, bundled_drift, checking_sequence, rationality_descriptor
+    from .spreads import parse_trace
+
     drift = bundled_drift(args.drift)
     kind = KIND_ALIASES[args.kind]
     trace = parse_trace(args.trace)
@@ -285,6 +274,8 @@ def _cmd_drift(args, cfg) -> int:
 
 
 def _cmd_logic(args, cfg) -> int:
+    from .logic import SweepBounds, dump_model, forces, load_model, parse, show, validity_sweep
+
     if args.logic_cmd == "eval":
         with open(args.model, encoding="utf-8") as fh:
             model = load_model(fh.read())
@@ -344,6 +335,15 @@ def _cmd_logic(args, cfg) -> int:
 
 
 def _cmd_derive(args, cfg) -> int:
+    from .derivation import (
+        BUNDLED_SCRIPTS,
+        Rejected,
+        ScriptSyntaxError,
+        check_script,
+        ks_prerequisite_report,
+    )
+    from .logic import show
+
     if args.derive_cmd == "ks-report":
         report = ks_prerequisite_report()
         if args.json:
@@ -398,8 +398,21 @@ def _cmd_derive(args, cfg) -> int:
 
 
 def _replay_checks(name: str) -> list[tuple[str, bool]]:
-    from .drift import CheckingKind, berlin_s
-    from .spreads import proved_at
+    from fractions import Fraction
+
+    from .derivation import BUNDLED_SCRIPTS, check_script, ks_prerequisite_report
+    from .drift import (
+        CheckingKind,
+        berlin_s,
+        bundled_drift,
+        checking_sequence,
+        rationality_descriptor,
+        vienna_e,
+    )
+    from .fleeing import find_pattern
+    from .logic import forces, show
+    from .reals import apart_at, zero_point
+    from .spreads import never_trace, proved_at
 
     checks: list[tuple[str, bool]] = []
 
@@ -560,7 +573,7 @@ def build_parser() -> argparse.ArgumentParser:
     dr = ds.add_parser("run", help="emit a checking sequence")
     dr.add_argument("--drift", choices=("rational-right", "two-winged-mixed", "berlin"),
                     default="rational-right")
-    dr.add_argument("--kind", choices=sorted(KIND_ALIASES), default="direct")
+    dr.add_argument("--kind", choices=DRIFT_KINDS, default="direct")
     dr.add_argument("--trace", default="never", help="never | true:k | false:k")
     dr.add_argument("--terms", type=int, default=8)
     dr.add_argument("--json", action="store_true")
@@ -615,12 +628,15 @@ def main(argv: Optional[list[str]] = None) -> int:
         cfg = load_config()
     except ValueError as e:
         print(f"config error: {e}", file=sys.stderr)
-        return 2
+        return EXIT_USAGE
     try:
         return _HANDLERS[args.cmd](args, cfg)
     except ResourceLimitError as e:
         print(f"resource refusal: {e}", file=sys.stderr)
         return EXIT_RESOURCE
+    except SettingError as e:
+        print(f"setting error: {e}", file=sys.stderr)
+        return EXIT_USAGE
     except (ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISMATCH

@@ -8,3 +8,7 @@ class ResourceLimitError(Exception):
         self.requested = requested
         self.limit = limit
         super().__init__(message)
+
+
+class SettingError(ValueError):
+    """A setting from the environment is not a value the program accepts."""

@@ -2,9 +2,9 @@
 
 A fleeing property is decidable at every index, has no known witness, and
 no proof that a witness is impossible. The digit oracle backs the concrete
-examples: properties of the decimal expansion of pi. The oracle cross-checks
-two independent algorithms on construction, caches a single growing prefix,
-and refuses requests beyond a configurable bound.
+examples: properties of the decimal expansion of pi. The oracle checks its
+production algorithm against a certified enclosure on construction, caches a
+single growing prefix, and refuses requests beyond a configurable bound.
 """
 
 from __future__ import annotations
@@ -12,36 +12,51 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import TYPE_CHECKING, Callable, Optional
 
 from . import _pi_backends
-from .errors import ResourceLimitError
-from .reals import Point
-from .spreads import Generator, Lawlike, centered_term, centering_rule, rng_spread
+from .errors import ResourceLimitError, SettingError
+
+# The switch constructions import reals and spreads when called, so digit
+# queries load neither.
+if TYPE_CHECKING:
+    from .reals import Point
 
 DEFAULT_DIGIT_LIMIT = 2_000_000
 _ENV_LIMIT = "BW_DIGIT_LIMIT"
 
 
+def _env_limit() -> int:
+    """BW_DIGIT_LIMIT when set, else DEFAULT_DIGIT_LIMIT; refuses anything
+    but a non-negative integer."""
+    env = os.environ.get(_ENV_LIMIT)
+    if not env:
+        return DEFAULT_DIGIT_LIMIT
+    if not env.strip().isdecimal():
+        raise SettingError(f"{_ENV_LIMIT} must be a non-negative integer, got {env!r}")
+    return int(env)
+
+
 class DigitOracle:
     """Prefix-cached decimal digits of pi, positions 1-based.
 
-    On construction the production algorithm (Chudnovsky binary splitting
-    on Python ints and ``decimal``) is cross-checked against the streaming
-    spigot.
+    Every construction checks the production algorithm (Chudnovsky binary
+    splitting on Python ints and ``decimal``) against the certified Machin
+    enclosure, ``_pi_backends.certified_digits``, on the first
+    min(self_test_digits, limit) digits; a disagreement raises
+    AssertionError. limit caps the digits it will ever hold; it defaults
+    to ``BW_DIGIT_LIMIT`` from the environment, else DEFAULT_DIGIT_LIMIT.
     """
 
     def __init__(self, self_test_digits: int = 1000, limit: Optional[int] = None):
-        env = os.environ.get(_ENV_LIMIT)
-        self.limit = limit if limit is not None else (
-            int(env) if env else DEFAULT_DIGIT_LIMIT
-        )
+        self.limit = _env_limit() if limit is None else limit
+        if self.limit < 0:
+            raise ValueError(f"digit limit must be non-negative, got {self.limit}")
         self._cache = ""
         if self_test_digits:
             n = min(self_test_digits, self.limit)
             fast = _pi_backends.chudnovsky_digits(n)
-            slow = _pi_backends.spigot_digits(n)
-            if fast != slow:
+            if fast != _pi_backends.certified_digits(n):
                 raise AssertionError(
                     f"pi backends disagree within the first {n} digits"
                 )
@@ -171,6 +186,9 @@ def _least_witness_scan(p: DecidableProperty) -> Callable[[int], Optional[int]]:
 
 def berlin_r(p: DecidableProperty) -> Point:
     """Centers 0 until the least witness K of p is visible, then (-2)^(-K) forever."""
+    from .reals import Point
+    from .spreads import Generator, Lawlike, centering_rule, rng_spread
+
     witness = _least_witness_scan(p)
 
     def target(stage: int):
@@ -205,6 +223,9 @@ def veldman_f2(
 
     The follower defaults to centering the limit value stage by stage.
     """
+    from .reals import Point
+    from .spreads import Generator, Lawlike, centered_term, centering_rule, rng_spread
+
     if follower is not None and not isinstance(follower.generator.kind, Lawlike):
         raise ValueError("the follower must be lawlike")
     witness = _least_witness_scan(p)
@@ -232,6 +253,9 @@ def cambridge_c(
 ) -> Point:
     """Follows the family values a_n until the least witness K is visible,
     then stays at a_K: term n centers a_min(n, K)."""
+    from .reals import Point
+    from .spreads import Generator, Lawlike, centering_rule, rng_spread
+
     witness = _least_witness_scan(p)
 
     def target(stage: int):

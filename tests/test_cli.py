@@ -5,7 +5,8 @@ import json
 import pytest
 
 from brouwer import fleeing
-from brouwer.cli import DEFAULTS, REPLAYS, load_config, main
+from brouwer.cli import DEFAULTS, DRIFT_KINDS, REPLAYS, load_config, main
+from brouwer.drift import KIND_ALIASES
 
 PI_50 = "14159265358979323846264338327950288419716939937510"
 
@@ -72,6 +73,23 @@ def test_pi_find_refuses_past_the_oracle_limit(capsys, monkeypatch):
     assert "resource refusal" in captured.err
     code, out = run(capsys, "pi", "find", "--pattern", "1415", "--limit", "1000")
     assert code == 0 and out.strip() == "found-at:1"
+
+
+@pytest.mark.parametrize("value", ["abc", "-5"])
+def test_bad_digit_limit_is_a_usage_error(capsys, monkeypatch, value):
+    monkeypatch.setenv("BW_DIGIT_LIMIT", value)
+    monkeypatch.setattr(fleeing, "_default_oracle", None)
+    code = main(["pi", "digits", "5"])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "BW_DIGIT_LIMIT must be a non-negative integer" in captured.err
+
+
+def test_cli_reads_the_patched_default_oracle(capsys, monkeypatch):
+    monkeypatch.setattr(fleeing, "_default_oracle", fleeing.DigitOracle(limit=30))
+    code, out = run(capsys, "pi", "digits", "30")
+    assert code == 0 and out.strip() == PI_50[:30]
+    assert main(["pi", "digits", "31"]) == 64
 
 
 def test_pi_find_rejects_non_digit_patterns(capsys):
@@ -235,6 +253,16 @@ def test_replays_pass(capsys, name):
     assert code == 0
     assert payload["ok"] is True
     assert payload["checks"] and all(c["ok"] for c in payload["checks"])
+
+
+def test_drift_kinds_are_the_alias_table(capsys):
+    assert DRIFT_KINDS == tuple(sorted(KIND_ALIASES))
+    with pytest.raises(SystemExit) as ei:
+        main(["drift", "run", "--kind", "sideways"])
+    assert ei.value.code == 2
+    assert "(choose from 'cond', 'conditional', 'direct', 'osc', 'oscillatory')" in (
+        capsys.readouterr().err
+    )
 
 
 def test_usage_errors_exit_2(capsys):

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brouwer.errors import ResourceLimitError
+from brouwer.errors import ResourceLimitError, SettingError
 from brouwer.fleeing import (
     DigitOracle,
     berlin_r,
@@ -74,6 +74,25 @@ def test_env_limit(monkeypatch):
     monkeypatch.setenv("BW_DIGIT_LIMIT", "123")
     orc = DigitOracle()
     assert orc.limit == 123
+
+
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5", "12abc"])
+def test_env_limit_must_be_a_non_negative_integer(monkeypatch, value):
+    monkeypatch.setenv("BW_DIGIT_LIMIT", value)
+    with pytest.raises(SettingError, match="BW_DIGIT_LIMIT"):
+        DigitOracle()
+
+
+def test_env_limit_zero_is_a_limit(monkeypatch):
+    monkeypatch.setenv("BW_DIGIT_LIMIT", "0")
+    assert DigitOracle().limit == 0
+
+
+def test_negative_limit_is_rejected():
+    with pytest.raises(ValueError, match="non-negative"):
+        DigitOracle(limit=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        DigitOracle(self_test_digits=0, limit=-1)
 
 
 def test_six_nines_landmark():

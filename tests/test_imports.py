@@ -1,0 +1,108 @@
+"""Lazy loading: the package and the CLI import only the modules a caller uses.
+
+Each check runs in a fresh interpreter, since this test process has long
+since imported every module.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+ENV.pop("BW_DIGIT_LIMIT", None)
+
+# brouwer.__all__ as the eager re-exports defined it: every public name the
+# package imported, plus the modules those imports bound
+PUBLIC = """
+AdmissibilityError BUNDLED_DRIFTS BUNDLED_SCRIPTS CheckingKind CheckingRun
+Countermodel CriticalSearch DecidableProperty DigitOracle Drift Dyadic EventTrace
+Generator Interval IntervalRelation Lawlike Point Process Rejected Resolution
+ResourceLimitError SpreadLaw StageTree SweepBounds SweepResult Tag Verdict
+VerdictValue Verified Wing abs_diff_lt admissible_successors apart_at berlin_r
+berlin_s bundled_drift cambridge_c center centered_point centering_rule
+centering_strategy check_script checking_sequence coincide_refute continuity_modulus
+cpf_modulus critical_number default_oracle delay_map derivation drift dyadic
+emit_prefix errors find_pattern flatten_checking fleeing forces format_trace
+geometric_family identity_map int_point interval_relate lambda_interval load_model
+logic lt_at lt_rational mapped_point negation_map never_trace one_point parse
+parse_dyadic parse_interval parse_trace pattern_property principle_suite proved_at
+rationality_descriptor reals refuted_at rng_spread run_property show spreads
+universal_spread validate_drift validity_sweep value_point veldman_f2 vienna_e
+vienna_family vienna_run virtual_order_check zero_point
+""".split()
+
+HEAVY = {"brouwer.logic", "brouwer.derivation", "brouwer.drift"}
+
+
+def python(*args):
+    done = subprocess.run(
+        [sys.executable, *args], cwd=ROOT, env=ENV, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    return done
+
+
+def imported_modules(*cli_args):
+    """The brouwer modules `python -m brouwer.cli ARGS` imports, and its stdout."""
+    done = python("-X", "importtime", "-m", "brouwer.cli", *cli_args)
+    names = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
+             if line.startswith("import time:")}
+    return {n for n in names if n.startswith("brouwer")}, done.stdout
+
+
+def test_pi_digits_loads_no_logic_derivation_or_drift():
+    loaded, out = imported_modules("pi", "digits", "20", "--json")
+    assert json.loads(out)["digits"] == "14159265358979323846"
+    assert "brouwer.fleeing" in loaded and "brouwer._pi_backends" in loaded
+    assert not loaded & HEAVY
+
+
+@pytest.mark.parametrize(
+    "args, absent",
+    [
+        (("fleeing", "critical", "--digit", "3", "--run", "1"), HEAVY | {"brouwer.reals"}),
+        (("derive", "ks-report"), {"brouwer.fleeing", "brouwer.reals", "brouwer.drift"}),
+        (("spread", "sample", "--seed", "11"), HEAVY | {"brouwer.fleeing", "brouwer.reals"}),
+    ],
+)
+def test_each_command_loads_only_its_modules(args, absent):
+    loaded, _ = imported_modules(*args)
+    assert not loaded & absent
+
+
+def test_package_surface_is_unchanged():
+    probe = (
+        "import json, sys, brouwer\n"
+        "loaded = sorted(m for m in sys.modules if m.startswith('brouwer.'))\n"
+        "public_dir = [n for n in dir(brouwer) if not n.startswith('_')]\n"
+        "ns = {}\n"
+        "exec('from brouwer import *', ns)\n"
+        "same = all(ns[n] is getattr(brouwer, n) for n in brouwer.__all__)\n"
+        "print(json.dumps([loaded, brouwer.__all__, public_dir,"
+        " sorted(set(ns) - {'__builtins__'}), same]))\n"
+    )
+    loaded, all_, public_dir, starred, same = json.loads(python("-c", probe).stdout)
+    assert loaded == []  # importing the package loads none of its modules
+    assert all_ == PUBLIC
+    assert public_dir == PUBLIC
+    assert starred == PUBLIC and same
+
+
+def test_lazy_names_are_the_defining_modules_objects():
+    import brouwer
+    from brouwer import derivation, drift, fleeing, logic, reals, spreads
+
+    assert brouwer.DigitOracle is fleeing.DigitOracle
+    assert brouwer.parse is logic.parse
+    assert brouwer.Point is reals.Point
+    assert brouwer.emit_prefix is spreads.emit_prefix
+    assert brouwer.BUNDLED_DRIFTS is drift.BUNDLED_DRIFTS
+    assert brouwer.check_script is derivation.check_script
+    assert brouwer.logic is logic
+    with pytest.raises(AttributeError, match="no attribute 'scaled_floor'"):
+        brouwer.scaled_floor  # defined in dyadic, never re-exported

@@ -1,25 +1,33 @@
-"""The standard-library Chudnovsky route against the independent routes."""
+"""The standard-library Chudnovsky route against the independent routes,
+and the certified Machin enclosure against the spigot."""
 
 import os
 import subprocess
 import sys
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+from brouwer import _pi_backends
+from brouwer.fleeing import DigitOracle
 from brouwer._pi_backends import (
     _EXACT,
     _LEAF_TERMS,
+    _atan_inv_floor,
     _chud_split,
     _chud_split_dec,
     _inv_sqrt,
+    _machin_enclosure,
+    certified_digits,
     chudnovsky_digits,
     machin_digits,
     spigot_digits,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
+SPIGOT_1001 = spigot_digits(1001)
 
 
 def test_stdlib_route_matches_machin():
@@ -32,6 +40,82 @@ def test_stdlib_route_matches_spigot_at_the_six_nines():
     spigot = spigot_digits(800)
     for n in range(760, 769):
         assert chudnovsky_digits(n) == spigot[:n], n
+
+
+def _enclosure_passes(monkeypatch):
+    """Record the size of every enclosure certified_digits computes."""
+    sizes = []
+
+    def recording(m):
+        sizes.append(m)
+        return _machin_enclosure(m)
+
+    monkeypatch.setattr(_pi_backends, "_machin_enclosure", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("n", [*range(61), *range(755, 771), 999, 1000, 1001])
+def test_certified_digits_match_the_spigot(n, monkeypatch):
+    passes = _enclosure_passes(monkeypatch)
+    assert certified_digits(n) == SPIGOT_1001[:n]
+    # one pass with a guard of 10, but at 761 the guard digits are the six
+    # nines and 8372: the enclosure, some 2*10**4 wide, straddles a multiple
+    # of 10**10, and the guard doubles to 20
+    assert passes == ([] if n == 0 else [n + 10, n + 20][: 1 + (n == 761)])
+
+
+def test_self_test_runs_past_the_str_int_digit_cap():
+    # CPython refuses str(int) beyond 4300 digits; the enclosure prints via Decimal
+    orc = DigitOracle(self_test_digits=5000)
+    assert orc.digits(5000) == chudnovsky_digits(5000)
+
+
+def _flip_last_digit(digits):
+    return digits[:-1] + str((int(digits[-1]) + 1) % 10) if digits else digits
+
+
+@pytest.mark.parametrize("kwargs", [{}, {"limit": 300}, {"self_test_digits": 40}])
+def test_self_test_catches_a_wrong_digit_on_every_construction(kwargs, monkeypatch):
+    real = _pi_backends.chudnovsky_digits
+    monkeypatch.setattr(_pi_backends, "chudnovsky_digits", lambda n: _flip_last_digit(real(n)))
+    checks = []
+    certified = _pi_backends.certified_digits
+    monkeypatch.setattr(
+        _pi_backends, "certified_digits", lambda n: checks.append(n) or certified(n)
+    )
+    for _ in range(2):
+        with pytest.raises(AssertionError, match="disagree"):
+            DigitOracle(**kwargs)
+    n = min(kwargs.get("self_test_digits", 1000), kwargs.get("limit", 10**9))
+    assert checks == [n, n]
+
+
+def test_building_an_oracle_leaves_the_spigot_alone(monkeypatch):
+    def refuse(n):
+        raise AssertionError("the spigot is a test reference only")
+
+    monkeypatch.setattr(_pi_backends, "spigot_digits", refuse)
+    assert DigitOracle().digits(20) == SPIGOT_1001[:20]
+
+
+@pytest.mark.parametrize("x", [2, 5, 239])
+@pytest.mark.parametrize("m", [0, 1, 7, 40])
+def test_atan_floor_sum_error_bound(x, m):
+    # 200 exact terms: the tail they leave is below 10**-60 for every case here
+    one = 10**m
+    s, b = _atan_inv_floor(x, one)
+    exact = sum(
+        Fraction((-1) ** k * one, (2 * k + 1) * x ** (2 * k + 1)) for k in range(200)
+    )
+    assert abs(exact - s) < b - Fraction(1, 10**60)
+
+
+def test_machin_enclosure_brackets_pi():
+    ref = int("3" + SPIGOT_1001[:1000])  # floor(10**1000 * pi)
+    for m in (0, 5, 300, 1000):
+        lo, hi = _machin_enclosure(m)
+        floor_pi = ref // 10 ** (1000 - m)
+        assert lo <= floor_pi < hi
 
 
 @pytest.mark.parametrize("digits", [3, 17, 28, 29, 30, 100, 1031, 5000])
