@@ -3,11 +3,11 @@
 
 The production path is Chudnovsky binary splitting on the standard
 library: Python ints at the leaves of the splitting, libmpdec ``decimal``
-integers above them. This script times it, plus the three cross-check
+integers above them. This script times it, plus the two cross-check
 routes (the certified Machin enclosure that ``DigitOracle`` checks it
-against on construction, and Machin binary splitting, both at mid sizes;
-the spigot stream at small sizes, where its quadratic cost is still
-tolerable), and asserts that all three agree with it.
+against on construction, at mid sizes; the spigot stream at small sizes,
+where its quadratic cost is still tolerable), and asserts that both agree
+with it.
 
 Usage: python benchmarks/pi_backends.py [max_digits]
 """
@@ -15,12 +15,7 @@ Usage: python benchmarks/pi_backends.py [max_digits]
 import sys
 import time
 
-from brouwer._pi_backends import (
-    certified_digits,
-    chudnovsky_digits,
-    machin_digits,
-    spigot_digits,
-)
+from brouwer._pi_backends import chudnovsky_digits, machin_digits, spigot_digits
 
 
 def timed(fn, *args):
@@ -33,21 +28,18 @@ def main() -> int:
     max_digits = int(sys.argv[1]) if len(sys.argv) > 1 else 200_000
     sizes = [n for n in (1_000, 10_000, 50_000, 200_000, 1_000_000) if n <= max_digits]
 
-    print(f"{'digits':>9}  {'chudnovsky':>10}  {'certified':>10}  {'machin':>10}  {'spigot':>10}")
+    print(f"{'digits':>9}  {'chudnovsky':>10}  {'machin':>10}  {'spigot':>10}")
 
     for n in sizes:
         reference, t_chud = timed(chudnovsky_digits, n)
         row = [f"{n:>9}", f"{t_chud:>9.3f}s"]
 
         if n <= 50_000:
-            cert, t_cert = timed(certified_digits, n)
-            assert cert == reference, f"certified Machin diverged at {n} digits"
-            row.append(f"{t_cert:>9.3f}s")
             mac, t_mac = timed(machin_digits, n)
             assert mac == reference, f"Machin diverged at {n} digits"
             row.append(f"{t_mac:>9.3f}s")
         else:
-            row += [f"{'-':>10}"] * 2
+            row.append(f"{'-':>10}")
 
         if n <= 10_000:
             spig, t_spig = timed(spigot_digits, n)
@@ -58,8 +50,7 @@ def main() -> int:
 
         print("  ".join(row))
 
-    print("the certified enclosure, Machin and the spigot agree with Chudnovsky "
-          "on every size tried")
+    print("the Machin enclosure and the spigot agree with Chudnovsky on every size tried")
     return 0
 
 

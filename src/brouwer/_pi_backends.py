@@ -1,6 +1,6 @@
 """Decimal digit backends for pi, all on the standard library.
 
-Four independent routes:
+Three independent routes:
 
 * Chudnovsky binary splitting - the production path. Python ints at the
   leaves of the splitting, libmpdec (``decimal``) integers above them, a
@@ -8,18 +8,16 @@ Four independent routes:
   ``decimal`` division. Python int division and int-to-string are
   quadratic; libmpdec multiplies with a number-theoretic transform and
   prints in linear time.
-* Certified Machin enclosure - the self-test of ``fleeing.DigitOracle``.
-  Integers lo < 10**m * pi < hi from 16 atan 1/5 - 4 atan 1/239, term by
-  term with floor divisions whose errors are all counted, so the digits
-  it returns are proved, not guarded; quadratic, but 1.5-2 ms for a
-  thousand digits.
-* Machin arctangent series (16 atan 1/5 - 4 atan 1/239), binary splitting
-  over exact fractions - an independent series for cross-checking.
+* Certified Machin enclosure (16 atan 1/5 - 4 atan 1/239) - the
+  self-test of ``fleeing.DigitOracle`` and the cross-check of the tests.
+  Integers lo < 10**m * pi < hi, term by term with floor divisions whose
+  errors are all counted, so the digits it returns are proved, not
+  guarded; quadratic, but 1.5-2 ms for a thousand digits.
 * Streaming spigot (linear fraction transformations, digit at a time) -
   exact by construction, no guard digits involved; the reference of the
   tests and ``benchmarks/``.
 
-All four return the decimal expansion after the leading integer part,
+All three return the decimal expansion after the leading integer part,
 so digits(5) == "14159".
 
 BACKEND names the Chudnovsky core in benchmark records. It is always
@@ -31,31 +29,9 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 from itertools import count, islice
-from math import log, sqrt
-from typing import Callable
+from math import sqrt
 
 BACKEND = "int"
-
-
-def _first_decimals(n: int, pi_str: Callable[[int], str]) -> str:
-    """First n decimals of pi from pi_str(prec), prec + 1 or more digits
-    '31415...' of an x with |x - pi| < 10**-(prec - 10).
-
-    If digits n+1..n+10 of x are neither all 9 nor all 0, the fractional
-    part of x*10**n lies in [10**-10, 1 - 10**-10), so an error below
-    10**-(n + 10) cannot carry across the cut and x's first n digits are
-    pi's. prec = n + guard with guard >= 20 gives that error; otherwise
-    the guard doubles and the pass repeats.
-    """
-    if n < 1:
-        return ""
-    guard = 20
-    while True:
-        s = pi_str(n + guard)
-        tail = s[1 + n : 1 + n + 10]
-        if tail != "9" * 10 and tail != "0" * 10:
-            return s[1 : 1 + n]
-        guard *= 2
 
 
 # --- Chudnovsky binary splitting ---
@@ -163,12 +139,28 @@ def _chudnovsky_str(prec: int) -> str:
 
 
 def chudnovsky_digits(n: int) -> str:
-    """First n decimals of pi via Chudnovsky binary splitting; each pass
-    reads pi within 10**-(n + guard + 7), see ``_first_decimals``."""
-    return _first_decimals(n, _chudnovsky_str)
+    """First n decimals of pi via Chudnovsky binary splitting.
+
+    Each pass reads x = ``_chudnovsky_str(n + guard)``, within
+    10**-(n + guard + 7) of pi. If digits n+1..n+10 of x are neither all 9
+    nor all 0, the fractional part of x*10**n lies in [10**-10, 1 - 10**-10),
+    so an error below 10**-(n + 10) cannot carry across the cut and x's
+    first n digits are pi's. Any guard >= 3 gives that error, and the guard
+    starts at 20; when the ten digits are all 9 or all 0 it doubles and the
+    pass repeats.
+    """
+    if n < 1:
+        return ""
+    guard = 20
+    while True:
+        s = _chudnovsky_str(n + guard)
+        tail = s[1 + n : 1 + n + 10]
+        if tail != "9" * 10 and tail != "0" * 10:
+            return s[1 : 1 + n]
+        guard *= 2
 
 
-# --- certified Machin enclosure ---
+# --- Machin enclosure ---
 
 
 def _atan_inv_floor(x: int, one: int) -> tuple[int, int]:
@@ -211,7 +203,7 @@ def _machin_enclosure(m: int) -> tuple[int, int]:
     return mid - err, mid + err
 
 
-def certified_digits(n: int) -> str:
+def machin_digits(n: int) -> str:
     """First n decimals of pi, proved digit by digit by the Machin enclosure.
 
     With cut = 10**guard, lo < 10**(n + guard) * pi < hi gives
@@ -232,36 +224,6 @@ def certified_digits(n: int) -> str:
         if lo // cut == hi // cut:
             return str(Decimal(lo // cut))[1:]
         guard *= 2
-
-
-# --- Machin arctangent series ---
-
-
-def _atan_inv_sum(v: int, a: int, b: int) -> tuple[int, int]:
-    # sum_{k=a}^{b-1} (-1)^k / ((2k+1) * v^(k-a)) as an exact fraction p/q
-    if b - a == 1:
-        return ((-1) ** (a & 1), 2 * a + 1)
-    m = (a + b) // 2
-    p1, q1 = _atan_inv_sum(v, a, m)
-    p2, q2 = _atan_inv_sum(v, m, b)
-    vpow = v ** (m - a)
-    return (p1 * q2 * vpow + p2 * q1, q1 * q2 * vpow)
-
-
-def _machin_str(prec: int) -> str:
-    # floor(pi * 10**prec): the floor costs under 10**-prec, the series tails far less
-    n5 = int(prec * log(10) / log(25)) + 3
-    n239 = int(prec * log(10) / log(239 * 239)) + 3
-    p5, q5 = _atan_inv_sum(25, 0, n5)
-    p239, q239 = _atan_inv_sum(239 * 239, 0, n239)
-    num = 16 * p5 * 239 * q239 - 4 * p239 * 5 * q5
-    den = 5 * q5 * 239 * q239
-    return str(Decimal(num * 10**prec // den))
-
-
-def machin_digits(n: int) -> str:
-    """First n decimals of pi via 16*atan(1/5) - 4*atan(1/239)."""
-    return _first_decimals(n, _machin_str)
 
 
 # --- streaming spigot ---

@@ -274,6 +274,8 @@ def _cmd_drift(args, cfg) -> int:
 
 
 def _cmd_logic(args, cfg) -> int:
+    from dataclasses import asdict
+
     from .logic import SweepBounds, dump_model, forces, load_model, parse, show, validity_sweep
 
     if args.logic_cmd == "eval":
@@ -308,12 +310,7 @@ def _cmd_logic(args, cfg) -> int:
         payload = {
             "command": "logic-sweep",
             "schema": args.schema,
-            "bounds": {
-                "max_nodes": bounds.max_nodes,
-                "max_atoms": bounds.max_atoms,
-                "max_box_index": bounds.max_box_index,
-                "max_operand_depth": bounds.max_operand_depth,
-            },
+            "bounds": asdict(bounds),
             "models_checked": result.models_checked,
             "instances_checked": result.instances_checked,
             "status": "valid-up-to-bounds" if result.valid_up_to_bounds else "countermodel",

@@ -40,7 +40,7 @@ status comes from the assert declarations alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Optional, Union
 
 from .logic import (
@@ -611,12 +611,7 @@ class PrerequisiteReport:
             "claim": self.claim,
             "available": list(self.available),
             "blocked": [b.as_dict() for b in self.blocked],
-            "bounds": {
-                "max_nodes": self.bounds.max_nodes,
-                "max_atoms": self.bounds.max_atoms,
-                "max_box_index": self.bounds.max_box_index,
-                "max_operand_depth": self.bounds.max_operand_depth,
-            },
+            "bounds": asdict(self.bounds),
         }
 
 

@@ -3,8 +3,11 @@
 A fleeing property is decidable at every index, has no known witness, and
 no proof that a witness is impossible. The digit oracle backs the concrete
 examples: properties of the decimal expansion of pi. The oracle checks its
-production algorithm against a certified enclosure on construction, caches a
-single growing prefix, and refuses requests beyond a configurable bound.
+production algorithm (Chudnovsky) against digits the Machin enclosure proves
+on construction, caches a single growing prefix, and refuses requests beyond
+a configurable bound. The switch constructions (berlin_r, veldman_f2,
+cambridge_c) are centering rules whose target changes once the least
+witness of a property shows.
 """
 
 from __future__ import annotations
@@ -41,8 +44,8 @@ class DigitOracle:
     """Prefix-cached decimal digits of pi, positions 1-based.
 
     Every construction checks the production algorithm (Chudnovsky binary
-    splitting on Python ints and ``decimal``) against the certified Machin
-    enclosure, ``_pi_backends.certified_digits``, on the first
+    splitting on Python ints and ``decimal``) against the digits the Machin
+    enclosure proves, ``_pi_backends.machin_digits``, on the first
     min(self_test_digits, limit) digits; a disagreement raises
     AssertionError. limit caps the digits it will ever hold; it defaults
     to ``BW_DIGIT_LIMIT`` from the environment, else DEFAULT_DIGIT_LIMIT.
@@ -56,7 +59,7 @@ class DigitOracle:
         if self_test_digits:
             n = min(self_test_digits, self.limit)
             fast = _pi_backends.chudnovsky_digits(n)
-            if fast != _pi_backends.certified_digits(n):
+            if fast != _pi_backends.machin_digits(n):
                 raise AssertionError(
                     f"pi backends disagree within the first {n} digits"
                 )
@@ -119,12 +122,17 @@ def run_property(
     return DecidableProperty(f"run({digit}x{run_length})", pattern.holds)
 
 
+def _check_pattern(pattern: str) -> None:
+    # str.isdigit also admits '²' and other non-ASCII digits, which never match
+    if not pattern or set(pattern) - set("0123456789"):
+        raise ValueError(f"pattern must be a non-empty string of digits 0-9, got {pattern!r}")
+
+
 def pattern_property(
     pattern: str, oracle: Optional[DigitOracle] = None
 ) -> DecidableProperty:
     """Holds at n iff the decimal expansion matches the pattern starting at n."""
-    if not pattern.isdigit():
-        raise ValueError("pattern must be a digit string")
+    _check_pattern(pattern)
     orc = oracle or default_oracle()
     width = len(pattern)
 
@@ -140,6 +148,7 @@ def pattern_property(
 def find_pattern(pattern: str, limit: int, oracle: Optional[DigitOracle] = None) -> Optional[int]:
     """1-based position of the first match starting at or below limit, else None;
     refuses when the oracle's limit cuts the window short of an answer."""
+    _check_pattern(pattern)
     orc = oracle or default_oracle()
     need = limit + len(pattern) - 1
     i = orc.digits(min(need, orc.limit)).find(pattern)
@@ -215,34 +224,21 @@ def geometric_family() -> ConvergentFamily:
     return ConvergentFamily("geometric", Fraction(0), lambda v: Fraction(1, 1 << v))
 
 
-def veldman_f2(
-    family: ConvergentFamily, p: DecidableProperty, follower: Optional[Point] = None
-) -> Point:
-    """Copies the limit generator until the least witness k of p is visible,
-    then re-anchors admissibly and generates xi_k.
-
-    The follower defaults to centering the limit value stage by stage.
-    """
+def veldman_f2(family: ConvergentFamily, p: DecidableProperty) -> Point:
+    """Centers the limit value until the least witness k of p is visible,
+    then re-anchors admissibly and centers xi_k forever."""
     from .reals import Point
-    from .spreads import Generator, Lawlike, centered_term, centering_rule, rng_spread
+    from .spreads import Generator, Lawlike, centering_rule, rng_spread
 
-    if follower is not None and not isinstance(follower.generator.kind, Lawlike):
-        raise ValueError("the follower must be lawlike")
     witness = _least_witness_scan(p)
-    base_rule = (
-        follower.generator.kind.rule
-        if follower is not None
-        else centering_rule(lambda stage: family.limit)
-    )
-    terms: list[int] = []
 
-    def rule(n: int) -> int:
-        while len(terms) < n:
-            stage = len(terms) + 1
-            k = witness(stage)
-            terms.append(base_rule(stage) if k is None else centered_term(family.member(k), terms))
-        return terms[n - 1]
+    def target(stage: int):
+        k = witness(stage)
+        if k is None:
+            return family.limit
+        return family.member(k)
 
+    rule = centering_rule(target)
     return Point(
         Generator(rng_spread(), Lawlike(rule), name=f"veldman_f2[{p.name}]")
     )

@@ -51,7 +51,9 @@ class Point:
         return tuple(self._stream(n, trace)[:n])
 
     def term(self, n: int, trace: Optional[EventTrace] = None) -> int:
-        return self.prefix(n, trace)[n - 1]
+        if n < 1:
+            raise ValueError("term indices are 1-based")
+        return self._stream(n, trace)[n - 1]
 
     def interval(self, n: int, trace: Optional[EventTrace] = None) -> Interval:
         return lambda_interval(n, self.term(n, trace))

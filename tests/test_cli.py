@@ -180,6 +180,9 @@ def test_logic_sweep(capsys):
         "--nodes", "3", "--atoms", "2", "--box", "2", "--depth", "1",
     )
     assert code == 0 and payload["status"] == "valid-up-to-bounds"
+    assert payload["bounds"] == {
+        "max_nodes": 3, "max_atoms": 2, "max_box_index": 2, "max_operand_depth": 1,
+    }
     code, payload = run_json(
         capsys, "logic", "sweep", "--schema", "cs5",
         "--nodes", "3", "--atoms", "2", "--box", "2", "--depth", "1",
@@ -245,6 +248,9 @@ def test_derive_ks_report(capsys):
     assert [b["schema"] for b in payload["blocked"]] == ["cs4", "cs5"]
     assert len(payload["available"]) == 4
     assert payload["blocked"][1]["countermodel"]["instance"] == "<*>q -> q"
+    assert payload["bounds"] == {
+        "max_nodes": 5, "max_atoms": 2, "max_box_index": 3, "max_operand_depth": 2,
+    }
 
 
 @pytest.mark.parametrize("name", REPLAYS)

@@ -337,6 +337,9 @@ def test_ks_prerequisite_report():
         # the countermodel is live: replay it against the semantics
         assert not forces(cm.model, cm.node, cm.instance)
     doc = report.as_dict()
+    assert doc["bounds"] == {
+        "max_nodes": 3, "max_atoms": 2, "max_box_index": 2, "max_operand_depth": 1,
+    }
     text = json.dumps(doc, sort_keys=True)
     assert json.dumps(json.loads(text), sort_keys=True) == text
     m = load_model(json.dumps(doc["blocked"][1]["countermodel"]["model"]))

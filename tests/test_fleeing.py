@@ -1,12 +1,16 @@
 import os
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from brouwer.errors import ResourceLimitError, SettingError
 from brouwer.fleeing import (
+    ConvergentFamily,
+    DecidableProperty,
     DigitOracle,
+    _least_witness_scan,
     berlin_r,
     cambridge_c,
     critical_number,
@@ -18,6 +22,7 @@ from brouwer.fleeing import (
     veldman_f2,
 )
 from brouwer.reals import (
+    Point,
     VerdictValue,
     abs_diff_lt,
     apart_at,
@@ -25,7 +30,13 @@ from brouwer.reals import (
     value_point,
     zero_point,
 )
-from brouwer.spreads import rng_spread
+from brouwer.spreads import (
+    Generator,
+    Lawlike,
+    centered_term,
+    centering_rule,
+    rng_spread,
+)
 
 # [PAPER]-anchored landmark, reproduced by the oracle itself at import
 SIX_NINES_AT = 762
@@ -133,6 +144,16 @@ def test_find_pattern_agrees_with_critical_number(limit, pattern, horizon):
     assert found == scanned
 
 
+@pytest.mark.parametrize("bad", ["", "²", "1²", "٣", "12a", " 1", "-1"])
+def test_patterns_must_be_ascii_digits(bad):
+    # str.isdigit accepts '²' and '٣'; neither can ever match a decimal digit
+    orc = DigitOracle(self_test_digits=0, limit=100)
+    with pytest.raises(ValueError, match="digits 0-9"):
+        pattern_property(bad, orc)
+    with pytest.raises(ValueError, match="digits 0-9"):
+        find_pattern(bad, 5, orc)
+
+
 def test_pattern_and_run_properties_agree():
     p_run = run_property(9, 6)
     p_pat = pattern_property("999999")
@@ -202,6 +223,60 @@ def test_veldman_copies_then_reanchors():
     prefix = pt.prefix(40)
     for k in range(1, len(prefix)):
         assert law.admits(prefix[:k], prefix[k])
+
+
+def veldman_f2_reference(
+    family: ConvergentFamily, p: DecidableProperty, follower: Optional[Point] = None
+) -> Point:
+    """Reference for veldman_f2: a private term list that runs the
+    follower's rule (by default, centering the limit) until the witness k
+    shows, then centers xi_k on its own terms."""
+    if follower is not None and not isinstance(follower.generator.kind, Lawlike):
+        raise ValueError("the follower must be lawlike")
+    witness = _least_witness_scan(p)
+    base_rule = (
+        follower.generator.kind.rule
+        if follower is not None
+        else centering_rule(lambda stage: family.limit)
+    )
+    terms: list[int] = []
+
+    def rule(n: int) -> int:
+        while len(terms) < n:
+            stage = len(terms) + 1
+            k = witness(stage)
+            terms.append(base_rule(stage) if k is None else centered_term(family.member(k), terms))
+        return terms[n - 1]
+
+    return Point(
+        Generator(rng_spread(), Lawlike(rule), name=f"veldman_f2[{p.name}]")
+    )
+
+
+VELDMAN_FAMILIES = [
+    geometric_family(),
+    ConvergentFamily("third", Fraction(1, 3), lambda v: Fraction(1, 3) + Fraction((-1) ** v, 3 * v + 1)),
+    ConvergentFamily("minus-one", Fraction(-1), lambda v: Fraction(-1) - Fraction(1, 1 << v)),
+    ConvergentFamily("steps", Fraction(5, 2), lambda v: Fraction(5, 2) + Fraction(7, 8 + v)),
+]
+VELDMAN_PROPERTIES = [  # (property, least witness within 300 stages)
+    (lambda: run_property(3, 1), 9),
+    (lambda: run_property(1, 2), 94),
+    (lambda: run_property(9, 6), None),  # the six nines start at 762
+    (lambda: pattern_property("4"), 2),
+    (lambda: pattern_property("1"), 1),
+    (lambda: pattern_property("26535"), 6),
+    (lambda: pattern_property("0123456"), None),
+]
+
+
+@pytest.mark.parametrize("family", VELDMAN_FAMILIES, ids=lambda f: f.name)
+@pytest.mark.parametrize("make, witness", VELDMAN_PROPERTIES)
+def test_veldman_matches_the_reference(family, make, witness):
+    assert critical_number(make(), 300).found_at == witness
+    pt, ref = veldman_f2(family, make()), veldman_f2_reference(family, make())
+    assert pt.generator.name == ref.generator.name
+    assert pt.prefix(300) == ref.prefix(300)
 
 
 def test_veldman_unwitnessed_follows_limit():

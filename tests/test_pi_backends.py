@@ -1,5 +1,5 @@
 """The standard-library Chudnovsky route against the independent routes,
-and the certified Machin enclosure against the spigot."""
+and the digits the Machin enclosure proves against the spigot."""
 
 import os
 import subprocess
@@ -20,7 +20,6 @@ from brouwer._pi_backends import (
     _chud_split_dec,
     _inv_sqrt,
     _machin_enclosure,
-    certified_digits,
     chudnovsky_digits,
     machin_digits,
     spigot_digits,
@@ -43,7 +42,7 @@ def test_stdlib_route_matches_spigot_at_the_six_nines():
 
 
 def _enclosure_passes(monkeypatch):
-    """Record the size of every enclosure certified_digits computes."""
+    """Record the size of every enclosure machin_digits computes."""
     sizes = []
 
     def recording(m):
@@ -57,7 +56,7 @@ def _enclosure_passes(monkeypatch):
 @pytest.mark.parametrize("n", [*range(61), *range(755, 771), 999, 1000, 1001])
 def test_certified_digits_match_the_spigot(n, monkeypatch):
     passes = _enclosure_passes(monkeypatch)
-    assert certified_digits(n) == SPIGOT_1001[:n]
+    assert machin_digits(n) == SPIGOT_1001[:n]
     # one pass with a guard of 10, but at 761 the guard digits are the six
     # nines and 8372: the enclosure, some 2*10**4 wide, straddles a multiple
     # of 10**10, and the guard doubles to 20
@@ -79,10 +78,8 @@ def test_self_test_catches_a_wrong_digit_on_every_construction(kwargs, monkeypat
     real = _pi_backends.chudnovsky_digits
     monkeypatch.setattr(_pi_backends, "chudnovsky_digits", lambda n: _flip_last_digit(real(n)))
     checks = []
-    certified = _pi_backends.certified_digits
-    monkeypatch.setattr(
-        _pi_backends, "certified_digits", lambda n: checks.append(n) or certified(n)
-    )
+    machin = _pi_backends.machin_digits
+    monkeypatch.setattr(_pi_backends, "machin_digits", lambda n: checks.append(n) or machin(n))
     for _ in range(2):
         with pytest.raises(AssertionError, match="disagree"):
             DigitOracle(**kwargs)
@@ -142,3 +139,4 @@ def test_benchmark_script_runs():
         [sys.executable, str(script), "1000"], env=env, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
+    assert run.stdout.split("\n", 1)[0].split() == ["digits", "chudnovsky", "machin", "spigot"]

@@ -176,3 +176,13 @@ def test_derailed_rule_raises_at_its_stage_every_time():
     assert p.prefix(k - 1) == (0,) * (k - 1)
     assert p.prefix(k - 1) == (0,) * (k - 1)
     assert calls.count(k - 1) == 4  # three failed emissions and the last good one
+
+
+@pytest.mark.parametrize("n", [0, -1, -5])
+def test_term_and_interval_indices_are_one_based(n):
+    # a negative index would otherwise read the stream from its end
+    p = value_point(Fraction(1, 3))
+    p.prefix(8)
+    for read in (p.term, p.interval):
+        with pytest.raises(ValueError, match="1-based"):
+            read(n)
