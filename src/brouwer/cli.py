@@ -120,10 +120,6 @@ def _cmd_pi(args, cfg) -> int:
         else:
             print(digits)
         return EXIT_OK
-    if not args.pattern or set(args.pattern) - set("0123456789"):
-        raise ValueError(
-            f"pattern must be one or more decimal digits, got {args.pattern!r}"
-        )
     limit = args.limit
     pos = find_pattern(args.pattern, limit, oracle)
     verdict = f"found-at:{pos}" if pos is not None else f"none-below:{limit}"

@@ -374,9 +374,7 @@ def rationality_descriptor(
     return LimitClass(tag.value)
 
 
-def flatten_checking(
-    drift: Drift, kind: CheckingKind, trace: Optional[EventTrace] = None
-) -> Point:
+def flatten_checking(drift: Drift, kind: CheckingKind, trace: EventTrace) -> Point:
     """The checking number as a single point: term n centers the exact value
     of the n-th checking term (nearest-midpoint emitter)."""
     if kind is CheckingKind.OSCILLATORY and drift.wing is not Wing.TWO:
@@ -433,7 +431,7 @@ def vienna_run(
     return tuple(out)
 
 
-def vienna_e(trace: Optional[EventTrace] = None, family: Optional[IncreasingFamily] = None) -> Point:
+def vienna_e(trace: EventTrace, family: Optional[IncreasingFamily] = None) -> Point:
     """The family follower as a point: term n centers a_n until any
     resolution at stage v freezes the target at a_v."""
     fam = family or vienna_family()

@@ -13,9 +13,8 @@ witness of a property shows.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Callable, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import _pi_backends
 from .errors import ResourceLimitError, SettingError
@@ -102,8 +101,7 @@ def default_oracle() -> DigitOracle:
     return _default_oracle
 
 
-@dataclass(frozen=True)
-class DecidableProperty:
+class DecidableProperty(NamedTuple):
     """A property of positions, decidable by inspection of finitely many digits."""
 
     name: str
@@ -125,7 +123,7 @@ def run_property(
 def _check_pattern(pattern: str) -> None:
     # str.isdigit also admits '²' and other non-ASCII digits, which never match
     if not pattern or set(pattern) - set("0123456789"):
-        raise ValueError(f"pattern must be a non-empty string of digits 0-9, got {pattern!r}")
+        raise ValueError(f"pattern must be one or more decimal digits 0-9, got {pattern!r}")
 
 
 def pattern_property(
@@ -159,8 +157,7 @@ def find_pattern(pattern: str, limit: int, oracle: Optional[DigitOracle] = None)
     return None
 
 
-@dataclass(frozen=True)
-class CriticalSearch:
+class CriticalSearch(NamedTuple):
     property: DecidableProperty
     horizon: int
     found_at: Optional[int]  # least witness, or None when none exists below horizon
@@ -210,8 +207,7 @@ def berlin_r(p: DecidableProperty) -> Point:
     return Point(Generator(rng_spread(), Lawlike(rule), name=f"berlin_r[{p.name}]"))
 
 
-@dataclass(frozen=True)
-class ConvergentFamily:
+class ConvergentFamily(NamedTuple):
     """Lawlike values xi_v converging to a limit value; member(0) is the limit."""
 
     name: str

@@ -1,7 +1,8 @@
 """Points of the interval spread and their semi-decidable order relations.
 
-A point is a generator over the nested-interval law, optionally bundled
-with the event trace that drives it. Comparisons scan finitely many terms
+A point is one sequence: a generator over the nested-interval law, bundled
+with the event trace that drives it (none for a lawlike generator), read
+through one memoised stream of terms. Comparisons scan finitely many terms
 and return three-valued verdicts: the strict order and apartness can only
 ever Hold or stay unknown at the horizon, coincidence can only ever Fail
 or stay unknown. Witnesses are always the least index found.
@@ -19,7 +20,6 @@ from .spreads import (
     EventTrace,
     Generator,
     Lawlike,
-    Process,
     centering_rule,
     constant_zero_rule,
     emit_prefix,
@@ -29,34 +29,31 @@ from .spreads import (
 
 @dataclass(frozen=True)
 class Point:
-    """A generator over the interval law, optionally bundled with its trace.
+    """A generator over the interval law, bundled with its trace.
 
-    Keeps one append-only stream of terms per trace (one in all for a lawlike
-    generator) and extends it from where it stopped, so each stage is emitted
-    once; sound because emission is a pure function of (generator, trace)."""
+    Keeps one append-only list of terms and extends it in place from where
+    it stopped, so each stage is emitted once; sound because emission is a
+    pure function of (generator, trace)."""
 
     generator: Generator
     trace: Optional[EventTrace] = None
-    _streams: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _terms: list = field(default_factory=list, init=False, repr=False, compare=False)
 
-    def _stream(self, n: int, override: Optional[EventTrace]) -> list[int]:
-        trace = override if override is not None else self.trace
-        key = None if isinstance(self.generator.kind, Lawlike) else trace
-        stream = self._streams.setdefault(key, [])
-        if not 0 < n <= len(stream):  # emit_prefix also vets n and the trace
-            stream.extend(emit_prefix(self.generator, n, trace, tuple(stream)))
-        return stream
+    def _stream(self, n: int) -> list[int]:
+        if not 0 < n <= len(self._terms):  # emit_prefix also vets n and the trace
+            emit_prefix(self.generator, n, self.trace, self._terms)
+        return self._terms
 
-    def prefix(self, n: int, trace: Optional[EventTrace] = None) -> tuple[int, ...]:
-        return tuple(self._stream(n, trace)[:n])
+    def prefix(self, n: int) -> tuple[int, ...]:
+        return tuple(self._stream(n)[:n])
 
-    def term(self, n: int, trace: Optional[EventTrace] = None) -> int:
+    def term(self, n: int) -> int:
         if n < 1:
             raise ValueError("term indices are 1-based")
-        return self._stream(n, trace)[n - 1]
+        return self._stream(n)[n - 1]
 
-    def interval(self, n: int, trace: Optional[EventTrace] = None) -> Interval:
-        return lambda_interval(n, self.term(n, trace))
+    def interval(self, n: int) -> Interval:
+        return lambda_interval(n, self.term(n))
 
 
 class VerdictValue(Enum):
@@ -134,15 +131,9 @@ def int_point(m: int) -> Point:
 # --- order relations ---
 
 
-def lt_at(
-    a: Point,
-    b: Point,
-    horizon: int,
-    trace_a: Optional[EventTrace] = None,
-    trace_b: Optional[EventTrace] = None,
-) -> Verdict:
+def lt_at(a: Point, b: Point, horizon: int) -> Verdict:
     """a < b iff some index n has a_n + 2 < b_n. Never Fails."""
-    pairs = zip(a.prefix(horizon, trace_a), b.prefix(horizon, trace_b))
+    pairs = zip(a.prefix(horizon), b.prefix(horizon))
     return _least_hit(horizon, (x + 2 < y for x, y in pairs))
 
 
@@ -154,34 +145,24 @@ def _as_fraction(r) -> Fraction:
     return Fraction(r)
 
 
-def lt_rational(
-    a: Point, r, horizon: int, trace: Optional[EventTrace] = None
-) -> Verdict:
+def lt_rational(a: Point, r, horizon: int) -> Verdict:
     """a < r iff some index n has (a_n + 2)/2^n < r."""
     rv = _as_fraction(r)
-    terms = enumerate(a.prefix(horizon, trace), 1)
+    terms = enumerate(a.prefix(horizon), 1)
     return _least_hit(horizon, (Fraction(x + 2, 1 << n) < rv for n, x in terms))
 
 
-def gt_rational(
-    a: Point, r, horizon: int, trace: Optional[EventTrace] = None
-) -> Verdict:
+def gt_rational(a: Point, r, horizon: int) -> Verdict:
     """a > r iff some index n has a_n/2^n > r."""
     rv = _as_fraction(r)
-    terms = enumerate(a.prefix(horizon, trace), 1)
+    terms = enumerate(a.prefix(horizon), 1)
     return _least_hit(horizon, (Fraction(x, 1 << n) > rv for n, x in terms))
 
 
-def apart_at(
-    a: Point,
-    b: Point,
-    horizon: int,
-    trace_a: Optional[EventTrace] = None,
-    trace_b: Optional[EventTrace] = None,
-) -> Verdict:
+def apart_at(a: Point, b: Point, horizon: int) -> Verdict:
     """a # b iff a < b or b < a; the found direction is recorded."""
-    lt = lt_at(a, b, horizon, trace_a, trace_b)
-    gt = lt_at(b, a, horizon, trace_b, trace_a)
+    lt = lt_at(a, b, horizon)
+    gt = lt_at(b, a, horizon)
     if lt.holds and (not gt.holds or lt.witness <= gt.witness):
         return Verdict(VerdictValue.HOLDS, horizon, witness=lt.witness, direction="lt")
     if gt.holds:
@@ -189,13 +170,7 @@ def apart_at(
     return _unknown(horizon)
 
 
-def coincide_refute(
-    a: Point,
-    b: Point,
-    horizon: int,
-    trace_a: Optional[EventTrace] = None,
-    trace_b: Optional[EventTrace] = None,
-) -> Verdict:
+def coincide_refute(a: Point, b: Point, horizon: int) -> Verdict:
     """Coincidence is refuted by any disjoint pair of intervals within the horizon.
 
     The witness is the least h such that indices i, j <= h exhibit disjointness.
@@ -205,9 +180,7 @@ def coincide_refute(
     with stage h exactly when one side's least upper end is below the other's
     lower end at h, or its greatest lower end above the other's upper end.
     """
-    pa = a.prefix(horizon, trace_a)
-    pb = b.prefix(horizon, trace_b)
-    for h, (x, y) in enumerate(zip(pa, pb), 1):
+    for h, (x, y) in enumerate(zip(a.prefix(horizon), b.prefix(horizon)), 1):
         if h == 1:
             lo_a, hi_a, lo_b, hi_b = x, x + 2, y, y + 2
         else:
@@ -218,17 +191,10 @@ def coincide_refute(
     return _unknown(horizon)
 
 
-def abs_diff_lt(
-    a: Point,
-    b: Point,
-    bound,
-    horizon: int,
-    trace_a: Optional[EventTrace] = None,
-    trace_b: Optional[EventTrace] = None,
-) -> Verdict:
+def abs_diff_lt(a: Point, b: Point, bound, horizon: int) -> Verdict:
     """|a - b| < bound iff some n has (|a_n - b_n| + 2)/2^n < bound."""
     bv = _as_fraction(bound)
-    pairs = enumerate(zip(a.prefix(horizon, trace_a), b.prefix(horizon, trace_b)), 1)
+    pairs = enumerate(zip(a.prefix(horizon), b.prefix(horizon)), 1)
     return _least_hit(horizon, (Fraction(abs(x - y) + 2, 1 << n) < bv for n, (x, y) in pairs))
 
 
@@ -249,15 +215,14 @@ def center(prefix: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def centered_point(a: Point, n: int, trace: Optional[EventTrace] = None) -> Point:
+def centered_point(a: Point, n: int) -> Point:
     """Same tail as a, first n terms rewritten by the centering recursion."""
-    head = center(a.prefix(n, trace), n)
-    bound_trace = trace if trace is not None else a.trace
+    head = center(a.prefix(n), n)
 
     def rule(k: int) -> int:
         if k <= n:
             return head[k - 1]
-        return a.term(k, bound_trace)
+        return a.term(k)
 
     name = f"centered({a.generator.name or '?'},{n})"
     return Point(Generator(rng_spread(), Lawlike(rule), name=name))
@@ -296,16 +261,15 @@ def delay_map() -> PrefixMap:
     return PrefixMap("delay", lambda p: p[: len(p) // 2], lambda m: 2 * m)
 
 
-def mapped_point(f: PrefixMap, a: Point, trace: Optional[EventTrace] = None) -> Point:
+def mapped_point(f: PrefixMap, a: Point) -> Point:
     """The image point: term n read off f applied to a long enough prefix."""
-    bound_trace = trace if trace is not None else a.trace
 
     def rule(n: int) -> int:
         need = max(f.min_input_for(n), 1)
-        out = f.apply(a.prefix(need, bound_trace))
+        out = f.apply(a.prefix(need))
         while len(out) < n:
             need += 1
-            out = f.apply(a.prefix(need, bound_trace))
+            out = f.apply(a.prefix(need))
         return out[n - 1]
 
     name = f"{f.name}({a.generator.name or '?'})"

@@ -4,9 +4,10 @@ A spread law says which integers may start a sequence and which may follow
 a given prefix. Generators are stateless descriptions: a lawlike rule maps
 the 1-based term index to a value, a process strategy additionally consults
 an event trace (the record of when an assertion got decided, if ever).
-Emitting a prefix is a pure function of (generator, trace); ``reals.Point``
-memoises on that, so a generator reading anything else (a random source)
-must be read through ``emit_prefix`` alone.
+Emitting a prefix is a pure function of (generator, trace) and appends to
+one list, so a caller that keeps the list (``reals.Point``, one per
+generator and trace) extends it from where it stopped; a generator reading
+anything else (a random source) must be read through ``emit_prefix`` alone.
 """
 
 from __future__ import annotations
@@ -33,10 +34,10 @@ class AdmissibilityError(Exception):
 class SpreadLaw:
     name: str
     admits_first: Callable[[int], bool]
-    admits_next: Callable[[tuple[int, ...], int], bool]
+    admits_next: Callable[[Sequence[int], int], bool]
     some_successor: Callable[[tuple[int, ...]], int]
 
-    def admits(self, prefix: tuple[int, ...], value: int) -> bool:
+    def admits(self, prefix: Sequence[int], value: int) -> bool:
         if not prefix:
             return self.admits_first(value)
         return self.admits_next(prefix, value)
@@ -152,9 +153,12 @@ class Lawlike:
 
 @dataclass(frozen=True)
 class Process:
-    """Term n is strategy(prefix, trace) with stage = len(prefix) + 1."""
+    """Term n is strategy(prefix, trace) with stage = len(prefix) + 1.
 
-    strategy: Callable[[tuple[int, ...], EventTrace], int]
+    The prefix is the emitter's own list of the terms so far: a strategy
+    reads it and must not mutate it."""
+
+    strategy: Callable[[Sequence[int], EventTrace], int]
 
 
 @dataclass(frozen=True)
@@ -165,26 +169,29 @@ class Generator:
 
 
 def emit_prefix(
-    g: Generator, n: int, trace: Optional[EventTrace] = None, head: tuple[int, ...] = ()
+    g: Generator, n: int, trace: Optional[EventTrace] = None, head: Optional[list[int]] = None
 ) -> tuple[int, ...]:
     """Terms len(head)+1 .. n of g, validating admissibility stage by stage.
 
-    The head, empty by default, must be the first terms of g under the trace.
+    Appends each validated term to head, a fresh list by default, so the
+    stages before a refused one stay there; returns the newly emitted terms.
+    The head must hold the first terms of g under the trace.
     """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
     if isinstance(g.kind, Process) and trace is None:
         raise ValueError(f"process generator {g.name or '?'} requires a trace")
-    prefix = head
-    for stage in range(len(head) + 1, n + 1):
+    prefix = [] if head is None else head
+    start = len(prefix)
+    for stage in range(start + 1, n + 1):
         if isinstance(g.kind, Lawlike):
             value = g.kind.rule(stage)
         else:
             value = g.kind.strategy(prefix, trace)
         if not g.law.admits(prefix, value):
-            raise AdmissibilityError(stage, value, prefix)
-        prefix = prefix + (value,)
-    return prefix[len(head) :]
+            raise AdmissibilityError(stage, value, tuple(prefix))
+        prefix.append(value)
+    return tuple(prefix[start:])
 
 
 # --- nearest-midpoint centering emitter ---
@@ -220,7 +227,7 @@ def centered_term(target, prefix: Sequence[int]) -> int:
 def centering_strategy(target_at: Callable[[int, EventTrace], object]):
     """Process strategy centering a per-stage target value."""
 
-    def strategy(prefix: tuple[int, ...], trace: EventTrace) -> int:
+    def strategy(prefix: Sequence[int], trace: EventTrace) -> int:
         return centered_term(target_at(len(prefix) + 1, trace), prefix)
 
     return strategy

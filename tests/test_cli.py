@@ -7,6 +7,7 @@ import pytest
 from brouwer import fleeing
 from brouwer.cli import DEFAULTS, DRIFT_KINDS, REPLAYS, load_config, main
 from brouwer.drift import KIND_ALIASES
+from brouwer.errors import ResourceLimitError
 
 PI_50 = "14159265358979323846264338327950288419716939937510"
 
@@ -62,6 +63,22 @@ def test_pi_find(capsys):
     )
     assert code == 0
     assert payload["position"] is None and payload["verdict"] == "none-below:700"
+
+
+@pytest.mark.parametrize("digit_limit", [760, 765, 766, 767, 768, 771])
+def test_pi_find_refuses_exactly_when_the_scan_does(capsys, monkeypatch, digit_limit):
+    # around the six nines at 762..767: exit 64 when the position-by-position
+    # scan on the same oracle refuses, else the same verdict
+    orc = fleeing.DigitOracle(limit=digit_limit)
+    monkeypatch.setattr(fleeing, "_default_oracle", orc)
+    for limit in (755, 760, 761, 762, 763, 766, 767):
+        code, out = run(capsys, "pi", "find", "--pattern", "999999", "--limit", str(limit))
+        try:
+            scan = fleeing.critical_number(fleeing.pattern_property("999999", orc), limit)
+        except ResourceLimitError:
+            assert code == 64 and out == "", limit
+        else:
+            assert code == 0 and out.strip() == str(scan), limit
 
 
 def test_pi_find_refuses_past_the_oracle_limit(capsys, monkeypatch):

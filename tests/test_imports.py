@@ -47,12 +47,18 @@ def python(*args):
     return done
 
 
-def imported_modules(*cli_args):
-    """The brouwer modules `python -m brouwer.cli ARGS` imports, and its stdout."""
+def loaded_modules(*cli_args):
+    """Every module `python -m brouwer.cli ARGS` imports, and its stdout."""
     done = python("-X", "importtime", "-m", "brouwer.cli", *cli_args)
     names = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
              if line.startswith("import time:")}
-    return {n for n in names if n.startswith("brouwer")}, done.stdout
+    return names, done.stdout
+
+
+def imported_modules(*cli_args):
+    """The brouwer modules `python -m brouwer.cli ARGS` imports, and its stdout."""
+    names, out = loaded_modules(*cli_args)
+    return {n for n in names if n.startswith("brouwer")}, out
 
 
 def test_pi_digits_loads_no_logic_derivation_or_drift():
@@ -60,6 +66,14 @@ def test_pi_digits_loads_no_logic_derivation_or_drift():
     assert json.loads(out)["digits"] == "14159265358979323846"
     assert "brouwer.fleeing" in loaded and "brouwer._pi_backends" in loaded
     assert not loaded & HEAVY
+
+
+def test_pi_digits_loads_no_dataclasses():
+    # dataclasses and the inspect module it pulls in would be the largest
+    # part of a cold `pi digits` import
+    loaded, out = loaded_modules("pi", "digits", "20", "--json")
+    assert json.loads(out)["digits"] == "14159265358979323846"
+    assert not loaded & {"dataclasses", "inspect"}
 
 
 @pytest.mark.parametrize(

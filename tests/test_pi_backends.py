@@ -41,6 +41,24 @@ def test_stdlib_route_matches_spigot_at_the_six_nines():
         assert chudnovsky_digits(n) == spigot[:n], n
 
 
+@pytest.mark.parametrize("fill", ["9", "0"])
+@pytest.mark.parametrize("n", [1, 50, 1000])
+def test_stdlib_route_widens_its_guard_past_an_ambiguous_tail(n, fill, monkeypatch):
+    # the first pass reads ten equal guard digits after position n, where a
+    # carry could cross the cut; the guard doubles and the second pass is kept
+    real = _pi_backends._chudnovsky_str
+    asked = []
+
+    def ambiguous_first_pass(prec):
+        asked.append(prec)
+        s = real(prec)
+        return s[: 1 + n] + fill * 10 + s[1 + n + 10 :] if len(asked) == 1 else s
+
+    monkeypatch.setattr(_pi_backends, "_chudnovsky_str", ambiguous_first_pass)
+    assert chudnovsky_digits(n) == machin_digits(n)
+    assert asked == [n + 20, n + 40]
+
+
 def _enclosure_passes(monkeypatch):
     """Record the size of every enclosure machin_digits computes."""
     sizes = []

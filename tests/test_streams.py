@@ -109,7 +109,6 @@ def test_lawlike_rule_called_once_per_stage():
     assert p.prefix(5) == (0, 2, 6, 14, 30)
     assert p.term(3) == 6
     assert p.interval(8) == lambda_interval(8, 254)
-    assert p.prefix(8, never_trace()) == p.prefix(8)  # a lawlike point ignores traces
     assert p.term(12) == 4094 and p.prefix(0) == ()
     assert calls == list(range(1, 13))
 
@@ -142,16 +141,18 @@ def switcher_strategy(prefix, trace):
 
 def test_process_point_keeps_a_stream_per_trace():
     g = Generator(rng_spread(), Process(switcher_strategy), "switcher")
-    p = Point(g, trace=never_trace())
-    reads = [(5, proved_at(3)), (3, None), (8, proved_at(3)), (7, refuted_at(2)), (9, None)]
-    for n, trace in reads:
-        want = emit_prefix(g, n, trace or never_trace())
-        assert p.prefix(n, trace) == want
-        assert p.term(n, trace) == want[-1]
-    assert p.prefix(8, proved_at(3)) == (0, 0, 2, 6, 14, 30, 62, 126)
-    # a continuation from a head equals the same stages emitted fresh
-    head = emit_prefix(g, 4, proved_at(3))
-    assert head + emit_prefix(g, 9, proved_at(3), head) == emit_prefix(g, 9, proved_at(3))
+    for trace in (never_trace(), proved_at(3), refuted_at(2)):
+        p = Point(g, trace)
+        for n in (5, 3, 8, 7, 9):
+            want = emit_prefix(g, n, trace)
+            assert p.prefix(n) == want
+            assert p.term(n) == want[-1]
+    assert Point(g, proved_at(3)).prefix(8) == (0, 0, 2, 6, 14, 30, 62, 126)
+    # a continuation from a list head equals the same stages emitted fresh
+    head = list(emit_prefix(g, 4, proved_at(3)))
+    fresh = emit_prefix(g, 9, proved_at(3))
+    assert emit_prefix(g, 9, proved_at(3), head) == fresh[4:]
+    assert tuple(head) == fresh
 
 
 def test_process_point_without_trace_still_refuses():
@@ -175,7 +176,7 @@ def test_derailed_rule_raises_at_its_stage_every_time():
     assert err.value.stage == k
     assert p.prefix(k - 1) == (0,) * (k - 1)
     assert p.prefix(k - 1) == (0,) * (k - 1)
-    assert calls.count(k - 1) == 4  # three failed emissions and the last good one
+    assert calls.count(k - 1) == 1  # the stages before the refused one stay in the stream
 
 
 @pytest.mark.parametrize("n", [0, -1, -5])
