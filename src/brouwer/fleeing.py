@@ -147,6 +147,8 @@ def find_pattern(pattern: str, limit: int, oracle: Optional[DigitOracle] = None)
     """1-based position of the first match starting at or below limit, else None;
     refuses when the oracle's limit cuts the window short of an answer."""
     _check_pattern(pattern)
+    if limit < 0:
+        raise ValueError(f"search limit must be non-negative, got {limit}")
     orc = oracle or default_oracle()
     need = limit + len(pattern) - 1
     i = orc.digits(min(need, orc.limit)).find(pattern)
@@ -170,6 +172,8 @@ class CriticalSearch(NamedTuple):
 
 def critical_number(p: DecidableProperty, horizon: int) -> CriticalSearch:
     """Scan for the least witness of p up to the horizon, inclusive."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be non-negative, got {horizon}")
     for n in range(1, horizon + 1):
         if p.holds(n):
             return CriticalSearch(p, horizon, n)

@@ -31,6 +31,7 @@ from __future__ import annotations
 import functools
 import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, Optional, Union
@@ -434,37 +435,35 @@ def monotonicity_violations(m: StageTree) -> list[tuple[int, str]]:
 
 
 def load_model(text: str) -> StageTree:
-    """Model JSON: {"nodes": [{"id", "parent"?, "atoms"}...]}, root first or not."""
+    """Model JSON: {"nodes": [{"id", "parent"?, "atoms"?}...]}, root first or
+    not; atoms is a list of names."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as e:
         raise ModelError(f"model file is not valid JSON: {e}") from None
-    nodes = doc.get("nodes")
+    nodes = doc.get("nodes") if isinstance(doc, dict) else None
     if not isinstance(nodes, list) or not nodes:
         raise ModelError("model JSON needs a non-empty 'nodes' list")
+    for nd in nodes:
+        if not isinstance(nd, dict) or "id" not in nd:
+            raise ModelError(f"each node must be an object with an 'id', got {nd!r}")
+        atoms = nd.get("atoms", [])
+        if not isinstance(atoms, list) or not all(isinstance(a, str) for a in atoms):
+            raise ModelError(f"node {nd['id']!r}: atoms must be a list of names, got {atoms!r}")
+    # normalize so the root sits at index 0
+    nodes = sorted(nodes, key=lambda nd: nd.get("parent") not in (None, ""))
     ids = [str(nd["id"]) for nd in nodes]
     if len(set(ids)) != len(ids):
         raise ModelError("duplicate node ids")
-    roots = [nd for nd in nodes if nd.get("parent") in (None, "")]
-    if len(roots) != 1:
+    if sum(nd.get("parent") in (None, "") for nd in nodes) != 1:
         raise ModelError("model JSON needs exactly one root node")
-    # normalize so the root sits at index 0
-    order = sorted(range(len(nodes)), key=lambda i: nodes[i].get("parent") is not None)
-    nodes = [nodes[i] for i in order]
-    ids = [str(nd["id"]) for nd in nodes]
     pos = {nid: i for i, nid in enumerate(ids)}
-    parents: list[Optional[int]] = []
-    vals: list[frozenset[str]] = []
-    for nd in nodes:
-        p = nd.get("parent")
-        if p in (None, ""):
-            parents.append(None)
-        else:
-            if str(p) not in pos:
-                raise ModelError(f"node {nd['id']!r} references unknown parent {p!r}")
-            parents.append(pos[str(p)])
-        vals.append(frozenset(map(str, nd.get("atoms", []))))
-    return StageTree(tuple(parents), tuple(vals), tuple(ids))
+    for nd in nodes[1:]:
+        if str(nd["parent"]) not in pos:
+            raise ModelError(f"node {nd['id']!r} references unknown parent {nd['parent']!r}")
+    parents = (None, *(pos[str(nd["parent"])] for nd in nodes[1:]))
+    vals = tuple(frozenset(nd.get("atoms", [])) for nd in nodes)
+    return StageTree(parents, vals, tuple(ids))
 
 
 def dump_model(m: StageTree) -> dict:
@@ -617,56 +616,52 @@ class SweepBounds:
             raise ValueError(f"at most {len(ATOM_POOL)} atoms supported")
 
 
-def _shape_code(children: list[list[int]], w: int):
-    return tuple(sorted(_shape_code(children, c) for c in children[w]))
+@functools.cache
+def _codes(n: int) -> tuple[tuple, ...]:
+    """Codes of the rooted trees on n nodes, sorted by repr. A code is the
+    sorted tuple of the root's subtree codes. A tree on n > 1 nodes is a
+    smaller tree with one more subtree under its root; the set drops repeats."""
+    if n == 1:
+        return ((),)
+    codes = {
+        tuple(sorted(rest + (sub,)))
+        for k in range(1, n)
+        for sub in _codes(k)
+        for rest in _codes(n - k)
+    }
+    return tuple(sorted(codes, key=repr))
 
 
 def enumerate_shapes(max_nodes: int) -> list[tuple[Optional[int], ...]]:
-    """Canonical rooted tree shapes, node count ascending then code order."""
-    out = []
-    for n in range(1, max_nodes + 1):
-        seen = {}
-        def rec(parents: list[Optional[int]]):
-            i = len(parents)
-            if i == n:
-                children: list[list[int]] = [[] for _ in range(n)]
-                for j, p in enumerate(parents):
-                    if p is not None:
-                        children[p].append(j)
-                code = _shape_code(children, 0)
-                if code not in seen:
-                    seen[code] = tuple(parents)
-                return
-            for p in range(i):
-                rec(parents + [p])
-        rec([None])
-        out.extend(shape for _, shape in sorted(seen.items(), key=lambda kv: repr(kv[0])))
-    return out
+    """Canonical rooted tree shapes as parent arrays, node count ascending
+    then code order (_codes); each code's nodes are numbered in preorder."""
+
+    def preorder(code: tuple, w: int, parents: list) -> list:
+        for sub in code:
+            parents.append(w)
+            preorder(sub, len(parents) - 1, parents)
+        return parents
+
+    return [tuple(preorder(code, 0, [None])) for n in range(1, max_nodes + 1) for code in _codes(n)]
 
 
 def _upclosed_sets(parents: tuple[Optional[int], ...]) -> list[int]:
-    n = len(parents)
-    children: list[list[int]] = [[] for _ in range(n)]
+    """Up-set masks, ascending: a node's up-sets are every union of one
+    up-set per child, plus its whole subtree."""
+    children: list[list[int]] = [[] for _ in parents]
     for i, p in enumerate(parents):
         if p is not None:
             children[p].append(i)
-    childmask = [0] * n
-    for w in range(n):
+
+    def ups(w: int) -> tuple[list[int], int]:
+        sets, whole = [0], 1 << w
         for c in children[w]:
-            childmask[w] |= 1 << c
-    sets = []
-    for mask in range(1 << n):
-        ok = True
-        bits = mask
-        while bits:
-            low = bits & -bits
-            if childmask[low.bit_length() - 1] & ~mask:
-                ok = False
-                break
-            bits ^= low
-        if ok:
-            sets.append(mask)
-    return sets
+            below, subtree = ups(c)
+            sets = [a | b for a in sets for b in below]
+            whole |= subtree
+        return sets + [whole], whole
+
+    return sorted(ups(0)[0])
 
 
 def _stage_tree(shape: tuple[Optional[int], ...], atoms, masks) -> StageTree:
@@ -678,15 +673,9 @@ def _stage_tree(shape: tuple[Optional[int], ...], atoms, masks) -> StageTree:
 
 def enumerate_models(bounds: SweepBounds) -> Iterator[StageTree]:
     atoms = ATOM_POOL[: bounds.max_atoms]
-    for shape in enumerate_shapes(bounds.max_nodes):
-        filt = _upclosed_sets(shape)
-        def vals(i: int, acc: list[int]):
-            if i == len(atoms):
-                yield _stage_tree(shape, atoms, acc)
-                return
-            for mask in filt:
-                yield from vals(i + 1, acc + [mask])
-        yield from vals(0, [])
+    for shape, valuations in _valued_shapes(bounds):
+        for masks in valuations:
+            yield _stage_tree(shape, atoms, masks)
 
 
 def _valued_shapes(bounds: SweepBounds):
@@ -696,10 +685,18 @@ def _valued_shapes(bounds: SweepBounds):
 
 
 def count_models(bounds: SweepBounds) -> int:
-    total = 0
-    for shape in enumerate_shapes(bounds.max_nodes):
-        total += len(_upclosed_sets(shape)) ** bounds.max_atoms
-    return total
+    """Models within bounds from the shapes' codes alone: a tree with u(code)
+    = 1 + prod u(sub) up-sets carries u^atoms valuations. It builds no shape
+    and no up-set, so the sweep cap refuses at once."""
+
+    def ups(code: tuple) -> int:
+        return 1 + math.prod(map(ups, code))
+
+    return sum(
+        ups(code) ** bounds.max_atoms
+        for n in range(1, bounds.max_nodes + 1)
+        for code in _codes(n)
+    )
 
 
 def enumerate_box_free(bounds: SweepBounds) -> list[Formula]:

@@ -278,6 +278,8 @@ def mapped_point(f: PrefixMap, a: Point) -> Point:
 
 def cpf_modulus(f: PrefixMap, a: Point, m: int, horizon: int) -> Verdict:
     """Least input length n <= horizon whose output already has length >= m."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be non-negative, got {horizon}")
     lengths = (len(f.apply(a.prefix(n))) for n in range(1, horizon + 1))
     return _least_hit(horizon, (length >= m for length in lengths))
 

@@ -127,6 +127,21 @@ def test_fleeing_critical(capsys):
     assert payload["verdict"] == "none-below:50"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("pi", "find", "--pattern", "999", "--limit", "-1"),
+        ("pi", "find", "--pattern", "9", "--limit", "-1"),
+        ("fleeing", "critical", "--digit", "9", "--run", "6", "--horizon", "-3"),
+    ],
+)
+def test_negative_bounds_are_refused(capsys, argv):
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:") and "non-negative" in captured.err
+
+
 def test_spread_sample_is_seed_deterministic(capsys):
     _, first = run(capsys, "spread", "sample", "--seed", "11", "--stages", "9")
     _, again = run(capsys, "spread", "sample", "--seed", "11", "--stages", "9")
@@ -189,6 +204,24 @@ def test_logic_eval(capsys, tmp_path):
         "--formula", "[1]q",
     )
     assert code == 0 and payload["forces"] is True
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"nodes": [{"atoms": []}]}',
+        '[{"id": "root"}]',
+        '{"nodes": [1]}',
+        '{"nodes": [{"id": "root", "atoms": "pq"}]}',
+    ],
+)
+def test_logic_eval_rejects_malformed_models(capsys, tmp_path, doc):
+    path = tmp_path / "model.json"
+    path.write_text(doc)
+    code = main(["logic", "eval", "--model", str(path), "--at", "root", "--formula", "p"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error:")
 
 
 def test_logic_sweep(capsys):

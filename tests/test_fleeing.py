@@ -171,6 +171,18 @@ def test_critical_number_format():
     assert str(search) == "none-below:100"
 
 
+def test_negative_horizon_and_limit_are_refused():
+    # a verdict names the bound it explored; a negative bound explores nothing
+    orc = DigitOracle(self_test_digits=0, limit=100)
+    with pytest.raises(ValueError):
+        critical_number(run_property(9, 6, orc), -3)
+    for pattern in ("999", "9"):
+        with pytest.raises(ValueError):
+            find_pattern(pattern, -1, orc)
+    assert str(critical_number(run_property(9, 6, orc), 0)) == "none-below:0"
+    assert find_pattern("14", 0, orc) is None
+
+
 def test_berlin_r_before_witness_centers_zero():
     # digit 9, run 6: no witness below 762, so 60 stages all center 0
     pt = berlin_r(run_property(9, 6))

@@ -35,12 +35,14 @@ from brouwer.logic import (
     StageTree,
     SweepBounds,
     SweepResult,
+    _codes,
     _level_starts,
     _mask_closure,
     _Masks,
     _refuse_if_huge,
     _stage_tree,
     _sweep,
+    _upclosed_sets,
     _valued_shapes,
     atoms_of,
     count_models,
@@ -312,6 +314,26 @@ def test_load_model_rejects(doc):
         load_model(doc)
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        '{"nodes": [{"parent": "a"}, {"id": "a"}]}',  # a node without an id
+        '[{"id": "a"}]',  # no top-level object
+        '{"nodes": [1]}',  # a node that is not an object
+        '{"nodes": [{"id": "a", "atoms": "pq"}]}',  # atoms not a list
+        '{"nodes": [{"id": "a", "atoms": ["p", 1]}]}',  # an atom that is not a name
+    ],
+)
+def test_load_model_rejects_malformed_files(doc):
+    with pytest.raises(ModelError):
+        load_model(doc)
+
+
+def test_load_model_empty_parent_marks_the_root_anywhere():
+    m = load_model(json.dumps({"nodes": [{"id": "kid", "parent": "top"}, {"id": "top", "parent": ""}]}))
+    assert m.ids == ("top", "kid") and m.parents == (None, 0)
+
+
 # --- forcing ---
 
 
@@ -450,6 +472,87 @@ def test_atom_pool_guard():
         SweepBounds(max_atoms=len(ATOM_POOL) + 1)
     with pytest.raises(ValueError):
         SweepBounds(max_nodes=0)
+
+
+# The labelled enumeration the codes replaced, kept as the test oracle:
+# every parent array on n nodes reduced to its shape code, and the up-sets
+# found by scanning all 2^n node masks.
+
+
+def _ref_shape_code(children: list[list[int]], w: int):
+    return tuple(sorted(_ref_shape_code(children, c) for c in children[w]))
+
+
+def _children(parents) -> list[list[int]]:
+    children: list[list[int]] = [[] for _ in parents]
+    for i, p in enumerate(parents):
+        if p is not None:
+            children[p].append(i)
+    return children
+
+
+def _ref_codes(n: int) -> list:
+    seen = set()
+
+    def rec(parents: list[Optional[int]]):
+        if len(parents) == n:
+            seen.add(_ref_shape_code(_children(parents), 0))
+            return
+        for p in range(len(parents)):
+            rec(parents + [p])
+
+    rec([None])
+    return sorted(seen, key=repr)
+
+
+def _ref_upclosed_sets(parents) -> list[int]:
+    children = _children(parents)
+    return [
+        mask
+        for mask in range(1 << len(parents))
+        if all(mask >> c & 1 for w in range(len(parents)) if mask >> w & 1 for c in children[w])
+    ]
+
+
+def test_shapes_follow_the_labelled_enumeration():
+    shapes = enumerate_shapes(8)
+    codes = [_ref_shape_code(_children(s), 0) for s in shapes]
+    assert codes == [code for n in range(1, 9) for code in _ref_codes(n)]
+    for n in range(1, 9):
+        assert list(_codes(n)) == _ref_codes(n)
+
+
+def test_upclosed_sets_match_the_mask_scan():
+    for shape in enumerate_shapes(8):
+        assert _upclosed_sets(shape) == _ref_upclosed_sets(shape)
+
+
+def test_count_models_matches_the_up_set_scan():
+    scans = [(len(s), len(_ref_upclosed_sets(s))) for s in enumerate_shapes(8)]
+    for nodes in range(1, 9):
+        for atoms in range(1, 4):
+            bounds = SweepBounds(max_nodes=nodes, max_atoms=atoms)
+            assert count_models(bounds) == sum(u**atoms for n, u in scans if n <= nodes)
+
+
+def test_shape_counts_are_a000081():
+    # rooted unlabelled trees on n nodes (OEIS A000081)
+    expected = [1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766]
+    assert [len(_codes(n)) for n in range(1, 13)] == expected
+
+
+def test_cap_refuses_without_enumerating(monkeypatch):
+    from brouwer.cli import main
+
+    def never(*args):
+        raise AssertionError("the cap enumerated shapes or up-sets")
+
+    monkeypatch.setattr("brouwer.logic.enumerate_shapes", never)
+    monkeypatch.setattr("brouwer.logic._upclosed_sets", never)
+    with pytest.raises(ResourceLimitError) as ei:
+        validity_sweep("ic1", SweepBounds(max_nodes=12))
+    assert ei.value.requested == 255_347_535 * 2_703 == 690_204_387_105
+    assert main(["logic", "sweep", "--schema", "ic1", "--nodes", "12"]) == 64
 
 
 # --- sweeps ---

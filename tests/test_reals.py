@@ -173,6 +173,16 @@ def test_continuity_modulus_closed_forms():
         assert q_del.as_fraction() == Fraction(1, 2 ** (2 * m0 + 6))
 
 
+def test_moduli_refuse_a_negative_horizon():
+    a = value_point(Fraction(1, 3))
+    with pytest.raises(ValueError):
+        cpf_modulus(identity_map(), a, 3, -4)
+    with pytest.raises(ValueError):
+        continuity_modulus(identity_map(), a, 3, -4)
+    v = cpf_modulus(identity_map(), a, 3, 0)
+    assert v.value is VerdictValue.UNKNOWN and v.horizon == 0
+
+
 def test_negation_map_mirrors():
     a = value_point(Fraction(1, 3))
     na = mapped_point(negation_map(), a)
