@@ -769,6 +769,34 @@ def _mask_closure(atom_masks: tuple[int, ...], starts: list[int], implies) -> di
     return first
 
 
+@functools.cache
+def _node_bytes(mask: int) -> int:
+    """mask with node w's bit moved to bit 8w: byte w of the result."""
+    return int.from_bytes(bytes(mask >> w & 1 for w in range(mask.bit_length())), "little")
+
+
+def _root_class(children: list[list[int]], atom_masks: tuple[int, ...], types: dict) -> int:
+    """The root's class under bisimulation of the successor relation, each
+    leaf looping to itself; every child must be numbered after its parent.
+
+    A node's type is its valuation plus the set of its children's types
+    (Aho, Hopcroft & Ullman's tree code), except that a node whose children
+    all have its own valuation's leaf type has that type: the loop rule.
+    A leaf's type is its valuation, one bit per atom; any other type is an
+    id from 2^atoms up, interned in types."""
+    packed = 0
+    for k, mask in enumerate(atom_masks):
+        packed |= _node_bytes(mask) << k
+    t = list(packed.to_bytes(len(children), "little"))
+    base = 1 << len(atom_masks)
+    for w in range(len(children) - 1, -1, -1):
+        if children[w]:
+            kids = frozenset(map(t.__getitem__, children[w]))
+            if kids != {t[w]}:
+                t[w] = types.setdefault((t[w], kids), base + len(types))
+    return t[0]
+
+
 # --- schemata and sweeps ---
 
 
@@ -913,17 +941,20 @@ class SweepResult:
         return self.countermodel is None
 
 
-def _refuse_if_huge(bounds: SweepBounds, cap: int) -> tuple[int, int]:
+def _refuse_if_huge(bounds: SweepBounds, cap: int) -> None:
+    """Refuse a sweep charged over cap: each model costs its formulas, but at
+    least one pass over its nodes, which its class key takes."""
     models = count_models(bounds)
     formulas = _level_starts(bounds)[-1]
-    if models * formulas > cap:
+    charge = max(formulas, bounds.max_nodes)
+    if models * charge > cap:
         raise ResourceLimitError(
-            f"sweep would enumerate {models} models x {formulas} formulas "
-            f"= {models * formulas} pairs, over the cap of {cap}",
-            requested=models * formulas,
+            f"sweep would enumerate {models} models x {charge} "
+            f"(the larger of {formulas} formulas and {bounds.max_nodes} nodes) "
+            f"= {models * charge}, over the cap of {cap}",
+            requested=models * charge,
             limit=cap,
         )
-    return models, formulas
 
 
 def _sweep(
@@ -943,6 +974,11 @@ def _sweep(
     models_checked = 0
     instances_checked = {name: 0 for name in schema_names}
     monotone_ok = True
+    # root class -> its first model's distinct mask count; a model repeating a
+    # class has the same masks in the same order and the same verdicts, all of
+    # which hold for a schema still unfound: it adds masks x instances to it
+    types: dict = {}
+    classes: dict[int, int] = {}
 
     for shape, valuations in _valued_shapes(bounds):
         mm = _Masks(StageTree(shape, (frozenset(),) * len(shape)), bounds.max_box_index)
@@ -950,7 +986,14 @@ def _sweep(
         verdicts: dict[tuple[str, int, int], int] = {}
         for atom_masks in valuations:
             models_checked += 1
+            key = _root_class(mm.m.children, atom_masks, types)
+            if key in classes:
+                for name in schema_names:
+                    if found[name] is None:
+                        instances_checked[name] += classes[key] * len(instances[name])
+                continue
             closure = _mask_closure(atom_masks, starts, implies)
+            classes[key] = len(closure)
             for index, mask in sorted((i, m) for m, i in closure.items()):
                 if monotone_ok and not mm.upclosed(mask):
                     monotone_ok = False
@@ -1007,7 +1050,14 @@ def validity_sweep(
     the atom masks and _|_ are closed under the connectives level by level,
     keeping each mask's first formula (_mask_closure); visiting the distinct
     masks in that order gives the per-formula scan's counts and first
-    countermodel. Instance verdicts are memoised per shape and phi mask."""
+    countermodel. Instance verdicts are memoised per shape and phi mask.
+
+    Forcing is invariant under bisimulation of the successor relation with
+    leaves looping to themselves, and every node is reachable from the
+    root, so models with bisimilar roots have the same distinct masks in
+    the same order and the same verdicts. The closure, the instance checks
+    and the monotonicity audit therefore run once per root class
+    (_root_class); a later model of a class adds its first model's counts."""
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}; pick from {sorted(SCHEMAS)}")
     results, _ = _sweep([schema], bounds, cap)

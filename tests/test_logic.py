@@ -40,6 +40,7 @@ from brouwer.logic import (
     _mask_closure,
     _Masks,
     _refuse_if_huge,
+    _root_class,
     _stage_tree,
     _sweep,
     _upclosed_sets,
@@ -555,6 +556,24 @@ def test_cap_refuses_without_enumerating(monkeypatch):
     assert main(["logic", "sweep", "--schema", "ic1", "--nodes", "12"]) == 64
 
 
+def test_cap_charges_a_pass_over_the_nodes(monkeypatch, capsys):
+    # two formulas per model used to pass the cap and run for minutes; each
+    # model's class key walks its nodes, so it costs at least max_nodes
+    from brouwer.cli import main
+
+    def never(*args):
+        raise AssertionError("the cap enumerated shapes or up-sets")
+
+    monkeypatch.setattr("brouwer.logic.enumerate_shapes", never)
+    monkeypatch.setattr("brouwer.logic._upclosed_sets", never)
+    with pytest.raises(ResourceLimitError) as ei:
+        validity_sweep("ic1", SweepBounds(max_nodes=13, max_atoms=1, max_operand_depth=0))
+    assert ei.value.requested == 4_178_899 * 13 == 54_325_687
+    argv = ["logic", "sweep", "--schema", "ic1", "--nodes", "13", "--atoms", "1", "--depth", "0"]
+    assert main(argv) == 64
+    assert "x 13 (the larger of 2 formulas and 13 nodes) = 54325687" in capsys.readouterr().err
+
+
 # --- sweeps ---
 
 FAST = SweepBounds(max_nodes=3, max_atoms=2, max_box_index=2, max_operand_depth=1)
@@ -760,6 +779,73 @@ def _reference_sweep(
     return results, monotone_ok
 
 
+def _per_model_sweep(
+    schema_names: list[str], bounds: SweepBounds, cap: int
+) -> tuple[dict[str, SweepResult], bool]:
+    """The mask sweep as it was before root classes: the closure, the
+    instance checks and the monotonicity audit on every model."""
+    _refuse_if_huge(bounds, cap)
+    formulas = functools.cache(lambda: enumerate_box_free(bounds))  # for countermodels only
+    starts = _level_starts(bounds)
+    atoms = ATOM_POOL[: bounds.max_atoms]
+    # each instance is built once, over a placeholder atom for phi
+    slot = Atom("phi")
+    instances = {
+        name: [(indices, build, build(slot)) for indices, build in SCHEMAS[name].instances(bounds)]
+        for name in schema_names
+    }
+    found: dict[str, Optional[Countermodel]] = {name: None for name in schema_names}
+    models_checked = 0
+    instances_checked = {name: 0 for name in schema_names}
+    monotone_ok = True
+
+    for shape, valuations in _valued_shapes(bounds):
+        mm = _Masks(StageTree(shape, (frozenset(),) * len(shape)), bounds.max_box_index)
+        implies = functools.cache(mm.implies_mask)
+        verdicts: dict[tuple[str, int, int], int] = {}
+        for atom_masks in valuations:
+            models_checked += 1
+            closure = _mask_closure(atom_masks, starts, implies)
+            for index, mask in sorted((i, m) for m, i in closure.items()):
+                if monotone_ok and not mm.upclosed(mask):
+                    monotone_ok = False
+                for name in schema_names:
+                    if found[name] is not None:
+                        continue
+                    for j, (indices, build, template) in enumerate(instances[name]):
+                        inst_mask = verdicts.get((name, j, mask))
+                        if inst_mask is None:
+                            inst_mask = verdicts[name, j, mask] = mm.eval(template, {id(slot): mask})
+                            if monotone_ok and not mm.upclosed(inst_mask):
+                                monotone_ok = False
+                        instances_checked[name] += 1
+                        if inst_mask != mm.full:
+                            missing = ~inst_mask & mm.full
+                            node = (missing & -missing).bit_length() - 1
+                            phi = formulas()[index]
+                            model = _stage_tree(shape, atoms, atom_masks)
+                            found[name] = Countermodel(model, node, phi, indices, build(phi))
+                            break
+            if all(found[name] is not None for name in schema_names):
+                break
+        else:
+            continue
+        break
+
+    results = {
+        name: SweepResult(
+            schema=name,
+            bounds=bounds,
+            models_checked=models_checked,
+            instances_checked=instances_checked[name],
+            countermodel=found[name],
+            monotone_ok=monotone_ok,
+        )
+        for name in schema_names
+    }
+    return results, monotone_ok
+
+
 def _outcome(result: SweepResult):
     cm = result.countermodel
     return (
@@ -770,9 +856,9 @@ def _outcome(result: SweepResult):
     )
 
 
-def _assert_same_sweep(names, bounds):
+def _assert_same_sweep(names, bounds, oracle=_reference_sweep):
     got, got_ok = _sweep(names, bounds, DEFAULT_SWEEP_CAP)
-    want, want_ok = _reference_sweep(names, bounds, DEFAULT_SWEEP_CAP)
+    want, want_ok = oracle(names, bounds, DEFAULT_SWEEP_CAP)
     assert got_ok == want_ok
     assert {n: _outcome(got[n]) for n in names} == {n: _outcome(want[n]) for n in names}
 
@@ -806,6 +892,114 @@ _ORACLE_BOUNDS = [
 @pytest.mark.parametrize("name", sorted(SCHEMAS))
 def test_mask_sweep_matches_reference_per_schema(name, bounds):
     assert _outcome(validity_sweep(name, bounds)) == _outcome(_reference_single(name, bounds))
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    _ORACLE_BOUNDS + [SweepBounds(max_nodes=6, max_atoms=2, max_operand_depth=1)],
+    ids=lambda b: f"{b.max_nodes}-{b.max_atoms}-{b.max_operand_depth}",
+)
+@pytest.mark.parametrize("names", [[name] for name in sorted(SCHEMAS)] + [list(SCHEMAS)], ids="+".join)
+def test_class_sweep_matches_the_per_model_loop(names, bounds):
+    _assert_same_sweep(names, bounds, oracle=_per_model_sweep)
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [SweepBounds(max_nodes=5, max_atoms=2, max_operand_depth=1), SweepBounds(max_nodes=4, max_atoms=2)],
+    ids=["5-2-1", "4-2-2"],
+)
+def test_every_mask_is_upclosed_on_every_model(bounds):
+    # the sweep audits once per root class; this audits every model
+    starts = _level_starts(bounds)
+    slot = Atom("phi")
+    templates = [build(slot) for s in SCHEMAS.values() for _, build in s.instances(bounds)]
+    for shape, valuations in _valued_shapes(bounds):
+        mm = _Masks(StageTree(shape, (frozenset(),) * len(shape)), bounds.max_box_index)
+        for atom_masks in valuations:
+            for mask in _mask_closure(atom_masks, starts, mm.implies_mask):
+                assert mm.upclosed(mask), (shape, atom_masks, mask)
+                for t in templates:
+                    assert mm.upclosed(mm.eval(t, {id(slot): mask})), (shape, atom_masks, show(t))
+
+
+# --- root classes ---
+
+
+def _atom_masks(m: StageTree) -> tuple[int, ...]:
+    return tuple(sum(1 << w for w in range(m.size) if a in m.valuation[w]) for a in "pqr")
+
+
+@st.composite
+def _trees(draw, max_nodes=6, atoms="pqr"):
+    """A monotone tree whose every child is numbered after its parent."""
+    n = draw(st.integers(1, max_nodes))
+    parents = [None] + [draw(st.integers(0, w - 1)) for w in range(1, n)]
+    vals: list[frozenset] = []
+    for w, p in enumerate(parents):
+        vals.append((vals[p] if w else frozenset()) | draw(st.frozensets(st.sampled_from(atoms))))
+    return StageTree(tuple(parents), tuple(vals))
+
+
+@st.composite
+def _bisimilar_pairs(draw):
+    """(a, b, origin): b is a with one non-root subtree duplicated under the
+    same parent, or with a chain valued like a leaf hung under that leaf;
+    origin[w] is the node of a that node w of b copies."""
+    a = draw(_trees())
+    parents, vals, origin = list(a.parents), list(a.valuation), list(range(a.size))
+    if a.size > 1 and draw(st.booleans()):
+        top = draw(st.integers(1, a.size - 1))
+        copy: dict[int, int] = {}
+        for u in a.descendants_or_self(top):  # ascending, so parents first
+            copy[u] = len(parents)
+            parents.append(a.parents[top] if u == top else copy[a.parents[u]])
+            vals.append(a.valuation[u])
+            origin.append(u)
+    else:
+        leaf = draw(st.sampled_from([w for w in range(a.size) if not a.children[w]]))
+        below = leaf
+        for _ in range(draw(st.integers(1, 3))):
+            parents.append(below)
+            vals.append(a.valuation[leaf])
+            origin.append(leaf)
+            below = len(parents) - 1
+    return a, StageTree(tuple(parents), tuple(vals)), origin
+
+
+@given(_bisimilar_pairs(), st.lists(_formulas, min_size=1, max_size=4))
+@settings(max_examples=100, deadline=None)
+def test_bisimilar_models_force_alike_and_share_a_class(pair, fs):
+    a, b, origin = pair
+    for f in fs:
+        for w in range(b.size):
+            assert forces(b, w, f) == forces(a, origin[w], f), (show(f), w)
+    types: dict = {}
+    assert _root_class(a.children, _atom_masks(a), types) == _root_class(b.children, _atom_masks(b), types)
+
+
+def _bisimilar_roots(a: StageTree, b: StageTree) -> bool:
+    """Greatest bisimulation between a and b by naive refinement."""
+    rel = {(x, y) for x in range(a.size) for y in range(b.size) if a.valuation[x] == b.valuation[y]}
+    while True:
+        keep = {
+            (x, y)
+            for x, y in rel
+            if all(any((u, v) in rel for v in b.successors(y)) for u in a.successors(x))
+            and all(any((u, v) in rel for u in a.successors(x)) for v in b.successors(y))
+        }
+        if keep == rel:
+            return (0, 0) in rel
+        rel = keep
+
+
+@given(_trees(atoms="p"), _trees(atoms="p"))
+@settings(max_examples=200, deadline=None)
+def test_root_class_is_exactly_bisimilarity(a, b):
+    # one atom and small trees make bisimilar pairs common
+    types: dict = {}
+    same = _root_class(a.children, _atom_masks(a), types) == _root_class(b.children, _atom_masks(b), types)
+    assert same == _bisimilar_roots(a, b)
 
 
 _SUBSETS = [list(SCHEMAS), ["cs4", "ic1"], ["cs5", "cs4"], ["md", "cs5", "ic3"]]
@@ -914,4 +1108,8 @@ def test_sweep_bounds_script_runs():
         text=True,
     )
     assert run.returncode == 0, run.stderr
-    assert "(3,2,2)" in run.stdout
+    header, row = run.stdout.splitlines()
+    assert header.split() == [
+        "bounds", "formulas", "models", "classes", "seconds", "models/s", "masks", "mean", "masks", "max",
+    ]
+    assert row.split()[:4] == ["(3,2,2)", "2703", "54", "24"]
