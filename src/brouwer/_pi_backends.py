@@ -7,7 +7,11 @@ Three independent routes:
   multiplication-only Newton iteration for 1/sqrt(10005) and one
   ``decimal`` division. Python int division and int-to-string are
   quadratic; libmpdec multiplies with a number-theoretic transform and
-  prints in linear time.
+  prints in linear time. The split sums live in a ``ChudnovskySeries``
+  that a caller may keep: the exact P, Q, T of the first N terms combine
+  with those of terms N..N'-1 into exactly the integers one split of the
+  first N' terms gives, so a read at a higher precision splits only the
+  new terms and redoes just the square root, the division and the string.
 * Certified Machin enclosure (16 atan 1/5 - 4 atan 1/239) - the
   self-test of ``fleeing.DigitOracle`` and the cross-check of the tests.
   Integers lo < 10**m * pi < hi, term by term with floor divisions whose
@@ -119,41 +123,74 @@ def _inv_sqrt(a: int, digits: int) -> Decimal:
     return y
 
 
-def _chudnovsky_str(prec: int) -> str:
+class ChudnovskySeries:
+    """The exact P, Q, T of the first ``terms`` Chudnovsky terms, grown in place.
+
+    Splitting is associative: P, Q, T of terms a..m-1 and m..b-1 combine as
+    (P1*P2, Q1*Q2, T1*Q2 + P1*T2) into those of a..b-1, so extending the
+    first N terms by N..N'-1 gives exactly the integers one split of the
+    first N' terms gives. A fresh series is the empty sum, (1, 1, 0).
+    """
+
+    __slots__ = ("terms", "p", "q", "t")
+
+    def __init__(self):
+        self.terms = 0
+        self.p = self.q = Decimal(1)
+        self.t = Decimal(0)
+
+    def extend(self, terms: int) -> None:
+        """Sum at least the first ``terms`` terms."""
+        if terms <= self.terms:
+            return
+        p, q, t = _chud_split_dec(self.terms, terms, True)
+        if self.terms:
+            mul = _EXACT.multiply
+            p, q, t = mul(self.p, p), mul(self.q, q), _EXACT.add(mul(self.t, q), mul(self.p, t))
+        self.terms, self.p, self.q, self.t = terms, p, q, t
+
+
+def _chudnovsky_str(prec: int, series: ChudnovskySeries) -> str:
     """Digits of pi, '31415...', with error below 10**-(prec + 7).
 
-    The splitting is exact; the series tail it leaves is below
-    10**-(prec + 14). The rest runs at prec + 10 significant digits, where
-    a rounding costs at most 5*10**-(prec + 10) relative: 1/sqrt(10005)
-    carries less than 10**-(prec + 8) and the five roundings after it
-    add at most 2.5*10**-(prec + 9). The relative error stays below
-    1.3*10**-(prec + 8), the absolute one, pi being below 4, below
-    10**-(prec + 7).
+    The series is extended to enough terms that the tail it leaves is
+    below 10**-(prec + 14); its sums are exact. The rest runs at prec + 10
+    significant digits, where a rounding costs at most 5*10**-(prec + 10)
+    relative: 1/sqrt(10005) carries less than 10**-(prec + 8) and the five
+    roundings after it add at most 2.5*10**-(prec + 9). The relative error
+    stays below 1.3*10**-(prec + 8), the absolute one, pi being below 4,
+    below 10**-(prec + 7).
     """
-    _, q, t = _chud_split_dec(0, max(2, int(prec / 14.18) + 2))
+    series.extend(max(2, int(prec / 14.18) + 2))
     ctx = _rounding(prec + 10)
     # 426880*sqrt(10005) = 426880*10005 / sqrt(10005)
     scale = ctx.multiply(426880 * 10005, _inv_sqrt(10005, prec + 10))
-    pi = ctx.divide(ctx.multiply(scale, ctx.plus(q)), ctx.plus(t))
+    pi = ctx.divide(ctx.multiply(scale, ctx.plus(series.q)), ctx.plus(series.t))
     return str(pi).replace(".", "")
 
 
-def chudnovsky_digits(n: int) -> str:
+def chudnovsky_digits(n: int, series: ChudnovskySeries | None = None) -> str:
     """First n decimals of pi via Chudnovsky binary splitting.
 
-    Each pass reads x = ``_chudnovsky_str(n + guard)``, within
+    Each pass reads x = ``_chudnovsky_str(n + guard, series)``, within
     10**-(n + guard + 7) of pi. If digits n+1..n+10 of x are neither all 9
     nor all 0, the fractional part of x*10**n lies in [10**-10, 1 - 10**-10),
     so an error below 10**-(n + 10) cannot carry across the cut and x's
     first n digits are pi's. Any guard >= 3 gives that error, and the guard
     starts at 20; when the ten digits are all 9 or all 0 it doubles and the
     pass repeats.
+
+    A caller that reads again at a larger n passes the same series, which
+    then sums only the terms the larger n adds; without one, a fresh series
+    is read once.
     """
     if n < 1:
         return ""
+    if series is None:
+        series = ChudnovskySeries()
     guard = 20
     while True:
-        s = _chudnovsky_str(n + guard)
+        s = _chudnovsky_str(n + guard, series)
         tail = s[1 + n : 1 + n + 10]
         if tail != "9" * 10 and tail != "0" * 10:
             return s[1 : 1 + n]

@@ -154,7 +154,8 @@ def admissible_successors(a: int) -> tuple[int, int, int]:
 
 
 def is_admissible_successor(a: int, z: int) -> bool:
-    return z in (2 * a, 2 * a + 1, 2 * a + 2)
+    # one subtraction and two small compares, no tuple of three big ints
+    return 0 <= z - 2 * a <= 2
 
 
 def interval_relate(p: Interval, q: Interval) -> IntervalRelation:

@@ -5,9 +5,13 @@ no proof that a witness is impossible. The digit oracle backs the concrete
 examples: properties of the decimal expansion of pi. The oracle checks its
 production algorithm (Chudnovsky) against digits the Machin enclosure proves
 on construction, caches a single growing prefix, and refuses requests beyond
-a configurable bound. The switch constructions (berlin_r, veldman_f2,
-cambridge_c) are centering rules whose target changes once the least
-witness of a property shows.
+a configurable bound. It owns one Chudnovsky series, so growing the prefix
+sums only the terms the new digits add. A digit pattern is searched for with
+``str.find`` over that prefix, grown fourfold at a time until the first match
+and never past the search window, so ``find_pattern`` and
+``critical_number`` read no digit past the horizon they answer for. The
+switch constructions (berlin_r, veldman_f2, cambridge_c) are centering rules
+whose target changes once the least witness of a property shows.
 """
 
 from __future__ import annotations
@@ -46,18 +50,21 @@ class DigitOracle:
     splitting on Python ints and ``decimal``) against the digits the Machin
     enclosure proves, ``_pi_backends.machin_digits``, on the first
     min(self_test_digits, limit) digits; a disagreement raises
-    AssertionError. limit caps the digits it will ever hold; it defaults
-    to ``BW_DIGIT_LIMIT`` from the environment, else DEFAULT_DIGIT_LIMIT.
+    AssertionError. That check is the first read of the oracle's one
+    ``_pi_backends.ChudnovskySeries``, and every later growth extends it.
+    limit caps the digits it will ever hold; it defaults to
+    ``BW_DIGIT_LIMIT`` from the environment, else DEFAULT_DIGIT_LIMIT.
     """
 
     def __init__(self, self_test_digits: int = 1000, limit: Optional[int] = None):
         self.limit = _env_limit() if limit is None else limit
         if self.limit < 0:
             raise ValueError(f"digit limit must be non-negative, got {self.limit}")
+        self._series = _pi_backends.ChudnovskySeries()
         self._cache = ""
         if self_test_digits:
             n = min(self_test_digits, self.limit)
-            fast = _pi_backends.chudnovsky_digits(n)
+            fast = _pi_backends.chudnovsky_digits(n, self._series)
             if fast != _pi_backends.machin_digits(n):
                 raise AssertionError(
                     f"pi backends disagree within the first {n} digits"
@@ -73,9 +80,12 @@ class DigitOracle:
                 limit=self.limit,
             )
         if n > len(self._cache):
-            # grow geometrically so repeated probing stays near-linear
-            grow = max(n, 2 * len(self._cache), 64)
-            self._cache = _pi_backends.chudnovsky_digits(min(grow, self.limit))
+            # grow geometrically so position-by-position probing stays near-linear
+            self._grow(min(max(n, 2 * len(self._cache), 64), self.limit))
+
+    def _grow(self, n: int) -> None:
+        """Hold exactly n decimals; n is above the cache and within the limit."""
+        self._cache = _pi_backends.chudnovsky_digits(n, self._series)
 
     def digits(self, n: int) -> str:
         """The first n decimals, '1415...'."""
@@ -102,10 +112,15 @@ def default_oracle() -> DigitOracle:
 
 
 class DecidableProperty(NamedTuple):
-    """A property of positions, decidable by inspection of finitely many digits."""
+    """A property of positions, decidable by inspection of finitely many digits.
+
+    holds(n) tests one position; least(horizon) is the least position at or
+    below the horizon where it holds, else None.
+    """
 
     name: str
     holds: Callable[[int], bool]
+    least: Callable[[int], Optional[int]]
 
 
 def run_property(
@@ -117,7 +132,7 @@ def run_property(
     if run_length < 1:
         raise ValueError("run length must be positive")
     pattern = pattern_property(str(digit) * run_length, oracle)
-    return DecidableProperty(f"run({digit}x{run_length})", pattern.holds)
+    return pattern._replace(name=f"run({digit}x{run_length})")
 
 
 def _check_pattern(pattern: str) -> None:
@@ -140,7 +155,33 @@ def pattern_property(
         orc._cover(n + width - 1)
         return orc._cache[n - 1 : n + width - 1] == pattern
 
-    return DecidableProperty(f"pattern({pattern})", holds)
+    def least(horizon: int) -> Optional[int]:
+        # A match starting at or below the horizon ends by its window end.
+        # The prefix grows up to that end or the oracle limit, whichever is
+        # first, and stops at the first match; when the limit cut the window
+        # short, the oracle refuses the whole window. Each read recomputes
+        # every digit it returns, so a search with no match reads about 4/3
+        # of its window growing fourfold, where doubling would read twice it.
+        if horizon < 0:
+            raise ValueError(f"horizon must be non-negative, got {horizon}")
+        if horizon == 0:
+            return None
+        end = horizon + width - 1
+        stop = min(end, orc.limit)
+        have = min(len(orc._cache), stop)
+        i = orc._cache.find(pattern, 0, have)
+        while i == -1 and have < stop:
+            start = max(0, have - width + 1)
+            have = min(max(4 * have, 64), stop)
+            if have > len(orc._cache):
+                orc._grow(have)
+            i = orc._cache.find(pattern, start, have)
+        if i != -1:
+            return i + 1
+        orc._cover(end)  # refuses when the limit cut the window short
+        return None
+
+    return DecidableProperty(f"pattern({pattern})", holds, least)
 
 
 def find_pattern(pattern: str, limit: int, oracle: Optional[DigitOracle] = None) -> Optional[int]:
@@ -149,14 +190,7 @@ def find_pattern(pattern: str, limit: int, oracle: Optional[DigitOracle] = None)
     _check_pattern(pattern)
     if limit < 0:
         raise ValueError(f"search limit must be non-negative, got {limit}")
-    orc = oracle or default_oracle()
-    need = limit + len(pattern) - 1
-    i = orc.digits(min(need, orc.limit)).find(pattern)
-    if i != -1 and i < limit:
-        return i + 1
-    if need > orc.limit:
-        orc.digits(need)  # the oracle refuses the window its limit cut short
-    return None
+    return pattern_property(pattern, oracle).least(limit)
 
 
 class CriticalSearch(NamedTuple):
@@ -171,13 +205,8 @@ class CriticalSearch(NamedTuple):
 
 
 def critical_number(p: DecidableProperty, horizon: int) -> CriticalSearch:
-    """Scan for the least witness of p up to the horizon, inclusive."""
-    if horizon < 0:
-        raise ValueError(f"horizon must be non-negative, got {horizon}")
-    for n in range(1, horizon + 1):
-        if p.holds(n):
-            return CriticalSearch(p, horizon, n)
-    return CriticalSearch(p, horizon, None)
+    """The least witness of p up to the horizon, inclusive."""
+    return CriticalSearch(p, horizon, p.least(horizon))
 
 
 def _least_witness_scan(p: DecidableProperty) -> Callable[[int], Optional[int]]:

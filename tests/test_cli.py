@@ -8,6 +8,7 @@ from brouwer import fleeing
 from brouwer.cli import DEFAULTS, DRIFT_KINDS, REPLAYS, load_config, main
 from brouwer.drift import KIND_ALIASES
 from brouwer.errors import ResourceLimitError
+from test_fleeing import scan_reference
 
 PI_50 = "14159265358979323846264338327950288419716939937510"
 
@@ -74,11 +75,12 @@ def test_pi_find_refuses_exactly_when_the_scan_does(capsys, monkeypatch, digit_l
     for limit in (755, 760, 761, 762, 763, 766, 767):
         code, out = run(capsys, "pi", "find", "--pattern", "999999", "--limit", str(limit))
         try:
-            scan = fleeing.critical_number(fleeing.pattern_property("999999", orc), limit)
+            scan = scan_reference(fleeing.pattern_property("999999", orc), limit)
         except ResourceLimitError:
             assert code == 64 and out == "", limit
         else:
-            assert code == 0 and out.strip() == str(scan), limit
+            verdict = f"found-at:{scan}" if scan is not None else f"none-below:{limit}"
+            assert code == 0 and out.strip() == verdict, limit
 
 
 def test_pi_find_refuses_past_the_oracle_limit(capsys, monkeypatch):

@@ -5,6 +5,7 @@ from typing import Optional
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from brouwer import _pi_backends
 from brouwer.errors import ResourceLimitError, SettingError
 from brouwer.fleeing import (
     ConvergentFamily,
@@ -40,6 +41,18 @@ from brouwer.spreads import (
 
 # [PAPER]-anchored landmark, reproduced by the oracle itself at import
 SIX_NINES_AT = 762
+
+
+def scan_reference(p: DecidableProperty, horizon: int) -> Optional[int]:
+    """The least witness of p up to the horizon, testing one position at a
+    time with p.holds: the reference for the pattern search behind
+    critical_number and find_pattern."""
+    if horizon < 0:
+        raise ValueError(f"horizon must be non-negative, got {horizon}")
+    for n in range(1, horizon + 1):
+        if p.holds(n):
+            return n
+    return None
 
 
 def test_known_digits():
@@ -124,8 +137,13 @@ def test_find_pattern_refuses_past_the_oracle_limit():
 def _answer_or_refusal(search):
     try:
         return search()
-    except ResourceLimitError:
-        return "refused"
+    except ResourceLimitError as err:
+        return ("refused", err.requested, err.limit)
+
+
+def _answer_or_refused(search):
+    found = _answer_or_refusal(search)
+    return "refused" if isinstance(found, tuple) else found
 
 
 @settings(max_examples=200, deadline=None)
@@ -135,13 +153,129 @@ def _answer_or_refusal(search):
     horizon=st.integers(1, 1000),
 )
 def test_find_pattern_agrees_with_critical_number(limit, pattern, horizon):
-    # same least witness, or both refuse, whatever the oracle limit
+    # same least witness, or both refuse naming the same window, whatever
+    # the oracle limit
     orc = DigitOracle(self_test_digits=0, limit=limit)
     found = _answer_or_refusal(lambda: find_pattern(pattern, horizon, orc))
     scanned = _answer_or_refusal(
         lambda: critical_number(pattern_property(pattern, orc), horizon).found_at
     )
     assert found == scanned
+
+
+PI_5000 = _pi_backends.machin_digits(5000)
+
+
+# where a search grows the oracle, by its self-test size: from the cache
+# the prefix grows fourfold (64 digits at least), and no step passes the window
+STEP_ENDS = {0: [1024, 4096], 500: [500, 2000], 1000: [1000, 4000]}
+
+
+@st.composite
+def _searches(draw):
+    """(pattern, horizon, limit, self-test size): random patterns, and
+    patterns cut from pi across the end of a step the search grows by."""
+    self_test = draw(st.sampled_from(sorted(STEP_ENDS)))
+    edge = draw(st.sampled_from(STEP_ENDS[self_test]))
+    width = draw(st.integers(2, 8))
+    cut = edge - draw(st.integers(1, width - 1))
+    pattern = draw(
+        st.text("0123456789", min_size=1, max_size=7) | st.just(PI_5000[cut : cut + width])
+    )
+    horizon = draw(st.integers(0, 4500) | st.integers(edge - width, edge + width))
+    limit = draw(
+        st.integers(0, 5000) | st.integers(edge - width, edge + width) | st.just(10**6)
+    )
+    return pattern, horizon, limit, self_test
+
+
+@pytest.mark.parametrize("self_test, edge", [(t, e) for t, ends in STEP_ENDS.items() for e in ends])
+@pytest.mark.parametrize("before", range(1, 8))
+def test_a_match_across_a_step_end_is_found(self_test, edge, before):
+    # an 8-digit pattern starting `before` digits ahead of a step's end
+    # first matches there, half in one step and half in the next
+    pattern = PI_5000[edge - before : edge - before + 8]
+    orc = DigitOracle(self_test_digits=self_test)
+    assert pattern_property(pattern, orc).least(edge + 8) == edge - before + 1
+    assert scan_reference(pattern_property(pattern), edge + 8) == edge - before + 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(_searches())
+def test_pattern_search_agrees_with_the_position_by_position_scan(search):
+    # same least witness, or both refuse; each side on a fresh oracle, so
+    # the search grows its own prefix from the self-test's
+    pattern, horizon, limit, self_test = search
+
+    def fresh():
+        return pattern_property(pattern, DigitOracle(self_test_digits=self_test, limit=limit))
+
+    expected = _answer_or_refused(lambda: scan_reference(fresh(), horizon))
+    assert _answer_or_refused(lambda: fresh().least(horizon)) == expected
+    assert _answer_or_refused(lambda: critical_number(fresh(), horizon).found_at) == expected
+    orc = DigitOracle(self_test_digits=self_test, limit=limit)
+    assert _answer_or_refused(lambda: find_pattern(pattern, horizon, orc)) == expected
+
+
+def _computed_digits(monkeypatch):
+    """Record the size of every Chudnovsky read."""
+    sizes = []
+    real = _pi_backends.chudnovsky_digits
+
+    def recording(n, series=None):
+        sizes.append(n)
+        return real(n, series)
+
+    monkeypatch.setattr(_pi_backends, "chudnovsky_digits", recording)
+    return sizes
+
+
+@settings(max_examples=100, deadline=None)
+@given(_searches())
+def test_a_search_computes_no_digit_past_its_window(search):
+    pattern, horizon, limit, self_test = search
+    orc = DigitOracle(self_test_digits=self_test, limit=limit)
+    held = len(orc._cache)
+    with pytest.MonkeyPatch.context() as mp:
+        sizes = _computed_digits(mp)
+        _answer_or_refusal(lambda: pattern_property(pattern, orc).least(horizon))
+    bound = min(horizon + len(pattern) - 1, limit)
+    assert all(n <= bound for n in sizes)
+    assert len(orc._cache) <= max(held, bound)
+
+
+def test_a_found_witness_stops_the_search(monkeypatch):
+    # the six nines lie inside the self-test's digits: a horizon of 10**6
+    # reads nothing more, with either entry point
+    orc = DigitOracle()
+    sizes = _computed_digits(monkeypatch)
+    assert find_pattern("999999", 10**6, orc) == SIX_NINES_AT
+    assert critical_number(run_property(9, 6, orc), 10**6).found_at == SIX_NINES_AT
+    assert sizes == [] and len(orc._cache) == 1000
+    # past a 100-digit self-test the prefix grows fourfold, and its last
+    # step stops at the end of the window, 770 + 6 - 1
+    orc = DigitOracle(self_test_digits=100)
+    assert critical_number(run_property(9, 6, orc), 770).found_at == SIX_NINES_AT
+    assert sizes == [100, 400, 775]
+
+
+def test_horizon_zero_explores_nothing_whatever_the_limit():
+    # the window of a horizon-0 search is empty, so no limit can cut it short
+    orc = DigitOracle(self_test_digits=0, limit=3)
+    assert find_pattern("999999", 0, orc) is None
+    assert str(critical_number(pattern_property("999999", orc), 0)) == "none-below:0"
+    assert orc._cache == ""
+
+
+def test_both_searches_refuse_naming_the_whole_window():
+    # the window of horizon h for a pattern of width w ends at h + w - 1
+    for search in (
+        lambda orc: find_pattern("999999", 1000, orc),
+        lambda orc: critical_number(run_property(9, 6, orc), 1000),
+    ):
+        with pytest.raises(ResourceLimitError) as err:
+            search(DigitOracle(limit=500))
+        assert (err.value.requested, err.value.limit) == (1005, 500)
 
 
 @pytest.mark.parametrize("bad", ["", "²", "1²", "٣", "12a", " 1", "-1"])

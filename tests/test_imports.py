@@ -77,6 +77,20 @@ def test_pi_digits_loads_no_dataclasses():
 
 
 @pytest.mark.parametrize(
+    "args, verdict",
+    [
+        (("pi", "find", "--pattern", "999999", "--limit", "2000", "--json"), "found-at:762"),
+        (("fleeing", "critical", "--digit", "3", "--run", "1", "--json"), "found-at:9"),
+    ],
+)
+def test_digit_searches_load_no_dataclasses_reals_or_spreads(args, verdict):
+    # a pattern search needs the oracle and nothing of the point machinery
+    loaded, out = loaded_modules(*args)
+    assert json.loads(out)["verdict"] == verdict
+    assert not loaded & {"dataclasses", "inspect", "brouwer.reals", "brouwer.spreads"}
+
+
+@pytest.mark.parametrize(
     "args, absent",
     [
         (("fleeing", "critical", "--digit", "3", "--run", "1"), HEAVY | {"brouwer.reals"}),

@@ -9,6 +9,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brouwer import _pi_backends
 from brouwer.fleeing import DigitOracle
@@ -20,6 +21,7 @@ from brouwer._pi_backends import (
     _chud_split_dec,
     _inv_sqrt,
     _machin_enclosure,
+    ChudnovskySeries,
     chudnovsky_digits,
     machin_digits,
     spigot_digits,
@@ -41,22 +43,79 @@ def test_stdlib_route_matches_spigot_at_the_six_nines():
         assert chudnovsky_digits(n) == spigot[:n], n
 
 
+def _ambiguous_first_pass(monkeypatch, n, fill, series):
+    """Make the first read show ten equal guard digits after position n,
+    checking that every pass reads the given series; returns the
+    precisions read."""
+    real = _pi_backends._chudnovsky_str
+    asked = []
+
+    def ambiguous_first_pass(prec, passed):
+        asked.append(prec)
+        assert series is None or passed is series
+        s = real(prec, passed)
+        return s[: 1 + n] + fill * 10 + s[1 + n + 10 :] if len(asked) == 1 else s
+
+    monkeypatch.setattr(_pi_backends, "_chudnovsky_str", ambiguous_first_pass)
+    return asked
+
+
 @pytest.mark.parametrize("fill", ["9", "0"])
 @pytest.mark.parametrize("n", [1, 50, 1000])
 def test_stdlib_route_widens_its_guard_past_an_ambiguous_tail(n, fill, monkeypatch):
     # the first pass reads ten equal guard digits after position n, where a
     # carry could cross the cut; the guard doubles and the second pass is kept
-    real = _pi_backends._chudnovsky_str
-    asked = []
-
-    def ambiguous_first_pass(prec):
-        asked.append(prec)
-        s = real(prec)
-        return s[: 1 + n] + fill * 10 + s[1 + n + 10 :] if len(asked) == 1 else s
-
-    monkeypatch.setattr(_pi_backends, "_chudnovsky_str", ambiguous_first_pass)
+    asked = _ambiguous_first_pass(monkeypatch, n, fill, None)
     assert chudnovsky_digits(n) == machin_digits(n)
     assert asked == [n + 20, n + 40]
+
+
+@pytest.mark.parametrize("grown_from", [1, 500])
+@pytest.mark.parametrize("fill", ["9", "0"])
+@pytest.mark.parametrize("n", [1, 50, 1000])
+def test_a_series_read_before_widens_its_guard_the_same_way(n, fill, grown_from, monkeypatch):
+    # both passes extend the series the caller keeps, larger or smaller than n
+    series = ChudnovskySeries()
+    chudnovsky_digits(grown_from, series)
+    asked = _ambiguous_first_pass(monkeypatch, n, fill, series)
+    assert chudnovsky_digits(n, series) == machin_digits(n)
+    assert asked == [n + 20, n + 40]
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.integers(1, 400), min_size=1, max_size=6))
+def test_an_extended_series_is_one_split_of_the_whole_range(counts):
+    # extending through any term counts, in any order, leaves exactly the
+    # P, Q, T of one split of the largest range asked for
+    series = ChudnovskySeries()
+    for i, k in enumerate(counts):
+        series.extend(k)
+        whole = max(counts[: i + 1])
+        assert series.terms == whole
+        assert (series.p, series.q, series.t) == _chud_split_dec(0, whole, True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(0, 1001), min_size=1, max_size=5))
+def test_reads_of_one_series_are_exact_in_any_order(sizes):
+    # a series read before at other sizes, larger or smaller, still gives
+    # exactly the digits the certified enclosure proves
+    series = ChudnovskySeries()
+    for n in sizes:
+        assert chudnovsky_digits(n, series) == SPIGOT_1001[:n]
+
+
+@pytest.mark.parametrize("n", range(755, 771))
+def test_growing_reads_are_exact_around_the_six_nines(n):
+    # reached through growth from smaller reads: the series' own and the
+    # oracle's, whose limit stops its last growth exactly at n
+    series = ChudnovskySeries()
+    for m in (64, n // 2, n - 1, n):
+        assert chudnovsky_digits(m, series) == machin_digits(m)
+    orc = DigitOracle(self_test_digits=n // 3, limit=n)
+    for m in (n // 3 + 1, n - 5, n):
+        assert orc.digits(m) == machin_digits(m)
+    assert len(orc._cache) == n
 
 
 def _enclosure_passes(monkeypatch):
@@ -94,7 +153,9 @@ def _flip_last_digit(digits):
 @pytest.mark.parametrize("kwargs", [{}, {"limit": 300}, {"self_test_digits": 40}])
 def test_self_test_catches_a_wrong_digit_on_every_construction(kwargs, monkeypatch):
     real = _pi_backends.chudnovsky_digits
-    monkeypatch.setattr(_pi_backends, "chudnovsky_digits", lambda n: _flip_last_digit(real(n)))
+    monkeypatch.setattr(
+        _pi_backends, "chudnovsky_digits", lambda n, series=None: _flip_last_digit(real(n, series))
+    )
     checks = []
     machin = _pi_backends.machin_digits
     monkeypatch.setattr(_pi_backends, "machin_digits", lambda n: checks.append(n) or machin(n))
@@ -157,4 +218,4 @@ def test_benchmark_script_runs():
         [sys.executable, str(script), "1000"], env=env, capture_output=True, text=True
     )
     assert run.returncode == 0, run.stderr
-    assert run.stdout.split("\n", 1)[0].split() == ["digits", "chudnovsky", "machin", "spigot"]
+    assert run.stdout.split("\n", 1)[0].split() == ["digits", "chudnovsky", "critical", "machin", "spigot"]
