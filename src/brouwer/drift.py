@@ -14,6 +14,11 @@ the drift under an event trace:
 Switches fire at the resolution stage inclusive: a resolution at stage k
 changes terms k, k+1, ... All term values are exact; the mixed drift's
 irrational wing runs on integer square roots, not floats.
+
+A drift holds values and tags only. A point is derived from a value and
+its tag where one is read (``validate_drift``): ``value_point`` for a
+rational value, ``floor_point`` for an irrational one. A flattened
+checking number centres the exact values themselves.
 """
 
 from __future__ import annotations
@@ -27,6 +32,8 @@ from typing import Callable, Optional
 from .dyadic import scaled_floor
 from .reals import Point, Verdict, apart_at, value_point
 from .spreads import (
+    NEVER,
+    PROVED,
     EventTrace,
     Generator,
     Lawlike,
@@ -95,26 +102,27 @@ class CountingFamily:
 
     value_at: Callable[[int], object]
     tag: Tag
-    point_at: Callable[[int], Point]
 
 
 @dataclass(frozen=True)
 class Drift:
+    """A kernel value and one counting family per wing it has."""
+
     name: str
-    wing: Wing
     kernel_value: object
-    kernel_point: Point
     kernel_tag: Tag
     right: Optional[CountingFamily] = None
     left: Optional[CountingFamily] = None
 
     def __post_init__(self) -> None:
-        if self.wing is Wing.RIGHT and (self.right is None or self.left is not None):
-            raise ValueError("right-winged drift needs exactly a right family")
-        if self.wing is Wing.LEFT and (self.left is None or self.right is not None):
-            raise ValueError("left-winged drift needs exactly a left family")
-        if self.wing is Wing.TWO and (self.left is None or self.right is None):
-            raise ValueError("two-winged drift needs both families")
+        if self.right is None and self.left is None:
+            raise ValueError("a drift needs at least one counting family")
+
+    @property
+    def wing(self) -> Wing:
+        if self.left is None:
+            return Wing.RIGHT
+        return Wing.LEFT if self.right is None else Wing.TWO
 
     def counting_ref(self, v: int) -> str:
         """The v-th counting number in the drift's enumeration.
@@ -130,9 +138,9 @@ class Drift:
         return f"c_{v}"
 
     def resolve_ref(self, ref: str):
-        """(exact value, tag, point) for a term ref ('c', 'c_3', 'r_2', 'l_1')."""
+        """(exact value, tag) for a term ref ('c', 'c_3', 'r_2', 'l_1')."""
         if ref == "c":
-            return self.kernel_value, self.kernel_tag, self.kernel_point
+            return self.kernel_value, self.kernel_tag
         head, _, idx = ref.partition("_")
         v = int(idx)
         if head == "c":
@@ -145,7 +153,7 @@ class Drift:
             raise ValueError(f"unknown term ref {ref!r}")
         if fam is None:
             raise ValueError(f"ref {ref!r} names a wing this drift does not have")
-        return fam.value_at(v), fam.tag, fam.point_at(v)
+        return fam.value_at(v), fam.tag
 
     def convergence_modulus(self, eps) -> int:
         """Least V with |c_v - kernel| < eps for every v >= V.
@@ -165,17 +173,25 @@ class DriftValidationError(Exception):
     pass
 
 
+def _point(value, tag: Tag, name: str) -> Point:
+    """The lawlike point of an exact value: centred on it when rational,
+    the floor construction when irrational."""
+    if tag is Tag.RATIONAL:
+        return value_point(value, name=name)
+    return floor_point(value, name=name)
+
+
 def validate_drift(drift: Drift, depth: int = 4) -> list[Verdict]:
     """Check apartness of (kernel, c_v) pairs and of counting pairs, with
     wing direction, for v up to depth. Raises when any verdict fails to hold."""
     verdicts = []
     refs = [drift.counting_ref(v) for v in range(1, depth + 1)]
+    kernel = _point(drift.kernel_value, drift.kernel_tag, "kernel")
     pts = {}
     for ref in refs:
-        value, tag, pt = drift.resolve_ref(ref)
-        pts[ref] = pt
+        pts[ref] = pt = _point(*drift.resolve_ref(ref), name=ref)
         horizon = depth + 16
-        v = apart_at(drift.kernel_point, pt, horizon)
+        v = apart_at(kernel, pt, horizon)
         if not v.holds:
             raise DriftValidationError(f"kernel not apart from {ref} at horizon {horizon}")
         want = "gt" if ref.startswith("l") else "lt"
@@ -208,67 +224,31 @@ def rational_right_drift() -> Drift:
         f, _ = kernel.scaled_floor(v)
         return Fraction(f + 2, 1 << v)
 
-    fam = CountingFamily(
-        value_at=value_at,
-        tag=Tag.RATIONAL,
-        point_at=lambda v: value_point(value_at(v), name=f"c_{v}"),
-    )
     return Drift(
-        name="rational-right",
-        wing=Wing.RIGHT,
-        kernel_value=kernel,
-        kernel_point=floor_point(kernel, name="kernel(sqrt2/2)"),
-        kernel_tag=Tag.IRRATIONAL,
-        right=fam,
+        "rational-right", kernel, Tag.IRRATIONAL, right=CountingFamily(value_at, Tag.RATIONAL)
     )
 
 
 def two_winged_mixed_drift() -> Drift:
     """Kernel 0; rational right wing r_v = 2^-v, irrational left wing
     l_v = -sqrt(2)/2^(v+1)."""
-    right = CountingFamily(
-        value_at=lambda v: Fraction(1, 1 << v),
-        tag=Tag.RATIONAL,
-        point_at=lambda v: value_point(Fraction(1, 1 << v), name=f"r_{v}"),
-    )
-    left = CountingFamily(
-        value_at=lambda v: Sqrt2Value(Fraction(-1, 1 << (v + 1))),
-        tag=Tag.IRRATIONAL,
-        point_at=lambda v: floor_point(
-            Sqrt2Value(Fraction(-1, 1 << (v + 1))), name=f"l_{v}"
-        ),
-    )
     return Drift(
-        name="two-winged-mixed",
-        wing=Wing.TWO,
-        kernel_value=Fraction(0),
-        kernel_point=value_point(Fraction(0), name="kernel(0)"),
-        kernel_tag=Tag.RATIONAL,
-        right=right,
-        left=left,
+        "two-winged-mixed",
+        Fraction(0),
+        Tag.RATIONAL,
+        right=CountingFamily(lambda v: Fraction(1, 1 << v), Tag.RATIONAL),
+        left=CountingFamily(lambda v: Sqrt2Value(Fraction(-1, 1 << (v + 1))), Tag.IRRATIONAL),
     )
 
 
 def berlin_drift() -> Drift:
     """Kernel 0, r_m = 2^-m, l_m = -2^-m; the two-winged dyadic drift."""
-    right = CountingFamily(
-        value_at=lambda v: Fraction(1, 1 << v),
-        tag=Tag.RATIONAL,
-        point_at=lambda v: value_point(Fraction(1, 1 << v), name=f"r_{v}"),
-    )
-    left = CountingFamily(
-        value_at=lambda v: Fraction(-1, 1 << v),
-        tag=Tag.RATIONAL,
-        point_at=lambda v: value_point(Fraction(-1, 1 << v), name=f"l_{v}"),
-    )
     return Drift(
-        name="berlin",
-        wing=Wing.TWO,
-        kernel_value=Fraction(0),
-        kernel_point=value_point(Fraction(0), name="kernel(0)"),
-        kernel_tag=Tag.RATIONAL,
-        right=right,
-        left=left,
+        "berlin",
+        Fraction(0),
+        Tag.RATIONAL,
+        right=CountingFamily(lambda v: Fraction(1, 1 << v), Tag.RATIONAL),
+        left=CountingFamily(lambda v: Fraction(-1, 1 << v), Tag.RATIONAL),
     )
 
 
@@ -317,15 +297,17 @@ class CheckingRun:
 
 def _switch_ref(drift: Drift, kind: CheckingKind, trace: EventTrace) -> Optional[str]:
     """The ref the run switches to, or None when it stays at the kernel."""
+    if kind is CheckingKind.OSCILLATORY and drift.wing is not Wing.TWO:
+        raise ValueError("an oscillatory checking number needs a two-winged drift")
     r = trace.resolution
-    if r.kind == "never":
+    if r.kind == NEVER:
         return None
     if kind is CheckingKind.DIRECT:
         return drift.counting_ref(r.stage)
     if kind is CheckingKind.OSCILLATORY:
-        return f"{'r' if r.kind == 'proved' else 'l'}_{r.stage}"
+        return f"{'r' if r.kind == PROVED else 'l'}_{r.stage}"
     # conditional: refutations are ignored
-    if r.kind == "proved":
+    if r.kind == PROVED:
         return drift.counting_ref(r.stage)
     return None
 
@@ -334,11 +316,9 @@ def checking_sequence(
     drift: Drift, kind: CheckingKind, trace: EventTrace, terms: int
 ) -> CheckingRun:
     """Symbolic run of the checking number: term refs plus the limit ref."""
-    if kind is CheckingKind.OSCILLATORY and drift.wing is not Wing.TWO:
-        raise ValueError("an oscillatory checking number needs a two-winged drift")
+    switch = _switch_ref(drift, kind, trace)
     if terms < 0:
         raise ValueError("term count must be non-negative")
-    switch = _switch_ref(drift, kind, trace)
     stage = trace.resolution.stage
     out = []
     for n in range(1, terms + 1):
@@ -370,21 +350,19 @@ def rationality_descriptor(
     switch = _switch_ref(drift, kind, trace)
     if switch is None:
         return LimitClass("kernel-class", drift.kernel_tag)
-    _, tag, _ = drift.resolve_ref(switch)
+    _, tag = drift.resolve_ref(switch)
     return LimitClass(tag.value)
 
 
 def flatten_checking(drift: Drift, kind: CheckingKind, trace: EventTrace) -> Point:
     """The checking number as a single point: term n centers the exact value
     of the n-th checking term (nearest-midpoint emitter)."""
-    if kind is CheckingKind.OSCILLATORY and drift.wing is not Wing.TWO:
-        raise ValueError("an oscillatory checking number needs a two-winged drift")
+    _switch_ref(drift, kind, trace)  # refuses a kind the drift's wings cannot carry
 
     def target_at(stage: int, tr: EventTrace):
         switch = _switch_ref(drift, kind, tr)
         if switch is not None and stage >= tr.resolution.stage:
-            value, _, _ = drift.resolve_ref(switch)
-            return value
+            return drift.resolve_ref(switch)[0]
         return drift.kernel_value
 
     g = Generator(

@@ -78,14 +78,6 @@ class Dyadic:
     def as_fraction(self) -> Fraction:
         return Fraction(self.num, 1 << self.exp)
 
-    @staticmethod
-    def from_fraction(value: Fraction) -> "Dyadic":
-        den = value.denominator
-        exp = den.bit_length() - 1
-        if den != 1 << exp:
-            raise ValueError(f"{value} is not dyadic")
-        return Dyadic(value.numerator, exp)
-
     def __str__(self) -> str:
         return f"{self.num}/2^{self.exp}"
 
@@ -121,10 +113,6 @@ class Interval:
     @property
     def length(self) -> Dyadic:
         return self.hi - self.lo
-
-    @property
-    def midpoint_fraction(self) -> Fraction:
-        return (self.lo.as_fraction() + self.hi.as_fraction()) / 2
 
     def contains_fraction(self, value: Fraction) -> bool:
         return self.lo.as_fraction() <= value <= self.hi.as_fraction()

@@ -10,8 +10,9 @@ sums only the terms the new digits add. A digit pattern is searched for with
 ``str.find`` over that prefix, grown fourfold at a time until the first match
 and never past the search window, so ``find_pattern`` and
 ``critical_number`` read no digit past the horizon they answer for. The
-switch constructions (berlin_r, veldman_f2, cambridge_c) are centering rules
-whose target changes once the least witness of a property shows.
+switch constructions (berlin_r, veldman_f2, cambridge_c) are one centering
+rule, built in one place, whose target changes once the least witness of a
+property shows.
 """
 
 from __future__ import annotations
@@ -210,7 +211,7 @@ def critical_number(p: DecidableProperty, horizon: int) -> CriticalSearch:
 
 
 def _least_witness_scan(p: DecidableProperty) -> Callable[[int], Optional[int]]:
-    # least witness of p up to a stage, shared by the switch constructions;
+    # least witness of p up to a stage, read by _switch_point;
     # asked for stages 1, 2, 3, ... in turn (repeats allowed), it tests each once
     found = None
 
@@ -223,21 +224,30 @@ def _least_witness_scan(p: DecidableProperty) -> Callable[[int], Optional[int]]:
     return upto
 
 
-def berlin_r(p: DecidableProperty) -> Point:
-    """Centers 0 until the least witness K of p is visible, then (-2)^(-K) forever."""
+def _switch_point(
+    name: str,
+    p: DecidableProperty,
+    before: Callable[[int], Fraction],
+    after: Callable[[int], Fraction],
+) -> Point:
+    """Centers before(stage) until the least witness k of p is visible,
+    then after(k) forever: the one construction behind every switch point."""
     from .reals import Point
     from .spreads import Generator, Lawlike, centering_rule, rng_spread
 
     witness = _least_witness_scan(p)
 
-    def target(stage: int):
+    def target(stage: int) -> Fraction:
         k = witness(stage)
-        if k is None:
-            return 0
-        return Fraction((-1) ** k, 1 << k)
+        return before(stage) if k is None else after(k)
 
     rule = centering_rule(target)
-    return Point(Generator(rng_spread(), Lawlike(rule), name=f"berlin_r[{p.name}]"))
+    return Point(Generator(rng_spread(), Lawlike(rule), name=f"{name}[{p.name}]"))
+
+
+def berlin_r(p: DecidableProperty) -> Point:
+    """Centers 0 until the least witness K of p is visible, then (-2)^(-K) forever."""
+    return _switch_point("berlin_r", p, lambda stage: 0, lambda k: Fraction((-1) ** k, 1 << k))
 
 
 class ConvergentFamily(NamedTuple):
@@ -256,40 +266,10 @@ def geometric_family() -> ConvergentFamily:
 def veldman_f2(family: ConvergentFamily, p: DecidableProperty) -> Point:
     """Centers the limit value until the least witness k of p is visible,
     then re-anchors admissibly and centers xi_k forever."""
-    from .reals import Point
-    from .spreads import Generator, Lawlike, centering_rule, rng_spread
-
-    witness = _least_witness_scan(p)
-
-    def target(stage: int):
-        k = witness(stage)
-        if k is None:
-            return family.limit
-        return family.member(k)
-
-    rule = centering_rule(target)
-    return Point(
-        Generator(rng_spread(), Lawlike(rule), name=f"veldman_f2[{p.name}]")
-    )
+    return _switch_point("veldman_f2", p, lambda stage: family.limit, family.member)
 
 
-def cambridge_c(
-    family: ConvergentFamily, p: DecidableProperty
-) -> Point:
+def cambridge_c(family: ConvergentFamily, p: DecidableProperty) -> Point:
     """Follows the family values a_n until the least witness K is visible,
     then stays at a_K: term n centers a_min(n, K)."""
-    from .reals import Point
-    from .spreads import Generator, Lawlike, centering_rule, rng_spread
-
-    witness = _least_witness_scan(p)
-
-    def target(stage: int):
-        k = witness(stage)
-        if k is None:
-            return family.member(stage)
-        return family.member(k)
-
-    rule = centering_rule(target)
-    return Point(
-        Generator(rng_spread(), Lawlike(rule), name=f"cambridge_c[{p.name}]")
-    )
+    return _switch_point("cambridge_c", p, family.member, family.member)

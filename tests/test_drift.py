@@ -6,6 +6,8 @@ from hypothesis import given, settings, strategies as st
 from brouwer.drift import (
     BUNDLED_DRIFTS,
     CheckingKind,
+    CountingFamily,
+    Drift,
     DriftValidationError,
     KIND_ALIASES,
     Sqrt2Value,
@@ -29,7 +31,8 @@ from brouwer.reals import (
     value_point,
     zero_point,
 )
-from brouwer.spreads import never_trace, proved_at, refuted_at, rng_spread
+from brouwer import drift as drift_module
+from brouwer.spreads import centered_term, never_trace, proved_at, refuted_at, rng_spread
 
 
 def test_bundled_drifts_validate():
@@ -57,18 +60,12 @@ def test_counting_refs():
 
 def test_validate_drift_catches_degenerate_counting_numbers():
     rr = bundled_drift("rational-right")
-    broken = type(rr)(
+    broken = Drift(
         name="broken",
-        wing=rr.wing,
         kernel_value=rr.kernel_value,
-        kernel_point=rr.kernel_point,
         kernel_tag=rr.kernel_tag,
-        right=type(rr.right)(
-            value_at=rr.right.value_at,
-            tag=rr.right.tag,
-            point_at=lambda v: rr.kernel_point,  # counting points sit on the kernel
-        ),
-        left=None,
+        # counting values sit on the irrational kernel
+        right=CountingFamily(lambda v: rr.kernel_value, Tag.IRRATIONAL),
     )
     with pytest.raises(DriftValidationError):
         validate_drift(broken, depth=2)
@@ -86,6 +83,10 @@ KINDS = (CheckingKind.DIRECT, CheckingKind.OSCILLATORY, CheckingKind.CONDITIONAL
 
 def drift_for(kind: CheckingKind):
     return bundled_drift("two-winged-mixed" if kind is CheckingKind.OSCILLATORY else "rational-right")
+
+
+def kinds_of(drift):
+    return KINDS if drift.wing is Wing.TWO else (CheckingKind.DIRECT, CheckingKind.CONDITIONAL)
 
 
 def expected_terms(drift, kind, trace, n):
@@ -118,10 +119,13 @@ def test_checking_sequence_against_closed_form(kind, stage, res):
 
 
 def test_oscillatory_needs_two_wings():
-    with pytest.raises(ValueError):
+    needs = "an oscillatory checking number needs a two-winged drift"
+    with pytest.raises(ValueError, match=needs):
         checking_sequence(bundled_drift("rational-right"), CheckingKind.OSCILLATORY, proved_at(2), 4)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=needs):
         flatten_checking(bundled_drift("rational-right"), CheckingKind.OSCILLATORY, proved_at(2))
+    with pytest.raises(ValueError, match=needs):
+        rationality_descriptor(bundled_drift("rational-right"), CheckingKind.OSCILLATORY, never_trace())
 
 
 def test_kind_aliases():
@@ -147,13 +151,56 @@ def test_flatten_checking_admissible_and_convergent():
     law = rng_spread()
     for name in BUNDLED_DRIFTS:
         drift = bundled_drift(name)
-        kinds = KINDS if drift.wing is Wing.TWO else (CheckingKind.DIRECT, CheckingKind.CONDITIONAL)
-        for kind in kinds:
+        for kind in kinds_of(drift):
             for trace in (never_trace(), proved_at(3), refuted_at(2)):
                 pt = flatten_checking(drift, kind, trace)
                 prefix = pt.prefix(25)
                 for k in range(1, len(prefix)):
                     assert law.admits(prefix[:k], prefix[k])
+
+
+def test_a_drift_is_winged_by_its_families():
+    right = CountingFamily(lambda v: Fraction(1, 1 << v), Tag.RATIONAL)
+    left = CountingFamily(lambda v: Fraction(-1, 1 << v), Tag.RATIONAL)
+    assert Drift("r", Fraction(0), Tag.RATIONAL, right=right).wing is Wing.RIGHT
+    assert Drift("l", Fraction(0), Tag.RATIONAL, left=left).wing is Wing.LEFT
+    assert Drift("t", Fraction(0), Tag.RATIONAL, right, left).wing is Wing.TWO
+    with pytest.raises(ValueError):
+        Drift("none", Fraction(0), Tag.RATIONAL)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DRIFTS))
+def test_flattened_point_centres_the_symbolic_run(name):
+    # term n of the point centres the exact value of the n-th symbolic term,
+    # the kernel standing for "c"
+    horizon = 40
+    drift = bundled_drift(name)
+    traces = [never_trace()]
+    traces += [make(s) for make in (proved_at, refuted_at) for s in range(1, 7)]
+    for kind in kinds_of(drift):
+        for trace in traces:
+            run = checking_sequence(drift, kind, trace, horizon)
+            want: list[int] = []
+            for ref in run.terms:
+                value = drift.kernel_value if ref == "c" else drift.resolve_ref(ref)[0]
+                want.append(centered_term(value, want))
+            assert flatten_checking(drift, kind, trace).prefix(horizon) == tuple(want)
+
+
+def test_reading_a_checking_number_builds_no_point(monkeypatch):
+    built = []
+    for builder in ("value_point", "floor_point"):
+        real = getattr(drift_module, builder)
+        monkeypatch.setattr(
+            drift_module, builder, lambda *a, real=real, **k: built.append(a) or real(*a, **k)
+        )
+    berlin_s(proved_at(3)).prefix(512)
+    mixed = bundled_drift("two-winged-mixed")
+    flatten_checking(mixed, CheckingKind.DIRECT, proved_at(3)).prefix(512)
+    assert built == []
+    # the counters do see the points validation reads: the kernel, r_1 and l_1
+    validate_drift(mixed, depth=2)
+    assert len(built) == 3
 
 
 def test_berlin_s_is_flattened_oscillatory_berlin():

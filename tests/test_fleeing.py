@@ -399,6 +399,45 @@ def veldman_f2_reference(
     )
 
 
+def berlin_r_reference(p: DecidableProperty) -> Point:
+    """Reference for berlin_r: centers 0 until the least witness K of p is
+    visible, then (-2)^(-K) forever."""
+    witness = _least_witness_scan(p)
+
+    def target(stage: int):
+        k = witness(stage)
+        if k is None:
+            return 0
+        return Fraction((-1) ** k, 1 << k)
+
+    rule = centering_rule(target)
+    return Point(Generator(rng_spread(), Lawlike(rule), name=f"berlin_r[{p.name}]"))
+
+
+def cambridge_c_reference(family: ConvergentFamily, p: DecidableProperty) -> Point:
+    """Reference for cambridge_c: follows the family values a_n until the
+    least witness K is visible, then stays at a_K."""
+    witness = _least_witness_scan(p)
+
+    def target(stage: int):
+        k = witness(stage)
+        if k is None:
+            return family.member(stage)
+        return family.member(k)
+
+    rule = centering_rule(target)
+    return Point(
+        Generator(rng_spread(), Lawlike(rule), name=f"cambridge_c[{p.name}]")
+    )
+
+
+SWITCH_CONSTRUCTIONS = [  # (construction, its reference), both as f(family, p)
+    (lambda family, p: berlin_r(p), lambda family, p: berlin_r_reference(p)),
+    (veldman_f2, veldman_f2_reference),
+    (cambridge_c, cambridge_c_reference),
+]
+
+
 VELDMAN_FAMILIES = [
     geometric_family(),
     ConvergentFamily("third", Fraction(1, 3), lambda v: Fraction(1, 3) + Fraction((-1) ** v, 3 * v + 1)),
@@ -419,10 +458,12 @@ VELDMAN_PROPERTIES = [  # (property, least witness within 300 stages)
 @pytest.mark.parametrize("family", VELDMAN_FAMILIES, ids=lambda f: f.name)
 @pytest.mark.parametrize("make, witness", VELDMAN_PROPERTIES)
 def test_veldman_matches_the_reference(family, make, witness):
+    # berlin_r, veldman_f2 and cambridge_c each against its own reference
     assert critical_number(make(), 300).found_at == witness
-    pt, ref = veldman_f2(family, make()), veldman_f2_reference(family, make())
-    assert pt.generator.name == ref.generator.name
-    assert pt.prefix(300) == ref.prefix(300)
+    for construction, reference in SWITCH_CONSTRUCTIONS:
+        pt, ref = construction(family, make()), reference(family, make())
+        assert pt.generator.name == ref.generator.name
+        assert pt.prefix(300) == ref.prefix(300)
 
 
 def test_veldman_unwitnessed_follows_limit():
