@@ -138,12 +138,19 @@ class Drift:
         return f"c_{v}"
 
     def resolve_ref(self, ref: str):
-        """(exact value, tag) for a term ref ('c', 'c_3', 'r_2', 'l_1')."""
+        """(exact value, tag) for a term ref ('c', 'c_3', 'r_2', 'l_1').
+
+        c_v is the v-th counting number of the enumeration, ``counting_ref(v)``.
+        """
         if ref == "c":
             return self.kernel_value, self.kernel_tag
         head, _, idx = ref.partition("_")
-        v = int(idx)
+        v = int(idx) if idx.isdecimal() else 0
+        if v < 1:
+            raise ValueError(f"term ref {ref!r} needs a counting index >= 1")
         if head == "c":
+            if self.wing is Wing.TWO:
+                return self.resolve_ref(self.counting_ref(v))
             fam = self.right if self.wing is Wing.RIGHT else self.left
         elif head == "r":
             fam = self.right

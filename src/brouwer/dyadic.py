@@ -181,12 +181,3 @@ def scaled_floor(value, k: int) -> tuple[int, bool]:
         return q, r == 0
     return value.scaled_floor(k)
 
-
-def cmp_scaled(value, k: int, target: int) -> int:
-    """Sign of (value * 2**k - target), exactly."""
-    floor, exact = scaled_floor(value, k)
-    if floor < target:
-        return -1
-    if floor > target:
-        return 1
-    return 0 if exact else 1

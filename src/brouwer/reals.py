@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .dyadic import Dyadic, Interval, lambda_interval
 from .spreads import (
@@ -148,15 +148,17 @@ def _as_fraction(r) -> Fraction:
 def lt_rational(a: Point, r, horizon: int) -> Verdict:
     """a < r iff some index n has (a_n + 2)/2^n < r."""
     rv = _as_fraction(r)
+    num, den = rv.numerator, rv.denominator
     terms = enumerate(a.prefix(horizon), 1)
-    return _least_hit(horizon, (Fraction(x + 2, 1 << n) < rv for n, x in terms))
+    return _least_hit(horizon, ((x + 2) * den < num << n for n, x in terms))
 
 
 def gt_rational(a: Point, r, horizon: int) -> Verdict:
     """a > r iff some index n has a_n/2^n > r."""
     rv = _as_fraction(r)
+    num, den = rv.numerator, rv.denominator
     terms = enumerate(a.prefix(horizon), 1)
-    return _least_hit(horizon, (Fraction(x, 1 << n) > rv for n, x in terms))
+    return _least_hit(horizon, (x * den > num << n for n, x in terms))
 
 
 def apart_at(a: Point, b: Point, horizon: int) -> Verdict:
@@ -194,8 +196,9 @@ def coincide_refute(a: Point, b: Point, horizon: int) -> Verdict:
 def abs_diff_lt(a: Point, b: Point, bound, horizon: int) -> Verdict:
     """|a - b| < bound iff some n has (|a_n - b_n| + 2)/2^n < bound."""
     bv = _as_fraction(bound)
+    num, den = bv.numerator, bv.denominator
     pairs = enumerate(zip(a.prefix(horizon), b.prefix(horizon)), 1)
-    return _least_hit(horizon, (Fraction(abs(x - y) + 2, 1 << n) < bv for n, (x, y) in pairs))
+    return _least_hit(horizon, ((abs(x - y) + 2) * den < num << n for n, (x, y) in pairs))
 
 
 # --- centering ---
@@ -233,55 +236,65 @@ def centered_point(a: Point, n: int) -> Point:
 
 @dataclass(frozen=True)
 class PrefixMap:
-    """Monotone map on admissible prefixes with a totality witness.
+    """Monotone map on admissible prefixes, read term by term.
 
-    apply must send admissible prefixes to admissible prefixes and extend
-    outputs when inputs extend; min_input_for(m) is an input length that
-    guarantees output length >= m.
+    term(p, n) is output term n, read off an admissible input prefix p of
+    at least min_input_for(n) terms; it reads p and must not mutate it.
+    min_input_for(n) is the least such length, nondecreasing and unbounded
+    in n. The terms must make the output admissible whenever p is.
     """
 
     name: str
-    apply: Callable[[tuple[int, ...]], tuple[int, ...]]
+    term: Callable[[Sequence[int], int], int]
     min_input_for: Callable[[int], int]
+
+    def apply(self, p: Sequence[int]) -> tuple[int, ...]:
+        """The output prefix p determines: every term it is long enough for."""
+        m = 0
+        while self.min_input_for(m + 1) <= len(p):
+            m += 1
+        return tuple(self.term(p, n) for n in range(1, m + 1))
 
 
 def identity_map() -> PrefixMap:
-    return PrefixMap("identity", lambda p: p, lambda m: m)
+    return PrefixMap("identity", lambda p, n: p[n - 1], lambda m: m)
 
 
 def negation_map() -> PrefixMap:
     """Mirror map a_n -> -a_n - 2; sends the interval of x to that of -x."""
-    return PrefixMap(
-        "negation", lambda p: tuple(-a - 2 for a in p), lambda m: m
-    )
+    return PrefixMap("negation", lambda p, n: -p[n - 1] - 2, lambda m: m)
 
 
 def delay_map() -> PrefixMap:
-    """Commits one output term per two input terms: p -> p[:len(p)//2]."""
-    return PrefixMap("delay", lambda p: p[: len(p) // 2], lambda m: 2 * m)
+    """Commits one output term per two input terms: term n needs 2n inputs."""
+    return PrefixMap("delay", lambda p, n: p[n - 1], lambda m: 2 * m)
 
 
 def mapped_point(f: PrefixMap, a: Point) -> Point:
-    """The image point: term n read off f applied to a long enough prefix."""
+    """The image point: term n read off a's own stream, min_input_for(n) long."""
 
     def rule(n: int) -> int:
-        need = max(f.min_input_for(n), 1)
-        out = f.apply(a.prefix(need))
-        while len(out) < n:
-            need += 1
-            out = f.apply(a.prefix(need))
-        return out[n - 1]
+        return f.term(a._stream(f.min_input_for(n)), n)
 
     name = f"{f.name}({a.generator.name or '?'})"
     return Point(Generator(rng_spread(), Lawlike(rule), name=name))
 
 
 def cpf_modulus(f: PrefixMap, a: Point, m: int, horizon: int) -> Verdict:
-    """Least input length n <= horizon whose output already has length >= m."""
+    """Least input length n <= horizon whose output already has length >= m.
+
+    The output of n input terms reaches length m exactly when n is at
+    least min_input_for(m), so a is read once: to that n, or to the
+    horizon when n lies beyond it.
+    """
     if horizon < 0:
         raise ValueError(f"horizon must be non-negative, got {horizon}")
-    lengths = (len(f.apply(a.prefix(n))) for n in range(1, horizon + 1))
-    return _least_hit(horizon, (length >= m for length in lengths))
+    n = max(f.min_input_for(m), 1)
+    if horizon:
+        a._stream(min(n, horizon))
+    if n > horizon:
+        return _unknown(horizon)
+    return Verdict(VerdictValue.HOLDS, horizon, witness=n)
 
 
 def continuity_modulus(

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence, Union
 
-from .dyadic import cmp_scaled, is_admissible_successor, scaled_floor
+from .dyadic import is_admissible_successor, scaled_floor
 
 
 class AdmissibilityError(Exception):
@@ -179,16 +179,16 @@ def emit_prefix(
     """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
-    if isinstance(g.kind, Process) and trace is None:
+    lawlike = isinstance(g.kind, Lawlike)
+    if not lawlike and trace is None:
         raise ValueError(f"process generator {g.name or '?'} requires a trace")
+    step = g.kind.rule if lawlike else g.kind.strategy
+    admits_first, admits_next = g.law.admits_first, g.law.admits_next
     prefix = [] if head is None else head
     start = len(prefix)
     for stage in range(start + 1, n + 1):
-        if isinstance(g.kind, Lawlike):
-            value = g.kind.rule(stage)
-        else:
-            value = g.kind.strategy(prefix, trace)
-        if not g.law.admits(prefix, value):
+        value = step(stage) if lawlike else step(prefix, trace)
+        if not (admits_next(prefix, value) if prefix else admits_first(value)):
             raise AdmissibilityError(stage, value, tuple(prefix))
         prefix.append(value)
     return tuple(prefix[start:])
@@ -198,30 +198,28 @@ def emit_prefix(
 #
 # The choice at stage n is the admissible index a whose interval midpoint
 # (a+1)/2^n lies nearest the target value; ties go to the smaller index.
-# Targets are exact values supporting scaled_floor (Dyadic, Fraction, int,
-# or sqrt2-multiples from the drift module).
-
-
-def _nearer(target, n: int, a_small: int, a_big: int) -> int:
-    # midpoints are (a+1)/2^n; compare target*2^(n+1) against their sum
-    c = cmp_scaled(target, n + 1, (a_small + 1) + (a_big + 1))
-    if c <= 0:
-        return a_small
-    return a_big
+# Indices b and b+1 have midpoints (b+1)/2^n and (b+2)/2^n, equally near
+# their mean (2b+3)/2^(n+1); so with t = target*2^(n+1), b is at least as
+# near exactly when t <= 2b+3. After a previous index a the candidates 2a,
+# 2a+1, 2a+2 split at t = 4a+3 and t = 4a+5. At stage 1 the target lies
+# between the midpoints of g-1 and g, g = floor(t/2), which split at
+# t = 2g+1. So one scaled_floor of the target decides a stage, since
+# t <= s exactly when ceil(t) <= s. Targets are exact values supporting
+# scaled_floor (Dyadic, Fraction, int, or sqrt2-multiples from the drift
+# module).
 
 
 def centered_term(target, prefix: Sequence[int]) -> int:
     """Admissible next index whose midpoint is nearest the target value."""
-    n = len(prefix) + 1
+    floor, exact = scaled_floor(target, len(prefix) + 2)
+    ceil = floor if exact else floor + 1
     if not prefix:
-        # bracket the target between the two closest first-level midpoints
-        f, _ = scaled_floor(target, 1)
-        return _nearer(target, 1, f - 1, f)
+        g = floor >> 1
+        return g - 1 if ceil <= 2 * g + 1 else g
     a = prefix[-1]
-    best = 2 * a
-    for cand in (2 * a + 1, 2 * a + 2):
-        best = _nearer(target, n, best, cand)
-    return best
+    if ceil <= 4 * a + 3:
+        return 2 * a
+    return 2 * a + 1 if ceil <= 4 * a + 5 else 2 * a + 2
 
 
 def centering_strategy(target_at: Callable[[int, EventTrace], object]):

@@ -58,6 +58,32 @@ def test_counting_refs():
     assert [tw.counting_ref(v) for v in (1, 2, 3, 4)] == ["r_1", "l_1", "r_2", "l_2"]
 
 
+@pytest.mark.parametrize("name", ["rational-right", "two-winged-mixed", "berlin"])
+def test_counting_index_refs_resolve_through_the_enumeration(name):
+    drift = bundled_drift(name)
+    for v in range(1, 9):
+        assert drift.resolve_ref(f"c_{v}") == drift.resolve_ref(drift.counting_ref(v))
+    for ref in ("c_0", "r_0", "l_0", "c_-1", "r_-2", "c_x", "c_1.5", "c_"):
+        with pytest.raises(ValueError):
+            drift.resolve_ref(ref)
+
+
+def test_counting_index_refs_pinned():
+    half = Fraction(1, 2)
+    rr, tw, bl = (bundled_drift(n) for n in ("rational-right", "two-winged-mixed", "berlin"))
+    # floor(sqrt(2)/2 * 2^v) + 2 over 2^v: 3/2, 1, 7/8
+    assert [rr.resolve_ref(f"c_{v}") for v in (1, 2, 3)] == [
+        (Fraction(3, 2), Tag.RATIONAL), (Fraction(1), Tag.RATIONAL), (Fraction(7, 8), Tag.RATIONAL),
+    ]
+    # two wings interleave: c_1 = r_1, c_2 = l_1, c_3 = r_2
+    assert [tw.resolve_ref(f"c_{v}") for v in (1, 2, 3)] == [
+        (half, Tag.RATIONAL), (Sqrt2Value(Fraction(-1, 4)), Tag.IRRATIONAL), (half / 2, Tag.RATIONAL),
+    ]
+    assert [bl.resolve_ref(f"c_{v}") for v in (1, 2, 3, 4)] == [
+        (half, Tag.RATIONAL), (-half, Tag.RATIONAL), (half / 2, Tag.RATIONAL), (-half / 2, Tag.RATIONAL),
+    ]
+
+
 def test_validate_drift_catches_degenerate_counting_numbers():
     rr = bundled_drift("rational-right")
     broken = Drift(

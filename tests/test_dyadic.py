@@ -8,7 +8,6 @@ from brouwer.dyadic import (
     Interval,
     IntervalRelation,
     admissible_successors,
-    cmp_scaled,
     interval_relate,
     is_admissible_successor,
     lambda_interval,
@@ -109,6 +108,17 @@ def test_scaled_floor_on_dyadics(d, k):
     fl, exact = scaled_floor(d, k)
     f2, e2 = scaled_floor(d.as_fraction(), k)
     assert (fl, exact) == (f2, e2)
+
+
+def cmp_scaled(value, k: int, target: int) -> int:
+    """Sign of (value * 2**k - target), exactly: the comparison the
+    reference centering emitter (tests/test_spreads.py) is built on."""
+    floor, exact = scaled_floor(value, k)
+    if floor < target:
+        return -1
+    if floor > target:
+        return 1
+    return 0 if exact else 1
 
 
 @given(st.fractions(min_value=-50, max_value=50), st.integers(0, 12), st.integers(-800, 800))

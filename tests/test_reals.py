@@ -1,4 +1,9 @@
+import dataclasses
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -30,7 +35,16 @@ from brouwer.reals import (
     virtual_order_check,
     zero_point,
 )
-from brouwer.spreads import Generator, Lawlike, rng_spread
+from brouwer.drift import berlin_s
+from brouwer.spreads import (
+    AdmissibilityError,
+    Generator,
+    Lawlike,
+    never_trace,
+    proved_at,
+    refuted_at,
+    rng_spread,
+)
 
 
 def walk_point(start: int, moves: tuple[int, ...], name: str = "walk") -> Point:
@@ -122,6 +136,27 @@ def test_apartness_symmetric_with_flipped_direction(wa, wb, h):
         assert {ab.direction, ba.direction} == {"lt", "gt"}
 
 
+def _first_hit(hits):
+    return next((n for n, hit in enumerate(hits, 1) if hit), None)
+
+
+@given(walks, walks, st.integers(1, 30), st.integers(-1, 3), st.integers(1, 30))
+@settings(max_examples=300)
+def test_rational_verdicts_match_fraction_arithmetic(wa, wb, k, shift, h):
+    # bounds on or next to an interval end at stage k, where < and <= part
+    a, b = walk_point(*wa), walk_point(*wb)
+    pa, pb = a.prefix(30), b.prefix(30)
+    r = Fraction(pa[k - 1] + shift, 1 << k)
+    want = _first_hit(Fraction(x + 2, 1 << n) < r for n, x in enumerate(pa[:h], 1))
+    assert lt_rational(a, r, h).witness == want
+    want = _first_hit(Fraction(x, 1 << n) > r for n, x in enumerate(pa[:h], 1))
+    assert gt_rational(a, r, h).witness == want
+    bound = Fraction(abs(pa[k - 1] - pb[k - 1]) + 1 + shift, 1 << k)
+    pairs = enumerate(zip(pa[:h], pb[:h]), 1)
+    want = _first_hit(Fraction(abs(x - y) + 2, 1 << n) < bound for n, (x, y) in pairs)
+    assert abs_diff_lt(a, b, bound, h).witness == want
+
+
 def test_int_point_and_abs_diff():
     three = int_point(3)
     v = abs_diff_lt(three, value_point(3), Fraction(1, 100), 20)
@@ -195,6 +230,120 @@ def test_delay_map_tracks_value():
     d = mapped_point(delay_map(), a)
     v = abs_diff_lt(d, value_point(Fraction(1, 3)), Fraction(1, 1000), 60)
     assert v.holds
+
+
+# the three maps as first written: whole-prefix functions, and the image
+# point's rule that re-applied its map to a fresh base prefix per term
+REFERENCE_MAPS = {
+    "identity": (lambda p: p, lambda m: m),
+    "negation": (lambda p: tuple(-a - 2 for a in p), lambda m: m),
+    "delay": (lambda p: p[: len(p) // 2], lambda m: 2 * m),
+}
+MAPS = {"identity": identity_map, "negation": negation_map, "delay": delay_map}
+
+
+def mapped_point_reference(name: str, a: Point) -> Point:
+    apply, min_input_for = REFERENCE_MAPS[name]
+
+    def rule(n: int) -> int:
+        need = max(min_input_for(n), 1)
+        out = apply(a.prefix(need))
+        while len(out) < n:
+            need += 1
+            out = apply(a.prefix(need))
+        return out[n - 1]
+
+    return Point(Generator(rng_spread(), Lawlike(rule), name=f"{name}({a.generator.name})"))
+
+
+def _trace(kind: str, stage: int):
+    return {"never": never_trace(), "proved": proved_at(stage), "refuted": refuted_at(stage)}[kind]
+
+
+# a walk of 400 moves covers the 2h base stages the delay map reads at h = 200
+map_bases = st.one_of(
+    st.fractions(min_value=-8, max_value=8).map(lambda v: lambda: value_point(v)),
+    st.tuples(st.integers(-4, 4), st.lists(st.integers(0, 2), min_size=400, max_size=400))
+    .map(lambda w: lambda: walk_point(w[0], tuple(w[1]))),
+    st.builds(
+        lambda kind, stage: lambda: berlin_s(_trace(kind, stage)),
+        st.sampled_from(["never", "proved", "refuted"]),
+        st.integers(1, 40),
+    ),
+)
+
+
+@given(st.sampled_from(sorted(MAPS)), map_bases, st.integers(0, 200))
+@settings(max_examples=120, deadline=None)
+def test_mapped_point_matches_the_reference(name, base, h):
+    f = MAPS[name]()
+    assert mapped_point(f, base()).prefix(h) == mapped_point_reference(name, base()).prefix(h)
+    apply = REFERENCE_MAPS[name][0]
+    p = base().prefix(h)
+    for k in {*range(0, h + 1, 13), h}:
+        assert f.apply(p[:k]) == apply(p[:k])
+
+
+@given(st.sampled_from(sorted(MAPS)), map_bases, st.integers(-2, 70), st.integers(0, 130))
+@settings(max_examples=120, deadline=None)
+def test_cpf_modulus_matches_the_reference(name, base, m, horizon):
+    # the scan as first written: apply the map to every prefix length in turn
+    apply = REFERENCE_MAPS[name][0]
+    a, ref = base(), base()
+    want = next((n for n in range(1, horizon + 1) if len(apply(ref.prefix(n))) >= m), None)
+    assert cpf_modulus(MAPS[name](), a, m, horizon).witness == want
+    assert len(a._terms) == len(ref._terms)
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+def test_mapped_point_reads_only_the_base_it_needs(name):
+    f = MAPS[name]()
+    calls = []
+
+    def term(p, n):
+        calls.append(n)
+        return f.term(p, n)
+
+    base = value_point(Fraction(1, 3))
+    image = mapped_point(dataclasses.replace(f, term=term), base)
+    for h in (1, 2, 7, 64, 300):
+        image.prefix(h)
+        assert len(base._terms) == f.min_input_for(h) == (2 * h if name == "delay" else h)
+    assert calls == list(range(1, 301))
+
+
+@pytest.mark.parametrize("name", sorted(MAPS))
+@pytest.mark.parametrize("k", [2, 5, 9])
+def test_a_derailed_base_refuses_at_its_stage_through_a_map(name, k):
+    # index 0 at every stage, then 5 at stage k: not a successor of 0
+    def derailed():
+        return Point(Generator(rng_spread(), Lawlike(lambda n: 5 if n == k else 0)))
+
+    h = k  # delay reads 2h >= k base stages
+    for image in (mapped_point(MAPS[name](), derailed()), mapped_point_reference(name, derailed())):
+        for _ in range(2):
+            with pytest.raises(AdmissibilityError) as e:
+                image.prefix(h)
+            assert e.value.stage == k
+
+
+def test_point_streams_script_runs():
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    run = subprocess.run(
+        [sys.executable, str(root / "benchmarks" / "point_streams.py"), "1000"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert run.returncode == 0, run.stderr
+    header, *rows = run.stdout.splitlines()
+    assert header.split() == ["point", "stages", "ms", "us/stage"]
+    assert [row.split()[:2] for row in rows] == [
+        [name, "1000"]
+        for name in ("value(1/3)", "identity(value)", "negation(value)", "delay(value)",
+                     "centered(value,16)")
+    ]
 
 
 def sample_points():

@@ -1,7 +1,8 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from brouwer.dyadic import interval_relate, IntervalRelation, lambda_interval
+from brouwer.drift import Sqrt2Value
+from brouwer.dyadic import Dyadic, interval_relate, IntervalRelation, lambda_interval, scaled_floor
 from brouwer.reals import center
 from brouwer.spreads import (
     AdmissibilityError,
@@ -24,6 +25,8 @@ from brouwer.spreads import (
     universal_spread,
 )
 from fractions import Fraction
+
+from test_dyadic import cmp_scaled
 
 
 def test_universal_admits_naturals_only():
@@ -127,6 +130,55 @@ def test_centered_term_picks_nearest_midpoint(t):
             omid = Fraction(other + 1, 1 << n)
             assert abs(mid - t) <= abs(omid - t)
         prefix += (a,)
+
+
+def _nearer_reference(target, n, a_small, a_big):
+    # midpoints are (a+1)/2^n; compare target*2^(n+1) against their sum
+    return a_small if cmp_scaled(target, n + 1, (a_small + 1) + (a_big + 1)) <= 0 else a_big
+
+
+def centered_term_reference(target, prefix):
+    """The centering emitter as first written: two pairwise midpoint
+    comparisons per stage, each taking its own scaled floor."""
+    n = len(prefix) + 1
+    if not prefix:
+        f, _ = scaled_floor(target, 1)
+        return _nearer_reference(target, 1, f - 1, f)
+    a = prefix[-1]
+    best = 2 * a
+    for cand in (2 * a + 1, 2 * a + 2):
+        best = _nearer_reference(target, n, best, cand)
+    return best
+
+
+centering_targets = st.one_of(
+    st.fractions(min_value=-50, max_value=50),
+    st.builds(Dyadic, st.integers(-10**6, 10**6), st.integers(0, 40)),
+    st.integers(-50, 50),
+    st.builds(Sqrt2Value, st.fractions(min_value=-50, max_value=50)),
+)
+
+
+@given(
+    centering_targets,
+    st.integers(0, 60),
+    st.integers(-70, 70),
+    st.lists(st.integers(0, 2), max_size=60),
+)
+@settings(max_examples=400)
+def test_centered_term_matches_the_reference(target, centred, start, moves):
+    # a centred chain of up to 60 stages, then an arbitrary walk, so the
+    # prefix ends anywhere from on the target to far away from it
+    prefix = []
+    while True:
+        want = centered_term_reference(target, prefix)
+        assert centered_term(target, prefix) == want, (target, prefix)
+        if len(prefix) < centred:
+            prefix.append(want)
+        elif moves and len(prefix) < 60:
+            prefix.append(2 * prefix[-1] + moves.pop() if prefix else start)
+        else:
+            break
 
 
 def test_process_strategy_sees_trace():
