@@ -4,10 +4,11 @@
 For each bound (nodes, atoms, operand depth; stage indices up to 3) it
 runs ``principle_suite`` (all six schemata in one pass) and prints the
 models swept, the root classes among them (models whose roots are
-bisimilar share a class, and the sweep closes one model per class), the
-seconds taken, models per second, and the mean and maximum number of
-distinct formula masks per model: the size of the mask algebra the sweep
-closes on each model, against the formula count.
+bisimilar share a class; the sweep lists each shape's classes with their
+model counts and closes one model per class), the seconds taken, models
+per second, and the mean and maximum number of distinct formula masks
+per model: the size of the mask algebra the sweep closes on each model,
+against the formula count.
 
 Usage: python benchmarks/sweep_bounds.py [max_nodes]
 """
@@ -20,6 +21,8 @@ from brouwer.logic import (
     StageTree,
     SweepBounds,
     _Masks,
+    _class_table,
+    _codes,
     _level_starts,
     _mask_closure,
     _root_class,
@@ -31,18 +34,25 @@ BOUNDS = [(3, 2, 2), (5, 2, 2), (4, 3, 2), (6, 2, 2), (5, 3, 1), (6, 2, 1), (7, 
 
 
 def classes_and_masks(bounds: SweepBounds) -> tuple[int, list[int]]:
-    """The root classes, and each model's distinct mask count."""
+    """The root classes, as the sweep's class tables list them, and each
+    model's distinct mask count. The classes are checked against the root
+    class of every model."""
     starts = _level_starts(bounds)
     types: dict = {}
-    classes = set()
+    memo: dict = {}
+    listed, keyed = set(), set()
     counts = []
-    for shape, valuations in _valued_shapes(bounds):
+    codes = [code for n in range(1, bounds.max_nodes + 1) for code in _codes(n)]
+    for code, (shape, valuations) in zip(codes, _valued_shapes(bounds)):
+        for label in range(1 << bounds.max_atoms):
+            listed.update(_class_table(code, label, bounds.max_atoms, types, memo))
         masks = _Masks(StageTree(shape, (frozenset(),) * len(shape)), bounds.max_box_index)
         implies = functools.cache(masks.implies_mask)
         for v in valuations:
-            classes.add(_root_class(masks.m.children, v, types))
+            keyed.add(_root_class(masks.m.children, v, types))
             counts.append(len(_mask_closure(v, starts, implies)))
-    return len(classes), counts
+    assert listed == keyed
+    return len(listed), counts
 
 
 def main() -> int:

@@ -365,12 +365,13 @@ def flatten_checking(drift: Drift, kind: CheckingKind, trace: EventTrace) -> Poi
     """The checking number as a single point: term n centers the exact value
     of the n-th checking term (nearest-midpoint emitter)."""
     _switch_ref(drift, kind, trace)  # refuses a kind the drift's wings cannot carry
+    switched: dict[EventTrace, object] = {}  # per trace: the value switched to, else the kernel's
 
     def target_at(stage: int, tr: EventTrace):
-        switch = _switch_ref(drift, kind, tr)
-        if switch is not None and stage >= tr.resolution.stage:
-            return drift.resolve_ref(switch)[0]
-        return drift.kernel_value
+        if tr not in switched:
+            switch = _switch_ref(drift, kind, tr)
+            switched[tr] = drift.kernel_value if switch is None else drift.resolve_ref(switch)[0]
+        return switched[tr] if tr.visible_at(stage) else drift.kernel_value
 
     g = Generator(
         rng_spread(),
@@ -400,9 +401,7 @@ class IncreasingFamily:
 
 def vienna_family() -> IncreasingFamily:
     """a_v = 1/2 - 2^-(v+1), increasing to 1/2."""
-    return IncreasingFamily(
-        "vienna", Fraction(1, 2), lambda v: Fraction(1, 2) - Fraction(1, 1 << (v + 1))
-    )
+    return IncreasingFamily("vienna", Fraction(1, 2), lambda v: Fraction((1 << v) - 1, 1 << (v + 1)))
 
 
 def vienna_run(

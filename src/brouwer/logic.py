@@ -632,36 +632,32 @@ def _codes(n: int) -> tuple[tuple, ...]:
     return tuple(sorted(codes, key=repr))
 
 
+def _preorder(code: tuple, w: int, parents: list) -> list:
+    """parents extended by the nodes of code's subtrees under w, in preorder."""
+    for sub in code:
+        parents.append(w)
+        _preorder(sub, len(parents) - 1, parents)
+    return parents
+
+
 def enumerate_shapes(max_nodes: int) -> list[tuple[Optional[int], ...]]:
     """Canonical rooted tree shapes as parent arrays, node count ascending
     then code order (_codes); each code's nodes are numbered in preorder."""
-
-    def preorder(code: tuple, w: int, parents: list) -> list:
-        for sub in code:
-            parents.append(w)
-            preorder(sub, len(parents) - 1, parents)
-        return parents
-
-    return [tuple(preorder(code, 0, [None])) for n in range(1, max_nodes + 1) for code in _codes(n)]
+    return [tuple(_preorder(code, 0, [None])) for n in range(1, max_nodes + 1) for code in _codes(n)]
 
 
 def _upclosed_sets(parents: tuple[Optional[int], ...]) -> list[int]:
     """Up-set masks, ascending: a node's up-sets are every union of one
     up-set per child, plus its whole subtree."""
-    children: list[list[int]] = [[] for _ in parents]
-    for i, p in enumerate(parents):
-        if p is not None:
-            children[p].append(i)
-
-    def ups(w: int) -> tuple[list[int], int]:
-        sets, whole = [0], 1 << w
-        for c in children[w]:
-            below, subtree = ups(c)
-            sets = [a | b for a in sets for b in below]
-            whole |= subtree
-        return sets + [whole], whole
-
-    return sorted(ups(0)[0])
+    sets = [[0] for _ in parents]
+    whole = [1 << w for w in range(len(parents))]
+    # every child is numbered after its parent, so it is complete when folded in
+    for w in range(len(parents) - 1, 0, -1):
+        p = parents[w]
+        below = sets[w] + [whole[w]]
+        sets[p] = [a | b for a in sets[p] for b in below]
+        whole[p] |= whole[w]
+    return sorted(sets[0] + [whole[0]])
 
 
 def _stage_tree(shape: tuple[Optional[int], ...], atoms, masks) -> StageTree:
@@ -684,16 +680,16 @@ def _valued_shapes(bounds: SweepBounds):
         yield shape, itertools.product(_upclosed_sets(shape), repeat=bounds.max_atoms)
 
 
+def _up_count(code: tuple) -> int:
+    return 1 + math.prod(map(_up_count, code))
+
+
 def count_models(bounds: SweepBounds) -> int:
     """Models within bounds from the shapes' codes alone: a tree with u(code)
     = 1 + prod u(sub) up-sets carries u^atoms valuations. It builds no shape
     and no up-set, so the sweep cap refuses at once."""
-
-    def ups(code: tuple) -> int:
-        return 1 + math.prod(map(ups, code))
-
     return sum(
-        ups(code) ** bounds.max_atoms
+        _up_count(code) ** bounds.max_atoms
         for n in range(1, bounds.max_nodes + 1)
         for code in _codes(n)
     )
@@ -797,6 +793,48 @@ def _root_class(children: list[list[int]], atom_masks: tuple[int, ...], types: d
     return t[0]
 
 
+def _class_table(code: tuple, label: int, atoms: int, types: dict, memo: dict) -> dict:
+    """{root class: (models, one labelling)} over code's monotone labellings
+    whose root has valuation label, one bit per atom; a labelling packs node
+    w's valuation, in preorder, at bit w * atoms, and the classes are
+    _root_class's ids.
+
+    The children are folded in one at a time, each over every label that
+    keeps its parent's atoms, the state being the set of child classes seen
+    so far: bisimulation ignores multiplicity, and counts multiply. A
+    child's table is kept in memo under (code, label)."""
+    states = {frozenset(): (1, label)}
+    shift = atoms
+    for sub in code:
+        folded: dict = {}
+        for below in range(label, 1 << atoms):
+            if below & label != label:
+                continue
+            table = memo.get((sub, below))
+            if table is None:
+                table = memo[sub, below] = _class_table(sub, below, atoms, types, memo)
+            for cls, (count, rep) in table.items():
+                rep <<= shift
+                for kids, (models, labels) in states.items():
+                    grown = kids | {cls}
+                    seen = folded.get(grown)
+                    if seen is None:
+                        folded[grown] = (models * count, labels | rep)
+                    else:
+                        folded[grown] = (seen[0] + models * count, seen[1])
+        states = folded
+        shift += atoms * _size(sub)
+    base = 1 << atoms
+    return {
+        label if kids <= {label} else types.setdefault((label, kids), base + len(types)): entry
+        for kids, entry in states.items()
+    }
+
+
+def _size(code: tuple) -> int:
+    return 1 + sum(map(_size, code))
+
+
 # --- schemata and sweeps ---
 
 
@@ -846,22 +884,8 @@ class Schema:
             indices = dict(zip(names, values))
             boxes = [sum(indices[v] for v in expr) for expr in self._exprs]
             if max(boxes, default=1) <= top:
-                out.append((indices, functools.partial(self._build, boxes)))
+                out.append((indices, functools.partial(_instantiate, self._form, boxes)))
         return out
-
-    def _build(self, boxes: list[int], phi: Formula) -> Formula:
-        def inst(t: Formula) -> Formula:
-            if isinstance(t, Atom):
-                return phi
-            if isinstance(t, (And, Or, Implies)):
-                return type(t)(inst(t.left), inst(t.right))
-            if isinstance(t, Box):
-                return Box(boxes[t.n - 1], inst(t.operand))
-            if isinstance(t, SomeStage):
-                return SomeStage(inst(t.operand))
-            return t
-
-        return inst(self._form)
 
     def match(self, f: Formula) -> Optional[tuple[Formula, dict]]:
         """(phi, indices) when f is an instance of the template, else None.
@@ -889,6 +913,19 @@ class Schema:
             return kind is Bottom or walk(t.left, g.left) and walk(t.right, g.right)
 
         return (phi[0], indices) if walk(self._form, f) else None
+
+
+def _instantiate(t: Formula, boxes: list[int], phi: Formula) -> Formula:
+    """Template t with phi for its atom and boxes[k - 1] for each index [k]."""
+    if isinstance(t, Atom):
+        return phi
+    if isinstance(t, (And, Or, Implies)):
+        return type(t)(_instantiate(t.left, boxes, phi), _instantiate(t.right, boxes, phi))
+    if isinstance(t, Box):
+        return Box(boxes[t.n - 1], _instantiate(t.operand, boxes, phi))
+    if isinstance(t, SomeStage):
+        return SomeStage(_instantiate(t.operand, boxes, phi))
+    return t
 
 
 SCHEMAS: dict[str, Schema] = {
@@ -943,7 +980,10 @@ class SweepResult:
 
 def _refuse_if_huge(bounds: SweepBounds, cap: int) -> None:
     """Refuse a sweep charged over cap: each model costs its formulas, but at
-    least one pass over its nodes, which its class key takes."""
+    least one pass over its nodes. The sweep's own work follows root
+    classes, but their number is not known before the tables are built,
+    and a shape holding a first countermodel is run model by model; the
+    model count, taken from the codes alone, bounds both."""
     models = count_models(bounds)
     formulas = _level_starts(bounds)[-1]
     charge = max(formulas, bounds.max_nodes)
@@ -974,29 +1014,27 @@ def _sweep(
     models_checked = 0
     instances_checked = {name: 0 for name in schema_names}
     monotone_ok = True
-    # root class -> its first model's distinct mask count; a model repeating a
-    # class has the same masks in the same order and the same verdicts, all of
-    # which hold for a schema still unfound: it adds masks x instances to it
+    # root class -> the distinct mask count of the model it was visited on;
+    # every model of the class has the same masks in the same order and the
+    # same verdicts, all of which hold for a schema still unfound
     types: dict = {}
     classes: dict[int, int] = {}
+    memo: dict = {}  # _class_table per (code, root label), for codes below max_nodes
 
-    for shape, valuations in _valued_shapes(bounds):
-        mm = _Masks(StageTree(shape, (frozenset(),) * len(shape)), bounds.max_box_index)
+    for n, code in ((n, code) for n in range(1, bounds.max_nodes + 1) for code in _codes(n)):
+        shape = tuple(_preorder(code, 0, [None]))
+        mm = _Masks(StageTree(shape, (frozenset(),) * n), bounds.max_box_index)
         implies = functools.cache(mm.implies_mask)
         verdicts: dict[tuple[str, int, int], int] = {}
-        for atom_masks in valuations:
-            models_checked += 1
-            key = _root_class(mm.m.children, atom_masks, types)
-            if key in classes:
-                for name in schema_names:
-                    if found[name] is None:
-                        instances_checked[name] += classes[key] * len(instances[name])
-                continue
+
+        def visit(atom_masks: tuple[int, ...], found: dict, checked: dict) -> tuple[int, bool]:
+            """One model's distinct masks in formula order, each audited and
+            checked against the instances of every schema unfound in found; a
+            refutation goes into found. Returns the mask count and the audit."""
             closure = _mask_closure(atom_masks, starts, implies)
-            classes[key] = len(closure)
+            ok = True
             for index, mask in sorted((i, m) for m, i in closure.items()):
-                if monotone_ok and not mm.upclosed(mask):
-                    monotone_ok = False
+                ok = ok and mm.upclosed(mask)
                 for name in schema_names:
                     if found[name] is not None:
                         continue
@@ -1004,9 +1042,8 @@ def _sweep(
                         inst_mask = verdicts.get((name, j, mask))
                         if inst_mask is None:
                             inst_mask = verdicts[name, j, mask] = mm.eval(template, {id(slot): mask})
-                            if monotone_ok and not mm.upclosed(inst_mask):
-                                monotone_ok = False
-                        instances_checked[name] += 1
+                            ok = ok and mm.upclosed(inst_mask)
+                        checked[name] += 1
                         if inst_mask != mm.full:
                             missing = ~inst_mask & mm.full
                             node = (missing & -missing).bit_length() - 1
@@ -1014,11 +1051,49 @@ def _sweep(
                             model = _stage_tree(shape, atoms, atom_masks)
                             found[name] = Countermodel(model, node, phi, indices, build(phi))
                             break
+            return len(closure), ok
+
+        table: dict = {}
+        for label in range(1 << len(atoms)):
+            part = _class_table(code, label, len(atoms), types, memo)
+            if n < bounds.max_nodes:
+                memo[code, label] = part
+            table.update(part)
+        # each new class is visited on one model; unless one refutes a schema
+        # still unfound, the shape adds its classes' counts
+        fresh: dict[int, int] = {}
+        for cls, (_, labels) in table.items():
+            if cls not in classes:
+                trial = dict(found)
+                masks = tuple(sum(1 << w for w in range(n) if labels >> (w * len(atoms) + a) & 1) for a in range(len(atoms)))
+                fresh[cls], ok = visit(masks, trial, dict.fromkeys(schema_names, 0))
+                monotone_ok = monotone_ok and ok
+                if trial != found:
+                    break
+        else:
+            classes.update(fresh)
+            models_checked += sum(models for models, _ in table.values())
+            per_instance = sum(models * classes[cls] for cls, (models, _) in table.items())
+            for name in schema_names:
+                if found[name] is None:
+                    instances_checked[name] += per_instance * len(instances[name])
+            continue
+
+        # the shape holds a first countermodel: model by model, in listed order
+        for atom_masks in itertools.product(_upclosed_sets(shape), repeat=len(atoms)):
+            models_checked += 1
+            key = _root_class(mm.m.children, atom_masks, types)
+            if key in classes:
+                for name in schema_names:
+                    if found[name] is None:
+                        instances_checked[name] += classes[key] * len(instances[name])
+                continue
+            classes[key], ok = visit(atom_masks, found, instances_checked)
+            monotone_ok = monotone_ok and ok
             if all(found[name] is not None for name in schema_names):
                 break
-        else:
-            continue
-        break
+        if all(found[name] is not None for name in schema_names):
+            break
 
     results = {
         name: SweepResult(
@@ -1055,9 +1130,15 @@ def validity_sweep(
     Forcing is invariant under bisimulation of the successor relation with
     leaves looping to themselves, and every node is reachable from the
     root, so models with bisimilar roots have the same distinct masks in
-    the same order and the same verdicts. The closure, the instance checks
-    and the monotonicity audit therefore run once per root class
-    (_root_class); a later model of a class adds its first model's counts."""
+    the same order and the same verdicts. So each shape's root classes are
+    listed with their model counts (_class_table), and the closure, the
+    instance checks and the monotonicity audit run once per class new to
+    the sweep, on one model of it; the shape then adds each class's models
+    and masks x instances, and the cost follows classes, not models. A
+    shape where such a check refutes a schema still unfound holds that
+    schema's first countermodel, so it is run model by model in listed
+    order, each keyed by _root_class, for the exact model, node and
+    partial counts."""
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}; pick from {sorted(SCHEMAS)}")
     results, _ = _sweep([schema], bounds, cap)

@@ -229,6 +229,20 @@ def test_reading_a_checking_number_builds_no_point(monkeypatch):
     assert len(built) == 3
 
 
+def test_a_checking_point_finds_its_switch_once_per_trace(monkeypatch):
+    # the switch ref and its value are fixed by the trace, so a long read
+    # derives them once: at construction (the kind check) and at stage 1
+    switch_refs, resolved = [], []
+    real_switch, real_resolve = drift_module._switch_ref, Drift.resolve_ref
+    monkeypatch.setattr(
+        drift_module, "_switch_ref", lambda *a: switch_refs.append(a) or real_switch(*a)
+    )
+    monkeypatch.setattr(Drift, "resolve_ref", lambda self, ref: resolved.append(ref) or real_resolve(self, ref))
+    assert len(berlin_s(proved_at(3)).prefix(512)) == 512
+    assert len(switch_refs) == 2
+    assert resolved == ["r_3"]
+
+
 def test_berlin_s_is_flattened_oscillatory_berlin():
     z = zero_point()
     assert berlin_s(never_trace()).prefix(6) == (-1,) * 6
@@ -252,6 +266,12 @@ def test_vienna_family_values():
     assert fam.member(1) == Fraction(1, 4)
     assert fam.member(3) == Fraction(7, 16)
     assert fam.bound == Fraction(1, 2)
+
+
+def test_vienna_member_is_half_less_a_power_of_two():
+    fam = vienna_family()
+    for v in range(301):
+        assert fam.member(v) == Fraction(1, 2) - Fraction(1, 1 << (v + 1))
 
 
 def test_vienna_run_symbolic():
