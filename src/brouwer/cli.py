@@ -83,10 +83,9 @@ DRIFT_KINDS = ("cond", "conditional", "direct", "osc", "oscillatory")
 
 
 def _build_point(spec: str, trace: EventTrace, digit: int, run: int):
+    # each spec imports what it builds from: only berlin-r needs the pi oracle
     from fractions import Fraction
 
-    from .drift import berlin_s, vienna_e
-    from .fleeing import berlin_r, run_property
     from .reals import one_point, value_point, zero_point
 
     if spec == "zero":
@@ -96,10 +95,16 @@ def _build_point(spec: str, trace: EventTrace, digit: int, run: int):
     if spec == "half":
         return value_point(Fraction(1, 2))
     if spec == "berlin-s":
+        from .drift import berlin_s
+
         return berlin_s(trace)
     if spec == "berlin-r":
+        from .fleeing import berlin_r, run_property
+
         return berlin_r(run_property(digit, run))
     if spec == "vienna-e":
+        from .drift import vienna_e
+
         return vienna_e(trace)
     raise ValueError(f"unknown point spec {spec!r}; pick from {', '.join(POINT_SPECS)}")
 
@@ -270,8 +275,6 @@ def _cmd_drift(args, cfg) -> int:
 
 
 def _cmd_logic(args, cfg) -> int:
-    from dataclasses import asdict
-
     from .logic import SweepBounds, dump_model, forces, load_model, parse, show, validity_sweep
 
     if args.logic_cmd == "eval":
@@ -306,7 +309,7 @@ def _cmd_logic(args, cfg) -> int:
         payload = {
             "command": "logic-sweep",
             "schema": args.schema,
-            "bounds": asdict(bounds),
+            "bounds": bounds.as_dict(),
             "models_checked": result.models_checked,
             "instances_checked": result.instances_checked,
             "status": "valid-up-to-bounds" if result.valid_up_to_bounds else "countermodel",
@@ -391,21 +394,9 @@ def _cmd_derive(args, cfg) -> int:
 
 
 def _replay_checks(name: str) -> list[tuple[str, bool]]:
-    from fractions import Fraction
-
-    from .derivation import BUNDLED_SCRIPTS, check_script, ks_prerequisite_report
-    from .drift import (
-        CheckingKind,
-        berlin_s,
-        bundled_drift,
-        checking_sequence,
-        rationality_descriptor,
-        vienna_e,
-    )
-    from .fleeing import find_pattern
-    from .logic import forces, show
-    from .reals import apart_at, zero_point
-    from .spreads import never_trace, proved_at
+    # every replay checks a bundled script; each branch imports the rest itself
+    from .derivation import BUNDLED_SCRIPTS, check_script
+    from .logic import show
 
     checks: list[tuple[str, bool]] = []
 
@@ -413,6 +404,11 @@ def _replay_checks(name: str) -> list[tuple[str, bool]]:
         checks.append((label, bool(ok)))
 
     if name == "vienna-9":
+        from fractions import Fraction
+
+        from .drift import vienna_e
+        from .spreads import never_trace, proved_at
+
         res = check_script(BUNDLED_SCRIPTS["vienna-dense"])
         expect("script verifies", res.ok)
         expect(
@@ -430,6 +426,9 @@ def _replay_checks(name: str) -> list[tuple[str, bool]]:
             vienna_e(never_trace()).interval(20).contains_fraction(Fraction(1, 2)),
         )
     elif name == "drift-11":
+        from .drift import CheckingKind, bundled_drift, checking_sequence, rationality_descriptor
+        from .spreads import never_trace, proved_at
+
         res = check_script(BUNDLED_SCRIPTS["drift-direct"])
         expect("script verifies", res.ok)
         expect(
@@ -449,6 +448,9 @@ def _replay_checks(name: str) -> list[tuple[str, bool]]:
             lc.as_dict() == {"kind": "kernel-class", "kernel_tag": "irrational"},
         )
     elif name == "ks-12":
+        from .derivation import ks_prerequisite_report
+        from .logic import forces
+
         res = check_script(BUNDLED_SCRIPTS["conditional-ks"])
         expect("script verifies", res.ok)
         expect(
@@ -471,6 +473,11 @@ def _replay_checks(name: str) -> list[tuple[str, bool]]:
             and not forces(cs5.countermodel.model, cs5.countermodel.node, cs5.countermodel.instance),
         )
     elif name == "cambridge-13":
+        from .drift import berlin_s
+        from .fleeing import find_pattern
+        from .reals import apart_at, zero_point
+        from .spreads import never_trace, proved_at
+
         res = check_script(BUNDLED_SCRIPTS["cambridge-reduced"])
         expect("script verifies", res.ok)
         expect(

@@ -40,8 +40,7 @@ status comes from the assert declarations alone.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
-from typing import Optional, Union
+from typing import NamedTuple, Optional, Union
 
 from .logic import (
     And,
@@ -70,8 +69,7 @@ class ScriptSyntaxError(ValueError):
         super().__init__(f"line {line_no}: {message}")
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(NamedTuple):
     number: int
     formula: Formula
     rule: str
@@ -79,8 +77,7 @@ class Step:
     line_no: int
 
 
-@dataclass(frozen=True)
-class Script:
+class Script(NamedTuple):
     lawlike: frozenset[str]
     declared: frozenset[str]
     premises: tuple[Formula, ...]
@@ -88,8 +85,7 @@ class Script:
     steps: tuple[Step, ...]
 
 
-@dataclass(frozen=True)
-class Verified:
+class Verified(NamedTuple):
     conclusion: Formula
     premises: tuple[Formula, ...]
     defaxioms: tuple[Formula, ...]
@@ -111,8 +107,7 @@ class Verified:
         }
 
 
-@dataclass(frozen=True)
-class Rejected:
+class Rejected(NamedTuple):
     step: int
     reason: str
 
@@ -583,8 +578,7 @@ BUNDLED_SCRIPTS: dict[str, str] = {
 # --- what the classical argument would need ---
 
 
-@dataclass(frozen=True)
-class BlockedRule:
+class BlockedRule(NamedTuple):
     rule: str
     schema: str
     role: str
@@ -599,8 +593,7 @@ class BlockedRule:
         }
 
 
-@dataclass(frozen=True)
-class PrerequisiteReport:
+class PrerequisiteReport(NamedTuple):
     claim: str
     available: tuple[str, ...]
     blocked: tuple[BlockedRule, ...]
@@ -611,7 +604,7 @@ class PrerequisiteReport:
             "claim": self.claim,
             "available": list(self.available),
             "blocked": [b.as_dict() for b in self.blocked],
-            "bounds": asdict(self.bounds),
+            "bounds": self.bounds.as_dict(),
         }
 
 

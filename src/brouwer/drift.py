@@ -23,12 +23,12 @@ checking number centres the exact values themselves.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from math import isqrt
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
+from ._record import Record, _set
 from .dyadic import scaled_floor
 from .reals import Point, Verdict, apart_at, value_point
 from .spreads import (
@@ -43,11 +43,13 @@ from .spreads import (
 )
 
 
-@dataclass(frozen=True)
-class Sqrt2Value:
+class Sqrt2Value(Record):
     """coef * sqrt(2), exactly."""
 
-    coef: Fraction
+    __slots__ = ("coef",)
+
+    def __init__(self, coef: Fraction) -> None:
+        _set(self, "coef", coef)
 
     def scaled_floor(self, k: int) -> tuple[int, bool]:
         if self.coef == 0:
@@ -96,27 +98,33 @@ class Tag(Enum):
     IRRATIONAL = "irrational"
 
 
-@dataclass(frozen=True)
-class CountingFamily:
+class CountingFamily(NamedTuple):
     """v -> exact value of the v-th counting number of one wing, with a tag."""
 
     value_at: Callable[[int], object]
     tag: Tag
 
 
-@dataclass(frozen=True)
-class Drift:
+class Drift(Record):
     """A kernel value and one counting family per wing it has."""
 
-    name: str
-    kernel_value: object
-    kernel_tag: Tag
-    right: Optional[CountingFamily] = None
-    left: Optional[CountingFamily] = None
+    __slots__ = ("name", "kernel_value", "kernel_tag", "right", "left")
 
-    def __post_init__(self) -> None:
-        if self.right is None and self.left is None:
+    def __init__(
+        self,
+        name: str,
+        kernel_value: object,
+        kernel_tag: Tag,
+        right: Optional[CountingFamily] = None,
+        left: Optional[CountingFamily] = None,
+    ) -> None:
+        if right is None and left is None:
             raise ValueError("a drift needs at least one counting family")
+        _set(self, "name", name)
+        _set(self, "kernel_value", kernel_value)
+        _set(self, "kernel_tag", kernel_tag)
+        _set(self, "right", right)
+        _set(self, "left", left)
 
     @property
     def wing(self) -> Wing:
@@ -293,8 +301,7 @@ KIND_ALIASES = {
 }
 
 
-@dataclass(frozen=True)
-class CheckingRun:
+class CheckingRun(NamedTuple):
     drift: Drift
     kind: CheckingKind
     trace: EventTrace
@@ -337,8 +344,7 @@ def checking_sequence(
     return CheckingRun(drift, kind, trace, tuple(out), limit)
 
 
-@dataclass(frozen=True)
-class LimitClass:
+class LimitClass(NamedTuple):
     kind: str  # "rational" | "irrational" | "kernel-class"
     kernel_tag: Optional[Tag] = None
 
@@ -390,8 +396,7 @@ def berlin_s(trace: EventTrace) -> Point:
 # --- the dense-family construction ---
 
 
-@dataclass(frozen=True)
-class IncreasingFamily:
+class IncreasingFamily(NamedTuple):
     """Lawlike values a_v strictly increasing toward a rational bound."""
 
     name: str

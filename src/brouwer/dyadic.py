@@ -8,31 +8,35 @@ that merely touch at an endpoint still count as overlapping.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-
-def _canonical(num: int, exp: int) -> tuple[int, int]:
-    while exp > 0 and num % 2 == 0:
-        num //= 2
-        exp -= 1
-    return num, exp
+from ._record import Record, _set
 
 
-@dataclass(frozen=True, order=False)
-class Dyadic:
+class Dyadic(Record):
     """num / 2**exp, kept canonical (num odd, or exp == 0)."""
 
-    num: int
-    exp: int = 0
+    __slots__ = ("num", "exp")
 
-    def __post_init__(self) -> None:
-        if self.exp < 0:
+    def __init__(self, num: int, exp: int = 0) -> None:
+        if exp < 0:
             raise ValueError("exponent must be non-negative")
-        num, exp = _canonical(self.num, self.exp)
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "exp", exp)
+        if exp and not num & 1:
+            # drop the trailing zero bits that the exponent can absorb
+            shift = min((num & -num).bit_length() - 1, exp) if num else exp
+            num >>= shift
+            exp -= shift
+        _set(self, "num", num)
+        _set(self, "exp", exp)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.num == other.num and self.exp == other.exp
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.num, self.exp))
 
     # --- arithmetic ---
 
@@ -99,15 +103,15 @@ class IntervalRelation(Enum):
     CONTAINED_IN = "contained-in"
 
 
-@dataclass(frozen=True)
-class Interval:
+class Interval(Record):
     """Closed interval [lo, hi] with dyadic endpoints."""
 
-    lo: Dyadic
-    hi: Dyadic
+    __slots__ = ("lo", "hi")
 
-    def __post_init__(self) -> None:
-        if self.lo > self.hi:
+    def __init__(self, lo: Dyadic, hi: Dyadic) -> None:
+        _set(self, "lo", lo)
+        _set(self, "hi", hi)
+        if lo > hi:
             raise ValueError(f"empty interval: {self}")
 
     @property

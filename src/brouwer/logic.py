@@ -33,9 +33,9 @@ import itertools
 import json
 import math
 import re
-from dataclasses import dataclass, field
-from typing import Callable, Iterator, Optional, Union
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
+from ._record import Record, _set
 from .errors import ResourceLimitError
 
 
@@ -46,58 +46,99 @@ class FormulaNestingError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class Atom:
-    name: str
-    lawlike: bool = False
+class Atom(Record):
+    __slots__ = ("name", "lawlike")
+
+    def __init__(self, name: str, lawlike: bool = False) -> None:
+        _set(self, "name", name)
+        _set(self, "lawlike", lawlike)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.name == other.name and self.lawlike == other.lawlike
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.name, self.lawlike))
 
 
-@dataclass(frozen=True)
-class Bottom:
-    pass
+class Bottom(Record):
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return True if other.__class__ is self.__class__ else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(())
 
 
-@dataclass(frozen=True)
-class And:
-    left: "Formula"
-    right: "Formula"
+class _Binary(Record):
+    __slots__ = ("left", "right")
+
+    def __init__(self, left: Formula, right: Formula) -> None:
+        _set(self, "left", left)
+        _set(self, "right", right)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.left, self.right) == (other.left, other.right)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.left, self.right))
 
 
-@dataclass(frozen=True)
-class Or:
-    left: "Formula"
-    right: "Formula"
+class And(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Implies:
-    left: "Formula"
-    right: "Formula"
+class Or(_Binary):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Box:
-    n: int
-    operand: "Formula"
+class Implies(_Binary):
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.n < 1:
+
+class Box(Record):
+    __slots__ = ("n", "operand")
+
+    def __init__(self, n: int, operand: Formula) -> None:
+        if n < 1:
             raise ValueError("stage index must be >= 1")
-        if not is_stage_free(self.operand):
+        if not is_stage_free(operand):
             raise FormulaNestingError(
-                f"[{self.n}] operand contains a stage operator: {show(self.operand)}"
+                f"[{n}] operand contains a stage operator: {show(operand)}"
             )
+        _set(self, "n", n)
+        _set(self, "operand", operand)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.n, self.operand) == (other.n, other.operand)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.n, self.operand))
 
 
-@dataclass(frozen=True)
-class SomeStage:
-    operand: "Formula"
+class SomeStage(Record):
+    __slots__ = ("operand",)
 
-    def __post_init__(self) -> None:
-        if not is_stage_free(self.operand):
+    def __init__(self, operand: Formula) -> None:
+        if not is_stage_free(operand):
             raise FormulaNestingError(
-                f"<*> operand contains a stage operator: {show(self.operand)}"
+                f"<*> operand contains a stage operator: {show(operand)}"
             )
+        _set(self, "operand", operand)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return (self.operand,) == (other.operand,)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.operand,))
 
 
 Formula = Union[Atom, Bottom, And, Or, Implies, Box, SomeStage]
@@ -137,27 +178,29 @@ def atoms_of(f: Formula) -> frozenset[Atom]:
 
 def show(f: Formula) -> str:
     """Minimal-parenthesis printer; show . parse is the identity on its output."""
+    return _show_at(f, 1)
 
-    def at(g: Formula, prec: int) -> str:
-        if isinstance(g, Atom):
-            return g.name + ("!" if g.lawlike else "")
-        if isinstance(g, Bottom):
-            return "_|_"
-        if isinstance(g, Implies) and g.right == BOT:
-            return "~" + at(g.left, 4)
-        if isinstance(g, Box):
-            return f"[{g.n}]" + at(g.operand, 4)
-        if isinstance(g, SomeStage):
-            return "<*>" + at(g.operand, 4)
-        if isinstance(g, And):
-            s, p = at(g.left, 3) + " & " + at(g.right, 4), 3
-        elif isinstance(g, Or):
-            s, p = at(g.left, 2) + " | " + at(g.right, 3), 2
-        else:
-            s, p = at(g.left, 2) + " -> " + at(g.right, 1), 1
-        return f"({s})" if p < prec else s
 
-    return at(f, 1)
+def _show_at(g: Formula, prec: int) -> str:
+    """g printed inside a context of precedence prec (module-level, so that
+    the recursion leaves no reference cycle behind)."""
+    if isinstance(g, Atom):
+        return g.name + ("!" if g.lawlike else "")
+    if isinstance(g, Bottom):
+        return "_|_"
+    if isinstance(g, Implies) and g.right == BOT:
+        return "~" + _show_at(g.left, 4)
+    if isinstance(g, Box):
+        return f"[{g.n}]" + _show_at(g.operand, 4)
+    if isinstance(g, SomeStage):
+        return "<*>" + _show_at(g.operand, 4)
+    if isinstance(g, And):
+        s, p = _show_at(g.left, 3) + " & " + _show_at(g.right, 4), 3
+    elif isinstance(g, Or):
+        s, p = _show_at(g.left, 2) + " | " + _show_at(g.right, 3), 2
+    else:
+        s, p = _show_at(g.left, 2) + " -> " + _show_at(g.right, 1), 1
+    return f"({s})" if p < prec else s
 
 
 # --- parser ---
@@ -602,18 +645,28 @@ class _Masks:
 ATOM_POOL = ("p", "q", "r", "s")
 
 
-@dataclass(frozen=True)
-class SweepBounds:
-    max_nodes: int = 5
-    max_atoms: int = 2
-    max_box_index: int = 3
-    max_operand_depth: int = 2
+class SweepBounds(Record):
+    __slots__ = ("max_nodes", "max_atoms", "max_box_index", "max_operand_depth")
 
-    def __post_init__(self) -> None:
-        if min(self.max_nodes, self.max_atoms, self.max_box_index, self.max_operand_depth + 1) < 1:
+    def __init__(
+        self,
+        max_nodes: int = 5,
+        max_atoms: int = 2,
+        max_box_index: int = 3,
+        max_operand_depth: int = 2,
+    ) -> None:
+        if min(max_nodes, max_atoms, max_box_index, max_operand_depth + 1) < 1:
             raise ValueError("all sweep bounds must be positive")
-        if self.max_atoms > len(ATOM_POOL):
+        if max_atoms > len(ATOM_POOL):
             raise ValueError(f"at most {len(ATOM_POOL)} atoms supported")
+        _set(self, "max_nodes", max_nodes)
+        _set(self, "max_atoms", max_atoms)
+        _set(self, "max_box_index", max_box_index)
+        _set(self, "max_operand_depth", max_operand_depth)
+
+    def as_dict(self) -> dict:
+        """Each bound by field name, in field order."""
+        return {f: getattr(self, f) for f in self._fields}
 
 
 @functools.cache
@@ -838,8 +891,7 @@ def _size(code: tuple) -> int:
 # --- schemata and sweeps ---
 
 
-@dataclass(frozen=True)
-class Schema:
+class Schema(Record):
     """A principle written once, as a template over the metavariable phi and
     index variables that each stand for an integer >= 1. The sweep's
     instances and the derivation checker's matcher both come from it.
@@ -849,12 +901,12 @@ class Schema:
     no index variables. Read left to right, each box brings in at most one
     index variable not seen before, which the matcher solves for."""
 
-    name: str
-    template: str
-    _form: Formula = field(init=False, repr=False, compare=False)
-    _exprs: tuple[tuple[str, ...], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("name", "template", "_form", "_exprs")
+    _fields = ("name", "template")
 
-    def __post_init__(self) -> None:
+    def __init__(self, name: str, template: str) -> None:
+        _set(self, "name", name)
+        _set(self, "template", template)
         exprs: list[tuple[str, ...]] = []
 
         def position(m: "re.Match[str]") -> str:
@@ -863,8 +915,8 @@ class Schema:
                 exprs.append(expr)
             return f"[{exprs.index(expr) + 1}]"
 
-        object.__setattr__(self, "_form", parse(re.sub(r"\[([a-z+]+)\]", position, self.template)))
-        object.__setattr__(self, "_exprs", tuple(exprs))
+        _set(self, "_form", parse(re.sub(r"\[([a-z+]+)\]", position, template)))
+        _set(self, "_exprs", tuple(exprs))
 
     def _show(self, f: Formula) -> str:
         return re.sub(r"\[(\d+)\]", lambda m: f"[{'+'.join(self._exprs[int(m[1]) - 1])}]", show(f))
@@ -892,27 +944,33 @@ class Schema:
         phi is bound by position; the indices need only be >= 1."""
         phi: list[Formula] = []
         indices: dict[str, int] = {}
+        return (phi[0], indices) if _match(self._form, f, self._exprs, phi, indices) else None
 
-        def walk(t: Formula, g: Formula) -> bool:
-            kind = type(t)
-            if kind is Atom:
-                phi.append(g)
-                return g is phi[0] or g == phi[0]
-            if type(g) is not kind:
-                return False
-            if kind is Box:
-                expr = self._exprs[t.n - 1]
-                fresh = [v for v in expr if v not in indices]
-                rest = g.n - sum(indices[v] for v in expr if v in indices)
-                if fresh and rest >= 1:
-                    indices[fresh[0]] = rest
-                elif fresh or rest:
-                    return False
-            if kind is Box or kind is SomeStage:
-                return walk(t.operand, g.operand)
-            return kind is Bottom or walk(t.left, g.left) and walk(t.right, g.right)
 
-        return (phi[0], indices) if walk(self._form, f) else None
+def _match(t: Formula, g: Formula, exprs: tuple, phi: list, indices: dict) -> bool:
+    """Whether g fits template t: phi collects g's subformula at each atom
+    of t, which must all be equal, and indices the index variables solved
+    so far (module-level, so that the recursion leaves no reference cycle)."""
+    kind = type(t)
+    if kind is Atom:
+        phi.append(g)
+        return g is phi[0] or g == phi[0]
+    if type(g) is not kind:
+        return False
+    if kind is Box:
+        expr = exprs[t.n - 1]
+        fresh = [v for v in expr if v not in indices]
+        rest = g.n - sum(indices[v] for v in expr if v in indices)
+        if fresh and rest >= 1:
+            indices[fresh[0]] = rest
+        elif fresh or rest:
+            return False
+    if kind is Box or kind is SomeStage:
+        return _match(t.operand, g.operand, exprs, phi, indices)
+    return kind is Bottom or (
+        _match(t.left, g.left, exprs, phi, indices)
+        and _match(t.right, g.right, exprs, phi, indices)
+    )
 
 
 def _instantiate(t: Formula, boxes: list[int], phi: Formula) -> Formula:
@@ -946,8 +1004,7 @@ EXPECTED_REFUTED = ("cs4", "cs5")
 DEFAULT_SWEEP_CAP = 50_000_000
 
 
-@dataclass(frozen=True)
-class Countermodel:
+class Countermodel(NamedTuple):
     model: StageTree
     node: int
     phi: Formula
@@ -964,8 +1021,7 @@ class Countermodel:
         }
 
 
-@dataclass(frozen=True)
-class SweepResult:
+class SweepResult(NamedTuple):
     schema: str
     bounds: SweepBounds
     models_checked: int
@@ -1145,8 +1201,7 @@ def validity_sweep(
     return results[schema]
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(NamedTuple):
     bounds: SweepBounds
     results: dict[str, SweepResult]
     monotone_ok: bool

@@ -10,11 +10,11 @@ or stay unknown. Witnesses are always the least index found.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
+from ._record import Record, _set
 from .dyadic import Dyadic, Interval, lambda_interval
 from .spreads import (
     EventTrace,
@@ -27,17 +27,20 @@ from .spreads import (
 )
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(Record):
     """A generator over the interval law, bundled with its trace.
 
     Keeps one append-only list of terms and extends it in place from where
     it stopped, so each stage is emitted once; sound because emission is a
     pure function of (generator, trace)."""
 
-    generator: Generator
-    trace: Optional[EventTrace] = None
-    _terms: list = field(default_factory=list, init=False, repr=False, compare=False)
+    __slots__ = ("generator", "trace", "_terms")
+    _fields = ("generator", "trace")
+
+    def __init__(self, generator: Generator, trace: Optional[EventTrace] = None) -> None:
+        _set(self, "generator", generator)
+        _set(self, "trace", trace)
+        _set(self, "_terms", [])
 
     def _stream(self, n: int) -> list[int]:
         if not 0 < n <= len(self._terms):  # emit_prefix also vets n and the trace
@@ -62,20 +65,26 @@ class VerdictValue(Enum):
     UNKNOWN = "unknown-at-horizon"
 
 
-@dataclass(frozen=True)
-class Verdict:
-    value: VerdictValue
-    horizon: int
-    witness: Optional[int] = None
-    direction: Optional[str] = None  # apartness only: "lt" | "gt"
+class Verdict(Record):
+    __slots__ = ("value", "horizon", "witness", "direction")
 
-    def __post_init__(self) -> None:
-        if self.value is VerdictValue.UNKNOWN:
-            if self.witness is not None:
+    def __init__(
+        self,
+        value: VerdictValue,
+        horizon: int,
+        witness: Optional[int] = None,
+        direction: Optional[str] = None,  # apartness only: "lt" | "gt"
+    ) -> None:
+        if value is VerdictValue.UNKNOWN:
+            if witness is not None:
                 raise ValueError("unknown verdicts carry no witness")
         else:
-            if self.witness is None or not (1 <= self.witness <= self.horizon):
+            if witness is None or not (1 <= witness <= horizon):
                 raise ValueError("decided verdicts need a witness within the horizon")
+        _set(self, "value", value)
+        _set(self, "horizon", horizon)
+        _set(self, "witness", witness)
+        _set(self, "direction", direction)
 
     @property
     def holds(self) -> bool:
@@ -234,8 +243,7 @@ def centered_point(a: Point, n: int) -> Point:
 # --- continuous prefix maps ---
 
 
-@dataclass(frozen=True)
-class PrefixMap:
+class PrefixMap(NamedTuple):
     """Monotone map on admissible prefixes, read term by term.
 
     term(p, n) is output term n, read off an admissible input prefix p of
@@ -324,15 +332,13 @@ class UndecidedPairError(Exception):
     """A needed pairwise verdict stayed unknown at the horizon."""
 
 
-@dataclass(frozen=True)
-class OrderViolation:
+class OrderViolation(NamedTuple):
     condition: int
     pair: tuple
     detail: str
 
 
-@dataclass(frozen=True)
-class OrderReport:
+class OrderReport(NamedTuple):
     ok: bool
     violations: tuple[OrderViolation, ...]
 

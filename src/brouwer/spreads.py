@@ -12,9 +12,9 @@ anything else (a random source) must be read through ``emit_prefix`` alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, NamedTuple, Optional, Sequence, Union
 
+from ._record import Record, _set
 from .dyadic import is_admissible_successor, scaled_floor
 
 
@@ -30,8 +30,7 @@ class AdmissibilityError(Exception):
         )
 
 
-@dataclass(frozen=True)
-class SpreadLaw:
+class SpreadLaw(NamedTuple):
     name: str
     admits_first: Callable[[int], bool]
     admits_next: Callable[[Sequence[int], int], bool]
@@ -70,23 +69,30 @@ PROVED = "proved"
 REFUTED = "refuted"
 
 
-@dataclass(frozen=True)
-class Resolution:
-    kind: str
-    stage: Optional[int] = None
+class Resolution(Record):
+    __slots__ = ("kind", "stage")
 
-    def __post_init__(self) -> None:
-        if self.kind not in (NEVER, PROVED, REFUTED):
-            raise ValueError(f"unknown resolution kind {self.kind!r}")
-        if self.kind == NEVER:
-            if self.stage is not None:
+    def __init__(self, kind: str, stage: Optional[int] = None) -> None:
+        if kind not in (NEVER, PROVED, REFUTED):
+            raise ValueError(f"unknown resolution kind {kind!r}")
+        if kind == NEVER:
+            if stage is not None:
                 raise ValueError("a never-resolution carries no stage")
-        elif self.stage is None or self.stage < 1:
+        elif stage is None or stage < 1:
             raise ValueError("resolution stage must be a positive integer")
+        _set(self, "kind", kind)
+        _set(self, "stage", stage)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self.kind == other.kind and self.stage == other.stage
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.kind, self.stage))
 
 
-@dataclass(frozen=True)
-class EventTrace:
+class EventTrace(NamedTuple):
     """When (if ever) the watched assertion was proved or refuted."""
 
     resolution: Resolution
@@ -144,25 +150,28 @@ def parse_trace(text: str, assertion_id: str = "alpha") -> EventTrace:
 # --- generators ---
 
 
-@dataclass(frozen=True)
-class Lawlike:
+class Lawlike(Record):
     """Term n is rule(n), independent of any trace."""
 
-    rule: Callable[[int], int]
+    __slots__ = ("rule",)
+
+    def __init__(self, rule: Callable[[int], int]) -> None:
+        _set(self, "rule", rule)
 
 
-@dataclass(frozen=True)
-class Process:
+class Process(Record):
     """Term n is strategy(prefix, trace) with stage = len(prefix) + 1.
 
     The prefix is the emitter's own list of the terms so far: a strategy
     reads it and must not mutate it."""
 
-    strategy: Callable[[Sequence[int], EventTrace], int]
+    __slots__ = ("strategy",)
+
+    def __init__(self, strategy: Callable[[Sequence[int], EventTrace], int]) -> None:
+        _set(self, "strategy", strategy)
 
 
-@dataclass(frozen=True)
-class Generator:
+class Generator(NamedTuple):
     law: SpreadLaw
     kind: Union[Lawlike, Process]
     name: str = ""

@@ -1,6 +1,7 @@
 """Derivation scripts: parsing, rule checking, and semantic soundness."""
 
 import functools
+import gc
 import itertools
 import json
 from types import SimpleNamespace
@@ -62,6 +63,21 @@ def test_bundled_scripts_verify(name):
     doc = result.as_dict()
     assert doc["status"] == "verified" and doc["conclusion"] == conclusion
     json.dumps(doc)  # must be serializable as-is
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_SCRIPTS))
+def test_checking_a_script_leaves_no_reference_cycle(name):
+    # show and the schema matcher recurse through module-level helpers; a
+    # nested self-recursive one would leave a cycle at every call
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(5):
+            assert check_script(BUNDLED_SCRIPTS[name]).ok
+        unreachable = gc.collect()
+    finally:
+        gc.enable()
+    assert unreachable == 0
 
 
 def test_conditional_ks_avoids_stage_collapse():

@@ -1,3 +1,5 @@
+import copy
+import pickle
 from fractions import Fraction
 
 import pytest
@@ -25,6 +27,25 @@ def test_canonical_form():
     assert Dyadic(0, 7) == Dyadic(0, 0)
     d = Dyadic(12, 4)
     assert d.num == 3 and d.exp == 2
+
+
+@given(st.integers(-10**9, 10**9), st.integers(0, 60))
+def test_canonical_form_keeps_the_value(num, exp):
+    d = Dyadic(num, exp)
+    assert d.as_fraction() == Fraction(num, 1 << exp)
+    assert d.exp == 0 or d.num % 2 == 1
+
+
+def test_records_compare_within_their_class():
+    d = Dyadic(3, 2)
+    assert d == Dyadic(6, 3) and hash(d) == hash(Dyadic(6, 3))
+    assert d != (3, 2) and d != Fraction(3, 4)
+    iv = Interval(Dyadic(1, 2), d)
+    assert iv == lambda_interval(2, 1) and len({iv, lambda_interval(2, 1)}) == 1
+    assert repr(iv) == "Interval(lo=Dyadic(num=1, exp=2), hi=Dyadic(num=3, exp=2))"
+    with pytest.raises(AttributeError, match="cannot assign to field 'num'"):
+        d.num = 5
+    assert pickle.loads(pickle.dumps(iv)) == iv and copy.copy(d) == d
 
 
 @given(dyadics, dyadics)

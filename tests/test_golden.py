@@ -1,0 +1,22 @@
+"""The CLI's stdout and exit codes match the recorded golden files byte for byte.
+
+tests/cli_golden.py lists the commands and rewrites the files.
+"""
+
+import json
+
+import pytest
+
+import cli_golden
+from brouwer import fleeing
+
+
+@pytest.mark.parametrize("group", sorted(cli_golden.GROUPS))
+def test_cli_outputs_match_the_golden_file(group, monkeypatch):
+    monkeypatch.chdir(cli_golden.GOLDEN)
+    monkeypatch.delenv("BW_DIGIT_LIMIT", raising=False)
+    monkeypatch.setattr(fleeing, "_default_oracle", None)
+    expected = json.loads(cli_golden.path(group).read_text(encoding="utf-8"))
+    assert [case["argv"] for case in expected] == cli_golden.GROUPS[group]
+    for case in expected:
+        assert cli_golden.run(case["argv"]) == case, case["argv"]

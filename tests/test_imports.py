@@ -12,6 +12,8 @@ from pathlib import Path
 
 import pytest
 
+import cli_golden
+
 ROOT = Path(__file__).resolve().parent.parent
 ENV = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
 ENV.pop("BW_DIGIT_LIMIT", None)
@@ -37,19 +39,22 @@ vienna_family vienna_run virtual_order_check zero_point
 """.split()
 
 HEAVY = {"brouwer.logic", "brouwer.derivation", "brouwer.drift"}
+PI = {"brouwer.fleeing", "brouwer._pi_backends"}
+RECORD_MAKERS = {"dataclasses", "inspect"}
+MODULES = ("cli", "derivation", "drift", "dyadic", "fleeing", "logic", "reals", "spreads")
 
 
-def python(*args):
+def python(*args, cwd=ROOT):
     done = subprocess.run(
-        [sys.executable, *args], cwd=ROOT, env=ENV, capture_output=True, text=True
+        [sys.executable, *args], cwd=cwd, env=ENV, capture_output=True, text=True
     )
     assert done.returncode == 0, done.stderr
     return done
 
 
-def loaded_modules(*cli_args):
+def loaded_modules(*cli_args, cwd=ROOT):
     """Every module `python -m brouwer.cli ARGS` imports, and its stdout."""
-    done = python("-X", "importtime", "-m", "brouwer.cli", *cli_args)
+    done = python("-X", "importtime", "-m", "brouwer.cli", *cli_args, cwd=cwd)
     names = {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines()
              if line.startswith("import time:")}
     return names, done.stdout
@@ -91,11 +96,40 @@ def test_digit_searches_load_no_dataclasses_reals_or_spreads(args, verdict):
 
 
 @pytest.mark.parametrize(
+    "args",
+    cli_golden.README + [["replay", name] for name in cli_golden.REPLAYS[1:]],
+    ids=" ".join,
+)
+def test_no_command_loads_dataclasses_or_inspect(args):
+    # records are slots classes and named tuples, so no command pays for the
+    # dataclasses import (11-16 ms with the inspect, ast and dis it pulls in)
+    loaded, out = loaded_modules(*args, "--json", cwd=cli_golden.GOLDEN)
+    assert json.loads(out)["command"] in ("replay", "-".join(args[:2]))
+    assert not loaded & RECORD_MAKERS
+
+
+def test_importing_every_module_loads_no_dataclasses_or_inspect():
+    probe = (
+        "import sys\n"
+        f"for name in {MODULES!r}:\n"
+        "    __import__('brouwer.' + name)\n"
+        f"print(sorted(set(sys.modules) & {RECORD_MAKERS!r}))\n"
+    )
+    assert python("-c", probe).stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize(
     "args, absent",
     [
         (("fleeing", "critical", "--digit", "3", "--run", "1"), HEAVY | {"brouwer.reals"}),
         (("derive", "ks-report"), {"brouwer.fleeing", "brouwer.reals", "brouwer.drift"}),
         (("spread", "sample", "--seed", "11"), HEAVY | {"brouwer.fleeing", "brouwer.reals"}),
+        # only the berlin-r spec and the cambridge-13 replay read pi
+        (("real", "cmp", "--lhs", "berlin-s", "--rhs", "zero"),
+         PI | {"brouwer.logic", "brouwer.derivation"}),
+        (("replay", "vienna-9"), PI),
+        (("replay", "ks-12"),
+         PI | {"brouwer.drift", "brouwer.reals", "brouwer.spreads", "brouwer.dyadic"}),
     ],
 )
 def test_each_command_loads_only_its_modules(args, absent):

@@ -35,6 +35,7 @@ from brouwer.logic import (
     Not,
     Or,
     SCHEMAS,
+    Schema,
     SomeStage,
     StageTree,
     SweepBounds,
@@ -945,6 +946,50 @@ def test_a_sweep_leaves_no_reference_cycle():
     assert unreachable == 0
     # a cycle through the tables keeps ~130 kB; the free lists settle by ~10 kB
     assert grown < 24_000
+
+
+def _unreachable_after(call, times: int = 100) -> int:
+    """Objects the collector finds after `times` calls made with it off."""
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(times):
+            call()
+        return gc.collect()
+    finally:
+        gc.enable()
+
+
+@pytest.mark.parametrize("name", ["show", "match"])
+def test_show_and_match_leave_no_reference_cycle(name):
+    # a nested self-recursive helper would close over itself: one cycle per call
+    f = parse("[1](p & ~q) -> [3](p & ~q)")
+    call = {"show": lambda: show(f), "match": lambda: SCHEMAS["ic1"].match(f)}[name]
+    assert call()
+    assert _unreachable_after(call) == 0
+
+
+def test_formula_records_compare_by_kind_and_fields():
+    p, q = Atom("p"), Atom("q")
+    assert And(p, q) == And(Atom("p"), Atom("q")) and hash(And(p, q)) == hash(And(p, q))
+    assert And(p, q) != Or(p, q) != Implies(p, q) and (p, q) != And(p, q)
+    assert Bottom() == BOT and Atom("p", True) != p
+    assert len({And(p, q), Or(p, q), Implies(p, q), And(p, q)}) == 3
+    assert repr(Box(2, p)) == "Box(n=2, operand=Atom(name='p', lawlike=False))"
+    assert repr(BOT) == "Bottom()"
+    with pytest.raises(AttributeError, match="cannot assign to field 'left'"):
+        And(p, q).left = q
+    with pytest.raises(AttributeError):
+        p.name = "q"
+    with pytest.raises(AttributeError):
+        p.extra = 1  # no instance dictionary either
+    bounds = SweepBounds(max_nodes=3)
+    assert bounds == SweepBounds(3) and bounds != SweepBounds(4)
+    assert bounds.as_dict() == {
+        "max_nodes": 3, "max_atoms": 2, "max_box_index": 3, "max_operand_depth": 2
+    }
+    assert SCHEMAS["ic1"] == Schema("ic1", "[n]phi -> [n+m]phi")
+    assert repr(SCHEMAS["cs5"]) == "Schema(name='cs5', template='<*>phi -> phi')"
 
 
 @pytest.mark.parametrize("nodes,atoms", [(6, 2), (4, 3), (9, 1)])

@@ -1,4 +1,3 @@
-import dataclasses
 import os
 import subprocess
 import sys
@@ -295,6 +294,14 @@ def test_cpf_modulus_matches_the_reference(name, base, m, horizon):
     assert len(a._terms) == len(ref._terms)
 
 
+def test_points_compare_without_their_stream():
+    g = zero_point().generator
+    a, b = Point(g), Point(g, None)
+    a.prefix(5)
+    assert a == b and hash(a) == hash(b) and a != Point(g, never_trace())
+    assert repr(a) == f"Point(generator={g!r}, trace=None)"
+
+
 @pytest.mark.parametrize("name", sorted(MAPS))
 def test_mapped_point_reads_only_the_base_it_needs(name):
     f = MAPS[name]()
@@ -305,7 +312,7 @@ def test_mapped_point_reads_only_the_base_it_needs(name):
         return f.term(p, n)
 
     base = value_point(Fraction(1, 3))
-    image = mapped_point(dataclasses.replace(f, term=term), base)
+    image = mapped_point(f._replace(term=term), base)
     for h in (1, 2, 7, 64, 300):
         image.prefix(h)
         assert len(base._terms) == f.min_input_for(h) == (2 * h if name == "delay" else h)
