@@ -1,0 +1,305 @@
+#!/usr/bin/env python3
+"""Time every layer of the workbench, cross-check it, and write one record.
+
+    python benchmarks/bench.py OUT.json [CHECKOUT ...]
+
+CHECKOUT defaults to the checkout that holds this script; give two (a copy
+of the parent commit and this one, say) for a before and an after in one
+file. Each section runs once per checkout in a fresh child process whose
+working directory is that checkout and whose PYTHONPATH is its src/, with
+BW_DIGIT_LIMIT unset. The checkouts alternate section by section, so both
+sides share the machine's drift. The sections:
+
+- pi: ``chudnovsky_digits(n)``, and a fresh ``DigitOracle()`` (its
+  1000-digit self-test included) scanning ``critical_number(run_property(0,
+  6), n)``. Pi has no run of six zeros below 10**6, so the scan must answer
+  none-below:n after growing one series to the end of its window. The
+  Machin enclosure (to 5*10**4 digits) and the spigot (to 10**4, its cost
+  is quadratic) must equal Chudnovsky.
+- streams: the best of three ``prefix(h)`` reads of fresh points: the
+  centred value 1/3, that point through the identity, negation and delay
+  maps (delay reads its base to 2h), and the point recentred below stage 16.
+  Term n is an n-bit integer, so even a linear stream costs more per stage
+  as h grows.
+- sweep: ``principle_suite`` (all six schemata, stage indices up to 3) at
+  fixed (nodes, atoms, operand depth), with the root classes the sweep's
+  class tables list, checked against every model's root class, and the
+  distinct formula masks per model: the size of the mask algebra the sweep
+  closes on each model, against the formula count.
+- cold: the median of seven fresh processes for a bare interpreter, for
+  ``import argparse, json, fractions`` (what the CLI needs before any
+  brouwer module) and for each README command with --json, run in a
+  scratch directory that holds the README's model.json and no brouwer.toml.
+- tier1: the Tier-1 pytest run: wall time, counts, the ten slowest tests
+  and each acceptance criterion's time against its budget.
+- perfbench: ``perfbench/report.py`` at seed 7 and 20 s per workload, whole.
+
+The record also holds the settings that decide a cold start: the Python
+version, whether it writes bytecode (with PYTHONDONTWRITEBYTECODE set every
+start compiles the sources), the site .pth files that run an import at
+every start, and whether gmpy2 is importable. It prints one table per
+section and checkout and writes the same figures to OUT.json, keys sorted.
+A failing cross-check or Tier-1 run stops it before it writes anything.
+"""
+
+import argparse
+import functools
+import glob
+import importlib.util
+import json
+import os
+import platform
+import re
+import shlex
+import site
+import statistics
+import subprocess
+import sys
+import tempfile
+import time
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+SECTIONS = ("pi", "streams", "sweep", "cold", "tier1", "perfbench")
+
+PI_DIGITS = (1_000, 10_000, 50_000, 200_000, 1_000_000)
+HORIZONS = (1_000, 4_000, 16_000)
+BOUNDS = ((3, 2, 2), (5, 2, 2), (4, 3, 2), (6, 2, 2), (5, 3, 1), (6, 2, 1), (7, 2, 1))
+
+MODEL = json.dumps({"nodes": [{"id": "root", "atoms": []},
+                              {"id": "later", "parent": "root", "atoms": ["q"]}]})
+README = (
+    "pi digits 20",
+    "pi find --pattern 999999 --limit 2000",
+    "fleeing critical --digit 3 --run 1",
+    "spread sample --seed 11 --stages 9",
+    "real cmp --lhs berlin-s --rhs zero --lhs-trace never --horizon 100",
+    "drift run --drift two-winged-mixed --kind osc --trace false:2",
+    "logic eval --model model.json --at root --formula '<*>q -> q'",
+    "logic sweep --schema cs5 --nodes 4 --atoms 2",
+    "derive check conditional-ks",
+    "derive ks-report",
+    "replay vienna-9",
+)
+TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
+
+
+def timed(fn, *args, **kwargs):
+    t0 = time.perf_counter()
+    out = fn(*args, **kwargs)
+    return out, time.perf_counter() - t0
+
+
+def pi(sizes=PI_DIGITS) -> dict:
+    from brouwer import _pi_backends
+    from brouwer.fleeing import DigitOracle, critical_number, run_property
+
+    checks = {"machin_s": (_pi_backends.machin_digits, 50_000),
+              "spigot_s": (_pi_backends.spigot_digits, 10_000)}
+    rows = []
+    for n in sizes:
+        reference, chudnovsky = timed(_pi_backends.chudnovsky_digits, n)
+        search, critical = timed(lambda: critical_number(run_property(0, 6, DigitOracle()), n))
+        assert str(search) == f"none-below:{n}", f"a run of six zeros below {n}"
+        row = {"digits": n, "chudnovsky_s": chudnovsky, "critical_s": critical}
+        for column, (route, top) in checks.items():
+            row[column] = None
+            if n <= top:
+                digits, row[column] = timed(route, n)
+                assert digits == reference, f"{column[:-2]} diverged at {n} digits"
+        rows.append(row)
+    return {"backend": _pi_backends.BACKEND, "rows": rows}
+
+
+def streams(horizons=HORIZONS) -> dict:
+    from fractions import Fraction
+
+    from brouwer import reals
+
+    def third():
+        return reals.value_point(Fraction(1, 3))
+
+    points = {
+        "value(1/3)": third,
+        "identity(value)": lambda: reals.mapped_point(reals.identity_map(), third()),
+        "negation(value)": lambda: reals.mapped_point(reals.negation_map(), third()),
+        "delay(value)": lambda: reals.mapped_point(reals.delay_map(), third()),
+        "centered(value,16)": lambda: reals.centered_point(third(), 16),
+    }
+    rows = []
+    for h in horizons:
+        for name, build in points.items():
+            best = min(timed(build().prefix, h)[1] for _ in range(3))
+            rows.append({"point": name, "stages": h, "ms": best * 1e3,
+                         "us_per_stage": best * 1e6 / h})
+    return {"rows": rows}
+
+
+def _classes_and_masks(bounds) -> tuple:
+    """The root classes, as the sweep's class tables list them, and each
+    model's distinct mask count. The classes are checked against the root
+    class of every model."""
+    from brouwer import logic
+
+    starts = logic._level_starts(bounds)
+    types: dict = {}
+    memo: dict = {}
+    listed, keyed = set(), set()
+    counts = []
+    codes = [code for n in range(1, bounds.max_nodes + 1) for code in logic._codes(n)]
+    for code, (shape, valuations) in zip(codes, logic._valued_shapes(bounds)):
+        for label in range(1 << bounds.max_atoms):
+            listed.update(logic._class_table(code, label, bounds.max_atoms, types, memo))
+        tree = logic.StageTree(shape, (frozenset(),) * len(shape))
+        masks = logic._Masks(tree, bounds.max_box_index)
+        implies = functools.cache(masks.implies_mask)
+        for v in valuations:
+            keyed.add(logic._root_class(masks.m.children, v, types))
+            counts.append(len(logic._mask_closure(v, starts, implies)))
+    assert listed == keyed, f"listed classes differ from keyed ones at {bounds}"
+    return len(listed), counts
+
+
+def sweep(bounds=BOUNDS) -> dict:
+    from brouwer.logic import SweepBounds, _level_starts, principle_suite
+
+    rows = []
+    for nodes, atoms, depth in bounds:
+        b = SweepBounds(max_nodes=nodes, max_atoms=atoms, max_operand_depth=depth)
+        report, seconds = timed(principle_suite, b)
+        models = max(r.models_checked for r in report.results.values())
+        classes, counts = _classes_and_masks(b)
+        assert len(counts) == models and report.monotone_ok, f"sweep at {b}"
+        rows.append({
+            "bounds": f"({nodes},{atoms},{depth})", "formulas": _level_starts(b)[-1],
+            "models": models, "classes": classes, "seconds": seconds,
+            "models_per_s": models / seconds, "masks_mean": sum(counts) / len(counts),
+            "masks_max": max(counts),
+        })
+    return {"rows": rows}
+
+
+def cold(repeats=7) -> dict:
+    commands = {"python -c pass": ["-c", "pass"],
+                "import argparse, json, fractions": ["-c", "import argparse, json, fractions"]}
+    for line in README:
+        commands[line] = ["-m", "brouwer.cli", *shlex.split(line), "--json"]
+    times = {line: [] for line in commands}
+    with tempfile.TemporaryDirectory() as cwd:
+        with open(os.path.join(cwd, "model.json"), "w", encoding="utf-8") as fh:
+            fh.write(MODEL)
+        for _ in range(repeats):
+            for line, args in commands.items():
+                done, seconds = timed(subprocess.run, [sys.executable, *args], cwd=cwd,
+                                      capture_output=True, text=True)
+                assert done.returncode == 0, f"{line} exited {done.returncode}: {done.stderr}"
+                times[line].append(seconds * 1e3)
+    rows = [{"command": line, "median_ms": statistics.median(ms)} for line, ms in times.items()]
+    return {"repeats": repeats, "rows": rows}
+
+
+def tier1() -> dict:
+    done, wall = timed(subprocess.run, [sys.executable, *TIER1], capture_output=True, text=True)
+    assert done.returncode == 0, done.stdout[-5000:] + done.stderr
+    summary = done.stdout.strip().splitlines()[-1]
+    counts = {word: int(n) for n, word in re.findall(r"(\d+) (passed|failed)", summary)}
+    slowest = re.findall(r"^([\d.]+)s (\w+) +(\S+)$", done.stdout, re.M)
+    criteria = re.findall(r"PASS criterion (\d+) \[ *([\d.]+)s / ([\d.]+)s\]", done.stdout)
+    return {
+        "command": "python " + " ".join(TIER1), "wall_s": wall,
+        "passed": counts.get("passed", 0), "failed": counts.get("failed", 0),
+        "slowest": [{"seconds": float(s), "phase": p, "test": t} for s, p, t in slowest],
+        "criteria": [{"criterion": int(c), "seconds": float(s), "budget_s": float(b)}
+                     for c, s, b in criteria],
+    }
+
+
+def perfbench() -> dict:
+    with tempfile.TemporaryDirectory() as tmp:
+        out = os.path.join(tmp, "report.json")
+        args = ["perfbench/report.py", "--seed", "7", "--seconds", "20", "--out", out]
+        done = subprocess.run([sys.executable, *args], capture_output=True, text=True)
+        assert done.returncode == 0, done.stdout[-5000:] + done.stderr
+        with open(out, encoding="utf-8") as fh:
+            report = json.load(fh)
+    failing = [w for w, r in report["workloads"].items() if not r["correct"] or r["failed"]]
+    assert not failing, f"perfbench workloads failed: {failing}"
+    return report
+
+
+def environment() -> dict:
+    hooks = []
+    for folder in site.getsitepackages() + [site.getusersitepackages()]:
+        for path in sorted(glob.glob(os.path.join(folder, "*.pth"))):
+            with open(path, encoding="utf-8", errors="replace") as fh:
+                if any(line.startswith(("import ", "import\t")) for line in fh):
+                    hooks.append(os.path.basename(path))
+    return {
+        "python": platform.python_version(),
+        "implementation": platform.python_implementation(),
+        "machine": platform.machine(),
+        "cpus": os.cpu_count(),
+        "dont_write_bytecode": bool(sys.flags.dont_write_bytecode),
+        "site_pth_hooks": hooks,
+        "gmpy2": importlib.util.find_spec("gmpy2") is not None,
+    }
+
+
+def run_child(section: str, checkout: str) -> dict:
+    env = {k: v for k, v in os.environ.items() if k != "BW_DIGIT_LIMIT"}
+    env["PYTHONPATH"] = os.path.join(checkout, "src")
+    code = (f"import json, sys; sys.path.insert(0, {HERE!r}); import bench; "
+            f"print(json.dumps(bench.{section}()))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env,
+                          capture_output=True, text=True)
+    if done.returncode != 0:
+        sys.exit(f"{section} failed in {checkout}, nothing written:\n{done.stderr}")
+    return json.loads(done.stdout)
+
+
+def cell(value) -> str:
+    if value is None:
+        return "-"
+    if isinstance(value, float):
+        return f"{value:.3f}" if abs(value) < 100 else f"{value:.0f}"
+    return str(value)
+
+
+def show(section: str, results: list) -> None:
+    """Print each checkout's result: its lists of rows as tables, the rest as lines."""
+    for k, result in enumerate(results):
+        print(f"\n== {section} [{k}]")
+        if section == "perfbench":
+            result = {"env": result["env"], "workloads": [
+                {"workload": w, **{f: r[f] for f in ("correct", "attempted", "failed")},
+                 **{m: v["value"] for m, v in r["end_to_end"].items()}}
+                for w, r in result["workloads"].items()]}
+        for key, value in result.items():
+            if not (isinstance(value, list) and value and isinstance(value[0], dict)):
+                print(f"{key}: {cell(value)}")
+                continue
+            cells = [list(value[0])] + [[cell(v) for v in row.values()] for row in value]
+            widths = [max(map(len, column)) for column in zip(*cells)]
+            for line in cells:
+                print("  ".join(c.rjust(w) for c, w in zip(line, widths)))
+    sys.stdout.flush()
+
+
+def main() -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("out", metavar="OUT.json")
+    ap.add_argument("checkouts", nargs="*", default=[os.path.dirname(HERE)], metavar="CHECKOUT")
+    args = ap.parse_args()
+    checkouts = [os.path.abspath(c) for c in args.checkouts]
+    record = {"environment": environment(), "checkouts": [os.path.relpath(c) for c in checkouts]}
+    for k, checkout in enumerate(record["checkouts"]):
+        print(f"[{k}] {checkout}")
+    for section in SECTIONS:
+        record[section] = [run_child(section, checkout) for checkout in checkouts]
+        show(section, record[section])
+    with open(args.out, "w", encoding="utf-8") as fh:
+        json.dump(record, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+
+
+if __name__ == "__main__":
+    main()

@@ -456,11 +456,4 @@ def virtual_order_check(
                         OrderViolation(1, (i, j), "pair stored with clashing relations")
                     )
 
-    dedup: list[OrderViolation] = []
-    seen = set()
-    for v in violations:
-        key = (v.condition, v.pair)
-        if key not in seen:
-            seen.add(key)
-            dedup.append(v)
-    return OrderReport(ok=not dedup, violations=tuple(dedup))
+    return OrderReport(ok=not violations, violations=tuple(violations))

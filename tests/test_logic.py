@@ -4,12 +4,8 @@ import functools
 import gc
 import itertools
 import json
-import os
-import subprocess
-import sys
 import tracemalloc
 from collections import Counter
-from pathlib import Path
 from typing import Optional
 
 import pytest
@@ -1209,20 +1205,3 @@ def test_formula_count_without_building_the_formulas(monkeypatch):
         validity_sweep("ic1", SweepBounds(max_operand_depth=3))
     assert ei.value.requested == 1254 * 21_918_630
     assert ei.value.limit == DEFAULT_SWEEP_CAP
-
-
-def test_sweep_bounds_script_runs():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    run = subprocess.run(
-        [sys.executable, str(root / "benchmarks" / "sweep_bounds.py"), "3"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert run.returncode == 0, run.stderr
-    header, row = run.stdout.splitlines()
-    assert header.split() == [
-        "bounds", "formulas", "models", "classes", "seconds", "models/s", "masks", "mean", "masks", "max",
-    ]
-    assert row.split()[:4] == ["(3,2,2)", "2703", "54", "24"]

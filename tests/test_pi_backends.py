@@ -1,12 +1,8 @@
 """The standard-library Chudnovsky route against the independent routes,
 and the digits the Machin enclosure proves against the spigot."""
 
-import os
-import subprocess
-import sys
 from decimal import Decimal
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -27,7 +23,6 @@ from brouwer._pi_backends import (
     spigot_digits,
 )
 
-ROOT = Path(__file__).resolve().parent.parent
 SPIGOT_1001 = spigot_digits(1001)
 
 
@@ -209,13 +204,3 @@ def test_decimal_split_matches_int_split(k):
     assert no_p is None
     assert (int(q_dec), int(t_dec)) == (q, t)
     assert tuple(map(int, _chud_split_dec(0, k, True))) == (p, q, t)
-
-
-def test_benchmark_script_runs():
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    script = ROOT / "benchmarks" / "pi_backends.py"
-    run = subprocess.run(
-        [sys.executable, str(script), "1000"], env=env, capture_output=True, text=True
-    )
-    assert run.returncode == 0, run.stderr
-    assert run.stdout.split("\n", 1)[0].split() == ["digits", "chudnovsky", "critical", "machin", "spigot"]

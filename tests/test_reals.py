@@ -1,8 +1,4 @@
-import os
-import subprocess
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -332,25 +328,6 @@ def test_a_derailed_base_refuses_at_its_stage_through_a_map(name, k):
             with pytest.raises(AdmissibilityError) as e:
                 image.prefix(h)
             assert e.value.stage == k
-
-
-def test_point_streams_script_runs():
-    root = Path(__file__).resolve().parent.parent
-    env = dict(os.environ, PYTHONPATH=str(root / "src"))
-    run = subprocess.run(
-        [sys.executable, str(root / "benchmarks" / "point_streams.py"), "1000"],
-        env=env,
-        capture_output=True,
-        text=True,
-    )
-    assert run.returncode == 0, run.stderr
-    header, *rows = run.stdout.splitlines()
-    assert header.split() == ["point", "stages", "ms", "us/stage"]
-    assert [row.split()[:2] for row in rows] == [
-        [name, "1000"]
-        for name in ("value(1/3)", "identity(value)", "negation(value)", "delay(value)",
-                     "centered(value,16)")
-    ]
 
 
 def sample_points():
