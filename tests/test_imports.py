@@ -74,6 +74,20 @@ def test_pi_digits_loads_no_logic_derivation_or_drift():
 
 
 @pytest.mark.parametrize(
+    "args, verdict",
+    [
+        (("pi", "find", "--pattern", "999999", "--limit", "2000", "--json"), "found-at:762"),
+        (("fleeing", "critical", "--digit", "3", "--run", "1", "--json"), "found-at:9"),
+    ],
+)
+def test_digit_searches_load_no_dataclasses_reals_or_spreads(args, verdict):
+    # a pattern search needs the oracle and nothing of the point machinery
+    loaded, out = loaded_modules(*args)
+    assert json.loads(out)["verdict"] == verdict
+    assert not loaded & {"dataclasses", "inspect", "brouwer.reals", "brouwer.spreads"}
+
+
+@pytest.mark.parametrize(
     "args",
     cli_golden.README + [["replay", name] for name in cli_golden.REPLAYS[1:]],
     ids=" ".join,
@@ -99,8 +113,7 @@ def test_importing_every_module_loads_no_dataclasses_or_inspect():
 @pytest.mark.parametrize(
     "args, absent",
     [
-        (("fleeing", "critical", "--digit", "3", "--run", "1"),
-         HEAVY | {"brouwer.reals", "brouwer.spreads"}),
+        (("fleeing", "critical", "--digit", "3", "--run", "1"), HEAVY | {"brouwer.reals"}),
         (("derive", "ks-report"), {"brouwer.fleeing", "brouwer.reals", "brouwer.drift"}),
         (("spread", "sample", "--seed", "11"), HEAVY | {"brouwer.fleeing", "brouwer.reals"}),
         # only the berlin-r spec and the cambridge-13 replay read pi
@@ -109,9 +122,6 @@ def test_importing_every_module_loads_no_dataclasses_or_inspect():
         (("replay", "vienna-9"), PI),
         (("replay", "ks-12"),
          PI | {"brouwer.drift", "brouwer.reals", "brouwer.spreads", "brouwer.dyadic"}),
-        # both pattern searches need the oracle and nothing of the point machinery
-        (("pi", "find", "--pattern", "999999", "--limit", "2000"),
-         HEAVY | {"brouwer.reals", "brouwer.spreads"}),
     ],
 )
 def test_each_command_loads_only_its_modules(args, absent):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import bench_writer
 from brouwer.errors import ResourceLimitError
 from brouwer.logic import (
     ATOM_POOL,
@@ -1205,3 +1206,12 @@ def test_formula_count_without_building_the_formulas(monkeypatch):
         validity_sweep("ic1", SweepBounds(max_operand_depth=3))
     assert ei.value.requested == 1254 * 21_918_630
     assert ei.value.limit == DEFAULT_SWEEP_CAP
+
+
+def test_sweep_bounds_script_runs():
+    record = bench_writer.bench.sweep(((3, 2, 2),))
+    (row,) = record["rows"]
+    assert list(row) == ["bounds", "formulas", "models", "classes", "seconds", "models_per_s",
+                         "masks_mean", "masks_max"]
+    assert [row[k] for k in list(row)[:4]] == ["(3,2,2)", 2703, 54, 24]
+    assert bench_writer.survives_json(record)

@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bench_writer
 from brouwer import _pi_backends
 from brouwer.fleeing import DigitOracle
 from brouwer._pi_backends import (
@@ -204,3 +205,12 @@ def test_decimal_split_matches_int_split(k):
     assert no_p is None
     assert (int(q_dec), int(t_dec)) == (q, t)
     assert tuple(map(int, _chud_split_dec(0, k, True))) == (p, q, t)
+
+
+def test_benchmark_script_runs():
+    record = bench_writer.bench.pi((1_000,))
+    (row,) = record["rows"]
+    assert list(row) == ["digits", "chudnovsky_s", "critical_s", "machin_s", "spigot_s"]
+    assert row["digits"] == 1_000
+    assert all(isinstance(row[k], float) for k in list(row)[1:])  # both cross-checks ran
+    assert bench_writer.survives_json(record)

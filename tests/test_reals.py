@@ -3,6 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bench_writer
 from brouwer.reals import (
     PairRelation,
     Point,
@@ -328,6 +329,17 @@ def test_a_derailed_base_refuses_at_its_stage_through_a_map(name, k):
             with pytest.raises(AdmissibilityError) as e:
                 image.prefix(h)
             assert e.value.stage == k
+
+
+def test_point_streams_script_runs():
+    record = bench_writer.bench.streams((1_000,))
+    assert [list(r) for r in record["rows"]] == [["point", "stages", "ms", "us_per_stage"]] * 5
+    assert [(r["point"], r["stages"]) for r in record["rows"]] == [
+        (name, 1_000)
+        for name in ("value(1/3)", "identity(value)", "negation(value)", "delay(value)",
+                     "centered(value,16)")
+    ]
+    assert bench_writer.survives_json(record)
 
 
 def sample_points():
