@@ -7,11 +7,15 @@ Three independent routes:
   multiplication-only Newton iteration for 1/sqrt(10005) and one
   ``decimal`` division. Python int division and int-to-string are
   quadratic; libmpdec multiplies with a number-theoretic transform and
-  prints in linear time. The split sums live in a ``ChudnovskySeries``
-  that a caller may keep: the exact P, Q, T of the first N terms combine
-  with those of terms N..N'-1 into exactly the integers one split of the
-  first N' terms gives, so a read at a higher precision splits only the
-  new terms and redoes just the square root, the division and the string.
+  prints in linear time. The leaves fold their terms in one at a time
+  and divide out the factors P and the next term's q share, and they hand
+  Q to libmpdec with its trailing zeros in the exponent, so the sums above
+  them carry shorter integers. The split sums live in a
+  ``ChudnovskySeries`` that a caller may keep: the exact P, Q, T of the
+  first N terms combine with those of terms N..N'-1 into the same sums one
+  split of the first N' terms gives, equal T/Q and P/Q, so a read at a
+  higher precision splits only the new terms and redoes just the square
+  root, the division and the string.
 * Certified Machin enclosure (16 atan 1/5 - 4 atan 1/239) - the
   self-test of ``fleeing.DigitOracle`` and the cross-check of the tests.
   Integers lo < 10**m * pi < hi, term by term with floor divisions whose
@@ -33,7 +37,7 @@ from __future__ import annotations
 import decimal
 from decimal import Decimal
 from itertools import count, islice
-from math import sqrt
+from math import gcd, sqrt
 
 BACKEND = "int"
 
@@ -46,25 +50,37 @@ _CH_C3_24 = 640320**3 // 24  # 10939058860032000
 
 
 def _chud_split(a: int, b: int) -> tuple[int, int, int]:
-    if b - a == 1:
-        if a == 0:
-            p = q = 1
-        else:
-            p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
-            q = a * a * a * _CH_C3_24
-        t = p * (_CH_A + _CH_B * a)
-        if a & 1:
-            t = -t
-        return p, q, t
-    m = (a + b) // 2
-    p1, q1, t1 = _chud_split(a, m)
-    p2, q2, t2 = _chud_split(m, b)
-    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+    """P, Q, T of terms a..b-1 on Python ints, folded in one term at a time.
+
+    Term k, with p_k = (6k-5)(2k-1)(6k-1), q_k = k**3 * 640320**3 / 24 and
+    t_k = (-1)**k * p_k * (13591409 + 545140134k), joins as
+    (P*p_k, Q*q_k, T*q_k + P*t_k). Before it does, g = gcd(P, q_k) is
+    divided out of P and q_k, which divides the new P, Q and T all by g:
+    T/Q and P/Q, the sums a caller reads, stay exact, while Q and T lose
+    every factor the p's so far share with q_k. The integers therefore
+    depend on where a range starts, the ratios do not.
+    """
+    p = q = 1
+    t = 0
+    for k in range(a, b):
+        if k:  # term 0 has p_0 = q_0 = 1
+            qk = k * k * k * _CH_C3_24
+            g = gcd(p, qk)
+            qk //= g
+            p = p // g * ((6 * k - 5) * (2 * k - 1) * (6 * k - 1))
+            q *= qk
+            t *= qk
+        # add P*t_k; p already holds P*p_k
+        tk = p * (_CH_A + _CH_B * k)
+        t = t - tk if k & 1 else t + tk
+    return p, q, t
 
 
-# Ranges of up to this many terms are split on Python ints and converted
-# once: at their sizes ints multiply faster than libmpdec, and converting
-# larger ints to Decimal takes quadratic time.
+# Ranges of up to this many terms are folded on Python ints, with common
+# factors removed, and converted once: at their sizes ints multiply faster
+# than libmpdec, and converting larger ints to Decimal takes quadratic
+# time. Above them nothing is removed, since libmpdec has no gcd and an
+# exact division costs several multiplications.
 _LEAF_TERMS = 32
 
 # Exact integer arithmetic on libmpdec: any rounding at all raises.
@@ -78,10 +94,15 @@ _EXACT = decimal.Context(
 
 def _chud_split_dec(a: int, b: int, with_p=False) -> tuple[Decimal | None, Decimal, Decimal]:
     """P, Q, T of terms a..b-1 as exact Decimal integers; P is None unless
-    with_p, since no caller reads P on the right spine of a splitting."""
+    with_p, since no caller reads P on the right spine of a splitting.
+
+    Each q_k ends in three zeros, so a leaf's Q is normalized: its powers
+    of ten go to the exponent, where products add them exactly, and the
+    coefficients multiplied above the leaves are shorter by that much.
+    """
     if b - a <= _LEAF_TERMS:
         p, q, t = _chud_split(a, b)
-        return Decimal(p) if with_p else None, Decimal(q), Decimal(t)
+        return Decimal(p) if with_p else None, Decimal(q).normalize(_EXACT), Decimal(t)
     m = (a + b) // 2
     p1, q1, t1 = _chud_split_dec(a, m, True)
     p2, q2, t2 = _chud_split_dec(m, b, with_p)
@@ -127,9 +148,12 @@ class ChudnovskySeries:
     """The exact P, Q, T of the first ``terms`` Chudnovsky terms, grown in place.
 
     Splitting is associative: P, Q, T of terms a..m-1 and m..b-1 combine as
-    (P1*P2, Q1*Q2, T1*Q2 + P1*T2) into those of a..b-1, so extending the
-    first N terms by N..N'-1 gives exactly the integers one split of the
-    first N' terms gives. A fresh series is the empty sum, (1, 1, 0).
+    (P1*P2, Q1*Q2, T1*Q2 + P1*T2) into those of a..b-1, and a triple
+    divided through by a common factor stands for the same sums. So
+    extending the first N terms by N..N'-1 gives the same sums one split of
+    the first N' terms gives: equal T/Q and P/Q, though the integers may
+    differ where the leaves' removed factors differ. A fresh series is the
+    empty sum, (1, 1, 0).
     """
 
     __slots__ = ("terms", "p", "q", "t")

@@ -3,6 +3,7 @@ and the digits the Machin enclosure proves against the spigot."""
 
 from decimal import Decimal
 from fractions import Fraction
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,6 +26,35 @@ from brouwer._pi_backends import (
 )
 
 SPIGOT_1001 = spigot_digits(1001)
+
+
+def _reference_split(a, b):
+    """P, Q, T of terms a..b-1 by the plain recursive split on Python ints,
+    no common factor removed: the reference the production sums must equal."""
+    if b - a == 1:
+        if a == 0:
+            p = q = 1
+        else:
+            p = (6 * a - 5) * (2 * a - 1) * (6 * a - 1)
+            q = a * a * a * (640320**3 // 24)
+        t = p * (13591409 + 545140134 * a)
+        return p, q, -t if a & 1 else t
+    m = (a + b) // 2
+    p1, q1, t1 = _reference_split(a, m)
+    p2, q2, t2 = _reference_split(m, b)
+    return p1 * p2, q1 * q2, t1 * q2 + p1 * t2
+
+
+def _same_ratio(x, y, rx, ry):
+    """x/y == rx/ry, cross-multiplied exactly on libmpdec."""
+    x, y, rx, ry = map(Decimal, (x, y, rx, ry))
+    return _EXACT.multiply(x, ry) == _EXACT.multiply(rx, y)
+
+
+def _same_sums(split, reference):
+    """Two P, Q, T triples have equal T/Q and P/Q."""
+    (p, q, t), (rp, rq, rt) = split, reference
+    return _same_ratio(t, q, rt, rq) and _same_ratio(p, q, rp, rq)
 
 
 def test_stdlib_route_matches_machin():
@@ -81,14 +111,50 @@ def test_a_series_read_before_widens_its_guard_the_same_way(n, fill, grown_from,
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.integers(1, 400), min_size=1, max_size=6))
 def test_an_extended_series_is_one_split_of_the_whole_range(counts):
-    # extending through any term counts, in any order, leaves exactly the
-    # P, Q, T of one split of the largest range asked for
+    # extending through any term counts, in any order, leaves the sums of one
+    # split of the largest range asked for: T/Q and P/Q equal the plain
+    # split's, though the factors the leaves remove change the integers
     series = ChudnovskySeries()
     for i, k in enumerate(counts):
         series.extend(k)
         whole = max(counts[: i + 1])
         assert series.terms == whole
-        assert (series.p, series.q, series.t) == _chud_split_dec(0, whole, True)
+        assert _same_sums((series.p, series.q, series.t), _reference_split(0, whole))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.one_of(st.just(0), st.integers(0, 2_000)), st.integers(1, 300))
+def test_folded_sums_equal_the_plain_split_on_any_range(a, terms):
+    # the int fold with its per-term gcd, alone and under the Decimal levels
+    reference = _reference_split(a, a + terms)
+    assert _same_sums(_chud_split(a, a + terms), reference)
+    assert _same_sums(_chud_split_dec(a, a + terms, True), reference)
+
+
+@cache
+def _machin_prefix():
+    return machin_digits(14 * 1_500 + 100)
+
+
+@settings(max_examples=10, deadline=None)
+@given(st.lists(st.integers(1, 1_500), min_size=1, max_size=4))
+def test_a_series_grown_across_many_leaves_reads_the_certified_digits(counts):
+    # term counts up to ~2*10**4 digits, each read a few terms past the last
+    # extension, so the leaves fall at many different boundaries
+    series = ChudnovskySeries()
+    for k in counts:
+        series.extend(k)
+        n = 14 * k
+        assert chudnovsky_digits(n, series) == _machin_prefix()[:n]
+
+
+def test_the_leaves_keep_q_well_below_the_plain_split():
+    # at 708 terms (10**4 digits) Q's coefficient has 12,649 digits against
+    # the plain split's 16,468: the removed factors and the leaves' powers
+    # of ten, which sit in the exponent
+    _, q, _ = _chud_split_dec(0, 708)
+    _, reference_q, _ = _reference_split(0, 708)
+    assert len(q.as_tuple().digits) <= 4 / 5 * len(Decimal(reference_q).as_tuple().digits)
 
 
 @settings(max_examples=40, deadline=None)
@@ -200,11 +266,14 @@ def test_inv_sqrt_error_bound(digits):
 
 @pytest.mark.parametrize("k", [1, 2, _LEAF_TERMS - 1, _LEAF_TERMS, _LEAF_TERMS + 1, 65, 300])
 def test_decimal_split_matches_int_split(k):
-    p, q, t = _chud_split(0, k)
+    # the integers depend on where the leaves fall, the sums do not: the int
+    # fold and the Decimal split both have the plain split's T/Q and P/Q
+    _, rq, rt = reference = _reference_split(0, k)
+    assert _same_sums(_chud_split(0, k), reference)
     no_p, q_dec, t_dec = _chud_split_dec(0, k)
     assert no_p is None
-    assert (int(q_dec), int(t_dec)) == (q, t)
-    assert tuple(map(int, _chud_split_dec(0, k, True))) == (p, q, t)
+    assert _same_ratio(t_dec, q_dec, rt, rq)
+    assert _same_sums(_chud_split_dec(0, k, True), reference)
 
 
 def test_benchmark_script_runs():
