@@ -5,7 +5,8 @@ their recorded stdout, stderr and exit code, text and --json alike, one
 command per line. Commands run in-process through
 ``cli.main`` with tests/golden/ as the working directory (so no
 brouwer.toml applies and the README's model.json resolves) and without
-BW_DIGIT_LIMIT.
+BW_DIGIT_LIMIT, with COLUMNS set so that argparse's help and usage
+lines wrap the same on any terminal.
 
     python tests/cli_golden.py        rewrite every golden file
 
@@ -20,6 +21,7 @@ import sys
 from pathlib import Path
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+COLUMNS = "80"  # argparse wraps --help and usage lines to the terminal's width
 
 README = [
     ["pi", "digits", "20"],
@@ -41,6 +43,36 @@ DRIFTS = ("rational-right", "two-winged-mixed", "berlin")
 KINDS = ("direct", "osc", "oscillatory", "cond", "conditional")
 TRACES = ("never", "true:3", "false:2")
 POINTS = ("zero", "one", "half", "berlin-s", "berlin-r", "vienna-e")
+PARSERS = (
+    [], ["pi"], ["pi", "digits"], ["pi", "find"], ["fleeing"], ["fleeing", "critical"],
+    ["spread"], ["spread", "sample"], ["real"], ["real", "cmp"], ["drift"], ["drift", "run"],
+    ["logic"], ["logic", "eval"], ["logic", "sweep"], ["derive"], ["derive", "check"],
+    ["derive", "ks-report"], ["replay"],
+)
+EVAL = ["logic", "eval", "--model", "model.json"]
+# the output branches the README, drift and real groups leave out
+BRANCHES = [
+    ["logic", "sweep", "--schema", "ic1", "--nodes", "3"],
+    ["logic", "sweep", "--schema", "ic1", "--nodes", "12"],
+    EVAL + ["--at", "root", "--formula", "q"],
+    EVAL + ["--at", "later", "--formula", "q"],
+    EVAL + ["--at", "nowhere", "--formula", "q"],
+    EVAL + ["--at", "root", "--formula", "q &"],
+    ["spread", "sample", "--law", "universal"],
+    ["pi", "find", "--pattern", "0000000", "--limit", "500"],
+    ["fleeing", "critical", "--digit", "0", "--run", "6", "--horizon", "300"],
+    ["derive", "check", "rejected.txt"],
+    ["derive", "check", "syntax_error.txt"],
+    ["derive", "check", "missing.txt"],
+]
+USAGE_ERRORS = [
+    [],
+    ["pi"],
+    ["pi", "digits", "many"],
+    ["pi", "find"],
+    ["logic", "sweep", "--schema", "zz"],
+    ["replay", "vienna-9", "--bogus"],
+]
 
 
 def _both(commands):
@@ -62,16 +94,21 @@ GROUPS = {
           "--horizon", "40"]
          for lhs in POINTS for rhs in POINTS for t in TRACES]
     ),
+    "branches": _both(BRANCHES) + USAGE_ERRORS + [argv + ["--help"] for argv in PARSERS],
 }
 
 
 def run(argv):
-    """{"argv", "exit", "stdout", "stderr"} of one in-process CLI run."""
+    """{"argv", "exit", "stdout", "stderr"} of one in-process CLI run; argparse's
+    exit (a usage error or --help) is recorded like main's own."""
     from brouwer.cli import main
 
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main(argv)
+        try:
+            code = main(argv)
+        except SystemExit as e:
+            code = e.code
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
@@ -86,6 +123,7 @@ def render(results):
 def rewrite():
     os.chdir(GOLDEN)
     os.environ.pop("BW_DIGIT_LIMIT", None)
+    os.environ["COLUMNS"] = COLUMNS
     for group, commands in GROUPS.items():
         path(group).write_text(render([run(argv) for argv in commands]), encoding="utf-8")
         print(f"{path(group)}: {len(commands)} commands")

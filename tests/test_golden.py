@@ -15,6 +15,7 @@ from brouwer import fleeing
 def test_cli_outputs_match_the_golden_file(group, monkeypatch):
     monkeypatch.chdir(cli_golden.GOLDEN)
     monkeypatch.delenv("BW_DIGIT_LIMIT", raising=False)
+    monkeypatch.setenv("COLUMNS", cli_golden.COLUMNS)
     monkeypatch.setattr(fleeing, "_default_oracle", None)
     expected = json.loads(cli_golden.path(group).read_text(encoding="utf-8"))
     assert [case["argv"] for case in expected] == cli_golden.GROUPS[group]
