@@ -5,10 +5,12 @@
 
 CHECKOUT defaults to the checkout that holds this script; give two (a copy
 of the parent commit and this one, say) for a before and an after in one
-file. Each section runs once per checkout in a fresh child process whose
+file. Each section runs per checkout in fresh child processes whose
 working directory is that checkout and whose PYTHONPATH is its src/, with
-BW_DIGIT_LIMIT unset. The checkouts alternate section by section, so both
-sides share the machine's drift. The sections:
+BW_DIGIT_LIMIT unset. The checkouts take turns so that both sides share
+the machine's drift: pi size by size, cold command by command (the side
+that goes first flips each time), the other sections section by section.
+The sections:
 
 - pi: ``chudnovsky_digits(n)``, and a fresh ``DigitOracle()`` (its
   1000-digit self-test included) scanning ``critical_number(run_property(0,
@@ -25,7 +27,8 @@ sides share the machine's drift. The sections:
   fixed (nodes, atoms, operand depth), with the root classes the sweep's
   class tables list, checked against every model's root class, and the
   distinct formula masks per model: the size of the mask algebra the sweep
-  closes on each model, against the formula count.
+  closes on each model, against the formula count. Seconds are the median
+  of three runs.
 - cold: the median of seven fresh processes for a bare interpreter, for
   ``import argparse, json, fractions`` (what the CLI needs before any
   brouwer module) and for each README command with --json, run in a
@@ -62,7 +65,7 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 SECTIONS = ("pi", "streams", "sweep", "cold", "tier1", "perfbench")
 
 PI_DIGITS = (1_000, 10_000, 50_000, 100_000, 200_000, 1_000_000)
-PI_REPEATS = 3
+REPEATS = 3
 HORIZONS = (1_000, 4_000, 16_000)
 BOUNDS = ((3, 2, 2), (5, 2, 2), (4, 3, 2), (6, 2, 2), (5, 3, 1), (6, 2, 1), (7, 2, 1))
 
@@ -92,7 +95,7 @@ def timed(fn, *args, **kwargs):
 
 def timed_median(fn, *args):
     """fn's result, which every run must repeat, and its median seconds."""
-    runs = [timed(fn, *args) for _ in range(PI_REPEATS)]
+    runs = [timed(fn, *args) for _ in range(REPEATS)]
     out = runs[0][0]
     assert all(other == out for other, _ in runs), f"{fn.__name__} changed its answer"
     return out, statistics.median(seconds for _, seconds in runs)
@@ -172,13 +175,19 @@ def _classes_and_masks(bounds) -> tuple:
 def sweep(bounds=BOUNDS) -> dict:
     from brouwer.logic import SweepBounds, _level_starts, principle_suite
 
+    def suite(b):
+        # the answer in values that compare equal across runs (a countermodel's tree does not)
+        report = principle_suite(b)
+        return report.monotone_ok, [(r.models_checked, r.instances_checked)
+                                    for r in report.results.values()]
+
     rows = []
     for nodes, atoms, depth in bounds:
         b = SweepBounds(max_nodes=nodes, max_atoms=atoms, max_operand_depth=depth)
-        report, seconds = timed(principle_suite, b)
-        models = max(r.models_checked for r in report.results.values())
+        (monotone_ok, checked), seconds = timed_median(suite, b)
+        models = max(m for m, _ in checked)
         classes, counts = _classes_and_masks(b)
-        assert len(counts) == models and report.monotone_ok, f"sweep at {b}"
+        assert len(counts) == models and monotone_ok, f"sweep at {b}"
         rows.append({
             "bounds": f"({nodes},{atoms},{depth})", "formulas": _level_starts(b)[-1],
             "models": models, "classes": classes, "seconds": seconds,
@@ -188,23 +197,29 @@ def sweep(bounds=BOUNDS) -> dict:
     return {"rows": rows}
 
 
-def cold(repeats=7) -> dict:
+def cold(checkouts, repeats=7) -> list:
+    """One record per checkout; each command runs on every checkout in turn."""
     commands = {"python -c pass": ["-c", "pass"],
                 "import argparse, json, fractions": ["-c", "import argparse, json, fractions"]}
     for line in README:
         commands[line] = ["-m", "brouwer.cli", *shlex.split(line), "--json"]
-    times = {line: [] for line in commands}
+    times = [{line: [] for line in commands} for _ in checkouts]
     with tempfile.TemporaryDirectory() as cwd:
         with open(os.path.join(cwd, "model.json"), "w", encoding="utf-8") as fh:
             fh.write(MODEL)
-        for _ in range(repeats):
-            for line, args in commands.items():
-                done, seconds = timed(subprocess.run, [sys.executable, *args], cwd=cwd,
-                                      capture_output=True, text=True)
-                assert done.returncode == 0, f"{line} exited {done.returncode}: {done.stderr}"
-                times[line].append(seconds * 1e3)
-    rows = [{"command": line, "median_ms": statistics.median(ms)} for line, ms in times.items()]
-    return {"repeats": repeats, "rows": rows}
+
+        def start(checkout, line):
+            done, seconds = timed(subprocess.run, [sys.executable, *commands[line]], cwd=cwd,
+                                  env=child_env(checkout), capture_output=True, text=True)
+            assert done.returncode == 0, f"{line} exited {done.returncode}: {done.stderr}"
+            return seconds * 1e3
+
+        for i in range(repeats):
+            for line in commands:
+                for k, ms in enumerate(in_turn(checkouts, i, start, line)):
+                    times[k][line].append(ms)
+    return [{"repeats": repeats, "rows": [{"command": line, "median_ms": statistics.median(ms)}
+                                          for line, ms in t.items()]} for t in times]
 
 
 def tier1() -> dict:
@@ -254,16 +269,40 @@ def environment() -> dict:
     }
 
 
-def run_child(section: str, checkout: str) -> dict:
+def child_env(checkout: str) -> dict:
     env = {k: v for k, v in os.environ.items() if k != "BW_DIGIT_LIMIT"}
     env["PYTHONPATH"] = os.path.join(checkout, "src")
+    return env
+
+
+def in_turn(checkouts: list, i: int, fn, *args) -> list:
+    """fn(checkout, *args) for each checkout, in checkout order; the first
+    checkout goes first at even i and last at odd i."""
+    order = range(len(checkouts)) if i % 2 == 0 else reversed(range(len(checkouts)))
+    done = {k: fn(checkouts[k], *args) for k in order}
+    return [done[k] for k in range(len(checkouts))]
+
+
+def run_child(checkout: str, section: str, *args) -> dict:
     code = (f"import json, sys; sys.path.insert(0, {HERE!r}); import bench; "
-            f"print(json.dumps(bench.{section}()))")
-    done = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=env,
+            f"print(json.dumps(bench.{section}(*{args!r})))")
+    done = subprocess.run([sys.executable, "-c", code], cwd=checkout, env=child_env(checkout),
                           capture_output=True, text=True)
     if done.returncode != 0:
         sys.exit(f"{section} failed in {checkout}, nothing written:\n{done.stderr}")
     return json.loads(done.stdout)
+
+
+def run_section(section: str, checkouts: list) -> list:
+    """The section's record for each checkout."""
+    if section == "cold":
+        return cold(checkouts)
+    if section != "pi":
+        return [run_child(checkout, section) for checkout in checkouts]
+    # one child per size and checkout; each checkout's rows are joined in size order
+    parts = [in_turn(checkouts, i, run_child, "pi", (n,)) for i, n in enumerate(PI_DIGITS)]
+    return [{**column[0], "rows": [row for part in column for row in part["rows"]]}
+            for column in zip(*parts)]
 
 
 def cell(value) -> str:
@@ -304,7 +343,7 @@ def main() -> None:
     for k, checkout in enumerate(record["checkouts"]):
         print(f"[{k}] {checkout}")
     for section in SECTIONS:
-        record[section] = [run_child(section, checkout) for checkout in checkouts]
+        record[section] = run_section(section, checkouts)
         show(section, record[section])
     with open(args.out, "w", encoding="utf-8") as fh:
         json.dump(record, fh, indent=1, sort_keys=True)

@@ -19,6 +19,10 @@ horizon, nodes, atoms, digits, seed); command-line flags override the
 file. JSON output is deterministic for fixed flags and seed: keys are
 sorted and the seed is recorded in every payload.
 
+Each handler computes its result and returns (exit code, payload, text)
+without printing; main alone prints, the payload as JSON under --json and
+the text otherwise.
+
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
 64 resource refusal.
 """
@@ -70,11 +74,6 @@ def load_config(path: str = CONFIG_FILE) -> dict:
     return cfg
 
 
-def _emit(payload: dict, seed: int) -> None:
-    payload["seed"] = seed
-    print(json.dumps(payload, sort_keys=True))
-
-
 # --- point specs for `real cmp` ---
 
 POINT_SPECS = ("zero", "one", "half", "berlin-s", "berlin-r", "vienna-e")
@@ -111,72 +110,40 @@ def _build_point(spec: str, trace: EventTrace, digit: int, run: int):
 
 # --- subcommand handlers ---
 # Each handler imports the modules it uses, so a command loads only those.
+# It returns (exit code, JSON payload, text) and prints nothing: main prints
+# the one --json picks, and records cfg's seed in a payload without its own.
 
 
-def _cmd_pi(args, cfg) -> int:
+def _cmd_pi(args, cfg) -> tuple[int, dict, str]:
     from .fleeing import default_oracle, find_pattern
 
     oracle = default_oracle()
     if args.pi_cmd == "digits":
         n = args.n if args.n is not None else cfg["digits"]
         digits = oracle.digits(n)
-        if args.json:
-            _emit({"command": "pi-digits", "n": n, "digits": digits}, cfg["seed"])
-        else:
-            print(digits)
-        return EXIT_OK
+        return EXIT_OK, {"command": "pi-digits", "n": n, "digits": digits}, digits
     limit = args.limit
     pos = find_pattern(args.pattern, limit, oracle)
     verdict = f"found-at:{pos}" if pos is not None else f"none-below:{limit}"
-    if args.json:
-        _emit(
-            {
-                "command": "pi-find",
-                "pattern": args.pattern,
-                "limit": limit,
-                "position": pos,
-                "verdict": verdict,
-            },
-            cfg["seed"],
-        )
-    else:
-        print(verdict)
-    return EXIT_OK
+    payload = {"command": "pi-find", "pattern": args.pattern, "limit": limit, "position": pos,
+               "verdict": verdict}
+    return EXIT_OK, payload, verdict
 
 
-def _cmd_fleeing(args, cfg) -> int:
+def _cmd_fleeing(args, cfg) -> tuple[int, dict, str]:
     from .fleeing import critical_number, run_property
 
     horizon = args.horizon if args.horizon is not None else cfg["horizon"]
     search = critical_number(run_property(args.digit, args.run), horizon)
-    if args.json:
-        _emit(
-            {
-                "command": "fleeing-critical",
-                "digit": args.digit,
-                "run": args.run,
-                "horizon": horizon,
-                "found_at": search.found_at,
-                "verdict": str(search),
-            },
-            cfg["seed"],
-        )
-    else:
-        print(search)
-    return EXIT_OK
+    payload = {"command": "fleeing-critical", "digit": args.digit, "run": args.run,
+               "horizon": horizon, "found_at": search.found_at, "verdict": str(search)}
+    return EXIT_OK, payload, str(search)
 
 
-def _cmd_spread(args, cfg) -> int:
+def _cmd_spread(args, cfg) -> tuple[int, dict, str]:
     import random
 
-    from .spreads import (
-        Generator,
-        Process,
-        emit_prefix,
-        never_trace,
-        rng_spread,
-        universal_spread,
-    )
+    from .spreads import Generator, Process, emit_prefix, never_trace, rng_spread, universal_spread
 
     seed = args.seed if args.seed is not None else cfg["seed"]
     law = rng_spread() if args.law == "rng" else universal_spread()
@@ -192,22 +159,12 @@ def _cmd_spread(args, cfg) -> int:
 
     g = Generator(law, Process(strategy), name=f"sample[{args.law}]")
     prefix = emit_prefix(g, args.stages, never_trace())
-    if args.json:
-        _emit(
-            {
-                "command": "spread-sample",
-                "law": args.law,
-                "stages": args.stages,
-                "prefix": list(prefix),
-            },
-            seed,
-        )
-    else:
-        print(" ".join(map(str, prefix)))
-    return EXIT_OK
+    payload = {"command": "spread-sample", "law": args.law, "stages": args.stages,
+               "prefix": list(prefix), "seed": seed}
+    return EXIT_OK, payload, " ".join(map(str, prefix))
 
 
-def _cmd_real(args, cfg) -> int:
+def _cmd_real(args, cfg) -> tuple[int, dict, str]:
     from .reals import apart_at, coincide_refute, lt_at
     from .spreads import parse_trace
 
@@ -222,29 +179,20 @@ def _cmd_real(args, cfg) -> int:
         "apart": apart_at(x, y, horizon),
         "coincide": coincide_refute(x, y, horizon),
     }
-    if args.json:
-        _emit(
-            {
-                "command": "real-cmp",
-                "lhs": args.lhs,
-                "rhs": args.rhs,
-                "horizon": horizon,
-                "verdicts": {k: v.as_dict() for k, v in verdicts.items()},
-            },
-            cfg["seed"],
-        )
-    else:
-        for name, v in verdicts.items():
-            extras = [f"horizon={v.horizon}"]
-            if v.witness is not None:
-                extras.append(f"witness={v.witness}")
-            if v.direction is not None:
-                extras.append(f"direction={v.direction}")
-            print(f"{name}: {v.value.value} ({', '.join(extras)})")
-    return EXIT_OK
+    payload = {"command": "real-cmp", "lhs": args.lhs, "rhs": args.rhs, "horizon": horizon,
+               "verdicts": {k: v.as_dict() for k, v in verdicts.items()}}
+    lines = []
+    for name, v in verdicts.items():
+        extras = [f"horizon={v.horizon}"]
+        if v.witness is not None:
+            extras.append(f"witness={v.witness}")
+        if v.direction is not None:
+            extras.append(f"direction={v.direction}")
+        lines.append(f"{name}: {v.value.value} ({', '.join(extras)})")
+    return EXIT_OK, payload, "\n".join(lines)
 
 
-def _cmd_drift(args, cfg) -> int:
+def _cmd_drift(args, cfg) -> tuple[int, dict, str]:
     from .drift import KIND_ALIASES, bundled_drift, checking_sequence, rationality_descriptor
     from .spreads import parse_trace
 
@@ -252,29 +200,16 @@ def _cmd_drift(args, cfg) -> int:
     kind = KIND_ALIASES[args.kind]
     trace = parse_trace(args.trace)
     run = checking_sequence(drift, kind, trace, args.terms)
-    limit_class = rationality_descriptor(drift, kind, trace)
-    if args.json:
-        _emit(
-            {
-                "command": "drift-run",
-                "drift": args.drift,
-                "kind": kind.value,
-                "trace": args.trace,
-                "terms": list(run.terms),
-                "limit": run.limit,
-                "limit_class": limit_class.as_dict(),
-            },
-            cfg["seed"],
-        )
-    else:
-        print("terms:", " ".join(run.terms))
-        print("limit:", run.limit)
-        lc = limit_class.as_dict()
-        print("class:", ", ".join(f"{k}={v}" for k, v in sorted(lc.items())))
-    return EXIT_OK
+    lc = rationality_descriptor(drift, kind, trace).as_dict()
+    payload = {"command": "drift-run", "drift": args.drift, "kind": kind.value,
+               "trace": args.trace, "terms": list(run.terms), "limit": run.limit,
+               "limit_class": lc}
+    text = (f"terms: {' '.join(run.terms)}\nlimit: {run.limit}\n"
+            f"class: {', '.join(f'{k}={v}' for k, v in sorted(lc.items()))}")
+    return EXIT_OK, payload, text
 
 
-def _cmd_logic(args, cfg) -> int:
+def _cmd_logic(args, cfg) -> tuple[int, dict, str]:
     from .logic import SweepBounds, dump_model, forces, load_model, parse, show, validity_sweep
 
     if args.logic_cmd == "eval":
@@ -283,20 +218,9 @@ def _cmd_logic(args, cfg) -> int:
         f = parse(args.formula)
         w = model.index_of(args.at)
         result = forces(model, w, f)
-        if args.json:
-            _emit(
-                {
-                    "command": "logic-eval",
-                    "model": args.model,
-                    "at": args.at,
-                    "formula": show(f),
-                    "forces": result,
-                },
-                cfg["seed"],
-            )
-        else:
-            print("true" if result else "false")
-        return EXIT_OK
+        payload = {"command": "logic-eval", "model": args.model, "at": args.at,
+                   "formula": show(f), "forces": result}
+        return EXIT_OK, payload, "true" if result else "false"
 
     bounds = SweepBounds(
         max_nodes=args.nodes if args.nodes is not None else cfg["nodes"],
@@ -305,60 +229,44 @@ def _cmd_logic(args, cfg) -> int:
         max_operand_depth=args.depth,
     )
     result = validity_sweep(args.schema, bounds)
-    if args.json:
-        payload = {
-            "command": "logic-sweep",
-            "schema": args.schema,
-            "bounds": bounds.as_dict(),
-            "models_checked": result.models_checked,
-            "instances_checked": result.instances_checked,
-            "status": "valid-up-to-bounds" if result.valid_up_to_bounds else "countermodel",
-            "countermodel": result.countermodel.as_dict() if result.countermodel else None,
-        }
-        _emit(payload, cfg["seed"])
-    elif result.valid_up_to_bounds:
-        print(
-            f"{args.schema}: valid-up-to-bounds "
-            f"(models={result.models_checked}, instances={result.instances_checked})"
-        )
+    cm = result.countermodel
+    payload = {
+        "command": "logic-sweep",
+        "schema": args.schema,
+        "bounds": bounds.as_dict(),
+        "models_checked": result.models_checked,
+        "instances_checked": result.instances_checked,
+        "status": "valid-up-to-bounds" if result.valid_up_to_bounds else "countermodel",
+        "countermodel": cm.as_dict() if cm else None,
+    }
+    if result.valid_up_to_bounds:
+        text = (f"{args.schema}: valid-up-to-bounds "
+                f"(models={result.models_checked}, instances={result.instances_checked})")
     else:
-        cm = result.countermodel
-        print(f"{args.schema}: countermodel (models searched: {result.models_checked})")
-        print(f"  instance: {show(cm.instance)}")
-        print(f"  fails at: {cm.model.ids[cm.node]}")
-        print(f"  model: {json.dumps(dump_model(cm.model), sort_keys=True)}")
-    return EXIT_OK
+        text = "\n".join((
+            f"{args.schema}: countermodel (models searched: {result.models_checked})",
+            f"  instance: {show(cm.instance)}",
+            f"  fails at: {cm.model.ids[cm.node]}",
+            f"  model: {json.dumps(dump_model(cm.model), sort_keys=True)}",
+        ))
+    return EXIT_OK, payload, text
 
 
-def _cmd_derive(args, cfg) -> int:
-    from .derivation import (
-        BUNDLED_SCRIPTS,
-        Rejected,
-        ScriptSyntaxError,
-        check_script,
-        ks_prerequisite_report,
-    )
+def _cmd_derive(args, cfg) -> tuple[int, dict, str]:
+    from .derivation import BUNDLED_SCRIPTS, ScriptSyntaxError, check_script, ks_prerequisite_report
     from .logic import show
 
     if args.derive_cmd == "ks-report":
         report = ks_prerequisite_report()
-        if args.json:
-            _emit({"command": "derive-ks-report", **report.as_dict()}, cfg["seed"])
-        else:
-            print("claim:", report.claim)
-            print("available:")
-            for line in report.available:
-                print("  -", line)
-            print("blocked:")
-            for b in report.blocked:
-                nodes = len(b.countermodel.model.parents)
-                print(f"  - {b.rule} [{b.schema}]: {b.role}")
-                print(
-                    f"    countermodel: {nodes} nodes, instance "
-                    f"{show(b.countermodel.instance)} fails at "
-                    f"{b.countermodel.model.ids[b.countermodel.node]}"
-                )
-        return EXIT_OK
+        lines = [f"claim: {report.claim}", "available:"]
+        lines += [f"  - {line}" for line in report.available]
+        lines.append("blocked:")
+        for b in report.blocked:
+            cm = b.countermodel
+            lines.append(f"  - {b.rule} [{b.schema}]: {b.role}")
+            lines.append(f"    countermodel: {len(cm.model.parents)} nodes, instance "
+                         f"{show(cm.instance)} fails at {cm.model.ids[cm.node]}")
+        return EXIT_OK, {"command": "derive-ks-report", **report.as_dict()}, "\n".join(lines)
 
     target = args.script
     if target.replace("_", "-") in BUNDLED_SCRIPTS:
@@ -370,24 +278,15 @@ def _cmd_derive(args, cfg) -> int:
     try:
         result = check_script(text)
     except ScriptSyntaxError as e:
-        if args.json:
-            _emit(
-                {"command": "derive-check", "script": target, "status": "syntax-error",
-                 "reason": str(e)},
-                cfg["seed"],
-            )
-        else:
-            print(f"syntax error: {e}")
-        return EXIT_MISMATCH
-    if args.json:
-        _emit({"command": "derive-check", "script": target, **result.as_dict()}, cfg["seed"])
-    elif isinstance(result, Rejected):
-        print(f"rejected at step {result.step}: {result.reason}")
-    else:
-        print(f"verified: {show(result.conclusion)} ({result.step_count} steps)")
-        for w in result.warnings:
-            print("warning:", w)
-    return EXIT_OK if result.ok else EXIT_MISMATCH
+        payload = {"command": "derive-check", "script": target, "status": "syntax-error",
+                   "reason": str(e)}
+        return EXIT_MISMATCH, payload, f"syntax error: {e}"
+    payload = {"command": "derive-check", "script": target, **result.as_dict()}
+    if not result.ok:
+        return EXIT_MISMATCH, payload, f"rejected at step {result.step}: {result.reason}"
+    lines = [f"verified: {show(result.conclusion)} ({result.step_count} steps)"]
+    lines += [f"warning: {w}" for w in result.warnings]
+    return EXIT_OK, payload, "\n".join(lines)
 
 
 # --- replays ---
@@ -503,24 +402,14 @@ def _replay_checks(name: str) -> list[tuple[str, bool]]:
 REPLAYS = ("vienna-9", "drift-11", "ks-12", "cambridge-13")
 
 
-def _cmd_replay(args, cfg) -> int:
+def _cmd_replay(args, cfg) -> tuple[int, dict, str]:
     checks = _replay_checks(args.name)
     ok = all(flag for _, flag in checks)
-    if args.json:
-        _emit(
-            {
-                "command": "replay",
-                "name": args.name,
-                "checks": [{"label": label, "ok": flag} for label, flag in checks],
-                "ok": ok,
-            },
-            cfg["seed"],
-        )
-    else:
-        for label, flag in checks:
-            print(f"{'ok' if flag else 'FAIL'}: {label}")
-        print(f"replay {args.name}: {'ok' if ok else 'FAILED'}")
-    return EXIT_OK if ok else EXIT_MISMATCH
+    payload = {"command": "replay", "name": args.name, "ok": ok,
+               "checks": [{"label": label, "ok": flag} for label, flag in checks]}
+    lines = [f"{'ok' if flag else 'FAIL'}: {label}" for label, flag in checks]
+    lines.append(f"replay {args.name}: {'ok' if ok else 'FAILED'}")
+    return EXIT_OK if ok else EXIT_MISMATCH, payload, "\n".join(lines)
 
 
 # --- argument parsing ---
@@ -534,11 +423,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps = p.add_subparsers(dest="pi_cmd", required=True)
     pd = ps.add_parser("digits", help="print decimal digits after the point")
     pd.add_argument("n", type=int, nargs="?", default=None)
-    pd.add_argument("--json", action="store_true")
     pf = ps.add_parser("find", help="first 1-based position of a pattern")
     pf.add_argument("--pattern", required=True)
     pf.add_argument("--limit", type=int, default=1_000_000)
-    pf.add_argument("--json", action="store_true")
 
     f = sub.add_parser("fleeing", help="critical number of a digit-run property")
     fs = f.add_subparsers(dest="fleeing_cmd", required=True)
@@ -546,7 +433,6 @@ def build_parser() -> argparse.ArgumentParser:
     fc.add_argument("--digit", type=int, default=9)
     fc.add_argument("--run", type=int, default=6)
     fc.add_argument("--horizon", type=int, default=None)
-    fc.add_argument("--json", action="store_true")
 
     s = sub.add_parser("spread", help="sample admissible prefixes")
     ss = s.add_subparsers(dest="spread_cmd", required=True)
@@ -554,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--law", choices=("rng", "universal"), default="rng")
     sp.add_argument("--stages", type=int, default=8)
     sp.add_argument("--seed", type=int, default=None)
-    sp.add_argument("--json", action="store_true")
 
     r = sub.add_parser("real", help="compare points")
     rs = r.add_subparsers(dest="real_cmd", required=True)
@@ -566,7 +451,6 @@ def build_parser() -> argparse.ArgumentParser:
     rc.add_argument("--digit", type=int, default=9, help="berlin-r property digit")
     rc.add_argument("--run", type=int, default=6, help="berlin-r property run length")
     rc.add_argument("--horizon", type=int, default=None)
-    rc.add_argument("--json", action="store_true")
 
     d = sub.add_parser("drift", help="checking sequences")
     ds = d.add_subparsers(dest="drift_cmd", required=True)
@@ -576,7 +460,6 @@ def build_parser() -> argparse.ArgumentParser:
     dr.add_argument("--kind", choices=DRIFT_KINDS, default="direct")
     dr.add_argument("--trace", default="never", help="never | true:k | false:k")
     dr.add_argument("--terms", type=int, default=8)
-    dr.add_argument("--json", action="store_true")
 
     l = sub.add_parser("logic", help="stage-modal semantics")
     ls = l.add_subparsers(dest="logic_cmd", required=True)
@@ -584,7 +467,6 @@ def build_parser() -> argparse.ArgumentParser:
     le.add_argument("--model", required=True, help="model JSON file")
     le.add_argument("--at", required=True, help="node id")
     le.add_argument("--formula", required=True)
-    le.add_argument("--json", action="store_true")
     lw = ls.add_parser("sweep", help="exhaustive schema check")
     lw.add_argument("--schema", required=True,
                     choices=("ic1", "ic2", "ic3", "md", "cs4", "cs5"))
@@ -592,20 +474,18 @@ def build_parser() -> argparse.ArgumentParser:
     lw.add_argument("--atoms", type=int, default=None)
     lw.add_argument("--box", type=int, default=3)
     lw.add_argument("--depth", type=int, default=2)
-    lw.add_argument("--json", action="store_true")
 
     v = sub.add_parser("derive", help="check derivation scripts")
     vs = v.add_subparsers(dest="derive_cmd", required=True)
     vc = vs.add_parser("check", help="verify a script (bundled name or path)")
     vc.add_argument("script")
-    vc.add_argument("--json", action="store_true")
     vk = vs.add_parser("ks-report", help="blocked classical prerequisites")
-    vk.add_argument("--json", action="store_true")
 
     y = sub.add_parser("replay", help="re-run a bundled construction")
     y.add_argument("name", choices=REPLAYS)
-    y.add_argument("--json", action="store_true")
 
+    for leaf in (pd, pf, fc, sp, rc, dr, le, lw, vc, vk, y):
+        leaf.add_argument("--json", action="store_true")
     return top
 
 
@@ -630,16 +510,23 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_USAGE
     try:
-        return _HANDLERS[args.cmd](args, cfg)
+        code, payload, text = _HANDLERS[args.cmd](args, cfg)
     except ResourceLimitError as e:
         print(f"resource refusal: {e}", file=sys.stderr)
         return EXIT_RESOURCE
     except SettingError as e:
         print(f"setting error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, OSError) as e:
+    except (ValueError, OSError, RecursionError) as e:
+        # RecursionError: a formula nested too deep to parse, show or force
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISMATCH
+    if args.json:
+        payload.setdefault("seed", cfg["seed"])
+        print(json.dumps(payload, sort_keys=True))
+    else:
+        print(text)
+    return code
 
 
 if __name__ == "__main__":

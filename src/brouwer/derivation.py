@@ -188,6 +188,9 @@ _INSTANCE_RULES = {
     "MD-inst": "md", "IC1-inst": "ic1", "IC2-inst": "ic2", "IC3-inst": "ic3", "CS5R-inst": "cs5"
 }
 _RULE_ALIASES.update({rule.lower().replace("-", ""): rule for rule in _INSTANCE_RULES})
+# how many steps each other rule cites; the stage rules take 0 or 1
+_ARITY = {"Premise": 0, "DefAxiom": 0, "Assume": 0, "Discharge": 1, "MP": 2, "AndIntro": 2,
+          "AndElim": 1, "OrIntro": 1, "ContraPos": 1, "DNE": 1}
 
 
 def _parse_rule(text: str, line_no: int) -> tuple[str, tuple[int, ...]]:
@@ -323,31 +326,23 @@ def check_script(source: Union[str, Script]) -> CheckResult:
         if bad is not None:
             return bad
 
-        def arity(k: int) -> Optional[Rejected]:
-            if len(st.refs) != k:
-                return fail(f"needs exactly {k} reference(s), got {len(st.refs)}")
-            return None
-
         rule = st.rule
+        if rule in _ARITY and len(refs) != _ARITY[rule]:
+            return fail(f"needs exactly {_ARITY[rule]} reference(s), got {len(refs)}")
         err: Optional[Rejected] = None
 
         if rule == "Premise":
-            err = arity(0)
-            if not err and f not in script.premises:
+            if f not in script.premises:
                 err = fail(f"{show(f)} is not among the premises")
         elif rule == "DefAxiom":
-            err = arity(0)
-            if not err and f not in script.defaxioms:
+            if f not in script.defaxioms:
                 err = fail(f"{show(f)} is not among the definitional axioms")
         elif rule == "Assume":
-            err = arity(0)
-            if not err:
-                stack.append((n, f))
+            stack.append((n, f))
         elif rule == "Discharge":
-            err = arity(1)
-            if not err and not stack:
+            if not stack:
                 err = fail("no open assumption to discharge")
-            if not err:
+            else:
                 a_num, a_formula = stack[-1]
                 r = st.refs[0]
                 if visible[r] != BOT:
@@ -366,43 +361,32 @@ def check_script(source: Union[str, Script]) -> CheckResult:
                         if path_of[m][: len(cut)] == cut and len(path_of[m]) > len(cut):
                             del visible[m]
         elif rule == "MP":
-            err = arity(2)
-            if not err:
-                ok = any(
-                    isinstance(imp, Implies) and imp.left == arg and imp.right == f
-                    for imp, arg in (refs, refs[::-1])
-                )
-                if not ok:
-                    err = fail("neither reference is an implication applying to the other")
+            if not any(
+                isinstance(imp, Implies) and imp.left == arg and imp.right == f
+                for imp, arg in (refs, refs[::-1])
+            ):
+                err = fail("neither reference is an implication applying to the other")
         elif rule == "AndIntro":
-            err = arity(2)
-            if not err and f not in (And(refs[0], refs[1]), And(refs[1], refs[0])):
+            if f not in (And(refs[0], refs[1]), And(refs[1], refs[0])):
                 err = fail("formula is not the conjunction of the referenced steps")
         elif rule == "AndElim":
-            err = arity(1)
-            if not err and not (
-                isinstance(refs[0], And) and f in (refs[0].left, refs[0].right)
-            ):
+            if not (isinstance(refs[0], And) and f in (refs[0].left, refs[0].right)):
                 err = fail("formula is not a conjunct of the referenced step")
         elif rule == "OrIntro":
-            err = arity(1)
-            if not err and not (isinstance(f, Or) and refs[0] in (f.left, f.right)):
+            if not (isinstance(f, Or) and refs[0] in (f.left, f.right)):
                 err = fail("formula is not a disjunction containing the referenced step")
         elif rule == "ContraPos":
-            err = arity(1)
-            if not err and not (
+            if not (
                 isinstance(refs[0], Implies)
                 and f == Implies(Not(refs[0].right), Not(refs[0].left))
             ):
                 err = fail("formula is not the contrapositive of the referenced step")
         elif rule == "DNE":
-            err = arity(1)
-            if not err:
-                inner = _destruct_not(refs[0])
-                inner2 = _destruct_not(inner) if inner is not None else None
-                inner3 = _destruct_not(inner2) if inner2 is not None else None
-                if inner3 is None or f != Not(inner3):
-                    err = fail("reference must be a triple negation, formula its single one")
+            inner = _destruct_not(refs[0])
+            inner2 = _destruct_not(inner) if inner is not None else None
+            inner3 = _destruct_not(inner2) if inner2 is not None else None
+            if inner3 is None or f != Not(inner3):
+                err = fail("reference must be a triple negation, formula its single one")
         elif rule in _INSTANCE_RULES:
             schema = SCHEMAS[_INSTANCE_RULES[rule]]
             # every template is an implication: "from A infer B" is the instance A -> B

@@ -2,11 +2,12 @@
 
 Each golden file under tests/golden/ lists one group of commands with
 their recorded stdout, stderr and exit code, text and --json alike, one
-command per line. Commands run in-process through
-``cli.main`` with tests/golden/ as the working directory (so no
-brouwer.toml applies and the README's model.json resolves) and without
-BW_DIGIT_LIMIT, with COLUMNS set so that argparse's help and usage
-lines wrap the same on any terminal.
+command per line; sweep_grid.json holds instead one sha256 of exit code,
+stdout and stderr per ``logic sweep --json`` of a fixed grid of bounds.
+Commands run in-process through ``cli.main`` with tests/golden/ as the
+working directory (so no brouwer.toml applies and the README's model.json
+resolves), without BW_DIGIT_LIMIT and with COLUMNS set, so that argparse
+wraps help and usage lines the same on any terminal.
 
     python tests/cli_golden.py        rewrite every golden file
 
@@ -14,6 +15,7 @@ Rewrite only when an output is meant to change, and review the diff.
 """
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -98,6 +100,16 @@ GROUPS = {
 }
 
 
+# every schema at nodes 1-4, atoms 1-3, stage index 1-3, operand depth 0-2: 648
+# sweeps, 3-4.5 s in process on a 2-core VM; nodes up to 5 took ~6.5 s
+SWEEP_GRID = [
+    ["logic", "sweep", "--schema", schema, "--nodes", str(nodes), "--atoms", str(atoms),
+     "--box", str(box), "--depth", str(depth), "--json"]
+    for schema in ("ic1", "ic2", "ic3", "md", "cs4", "cs5")
+    for nodes in (1, 2, 3, 4) for atoms in (1, 2, 3) for box in (1, 2, 3) for depth in (0, 1, 2)
+]
+
+
 def run(argv):
     """{"argv", "exit", "stdout", "stderr"} of one in-process CLI run; argparse's
     exit (a usage error or --help) is recorded like main's own."""
@@ -110,6 +122,13 @@ def run(argv):
         except SystemExit as e:
             code = e.code
     return {"argv": argv, "exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
+def digest(argv):
+    """{"argv", "sha256"} of one in-process CLI run's exit code, stdout and stderr."""
+    r = run(argv)
+    text = json.dumps([r["exit"], r["stdout"], r["stderr"]])
+    return {"argv": argv, "sha256": hashlib.sha256(text.encode()).hexdigest()}
 
 
 def path(group):
@@ -127,6 +146,8 @@ def rewrite():
     for group, commands in GROUPS.items():
         path(group).write_text(render([run(argv) for argv in commands]), encoding="utf-8")
         print(f"{path(group)}: {len(commands)} commands")
+    path("sweep_grid").write_text(render([digest(argv) for argv in SWEEP_GRID]), encoding="utf-8")
+    print(f"{path('sweep_grid')}: {len(SWEEP_GRID)} sweeps")
 
 
 if __name__ == "__main__":

@@ -294,6 +294,31 @@ def test_derive_check_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+DEEP_FORMULAS = {"3000 conjuncts": " & ".join(["q"] * 3000), "3000 negations": "~" * 3000 + "q"}
+
+
+def assert_clean_error(capsys, code):
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert captured.err.startswith("error: ") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("shape", sorted(DEEP_FORMULAS))
+def test_an_over_deep_formula_is_an_error(capsys, tmp_path, shape):
+    path = tmp_path / "model.json"
+    path.write_text('{"nodes": [{"id": "root", "atoms": ["q"]}]}')
+    for flag in ([], ["--json"]):
+        code = main(["logic", "eval", "--model", str(path), "--at", "root",
+                     "--formula", DEEP_FORMULAS[shape], *flag])
+        assert_clean_error(capsys, code)
+
+
+def test_a_script_with_an_over_deep_step_is_an_error(capsys, tmp_path):
+    path = tmp_path / "deep.drv"
+    path.write_text(f"premise q\n1: q ; Premise\n2: {DEEP_FORMULAS['3000 negations']} ; Premise\n")
+    assert_clean_error(capsys, main(["derive", "check", str(path)]))
+
+
 def test_derive_ks_report(capsys):
     code, payload = run_json(capsys, "derive", "ks-report")
     assert code == 0

@@ -205,6 +205,24 @@ def test_rejections(src, step, fragment):
     assert result.as_dict()["status"] == "rejected"
 
 
+ARITIES = {"Premise": 0, "DefAxiom": 0, "Assume": 0, "Discharge": 1, "MP": 2, "AndIntro": 2,
+           "AndElim": 1, "OrIntro": 1, "ContraPos": 1, "DNE": 1}
+
+
+@pytest.mark.parametrize("rule", sorted(ARITIES))
+def test_each_rule_counts_its_references_after_citability_and_before_its_own_check(rule):
+    k = ARITIES[rule]
+    for m in (0, 1, 2, 3):
+        refs = f"({', '.join(['1'] * m)})" if m else ""
+        result = check_script(f"premise p\n1: p ; Premise\n2: p ; {rule}{refs}")
+        if m != k:
+            assert result == Rejected(2, f"{rule}: needs exactly {k} reference(s), got {m}")
+        else:
+            assert "reference(s)" not in getattr(result, "reason", "")
+    result = check_script(f"premise p\n1: p ; Premise\n2: p ; {rule}(7, 7, 7)")
+    assert result == Rejected(2, f"{rule}: step 7 is not citable here")
+
+
 def test_small_rules_work():
     src = """\
 assert a lawlike

@@ -11,13 +11,24 @@ import cli_golden
 from brouwer import fleeing
 
 
-@pytest.mark.parametrize("group", sorted(cli_golden.GROUPS))
-def test_cli_outputs_match_the_golden_file(group, monkeypatch):
+@pytest.fixture
+def golden_cwd(monkeypatch):
     monkeypatch.chdir(cli_golden.GOLDEN)
     monkeypatch.delenv("BW_DIGIT_LIMIT", raising=False)
     monkeypatch.setenv("COLUMNS", cli_golden.COLUMNS)
     monkeypatch.setattr(fleeing, "_default_oracle", None)
+
+
+@pytest.mark.parametrize("group", sorted(cli_golden.GROUPS))
+def test_cli_outputs_match_the_golden_file(group, golden_cwd):
     expected = json.loads(cli_golden.path(group).read_text(encoding="utf-8"))
     assert [case["argv"] for case in expected] == cli_golden.GROUPS[group]
     for case in expected:
         assert cli_golden.run(case["argv"]) == case, case["argv"]
+
+
+def test_sweep_grid_matches_its_hashes(golden_cwd):
+    expected = json.loads(cli_golden.path("sweep_grid").read_text(encoding="utf-8"))
+    assert [case["argv"] for case in expected] == cli_golden.SWEEP_GRID
+    for case in expected:
+        assert cli_golden.digest(case["argv"]) == case, case["argv"]
