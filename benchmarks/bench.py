@@ -8,18 +8,21 @@ of the parent commit and this one, say) for a before and an after in one
 file. Each section runs per checkout in fresh child processes whose
 working directory is that checkout and whose PYTHONPATH is its src/, with
 BW_DIGIT_LIMIT unset. The checkouts take turns so that both sides share
-the machine's drift: pi size by size, cold command by command (the side
-that goes first flips each time), the other sections section by section.
+the machine's drift: pi size by size, streams horizon by horizon, cold
+command by command (the side that goes first flips each time), the other
+sections section by section.
 The sections:
 
 - pi: ``chudnovsky_digits(n)``, and a fresh ``DigitOracle()`` (its
   1000-digit self-test included) scanning ``critical_number(run_property(0,
   6), n)``, each the median of three runs. Pi has no run of six zeros below
-  10**6, so the scan must answer none-below:n after growing one series to
-  the end of its window. The Machin enclosure (to 5*10**4 digits) and the
-  spigot (to 10**4, its cost is quadratic) must equal Chudnovsky.
-- streams: the best of three ``prefix(h)`` reads of fresh points: the
-  centred value 1/3, that point through the identity, negation and delay
+  10**6, so the scan must answer none-below:n; it reads the series once
+  past the self-test, to the end of its window, since a 6-digit search
+  reads up to 10**6 digits at a time. The Machin enclosure (to 5*10**4
+  digits) and the spigot (to 10**4, its cost is quadratic) must equal
+  Chudnovsky.
+- streams: the median of three ``prefix(h)`` reads, each of a fresh point:
+  the centred value 1/3, that point through the identity, negation and delay
   maps (delay reads its base to 2h), and the point recentred below stage 16.
   Term n is an n-bit integer, so even a linear stream costs more per stage
   as h grows.
@@ -141,9 +144,9 @@ def streams(horizons=HORIZONS) -> dict:
     rows = []
     for h in horizons:
         for name, build in points.items():
-            best = min(timed(build().prefix, h)[1] for _ in range(3))
-            rows.append({"point": name, "stages": h, "ms": best * 1e3,
-                         "us_per_stage": best * 1e6 / h})
+            seconds = statistics.median(timed(build().prefix, h)[1] for _ in range(REPEATS))
+            rows.append({"point": name, "stages": h, "ms": seconds * 1e3,
+                         "us_per_stage": seconds * 1e6 / h})
     return {"rows": rows}
 
 
@@ -297,10 +300,11 @@ def run_section(section: str, checkouts: list) -> list:
     """The section's record for each checkout."""
     if section == "cold":
         return cold(checkouts)
-    if section != "pi":
+    sizes = {"pi": PI_DIGITS, "streams": HORIZONS}.get(section)
+    if sizes is None:
         return [run_child(checkout, section) for checkout in checkouts]
     # one child per size and checkout; each checkout's rows are joined in size order
-    parts = [in_turn(checkouts, i, run_child, "pi", (n,)) for i, n in enumerate(PI_DIGITS)]
+    parts = [in_turn(checkouts, i, run_child, section, (n,)) for i, n in enumerate(sizes)]
     return [{**column[0], "rows": [row for part in column for row in part["rows"]]}
             for column in zip(*parts)]
 

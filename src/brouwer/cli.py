@@ -518,7 +518,7 @@ def main(argv: Optional[list[str]] = None) -> int:
         print(f"setting error: {e}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, OSError, RecursionError) as e:
-        # RecursionError: a formula nested too deep to parse, show or force
+        # RecursionError: a model file nested too deep for json.loads
         print(f"error: {e}", file=sys.stderr)
         return EXIT_MISMATCH
     if args.json:

@@ -7,8 +7,9 @@ production algorithm (Chudnovsky) against digits the Machin enclosure proves
 on construction, caches a single growing prefix, and refuses requests beyond
 a configurable bound. It owns one Chudnovsky series, so growing the prefix
 sums only the terms the new digits add. A digit pattern is searched for with
-``str.find`` over that prefix, grown fourfold at a time until the first match
-and never past the search window, so ``find_pattern`` and
+``str.find`` over that prefix, grown fourfold at a time, and to at least
+10**w digits for a w-digit pattern, until the first match and never past
+the search window, so ``find_pattern`` and
 ``critical_number`` read no digit past the horizon they answer for. The
 switch constructions (berlin_r, veldman_f2, cambridge_c) are one centering
 rule, built in one place, whose target changes once the least witness of a
@@ -145,7 +146,18 @@ def _check_pattern(pattern: str) -> None:
 def pattern_property(
     pattern: str, oracle: Optional[DigitOracle] = None
 ) -> DecidableProperty:
-    """Holds at n iff the decimal expansion matches the pattern starting at n."""
+    """Holds at n iff the decimal expansion matches the pattern starting at n.
+
+    least(horizon) reads pi until the first match, never past the window
+    end (horizon + width - 1) or the oracle limit. Every read recomputes
+    all the digits it returns, so each grows the prefix fourfold and to at
+    least 10**width: a given width-digit pattern starts at a position with
+    odds 10**-width, so a shorter read almost never holds it, and the read
+    after it would pay for the division again. The cost falls on a match
+    far before 10**width past a small cache: a 6-digit match at 300 in a
+    10**5 window, past a 100-digit self-test, reads to the window end where
+    fourfold steps stop at 400.
+    """
     _check_pattern(pattern)
     orc = oracle or default_oracle()
     width = len(pattern)
@@ -160,20 +172,20 @@ def pattern_property(
         # A match starting at or below the horizon ends by its window end.
         # The prefix grows up to that end or the oracle limit, whichever is
         # first, and stops at the first match; when the limit cut the window
-        # short, the oracle refuses the whole window. Each read recomputes
-        # every digit it returns, so a search with no match reads about 4/3
-        # of its window growing fourfold, where doubling would read twice it.
+        # short, the oracle refuses the whole window.
         if horizon < 0:
             raise ValueError(f"horizon must be non-negative, got {horizon}")
         if horizon == 0:
             return None
         end = horizon + width - 1
         stop = min(end, orc.limit)
+        # 10**width >= stop once width reaches stop's digit count
+        reach = 10**width if width < len(str(stop)) else stop
         have = min(len(orc._cache), stop)
         i = orc._cache.find(pattern, 0, have)
         while i == -1 and have < stop:
             start = max(0, have - width + 1)
-            have = min(max(4 * have, 64), stop)
+            have = min(max(4 * have, 64, reach), stop)
             if have > len(orc._cache):
                 orc._grow(have)
             i = orc._cache.find(pattern, start, have)

@@ -265,12 +265,21 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
 
 _UNARY_STARTERS = {"name", "bottom", "~", "box", "<*>", "(", "|"}
 
+# parse refuses formulas nested deeper than this: show, forces and the
+# records' == and hash recurse once or a few times a level. A level is a
+# connective, a prefix operator, a parenthesised group or an atom (with
+# its |a or a| sugar).
+MAX_NESTING = 100
+
 
 class _Parser:
+    """Recursive descent; each rule returns (formula, nesting levels)."""
+
     def __init__(self, text: str):
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
+        self.open = 0  # levels open around the current token
 
     def peek(self, ahead: int = 0):
         return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
@@ -282,69 +291,80 @@ class _Parser:
         self.pos += 1
         return tok
 
+    def nest(self, levels: int, pos: int) -> int:
+        if levels > MAX_NESTING:
+            raise FormulaSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", pos)
+        return levels
+
+    def inner(self, rule: Callable[[], tuple[Formula, int]], pos: int) -> tuple[Formula, int]:
+        """rule's result one level further in, refused on the way down
+        (before the recursion can overflow) once the levels open and a
+        formula inside them pass the bound."""
+        self.open += 1
+        self.nest(self.open + 1, pos)
+        f, levels = rule()
+        self.open -= 1
+        return f, self.nest(levels + 1, pos)
+
     def parse(self) -> Formula:
-        f = self.imp()
+        f, _ = self.imp()
         tok = self.peek()
         if tok[0] != "end":
             raise FormulaSyntaxError(f"trailing input {tok[0]!r}", tok[2])
         return f
 
-    def imp(self) -> Formula:
-        left = self.disj()
+    def imp(self) -> tuple[Formula, int]:
+        left, levels = self.disj()
         if self.peek()[0] == "->":
-            self.eat()
-            return Implies(left, self.imp())
-        return left
+            pos = self.eat()[2]
+            right, deeper = self.inner(self.imp, pos)
+            return Implies(left, right), self.nest(max(levels + 1, deeper), pos)
+        return left, levels
 
-    def disj(self) -> Formula:
-        f = self.conj()
+    def disj(self) -> tuple[Formula, int]:
+        f, levels = self.conj()
         while self.peek()[0] == "|" and self.peek(1)[0] in _UNARY_STARTERS:
-            self.eat()
-            f = Or(f, self.conj())
-        return f
+            pos = self.eat()[2]
+            g, deeper = self.conj()
+            f, levels = Or(f, g), self.nest(max(levels, deeper) + 1, pos)
+        return f, levels
 
-    def conj(self) -> Formula:
-        f = self.unary()
+    def conj(self) -> tuple[Formula, int]:
+        f, levels = self.unary()
         while self.peek()[0] == "&":
-            self.eat()
-            f = And(f, self.unary())
-        return f
+            pos = self.eat()[2]
+            g, deeper = self.unary()
+            f, levels = And(f, g), self.nest(max(levels, deeper) + 1, pos)
+        return f, levels
 
-    def unary(self) -> Formula:
+    def unary(self) -> tuple[Formula, int]:
         kind, value, pos = self.peek()
-        if kind == "~":
+        if kind in ("~", "box", "<*>"):
             self.eat()
-            return Not(self.unary())
-        if kind == "box":
-            self.eat()
+            f, levels = self.inner(self.unary, pos)
             try:
-                return Box(value, self.unary())
-            except ValueError as e:
-                raise FormulaSyntaxError(str(e), pos) from None
-        if kind == "<*>":
-            self.eat()
-            try:
-                return SomeStage(self.unary())
+                f = Not(f) if kind == "~" else Box(value, f) if kind == "box" else SomeStage(f)
+                return f, levels
             except ValueError as e:
                 raise FormulaSyntaxError(str(e), pos) from None
         if kind == "(":
             self.eat()
-            f = self.imp()
+            f, levels = self.inner(self.imp, pos)
             self.eat(")")
-            return self._postfix(f)
+            return self._postfix(f), levels
         if kind == "bottom":
             self.eat()
-            return BOT
+            return BOT, 1
         if kind == "|":
             # prefix tested-now sugar: |a
             self.eat()
             tok = self.eat("name")
             name, lawlike = tok[1]
-            return tested_now(Atom(name, lawlike))
+            return tested_now(Atom(name, lawlike)), 1
         if kind == "name":
             self.eat()
             name, lawlike = value
-            return self._postfix(Atom(name, lawlike))
+            return self._postfix(Atom(name, lawlike)), 1
         raise FormulaSyntaxError(f"expected a formula, found {kind!r}", pos)
 
     def _postfix(self, f: Formula) -> Formula:

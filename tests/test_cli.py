@@ -316,7 +316,13 @@ def test_an_over_deep_formula_is_an_error(capsys, tmp_path, shape):
 def test_a_script_with_an_over_deep_step_is_an_error(capsys, tmp_path):
     path = tmp_path / "deep.drv"
     path.write_text(f"premise q\n1: q ; Premise\n2: {DEEP_FORMULAS['3000 negations']} ; Premise\n")
-    assert_clean_error(capsys, main(["derive", "check", str(path)]))
+    # the parser's nesting bound makes it a syntax error of the step's line
+    code, payload = run_json(capsys, "derive", "check", str(path))
+    assert code == 1 and payload["status"] == "syntax-error"
+    assert payload["reason"].startswith("line 3: bad formula '~~~")
+    assert payload["reason"].endswith("formula nested deeper than 100 levels (at offset 100)")
+    code, out = run(capsys, "derive", "check", str(path))
+    assert code == 1 and out.startswith("syntax error: line 3: bad formula")
 
 
 def test_derive_ks_report(capsys):
@@ -355,3 +361,12 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["pi"])
     assert ei.value.code == 2
+
+
+def test_an_over_deep_model_file_is_an_error(capsys, tmp_path):
+    # json.loads recurses once per bracket
+    path = tmp_path / "model.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    for flag in ([], ["--json"]):
+        code = main(["logic", "eval", "--model", str(path), "--at", "root", "--formula", "q", *flag])
+        assert_clean_error(capsys, code)

@@ -166,18 +166,32 @@ def test_find_pattern_agrees_with_critical_number(limit, pattern, horizon):
 PI_5000 = _pi_backends.machin_digits(5000)
 
 
-# where a search grows the oracle, by its self-test size: from the cache
-# the prefix grows fourfold (64 digits at least), and no step passes the window
-STEP_ENDS = {0: [1024, 4096], 500: [500, 2000], 1000: [1000, 4000]}
+def _read_ends(held, width, upto):
+    """Where a search for a width-digit pattern ends its reads below upto,
+    from an oracle holding `held` digits: the cache's end, then fourfold
+    steps of at least 64 and 10**width digits, as in ``least``."""
+    ends = [held] if held else []
+    while (held := max(4 * held, 64, 10**width)) < upto:
+        ends.append(held)
+    return ends
+
+
+# (self-test size, pattern width, read end) for every read that ends inside
+# the first 4500 digits: a width-w search reads up to 10**w at once, so from
+# 4 digits on the only end left there is the self-test's
+STEP_ENDS = [
+    (self_test, width, edge)
+    for self_test in (0, 500, 1000)
+    for width in range(2, 9)
+    for edge in _read_ends(self_test, width, 4500)
+]
 
 
 @st.composite
 def _searches(draw):
     """(pattern, horizon, limit, self-test size): random patterns, and
-    patterns cut from pi across the end of a step the search grows by."""
-    self_test = draw(st.sampled_from(sorted(STEP_ENDS)))
-    edge = draw(st.sampled_from(STEP_ENDS[self_test]))
-    width = draw(st.integers(2, 8))
+    patterns cut from pi across the end of a read the search makes."""
+    self_test, width, edge = draw(st.sampled_from(STEP_ENDS))
     cut = edge - draw(st.integers(1, width - 1))
     pattern = draw(
         st.text("0123456789", min_size=1, max_size=7) | st.just(PI_5000[cut : cut + width])
@@ -189,15 +203,38 @@ def _searches(draw):
     return pattern, horizon, limit, self_test
 
 
-@pytest.mark.parametrize("self_test, edge", [(t, e) for t, ends in STEP_ENDS.items() for e in ends])
+@pytest.mark.parametrize(
+    "self_test, edge", [(0, 1024), (0, 4096), (500, 500), (500, 2000), (1000, 1000), (1000, 4000)]
+)
 @pytest.mark.parametrize("before", range(1, 8))
-def test_a_match_across_a_step_end_is_found(self_test, edge, before):
-    # an 8-digit pattern starting `before` digits ahead of a step's end
-    # first matches there, half in one step and half in the next
+def test_a_match_across_a_step_end_is_found(self_test, edge, before, monkeypatch):
+    # an 8-digit pattern starting `before` digits ahead of a read's end
+    # first matches there, half in one read and half in the next. Below
+    # 10**8 the only end such a search has is the cache's, so the oracle
+    # first grows from its self-test to hold `edge` digits
     pattern = PI_5000[edge - before : edge - before + 8]
     orc = DigitOracle(self_test_digits=self_test)
+    orc.digits(edge)
+    assert len(orc._cache) == edge and _read_ends(edge, 8, edge + 15) == [edge]
+    sizes = _computed_digits(monkeypatch)
     assert pattern_property(pattern, orc).least(edge + 8) == edge - before + 1
+    assert sizes == [edge + 15]
     assert scan_reference(pattern_property(pattern), edge + 8) == edge - before + 1
+
+
+# patterns whose first match in pi crosses the end of a growth read from an
+# empty cache: the fourfold read of 1000 at 3 digits, the 10**4 one at 4
+@pytest.mark.parametrize("width, edge, before", [(3, 1000, 2), (4, 10**4, 3)])
+def test_a_match_across_a_growth_read_end_is_found(width, edge, before, monkeypatch):
+    start = edge - before
+    pattern = default_oracle().digits(start + width)[start:]
+    horizon = edge + width
+    assert edge in _read_ends(0, width, horizon + width - 1)
+    orc = DigitOracle(self_test_digits=0)
+    sizes = _computed_digits(monkeypatch)
+    assert pattern_property(pattern, orc).least(horizon) == start + 1
+    assert sizes == [edge, horizon + width - 1]
+    assert scan_reference(pattern_property(pattern), horizon) == start + 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -252,11 +289,26 @@ def test_a_found_witness_stops_the_search(monkeypatch):
     assert find_pattern("999999", 10**6, orc) == SIX_NINES_AT
     assert critical_number(run_property(9, 6, orc), 10**6).found_at == SIX_NINES_AT
     assert sizes == [] and len(orc._cache) == 1000
-    # past a 100-digit self-test the prefix grows fourfold, and its last
-    # step stops at the end of the window, 770 + 6 - 1
+    # past a 100-digit self-test a 6-digit search reads up to 10**6 at
+    # once, so its one read stops at the end of the window, 770 + 6 - 1
     orc = DigitOracle(self_test_digits=100)
     assert critical_number(run_property(9, 6, orc), 770).found_at == SIX_NINES_AT
-    assert sizes == [100, 400, 775]
+    assert sizes == [100, 775]
+
+
+def test_a_search_reads_once_below_ten_to_its_width(monkeypatch):
+    # no six zeros start in the first 5000 digits: the search reads past the
+    # 1000-digit self-test once, to the end of its window
+    orc = DigitOracle()
+    sizes = _computed_digits(monkeypatch)
+    assert critical_number(run_property(0, 6, orc), 5000).found_at is None
+    assert sizes == [5005]
+    # "68" first starts at 605: a 2-digit search from an empty cache still
+    # grows fourfold from 10**2, then stops at the end of its window
+    orc = DigitOracle(self_test_digits=0)
+    assert find_pattern("68", 604, orc) is None
+    assert find_pattern("68", 605, orc) == 605
+    assert sizes == [5005, 100, 400, 605, 606]
 
 
 def test_horizon_zero_explores_nothing_whatever_the_limit():

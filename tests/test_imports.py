@@ -41,6 +41,7 @@ vienna_family vienna_run virtual_order_check zero_point
 HEAVY = {"brouwer.logic", "brouwer.derivation", "brouwer.drift"}
 PI = {"brouwer.fleeing", "brouwer._pi_backends"}
 RECORD_MAKERS = {"dataclasses", "inspect"}
+POINTS = {"brouwer.reals", "brouwer.spreads"}
 MODULES = ("cli", "derivation", "drift", "dyadic", "fleeing", "logic", "reals", "spreads")
 
 
@@ -74,30 +75,17 @@ def test_pi_digits_loads_no_logic_derivation_or_drift():
 
 
 @pytest.mark.parametrize(
-    "args, verdict",
-    [
-        (("pi", "find", "--pattern", "999999", "--limit", "2000", "--json"), "found-at:762"),
-        (("fleeing", "critical", "--digit", "3", "--run", "1", "--json"), "found-at:9"),
-    ],
-)
-def test_digit_searches_load_no_dataclasses_reals_or_spreads(args, verdict):
-    # a pattern search needs the oracle and nothing of the point machinery
-    loaded, out = loaded_modules(*args)
-    assert json.loads(out)["verdict"] == verdict
-    assert not loaded & {"dataclasses", "inspect", "brouwer.reals", "brouwer.spreads"}
-
-
-@pytest.mark.parametrize(
     "args",
     cli_golden.README + [["replay", name] for name in cli_golden.REPLAYS[1:]],
     ids=" ".join,
 )
 def test_no_command_loads_dataclasses_or_inspect(args):
     # records are slots classes and named tuples, so no command pays for the
-    # dataclasses import (11-16 ms with the inspect, ast and dis it pulls in)
+    # dataclasses import (11-16 ms with the inspect, ast and dis it pulls in);
+    # a digit query needs the oracle and nothing of the point machinery
     loaded, out = loaded_modules(*args, "--json", cwd=cli_golden.GOLDEN)
     assert json.loads(out)["command"] in ("replay", "-".join(args[:2]))
-    assert not loaded & RECORD_MAKERS
+    assert not loaded & (RECORD_MAKERS | (POINTS if args[0] in ("pi", "fleeing") else set()))
 
 
 def test_importing_every_module_loads_no_dataclasses_or_inspect():
@@ -113,7 +101,7 @@ def test_importing_every_module_loads_no_dataclasses_or_inspect():
 @pytest.mark.parametrize(
     "args, absent",
     [
-        (("fleeing", "critical", "--digit", "3", "--run", "1"), HEAVY | {"brouwer.reals"}),
+        (("fleeing", "critical", "--digit", "3", "--run", "1"), HEAVY | POINTS),
         (("derive", "ks-report"), {"brouwer.fleeing", "brouwer.reals", "brouwer.drift"}),
         (("spread", "sample", "--seed", "11"), HEAVY | {"brouwer.fleeing", "brouwer.reals"}),
         # only the berlin-r spec and the cambridge-13 replay read pi

@@ -28,6 +28,7 @@ from brouwer.logic import (
     FormulaNestingError,
     FormulaSyntaxError,
     Implies,
+    MAX_NESTING,
     ModelError,
     Not,
     Or,
@@ -142,6 +143,43 @@ def test_syntax_errors(text):
     with pytest.raises(FormulaSyntaxError) as ei:
         parse(text)
     assert ei.value.pos >= 0
+
+
+def _nested(shape: str, levels: int) -> str:
+    """A formula `levels` deep: a connective, a prefix operator or a
+    parenthesised group is one level, the atom q another."""
+    return {
+        "~": "~" * (levels - 1) + "q",
+        "(": "(" * (levels - 1) + "q" + ")" * (levels - 1),
+        "&": " & ".join(["q"] * levels),
+        "|": " | ".join(["q"] * levels),
+        "->": " -> ".join(["q"] * levels),
+        "[1]~": "[1]" + "~" * (levels - 2) + "q",
+        "<*>~": "<*>" + "~" * (levels - 2) + "q",
+    }[shape]
+
+
+NESTING_SHAPES = ["~", "(", "&", "|", "->", "[1]~", "<*>~"]
+
+
+@pytest.mark.parametrize("shape", NESTING_SHAPES)
+def test_the_deepest_formula_parse_accepts_can_be_used(shape):
+    # show, forces and the records' == and hash each recurse per level;
+    # one level past the bound is a syntax error with an offset
+    text = _nested(shape, MAX_NESTING)
+    f = parse(text)
+    assert parse(show(f)) == f and hash(parse(text)) == hash(f)
+    later = StageTree((None, 0), (frozenset(), frozenset({"q"})), ("root", "later"))
+    assert forces(later, 0, f) in (True, False)
+    with pytest.raises(FormulaSyntaxError, match="nested deeper") as ei:
+        parse(_nested(shape, MAX_NESTING + 1))
+    assert ei.value.pos >= 0
+
+
+@pytest.mark.parametrize("text", ["~" * 3000 + "q", "(" * 3000 + "q", " & ".join(["q"] * 3000)])
+def test_three_thousand_levels_are_a_syntax_error(text):
+    with pytest.raises(FormulaSyntaxError, match="nested deeper"):
+        parse(text)
 
 
 def test_stage_operands_must_be_stage_free():
