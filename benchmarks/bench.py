@@ -19,8 +19,8 @@ The sections:
   10**6, so the scan must answer none-below:n; it reads the series once
   past the self-test, to the end of its window, since a 6-digit search
   reads up to 10**6 digits at a time. The Machin enclosure (to 5*10**4
-  digits) and the spigot (to 10**4, its cost is quadratic) must equal
-  Chudnovsky.
+  digits) and the spigot of tests/references.py (to 10**4, its cost is
+  quadratic) must equal Chudnovsky.
 - streams: the median of three ``prefix(h)`` reads, each of a fresh point:
   the centred value 1/3, that point through the identity, negation and delay
   maps (delay reads its base to 2h), and the point recentred below stage 16.
@@ -28,10 +28,10 @@ The sections:
   as h grows.
 - sweep: ``principle_suite`` (all six schemata, stage indices up to 3) at
   fixed (nodes, atoms, operand depth), with the root classes the sweep's
-  class tables list, checked against every model's root class, and the
-  distinct formula masks per model: the size of the mask algebra the sweep
-  closes on each model, against the formula count. Seconds are the median
-  of three runs.
+  class tables list, checked against every model's root class (from
+  tests/references.py), and the distinct formula masks per model: the size
+  of the mask algebra the sweep closes on each model, against the formula
+  count. Seconds are the median of three runs.
 - cold: the median of seven fresh processes for a bare interpreter, for
   ``import argparse, json, fractions`` (what the CLI needs before any
   brouwer module) and for each README command with --json, run in a
@@ -104,12 +104,23 @@ def timed_median(fn, *args):
     return out, statistics.median(seconds for _, seconds in runs)
 
 
+def references():
+    """tests/references.py of this script's own tree: the routes no
+    production path calls, which the cross-checks compare against."""
+    tests = os.path.join(os.path.dirname(HERE), "tests")
+    if tests not in sys.path:
+        sys.path.insert(0, tests)
+    import references
+
+    return references
+
+
 def pi(sizes=PI_DIGITS) -> dict:
     from brouwer import _pi_backends
     from brouwer.fleeing import DigitOracle, critical_number, run_property
 
     checks = {"machin_s": (_pi_backends.machin_digits, 50_000),
-              "spigot_s": (_pi_backends.spigot_digits, 10_000)}
+              "spigot_s": (references().spigot_digits, 10_000)}
     rows = []
     for n in sizes:
         reference, chudnovsky = timed_median(_pi_backends.chudnovsky_digits, n)
@@ -156,20 +167,21 @@ def _classes_and_masks(bounds) -> tuple:
     class of every model."""
     from brouwer import logic
 
+    ref = references()
     starts = logic._level_starts(bounds)
     types: dict = {}
     memo: dict = {}
     listed, keyed = set(), set()
     counts = []
     codes = [code for n in range(1, bounds.max_nodes + 1) for code in logic._codes(n)]
-    for code, (shape, valuations) in zip(codes, logic._valued_shapes(bounds)):
+    for code, (shape, valuations) in zip(codes, ref._valued_shapes(bounds)):
         for label in range(1 << bounds.max_atoms):
             listed.update(logic._class_table(code, label, bounds.max_atoms, types, memo))
         tree = logic.StageTree(shape, (frozenset(),) * len(shape))
         masks = logic._Masks(tree, bounds.max_box_index)
         implies = functools.cache(masks.implies_mask)
         for v in valuations:
-            keyed.add(logic._root_class(masks.m.children, v, types))
+            keyed.add(ref._root_class(masks.m.children, v, types))
             counts.append(len(logic._mask_closure(v, starts, implies)))
     assert listed == keyed, f"listed classes differ from keyed ones at {bounds}"
     return len(listed), counts

@@ -1,6 +1,6 @@
 """Decimal digit backends for pi, all on the standard library.
 
-Three independent routes:
+Two routes, independent of each other:
 
 * Chudnovsky binary splitting - the production path. Python ints at the
   leaves of the splitting, libmpdec (``decimal``) integers above them, a
@@ -21,22 +21,20 @@ Three independent routes:
   Integers lo < 10**m * pi < hi, term by term with floor divisions whose
   errors are all counted, so the digits it returns are proved, not
   guarded; quadratic, but 1.5-2 ms for a thousand digits.
-* Streaming spigot (linear fraction transformations, digit at a time) -
-  exact by construction, no guard digits involved; the reference of the
-  tests and ``benchmarks/``.
 
-All three return the decimal expansion after the leading integer part,
-so digits(5) == "14159".
+Both return the decimal expansion after the leading integer part, so
+digits(5) == "14159". The tests and ``benchmarks/`` check them against a
+third route that no production path calls: a streaming spigot, exact
+digit by digit with no guard digits, in ``tests/references.py``.
 
 BACKEND names the Chudnovsky core in benchmark records. It is always
-"int": the one route above, on Python ints and libmpdec.
+"int": the Chudnovsky route above, on Python ints and libmpdec.
 """
 
 from __future__ import annotations
 
 import decimal
 from decimal import Decimal
-from itertools import count, islice
 from math import gcd, sqrt
 
 BACKEND = "int"
@@ -285,34 +283,3 @@ def machin_digits(n: int) -> str:
         if lo // cut == hi // cut:
             return str(Decimal(lo // cut))[1:]
         guard *= 2
-
-
-# --- streaming spigot ---
-
-
-def _spigot_stream():
-    def compose(a, b):
-        aq, ar, as_, at = a
-        bq, br, bs, bt = b
-        return (aq * bq, aq * br + ar * bt, as_ * bq + at * bs, as_ * br + at * bt)
-
-    def extract(z, j):
-        q, r, s, t = z
-        return (q * j + r) // (s * j + t)
-
-    z = (1, 0, 0, 1)
-    terms = ((k, 4 * k + 2, 0, 2 * k + 1) for k in count(1))
-    while True:
-        y = extract(z, 3)
-        while y != extract(z, 4):
-            z = compose(z, next(terms))
-            y = extract(z, 3)
-        z = compose((10, -10 * y, 0, 1), z)
-        yield y
-
-
-def spigot_digits(n: int) -> str:
-    """First n decimals of pi from the streaming spigot (digit-exact)."""
-    if n < 1:
-        return ""
-    return "".join(map(str, islice(_spigot_stream(), 1, n + 1)))

@@ -309,7 +309,9 @@ def check_script(source: Union[str, Script]) -> CheckResult:
         def fail(reason: str) -> Rejected:
             return Rejected(n, f"{st.rule}: {reason}")
 
-        # reference discipline first
+        # reference discipline first. A visible step's block path is a prefix
+        # of the current one: Discharge is the only way to leave a block, and
+        # it deletes the closed block's steps from visible.
         refs: list[Formula] = []
         bad = None
         for r in st.refs:
@@ -318,9 +320,6 @@ def check_script(source: Union[str, Script]) -> CheckResult:
                     f"step {r} is not citable here"
                     + (" (inside a closed block)" if r in path_of else "")
                 )
-                break
-            if path_of[r] != cur_path()[: len(path_of[r])]:
-                bad = fail(f"step {r} belongs to a closed block")
                 break
             refs.append(visible[r])
         if bad is not None:

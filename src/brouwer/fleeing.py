@@ -137,6 +137,9 @@ def run_property(
     return pattern._replace(name=f"run({digit}x{run_length})")
 
 
+_NEAR_END = 8  # a read ending within 1/_NEAR_END of the window end reads to it
+
+
 def _check_pattern(pattern: str) -> None:
     # str.isdigit also admits '²' and other non-ASCII digits, which never match
     if not pattern or set(pattern) - set("0123456789"):
@@ -153,10 +156,11 @@ def pattern_property(
     all the digits it returns, so each grows the prefix fourfold and to at
     least 10**width: a given width-digit pattern starts at a position with
     odds 10**-width, so a shorter read almost never holds it, and the read
-    after it would pay for the division again. The cost falls on a match
-    far before 10**width past a small cache: a 6-digit match at 300 in a
-    10**5 window, past a 100-digit self-test, reads to the window end where
-    fourfold steps stop at 400.
+    after it would pay for the division again; so a read that would end
+    within an eighth of the window end reads to the end. The cost falls on
+    a match far before 10**width past a small cache: a 6-digit match at 300
+    in a 10**5 window, past a 100-digit self-test, reads to the window end
+    where fourfold steps stop at 400.
     """
     _check_pattern(pattern)
     orc = oracle or default_oracle()
@@ -186,6 +190,8 @@ def pattern_property(
         while i == -1 and have < stop:
             start = max(0, have - width + 1)
             have = min(max(4 * have, 64, reach), stop)
+            if (stop - have) * _NEAR_END < stop:
+                have = stop  # one more read to the end would redo this one
             if have > len(orc._cache):
                 orc._grow(have)
             i = orc._cache.find(pattern, start, have)

@@ -33,7 +33,7 @@ import itertools
 import json
 import math
 import re
-from typing import Callable, Iterator, NamedTuple, Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 from ._record import Record, _set
 from .errors import ResourceLimitError
@@ -713,12 +713,6 @@ def _preorder(code: tuple, w: int, parents: list) -> list:
     return parents
 
 
-def enumerate_shapes(max_nodes: int) -> list[tuple[Optional[int], ...]]:
-    """Canonical rooted tree shapes as parent arrays, node count ascending
-    then code order (_codes); each code's nodes are numbered in preorder."""
-    return [tuple(_preorder(code, 0, [None])) for n in range(1, max_nodes + 1) for code in _codes(n)]
-
-
 def _upclosed_sets(parents: tuple[Optional[int], ...]) -> list[int]:
     """Up-set masks, ascending: a node's up-sets are every union of one
     up-set per child, plus its whole subtree."""
@@ -740,19 +734,6 @@ def _stage_tree(shape: tuple[Optional[int], ...], atoms, masks) -> StageTree:
     ))
 
 
-def enumerate_models(bounds: SweepBounds) -> Iterator[StageTree]:
-    atoms = ATOM_POOL[: bounds.max_atoms]
-    for shape, valuations in _valued_shapes(bounds):
-        for masks in valuations:
-            yield _stage_tree(shape, atoms, masks)
-
-
-def _valued_shapes(bounds: SweepBounds):
-    """Each shape with its tuples of atom up-sets, in enumerate_models' order."""
-    for shape in enumerate_shapes(bounds.max_nodes):
-        yield shape, itertools.product(_upclosed_sets(shape), repeat=bounds.max_atoms)
-
-
 def _up_count(code: tuple) -> int:
     return 1 + math.prod(map(_up_count, code))
 
@@ -768,29 +749,12 @@ def count_models(bounds: SweepBounds) -> int:
     )
 
 
-def enumerate_box_free(bounds: SweepBounds) -> list[Formula]:
-    """Stage-free formulas, by depth then construction order; atoms first."""
-    base: list[Formula] = [Atom(a) for a in ATOM_POOL[: bounds.max_atoms]]
-    base.append(BOT)
-    levels: list[list[Formula]] = [base]
-    for _ in range(bounds.max_operand_depth):
-        prev = [f for level in levels for f in level]
-        top = set(map(id, levels[-1]))
-        fresh: list[Formula] = []
-        for l in prev:
-            for r in prev:
-                # exactly this depth: at least one operand from the deepest level
-                if id(l) not in top and id(r) not in top:
-                    continue
-                for ctor in (And, Or, Implies):
-                    fresh.append(ctor(l, r))
-        levels.append(fresh)
-    return [f for level in levels for f in level]
-
-
 def _level_starts(bounds: SweepBounds) -> list[int]:
-    """Where each level of enumerate_box_free starts, then its length: a level
-    has three formulas per operand pair with an operand on the level below."""
+    """Where each level of the sweep's formula order starts, then its length.
+    The order lists the stage-free formulas by depth. Level 0 is the atoms in
+    pool order, then _|_. Level d holds l & r, l | r and l -> r, in that
+    order, for each pair (l, r) of earlier formulas with an operand on level
+    d - 1, by l's index, then r's: three formulas per such pair."""
     starts = [0, bounds.max_atoms + 1]
     for _ in range(bounds.max_operand_depth):
         lo, hi = starts[-2:]
@@ -799,8 +763,8 @@ def _level_starts(bounds: SweepBounds) -> list[int]:
 
 
 def _mask_closure(atom_masks: tuple[int, ...], starts: list[int], implies) -> dict[int, int]:
-    """Each distinct mask of enumerate_box_free's formulas on one model,
-    mapped to the index of its first formula.
+    """Each distinct mask of the formulas in _level_starts' order on one
+    model, mapped to the index of its first formula.
 
     A mask pair (a, b) stands for every operand pair with those masks. With
     FA(a) a's first index on any lower level and FT(a) on the level just
@@ -838,39 +802,34 @@ def _mask_closure(atom_masks: tuple[int, ...], starts: list[int], implies) -> di
     return first
 
 
-@functools.cache
-def _node_bytes(mask: int) -> int:
-    """mask with node w's bit moved to bit 8w: byte w of the result."""
-    return int.from_bytes(bytes(mask >> w & 1 for w in range(mask.bit_length())), "little")
-
-
-def _root_class(children: list[list[int]], atom_masks: tuple[int, ...], types: dict) -> int:
-    """The root's class under bisimulation of the successor relation, each
-    leaf looping to itself; every child must be numbered after its parent.
-
-    A node's type is its valuation plus the set of its children's types
-    (Aho, Hopcroft & Ullman's tree code), except that a node whose children
-    all have its own valuation's leaf type has that type: the loop rule.
-    A leaf's type is its valuation, one bit per atom; any other type is an
-    id from 2^atoms up, interned in types."""
-    packed = 0
-    for k, mask in enumerate(atom_masks):
-        packed |= _node_bytes(mask) << k
-    t = list(packed.to_bytes(len(children), "little"))
-    base = 1 << len(atom_masks)
-    for w in range(len(children) - 1, -1, -1):
-        if children[w]:
-            kids = frozenset(map(t.__getitem__, children[w]))
-            if kids != {t[w]}:
-                t[w] = types.setdefault((t[w], kids), base + len(types))
-    return t[0]
+def _formula_at(index: int, starts: list[int], atoms: tuple[str, ...]) -> Formula:
+    """The formula at index in _level_starts' order: _mask_closure's rank
+    undone. The level is the last start at or below index; its offset there
+    splits by 3 into the operand pair and the connective, and the pair into
+    its operands' indices, rows below the level first."""
+    level = sum(start <= index for start in starts[1:])
+    if level == 0:
+        return Atom(atoms[index]) if index < len(atoms) else BOT
+    lo, size = starts[level - 1], starts[level]
+    pair, ctor = divmod(index - size, 3)
+    if pair < lo * (size - lo):
+        l, r = divmod(pair, size - lo)
+        r += lo
+    else:
+        l, r = divmod(pair - lo * (size - lo), size)
+        l += lo
+    return (And, Or, Implies)[ctor](_formula_at(l, starts, atoms), _formula_at(r, starts, atoms))
 
 
 def _class_table(code: tuple, label: int, atoms: int, types: dict, memo: dict) -> dict:
     """{root class: (models, one labelling)} over code's monotone labellings
     whose root has valuation label, one bit per atom; a labelling packs node
-    w's valuation, in preorder, at bit w * atoms, and the classes are
-    _root_class's ids.
+    w's valuation, in preorder, at bit w * atoms. A class is the root's type
+    under bisimulation, each leaf looping to itself: a node's type is its
+    valuation plus the set of its children's types (Aho, Hopcroft & Ullman's
+    tree code), but a node whose children all have its own valuation's leaf
+    type has that type (the loop rule). A leaf's type is its valuation; any
+    other type is an id from 2^atoms up, interned in types.
 
     The children are folded in one at a time, each over every label that
     keeps its parent's atoms, the state being the set of child classes seen
@@ -1058,8 +1017,8 @@ def _refuse_if_huge(bounds: SweepBounds, cap: int) -> None:
     """Refuse a sweep charged over cap: each model costs its formulas, but at
     least one pass over its nodes. The sweep's own work follows root
     classes, but their number is not known before the tables are built,
-    and a shape holding a first countermodel is run model by model; the
-    model count, taken from the codes alone, bounds both."""
+    and the countermodel pass visits a shape model by model; the model
+    count, taken from the codes alone, bounds both."""
     models = count_models(bounds)
     formulas = _level_starts(bounds)[-1]
     charge = max(formulas, bounds.max_nodes)
@@ -1077,7 +1036,6 @@ def _sweep(
     schema_names: list[str], bounds: SweepBounds, cap: int
 ) -> tuple[dict[str, SweepResult], bool]:
     _refuse_if_huge(bounds, cap)
-    formulas = functools.cache(lambda: enumerate_box_free(bounds))  # for countermodels only
     starts = _level_starts(bounds)
     atoms = ATOM_POOL[: bounds.max_atoms]
     # each instance is built once, over a placeholder atom for phi
@@ -1123,7 +1081,7 @@ def _sweep(
                         if inst_mask != mm.full:
                             missing = ~inst_mask & mm.full
                             node = (missing & -missing).bit_length() - 1
-                            phi = formulas()[index]
+                            phi = _formula_at(index, starts, atoms)
                             model = _stage_tree(shape, atoms, atom_masks)
                             found[name] = Countermodel(model, node, phi, indices, build(phi))
                             break
@@ -1155,17 +1113,11 @@ def _sweep(
                     instances_checked[name] += per_instance * len(instances[name])
             continue
 
-        # the shape holds a first countermodel: model by model, in listed order
+        # the countermodel pass: the shape holds a first countermodel, so it
+        # is visited model by model, in listed order, until every schema is refuted
         for atom_masks in itertools.product(_upclosed_sets(shape), repeat=len(atoms)):
             models_checked += 1
-            key = _root_class(mm.m.children, atom_masks, types)
-            if key in classes:
-                for name in schema_names:
-                    if found[name] is None:
-                        instances_checked[name] += classes[key] * len(instances[name])
-                continue
-            classes[key], ok = visit(atom_masks, found, instances_checked)
-            monotone_ok = monotone_ok and ok
+            monotone_ok = visit(atom_masks, found, instances_checked)[1] and monotone_ok
             if all(found[name] is not None for name in schema_names):
                 break
         if all(found[name] is not None for name in schema_names):
@@ -1191,8 +1143,8 @@ def validity_sweep(
     """Exhaustive check of one schema over all stage trees, monotone
     valuations, and stage-free instantiations within bounds. Returns the
     first countermodel in enumeration order (node count, then shape code,
-    then valuation, then formula, then instance indices), or the validity
-    certificate with the counts.
+    then valuation, then formula in _level_starts' order, then instance
+    indices), or the validity certificate with the counts.
 
     The sweep works on masks, not formula trees. The nodes forcing a
     stage-free formula form an up-set, its mask, and &, | and -> act on
@@ -1210,11 +1162,14 @@ def validity_sweep(
     listed with their model counts (_class_table), and the closure, the
     instance checks and the monotonicity audit run once per class new to
     the sweep, on one model of it; the shape then adds each class's models
-    and masks x instances, and the cost follows classes, not models. A
-    shape where such a check refutes a schema still unfound holds that
-    schema's first countermodel, so it is run model by model in listed
-    order, each keyed by _root_class, for the exact model, node and
-    partial counts."""
+    and masks x instances, and the cost follows classes, not models.
+
+    A shape where such a check refutes a schema still unfound holds that
+    schema's first countermodel. The countermodel pass visits its models in
+    listed order, with no class key, for the exact model, node and partial
+    counts: a model adds one check per mask per unfound instance, as its
+    class's count would, and a class seen before cannot refute a schema
+    still unfound. Only phi is built, from its index (_formula_at)."""
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}; pick from {sorted(SCHEMAS)}")
     results, _ = _sweep([schema], bounds, cap)

@@ -162,14 +162,6 @@ def lt_rational(a: Point, r, horizon: int) -> Verdict:
     return _least_hit(horizon, ((x + 2) * den < num << n for n, x in terms))
 
 
-def gt_rational(a: Point, r, horizon: int) -> Verdict:
-    """a > r iff some index n has a_n/2^n > r."""
-    rv = _as_fraction(r)
-    num, den = rv.numerator, rv.denominator
-    terms = enumerate(a.prefix(horizon), 1)
-    return _least_hit(horizon, (x * den > num << n for n, x in terms))
-
-
 def apart_at(a: Point, b: Point, horizon: int) -> Verdict:
     """a # b iff a < b or b < a; the found direction is recorded."""
     lt = lt_at(a, b, horizon)

@@ -34,13 +34,13 @@ from brouwer.logic import (
     SweepBounds,
     _upclosed_sets,
     atoms_of,
-    enumerate_shapes,
     forces,
     is_stage_free,
     load_model,
     parse,
     show,
 )
+from references import enumerate_shapes
 
 EXPECTED = {
     "vienna-dense": ("(alpha! | ~alpha!) & ~e_is_half", 13, 1),

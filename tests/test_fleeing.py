@@ -169,9 +169,10 @@ PI_5000 = _pi_backends.machin_digits(5000)
 def _read_ends(held, width, upto):
     """Where a search for a width-digit pattern ends its reads below upto,
     from an oracle holding `held` digits: the cache's end, then fourfold
-    steps of at least 64 and 10**width digits, as in ``least``."""
+    steps of at least 64 and 10**width digits, as in ``least``, while a
+    step ends at least an eighth of upto short of it."""
     ends = [held] if held else []
-    while (held := max(4 * held, 64, 10**width)) < upto:
+    while (held := max(4 * held, 64, 10**width)) < upto and (upto - held) * 8 >= upto:
         ends.append(held)
     return ends
 
@@ -223,12 +224,13 @@ def test_a_match_across_a_step_end_is_found(self_test, edge, before, monkeypatch
 
 
 # patterns whose first match in pi crosses the end of a growth read from an
-# empty cache: the fourfold read of 1000 at 3 digits, the 10**4 one at 4
+# empty cache: the read of 10**3 at 3 digits, the 10**4 one at 4. The window
+# ends at twice the read's end, far enough for that read not to be the last
 @pytest.mark.parametrize("width, edge, before", [(3, 1000, 2), (4, 10**4, 3)])
 def test_a_match_across_a_growth_read_end_is_found(width, edge, before, monkeypatch):
     start = edge - before
     pattern = default_oracle().digits(start + width)[start:]
-    horizon = edge + width
+    horizon = 2 * edge
     assert edge in _read_ends(0, width, horizon + width - 1)
     orc = DigitOracle(self_test_digits=0)
     sizes = _computed_digits(monkeypatch)
@@ -309,6 +311,19 @@ def test_a_search_reads_once_below_ten_to_its_width(monkeypatch):
     assert find_pattern("68", 604, orc) is None
     assert find_pattern("68", 605, orc) == 605
     assert sizes == [5005, 100, 400, 605, 606]
+
+
+def test_a_read_near_the_window_end_reads_to_it(monkeypatch):
+    # a read that would end less than an eighth short of the window end
+    # reads the whole window instead: "68" first starts at 605, so a 2-digit
+    # search whose window ends at 103 reads once, not 10**2 and then 103
+    sizes = _computed_digits(monkeypatch)
+    assert find_pattern("68", 102, DigitOracle(self_test_digits=0)) is None
+    assert sizes == [103]
+    # the same for a fourfold step: "662" first starts at 4066, and the step
+    # after 10**3 would end at 4000, 402 short of the window's 4402
+    assert find_pattern("662", 4400, DigitOracle(self_test_digits=0)) == 4066
+    assert sizes == [103, 1000, 4402]
 
 
 def test_horizon_zero_explores_nothing_whatever_the_limit():

@@ -43,19 +43,15 @@ from brouwer.logic import (
     _mask_closure,
     _Masks,
     _class_table,
+    _formula_at,
     _preorder,
     _refuse_if_huge,
-    _root_class,
     _stage_tree,
     _sweep,
     _upclosed_sets,
-    _valued_shapes,
     atoms_of,
     count_models,
     dump_model,
-    enumerate_box_free,
-    enumerate_models,
-    enumerate_shapes,
     forces,
     is_stage_free,
     load_model,
@@ -67,6 +63,13 @@ from brouwer.logic import (
 )
 from brouwer.logic import tested_later as sugar_later
 from brouwer.logic import tested_now as sugar_now
+from references import (
+    _root_class,
+    _valued_shapes,
+    enumerate_box_free,
+    enumerate_models,
+    enumerate_shapes,
+)
 
 P, Q = Atom("p"), Atom("q")
 
@@ -590,7 +593,7 @@ def test_cap_refuses_without_enumerating(monkeypatch):
     def never(*args):
         raise AssertionError("the cap enumerated shapes or up-sets")
 
-    monkeypatch.setattr("brouwer.logic.enumerate_shapes", never)
+    monkeypatch.setattr("brouwer.logic._preorder", never)
     monkeypatch.setattr("brouwer.logic._upclosed_sets", never)
     with pytest.raises(ResourceLimitError) as ei:
         validity_sweep("ic1", SweepBounds(max_nodes=12))
@@ -599,14 +602,14 @@ def test_cap_refuses_without_enumerating(monkeypatch):
 
 
 def test_cap_charges_a_pass_over_the_nodes(monkeypatch, capsys):
-    # two formulas per model used to pass the cap and run for minutes; each
-    # model's class key walks its nodes, so it costs at least max_nodes
+    # two formulas per model used to pass the cap and run for minutes; a
+    # model visited walks its nodes, so it costs at least max_nodes
     from brouwer.cli import main
 
     def never(*args):
         raise AssertionError("the cap enumerated shapes or up-sets")
 
-    monkeypatch.setattr("brouwer.logic.enumerate_shapes", never)
+    monkeypatch.setattr("brouwer.logic._preorder", never)
     monkeypatch.setattr("brouwer.logic._upclosed_sets", never)
     with pytest.raises(ResourceLimitError) as ei:
         validity_sweep("ic1", SweepBounds(max_nodes=13, max_atoms=1, max_operand_depth=0))
@@ -1235,15 +1238,59 @@ def test_formula_count_without_building_the_formulas(monkeypatch):
             bounds = SweepBounds(max_atoms=atoms, max_operand_depth=depth)
             assert _level_starts(bounds)[-1] == len(enumerate_box_free(bounds))
 
-    # operand depth 3 means ~22 million formulas: the cap refuses before any is built
-    def never(bounds):
-        raise AssertionError("the formula list was built before the cap check")
+    # operand depth 3 means ~22 million formulas: the cap refuses before any
+    # is built or any model's masks are closed
+    def never(*args):
+        raise AssertionError("a formula or a closure was built before the cap check")
 
-    monkeypatch.setattr("brouwer.logic.enumerate_box_free", never)
+    monkeypatch.setattr("brouwer.logic._formula_at", never)
+    monkeypatch.setattr("brouwer.logic._mask_closure", never)
     with pytest.raises(ResourceLimitError) as ei:
         validity_sweep("ic1", SweepBounds(max_operand_depth=3))
     assert ei.value.requested == 1254 * 21_918_630
     assert ei.value.limit == DEFAULT_SWEEP_CAP
+
+
+@pytest.mark.parametrize("bounds", _ORACLE_BOUNDS, ids=lambda b: f"{b.max_nodes}-{b.max_atoms}-{b.max_operand_depth}")
+def test_formula_at_inverts_the_formula_order(bounds):
+    starts = _level_starts(bounds)
+    atoms = ATOM_POOL[: bounds.max_atoms]
+    assert [_formula_at(i, starts, atoms) for i in range(starts[-1])] == enumerate_box_free(bounds)
+
+
+def test_formula_at_matches_the_list_at_operand_depth_three():
+    # 1,044,302 formulas: each level's ends and a spread of indices between
+    bounds = SweepBounds(max_nodes=2, max_atoms=1, max_box_index=3, max_operand_depth=3)
+    formulas = enumerate_box_free(bounds)
+    starts = _level_starts(bounds)
+    assert starts[-1] == len(formulas) == 1_044_302
+    picks = set(range(0, len(formulas), 997)) | {
+        i for start in starts for i in (start - 1, start, start + 1) if 0 <= i < len(formulas)
+    }
+    for i in sorted(picks):
+        assert _formula_at(i, starts, ("p",)) == formulas[i], i
+
+
+def test_a_depth_three_sweep_builds_no_formula_list():
+    # the cap admits 7 models x 1,044,302 formulas; listing the formulas to
+    # name phi took 67 MB at its peak, and only phi itself is built now
+    gc.collect()
+    tracemalloc.start()
+    try:
+        result = validity_sweep("cs4", SweepBounds(3, 1, 3, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (result.models_checked, result.instances_checked, result.monotone_ok) == (7, 40, True)
+    assert result.countermodel.as_dict() == {
+        "model": {"nodes": [
+            {"id": "n0", "atoms": []},
+            {"id": "n1", "atoms": [], "parent": "n0"},
+            {"id": "n2", "atoms": ["p"], "parent": "n1"},
+        ]},
+        "node": "n0", "phi": "p", "indices": {"n": 1}, "instance": "[1]p | ~[1]p",
+    }
+    assert peak < 1_000_000
 
 
 def test_sweep_bounds_script_runs():

@@ -23,7 +23,6 @@ from brouwer.reals import (
     int_point,
     lt_at,
     lt_rational,
-    gt_rational,
     mapped_point,
     negation_map,
     one_point,
@@ -41,6 +40,7 @@ from brouwer.spreads import (
     refuted_at,
     rng_spread,
 )
+from references import gt_rational
 
 
 def walk_point(start: int, moves: tuple[int, ...], name: str = "walk") -> Point:
