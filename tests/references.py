@@ -6,7 +6,10 @@
 - each model's root class, computed node by node, which must equal the
   class ids the sweep's class tables intern;
 - pi from a streaming spigot, exact digit by digit with no guard digits;
-- ``gt_rational``, the mirror of ``reals.lt_rational``.
+- ``gt_rational``, the mirror of ``reals.lt_rational``;
+- ``check_script`` as it stood before blocks became step-number intervals:
+  every step keeps its block path, and Discharge closes a block by comparing
+  paths.
 """
 
 from __future__ import annotations
@@ -14,15 +17,26 @@ from __future__ import annotations
 import functools
 import itertools
 from itertools import count, islice
-from typing import Iterator, Optional
+from typing import Iterator, Optional, Union
 
+from brouwer.derivation import (
+    _ARITY,
+    _INSTANCE_RULES,
+    CheckResult,
+    Rejected,
+    Script,
+    Verified,
+    parse_script,
+)
 from brouwer.logic import (
     ATOM_POOL,
     BOT,
+    SCHEMAS,
     And,
     Atom,
     Formula,
     Implies,
+    Not,
     Or,
     StageTree,
     SweepBounds,
@@ -30,6 +44,8 @@ from brouwer.logic import (
     _preorder,
     _stage_tree,
     _upclosed_sets,
+    atoms_of,
+    show,
 )
 from brouwer.reals import Point, Verdict, _as_fraction, _least_hit
 
@@ -149,3 +165,160 @@ def gt_rational(a: Point, r, horizon: int) -> Verdict:
     num, den = rv.numerator, rv.denominator
     terms = enumerate(a.prefix(horizon), 1)
     return _least_hit(horizon, (x * den > num << n for n, x in terms))
+
+
+# --- the derivation checker with block paths ---
+
+
+def _destruct_not(f: Formula) -> Optional[Formula]:
+    if isinstance(f, Implies) and f.right == BOT:
+        return f.left
+    return None
+
+
+def check_script(source: Union[str, Script]) -> CheckResult:
+    script = parse_script(source) if isinstance(source, str) else source
+    visible: dict[int, Formula] = {}
+    path_of: dict[int, tuple[int, ...]] = {}
+    stack: list[tuple[int, Formula]] = []  # (assume step number, assumption)
+    warnings: list[str] = []
+
+    def cur_path() -> tuple[int, ...]:
+        return tuple(n for n, _ in stack)
+
+    expected = 1
+    for st in script.steps:
+        if st.number != expected:
+            return Rejected(
+                st.number,
+                f"steps must be numbered consecutively: expected {expected}, got {st.number}",
+            )
+        expected += 1
+
+    for st in script.steps:
+        n, f = st.number, st.formula
+
+        def fail(reason: str) -> Rejected:
+            return Rejected(n, f"{st.rule}: {reason}")
+
+        # reference discipline first. A visible step's block path is a prefix
+        # of the current one: Discharge is the only way to leave a block, and
+        # it deletes the closed block's steps from visible.
+        refs: list[Formula] = []
+        bad = None
+        for r in st.refs:
+            if r not in visible:
+                bad = fail(
+                    f"step {r} is not citable here"
+                    + (" (inside a closed block)" if r in path_of else "")
+                )
+                break
+            refs.append(visible[r])
+        if bad is not None:
+            return bad
+
+        rule = st.rule
+        if rule in _ARITY and len(refs) != _ARITY[rule]:
+            return fail(f"needs exactly {_ARITY[rule]} reference(s), got {len(refs)}")
+        err: Optional[Rejected] = None
+
+        if rule == "Premise":
+            if f not in script.premises:
+                err = fail(f"{show(f)} is not among the premises")
+        elif rule == "DefAxiom":
+            if f not in script.defaxioms:
+                err = fail(f"{show(f)} is not among the definitional axioms")
+        elif rule == "Assume":
+            stack.append((n, f))
+        elif rule == "Discharge":
+            if not stack:
+                err = fail("no open assumption to discharge")
+            else:
+                a_num, a_formula = stack[-1]
+                r = st.refs[0]
+                if visible[r] != BOT:
+                    err = fail(f"step {r} must be _|_, found {show(visible[r])}")
+                elif path_of[r] != cur_path():
+                    err = fail(f"the _|_ at step {r} is not inside the current block")
+                elif f != Not(a_formula):
+                    err = fail(
+                        f"discharging the assumption at step {a_num} must yield "
+                        f"{show(Not(a_formula))}, found {show(f)}"
+                    )
+                else:
+                    stack.pop()
+                    cut = cur_path()
+                    for m in list(visible):
+                        if path_of[m][: len(cut)] == cut and len(path_of[m]) > len(cut):
+                            del visible[m]
+        elif rule == "MP":
+            if not any(
+                isinstance(imp, Implies) and imp.left == arg and imp.right == f
+                for imp, arg in (refs, refs[::-1])
+            ):
+                err = fail("neither reference is an implication applying to the other")
+        elif rule == "AndIntro":
+            if f not in (And(refs[0], refs[1]), And(refs[1], refs[0])):
+                err = fail("formula is not the conjunction of the referenced steps")
+        elif rule == "AndElim":
+            if not (isinstance(refs[0], And) and f in (refs[0].left, refs[0].right)):
+                err = fail("formula is not a conjunct of the referenced step")
+        elif rule == "OrIntro":
+            if not (isinstance(f, Or) and refs[0] in (f.left, f.right)):
+                err = fail("formula is not a disjunction containing the referenced step")
+        elif rule == "ContraPos":
+            if not (
+                isinstance(refs[0], Implies)
+                and f == Implies(Not(refs[0].right), Not(refs[0].left))
+            ):
+                err = fail("formula is not the contrapositive of the referenced step")
+        elif rule == "DNE":
+            inner = _destruct_not(refs[0])
+            inner2 = _destruct_not(inner) if inner is not None else None
+            inner3 = _destruct_not(inner2) if inner2 is not None else None
+            if inner3 is None or f != Not(inner3):
+                err = fail("reference must be a triple negation, formula its single one")
+        elif rule in _INSTANCE_RULES:
+            schema = SCHEMAS[_INSTANCE_RULES[rule]]
+            # every template is an implication: "from A infer B" is the instance A -> B
+            if len(refs) > 1:
+                err = fail(f"needs 0 or 1 reference(s), got {len(refs)}")
+            elif (hit := schema.match(Implies(refs[0], f) if refs else f)) is None:
+                err = fail("from {} the rule yields {}".format(*schema.sides()) if refs
+                           else f"axiom form is {schema.template}")
+            elif rule == "CS5R-inst":
+                phi = hit[0]
+                atoms = sorted(atoms_of(phi), key=lambda a: a.name)
+                loose = [a.name for a in atoms if not a.lawlike]
+                if loose:
+                    err = fail(
+                        f"stage collapse needs every atom of {show(phi)} declared "
+                        f"lawlike; {loose[0]!r} has no terminating test"
+                    )
+                else:
+                    warnings.append(
+                        f"step {n}: stage collapse on {show(phi)} (leans on the "
+                        f"lawlike declaration of {', '.join(a.name for a in atoms)})"
+                    )
+        else:  # pragma: no cover
+            err = fail("unhandled rule")
+
+        if err is not None:
+            return err
+        visible[n] = f
+        # an Assume step's path already includes its own block
+        path_of[n] = cur_path()
+
+    if stack:
+        return Rejected(
+            script.steps[-1].number,
+            f"assumption at step {stack[-1][0]} was never discharged",
+        )
+    last = script.steps[-1]
+    return Verified(
+        conclusion=last.formula,
+        premises=script.premises,
+        defaxioms=script.defaxioms,
+        warnings=tuple(warnings),
+        step_count=len(script.steps),
+    )

@@ -40,6 +40,7 @@ from brouwer.logic import (
     parse,
     show,
 )
+from references import check_script as reference_check_script
 from references import enumerate_shapes
 
 EXPECTED = {
@@ -166,6 +167,13 @@ def test_comments_and_blank_lines_ignored():
         ("1: p | q ; OrIntro(2)\n2: p ; Assume\n3: ~p ; Discharge(1)", 1, "not citable"),
         # discharge needs bottom
         ("premise p\n1: p ; Premise\n2: q ; Assume\n3: ~q ; Discharge(1)", 3, "_|_"),
+        # discharge needs an open block, and a _|_ inside it
+        ("defax _|_\n1: _|_ ; DefAxiom\n2: ~p ; Discharge(1)", 2, "no open assumption to discharge"),
+        (
+            "defax _|_\n1: _|_ ; DefAxiom\n2: p ; Assume\n3: ~p ; Discharge(1)",
+            3,
+            "the _|_ at step 1 is not inside the current block",
+        ),
         # discharge must negate the open assumption
         (
             "premise ~p\n1: ~p ; Premise\n2: p ; Assume\n3: _|_ ; MP(2, 1)\n"
@@ -203,6 +211,65 @@ def test_rejections(src, step, fragment):
     assert result.step == step
     assert fragment in result.reason
     assert result.as_dict()["status"] == "rejected"
+
+
+# two nested blocks: step 1 lies outside both, steps 2-6 in the outer block
+# and steps 3-4 in the inner one
+NESTED = """\
+premise ~p
+1: ~p ; Premise
+2: p ; Assume
+3: q ; Assume
+4: _|_ ; MP(2, 1)
+5: ~q ; Discharge(4)
+6: ~q | q ; OrIntro(5)
+7: _|_ ; MP(2, 1)
+8: ~p ; Discharge(7)
+"""
+
+
+def _nested(*steps: str) -> str:
+    """NESTED up to its step 5, then the given steps."""
+    return "".join(NESTED.splitlines(keepends=True)[:6]) + "\n".join(steps)
+
+
+@pytest.mark.parametrize(
+    "src, expected",
+    [
+        # an outer step cited inside the inner block (step 4), the inner
+        # Discharge cited outside it (step 6)
+        (NESTED, None),
+        (_nested("6: q | p ; OrIntro(3)"),
+         Rejected(6, "OrIntro: step 3 is not citable here (inside a closed block)")),
+        (_nested("6: _|_ | p ; OrIntro(4)"),
+         Rejected(6, "OrIntro: step 4 is not citable here (inside a closed block)")),
+        # the inner block's Discharge closes with the outer block
+        (NESTED + "9: ~q | p ; OrIntro(5)",
+         Rejected(9, "OrIntro: step 5 is not citable here (inside a closed block)")),
+        (NESTED + "9: p | q ; OrIntro(2)",
+         Rejected(9, "OrIntro: step 2 is not citable here (inside a closed block)")),
+        (NESTED + "9: ~p | q ; OrIntro(1)", None),
+        ("1: _|_ ; Assume\n2: ~_|_ ; Discharge(1)\n3: _|_ | p ; OrIntro(1)",
+         Rejected(3, "OrIntro: step 1 is not citable here (inside a closed block)")),
+        # a _|_ of the outer block does not close the inner one
+        ("premise ~p\n1: ~p ; Premise\n2: p ; Assume\n3: _|_ ; MP(2, 1)\n4: q ; Assume\n"
+         "5: ~q ; Discharge(3)",
+         Rejected(5, "Discharge: the _|_ at step 3 is not inside the current block")),
+        # no step 0, no negative steps, no citing the step itself: no suffix
+        ("premise p\n1: p ; Premise\n2: p | q ; OrIntro(0)",
+         Rejected(2, "OrIntro: step 0 is not citable here")),
+        ("premise p\n1: p ; Premise\n2: p | q ; OrIntro(-1)",
+         Rejected(2, "OrIntro: step -1 is not citable here")),
+        ("premise p\n1: p ; Premise\n2: p | q ; OrIntro(2)",
+         Rejected(2, "OrIntro: step 2 is not citable here")),
+    ],
+)
+def test_blocks_nest_and_close_by_step_number(src, expected):
+    result = check_script(src)
+    if expected is None:
+        assert result.ok, result
+    else:
+        assert result == expected
 
 
 ARITIES = {"Premise": 0, "DefAxiom": 0, "Assume": 0, "Discharge": 1, "MP": 2, "AndIntro": 2,
@@ -248,9 +315,10 @@ def test_dne_strips_exactly_one_pair():
         "premise ~~~p\n1: ~~~p ; Premise\n2: ~p ; DNE(1)\n"
     )
     assert check_script(src).ok
-    bad = "premise ~~~p\n1: ~~~p ; Premise\n2: p ; DNE(1)\n"
-    rej = check_script(bad)
-    assert not rej.ok and "triple negation" in rej.reason
+    for bad in ("premise ~~~p\n1: ~~~p ; Premise\n2: p ; DNE(1)\n",
+                "premise ~~p\n1: ~~p ; Premise\n2: p ; DNE(1)\n"):
+        rej = check_script(bad)
+        assert not rej.ok and "triple negation" in rej.reason
 
 
 def test_cs5r_warns_even_when_lawlike():
@@ -728,6 +796,103 @@ def _assert_sound(script) -> bool:
 @settings(max_examples=150, deadline=None)
 def test_accepted_steps_are_forced_where_their_hypotheses_are(script):
     _assert_sound(script)
+
+
+# --- the checker against the block-path reference ---
+
+
+_P, _Q = Atom("p"), Atom("q")
+_BLOCK_FORMULAS = (_P, Not(_P), _Q, BOT, Not(Not(_P)), Not(Not(Not(_P))), SomeStage(_P))
+_BLOCK_RULES = ("Premise", "Assume", "MP", "Discharge", "OrIntro", "AndIntro", "DNE", "IC3-inst")
+
+
+@st.composite
+def _block_scripts(draw):
+    """Up to 16 steps that open and close nested blocks. Most steps are
+    moves the checker should accept, given a guess of its state; about one
+    in ten is any rule, citing steps from closed blocks, later steps, the
+    step itself, 0, a negative number or a number past the end. Now and
+    then a step is misnumbered."""
+    premises = (_P, Not(_P))
+    total = draw(st.integers(1, 16))
+    formula_of: dict[int, object] = {}
+    live: list[int] = []  # the guess: every step is accepted
+    closed: list[int] = []
+    opened: list[int] = []
+
+    def ref(n):
+        kind = draw(st.sampled_from(("closed",) * 3 + ("live", "later", "self", "odd")))
+        if kind == "closed" and closed:
+            return draw(st.sampled_from(closed))
+        if kind in ("live", "closed") and live:
+            return draw(st.sampled_from(live))
+        if kind == "later":
+            return draw(st.integers(n + 1, n + 3))
+        if kind == "self":
+            return n
+        return draw(st.sampled_from((0, -1, -2, total + 5)))
+
+    def live_with(f, since=0):
+        return [m for m in live if m >= since and formula_of[m] == f]
+
+    def cite(n, wild, candidates):
+        return draw(st.sampled_from(candidates)) if candidates and not wild else ref(n)
+
+    steps = []
+    for n in range(1, total + 1):
+        wild = not draw(st.integers(0, 9))
+        block_bots = live_with(BOT, opened[-1]) if opened else []
+        moves = ["Premise", "Assume"]
+        moves += ["MP"] * 2 * bool(live_with(_P) and live_with(Not(_P)))
+        moves += ["Discharge"] * 4 * bool(opened and live_with(BOT))
+        moves += ["OrIntro", "AndIntro", "IC3-inst"] * bool(live)
+        moves += ["DNE"] * bool(live_with(Not(Not(_P))) or live_with(Not(Not(Not(_P)))))
+        rule = draw(st.sampled_from(_BLOCK_RULES if wild else moves))
+        if rule == "Premise":
+            refs, f = (), draw(st.sampled_from(premises + (_Q,) * wild))
+        elif rule == "Assume":
+            refs, f = (), draw(st.sampled_from(_BLOCK_FORMULAS))
+        elif rule == "MP":
+            refs = tuple(cite(n, wild, live_with(g)) for g in (_P, Not(_P)))
+            refs, f = refs[:: draw(st.sampled_from((1, -1)))], BOT
+        elif rule == "Discharge":
+            outer = not block_bots or not draw(st.integers(0, 3))
+            refs = (cite(n, wild, live_with(BOT) if outer else block_bots),)
+            f = (Not(formula_of[opened[-1]]) if opened and not (wild and draw(st.booleans()))
+                 else draw(st.sampled_from(_BLOCK_FORMULAS)))
+        elif rule == "DNE":
+            f = draw(st.sampled_from((_P, Not(_P))))  # DNE refuses ~~p to p
+            refs = (cite(n, wild, live_with(Not(Not(f)))),)
+        else:
+            fits = [m for m in live if rule != "IC3-inst" or is_stage_free(formula_of[m])]
+            refs = tuple(cite(n, wild, fits) for _ in range(1 + (rule == "AndIntro")))
+            g = [formula_of.get(r, _Q) for r in refs]
+            f = {"OrIntro": lambda: Or(g[0], _Q), "AndIntro": lambda: And(*g),
+                 "IC3-inst": lambda: SomeStage(g[0] if is_stage_free(g[0]) else _Q)}[rule]()
+        steps.append(Step(n, f, rule, refs, n))
+        formula_of[n] = f
+        live.append(n)
+        if rule == "Assume":
+            opened.append(n)
+        elif rule == "Discharge" and opened:
+            start = opened.pop()
+            closed.extend(m for m in live if start <= m < n)
+            live = [m for m in live if not start <= m < n]
+    if not draw(st.integers(0, 19)):
+        k = draw(st.integers(0, total - 1))
+        steps[k] = steps[k]._replace(number=draw(st.sampled_from((0, k, k + 2))))
+    return Script(frozenset(), frozenset({"p", "q"}), premises, (), tuple(steps))
+
+
+@given(st.one_of(_small_scripts(), _block_scripts()))
+@settings(max_examples=400, deadline=None)
+def test_checker_matches_the_block_path_reference(script):
+    assert check_script(script) == reference_check_script(script)
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_SCRIPTS))
+def test_bundled_scripts_match_the_block_path_reference(name):
+    assert check_script(BUNDLED_SCRIPTS[name]) == reference_check_script(BUNDLED_SCRIPTS[name])
 
 
 @pytest.mark.parametrize("rule", _STAGE_RULES[:-1])
