@@ -25,6 +25,13 @@ yields the negated assumption. Steps inside a closed block are no longer
 citable. The only way to leave a block is Discharge, so every verified
 conclusion is block-free.
 
+Blocks are intervals of step numbers, as in a Fitch-style proof: a block
+runs from its Assume step a to the step before its Discharge. So the
+checker keeps only the open Assume steps. The _|_ at step m lies in the
+current block exactly when m >= a for the innermost open a, and a
+Discharge at step n hides steps a..n-1. A step before the current one
+that is not citable lies inside a closed block.
+
 CS5R is the one rule with a side condition: every atom in its operand
 must be declared lawlike. Collapsing "settled at some stage" to "settled
 now" is only safe for assertions whose test is a terminating computation;
@@ -214,12 +221,11 @@ def _parse_rule(text: str, line_no: int) -> tuple[str, tuple[int, ...]]:
 
 
 def parse_script(text: str) -> Script:
-    lawlike: set[str] = set()
+    lawlike: frozenset[str] = frozenset()  # final at the first step: asserts come first
     declared: set[str] = set()
     premise_src: list[tuple[str, int]] = []
     defax_src: list[tuple[str, int]] = []
     steps: list[Step] = []
-    lawlike_frozen: Optional[frozenset[str]] = None
 
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -243,7 +249,7 @@ def parse_script(text: str) -> Script:
                     raise ScriptSyntaxError(f"{name!r} declared twice", line_no)
                 declared.add(name)
                 if len(parts) == 2:
-                    lawlike.add(name)
+                    lawlike |= {name}
             elif head == "premise":
                 premise_src.append((body, line_no))
             else:
@@ -260,146 +266,108 @@ def parse_script(text: str) -> Script:
         if ";" not in rest:
             raise ScriptSyntaxError("step needs '; <rule>' after the formula", line_no)
         formula_txt, rule_txt = rest.rsplit(";", 1)
-        if lawlike_frozen is None:
-            lawlike_frozen = frozenset(lawlike)
         rule, refs = _parse_rule(rule_txt, line_no)
         steps.append(
-            Step(number, _script_formula(formula_txt, lawlike_frozen, line_no), rule, refs, line_no)
+            Step(number, _script_formula(formula_txt, lawlike, line_no), rule, refs, line_no)
         )
 
     if not steps:
         raise ScriptSyntaxError("script has no steps", len(text.splitlines()) or 1)
-    lf = lawlike_frozen if lawlike_frozen is not None else frozenset(lawlike)
-    premises = tuple(_script_formula(s, lf, ln) for s, ln in premise_src)
-    defaxioms = tuple(_script_formula(s, lf, ln) for s, ln in defax_src)
-    return Script(lf, frozenset(declared), premises, defaxioms, tuple(steps))
+    premises = tuple(_script_formula(s, lawlike, ln) for s, ln in premise_src)
+    defaxioms = tuple(_script_formula(s, lawlike, ln) for s, ln in defax_src)
+    return Script(lawlike, frozenset(declared), premises, defaxioms, tuple(steps))
 
 
 # --- the checker ---
 
 
-def _destruct_not(f: Formula) -> Optional[Formula]:
-    if isinstance(f, Implies) and f.right == BOT:
-        return f.left
-    return None
-
-
 def check_script(source: Union[str, Script]) -> CheckResult:
     script = parse_script(source) if isinstance(source, str) else source
     visible: dict[int, Formula] = {}
-    path_of: dict[int, tuple[int, ...]] = {}
-    stack: list[tuple[int, Formula]] = []  # (assume step number, assumption)
+    opened: list[int] = []  # the Assume steps of the open blocks, outermost first
     warnings: list[str] = []
 
-    def cur_path() -> tuple[int, ...]:
-        return tuple(n for n, _ in stack)
-
-    expected = 1
-    for st in script.steps:
+    for expected, st in enumerate(script.steps, start=1):
         if st.number != expected:
-            return Rejected(
-                st.number,
-                f"steps must be numbered consecutively: expected {expected}, got {st.number}",
-            )
-        expected += 1
+            return Rejected(st.number, "steps must be numbered consecutively: "
+                                       f"expected {expected}, got {st.number}")
 
     for st in script.steps:
-        n, f = st.number, st.formula
+        n, f, rule = st.number, st.formula, st.rule
+        refs = [visible.get(r) for r in st.refs]
+        unseen = [r for r in st.refs if r not in visible]
+        reason: Optional[str] = None
 
-        def fail(reason: str) -> Rejected:
-            return Rejected(n, f"{st.rule}: {reason}")
-
-        # reference discipline first. A visible step's block path is a prefix
-        # of the current one: Discharge is the only way to leave a block, and
-        # it deletes the closed block's steps from visible.
-        refs: list[Formula] = []
-        bad = None
-        for r in st.refs:
-            if r not in visible:
-                bad = fail(
-                    f"step {r} is not citable here"
-                    + (" (inside a closed block)" if r in path_of else "")
-                )
-                break
-            refs.append(visible[r])
-        if bad is not None:
-            return bad
-
-        rule = st.rule
-        if rule in _ARITY and len(refs) != _ARITY[rule]:
-            return fail(f"needs exactly {_ARITY[rule]} reference(s), got {len(refs)}")
-        err: Optional[Rejected] = None
-
-        if rule == "Premise":
+        # reference discipline first. Steps 1..n-1 were all accepted, so one
+        # of them that is not visible lies inside a closed block.
+        if unseen:
+            r = unseen[0]
+            reason = f"step {r} is not citable here" + " (inside a closed block)" * (0 < r < n)
+        elif rule in _ARITY and len(refs) != _ARITY[rule]:
+            reason = f"needs exactly {_ARITY[rule]} reference(s), got {len(refs)}"
+        elif rule == "Premise":
             if f not in script.premises:
-                err = fail(f"{show(f)} is not among the premises")
+                reason = f"{show(f)} is not among the premises"
         elif rule == "DefAxiom":
             if f not in script.defaxioms:
-                err = fail(f"{show(f)} is not among the definitional axioms")
+                reason = f"{show(f)} is not among the definitional axioms"
         elif rule == "Assume":
-            stack.append((n, f))
+            opened.append(n)
         elif rule == "Discharge":
-            if not stack:
-                err = fail("no open assumption to discharge")
+            r = st.refs[0]
+            if not opened:
+                reason = "no open assumption to discharge"
+            elif refs[0] != BOT:
+                reason = f"step {r} must be _|_, found {show(refs[0])}"
+            elif r < opened[-1]:
+                reason = f"the _|_ at step {r} is not inside the current block"
+            elif f != Not(visible[opened[-1]]):
+                reason = (
+                    f"discharging the assumption at step {opened[-1]} must yield "
+                    f"{show(Not(visible[opened[-1]]))}, found {show(f)}"
+                )
             else:
-                a_num, a_formula = stack[-1]
-                r = st.refs[0]
-                if visible[r] != BOT:
-                    err = fail(f"step {r} must be _|_, found {show(visible[r])}")
-                elif path_of[r] != cur_path():
-                    err = fail(f"the _|_ at step {r} is not inside the current block")
-                elif f != Not(a_formula):
-                    err = fail(
-                        f"discharging the assumption at step {a_num} must yield "
-                        f"{show(Not(a_formula))}, found {show(f)}"
-                    )
-                else:
-                    stack.pop()
-                    cut = cur_path()
-                    for m in list(visible):
-                        if path_of[m][: len(cut)] == cut and len(path_of[m]) > len(cut):
-                            del visible[m]
+                # a block is the run of steps from its Assume to here
+                for m in range(opened.pop(), n):
+                    visible.pop(m, None)
         elif rule == "MP":
             if not any(
                 isinstance(imp, Implies) and imp.left == arg and imp.right == f
                 for imp, arg in (refs, refs[::-1])
             ):
-                err = fail("neither reference is an implication applying to the other")
+                reason = "neither reference is an implication applying to the other"
         elif rule == "AndIntro":
             if f not in (And(refs[0], refs[1]), And(refs[1], refs[0])):
-                err = fail("formula is not the conjunction of the referenced steps")
+                reason = "formula is not the conjunction of the referenced steps"
         elif rule == "AndElim":
             if not (isinstance(refs[0], And) and f in (refs[0].left, refs[0].right)):
-                err = fail("formula is not a conjunct of the referenced step")
+                reason = "formula is not a conjunct of the referenced step"
         elif rule == "OrIntro":
             if not (isinstance(f, Or) and refs[0] in (f.left, f.right)):
-                err = fail("formula is not a disjunction containing the referenced step")
+                reason = "formula is not a disjunction containing the referenced step"
         elif rule == "ContraPos":
             if not (
                 isinstance(refs[0], Implies)
                 and f == Implies(Not(refs[0].right), Not(refs[0].left))
             ):
-                err = fail("formula is not the contrapositive of the referenced step")
+                reason = "formula is not the contrapositive of the referenced step"
         elif rule == "DNE":
-            inner = _destruct_not(refs[0])
-            inner2 = _destruct_not(inner) if inner is not None else None
-            inner3 = _destruct_not(inner2) if inner2 is not None else None
-            if inner3 is None or f != Not(inner3):
-                err = fail("reference must be a triple negation, formula its single one")
+            if not (isinstance(f, Implies) and f.right == BOT and refs[0] == Not(Not(f))):
+                reason = "reference must be a triple negation, formula its single one"
         elif rule in _INSTANCE_RULES:
             schema = SCHEMAS[_INSTANCE_RULES[rule]]
             # every template is an implication: "from A infer B" is the instance A -> B
             if len(refs) > 1:
-                err = fail(f"needs 0 or 1 reference(s), got {len(refs)}")
+                reason = f"needs 0 or 1 reference(s), got {len(refs)}"
             elif (hit := schema.match(Implies(refs[0], f) if refs else f)) is None:
-                err = fail("from {} the rule yields {}".format(*schema.sides()) if refs
-                           else f"axiom form is {schema.template}")
+                reason = ("from {} the rule yields {}".format(*schema.sides()) if refs
+                          else f"axiom form is {schema.template}")
             elif rule == "CS5R-inst":
                 phi = hit[0]
                 atoms = sorted(atoms_of(phi), key=lambda a: a.name)
                 loose = [a.name for a in atoms if not a.lawlike]
                 if loose:
-                    err = fail(
+                    reason = (
                         f"stage collapse needs every atom of {show(phi)} declared "
                         f"lawlike; {loose[0]!r} has no terminating test"
                     )
@@ -409,27 +377,16 @@ def check_script(source: Union[str, Script]) -> CheckResult:
                         f"lawlike declaration of {', '.join(a.name for a in atoms)})"
                     )
         else:  # pragma: no cover
-            err = fail("unhandled rule")
+            reason = "unhandled rule"
 
-        if err is not None:
-            return err
+        if reason is not None:
+            return Rejected(n, f"{rule}: {reason}")
         visible[n] = f
-        # an Assume step's path already includes its own block
-        path_of[n] = cur_path()
 
-    if stack:
-        return Rejected(
-            script.steps[-1].number,
-            f"assumption at step {stack[-1][0]} was never discharged",
-        )
     last = script.steps[-1]
-    return Verified(
-        conclusion=last.formula,
-        premises=script.premises,
-        defaxioms=script.defaxioms,
-        warnings=tuple(warnings),
-        step_count=len(script.steps),
-    )
+    if opened:
+        return Rejected(last.number, f"assumption at step {opened[-1]} was never discharged")
+    return Verified(last.formula, script.premises, script.defaxioms, tuple(warnings), len(script.steps))
 
 
 # --- bundled scripts ---
