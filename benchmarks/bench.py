@@ -23,9 +23,11 @@ The sections:
   quadratic) must equal Chudnovsky.
 - streams: the median of three ``prefix(h)`` reads, each of a fresh point:
   the centred value 1/3, that point through the identity, negation and delay
-  maps (delay reads its base to 2h), and the point recentred below stage 16.
-  Term n is an n-bit integer, so even a linear stream costs more per stage
-  as h grows.
+  maps (delay reads its base to 2h), the point recentred below stage 16, and
+  vienna_e and berlin_s on a trace that never resolves. vienna_e's target at
+  stage n is a fraction over 2^(n+1): taken by a division per stage, the
+  stream would cost O(h^3). Term n is an n-bit integer, so even a linear
+  stream costs more per stage as h grows.
 - sweep: ``principle_suite`` (all six schemata, stage indices up to 3) at
   fixed (nodes, atoms, operand depth), with the root classes the sweep's
   class tables list, checked against every model's root class (from
@@ -140,7 +142,7 @@ def pi(sizes=PI_DIGITS) -> dict:
 def streams(horizons=HORIZONS) -> dict:
     from fractions import Fraction
 
-    from brouwer import reals
+    from brouwer import drift, reals, spreads
 
     def third():
         return reals.value_point(Fraction(1, 3))
@@ -151,6 +153,8 @@ def streams(horizons=HORIZONS) -> dict:
         "negation(value)": lambda: reals.mapped_point(reals.negation_map(), third()),
         "delay(value)": lambda: reals.mapped_point(reals.delay_map(), third()),
         "centered(value,16)": lambda: reals.centered_point(third(), 16),
+        "vienna_e(never)": lambda: drift.vienna_e(spreads.never_trace()),
+        "berlin_s(never)": lambda: drift.berlin_s(spreads.never_trace()),
     }
     rows = []
     for h in horizons:

@@ -169,19 +169,23 @@ def scaled_floor(value, k: int) -> tuple[int, bool]:
     """floor(value * 2**k) plus a flag telling whether the product is exact.
 
     Accepts Dyadic, Fraction, int, or any object with a scaled_floor(k)
-    method (used by exact irrational values elsewhere).
+    method (used by exact irrational values elsewhere). A Fraction whose
+    denominator is a power of two is shifted like a Dyadic, not divided.
     """
     if isinstance(value, Dyadic):
-        if k >= value.exp:
-            return value.num << (k - value.exp), True
-        shift = value.exp - k
-        q = value.num >> shift
-        return q, q << shift == value.num
-    if isinstance(value, int):
+        num, exp = value.num, value.exp
+    elif isinstance(value, int):
         return value << k, True
-    if isinstance(value, Fraction):
-        num = value.numerator << k
-        q, r = divmod(num, value.denominator)
+    elif not isinstance(value, Fraction):
+        return value.scaled_floor(k)
+    elif (den := value.denominator) & (den - 1):
+        q, r = divmod(value.numerator << k, den)
         return q, r == 0
-    return value.scaled_floor(k)
+    else:
+        num, exp = value.numerator, den.bit_length() - 1
+    if k >= exp:
+        return num << (k - exp), True
+    shift = exp - k
+    q = num >> shift
+    return q, q << shift == num
 

@@ -131,6 +131,19 @@ def test_scaled_floor_on_dyadics(d, k):
     assert (fl, exact) == (f2, e2)
 
 
+def divmod_floor(value: Fraction, k: int) -> tuple[int, bool]:
+    """floor(value * 2**k) and its exactness by long division, the route
+    scaled_floor takes for a Fraction whose denominator is not a power of two."""
+    q, r = divmod(value.numerator << k, value.denominator)
+    return q, r == 0
+
+
+@given(st.integers(-(2**200), 2**200), st.integers(0, 300), st.integers(0, 300))
+def test_scaled_floor_shifts_dyadic_fractions_as_the_division_would(num, exp, k):
+    value = Fraction(num, 1 << exp)
+    assert scaled_floor(value, k) == divmod_floor(value, k)
+
+
 def cmp_scaled(value, k: int, target: int) -> int:
     """Sign of (value * 2**k - target), exactly: the comparison the
     reference centering emitter (tests/test_spreads.py) is built on."""

@@ -333,11 +333,11 @@ def test_a_derailed_base_refuses_at_its_stage_through_a_map(name, k):
 
 def test_point_streams_script_runs():
     record = bench_writer.bench.streams((1_000,))
-    assert [list(r) for r in record["rows"]] == [["point", "stages", "ms", "us_per_stage"]] * 5
+    assert [list(r) for r in record["rows"]] == [["point", "stages", "ms", "us_per_stage"]] * 7
     assert [(r["point"], r["stages"]) for r in record["rows"]] == [
         (name, 1_000)
         for name in ("value(1/3)", "identity(value)", "negation(value)", "delay(value)",
-                     "centered(value,16)")
+                     "centered(value,16)", "vienna_e(never)", "berlin_s(never)")
     ]
     assert bench_writer.survives_json(record)
 
