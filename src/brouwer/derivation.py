@@ -29,8 +29,7 @@ Blocks are intervals of step numbers, as in a Fitch-style proof: a block
 runs from its Assume step a to the step before its Discharge. So the
 checker keeps only the open Assume steps. The _|_ at step m lies in the
 current block exactly when m >= a for the innermost open a, and a
-Discharge at step n hides steps a..n-1. A step before the current one
-that is not citable lies inside a closed block.
+Discharge at step n hides steps a..n-1.
 
 CS5R is the one rule with a side condition: every atom in its operand
 must be declared lawlike. Collapsing "settled at some stage" to "settled
@@ -386,7 +385,8 @@ def check_script(source: Union[str, Script]) -> CheckResult:
     last = script.steps[-1]
     if opened:
         return Rejected(last.number, f"assumption at step {opened[-1]} was never discharged")
-    return Verified(last.formula, script.premises, script.defaxioms, tuple(warnings), len(script.steps))
+    return Verified(last.formula, script.premises, script.defaxioms, tuple(warnings),
+                    len(script.steps))
 
 
 # --- bundled scripts ---
