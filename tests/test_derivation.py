@@ -249,6 +249,7 @@ def _nested(*steps: str) -> str:
         (NESTED + "9: p | q ; OrIntro(2)",
          Rejected(9, "OrIntro: step 2 is not citable here (inside a closed block)")),
         (NESTED + "9: ~p | q ; OrIntro(1)", None),
+        # a closed block that starts at step 1
         ("1: _|_ ; Assume\n2: ~_|_ ; Discharge(1)\n3: _|_ | p ; OrIntro(1)",
          Rejected(3, "OrIntro: step 1 is not citable here (inside a closed block)")),
         # a _|_ of the outer block does not close the inner one
