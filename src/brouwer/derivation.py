@@ -282,6 +282,8 @@ def parse_script(text: str) -> Script:
 
 def check_script(source: Union[str, Script]) -> CheckResult:
     script = parse_script(source) if isinstance(source, str) else source
+    if not script.steps:
+        return Rejected(0, "script has no steps")
     visible: dict[int, Formula] = {}
     opened: list[int] = []  # the Assume steps of the open blocks, outermost first
     warnings: list[str] = []

@@ -597,13 +597,6 @@ class _Masks:
                 cur.append(acc)
             self.stepmask.append(cur)
 
-    def atom_mask(self, name: str) -> int:
-        acc = 0
-        for w in range(self.m.size):
-            if name in self.m.valuation[w]:
-                acc |= 1 << w
-        return acc
-
     def implies_mask(self, l: int, r: int) -> int:
         bad = l & ~r
         acc = 0
@@ -639,12 +632,11 @@ class _Masks:
         return True
 
     def eval(self, f: Formula, memo: dict) -> int:
+        """f's mask; memo maps id(g) to g's mask and must hold f's atoms."""
         key = id(f)
         if key in memo:
             return memo[key]
-        if isinstance(f, Atom):
-            v = self.atom_mask(f.name)
-        elif isinstance(f, Bottom):
+        if isinstance(f, Bottom):
             v = 0
         elif isinstance(f, And):
             v = self.eval(f.left, memo) & self.eval(f.right, memo)
@@ -654,8 +646,10 @@ class _Masks:
             v = self.implies_mask(self.eval(f.left, memo), self.eval(f.right, memo))
         elif isinstance(f, Box):
             v = self.box_mask(f.n, self.eval(f.operand, memo))
-        else:
+        elif isinstance(f, SomeStage):
             v = self.somestage_mask(self.eval(f.operand, memo))
+        else:
+            raise TypeError(f"no mask for {f!r}")
         memo[key] = v
         return v
 
@@ -1059,32 +1053,42 @@ def _sweep(
         shape = tuple(_preorder(code, 0, [None]))
         mm = _Masks(StageTree(shape, (frozenset(),) * n), bounds.max_box_index)
         implies = functools.cache(mm.implies_mask)
-        verdicts: dict[tuple[str, int, int], int] = {}
+        upclosed = functools.cache(mm.upclosed)
+        pending = [name for name in schema_names if found[name] is None]
+
+        @functools.cache
+        def check(mask: int) -> tuple[bool, dict]:
+            """Audits of phi mask and its instance masks, and {schema pending at
+            the shape: (first instance failing on mask, lowest node not forcing it)}."""
+            ok, fails = upclosed(mask), {}
+            for name in pending:
+                for j, (_, _, template) in enumerate(instances[name]):
+                    inst_mask = mm.eval(template, {id(slot): mask})
+                    ok = upclosed(inst_mask) and ok
+                    if inst_mask != mm.full:
+                        fails[name] = j, (~inst_mask & inst_mask + 1).bit_length() - 1
+                        break
+            return ok, fails
 
         def visit(atom_masks: tuple[int, ...], found: dict, checked: dict) -> tuple[int, bool]:
-            """One model's distinct masks in formula order, each audited and
-            checked against the instances of every schema unfound in found; a
-            refutation goes into found. Returns the mask count and the audit."""
+            """One pass over a model's distinct masks for each schema unfound in
+            found, refutations going into found. Returns (mask count, audit)."""
             closure = _mask_closure(atom_masks, starts, implies)
-            ok = True
-            for index, mask in sorted((i, m) for m, i in closure.items()):
-                ok = ok and mm.upclosed(mask)
-                for name in schema_names:
-                    if found[name] is not None:
-                        continue
-                    for j, (indices, build, template) in enumerate(instances[name]):
-                        inst_mask = verdicts.get((name, j, mask))
-                        if inst_mask is None:
-                            inst_mask = verdicts[name, j, mask] = mm.eval(template, {id(slot): mask})
-                            ok = ok and mm.upclosed(inst_mask)
-                        checked[name] += 1
-                        if inst_mask != mm.full:
-                            missing = ~inst_mask & mm.full
-                            node = (missing & -missing).bit_length() - 1
-                            phi = _formula_at(index, starts, atoms)
-                            model = _stage_tree(shape, atoms, atom_masks)
-                            found[name] = Countermodel(model, node, phi, indices, build(phi))
-                            break
+            ok, least = True, {}
+            for mask, index in closure.items():
+                audit, fails = check(mask)
+                ok = ok and audit
+                for name, fail in fails.items():
+                    if found[name] is None:
+                        least[name] = min(least.get(name, (index, fail)), (index, fail))
+            for name in pending:
+                if found[name] is None and name not in least:
+                    checked[name] += len(closure) * len(instances[name])
+            for name, (index, (j, node)) in least.items():
+                checked[name] += sum(i < index for i in closure.values()) * len(instances[name]) + j + 1
+                indices, build, _ = instances[name][j]
+                phi = _formula_at(index, starts, atoms)
+                found[name] = Countermodel(_stage_tree(shape, atoms, atom_masks), node, phi, indices, build(phi))
             return len(closure), ok
 
         table: dict = {}
@@ -1151,9 +1155,11 @@ def validity_sweep(
     masks as meet, join and implication of the finite Heyting algebra of
     up-sets, so an instance's verdict depends only on phi's mask. Per model
     the atom masks and _|_ are closed under the connectives level by level,
-    keeping each mask's first formula (_mask_closure); visiting the distinct
-    masks in that order gives the per-formula scan's counts and first
-    countermodel. Instance verdicts are memoised per shape and phi mask.
+    keeping each mask's first formula (_mask_closure). Per shape each phi
+    mask is checked once, for its and its instances' audits and each
+    schema's first instance failing on it. A visit adds masks x instances
+    to a schema none refutes, else reads the countermodel and the
+    per-formula scan's partial count off the least failing formula index.
 
     Forcing is invariant under bisimulation of the successor relation with
     leaves looping to themselves, and every node is reachable from the
@@ -1167,9 +1173,8 @@ def validity_sweep(
     A shape where such a check refutes a schema still unfound holds that
     schema's first countermodel. The countermodel pass visits its models in
     listed order, with no class key, for the exact model, node and partial
-    counts: a model adds one check per mask per unfound instance, as its
-    class's count would, and a class seen before cannot refute a schema
-    still unfound. Only phi is built, from its index (_formula_at)."""
+    counts; a class seen before cannot refute a schema still unfound. Only
+    phi is built, from its index (_formula_at)."""
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}; pick from {sorted(SCHEMAS)}")
     results, _ = _sweep([schema], bounds, cap)

@@ -3,6 +3,8 @@
 
 - the model and formula lists, element by element, that the sweep reaches
   through codes, up-sets and a formula rank;
+- the mask of any formula on a model, its atoms seeded from the valuation
+  (the sweep seeds only phi's mask, so the engine takes no atom itself);
 - each model's root class, computed node by node, which must equal the
   class ids the sweep's class tables intern;
 - pi from a streaming spigot, exact digit by digit with no guard digits;
@@ -34,13 +36,16 @@ from brouwer.logic import (
     SCHEMAS,
     And,
     Atom,
+    Box,
     Formula,
     Implies,
     Not,
     Or,
+    SomeStage,
     StageTree,
     SweepBounds,
     _codes,
+    _Masks,
     _preorder,
     _stage_tree,
     _upclosed_sets,
@@ -90,6 +95,27 @@ def enumerate_box_free(bounds: SweepBounds) -> list[Formula]:
                     fresh.append(ctor(l, r))
         levels.append(fresh)
     return [f for level in levels for f in level]
+
+
+# --- formula masks with atoms ---
+
+
+def masks_eval(mm: _Masks, f: Formula, memo: dict) -> int:
+    """mm.eval(f, memo) for a formula with atoms: each atom of f not yet in
+    memo goes in first, by id, with the mask of the nodes whose valuation
+    holds it."""
+    stack = [f]
+    while stack:
+        g = stack.pop()
+        if id(g) in memo:
+            continue
+        if isinstance(g, Atom):
+            memo[id(g)] = sum(1 << w for w, val in enumerate(mm.m.valuation) if g.name in val)
+        elif isinstance(g, (And, Or, Implies)):
+            stack += (g.left, g.right)
+        elif isinstance(g, (Box, SomeStage)):
+            stack.append(g.operand)
+    return mm.eval(f, memo)
 
 
 # --- root classes, model by model ---

@@ -213,6 +213,12 @@ def test_rejections(src, step, fragment):
     assert result.as_dict()["status"] == "rejected"
 
 
+def test_hand_built_script_with_no_steps_is_rejected():
+    # parse_script refuses an empty script; one built by hand reaches the checker
+    empty = Script(frozenset(), frozenset(), (), (), ())
+    assert check_script(empty) == Rejected(0, "script has no steps")
+
+
 # two nested blocks: step 1 lies outside both, steps 2-6 in the outer block
 # and steps 3-4 in the inner one
 NESTED = """\

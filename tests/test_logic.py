@@ -69,6 +69,7 @@ from references import (
     enumerate_box_free,
     enumerate_models,
     enumerate_shapes,
+    masks_eval,
 )
 
 P, Q = Atom("p"), Atom("q")
@@ -466,7 +467,7 @@ def test_masks_match_reference_forces():
         masks = _Masks(m, bounds.max_box_index)
         memo = {}
         for f in probes:
-            mask = masks.eval(f, memo)
+            mask = masks_eval(masks, f, memo)
             for w in range(m.size):
                 assert bool(mask >> w & 1) == forces(m, w, f), (show(f), w)
             checked += 1
@@ -482,9 +483,18 @@ def test_masks_match_forces_random(data):
     m = data.draw(st.sampled_from(models))
     f = data.draw(_formulas)
     masks = _Masks(m, 4)
-    mask = masks.eval(f, {})
+    mask = masks_eval(masks, f, {})
     for w in range(m.size):
         assert bool(mask >> w & 1) == forces(m, w, f)
+
+
+def test_mask_engine_takes_atoms_only_from_the_memo():
+    masks = _Masks(StageTree((None, 0), (frozenset(), frozenset({"p"}))), 2)
+    for f in (P, SomeStage(P), Implies(Q, BOT)):
+        with pytest.raises(TypeError, match="no mask for Atom"):
+            masks.eval(f, {})
+    assert masks.eval(SomeStage(P), {id(P): 0b10}) == 0b11
+    assert masks_eval(masks, SomeStage(P), {}) == 0b11
 
 
 # --- enumeration counts ---
@@ -787,7 +797,7 @@ def _reference_sweep(
         memo: dict = {}
         seen_masks: set[int] = set()
         for phi in formulas:
-            mask = mm.eval(phi, memo)
+            mask = masks_eval(mm, phi, memo)
             if monotone_ok and not mm.upclosed(mask):
                 monotone_ok = False
             if mask in seen_masks:
@@ -798,7 +808,7 @@ def _reference_sweep(
                     continue
                 for indices, build in instances[name]:
                     inst = build(phi)
-                    inst_mask = mm.eval(inst, {})
+                    inst_mask = masks_eval(mm, inst, {})
                     instances_checked[name] += 1
                     if monotone_ok and not mm.upclosed(inst_mask):
                         monotone_ok = False
@@ -984,6 +994,46 @@ def test_a_sweep_leaves_no_reference_cycle():
     assert unreachable == 0
     # a cycle through the tables keeps ~130 kB; the free lists settle by ~10 kB
     assert grown < 24_000
+
+
+@pytest.mark.parametrize(
+    "run",
+    [
+        lambda: validity_sweep("ic1", SweepBounds(6, 2, 3, 1)),
+        lambda: principle_suite(SweepBounds()),
+        lambda: principle_suite(SweepBounds(6, 2, 3, 1)),
+    ],
+    ids=["ic1-6-2-1", "suite-5-2-2", "suite-6-2-1"],
+)
+def test_a_sweep_audits_and_evaluates_each_mask_once_per_shape(monkeypatch, run):
+    # the answers are pinned against the oracles above; this pins the work.
+    # Audits count by (shape, mask); evaluations of an instance template by
+    # (shape, template, phi mask), not the nested calls on its subformulas.
+    audits: Counter = Counter()
+    evals: Counter = Counter()
+    upclosed, evaluate = _Masks.upclosed, _Masks.eval
+    depth = [0]
+
+    def counted_upclosed(self, mask):
+        audits[self.m.parents, mask] += 1
+        return upclosed(self, mask)
+
+    def counted_eval(self, f, memo):
+        if not depth[0]:
+            (phi_mask,) = memo.values()  # the sweep seeds phi's mask alone
+            evals[self.m.parents, id(f), phi_mask] += 1
+        depth[0] += 1
+        try:
+            return evaluate(self, f, memo)
+        finally:
+            depth[0] -= 1
+
+    monkeypatch.setattr(_Masks, "upclosed", counted_upclosed)
+    monkeypatch.setattr(_Masks, "eval", counted_eval)
+    run()
+    assert audits and evals
+    assert max(audits.values()) == 1
+    assert max(evals.values()) == 1
 
 
 def _unreachable_after(call, times: int = 100) -> int:
@@ -1207,7 +1257,7 @@ def test_mask_closure_matches_a_formula_scan(bounds):
             memo: dict = {}
             first: dict[int, int] = {}
             for i, f in enumerate(formulas):
-                first.setdefault(masks.eval(f, memo), i)
+                first.setdefault(masks_eval(masks, f, memo), i)
             assert _mask_closure(atom_masks, starts, implies) == first, (shape, atom_masks)
 
 
