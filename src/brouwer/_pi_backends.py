@@ -90,9 +90,14 @@ _EXACT = decimal.Context(
 )
 
 
-def _chud_split_dec(a: int, b: int, with_p=False) -> tuple[Decimal | None, Decimal, Decimal]:
-    """P, Q, T of terms a..b-1 as exact Decimal integers; P is None unless
-    with_p, since no caller reads P on the right spine of a splitting.
+def _merge(p1, q1, t1, p2, q2, t2) -> tuple[Decimal, Decimal, Decimal]:
+    """P, Q, T of terms a..b-1 from those of a..m-1 and m..b-1."""
+    mul = _EXACT.multiply
+    return mul(p1, p2), mul(q1, q2), _EXACT.add(mul(t1, q2), mul(p1, t2))
+
+
+def _chud_split_dec(a: int, b: int) -> tuple[Decimal, Decimal, Decimal]:
+    """P, Q, T of terms a..b-1 as exact Decimal integers.
 
     Each q_k ends in three zeros, so a leaf's Q is normalized: its powers
     of ten go to the exponent, where products add them exactly, and the
@@ -100,13 +105,9 @@ def _chud_split_dec(a: int, b: int, with_p=False) -> tuple[Decimal | None, Decim
     """
     if b - a <= _LEAF_TERMS:
         p, q, t = _chud_split(a, b)
-        return Decimal(p) if with_p else None, Decimal(q).normalize(_EXACT), Decimal(t)
+        return Decimal(p), Decimal(q).normalize(_EXACT), Decimal(t)
     m = (a + b) // 2
-    p1, q1, t1 = _chud_split_dec(a, m, True)
-    p2, q2, t2 = _chud_split_dec(m, b, with_p)
-    mul = _EXACT.multiply
-    p = mul(p1, p2) if with_p else None
-    return p, mul(q1, q2), _EXACT.add(mul(t1, q2), mul(p1, t2))
+    return _merge(*_chud_split_dec(a, m), *_chud_split_dec(m, b))
 
 
 def _rounding(digits: int) -> decimal.Context:
@@ -165,10 +166,9 @@ class ChudnovskySeries:
         """Sum at least the first ``terms`` terms."""
         if terms <= self.terms:
             return
-        p, q, t = _chud_split_dec(self.terms, terms, True)
+        p, q, t = _chud_split_dec(self.terms, terms)
         if self.terms:
-            mul = _EXACT.multiply
-            p, q, t = mul(self.p, p), mul(self.q, q), _EXACT.add(mul(self.t, q), mul(self.p, t))
+            p, q, t = _merge(self.p, self.q, self.t, p, q, t)
         self.terms, self.p, self.q, self.t = terms, p, q, t
 
 

@@ -409,9 +409,7 @@ def vienna_family() -> IncreasingFamily:
     return IncreasingFamily("vienna", Fraction(1, 2), lambda v: Fraction((1 << v) - 1, 1 << (v + 1)))
 
 
-def vienna_run(
-    family: IncreasingFamily, trace: EventTrace, terms: int
-) -> tuple[str, ...]:
+def vienna_run(trace: EventTrace, terms: int) -> tuple[str, ...]:
     """Symbolic terms: follows a_n, freezes at a_v when the trace resolves at v."""
     out = []
     for n in range(1, terms + 1):
@@ -420,10 +418,10 @@ def vienna_run(
     return tuple(out)
 
 
-def vienna_e(trace: EventTrace, family: Optional[IncreasingFamily] = None) -> Point:
+def vienna_e(trace: EventTrace) -> Point:
     """The family follower as a point: term n centers a_n until any
     resolution at stage v freezes the target at a_v."""
-    fam = family or vienna_family()
+    fam = vienna_family()
 
     def target_at(stage: int, tr: EventTrace):
         r = tr.visible_at(stage)

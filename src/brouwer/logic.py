@@ -1097,19 +1097,17 @@ def _sweep(
             if n < bounds.max_nodes:
                 memo[code, label] = part
             table.update(part)
-        # each new class is visited on one model; unless one refutes a schema
-        # still unfound, the shape adds its classes' counts
-        fresh: dict[int, int] = {}
+        # each new class is visited on one model and kept, since the countermodel
+        # pass finds what it refutes; if none does, the shape adds their counts
         for cls, (_, labels) in table.items():
             if cls not in classes:
                 trial = dict(found)
                 masks = tuple(sum(1 << w for w in range(n) if labels >> (w * len(atoms) + a) & 1) for a in range(len(atoms)))
-                fresh[cls], ok = visit(masks, trial, dict.fromkeys(schema_names, 0))
+                classes[cls], ok = visit(masks, trial, dict.fromkeys(schema_names, 0))
                 monotone_ok = monotone_ok and ok
                 if trial != found:
                     break
         else:
-            classes.update(fresh)
             models_checked += sum(models for models, _ in table.values())
             per_instance = sum(models * classes[cls] for cls, (models, _) in table.items())
             for name in schema_names:

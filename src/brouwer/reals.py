@@ -163,13 +163,11 @@ def lt_rational(a: Point, r, horizon: int) -> Verdict:
 
 
 def apart_at(a: Point, b: Point, horizon: int) -> Verdict:
-    """a # b iff a < b or b < a; the found direction is recorded."""
-    lt = lt_at(a, b, horizon)
-    gt = lt_at(b, a, horizon)
-    if lt.holds and (not gt.holds or lt.witness <= gt.witness):
-        return Verdict(VerdictValue.HOLDS, horizon, witness=lt.witness, direction="lt")
-    if gt.holds:
-        return Verdict(VerdictValue.HOLDS, horizon, witness=gt.witness, direction="gt")
+    """a # b iff a < b or b < a; the found direction is recorded. The least n
+    with |a_n - b_n| > 2 witnesses one direction: lt if a_n < b_n, else gt."""
+    for n, (x, y) in enumerate(zip(a.prefix(horizon), b.prefix(horizon)), 1):
+        if abs(x - y) > 2:
+            return Verdict(VerdictValue.HOLDS, horizon, witness=n, direction="lt" if x < y else "gt")
     return _unknown(horizon)
 
 
@@ -369,9 +367,7 @@ def _rel(table: dict, i: int, j: int) -> Optional[PairRelation]:
     return r
 
 
-def virtual_order_check(
-    size: int, table: dict[tuple[int, int], PairRelation]
-) -> OrderReport:
+def virtual_order_check(size: int, table: dict[tuple[int, int], PairRelation]) -> OrderReport:
     """Brute-force audit of the five virtual-order conditions on a finite sample.
 
     1. equality and the two strict directions are mutually exclusive;
@@ -382,70 +378,34 @@ def virtual_order_check(
 
     Conditions 1-4 are checked per pair against the decided table (3 and 4
     amount to the table being total over {eq, lt, gt}); 5 over all triples.
+    The table is read once, into a relation matrix and each point's equals.
     """
-    violations: list[OrderViolation] = []
-
-    for i in range(size):
-        for j in range(size):
-            if i == j:
-                continue
-            r = _rel(table, i, j)
-            if r is None:
-                violations.append(
-                    OrderViolation(3, (i, j), "no relation decided for the pair")
-                )
-                violations.append(
-                    OrderViolation(4, (i, j), "no relation decided for the pair")
-                )
-
+    EQ, LT, GT = PairRelation.EQ, PairRelation.LT, PairRelation.GT
+    points = range(size)
+    rel = [[_rel(table, i, j) for j in points] for i in points]
+    lt = [[r is LT for r in row] for row in rel]
+    eq = [[j for j in points if row[j] is EQ] for row in rel]
+    violations = [
+        OrderViolation(c, (i, j), "no relation decided for the pair")
+        for i in points for j in points if rel[i][j] is None for c in (3, 4)
+    ]
     # 2. congruence: i=u, j=v, i<j  =>  u<v
-    for i in range(size):
-        for u in range(size):
-            if _rel(table, i, u) is not PairRelation.EQ:
-                continue
-            for j in range(size):
-                for v in range(size):
-                    if _rel(table, j, v) is not PairRelation.EQ:
-                        continue
-                    if _rel(table, i, j) is PairRelation.LT and _rel(
-                        table, u, v
-                    ) is not PairRelation.LT:
-                        violations.append(
-                            OrderViolation(
-                                2,
-                                (i, j, u, v),
-                                "equal replacements flip the strict order",
-                            )
-                        )
-
+    violations += [
+        OrderViolation(2, (i, j, u, v), "equal replacements flip the strict order")
+        for i in points for u in eq[i] for j in points if lt[i][j]
+        for v in eq[j] if not lt[u][v]
+    ]
     # 5. transitivity
-    for i in range(size):
-        for j in range(size):
-            for k in range(size):
-                if (
-                    _rel(table, i, j) is PairRelation.LT
-                    and _rel(table, j, k) is PairRelation.LT
-                    and _rel(table, i, k) is not PairRelation.LT
-                ):
-                    violations.append(
-                        OrderViolation(5, (i, j, k), "less-than chain does not compose")
-                    )
-
+    violations += [
+        OrderViolation(5, (i, j, k), "less-than chain does not compose")
+        for i in points for j in points if lt[i][j]
+        for k in points if lt[j][k] and not lt[i][k]
+    ]
     # 1. mutual exclusion is structural for a single-valued table, but guard
     # against both orientations being stored inconsistently.
-    for i in range(size):
+    for i in points:
         for j in range(i + 1, size):
-            fwd = table.get((i, j))
-            bwd = table.get((j, i))
-            if fwd is not None and bwd is not None:
-                consistent = (
-                    (fwd is PairRelation.EQ and bwd is PairRelation.EQ)
-                    or (fwd is PairRelation.LT and bwd is PairRelation.GT)
-                    or (fwd is PairRelation.GT and bwd is PairRelation.LT)
-                )
-                if not consistent:
-                    violations.append(
-                        OrderViolation(1, (i, j), "pair stored with clashing relations")
-                    )
-
+            pair = table.get((i, j)), table.get((j, i))
+            if None not in pair and pair not in ((EQ, EQ), (LT, GT), (GT, LT)):
+                violations.append(OrderViolation(1, (i, j), "pair stored with clashing relations"))
     return OrderReport(ok=not violations, violations=tuple(violations))

@@ -34,7 +34,6 @@ class SpreadLaw(NamedTuple):
     name: str
     admits_first: Callable[[int], bool]
     admits_next: Callable[[Sequence[int], int], bool]
-    some_successor: Callable[[tuple[int, ...]], int]
 
     def admits(self, prefix: Sequence[int], value: int) -> bool:
         if not prefix:
@@ -43,12 +42,11 @@ class SpreadLaw(NamedTuple):
 
 
 def universal_spread() -> SpreadLaw:
-    """Admits every natural number everywhere; 0 is the canonical witness."""
+    """Admits every natural number everywhere."""
     return SpreadLaw(
         name="universal",
         admits_first=lambda v: v >= 0,
         admits_next=lambda prefix, v: v >= 0,
-        some_successor=lambda prefix: 0,
     )
 
 
@@ -58,7 +56,6 @@ def rng_spread() -> SpreadLaw:
         name="rng",
         admits_first=lambda v: True,
         admits_next=lambda prefix, v: is_admissible_successor(prefix[-1], v),
-        some_successor=lambda prefix: 2 * prefix[-1] if prefix else 0,
     )
 
 
@@ -96,7 +93,6 @@ class EventTrace(NamedTuple):
     """When (if ever) the watched assertion was proved or refuted."""
 
     resolution: Resolution
-    assertion_id: str = "alpha"
     lawlike_flag: bool = False
 
     def visible_at(self, stage: int) -> Optional[Resolution]:
@@ -107,16 +103,16 @@ class EventTrace(NamedTuple):
         return None
 
 
-def never_trace(assertion_id: str = "alpha", lawlike: bool = False) -> EventTrace:
-    return EventTrace(Resolution(NEVER), assertion_id, lawlike)
+def never_trace() -> EventTrace:
+    return EventTrace(Resolution(NEVER))
 
 
-def proved_at(stage: int, assertion_id: str = "alpha", lawlike: bool = False) -> EventTrace:
-    return EventTrace(Resolution(PROVED, stage), assertion_id, lawlike)
+def proved_at(stage: int) -> EventTrace:
+    return EventTrace(Resolution(PROVED, stage))
 
 
-def refuted_at(stage: int, assertion_id: str = "alpha", lawlike: bool = False) -> EventTrace:
-    return EventTrace(Resolution(REFUTED, stage), assertion_id, lawlike)
+def refuted_at(stage: int) -> EventTrace:
+    return EventTrace(Resolution(REFUTED, stage))
 
 
 def format_trace(trace: EventTrace) -> str:
@@ -128,23 +124,21 @@ def format_trace(trace: EventTrace) -> str:
     return body + (" lawlike" if trace.lawlike_flag else "")
 
 
-def parse_trace(text: str, assertion_id: str = "alpha") -> EventTrace:
+def parse_trace(text: str) -> EventTrace:
     parts = text.strip().split()
     if not parts or len(parts) > 2:
         raise ValueError(f"malformed trace line: {text!r}")
-    lawlike = False
-    if len(parts) == 2:
-        if parts[1] != "lawlike":
-            raise ValueError(f"malformed trace flag: {parts[1]!r}")
-        lawlike = True
+    lawlike = parts[1:] == ["lawlike"]
+    if len(parts) == 2 and not lawlike:
+        raise ValueError(f"malformed trace flag: {parts[1]!r}")
     body = parts[0]
     if body == "never":
-        return EventTrace(Resolution(NEVER), assertion_id, lawlike)
+        return EventTrace(Resolution(NEVER), lawlike)
     head, sep, stage = body.partition(":")
     if sep != ":" or head not in ("true", "false") or not stage.isdigit():
         raise ValueError(f"malformed trace line: {text!r}")
     kind = PROVED if head == "true" else REFUTED
-    return EventTrace(Resolution(kind, int(stage)), assertion_id, lawlike)
+    return EventTrace(Resolution(kind, int(stage)), lawlike)
 
 
 # --- generators ---

@@ -9,6 +9,8 @@
   class ids the sweep's class tables intern;
 - pi from a streaming spigot, exact digit by digit with no guard digits;
 - ``gt_rational``, the mirror of ``reals.lt_rational``;
+- ``apart_at`` as two ``lt_at`` scans, one per direction, and
+  ``virtual_order_check`` reading the table pair by pair inside its loops;
 - ``check_script`` as it stood before blocks became step-number intervals:
   every step keeps its block path, and Discharge closes a block by comparing
   paths.
@@ -52,7 +54,19 @@ from brouwer.logic import (
     atoms_of,
     show,
 )
-from brouwer.reals import Point, Verdict, _as_fraction, _least_hit
+from brouwer.reals import (
+    OrderReport,
+    OrderViolation,
+    PairRelation,
+    Point,
+    Verdict,
+    VerdictValue,
+    _as_fraction,
+    _least_hit,
+    _rel,
+    _unknown,
+    lt_at,
+)
 
 
 # --- the sweep's models and formulas, listed ---
@@ -191,6 +205,102 @@ def gt_rational(a: Point, r, horizon: int) -> Verdict:
     num, den = rv.numerator, rv.denominator
     terms = enumerate(a.prefix(horizon), 1)
     return _least_hit(horizon, (x * den > num << n for n, x in terms))
+
+
+# --- apartness and the virtual order, scanned relation by relation ---
+
+
+def apart_at(a: Point, b: Point, horizon: int) -> Verdict:
+    """a # b iff a < b or b < a; the found direction is recorded."""
+    lt = lt_at(a, b, horizon)
+    gt = lt_at(b, a, horizon)
+    if lt.holds and (not gt.holds or lt.witness <= gt.witness):
+        return Verdict(VerdictValue.HOLDS, horizon, witness=lt.witness, direction="lt")
+    if gt.holds:
+        return Verdict(VerdictValue.HOLDS, horizon, witness=gt.witness, direction="gt")
+    return _unknown(horizon)
+
+
+def virtual_order_check(
+    size: int, table: dict[tuple[int, int], PairRelation]
+) -> OrderReport:
+    """Brute-force audit of the five virtual-order conditions on a finite sample.
+
+    1. equality and the two strict directions are mutually exclusive;
+    2. the strict order is a congruence for equality;
+    3. not greater and not equal forces less;
+    4. not greater and not less forces equal;
+    5. less is transitive.
+
+    Conditions 1-4 are checked per pair against the decided table (3 and 4
+    amount to the table being total over {eq, lt, gt}); 5 over all triples.
+    """
+    violations: list[OrderViolation] = []
+
+    for i in range(size):
+        for j in range(size):
+            if i == j:
+                continue
+            r = _rel(table, i, j)
+            if r is None:
+                violations.append(
+                    OrderViolation(3, (i, j), "no relation decided for the pair")
+                )
+                violations.append(
+                    OrderViolation(4, (i, j), "no relation decided for the pair")
+                )
+
+    # 2. congruence: i=u, j=v, i<j  =>  u<v
+    for i in range(size):
+        for u in range(size):
+            if _rel(table, i, u) is not PairRelation.EQ:
+                continue
+            for j in range(size):
+                for v in range(size):
+                    if _rel(table, j, v) is not PairRelation.EQ:
+                        continue
+                    if _rel(table, i, j) is PairRelation.LT and _rel(
+                        table, u, v
+                    ) is not PairRelation.LT:
+                        violations.append(
+                            OrderViolation(
+                                2,
+                                (i, j, u, v),
+                                "equal replacements flip the strict order",
+                            )
+                        )
+
+    # 5. transitivity
+    for i in range(size):
+        for j in range(size):
+            for k in range(size):
+                if (
+                    _rel(table, i, j) is PairRelation.LT
+                    and _rel(table, j, k) is PairRelation.LT
+                    and _rel(table, i, k) is not PairRelation.LT
+                ):
+                    violations.append(
+                        OrderViolation(5, (i, j, k), "less-than chain does not compose")
+                    )
+
+    # 1. mutual exclusion is structural for a single-valued table, but guard
+    # against both orientations being stored inconsistently.
+    for i in range(size):
+        for j in range(i + 1, size):
+            fwd = table.get((i, j))
+            bwd = table.get((j, i))
+            if fwd is not None and bwd is not None:
+                consistent = (
+                    (fwd is PairRelation.EQ and bwd is PairRelation.EQ)
+                    or (fwd is PairRelation.LT and bwd is PairRelation.GT)
+                    or (fwd is PairRelation.GT and bwd is PairRelation.LT)
+                )
+                if not consistent:
+                    violations.append(
+                        OrderViolation(1, (i, j), "pair stored with clashing relations")
+                    )
+
+    return OrderReport(ok=not violations, violations=tuple(violations))
 
 
 # --- the derivation checker with block paths ---

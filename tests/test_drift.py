@@ -275,10 +275,9 @@ def test_vienna_member_is_half_less_a_power_of_two():
 
 
 def test_vienna_run_symbolic():
-    fam = vienna_family()
-    assert vienna_run(fam, never_trace(), 4) == ("a_1", "a_2", "a_3", "a_4")
-    assert vienna_run(fam, proved_at(2), 5) == ("a_1", "a_2", "a_2", "a_2", "a_2")
-    assert vienna_run(fam, refuted_at(3), 5) == ("a_1", "a_2", "a_3", "a_3", "a_3")
+    assert vienna_run(never_trace(), 4) == ("a_1", "a_2", "a_3", "a_4")
+    assert vienna_run(proved_at(2), 5) == ("a_1", "a_2", "a_2", "a_2", "a_2")
+    assert vienna_run(refuted_at(3), 5) == ("a_1", "a_2", "a_3", "a_3", "a_3")
 
 
 def test_vienna_e_freezes_on_any_resolution():

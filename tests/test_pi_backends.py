@@ -128,7 +128,7 @@ def test_folded_sums_equal_the_plain_split_on_any_range(a, terms):
     # the int fold with its per-term gcd, alone and under the Decimal levels
     reference = _reference_split(a, a + terms)
     assert _same_sums(_chud_split(a, a + terms), reference)
-    assert _same_sums(_chud_split_dec(a, a + terms, True), reference)
+    assert _same_sums(_chud_split_dec(a, a + terms), reference)
 
 
 @cache
@@ -273,10 +273,9 @@ def test_decimal_split_matches_int_split(k):
     # fold and the Decimal split both have the plain split's T/Q and P/Q
     _, rq, rt = reference = _reference_split(0, k)
     assert _same_sums(_chud_split(0, k), reference)
-    no_p, q_dec, t_dec = _chud_split_dec(0, k)
-    assert no_p is None
+    _, q_dec, t_dec = split = _chud_split_dec(0, k)
     assert _same_ratio(t_dec, q_dec, rt, rq)
-    assert _same_sums(_chud_split_dec(0, k, True), reference)
+    assert _same_sums(split, reference)
 
 
 def test_benchmark_script_runs():

@@ -40,6 +40,7 @@ from brouwer.spreads import (
     refuted_at,
     rng_spread,
 )
+import references
 from references import gt_rational
 
 
@@ -393,3 +394,43 @@ def test_virtual_order_detects_injected_violations():
     partial = dict(table)
     del partial[(2, 3)]
     assert not virtual_order_check(len(pts), partial).ok
+
+
+@st.composite
+def order_tables(draw):
+    """0-6 points, each pair stored in neither, one or both orientations,
+    mostly as the order of drawn values gives it, else as any relation."""
+    size = draw(st.integers(0, 6))
+    values = draw(st.lists(st.integers(0, 2), min_size=size, max_size=size))
+    table = {}
+    for i in range(size):
+        for j in range(size):
+            if i != j and draw(st.booleans()):
+                x, y = values[i], values[j]
+                true = PairRelation.EQ if x == y else PairRelation.LT if x < y else PairRelation.GT
+                table[i, j] = draw(st.sampled_from([true, *PairRelation]))
+    return size, table
+
+
+@given(order_tables())
+@settings(max_examples=400, deadline=None)
+def test_virtual_order_check_matches_the_pairwise_reference(case):
+    # equal reports: the same violations in the same order
+    size, table = case
+    assert virtual_order_check(size, table) == references.virtual_order_check(size, table)
+
+
+@given(
+    st.integers(-2, 2),
+    st.one_of(st.none(), st.integers(-2, 2)),
+    st.integers(0, 40),
+    st.lists(st.integers(0, 2), min_size=40, max_size=40),
+    st.lists(st.integers(0, 2), min_size=40, max_size=40),
+    st.integers(1, 41),
+)
+@settings(max_examples=300, deadline=None)
+def test_apart_at_matches_the_two_scan_reference(start_a, start_b, shared, moves_a, moves_b, h):
+    # the walks share their start (start_b None) and their first `shared` moves
+    a = walk_point(start_a, tuple(moves_a))
+    b = walk_point(start_a if start_b is None else start_b, tuple(moves_a[:shared] + moves_b[shared:]))
+    assert apart_at(a, b, h) == references.apart_at(a, b, h)

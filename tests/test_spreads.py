@@ -33,7 +33,6 @@ def test_universal_admits_naturals_only():
     law = universal_spread()
     assert law.admits((), 0) and law.admits((3,), 17)
     assert not law.admits((), -1)
-    assert law.some_successor((5,)) == 0
 
 
 def test_rng_law():
@@ -41,7 +40,7 @@ def test_rng_law():
     assert law.admits((), -7)           # any starting index
     assert law.admits((3,), 6) and law.admits((3,), 7) and law.admits((3,), 8)
     assert not law.admits((3,), 5) and not law.admits((3,), 9)
-    assert law.admits((law.some_successor((3,)),), 12)
+    assert law.admits((6,), 12)
 
 
 def test_trace_validation_and_roundtrip():
@@ -56,6 +55,15 @@ def test_trace_validation_and_roundtrip():
     assert format_trace(refuted_at(1)) == "false:1"
     with pytest.raises(ValueError):
         parse_trace("maybe:2")
+
+
+def test_lawlike_flag_roundtrip():
+    trace = parse_trace("true:3 lawlike")
+    assert trace == EventTrace(Resolution("proved", 3), lawlike_flag=True)
+    assert format_trace(trace) == "true:3 lawlike"
+    assert parse_trace(format_trace(trace)) == trace
+    with pytest.raises(ValueError):
+        parse_trace("true:3 sideways")
 
 
 def test_trace_visibility():
