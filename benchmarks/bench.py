@@ -23,8 +23,11 @@ The sections:
   quadratic) must equal Chudnovsky.
 - streams: the median of three ``prefix(h)`` reads, each of a fresh point:
   the centred value 1/3, that point through the identity, negation and delay
-  maps (delay reads its base to 2h), the point recentred below stage 16, and
-  vienna_e and berlin_s on a trace that never resolves. vienna_e's target at
+  maps (delay reads its base to 2h), the point recentred below stage 16,
+  vienna_e and berlin_s on a trace that never resolves, the other four
+  ``real cmp`` point specs (zero, one, half, and berlin_r on the first run
+  of six 9s in pi, its defaults), and the centred sqrt(2)/2, the point
+  ``validate_drift`` builds for an irrational kernel. vienna_e's target at
   stage n is a fraction over 2^(n+1): taken by a division per stage, the
   stream would cost O(h^3). Term n is an n-bit integer, so even a linear
   stream costs more per stage as h grows.
@@ -142,7 +145,7 @@ def pi(sizes=PI_DIGITS) -> dict:
 def streams(horizons=HORIZONS) -> dict:
     from fractions import Fraction
 
-    from brouwer import drift, reals, spreads
+    from brouwer import drift, fleeing, reals, spreads
 
     def third():
         return reals.value_point(Fraction(1, 3))
@@ -155,6 +158,11 @@ def streams(horizons=HORIZONS) -> dict:
         "centered(value,16)": lambda: reals.centered_point(third(), 16),
         "vienna_e(never)": lambda: drift.vienna_e(spreads.never_trace()),
         "berlin_s(never)": lambda: drift.berlin_s(spreads.never_trace()),
+        "zero": reals.zero_point,
+        "one": reals.one_point,
+        "half": lambda: reals.value_point(Fraction(1, 2)),
+        "berlin_r(9,6)": lambda: fleeing.berlin_r(fleeing.run_property(9, 6)),
+        "value(sqrt2/2)": lambda: reals.value_point(drift.Sqrt2Value(Fraction(1, 2))),
     }
     rows = []
     for h in horizons:

@@ -6,7 +6,10 @@ is a cache kept out of equality and repr, and writes its own ``__init__``
 with ``_set``. It inherits equality and hashing on its fields within its
 own class (``And(p, q) != Or(p, q)``), the repr ``Name(field=value, ...)``,
 and the refusal of every assignment. Records on a hot path define
-``__eq__`` and ``__hash__`` over the same field tuple themselves.
+``__eq__`` and ``__hash__`` over the same fields themselves, since the
+inherited ones build a tuple per call: the formula records of ``logic``,
+which the parser and the derivation checker compare, and ``Resolution``,
+which the trace follower of ``drift`` hashes once per stage.
 """
 
 _set = object.__setattr__

@@ -200,7 +200,7 @@ def _cmd_drift(args, cfg) -> tuple[int, dict, str]:
     kind = KIND_ALIASES[args.kind]
     trace = parse_trace(args.trace)
     run = checking_sequence(drift, kind, trace, args.terms)
-    lc = rationality_descriptor(drift, kind, trace).as_dict()
+    lc = rationality_descriptor(drift, kind, trace)
     payload = {"command": "drift-run", "drift": args.drift, "kind": kind.value,
                "trace": args.trace, "terms": list(run.terms), "limit": run.limit,
                "limit_class": lc}
@@ -344,7 +344,7 @@ def _replay_checks(name: str) -> list[tuple[str, bool]]:
         lc = rationality_descriptor(drift, CheckingKind.DIRECT, never_trace())
         expect(
             "unresolved limit stays in the kernel class",
-            lc.as_dict() == {"kind": "kernel-class", "kernel_tag": "irrational"},
+            lc == {"kind": "kernel-class", "kernel_tag": "irrational"},
         )
     elif name == "ks-12":
         from .derivation import ks_prerequisite_report

@@ -15,10 +15,11 @@ Switches fire at the resolution stage inclusive: a resolution at stage k
 changes terms k, k+1, ... All term values are exact; the mixed drift's
 irrational wing runs on integer square roots, not floats.
 
-A drift holds values and tags only. A point is derived from a value and
-its tag where one is read (``validate_drift``): ``value_point`` for a
-rational value, ``floor_point`` for an irrational one. A flattened
-checking number centres the exact values themselves.
+A drift holds exact values only. Rationality is read off them: a value
+is irrational exactly when it is a nonzero multiple of sqrt(2). Every
+point is derived from a value the same way, by centring it
+(``value_point`` in ``validate_drift``, the follower of a flattened
+checking number), so one value has one lawlike point.
 """
 
 from __future__ import annotations
@@ -29,15 +30,14 @@ from math import isqrt
 from typing import Callable, NamedTuple, Optional
 
 from ._record import Record, _set
-from .dyadic import scaled_floor
 from .reals import Point, Verdict, apart_at, value_point
 from .spreads import (
     NEVER,
     PROVED,
     EventTrace,
     Generator,
-    Lawlike,
     Process,
+    Resolution,
     centering_strategy,
     rng_spread,
 )
@@ -68,25 +68,6 @@ class Sqrt2Value(Record):
         return f"{self.coef}*sqrt2"
 
 
-def floor_point(value, name: str = "") -> Point:
-    """Lawlike point a_n = floor(x*2^n) - 1 for an exact value x that is
-    never a dyadic rational.
-
-    floor(2t) is 2*floor(t) or 2*floor(t)+1, so successive indices are
-    admissible; non-dyadicity keeps x strictly inside every interval.
-    """
-
-    def rule(n: int) -> int:
-        f, exact = scaled_floor(value, n)
-        if exact:
-            raise ValueError(
-                f"floor_point hit the exact dyadic value {value} at stage {n}"
-            )
-        return f - 1
-
-    return Point(Generator(rng_spread(), Lawlike(rule), name=name or f"floor({value})"))
-
-
 class Wing(Enum):
     LEFT = "left"
     RIGHT = "right"
@@ -98,33 +79,33 @@ class Tag(Enum):
     IRRATIONAL = "irrational"
 
 
-class CountingFamily(NamedTuple):
-    """v -> exact value of the v-th counting number of one wing, with a tag."""
-
-    value_at: Callable[[int], object]
-    tag: Tag
+def _tag(value) -> Tag:
+    return Tag.IRRATIONAL if isinstance(value, Sqrt2Value) and value.coef else Tag.RATIONAL
 
 
 class Drift(Record):
-    """A kernel value and one counting family per wing it has."""
+    """A kernel value and one counting family, v -> exact value of the v-th
+    counting number, per wing it has."""
 
-    __slots__ = ("name", "kernel_value", "kernel_tag", "right", "left")
+    __slots__ = ("name", "kernel_value", "right", "left")
 
     def __init__(
         self,
         name: str,
         kernel_value: object,
-        kernel_tag: Tag,
-        right: Optional[CountingFamily] = None,
-        left: Optional[CountingFamily] = None,
+        right: Optional[Callable[[int], object]] = None,
+        left: Optional[Callable[[int], object]] = None,
     ) -> None:
         if right is None and left is None:
             raise ValueError("a drift needs at least one counting family")
         _set(self, "name", name)
         _set(self, "kernel_value", kernel_value)
-        _set(self, "kernel_tag", kernel_tag)
         _set(self, "right", right)
         _set(self, "left", left)
+
+    @property
+    def kernel_tag(self) -> Tag:
+        return _tag(self.kernel_value)
 
     @property
     def wing(self) -> Wing:
@@ -168,7 +149,8 @@ class Drift(Record):
             raise ValueError(f"unknown term ref {ref!r}")
         if fam is None:
             raise ValueError(f"ref {ref!r} names a wing this drift does not have")
-        return fam.value_at(v), fam.tag
+        value = fam(v)
+        return value, _tag(value)
 
     def convergence_modulus(self, eps) -> int:
         """Least V with |c_v - kernel| < eps for every v >= V.
@@ -188,23 +170,15 @@ class DriftValidationError(Exception):
     pass
 
 
-def _point(value, tag: Tag, name: str) -> Point:
-    """The lawlike point of an exact value: centred on it when rational,
-    the floor construction when irrational."""
-    if tag is Tag.RATIONAL:
-        return value_point(value, name=name)
-    return floor_point(value, name=name)
-
-
 def validate_drift(drift: Drift, depth: int = 4) -> list[Verdict]:
     """Check apartness of (kernel, c_v) pairs and of counting pairs, with
     wing direction, for v up to depth. Raises when any verdict fails to hold."""
     verdicts = []
     refs = [drift.counting_ref(v) for v in range(1, depth + 1)]
-    kernel = _point(drift.kernel_value, drift.kernel_tag, "kernel")
+    kernel = value_point(drift.kernel_value, name="kernel")
     pts = {}
     for ref in refs:
-        pts[ref] = pt = _point(*drift.resolve_ref(ref), name=ref)
+        pts[ref] = pt = value_point(drift.resolve_ref(ref)[0], name=ref)
         horizon = depth + 16
         v = apart_at(kernel, pt, horizon)
         if not v.holds:
@@ -239,9 +213,7 @@ def rational_right_drift() -> Drift:
         f, _ = kernel.scaled_floor(v)
         return Fraction(f + 2, 1 << v)
 
-    return Drift(
-        "rational-right", kernel, Tag.IRRATIONAL, right=CountingFamily(value_at, Tag.RATIONAL)
-    )
+    return Drift("rational-right", kernel, right=value_at)
 
 
 def two_winged_mixed_drift() -> Drift:
@@ -250,9 +222,8 @@ def two_winged_mixed_drift() -> Drift:
     return Drift(
         "two-winged-mixed",
         Fraction(0),
-        Tag.RATIONAL,
-        right=CountingFamily(lambda v: Fraction(1, 1 << v), Tag.RATIONAL),
-        left=CountingFamily(lambda v: Sqrt2Value(Fraction(-1, 1 << (v + 1))), Tag.IRRATIONAL),
+        right=lambda v: Fraction(1, 1 << v),
+        left=lambda v: Sqrt2Value(Fraction(-1, 1 << (v + 1))),
     )
 
 
@@ -261,9 +232,8 @@ def berlin_drift() -> Drift:
     return Drift(
         "berlin",
         Fraction(0),
-        Tag.RATIONAL,
-        right=CountingFamily(lambda v: Fraction(1, 1 << v), Tag.RATIONAL),
-        left=CountingFamily(lambda v: Fraction(-1, 1 << v), Tag.RATIONAL),
+        right=lambda v: Fraction(1, 1 << v),
+        left=lambda v: Fraction(-1, 1 << v),
     )
 
 
@@ -309,11 +279,10 @@ class CheckingRun(NamedTuple):
     limit: str
 
 
-def _switch_ref(drift: Drift, kind: CheckingKind, trace: EventTrace) -> Optional[str]:
-    """The ref the run switches to, or None when it stays at the kernel."""
+def _switch_ref(drift: Drift, kind: CheckingKind, r: Resolution) -> Optional[str]:
+    """The ref the run switches to on resolution r, or None to stay at the kernel."""
     if kind is CheckingKind.OSCILLATORY and drift.wing is not Wing.TWO:
         raise ValueError("an oscillatory checking number needs a two-winged drift")
-    r = trace.resolution
     if r.kind == NEVER:
         return None
     if kind is CheckingKind.DIRECT:
@@ -330,7 +299,7 @@ def checking_sequence(
     drift: Drift, kind: CheckingKind, trace: EventTrace, terms: int
 ) -> CheckingRun:
     """Symbolic run of the checking number: term refs plus the limit ref."""
-    switch = _switch_ref(drift, kind, trace)
+    switch = _switch_ref(drift, kind, trace.resolution)
     if terms < 0:
         raise ValueError("term count must be non-negative")
     stage = trace.resolution.stage
@@ -344,47 +313,44 @@ def checking_sequence(
     return CheckingRun(drift, kind, trace, tuple(out), limit)
 
 
-class LimitClass(NamedTuple):
-    kind: str  # "rational" | "irrational" | "kernel-class"
-    kernel_tag: Optional[Tag] = None
-
-    def as_dict(self) -> dict:
-        d = {"kind": self.kind}
-        if self.kernel_tag is not None:
-            d["kernel_tag"] = self.kernel_tag.value
-        return d
-
-
-def rationality_descriptor(
-    drift: Drift, kind: CheckingKind, trace: EventTrace
-) -> LimitClass:
-    """Classify the run's limit: the switched-to family's tag, or the
+def rationality_descriptor(drift: Drift, kind: CheckingKind, trace: EventTrace) -> dict:
+    """Classify the run's limit: the switched-to value's tag, or the
     kernel class when no switch ever fires."""
-    switch = _switch_ref(drift, kind, trace)
+    switch = _switch_ref(drift, kind, trace.resolution)
     if switch is None:
-        return LimitClass("kernel-class", drift.kernel_tag)
-    _, tag = drift.resolve_ref(switch)
-    return LimitClass(tag.value)
+        return {"kind": "kernel-class", "kernel_tag": drift.kernel_tag.value}
+    return {"kind": drift.resolve_ref(switch)[1].value}
+
+
+def _follower(name: str, before, after, trace: EventTrace) -> Point:
+    """The point whose term n centres before(n) until the trace's resolution
+    r is visible at stage n, then after(r), derived once per resolution."""
+    after_of: dict[Resolution, object] = {}
+
+    def target_at(stage: int, tr: EventTrace):
+        r = tr.visible_at(stage)
+        if r is None:
+            return before(stage)
+        value = after_of.get(r)
+        if value is None:
+            value = after_of[r] = after(r)
+        return value
+
+    g = Generator(rng_spread(), Process(centering_strategy(target_at)), name=name)
+    return Point(g, trace=trace)
 
 
 def flatten_checking(drift: Drift, kind: CheckingKind, trace: EventTrace) -> Point:
     """The checking number as a single point: term n centers the exact value
     of the n-th checking term (nearest-midpoint emitter)."""
-    _switch_ref(drift, kind, trace)  # refuses a kind the drift's wings cannot carry
-    switched: dict[EventTrace, object] = {}  # per trace: the value switched to, else the kernel's
+    _switch_ref(drift, kind, trace.resolution)  # refuses a kind the drift's wings cannot carry
 
-    def target_at(stage: int, tr: EventTrace):
-        if tr not in switched:
-            switch = _switch_ref(drift, kind, tr)
-            switched[tr] = drift.kernel_value if switch is None else drift.resolve_ref(switch)[0]
-        return switched[tr] if tr.visible_at(stage) else drift.kernel_value
+    def after(r: Resolution):
+        switch = _switch_ref(drift, kind, r)
+        return drift.kernel_value if switch is None else drift.resolve_ref(switch)[0]
 
-    g = Generator(
-        rng_spread(),
-        Process(centering_strategy(target_at)),
-        name=f"checking[{drift.name},{kind.value}]",
-    )
-    return Point(g, trace=trace)
+    name = f"checking[{drift.name},{kind.value}]"
+    return _follower(name, lambda stage: drift.kernel_value, after, trace)
 
 
 def berlin_s(trace: EventTrace) -> Point:
@@ -411,6 +377,8 @@ def vienna_family() -> IncreasingFamily:
 
 def vienna_run(trace: EventTrace, terms: int) -> tuple[str, ...]:
     """Symbolic terms: follows a_n, freezes at a_v when the trace resolves at v."""
+    if terms < 0:
+        raise ValueError("term count must be non-negative")
     out = []
     for n in range(1, terms + 1):
         r = trace.visible_at(n)
@@ -422,12 +390,4 @@ def vienna_e(trace: EventTrace) -> Point:
     """The family follower as a point: term n centers a_n until any
     resolution at stage v freezes the target at a_v."""
     fam = vienna_family()
-
-    def target_at(stage: int, tr: EventTrace):
-        r = tr.visible_at(stage)
-        return fam.member(r.stage) if r else fam.member(stage)
-
-    g = Generator(
-        rng_spread(), Process(centering_strategy(target_at)), name=f"vienna_e[{fam.name}]"
-    )
-    return Point(g, trace=trace)
+    return _follower(f"vienna_e[{fam.name}]", fam.member, lambda r: fam.member(r.stage), trace)

@@ -30,14 +30,6 @@ class Dyadic(Record):
         _set(self, "num", num)
         _set(self, "exp", exp)
 
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.num == other.num and self.exp == other.exp
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.num, self.exp))
-
     # --- arithmetic ---
 
     def __add__(self, other: "Dyadic") -> "Dyadic":

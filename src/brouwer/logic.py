@@ -1139,9 +1139,7 @@ def _sweep(
     return results, monotone_ok
 
 
-def validity_sweep(
-    schema: str, bounds: SweepBounds, cap: int = DEFAULT_SWEEP_CAP
-) -> SweepResult:
+def validity_sweep(schema: str, bounds: SweepBounds) -> SweepResult:
     """Exhaustive check of one schema over all stage trees, monotone
     valuations, and stage-free instantiations within bounds. Returns the
     first countermodel in enumeration order (node count, then shape code,
@@ -1175,7 +1173,7 @@ def validity_sweep(
     phi is built, from its index (_formula_at)."""
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}; pick from {sorted(SCHEMAS)}")
-    results, _ = _sweep([schema], bounds, cap)
+    results, _ = _sweep([schema], bounds, DEFAULT_SWEEP_CAP)
     return results[schema]
 
 
@@ -1183,7 +1181,8 @@ class SuiteReport(NamedTuple):
     bounds: SweepBounds
     results: dict[str, SweepResult]
     monotone_ok: bool
-    restricted_cs5_note: str = (
+
+    restricted_cs5_note = (
         "restricted cs5 (lawlike atoms only) is an assumable derivation rule; "
         "it has no validating frame condition and is never semantically certified"
     )
@@ -1192,9 +1191,7 @@ class SuiteReport(NamedTuple):
         return "valid-up-to-bounds" if self.results[name].valid_up_to_bounds else "countermodel"
 
 
-def principle_suite(
-    bounds: SweepBounds = SweepBounds(), cap: int = DEFAULT_SWEEP_CAP
-) -> SuiteReport:
+def principle_suite(bounds: SweepBounds = SweepBounds()) -> SuiteReport:
     """One shared pass deciding all six schemata plus the monotonicity audit."""
-    results, monotone_ok = _sweep(list(SCHEMAS), bounds, cap)
+    results, monotone_ok = _sweep(list(SCHEMAS), bounds, DEFAULT_SWEEP_CAP)
     return SuiteReport(bounds=bounds, results=results, monotone_ok=monotone_ok)

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 from brouwer.drift import (
     BUNDLED_DRIFTS,
     CheckingKind,
-    CountingFamily,
     Drift,
     DriftValidationError,
     KIND_ALIASES,
@@ -17,7 +16,6 @@ from brouwer.drift import (
     bundled_drift,
     checking_sequence,
     flatten_checking,
-    floor_point,
     rationality_descriptor,
     validate_drift,
     vienna_e,
@@ -86,15 +84,68 @@ def test_counting_index_refs_pinned():
 
 def test_validate_drift_catches_degenerate_counting_numbers():
     rr = bundled_drift("rational-right")
-    broken = Drift(
-        name="broken",
-        kernel_value=rr.kernel_value,
-        kernel_tag=rr.kernel_tag,
-        # counting values sit on the irrational kernel
-        right=CountingFamily(lambda v: rr.kernel_value, Tag.IRRATIONAL),
-    )
+    # counting values sit on the irrational kernel
+    broken = Drift("broken", rr.kernel_value, right=lambda v: rr.kernel_value)
     with pytest.raises(DriftValidationError):
         validate_drift(broken, depth=2)
+
+
+# the tags the bundled drifts declared before tags were read off the values:
+# the kernel's, then those of c_1..c_8, r_1..r_8 and l_1..l_8 ("" where the
+# drift has no such wing); R is rational, I irrational
+DECLARED_TAGS = {
+    "rational-right": ("I", "RRRRRRRR", "RRRRRRRR", ""),
+    "two-winged-mixed": ("R", "RIRIRIRI", "RRRRRRRR", "IIIIIIII"),
+    "berlin": ("R", "RRRRRRRR", "RRRRRRRR", "RRRRRRRR"),
+}
+LETTER = {Tag.RATIONAL: "R", Tag.IRRATIONAL: "I"}
+
+
+def read_tags(drift, head: str) -> str:
+    try:
+        return "".join(LETTER[drift.resolve_ref(f"{head}_{v}")[1]] for v in range(1, 9))
+    except ValueError:
+        return ""
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DRIFTS))
+def test_tags_read_off_the_values_are_the_declared_ones(name):
+    drift = bundled_drift(name)
+    assert drift.resolve_ref("c")[1] is drift.kernel_tag
+    got = (LETTER[drift.kernel_tag],) + tuple(read_tags(drift, head) for head in "crl")
+    assert got == DECLARED_TAGS[name]
+
+
+def test_a_zero_multiple_of_sqrt2_reads_rational():
+    zero = Drift("z", Sqrt2Value(Fraction(0)), right=lambda v: Sqrt2Value(Fraction(0)))
+    assert zero.kernel_tag is Tag.RATIONAL
+    assert zero.resolve_ref("c_1") == (Sqrt2Value(Fraction(0)), Tag.RATIONAL)
+    assert Drift("s", Sqrt2Value(Fraction(-1, 3)), right=lambda v: 0).kernel_tag is Tag.IRRATIONAL
+
+
+# validate_drift's directions at depths 1-8, '<' for lt and '>' for gt, as
+# the drifts read with the floor point for irrational values: centring
+# every value moves some witnesses by a stage, never a direction
+VALIDATE_DIRECTIONS = {
+    "berlin": (
+        "<", "<>>", "<><>><", "<><>>>><<>", "<><><>>>><<<>><", "<><><>>>>>><<<<>>><<>",
+        "<><><><>>>>>><<<<<>>>><<<>><", "<><><><>>>>>>>><<<<<<>>>>><<<<>>><<>",
+    ),
+    "rational-right": (
+        "<", "<<>", "<<<>>>", "<<<<>>>>>>", "<<<<<>>>>>>>>>>", "<<<<<<>>>>>>>>>>>>>>>",
+        "<<<<<<<>>>>>>>>>>>>>>>>>>>>>", "<<<<<<<<>>>>>>>>>>>>>>>>>>>>>>>>>>>>",
+    ),
+}
+VALIDATE_DIRECTIONS["two-winged-mixed"] = VALIDATE_DIRECTIONS["berlin"]
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_DRIFTS))
+def test_validate_drift_directions_pinned(name):
+    for depth, want in enumerate(VALIDATE_DIRECTIONS[name], 1):
+        got = validate_drift(bundled_drift(name), depth)
+        assert [(v.value, v.direction) for v in got] == [
+            (VerdictValue.HOLDS, "lt" if d == "<" else "gt") for d in want
+        ]
 
 
 def test_convergence_modulus():
@@ -163,14 +214,14 @@ def test_kind_aliases():
 def test_rationality_descriptor_is_declarative():
     rr = bundled_drift("rational-right")
     lc = rationality_descriptor(rr, CheckingKind.DIRECT, never_trace())
-    assert lc.as_dict() == {"kind": "kernel-class", "kernel_tag": "irrational"}
+    assert lc == {"kind": "kernel-class", "kernel_tag": "irrational"}
     lc = rationality_descriptor(rr, CheckingKind.DIRECT, proved_at(4))
-    assert lc.as_dict() == {"kind": "rational"}
+    assert lc == {"kind": "rational"}
     lc = rationality_descriptor(rr, CheckingKind.CONDITIONAL, refuted_at(4))
-    assert lc.as_dict() == {"kind": "kernel-class", "kernel_tag": "irrational"}
+    assert lc == {"kind": "kernel-class", "kernel_tag": "irrational"}
     tw = bundled_drift("two-winged-mixed")
     lc = rationality_descriptor(tw, CheckingKind.OSCILLATORY, refuted_at(3))
-    assert lc.as_dict() == {"kind": "irrational"}  # left wing carries the irrationals
+    assert lc == {"kind": "irrational"}  # left wing carries the irrationals
 
 
 def test_flatten_checking_admissible_and_convergent():
@@ -186,13 +237,13 @@ def test_flatten_checking_admissible_and_convergent():
 
 
 def test_a_drift_is_winged_by_its_families():
-    right = CountingFamily(lambda v: Fraction(1, 1 << v), Tag.RATIONAL)
-    left = CountingFamily(lambda v: Fraction(-1, 1 << v), Tag.RATIONAL)
-    assert Drift("r", Fraction(0), Tag.RATIONAL, right=right).wing is Wing.RIGHT
-    assert Drift("l", Fraction(0), Tag.RATIONAL, left=left).wing is Wing.LEFT
-    assert Drift("t", Fraction(0), Tag.RATIONAL, right, left).wing is Wing.TWO
+    right = lambda v: Fraction(1, 1 << v)
+    left = lambda v: Fraction(-1, 1 << v)
+    assert Drift("r", Fraction(0), right=right).wing is Wing.RIGHT
+    assert Drift("l", Fraction(0), left=left).wing is Wing.LEFT
+    assert Drift("t", Fraction(0), right, left).wing is Wing.TWO
     with pytest.raises(ValueError):
-        Drift("none", Fraction(0), Tag.RATIONAL)
+        Drift("none", Fraction(0))
 
 
 @pytest.mark.parametrize("name", sorted(BUNDLED_DRIFTS))
@@ -215,11 +266,10 @@ def test_flattened_point_centres_the_symbolic_run(name):
 
 def test_reading_a_checking_number_builds_no_point(monkeypatch):
     built = []
-    for builder in ("value_point", "floor_point"):
-        real = getattr(drift_module, builder)
-        monkeypatch.setattr(
-            drift_module, builder, lambda *a, real=real, **k: built.append(a) or real(*a, **k)
-        )
+    real = drift_module.value_point
+    monkeypatch.setattr(
+        drift_module, "value_point", lambda *a, **k: built.append(a) or real(*a, **k)
+    )
     berlin_s(proved_at(3)).prefix(512)
     mixed = bundled_drift("two-winged-mixed")
     flatten_checking(mixed, CheckingKind.DIRECT, proved_at(3)).prefix(512)
@@ -278,6 +328,16 @@ def test_vienna_run_symbolic():
     assert vienna_run(never_trace(), 4) == ("a_1", "a_2", "a_3", "a_4")
     assert vienna_run(proved_at(2), 5) == ("a_1", "a_2", "a_2", "a_2", "a_2")
     assert vienna_run(refuted_at(3), 5) == ("a_1", "a_2", "a_3", "a_3", "a_3")
+    assert vienna_run(proved_at(2), 0) == ()
+
+
+def test_a_negative_term_count_is_refused():
+    for run in (
+        lambda n: vienna_run(proved_at(2), n),
+        lambda n: checking_sequence(bundled_drift("berlin"), CheckingKind.DIRECT, proved_at(2), n),
+    ):
+        with pytest.raises(ValueError, match="term count must be non-negative"):
+            run(-3)
 
 
 def test_vienna_e_freezes_on_any_resolution():
@@ -305,22 +365,3 @@ def test_sqrt2_value_scaled_floor():
     fl, _ = neg.scaled_floor(10)
     fl_pos, _ = s.scaled_floor(10)
     assert fl == -fl_pos - 1  # strict floor for a non-dyadic negative
-
-
-def test_floor_point_admissible_and_converges():
-    law = rng_spread()
-    s = Sqrt2Value(Fraction(1, 2))
-    pt = floor_point(s, "k")
-    prefix = pt.prefix(30)
-    for k in range(1, len(prefix)):
-        assert law.admits(prefix[:k], prefix[k])
-    # brackets sqrt(2)/2 ~ 0.70710678
-    assert pt.interval(25).contains_fraction(Fraction(70710678, 10**8))
-
-
-def test_floor_point_rejects_exact_values():
-    # a dyadic rational eventually *equals* floor(x*2^n)/2^n, and the
-    # interval trick breaks down; the point refuses lazily at that term
-    pt = floor_point(Fraction(1, 2), "half")
-    with pytest.raises(ValueError):
-        pt.prefix(1)

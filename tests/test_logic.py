@@ -684,9 +684,10 @@ def test_unknown_schema():
         validity_sweep("zz9", FAST)
 
 
-def test_sweep_refuses_over_cap():
+def test_sweep_refuses_over_cap(monkeypatch):
+    monkeypatch.setattr("brouwer.logic.DEFAULT_SWEEP_CAP", 1000)
     with pytest.raises(ResourceLimitError) as ei:
-        validity_sweep("ic1", SweepBounds(), cap=1000)
+        validity_sweep("ic1", SweepBounds())
     assert ei.value.requested > ei.value.limit == 1000
 
 
