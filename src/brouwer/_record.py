@@ -8,8 +8,7 @@ own class (``And(p, q) != Or(p, q)``), the repr ``Name(field=value, ...)``,
 and the refusal of every assignment. Records on a hot path define
 ``__eq__`` and ``__hash__`` over the same fields themselves, since the
 inherited ones build a tuple per call: the formula records of ``logic``,
-which the parser and the derivation checker compare, and ``Resolution``,
-which the trace follower of ``drift`` hashes once per stage.
+which the parser and the derivation checker compare.
 """
 
 _set = object.__setattr__

@@ -24,7 +24,8 @@ without printing; main alone prints, the payload as JSON under --json and
 the text otherwise.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage error,
-64 resource refusal.
+64 resource refusal (a digit limit, the sweep cap, or a horizon or stage
+count past spreads.DEFAULT_STAGE_CAP).
 """
 
 from __future__ import annotations
@@ -143,8 +144,11 @@ def _cmd_fleeing(args, cfg) -> tuple[int, dict, str]:
 def _cmd_spread(args, cfg) -> tuple[int, dict, str]:
     import random
 
-    from .spreads import Generator, Process, emit_prefix, never_trace, rng_spread, universal_spread
+    from .spreads import (
+        Generator, Process, charge_stages, emit_prefix, never_trace, rng_spread, universal_spread,
+    )
 
+    charge_stages(args.stages)
     seed = args.seed if args.seed is not None else cfg["seed"]
     law = rng_spread() if args.law == "rng" else universal_spread()
     rng = random.Random(seed)
@@ -166,9 +170,9 @@ def _cmd_spread(args, cfg) -> tuple[int, dict, str]:
 
 def _cmd_real(args, cfg) -> tuple[int, dict, str]:
     from .reals import apart_at, coincide_refute, lt_at
-    from .spreads import parse_trace
+    from .spreads import charge_stages, parse_trace
 
-    horizon = args.horizon if args.horizon is not None else cfg["horizon"]
+    horizon = charge_stages(args.horizon if args.horizon is not None else cfg["horizon"])
     lhs_trace = parse_trace(args.lhs_trace)
     rhs_trace = parse_trace(args.rhs_trace)
     x = _build_point(args.lhs, lhs_trace, args.digit, args.run)
@@ -194,8 +198,9 @@ def _cmd_real(args, cfg) -> tuple[int, dict, str]:
 
 def _cmd_drift(args, cfg) -> tuple[int, dict, str]:
     from .drift import KIND_ALIASES, bundled_drift, checking_sequence, rationality_descriptor
-    from .spreads import parse_trace
+    from .spreads import charge_stages, parse_trace
 
+    charge_stages(args.terms)
     drift = bundled_drift(args.drift)
     kind = KIND_ALIASES[args.kind]
     trace = parse_trace(args.trace)

@@ -30,17 +30,8 @@ from math import isqrt
 from typing import Callable, NamedTuple, Optional
 
 from ._record import Record, _set
-from .reals import Point, Verdict, apart_at, value_point
-from .spreads import (
-    NEVER,
-    PROVED,
-    EventTrace,
-    Generator,
-    Process,
-    Resolution,
-    centering_strategy,
-    rng_spread,
-)
+from .reals import Point, Verdict, _switch_point, apart_at, value_point
+from .spreads import NEVER, PROVED, EventTrace, Resolution
 
 
 class Sqrt2Value(Record):
@@ -52,14 +43,27 @@ class Sqrt2Value(Record):
         _set(self, "coef", coef)
 
     def scaled_floor(self, k: int) -> tuple[int, bool]:
-        if self.coef == 0:
-            return 0, True
-        p = self.coef.numerator << k
-        q = self.coef.denominator
-        if p >= 0:
-            return isqrt(2 * p * p) // q, False
+        p, q = self.coef.numerator, self.coef.denominator
+        floor = isqrt(2 * (p << k) ** 2) // q
         # floor(-y) = -ceil(y) and y = sqrt(2)*|p|/q is never an integer
-        return -(isqrt(2 * p * p) // q + 1), False
+        return (floor, not p) if p >= 0 else (-floor - 1, False)
+
+    def floor_steps(self, k: int):
+        """``dyadic.floor_steps`` from scale k on a root and its remainder:
+        with root = floor(sqrt(2)*|p|*2^j) and rest = 2(|p|*2^j)^2 - root^2,
+        the next root is 2*root + 1 exactly when rest > root; root mod q
+        carries the division by q."""
+        p, q = self.coef.numerator, self.coef.denominator
+        x = abs(p) << k
+        root = isqrt(2 * x * x)
+        rest, low = 2 * x * x - root * root, root % q
+        while True:
+            b = rest > root
+            rest, root, low = 4 * rest - b * (4 * root + 1), 2 * root + b, 2 * low + b
+            carry = low >= q
+            low -= carry * q
+            # floor(-y) = -floor(y) - 1 for the never-integer y = root/q
+            yield (carry if p >= 0 else 1 - carry), not p
 
     def __neg__(self) -> "Sqrt2Value":
         return Sqrt2Value(-self.coef)
@@ -322,22 +326,8 @@ def rationality_descriptor(drift: Drift, kind: CheckingKind, trace: EventTrace) 
     return {"kind": drift.resolve_ref(switch)[1].value}
 
 
-def _follower(name: str, before, after, trace: EventTrace) -> Point:
-    """The point whose term n centres before(n) until the trace's resolution
-    r is visible at stage n, then after(r), derived once per resolution."""
-    after_of: dict[Resolution, object] = {}
-
-    def target_at(stage: int, tr: EventTrace):
-        r = tr.visible_at(stage)
-        if r is None:
-            return before(stage)
-        value = after_of.get(r)
-        if value is None:
-            value = after_of[r] = after(r)
-        return value
-
-    g = Generator(rng_spread(), Process(centering_strategy(target_at)), name=name)
-    return Point(g, trace=trace)
+def _visible(stage: int, trace: EventTrace) -> Optional[Resolution]:
+    return trace.visible_at(stage)
 
 
 def flatten_checking(drift: Drift, kind: CheckingKind, trace: EventTrace) -> Point:
@@ -350,7 +340,7 @@ def flatten_checking(drift: Drift, kind: CheckingKind, trace: EventTrace) -> Poi
         return drift.kernel_value if switch is None else drift.resolve_ref(switch)[0]
 
     name = f"checking[{drift.name},{kind.value}]"
-    return _follower(name, lambda stage: drift.kernel_value, after, trace)
+    return _switch_point(name, lambda stage: drift.kernel_value, after, _visible, trace)
 
 
 def berlin_s(trace: EventTrace) -> Point:
@@ -390,4 +380,5 @@ def vienna_e(trace: EventTrace) -> Point:
     """The family follower as a point: term n centers a_n until any
     resolution at stage v freezes the target at a_v."""
     fam = vienna_family()
-    return _follower(f"vienna_e[{fam.name}]", fam.member, lambda r: fam.member(r.stage), trace)
+    name = f"vienna_e[{fam.name}]"
+    return _switch_point(name, fam.member, lambda r: fam.member(r.stage), _visible, trace)

@@ -181,3 +181,24 @@ def scaled_floor(value, k: int) -> tuple[int, bool]:
     q = num >> shift
     return q, q << shift == num
 
+
+def floor_steps(value, k: int):
+    """One floor state of value from scale k: yields, for j = k+1, k+2, ...,
+    the bit floor(value * 2**j) - 2*floor(value * 2**(j-1)) and whether
+    value * 2**j is an integer. A rational steps by long division, one
+    remainder doubling below its denominator; any other value supplies its
+    own floor_steps(k).
+    """
+    if not isinstance(value, (Dyadic, int, Fraction)):
+        return value.floor_steps(k)
+    value = value.as_fraction() if isinstance(value, Dyadic) else Fraction(value)
+    return _division_steps((value.numerator << k) % value.denominator, value.denominator)
+
+
+def _division_steps(rem: int, den: int):
+    while True:
+        rem <<= 1
+        bit = rem >= den
+        if bit:
+            rem -= den
+        yield bit, not rem

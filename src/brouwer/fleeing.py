@@ -11,8 +11,8 @@ sums only the terms the new digits add. A digit pattern is searched for with
 10**w digits for a w-digit pattern, until the first match and never past
 the search window, so ``find_pattern`` and
 ``critical_number`` read no digit past the horizon they answer for. The
-switch constructions (berlin_r, veldman_f2, cambridge_c) are one centering
-rule, built in one place, whose target changes once the least witness of a
+switch constructions (berlin_r, veldman_f2, cambridge_c) are switch points
+(``reals._switch_point``) whose target changes once the least witness of a
 property shows.
 """
 
@@ -228,44 +228,33 @@ def critical_number(p: DecidableProperty, horizon: int) -> CriticalSearch:
     return CriticalSearch(p, horizon, p.least(horizon))
 
 
-def _least_witness_scan(p: DecidableProperty) -> Callable[[int], Optional[int]]:
-    # least witness of p up to a stage, read by _switch_point;
-    # asked for stages 1, 2, 3, ... in turn (repeats allowed), it tests each once
-    found = None
+def _least_witness_scan(p: DecidableProperty) -> Callable[..., Optional[int]]:
+    # the least witness of p visible at a stage, asked in any order (the
+    # switch_at of a lawlike switch point, so it takes no trace): it tests
+    # each position once, in turn, and retests one that raised
+    found, tested = None, 0
 
-    def upto(stage: int) -> Optional[int]:
-        nonlocal found
-        if found is None and p.holds(stage):
-            found = stage
-        return found
+    def upto(stage: int, trace=None) -> Optional[int]:
+        nonlocal found, tested
+        while found is None and tested < stage:
+            if p.holds(tested + 1):
+                found = tested + 1
+            tested += 1
+        return found if found is not None and found <= stage else None
 
     return upto
 
 
-def _switch_point(
-    name: str,
-    p: DecidableProperty,
-    before: Callable[[int], Fraction],
-    after: Callable[[int], Fraction],
-) -> Point:
-    """Centers before(stage) until the least witness k of p is visible,
-    then after(k) forever: the one construction behind every switch point."""
-    from .reals import Point
-    from .spreads import Generator, Lawlike, centering_rule, rng_spread
+def _witness_point(name: str, p: DecidableProperty, before, after) -> Point:
+    """The switch point that switches on the least witness k of p."""
+    from .reals import _switch_point
 
-    witness = _least_witness_scan(p)
-
-    def target(stage: int) -> Fraction:
-        k = witness(stage)
-        return before(stage) if k is None else after(k)
-
-    rule = centering_rule(target)
-    return Point(Generator(rng_spread(), Lawlike(rule), name=f"{name}[{p.name}]"))
+    return _switch_point(f"{name}[{p.name}]", before, after, _least_witness_scan(p))
 
 
 def berlin_r(p: DecidableProperty) -> Point:
     """Centers 0 until the least witness K of p is visible, then (-2)^(-K) forever."""
-    return _switch_point("berlin_r", p, lambda stage: 0, lambda k: Fraction((-1) ** k, 1 << k))
+    return _witness_point("berlin_r", p, lambda stage: 0, lambda k: Fraction((-1) ** k, 1 << k))
 
 
 class ConvergentFamily(NamedTuple):
@@ -284,10 +273,10 @@ def geometric_family() -> ConvergentFamily:
 def veldman_f2(family: ConvergentFamily, p: DecidableProperty) -> Point:
     """Centers the limit value until the least witness k of p is visible,
     then re-anchors admissibly and centers xi_k forever."""
-    return _switch_point("veldman_f2", p, lambda stage: family.limit, family.member)
+    return _witness_point("veldman_f2", p, lambda stage: family.limit, family.member)
 
 
 def cambridge_c(family: ConvergentFamily, p: DecidableProperty) -> Point:
     """Follows the family values a_n until the least witness K is visible,
     then stays at a_K: term n centers a_min(n, K)."""
-    return _switch_point("cambridge_c", p, family.member, family.member)
+    return _witness_point("cambridge_c", p, family.member, family.member)

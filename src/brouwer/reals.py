@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from ._record import Record, _set
@@ -20,31 +21,42 @@ from .spreads import (
     EventTrace,
     Generator,
     Lawlike,
-    centering_rule,
+    Process,
     constant_zero_rule,
     emit_prefix,
     rng_spread,
+    switch_terms,
 )
 
 
 class Point(Record):
     """A generator over the interval law, bundled with its trace.
 
-    Keeps one append-only list of terms and extends it in place from where
-    it stopped, so each stage is emitted once; sound because emission is a
-    pure function of (generator, trace)."""
+    Keeps one append-only list of terms and the live stream that emitted
+    them, and extends the list in place from where it stopped, so each stage
+    is emitted once; sound because emission is a pure function of
+    (generator, trace). A stream that raised is dropped, so the next read
+    resumes from the stages kept and refuses at the same stage again."""
 
-    __slots__ = ("generator", "trace", "_terms")
+    __slots__ = ("generator", "trace", "_terms", "_live")
     _fields = ("generator", "trace")
 
     def __init__(self, generator: Generator, trace: Optional[EventTrace] = None) -> None:
         _set(self, "generator", generator)
         _set(self, "trace", trace)
         _set(self, "_terms", [])
+        _set(self, "_live", None)
 
     def _stream(self, n: int) -> list[int]:
         if not 0 < n <= len(self._terms):  # emit_prefix also vets n and the trace
-            emit_prefix(self.generator, n, self.trace, self._terms)
+            resume = self.generator.kind.resume
+            if self._live is None and resume is not None:
+                _set(self, "_live", resume(self._terms, self.trace))
+            try:
+                emit_prefix(self.generator, n, self.trace, self._terms, self._live)
+            except BaseException:
+                _set(self, "_live", None)
+                raise
         return self._terms
 
     def prefix(self, n: int) -> tuple[int, ...]:
@@ -124,10 +136,26 @@ def one_point() -> Point:
     return Point(Generator(rng_spread(), Lawlike(lambda n: (1 << n) - 2), name="one"))
 
 
+def _switch_point(name: str, before, after, switch_at, trace: Optional[EventTrace] = None) -> Point:
+    """The one construction behind every centred point: term n centres
+    before(n) until switch_at(n, trace) shows a switch s (a witness, a
+    resolution), then after(s) forever. A point on a trace is a process;
+    any other is lawlike, its switch found by switch_at alone."""
+
+    def resume(prefix, tr):
+        return switch_terms(before, after, switch_at, prefix, tr)
+
+    if trace is None:
+        kind = Lawlike(lambda n: next(islice(resume((), None), n - 1, None)), resume)
+    else:
+        kind = Process(lambda prefix, tr: next(resume(prefix, tr)), resume)
+    return Point(Generator(rng_spread(), kind, name=name), trace)
+
+
 def value_point(value, name: str = "") -> Point:
-    """Lawlike point centering a fixed exact value at every stage."""
-    rule = centering_rule(lambda stage: value)
-    return Point(Generator(rng_spread(), Lawlike(rule), name=name or f"value({value})"))
+    """Lawlike point centering a fixed exact value at every stage: the
+    switch to it shows at stage 1."""
+    return _switch_point(name or f"value({value})", None, lambda v: v, lambda n, tr: value)
 
 
 def int_point(m: int) -> Point:

@@ -5,17 +5,20 @@ a given prefix. Generators are stateless descriptions: a lawlike rule maps
 the 1-based term index to a value, a process strategy additionally consults
 an event trace (the record of when an assertion got decided, if ever).
 Emitting a prefix is a pure function of (generator, trace) and appends to
-one list, so a caller that keeps the list (``reals.Point``, one per
-generator and trace) extends it from where it stopped; a generator reading
-anything else (a random source) must be read through ``emit_prefix`` alone.
+one list, so a caller that keeps the list and the live stream that filled
+it (``reals.Point``, one per generator and trace) extends it from where it
+stopped; a generator reading anything else (a random source) must be read
+through ``emit_prefix`` alone.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Sequence, Union
+from itertools import islice
+from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from ._record import Record, _set
-from .dyadic import is_admissible_successor, scaled_floor
+from .dyadic import floor_steps, scaled_floor
+from .errors import ResourceLimitError
 
 
 class AdmissibilityError(Exception):
@@ -55,7 +58,8 @@ def rng_spread() -> SpreadLaw:
     return SpreadLaw(
         name="rng",
         admits_first=lambda v: True,
-        admits_next=lambda prefix, v: is_admissible_successor(prefix[-1], v),
+        # is_admissible_successor(prefix[-1], v), inlined: it runs once per stage
+        admits_next=lambda prefix, v: 0 <= v - 2 * prefix[-1] <= 2,
     )
 
 
@@ -79,14 +83,6 @@ class Resolution(Record):
             raise ValueError("resolution stage must be a positive integer")
         _set(self, "kind", kind)
         _set(self, "stage", stage)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.kind == other.kind and self.stage == other.stage
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.kind, self.stage))
 
 
 class EventTrace(NamedTuple):
@@ -145,24 +141,34 @@ def parse_trace(text: str) -> EventTrace:
 
 
 class Lawlike(Record):
-    """Term n is rule(n), independent of any trace."""
+    """Term n is rule(n), independent of any trace.
 
-    __slots__ = ("rule",)
+    resume(prefix, trace), when given, is the live stream: an iterator over
+    the terms after an emitted prefix, in turn, that keeps state from stage
+    to stage. It must agree with rule, which emission then does not call;
+    without it, emission calls rule once per stage."""
 
-    def __init__(self, rule: Callable[[int], int]) -> None:
+    __slots__ = ("rule", "resume")
+    _fields = ("rule",)
+
+    def __init__(self, rule: Callable[[int], int], resume=None) -> None:
         _set(self, "rule", rule)
+        _set(self, "resume", resume)
 
 
 class Process(Record):
     """Term n is strategy(prefix, trace) with stage = len(prefix) + 1.
 
     The prefix is the emitter's own list of the terms so far: a strategy
-    reads it and must not mutate it."""
+    reads it and must not mutate it. resume, when given, is the live stream,
+    as for ``Lawlike``."""
 
-    __slots__ = ("strategy",)
+    __slots__ = ("strategy", "resume")
+    _fields = ("strategy",)
 
-    def __init__(self, strategy: Callable[[Sequence[int], EventTrace], int]) -> None:
+    def __init__(self, strategy: Callable[[Sequence[int], EventTrace], int], resume=None) -> None:
         _set(self, "strategy", strategy)
+        _set(self, "resume", resume)
 
 
 class Generator(NamedTuple):
@@ -171,26 +177,42 @@ class Generator(NamedTuple):
     name: str = ""
 
 
+DEFAULT_STAGE_CAP = 20_000  # an rng-spread point of h stages holds ~h*h/16 bytes
+
+
+def charge_stages(n: int) -> int:
+    """n, a horizon or stage count asked for before any emission, within the cap."""
+    if n > DEFAULT_STAGE_CAP:
+        cap = DEFAULT_STAGE_CAP
+        raise ResourceLimitError(f"requested {n} stages, limit is {cap}", requested=n, limit=cap)
+    return n
+
+
 def emit_prefix(
-    g: Generator, n: int, trace: Optional[EventTrace] = None, head: Optional[list[int]] = None
+    g: Generator, n: int, trace: Optional[EventTrace] = None,
+    head: Optional[list[int]] = None, live: Optional[Iterator[int]] = None,
 ) -> tuple[int, ...]:
     """Terms len(head)+1 .. n of g, validating admissibility stage by stage.
 
     Appends each validated term to head, a fresh list by default, so the
     stages before a refused one stay there; returns the newly emitted terms.
-    The head must hold the first terms of g under the trace.
+    The head must hold the first terms of g under the trace, and live, when
+    given, the stream that emitted them (``g.kind.resume``); a stream that
+    raised is spent, so a later call needs a fresh one.
     """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
-    lawlike = isinstance(g.kind, Lawlike)
+    kind = g.kind
+    lawlike = isinstance(kind, Lawlike)
     if not lawlike and trace is None:
         raise ValueError(f"process generator {g.name or '?'} requires a trace")
-    step = g.kind.rule if lawlike else g.kind.strategy
     admits_first, admits_next = g.law.admits_first, g.law.admits_next
     prefix = [] if head is None else head
     start = len(prefix)
+    stream = live or (kind.resume and kind.resume(prefix, trace))
+    step = kind.rule if lawlike else lambda stage: kind.strategy(prefix, trace)
     for stage in range(start + 1, n + 1):
-        value = step(stage) if lawlike else step(prefix, trace)
+        value = next(stream) if stream else step(stage)
         if not (admits_next(prefix, value) if prefix else admits_first(value)):
             raise AdmissibilityError(stage, value, tuple(prefix))
         prefix.append(value)
@@ -203,13 +225,15 @@ def emit_prefix(
 # (a+1)/2^n lies nearest the target value; ties go to the smaller index.
 # Indices b and b+1 have midpoints (b+1)/2^n and (b+2)/2^n, equally near
 # their mean (2b+3)/2^(n+1); so with t = target*2^(n+1), b is at least as
-# near exactly when t <= 2b+3. After a previous index a the candidates 2a,
-# 2a+1, 2a+2 split at t = 4a+3 and t = 4a+5. At stage 1 the target lies
-# between the midpoints of g-1 and g, g = floor(t/2), which split at
-# t = 2g+1. So one scaled_floor of the target decides a stage, since
-# t <= s exactly when ceil(t) <= s. Targets are exact values supporting
-# scaled_floor (Dyadic, Fraction, int, or sqrt2-multiples from the drift
-# module).
+# near exactly when ceil(t) <= 2b+3. After a previous index a the
+# candidates 2a, 2a+1, 2a+2 split at t = 4a+3 and t = 4a+5. At stage 1 the
+# target lies between the midpoints of g-1 and g, g = floor(t/2), which
+# split at t = 2g+1. A stream keeps the residual e = floor(t) - 2a of its
+# last index a, in 0..3 while it centres one target: the next stage's
+# floor(t) - 4a is 2e plus the target's next floor bit (``floor_steps``),
+# so only the new index 2a + j is a big-int operation. A new target takes
+# its floor from scratch, as centered_term does. Targets are exact values
+# (Dyadic, Fraction, int, or sqrt2-multiples from the drift module).
 
 
 def centered_term(target, prefix: Sequence[int]) -> int:
@@ -225,6 +249,37 @@ def centered_term(target, prefix: Sequence[int]) -> int:
     return 2 * a + 1 if ceil <= 4 * a + 5 else 2 * a + 2
 
 
+def switch_terms(before, after, switch_at, prefix: Sequence[int], trace=None) -> Iterator[int]:
+    """The centred terms after prefix: stage n centres before(n) until
+    switch_at(n, trace) shows a switch s, then after(s) at every stage on.
+
+    after is taken once per stream, and its value never changes again.
+    """
+    n, a = len(prefix), (prefix[-1] if prefix else None)
+    target = steps = switch = None
+    while True:
+        n += 1
+        if switch is None:
+            switch = switch_at(n, trace)
+            t = before(n) if switch is None else after(switch)
+        if t is target:
+            if steps is None:
+                steps = floor_steps(t, n)
+            bit, exact = next(steps)
+            d = 2 * e + bit
+        else:
+            target, steps = t, None
+            floor, exact = scaled_floor(t, n + 1)
+            if a is None:  # stage 1: g-1 and g, g = floor(2t), are successors of a
+                a = ((floor >> 1) - 1) >> 1
+            d = floor - 4 * a
+        c = d if exact else d + 1
+        j = 0 if c <= 3 else 1 if c <= 5 else 2
+        a = 2 * a + j
+        e = d - 2 * j
+        yield a
+
+
 def centering_strategy(target_at: Callable[[int, EventTrace], object]):
     """Process strategy centering a per-stage target value."""
 
@@ -237,19 +292,12 @@ def centering_strategy(target_at: Callable[[int, EventTrace], object]):
 def centering_rule(target_at: Callable[[int], object]) -> Callable[[int], int]:
     """Lawlike rule centering a per-stage target value.
 
-    Keeps the chain emitted so far in one append-only list and extends it on
-    demand, so term n is a pure function of n. The target is asked for
-    stages 1, 2, 3, ... in increasing order, each once unless it raised; the
-    witness-switch points in ``fleeing`` rely on that order.
+    Term n replays stages 1..n, so the rule keeps no terms and may be asked
+    in any order; a point emits through its stream (``reals.value_point``).
     """
-    terms: list[int] = []
-
-    def rule(n: int) -> int:
-        while len(terms) < n:
-            terms.append(centered_term(target_at(len(terms) + 1), terms))
-        return terms[n - 1]
-
-    return rule
+    return lambda n: next(
+        islice(switch_terms(target_at, None, lambda stage, trace: None, ()), n - 1, None)
+    )
 
 
 def constant_zero_rule(n: int) -> int:

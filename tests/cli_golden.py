@@ -66,6 +66,10 @@ BRANCHES = [
     ["derive", "check", "rejected.txt"],
     ["derive", "check", "syntax_error.txt"],
     ["derive", "check", "missing.txt"],
+    # past the stage cap (spreads.DEFAULT_STAGE_CAP), each stage count refuses
+    ["real", "cmp", "--lhs", "half", "--rhs", "zero", "--horizon", "20001"],
+    ["spread", "sample", "--stages", "20001"],
+    ["drift", "run", "--drift", "berlin", "--kind", "osc", "--trace", "true:2", "--terms", "20001"],
 ]
 USAGE_ERRORS = [
     [],

@@ -13,7 +13,10 @@
   ``virtual_order_check`` reading the table pair by pair inside its loops;
 - ``check_script`` as it stood before blocks became step-number intervals:
   every step keeps its block path, and Discharge closes a block by comparing
-  paths.
+  paths;
+- centring as it stood before points kept a live stream: one
+  ``centered_term`` per stage, each taking a fresh scaled floor of the
+  stage's target, on a list of the chain that the rule keeps itself.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from itertools import count, islice
-from typing import Iterator, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 from brouwer.derivation import (
     _ARITY,
@@ -67,6 +70,7 @@ from brouwer.reals import (
     _unknown,
     lt_at,
 )
+from brouwer.spreads import centered_term
 
 
 # --- the sweep's models and formulas, listed ---
@@ -194,6 +198,28 @@ def spigot_digits(n: int) -> str:
     if n < 1:
         return ""
     return "".join(map(str, islice(_spigot_stream(), 1, n + 1)))
+
+
+# --- centring, one scaled floor per stage ---
+
+
+def centering_rule(target_at) -> Callable[[int], int]:
+    """Lawlike rule centring target_at(stage): extends its own list of the
+    chain on demand, asking the target for stages 1, 2, 3, ... in turn."""
+    terms: list[int] = []
+
+    def rule(n: int) -> int:
+        while len(terms) < n:
+            terms.append(centered_term(target_at(len(terms) + 1), terms))
+        return terms[n - 1]
+
+    return rule
+
+
+def centred_prefix(target_at, n: int) -> tuple[int, ...]:
+    """The first n terms centring target_at(stage) at each stage."""
+    rule = centering_rule(target_at)
+    return tuple(map(rule, range(1, n + 1)))
 
 
 # --- the rational comparison no verdict uses ---

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from brouwer import fleeing
+from brouwer import fleeing, reals, spreads
 from brouwer.cli import DEFAULTS, DRIFT_KINDS, REPLAYS, load_config, main
 from brouwer.drift import KIND_ALIASES
 from brouwer.errors import ResourceLimitError
@@ -92,6 +92,45 @@ def test_pi_find_refuses_past_the_oracle_limit(capsys, monkeypatch):
     assert "resource refusal" in captured.err
     code, out = run(capsys, "pi", "find", "--pattern", "1415", "--limit", "1000")
     assert code == 0 and out.strip() == "found-at:1"
+
+
+STAGE_COUNTS = {  # each command's stage count flag, at its defaults otherwise
+    "real cmp": (["real", "cmp", "--lhs", "half", "--rhs", "berlin-r"], "--horizon"),
+    "spread sample": (["spread", "sample"], "--stages"),
+    "drift run": (["drift", "run", "--drift", "berlin", "--kind", "osc", "--trace", "true:2"],
+                  "--terms"),
+}
+
+
+@pytest.mark.parametrize("command", sorted(STAGE_COUNTS))
+def test_stage_counts_past_the_cap_refuse_before_any_emission(capsys, monkeypatch, command):
+    emitted = []
+
+    def emit(*args, **kwargs):
+        emitted.append(args[1])
+        return real_emit(*args, **kwargs)
+
+    real_emit = spreads.emit_prefix
+    for module in (spreads, reals):
+        monkeypatch.setattr(module, "emit_prefix", emit)
+    argv, flag = STAGE_COUNTS[command]
+    cap = spreads.DEFAULT_STAGE_CAP
+    for n in (cap + 1, 10**12):
+        code = main(argv + [flag, str(n), "--json"])
+        captured = capsys.readouterr()
+        assert code == 64 and captured.out == ""
+        assert captured.err == f"resource refusal: requested {n} stages, limit is {cap}\n"
+    assert emitted == []
+    code, out = run(capsys, *argv, flag, "9")
+    assert code == 0 and out
+
+
+def test_the_stage_cap_names_what_was_asked():
+    cap = spreads.DEFAULT_STAGE_CAP
+    assert spreads.charge_stages(cap) == cap and spreads.charge_stages(0) == 0
+    with pytest.raises(ResourceLimitError) as err:
+        spreads.charge_stages(cap + 1)
+    assert (err.value.requested, err.value.limit) == (cap + 1, cap)
 
 
 @pytest.mark.parametrize("value", ["abc", "-5"])

@@ -3,13 +3,15 @@ import pickle
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from brouwer.drift import Sqrt2Value
 from brouwer.dyadic import (
     Dyadic,
     Interval,
     IntervalRelation,
     admissible_successors,
+    floor_steps,
     interval_relate,
     is_admissible_successor,
     lambda_interval,
@@ -142,6 +144,27 @@ def divmod_floor(value: Fraction, k: int) -> tuple[int, bool]:
 def test_scaled_floor_shifts_dyadic_fractions_as_the_division_would(num, exp, k):
     value = Fraction(num, 1 << exp)
     assert scaled_floor(value, k) == divmod_floor(value, k)
+
+
+floor_targets = st.one_of(
+    st.fractions(max_denominator=10**9),
+    st.builds(Dyadic, st.integers(-(2**80), 2**80), st.integers(0, 90)),
+    st.integers(-(2**70), 2**70),
+    st.builds(Sqrt2Value, st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**6)),
+)
+
+
+@given(floor_targets, st.integers(0, 120), st.integers(1, 160))
+@settings(max_examples=300)
+def test_floor_steps_hold_to_scaled_floor_at_every_step(value, k, steps):
+    # one state from scale k on, against a fresh scaled floor per scale
+    state = floor_steps(value, k)
+    floor, _ = scaled_floor(value, k)
+    for j in range(k + 1, k + steps + 1):
+        bit, exact = next(state)
+        assert bit in (0, 1)
+        assert (2 * floor + bit, bool(exact)) == scaled_floor(value, j), (value, j)
+        floor = 2 * floor + bit
 
 
 def cmp_scaled(value, k: int, target: int) -> int:

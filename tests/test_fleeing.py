@@ -35,9 +35,9 @@ from brouwer.spreads import (
     Generator,
     Lawlike,
     centered_term,
-    centering_rule,
     rng_spread,
 )
+from references import centering_rule
 
 # [PAPER]-anchored landmark, reproduced by the oracle itself at import
 SIX_NINES_AT = 762

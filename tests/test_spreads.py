@@ -22,9 +22,13 @@ from brouwer.spreads import (
     proved_at,
     refuted_at,
     rng_spread,
+    switch_terms,
     universal_spread,
 )
 from fractions import Fraction
+from itertools import islice
+
+import references
 
 from test_dyadic import cmp_scaled
 
@@ -187,6 +191,31 @@ def test_centered_term_matches_the_reference(target, centred, start, moves):
             prefix.append(2 * prefix[-1] + moves.pop() if prefix else start)
         else:
             break
+
+
+def no_switch(stage, trace):
+    return None
+
+
+@given(
+    st.lists(st.tuples(centering_targets, st.integers(1, 30)), min_size=1, max_size=6),
+    st.integers(0, 100),
+)
+@settings(max_examples=200)
+def test_a_stream_matches_one_centered_term_per_stage(runs, resume_at):
+    # each target holds for a run of stages as one object, so the stream
+    # steps its floor state, then changes at a random stage; the last holds
+    schedule = [t for t, length in runs for _ in range(length)]
+    h = len(schedule) + 40
+
+    def target_at(n: int):
+        return schedule[min(n, len(schedule)) - 1]
+
+    want = references.centred_prefix(target_at, h)
+    assert tuple(islice(switch_terms(target_at, None, no_switch, ()), h)) == want
+    # a stream started after any emitted prefix continues it
+    m = min(resume_at, h)
+    assert tuple(islice(switch_terms(target_at, None, no_switch, want[:m]), h - m)) == want[m:]
 
 
 def test_process_strategy_sees_trace():

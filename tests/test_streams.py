@@ -5,9 +5,42 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from brouwer.dyadic import IntervalRelation, interval_relate, lambda_interval
-from brouwer.fleeing import geometric_family, pattern_property, veldman_f2
-from brouwer.reals import Point, Verdict, VerdictValue, coincide_refute, value_point
+import references
+from brouwer.drift import (
+    BUNDLED_DRIFTS,
+    CheckingKind,
+    Drift,
+    Sqrt2Value,
+    Wing,
+    berlin_s,
+    bundled_drift,
+    checking_sequence,
+    flatten_checking,
+    vienna_e,
+    vienna_family,
+    vienna_run,
+)
+from brouwer.dyadic import Dyadic, IntervalRelation, interval_relate, lambda_interval
+from brouwer.errors import ResourceLimitError
+from brouwer.fleeing import (
+    DigitOracle,
+    berlin_r,
+    cambridge_c,
+    geometric_family,
+    pattern_property,
+    run_property,
+    veldman_f2,
+)
+from brouwer.reals import (
+    Point,
+    Verdict,
+    VerdictValue,
+    coincide_refute,
+    identity_map,
+    mapped_point,
+    negation_map,
+    value_point,
+)
 from brouwer.spreads import (
     AdmissibilityError,
     Generator,
@@ -113,7 +146,8 @@ def test_lawlike_rule_called_once_per_stage():
     assert calls == list(range(1, 13))
 
 
-def test_centering_rule_asks_its_target_in_order():
+def test_centering_rule_replays_its_target_from_stage_one():
+    # the rule keeps no chain: term n asks for stages 1..n, in any order
     asked: list[int] = []
 
     def target(stage: int):
@@ -121,9 +155,9 @@ def test_centering_rule_asks_its_target_in_order():
         return Fraction(1, 3)
 
     rule = centering_rule(target)
-    assert rule(6) == emit_prefix(Generator(rng_spread(), Lawlike(rule)), 6)[-1]
-    rule(3), rule(9)
-    assert asked == list(range(1, 10))
+    want = value_point(Fraction(1, 3)).prefix(9)
+    assert [rule(n) for n in (6, 3, 9)] == [want[5], want[2], want[8]]
+    assert asked == [*range(1, 7), *range(1, 4), *range(1, 10)]
 
 
 def test_veldman_rule_reads_its_chain_in_any_order():
@@ -187,3 +221,111 @@ def test_term_and_interval_indices_are_one_based(n):
     for read in (p.term, p.interval):
         with pytest.raises(ValueError, match="1-based"):
             read(n)
+
+
+# --- every centred construction against one scaled floor per stage ---
+
+STAGES = 512
+TRACES = (never_trace(), proved_at(5), refuted_at(3))
+
+
+def witness_cases():
+    # (name, point, target at stage n): the least witness is read off the
+    # property directly, at positions 2 and 9 and past the stages (762)
+    fam = geometric_family()
+    for make in (lambda: pattern_property("4"), lambda: run_property(3, 1), lambda: run_property(9, 6)):
+        k = make().least(STAGES)
+
+        def switched(before, after, k=k):
+            return lambda n: before(n) if k is None or n < k else after(k)
+
+        yield f"berlin_r@{k}", berlin_r(make()), switched(
+            lambda n: 0, lambda k: Fraction((-1) ** k, 1 << k)
+        )
+        yield f"veldman_f2@{k}", veldman_f2(fam, make()), switched(lambda n: fam.limit, fam.member)
+        yield f"cambridge_c@{k}", cambridge_c(fam, make()), switched(fam.member, fam.member)
+
+
+def trace_cases():
+    # the symbolic runs name each stage's value
+    for name in sorted(BUNDLED_DRIFTS):
+        drift = bundled_drift(name)
+        kinds = [CheckingKind.DIRECT, CheckingKind.CONDITIONAL]
+        kinds += [CheckingKind.OSCILLATORY] if drift.wing is Wing.TWO else []
+        for kind in kinds:
+            for trace in TRACES:
+                refs = checking_sequence(drift, kind, trace, STAGES).terms
+                values = [drift.kernel_value if r == "c" else drift.resolve_ref(r)[0] for r in refs]
+                yield f"{name},{kind.value},{trace}", flatten_checking(drift, kind, trace), values
+    berlin = bundled_drift("berlin")
+    for trace in TRACES:
+        refs = checking_sequence(berlin, CheckingKind.OSCILLATORY, trace, STAGES).terms
+        values = [berlin.kernel_value if r == "c" else berlin.resolve_ref(r)[0] for r in refs]
+        yield f"berlin_s,{trace}", berlin_s(trace), values
+        fam = vienna_family()
+        values = [fam.member(int(r[2:])) for r in vienna_run(trace, STAGES)]
+        yield f"vienna_e,{trace}", vienna_e(trace), values
+
+
+VALUES = (Fraction(1, 3), Fraction(-22, 7), Dyadic(-5, 3), 0, 7,
+          Sqrt2Value(Fraction(1, 2)), Sqrt2Value(Fraction(-3, 5)))
+CENTRED = [
+    *((f"value({v})", lambda v=v: value_point(v), lambda n, v=v: v) for v in VALUES),
+    *((name, lambda pt=pt: pt, target) for name, pt, target in witness_cases()),
+    *((name, lambda pt=pt: pt, lambda n, vs=vs: vs[n - 1]) for name, pt, vs in trace_cases()),
+]
+
+
+@pytest.mark.parametrize("name, point, target", CENTRED, ids=[c[0] for c in CENTRED])
+def test_every_centred_point_matches_one_scaled_floor_per_stage(name, point, target):
+    want = references.centred_prefix(target, STAGES)
+    pt = point()
+    assert emit_prefix(pt.generator, STAGES, pt.trace) == want
+    # a point's stream resumes where each read stopped
+    fresh = Point(pt.generator, pt.trace)
+    for n in (1, 37, 36, 300, STAGES):
+        assert fresh.prefix(n) == want[:n]
+    # and the per-stage forms of the kind agree with it
+    kind = pt.generator.kind
+    if pt.trace is None:
+        assert [kind.rule(n) for n in (40, 1, 7)] == [want[39], want[0], want[6]]
+    else:
+        assert [kind.strategy(want[: n - 1], pt.trace) for n in (40, 1, 7)] == [
+            want[39], want[0], want[6]
+        ]
+
+
+# --- a stream that refused restarts from the stages kept ---
+
+
+def refusing_lawlike() -> Point:
+    # the witness scan tests position n with n + 5 digits: 296 needs 301
+    return berlin_r(pattern_property("999999", DigitOracle(self_test_digits=0, limit=300)))
+
+
+def refusing_process() -> Point:
+    # the switch at stage 7 asks for c_7, which the family refuses
+    def counting(v: int) -> Fraction:
+        if v >= 7:
+            raise ResourceLimitError(f"c_{v} refused", requested=v, limit=6)
+        return Fraction(1, 1 << v)
+
+    drift = Drift("refusing", Fraction(0), right=counting)
+    return flatten_checking(drift, CheckingKind.DIRECT, proved_at(7))
+
+
+@pytest.mark.parametrize("make, kept, requested", [
+    (refusing_lawlike, 295, 301),
+    (refusing_process, 6, 7),
+], ids=["lawlike", "process"])
+@pytest.mark.parametrize("through", [None, identity_map, negation_map], ids=["direct", "identity", "negation"])
+def test_a_resumed_stream_refuses_at_the_same_stage_every_time(make, kept, requested, through):
+    pt = make() if through is None else mapped_point(through(), make())
+    start = pt.prefix(kept - 2)  # the stream stops mid-read, then resumes
+    for n in (kept + 1, kept + 40, kept + 1):
+        with pytest.raises(ResourceLimitError) as err:
+            pt.prefix(n)
+        assert err.value.requested == requested
+        assert len(pt._terms) == kept
+    assert pt.prefix(kept)[: kept - 2] == start
+    assert pt.prefix(kept) == make().prefix(kept)
