@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Time every layer of the workbench, cross-check it, and write one record.
 
-    python benchmarks/bench.py OUT.json [CHECKOUT ...] [--sections NAME ...]
+    python benchmarks/bench.py OUT.json [CHECKOUT ...]
 
 CHECKOUT defaults to the checkout that holds this script; give two (a copy
 of the parent commit and this one, say) for a before and an after in one
@@ -26,14 +26,11 @@ The sections:
   maps (delay reads its base to 2h), the point recentred below stage 16,
   vienna_e and berlin_s on a trace that never resolves, the other four
   ``real cmp`` point specs (zero, one, half, and berlin_r on the first run
-  of six 9s in pi, its defaults), the centred sqrt(2)/2, the point
-  ``validate_drift`` builds for an irrational kernel, and the switch points
-  whose switch shows early: berlin_r, veldman_f2 and cambridge_c on the
-  first 3 in pi (position 9), berlin_s proved at stage 5, and the mixed
-  drift's direct checking number on a trace that never resolves. vienna_e's
-  target at stage n is a fraction over 2^(n+1): taken by a division per
-  stage, the stream would cost O(h^3). Term n is an n-bit integer, so even
-  a linear stream costs more per stage as h grows.
+  of six 9s in pi, its defaults), and the centred sqrt(2)/2, the point
+  ``validate_drift`` builds for an irrational kernel. vienna_e's target at
+  stage n is a fraction over 2^(n+1): taken by a division per stage, the
+  stream would cost O(h^3). Term n is an n-bit integer, so even a linear
+  stream costs more per stage as h grows.
 - sweep: ``principle_suite`` (all six schemata, stage indices up to 3) at
   fixed (nodes, atoms, operand depth), with the root classes the sweep's
   class tables list, checked against every model's root class (from
@@ -47,9 +44,6 @@ The sections:
 - tier1: the Tier-1 pytest run: wall time, counts, the ten slowest tests
   and each acceptance criterion's time against its budget.
 - perfbench: ``perfbench/report.py`` at seed 7 and 20 s per workload, whole.
-
---sections runs only the sections named, in the order above; the record
-holds those alone.
 
 The record also holds the settings that decide a cold start: the Python
 version, whether it writes bytecode (with PYTHONDONTWRITEBYTECODE set every
@@ -169,15 +163,6 @@ def streams(horizons=HORIZONS) -> dict:
         "half": lambda: reals.value_point(Fraction(1, 2)),
         "berlin_r(9,6)": lambda: fleeing.berlin_r(fleeing.run_property(9, 6)),
         "value(sqrt2/2)": lambda: reals.value_point(drift.Sqrt2Value(Fraction(1, 2))),
-        "berlin_r(3,1)": lambda: fleeing.berlin_r(fleeing.run_property(3, 1)),
-        "veldman_f2(3,1)": lambda: fleeing.veldman_f2(fleeing.geometric_family(),
-                                                      fleeing.run_property(3, 1)),
-        "cambridge_c(3,1)": lambda: fleeing.cambridge_c(fleeing.geometric_family(),
-                                                        fleeing.run_property(3, 1)),
-        "berlin_s(true:5)": lambda: drift.berlin_s(spreads.proved_at(5)),
-        "mixed(direct,never)": lambda: drift.flatten_checking(
-            drift.bundled_drift("two-winged-mixed"), drift.CheckingKind.DIRECT,
-            spreads.never_trace()),
     }
     rows = []
     for h in horizons:
@@ -380,13 +365,12 @@ def main() -> None:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", metavar="OUT.json")
     ap.add_argument("checkouts", nargs="*", default=[os.path.dirname(HERE)], metavar="CHECKOUT")
-    ap.add_argument("--sections", nargs="+", choices=SECTIONS, default=SECTIONS, metavar="NAME")
     args = ap.parse_args()
     checkouts = [os.path.abspath(c) for c in args.checkouts]
     record = {"environment": environment(), "checkouts": [os.path.relpath(c) for c in checkouts]}
     for k, checkout in enumerate(record["checkouts"]):
         print(f"[{k}] {checkout}")
-    for section in (s for s in SECTIONS if s in args.sections):
+    for section in SECTIONS:
         record[section] = run_section(section, checkouts)
         show(section, record[section])
     with open(args.out, "w", encoding="utf-8") as fh:

@@ -24,9 +24,9 @@ _EXPORTS = {
     "errors": ("ResourceLimitError",),
     "spreads": (
         "AdmissibilityError", "EventTrace", "Generator", "Lawlike", "Process",
-        "Resolution", "SpreadLaw", "centering_rule", "centering_strategy",
-        "emit_prefix", "format_trace", "never_trace", "parse_trace", "proved_at",
-        "refuted_at", "rng_spread", "universal_spread",
+        "Resolution", "SpreadLaw", "centering_rule", "emit_prefix", "format_trace",
+        "never_trace", "parse_trace", "proved_at", "refuted_at", "rng_spread",
+        "universal_spread",
     ),
     "reals": (
         "Point", "Verdict", "VerdictValue", "abs_diff_lt", "apart_at", "center",

@@ -62,7 +62,7 @@ class Sqrt2Value(Record):
             rest, root, low = 4 * rest - b * (4 * root + 1), 2 * root + b, 2 * low + b
             carry = low >= q
             low -= carry * q
-            # floor(-y) = -floor(y) - 1 for the never-integer y = root/q
+            # floor(-y) = -floor(y) - 1, since y = sqrt(2)*|p|*2^j/q is irrational for p != 0
             yield (carry if p >= 0 else 1 - carry), not p
 
     def __neg__(self) -> "Sqrt2Value":

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import islice
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from ._record import Record, _set
@@ -25,6 +24,7 @@ from .spreads import (
     constant_zero_rule,
     emit_prefix,
     rng_spread,
+    stream_rule,
     switch_terms,
 )
 
@@ -146,7 +146,7 @@ def _switch_point(name: str, before, after, switch_at, trace: Optional[EventTrac
         return switch_terms(before, after, switch_at, prefix, tr)
 
     if trace is None:
-        kind = Lawlike(lambda n: next(islice(resume((), None), n - 1, None)), resume)
+        kind = Lawlike(stream_rule(resume), resume)
     else:
         kind = Process(lambda prefix, tr: next(resume(prefix, tr)), resume)
     return Point(Generator(rng_spread(), kind, name=name), trace)

@@ -13,7 +13,6 @@ through ``emit_prefix`` alone.
 
 from __future__ import annotations
 
-from itertools import islice
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from ._record import Record, _set
@@ -280,24 +279,34 @@ def switch_terms(before, after, switch_at, prefix: Sequence[int], trace=None) ->
         yield a
 
 
-def centering_strategy(target_at: Callable[[int, EventTrace], object]):
-    """Process strategy centering a per-stage target value."""
+def stream_rule(resume: Callable[[Sequence[int], None], Iterator[int]]) -> Callable[[int], int]:
+    """Lawlike rule reading term n off the stream resume((), None).
 
-    def strategy(prefix: Sequence[int], trace: EventTrace) -> int:
-        return centered_term(target_at(len(prefix) + 1, trace), prefix)
+    The rule keeps that stream and its last term, no list: asked for a
+    later stage it steps the stream on, asked for an earlier one it replays
+    stages 1..n. Emission asks in stage order, so h stages cost h steps.
+    """
+    stage, term, stream = 0, None, None
 
-    return strategy
+    def rule(n: int) -> int:
+        nonlocal stage, term, stream
+        if stream is None or n < stage:
+            stage, stream = 0, resume((), None)
+        try:
+            for stage in range(stage + 1, n + 1):
+                term = next(stream)
+        except BaseException:
+            stream = None
+            raise
+        return term
+
+    return rule
 
 
 def centering_rule(target_at: Callable[[int], object]) -> Callable[[int], int]:
-    """Lawlike rule centering a per-stage target value.
-
-    Term n replays stages 1..n, so the rule keeps no terms and may be asked
-    in any order; a point emits through its stream (``reals.value_point``).
-    """
-    return lambda n: next(
-        islice(switch_terms(target_at, None, lambda stage, trace: None, ()), n - 1, None)
-    )
+    """Lawlike rule centering a per-stage target value (see ``stream_rule``)."""
+    never = lambda stage, trace: None
+    return stream_rule(lambda prefix, trace: switch_terms(target_at, None, never, prefix))
 
 
 def constant_zero_rule(n: int) -> int:

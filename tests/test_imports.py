@@ -27,7 +27,7 @@ Generator Interval IntervalRelation Lawlike Point Process Rejected Resolution
 ResourceLimitError SpreadLaw StageTree SweepBounds SweepResult Tag Verdict
 VerdictValue Verified Wing abs_diff_lt admissible_successors apart_at berlin_r
 berlin_s bundled_drift cambridge_c center centered_point centering_rule
-centering_strategy check_script checking_sequence coincide_refute continuity_modulus
+check_script checking_sequence coincide_refute continuity_modulus
 cpf_modulus critical_number default_oracle delay_map derivation drift dyadic
 emit_prefix errors find_pattern flatten_checking fleeing forces format_trace
 geometric_family identity_map int_point interval_relate lambda_interval load_model

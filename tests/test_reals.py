@@ -334,14 +334,12 @@ def test_a_derailed_base_refuses_at_its_stage_through_a_map(name, k):
 
 def test_point_streams_script_runs():
     record = bench_writer.bench.streams((1_000,))
-    assert [list(r) for r in record["rows"]] == [["point", "stages", "ms", "us_per_stage"]] * 17
+    assert [list(r) for r in record["rows"]] == [["point", "stages", "ms", "us_per_stage"]] * 12
     assert [(r["point"], r["stages"]) for r in record["rows"]] == [
         (name, 1_000)
         for name in ("value(1/3)", "identity(value)", "negation(value)", "delay(value)",
                      "centered(value,16)", "vienna_e(never)", "berlin_s(never)", "zero", "one",
-                     "half", "berlin_r(9,6)", "value(sqrt2/2)", "berlin_r(3,1)",
-                     "veldman_f2(3,1)", "cambridge_c(3,1)", "berlin_s(true:5)",
-                     "mixed(direct,never)")
+                     "half", "berlin_r(9,6)", "value(sqrt2/2)")
     ]
     assert bench_writer.survives_json(record)
 

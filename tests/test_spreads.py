@@ -13,7 +13,6 @@ from brouwer.spreads import (
     Resolution,
     centered_term,
     centering_rule,
-    centering_strategy,
     constant_zero_rule,
     emit_prefix,
     format_trace,
@@ -229,13 +228,10 @@ def test_process_strategy_sees_trace():
     assert emit_prefix(g, 4, proved_at(3)) == (0, 0, 2, 6)
 
 
-def test_centering_strategy_matches_rule():
+def test_a_centering_process_matches_the_rule():
     rule = centering_rule(lambda n: Fraction(1, 3))
-    g = Generator(
-        rng_spread(),
-        Process(centering_strategy(lambda stage, tr: Fraction(1, 3))),
-        "c13",
-    )
+    strategy = lambda prefix, trace: centered_term(Fraction(1, 3), prefix)
+    g = Generator(rng_spread(), Process(strategy), "c13")
     assert emit_prefix(g, 10, never_trace()) == tuple(rule(n) for n in range(1, 11))
 
 

@@ -146,8 +146,9 @@ def test_lawlike_rule_called_once_per_stage():
     assert calls == list(range(1, 13))
 
 
-def test_centering_rule_replays_its_target_from_stage_one():
-    # the rule keeps no chain: term n asks for stages 1..n, in any order
+def test_centering_rule_steps_on_and_replays_an_earlier_stage():
+    # the rule keeps no chain: a later stage steps its stream on, an earlier
+    # one replays stages 1..n
     asked: list[int] = []
 
     def target(stage: int):
@@ -156,8 +157,32 @@ def test_centering_rule_replays_its_target_from_stage_one():
 
     rule = centering_rule(target)
     want = value_point(Fraction(1, 3)).prefix(9)
-    assert [rule(n) for n in (6, 3, 9)] == [want[5], want[2], want[8]]
-    assert asked == [*range(1, 7), *range(1, 4), *range(1, 10)]
+    assert [rule(n) for n in (6, 6, 3, 9, 1)] == [want[n - 1] for n in (6, 6, 3, 9, 1)]
+    assert asked == [*range(1, 7), *range(1, 4), *range(4, 10), 1]
+
+
+def test_centering_rule_takes_one_target_per_stage_in_order():
+    asked: list[int] = []
+    rule = centering_rule(lambda stage: asked.append(stage) or Fraction(2, 7))
+    g = Generator(rng_spread(), Lawlike(rule), "c27")
+    assert emit_prefix(g, 300) == value_point(Fraction(2, 7)).prefix(300)
+    assert asked == list(range(1, 301))
+
+
+def test_centering_rule_replays_after_its_target_raises():
+    # a stream that raised is spent: the next ask replays from stage 1
+    fail_at = [4]
+
+    def target(stage: int):
+        if stage == fail_at[0]:
+            raise ResourceLimitError("no target", requested=stage, limit=stage - 1)
+        return Fraction(1, 3)
+
+    rule = centering_rule(target)
+    with pytest.raises(ResourceLimitError):
+        rule(6)
+    fail_at[0] = None
+    assert rule(6) == value_point(Fraction(1, 3)).term(6)
 
 
 def test_veldman_rule_reads_its_chain_in_any_order():
