@@ -26,6 +26,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import repeat
 from math import isqrt
 from typing import Callable, NamedTuple, Optional
 
@@ -45,7 +46,7 @@ class Sqrt2Value(Record):
     def scaled_floor(self, k: int) -> tuple[int, bool]:
         p, q = self.coef.numerator, self.coef.denominator
         floor = isqrt(2 * (p << k) ** 2) // q
-        # floor(-y) = -ceil(y) and y = sqrt(2)*|p|/q is never an integer
+        # floor(-y) = -ceil(y) and y = sqrt(2)*|p|*2^k/q is never an integer
         return (floor, not p) if p >= 0 else (-floor - 1, False)
 
     def floor_steps(self, k: int):
@@ -361,8 +362,11 @@ class IncreasingFamily(NamedTuple):
 
 
 def vienna_family() -> IncreasingFamily:
-    """a_v = 1/2 - 2^-(v+1), increasing to 1/2."""
-    return IncreasingFamily("vienna", Fraction(1, 2), lambda v: Fraction((1 << v) - 1, 1 << (v + 1)))
+    """a_v = 1/2 - 2^-(v+1), increasing to 1/2. floor(a_v*2^(v+1)) = 2^v - 1,
+    so a member's floor at its own stage steps by +1, exactly."""
+    member = lambda v: Fraction((1 << v) - 1, 1 << (v + 1))
+    member.floor_steps = lambda k: repeat((1, True))  # see spreads.switch_terms
+    return IncreasingFamily("vienna", Fraction(1, 2), member)
 
 
 def vienna_run(trace: EventTrace, terms: int) -> tuple[str, ...]:

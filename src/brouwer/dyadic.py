@@ -184,10 +184,10 @@ def scaled_floor(value, k: int) -> tuple[int, bool]:
 
 def floor_steps(value, k: int):
     """One floor state of value from scale k: yields, for j = k+1, k+2, ...,
-    the bit floor(value * 2**j) - 2*floor(value * 2**(j-1)) and whether
+    the step floor(value * 2**j) - 2*floor(value * 2**(j-1)) and whether
     value * 2**j is an integer. A rational steps by long division, one
-    remainder doubling below its denominator; any other value supplies its
-    own floor_steps(k).
+    remainder doubling below its denominator; any other value (a sqrt2
+    multiple, a moving target of spreads.switch_terms) supplies its own.
     """
     if not isinstance(value, (Dyadic, int, Fraction)):
         return value.floor_steps(k)

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import os
 from fractions import Fraction
+from itertools import repeat
 from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from . import _pi_backends
@@ -266,8 +267,11 @@ class ConvergentFamily(NamedTuple):
 
 
 def geometric_family() -> ConvergentFamily:
-    """xi_v = 2^(-v), decreasing to 0."""
-    return ConvergentFamily("geometric", Fraction(0), lambda v: Fraction(1, 1 << v))
+    """xi_v = 2^(-v), decreasing to 0. floor(xi_v*2^(v+1)) = 2, so a
+    member's floor at its own stage steps by 2 - 2*2 = -2, exactly."""
+    member = lambda v: Fraction(1, 1 << v)
+    member.floor_steps = lambda k: repeat((-2, True))  # see spreads.switch_terms
+    return ConvergentFamily("geometric", Fraction(0), member)
 
 
 def veldman_f2(family: ConvergentFamily, p: DecidableProperty) -> Point:

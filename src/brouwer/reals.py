@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
+from itertools import count
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from ._record import Record, _set
@@ -36,9 +37,10 @@ class Point(Record):
     them, and extends the list in place from where it stopped, so each stage
     is emitted once; sound because emission is a pure function of
     (generator, trace). A stream that raised is dropped, so the next read
-    resumes from the stages kept and refuses at the same stage again."""
+    resumes from the stages kept and refuses at the same stage again. An
+    image point's pull grows its base once per read (``_image_point``)."""
 
-    __slots__ = ("generator", "trace", "_terms", "_live")
+    __slots__ = ("generator", "trace", "_terms", "_live", "_pull")
     _fields = ("generator", "trace")
 
     def __init__(self, generator: Generator, trace: Optional[EventTrace] = None) -> None:
@@ -46,9 +48,12 @@ class Point(Record):
         _set(self, "trace", trace)
         _set(self, "_terms", [])
         _set(self, "_live", None)
+        _set(self, "_pull", None)
 
     def _stream(self, n: int) -> list[int]:
         if not 0 < n <= len(self._terms):  # emit_prefix also vets n and the trace
+            if self._pull is not None:
+                self._pull(n)
             resume = self.generator.kind.resume
             if self._live is None and resume is not None:
                 _set(self, "_live", resume(self._terms, self.trace))
@@ -245,17 +250,36 @@ def center(prefix: tuple[int, ...], n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _image_point(name: str, a: Point, term, need) -> Point:
+    """Term k is term(a's terms, k), read once a holds need(k) terms.
+
+    A read of n terms first grows a to need(n) in one call. A refusal there
+    is left to the stream, which meets it again at the stage that needs it,
+    so the image keeps the stages a per-stage read keeps, then raises."""
+
+    def resume(prefix, trace):
+        base = a._terms
+        for k in count(len(prefix) + 1):
+            if need(k) > len(base):
+                a._stream(need(k))
+            yield term(base, k)
+
+    def pull(n: int) -> None:
+        try:
+            a._stream(need(n))
+        except Exception:
+            pass  # the stream raises it again, at its own stage
+
+    point = Point(Generator(rng_spread(), Lawlike(stream_rule(resume), resume), name=name))
+    _set(point, "_pull", pull)
+    return point
+
+
 def centered_point(a: Point, n: int) -> Point:
     """Same tail as a, first n terms rewritten by the centering recursion."""
     head = center(a.prefix(n), n)
-
-    def rule(k: int) -> int:
-        if k <= n:
-            return head[k - 1]
-        return a.term(k)
-
     name = f"centered({a.generator.name or '?'},{n})"
-    return Point(Generator(rng_spread(), Lawlike(rule), name=name))
+    return _image_point(name, a, lambda p, k: head[k - 1] if k <= n else p[k - 1], lambda k: k)
 
 
 # --- continuous prefix maps ---
@@ -298,12 +322,7 @@ def delay_map() -> PrefixMap:
 
 def mapped_point(f: PrefixMap, a: Point) -> Point:
     """The image point: term n read off a's own stream, min_input_for(n) long."""
-
-    def rule(n: int) -> int:
-        return f.term(a._stream(f.min_input_for(n)), n)
-
-    name = f"{f.name}({a.generator.name or '?'})"
-    return Point(Generator(rng_spread(), Lawlike(rule), name=name))
+    return _image_point(f"{f.name}({a.generator.name or '?'})", a, f.term, f.min_input_for)
 
 
 def cpf_modulus(f: PrefixMap, a: Point, m: int, horizon: int) -> Verdict:

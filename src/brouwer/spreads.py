@@ -227,12 +227,16 @@ def emit_prefix(
 # near exactly when ceil(t) <= 2b+3. After a previous index a the
 # candidates 2a, 2a+1, 2a+2 split at t = 4a+3 and t = 4a+5. At stage 1 the
 # target lies between the midpoints of g-1 and g, g = floor(t/2), which
-# split at t = 2g+1. A stream keeps the residual e = floor(t) - 2a of its
-# last index a, in 0..3 while it centres one target: the next stage's
-# floor(t) - 4a is 2e plus the target's next floor bit (``floor_steps``),
-# so only the new index 2a + j is a big-int operation. A new target takes
-# its floor from scratch, as centered_term does. Targets are exact values
-# (Dyadic, Fraction, int, or sqrt2-multiples from the drift module).
+# split at t = 2g+1. A stream keeps the residual e = F_n - 2a_n of its
+# index a_n, F_n = floor(t_n*2^(n+1)) for the stage-n target t_n; whatever
+# the targets, the next choice reads F_(n+1) - 4a_n = 2e + (F_(n+1) - 2F_n),
+# so given that step only the new index 2a + j is a big-int operation. A
+# fixed target steps by its floor bits (``floor_steps``), e in 0..3; so
+# does a family that knows its members' floors, through its own
+# floor_steps(n): the steps into stages n, n+1, ... (vienna's F_n = 2^n - 1
+# steps by +1). A new target takes its floor from scratch, as centered_term
+# does. Targets are exact values (Dyadic, Fraction, int, or sqrt2-multiples
+# from the drift module).
 
 
 def centered_term(target, prefix: Sequence[int]) -> int:
@@ -252,23 +256,25 @@ def switch_terms(before, after, switch_at, prefix: Sequence[int], trace=None) ->
     """The centred terms after prefix: stage n centres before(n) until
     switch_at(n, trace) shows a switch s, then after(s) at every stage on.
 
-    after is taken once per stream, and its value never changes again.
+    after is taken once per stream, and its value never changes again. A
+    before with floor_steps (see above) is called at the first stage only.
     """
     n, a = len(prefix), (prefix[-1] if prefix else None)
     target = steps = switch = None
+    moving = hasattr(before, "floor_steps")
     while True:
         n += 1
         if switch is None:
             switch = switch_at(n, trace)
-            t = before(n) if switch is None else after(switch)
+            t = (before if moving else before(n)) if switch is None else after(switch)
         if t is target:
             if steps is None:
                 steps = floor_steps(t, n)
-            bit, exact = next(steps)
-            d = 2 * e + bit
+            step, exact = next(steps)
+            d = 2 * e + step
         else:
             target, steps = t, None
-            floor, exact = scaled_floor(t, n + 1)
+            floor, exact = scaled_floor(before(n) if t is before else t, n + 1)
             if a is None:  # stage 1: g-1 and g, g = floor(2t), are successors of a
                 a = ((floor >> 1) - 1) >> 1
             d = floor - 4 * a

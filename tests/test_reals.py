@@ -300,24 +300,31 @@ def test_points_compare_without_their_stream():
     assert repr(a) == f"Point(generator={g!r}, trace=None)"
 
 
-@pytest.mark.parametrize("name", sorted(MAPS))
+@pytest.mark.parametrize("name", [*sorted(MAPS), "centred"])
 def test_mapped_point_reads_only_the_base_it_needs(name):
-    f = MAPS[name]()
+    # a centred point recentres 16 terms: its base holds max(16, h)
     calls = []
-
-    def term(p, n):
-        calls.append(n)
-        return f.term(p, n)
-
     base = value_point(Fraction(1, 3))
-    image = mapped_point(f._replace(term=term), base)
-    for h in (1, 2, 7, 64, 300):
+    if name == "centred":
+        image, need = centered_point(base, 16), lambda h: max(16, h)
+    else:
+        f = MAPS[name]()
+
+        def term(p, n):
+            calls.append(n)
+            return f.term(p, n)
+
+        image, need = mapped_point(f._replace(term=term), base), f.min_input_for
+    most = 0  # a read below the longest one so far reads no base
+    for h in (1, 2, 7, 64, 30, 300):
         image.prefix(h)
-        assert len(base._terms) == f.min_input_for(h) == (2 * h if name == "delay" else h)
-    assert calls == list(range(1, 301))
+        most = max(most, h)
+        assert len(base._terms) == need(most)
+        assert need(most) == {"delay": 2 * most, "centred": max(16, most)}.get(name, most)
+    assert calls == ([] if name == "centred" else list(range(1, 301)))
 
 
-@pytest.mark.parametrize("name", sorted(MAPS))
+@pytest.mark.parametrize("name", [*sorted(MAPS), "centred"])
 @pytest.mark.parametrize("k", [2, 5, 9])
 def test_a_derailed_base_refuses_at_its_stage_through_a_map(name, k):
     # index 0 at every stage, then 5 at stage k: not a successor of 0
@@ -325,7 +332,11 @@ def test_a_derailed_base_refuses_at_its_stage_through_a_map(name, k):
         return Point(Generator(rng_spread(), Lawlike(lambda n: 5 if n == k else 0)))
 
     h = k  # delay reads 2h >= k base stages
-    for image in (mapped_point(MAPS[name](), derailed()), mapped_point_reference(name, derailed())):
+    if name == "centred":  # recentred below the stage before the derailment
+        images = (centered_point(derailed(), k - 1),)
+    else:
+        images = (mapped_point(MAPS[name](), derailed()), mapped_point_reference(name, derailed()))
+    for image in images:
         for _ in range(2):
             with pytest.raises(AdmissibilityError) as e:
                 image.prefix(h)

@@ -1,6 +1,7 @@
 """One memoised term stream per point, and the one-pass coincidence refutation."""
 
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,9 +21,17 @@ from brouwer.drift import (
     vienna_family,
     vienna_run,
 )
-from brouwer.dyadic import Dyadic, IntervalRelation, interval_relate, lambda_interval
+from brouwer.dyadic import (
+    Dyadic,
+    IntervalRelation,
+    floor_steps,
+    interval_relate,
+    lambda_interval,
+    scaled_floor,
+)
 from brouwer.errors import ResourceLimitError
 from brouwer.fleeing import (
+    ConvergentFamily,
     DigitOracle,
     berlin_r,
     cambridge_c,
@@ -35,7 +44,9 @@ from brouwer.reals import (
     Point,
     Verdict,
     VerdictValue,
+    centered_point,
     coincide_refute,
+    delay_map,
     identity_map,
     mapped_point,
     negation_map,
@@ -52,6 +63,7 @@ from brouwer.spreads import (
     proved_at,
     refuted_at,
     rng_spread,
+    switch_terms,
     universal_spread,
 )
 
@@ -254,6 +266,10 @@ STAGES = 512
 TRACES = (never_trace(), proved_at(5), refuted_at(3))
 
 
+# a family with no floor_steps: its targets take a scaled floor per stage
+THIRDS = ConvergentFamily("thirds", Fraction(0), lambda v: Fraction(1, 3 * v))
+
+
 def witness_cases():
     # (name, point, target at stage n): the least witness is read off the
     # property directly, at positions 2 and 9 and past the stages (762)
@@ -269,6 +285,12 @@ def witness_cases():
         )
         yield f"veldman_f2@{k}", veldman_f2(fam, make()), switched(lambda n: fam.limit, fam.member)
         yield f"cambridge_c@{k}", cambridge_c(fam, make()), switched(fam.member, fam.member)
+        yield f"veldman_f2[thirds]@{k}", veldman_f2(THIRDS, make()), switched(
+            lambda n: THIRDS.limit, THIRDS.member
+        )
+        yield f"cambridge_c[thirds]@{k}", cambridge_c(THIRDS, make()), switched(
+            THIRDS.member, THIRDS.member
+        )
 
 
 def trace_cases():
@@ -320,6 +342,40 @@ def test_every_centred_point_matches_one_scaled_floor_per_stage(name, point, tar
         ]
 
 
+# --- a moving target steps from its last floor ---
+
+FAMILIES = {"vienna": vienna_family().member, "geometric": geometric_family().member}
+
+
+@given(st.sampled_from(sorted(FAMILIES)), st.integers(1, 512), st.integers(1, 64))
+@settings(max_examples=200, deadline=None)
+def test_a_family_steps_its_members_floors_at_their_own_stages(name, start, steps):
+    # F_n = floor(member(n) * 2^(n+1)); the step into stage n is F_n - 2F_(n-1)
+    member = FAMILIES[name]
+    state = floor_steps(member, start)
+    for n in range(start, min(start + steps, STAGES + 1)):
+        floor, exact = scaled_floor(member(n), n + 1)
+        step, stepped_exact = next(state)
+        assert step == floor - 2 * scaled_floor(member(n - 1), n)[0], (name, n)
+        assert bool(stepped_exact) == exact, (name, n)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_a_stepped_family_is_asked_for_a_member_once_per_stream(name):
+    member, asked = FAMILIES[name], []
+
+    def before(n: int) -> Fraction:
+        asked.append(n)
+        return member(n)
+
+    before.floor_steps = member.floor_steps
+    never = lambda stage, trace: None
+    want = references.centred_prefix(member, STAGES)
+    assert tuple(islice(switch_terms(before, None, never, ()), STAGES)) == want
+    assert tuple(islice(switch_terms(before, None, never, want[:100]), STAGES - 100)) == want[100:]
+    assert asked == [1, 101]
+
+
 # --- a stream that refused restarts from the stages kept ---
 
 
@@ -339,13 +395,24 @@ def refusing_process() -> Point:
     return flatten_checking(drift, CheckingKind.DIRECT, proved_at(7))
 
 
+# through: (the image point of a base, the stages it keeps of the base's kept)
+IMAGES = {
+    "direct": (lambda a: a, lambda kept: kept),
+    "identity": (lambda a: mapped_point(identity_map(), a), lambda kept: kept),
+    "negation": (lambda a: mapped_point(negation_map(), a), lambda kept: kept),
+    "delay": (lambda a: mapped_point(delay_map(), a), lambda kept: kept // 2),
+    "centred": (lambda a: centered_point(a, 3), lambda kept: kept),
+}
+
+
 @pytest.mark.parametrize("make, kept, requested", [
     (refusing_lawlike, 295, 301),
     (refusing_process, 6, 7),
 ], ids=["lawlike", "process"])
-@pytest.mark.parametrize("through", [None, identity_map, negation_map], ids=["direct", "identity", "negation"])
+@pytest.mark.parametrize("through", sorted(IMAGES))
 def test_a_resumed_stream_refuses_at_the_same_stage_every_time(make, kept, requested, through):
-    pt = make() if through is None else mapped_point(through(), make())
+    image, keeps = IMAGES[through]
+    pt, kept = image(make()), keeps(kept)
     start = pt.prefix(kept - 2)  # the stream stops mid-read, then resumes
     for n in (kept + 1, kept + 40, kept + 1):
         with pytest.raises(ResourceLimitError) as err:
@@ -353,4 +420,4 @@ def test_a_resumed_stream_refuses_at_the_same_stage_every_time(make, kept, reque
         assert err.value.requested == requested
         assert len(pt._terms) == kept
     assert pt.prefix(kept)[: kept - 2] == start
-    assert pt.prefix(kept) == make().prefix(kept)
+    assert pt.prefix(kept) == image(make()).prefix(kept)
