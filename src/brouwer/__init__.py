@@ -24,15 +24,14 @@ _EXPORTS = {
     "errors": ("ResourceLimitError",),
     "spreads": (
         "AdmissibilityError", "EventTrace", "Generator", "Lawlike", "Process",
-        "Resolution", "SpreadLaw", "centering_rule", "emit_prefix", "format_trace",
-        "never_trace", "parse_trace", "proved_at", "refuted_at", "rng_spread",
-        "universal_spread",
+        "Resolution", "SpreadLaw", "emit_prefix", "format_trace", "never_trace",
+        "parse_trace", "proved_at", "refuted_at", "rng_spread", "universal_spread",
     ),
     "reals": (
         "Point", "Verdict", "VerdictValue", "abs_diff_lt", "apart_at", "center",
         "centered_point", "coincide_refute", "continuity_modulus", "cpf_modulus",
-        "delay_map", "identity_map", "int_point", "lt_at", "lt_rational",
-        "mapped_point", "negation_map", "one_point", "value_point",
+        "decide_pairs", "delay_map", "identity_map", "int_point", "lt_at",
+        "lt_rational", "mapped_point", "negation_map", "one_point", "value_point",
         "virtual_order_check", "zero_point",
     ),
     "fleeing": (

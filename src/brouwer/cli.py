@@ -161,7 +161,7 @@ def _cmd_spread(args, cfg) -> tuple[int, dict, str]:
             return rng.choice((2 * a, 2 * a + 1, 2 * a + 2))
         return rng.randint(0, 8)
 
-    g = Generator(law, Process(strategy), name=f"sample[{args.law}]")
+    g = Generator(law, Process.of(strategy), name=f"sample[{args.law}]")
     prefix = emit_prefix(g, args.stages, never_trace())
     payload = {"command": "spread-sample", "law": args.law, "stages": args.stages,
                "prefix": list(prefix), "seed": seed}

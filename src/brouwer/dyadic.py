@@ -137,11 +137,6 @@ def admissible_successors(a: int) -> tuple[int, int, int]:
     return (2 * a, 2 * a + 1, 2 * a + 2)
 
 
-def is_admissible_successor(a: int, z: int) -> bool:
-    # one subtraction and two small compares, no tuple of three big ints
-    return 0 <= z - 2 * a <= 2
-
-
 def interval_relate(p: Interval, q: Interval) -> IntervalRelation:
     """Classify p against q. Equal intervals report CONTAINS.
 

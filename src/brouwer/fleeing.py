@@ -259,7 +259,7 @@ def berlin_r(p: DecidableProperty) -> Point:
 
 
 class ConvergentFamily(NamedTuple):
-    """Lawlike values xi_v converging to a limit value; member(0) is the limit."""
+    """Lawlike values xi_v, v >= 1, converging to the limit value."""
 
     name: str
     limit: Fraction

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from itertools import count
+from functools import partial
+from itertools import count, repeat
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from ._record import Record, _set
@@ -22,10 +23,8 @@ from .spreads import (
     Generator,
     Lawlike,
     Process,
-    constant_zero_rule,
     emit_prefix,
     rng_spread,
-    stream_rule,
     switch_terms,
 )
 
@@ -34,11 +33,12 @@ class Point(Record):
     """A generator over the interval law, bundled with its trace.
 
     Keeps one append-only list of terms and the live stream that emitted
-    them, and extends the list in place from where it stopped, so each stage
-    is emitted once; sound because emission is a pure function of
-    (generator, trace). A stream that raised is dropped, so the next read
-    resumes from the stages kept and refuses at the same stage again. An
-    image point's pull grows its base once per read (``_image_point``)."""
+    them (the generator's terms(list, trace)), and extends the list in place
+    from where it stopped, so each stage is emitted once; sound because
+    emission is a pure function of (generator, trace). A stream that raised
+    is dropped, so the next read starts a fresh one after the stages kept
+    and refuses at the same stage again. An image point's pull grows its
+    base once per read (``_image_point``)."""
 
     __slots__ = ("generator", "trace", "_terms", "_live", "_pull")
     _fields = ("generator", "trace")
@@ -54,9 +54,8 @@ class Point(Record):
         if not 0 < n <= len(self._terms):  # emit_prefix also vets n and the trace
             if self._pull is not None:
                 self._pull(n)
-            resume = self.generator.kind.resume
-            if self._live is None and resume is not None:
-                _set(self, "_live", resume(self._terms, self.trace))
+            if self._live is None:
+                _set(self, "_live", self.generator.kind.terms(self._terms, self.trace))
             try:
                 emit_prefix(self.generator, n, self.trace, self._terms, self._live)
             except BaseException:
@@ -133,12 +132,12 @@ def _least_hit(horizon: int, hits: Iterable[bool]) -> Verdict:
 
 def zero_point() -> Point:
     """The constant-0 generator: intervals [0, 2^(1-n)]."""
-    return Point(Generator(rng_spread(), Lawlike(constant_zero_rule), name="zero"))
+    return Point(Generator(rng_spread(), Lawlike(lambda prefix, trace: repeat(0)), name="zero"))
 
 
 def one_point() -> Point:
     """a_n = 2^n - 2: intervals [1 - 2^(1-n), 1]."""
-    return Point(Generator(rng_spread(), Lawlike(lambda n: (1 << n) - 2), name="one"))
+    return Point(Generator(rng_spread(), Lawlike.of(lambda n: (1 << n) - 2), name="one"))
 
 
 def _switch_point(name: str, before, after, switch_at, trace: Optional[EventTrace] = None) -> Point:
@@ -146,14 +145,8 @@ def _switch_point(name: str, before, after, switch_at, trace: Optional[EventTrac
     before(n) until switch_at(n, trace) shows a switch s (a witness, a
     resolution), then after(s) forever. A point on a trace is a process;
     any other is lawlike, its switch found by switch_at alone."""
-
-    def resume(prefix, tr):
-        return switch_terms(before, after, switch_at, prefix, tr)
-
-    if trace is None:
-        kind = Lawlike(stream_rule(resume), resume)
-    else:
-        kind = Process(lambda prefix, tr: next(resume(prefix, tr)), resume)
+    terms = partial(switch_terms, before, after, switch_at)
+    kind = Lawlike(terms) if trace is None else Process(terms)
     return Point(Generator(rng_spread(), kind, name=name), trace)
 
 
@@ -166,7 +159,7 @@ def value_point(value, name: str = "") -> Point:
 def int_point(m: int) -> Point:
     """a_n = m*2^n - 1: intervals centered exactly on the integer m."""
     return Point(
-        Generator(rng_spread(), Lawlike(lambda n: m * (1 << n) - 1), name=f"int({m})")
+        Generator(rng_spread(), Lawlike.of(lambda n: m * (1 << n) - 1), name=f"int({m})")
     )
 
 
@@ -257,7 +250,7 @@ def _image_point(name: str, a: Point, term, need) -> Point:
     is left to the stream, which meets it again at the stage that needs it,
     so the image keeps the stages a per-stage read keeps, then raises."""
 
-    def resume(prefix, trace):
+    def terms(prefix, trace):
         base = a._terms
         for k in count(len(prefix) + 1):
             if need(k) > len(base):
@@ -270,7 +263,7 @@ def _image_point(name: str, a: Point, term, need) -> Point:
         except Exception:
             pass  # the stream raises it again, at its own stage
 
-    point = Point(Generator(rng_spread(), Lawlike(stream_rule(resume), resume), name=name))
+    point = Point(Generator(rng_spread(), Lawlike(terms), name=name))
     _set(point, "_pull", pull)
     return point
 

@@ -1,18 +1,19 @@
 """Spread laws, generators, event traces, and prefix emission.
 
 A spread law says which integers may start a sequence and which may follow
-a given prefix. Generators are stateless descriptions: a lawlike rule maps
-the 1-based term index to a value, a process strategy additionally consults
-an event trace (the record of when an assertion got decided, if ever).
-Emitting a prefix is a pure function of (generator, trace) and appends to
-one list, so a caller that keeps the list and the live stream that filled
-it (``reals.Point``, one per generator and trace) extends it from where it
-stopped; a generator reading anything else (a random source) must be read
-through ``emit_prefix`` alone.
+a given prefix. A generator is a stream of terms: terms(prefix, trace)
+yields the terms after an emitted prefix, in turn, a lawlike one ignoring
+the trace, a process one reading the event trace (the record of when an
+assertion got decided, if ever). Emitting a prefix is a pure function of
+(generator, trace) and appends to one list, so a caller that keeps the list
+and the live stream that filled it (``reals.Point``, one per generator and
+trace) extends it from where it stopped; a generator reading anything else
+(a random source) must be read through ``emit_prefix`` alone.
 """
 
 from __future__ import annotations
 
+from itertools import count, repeat
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from ._record import Record, _set
@@ -57,7 +58,6 @@ def rng_spread() -> SpreadLaw:
     return SpreadLaw(
         name="rng",
         admits_first=lambda v: True,
-        # is_admissible_successor(prefix[-1], v), inlined: it runs once per stage
         admits_next=lambda prefix, v: 0 <= v - 2 * prefix[-1] <= 2,
     )
 
@@ -139,35 +139,42 @@ def parse_trace(text: str) -> EventTrace:
 # --- generators ---
 
 
-class Lawlike(Record):
-    """Term n is rule(n), independent of any trace.
+class _Kind(Record):
+    """A generator's one field, terms(prefix, trace): its live stream.
 
-    resume(prefix, trace), when given, is the live stream: an iterator over
-    the terms after an emitted prefix, in turn, that keeps state from stage
-    to stage. It must agree with rule, which emission then does not call;
-    without it, emission calls rule once per stage."""
+    The stream yields the terms after an emitted prefix, in turn, and keeps
+    its state from stage to stage. prefix is the emitter's own list, which
+    grows as the terms are emitted; a stream reads it and must not mutate
+    it."""
 
-    __slots__ = ("rule", "resume")
-    _fields = ("rule",)
+    __slots__ = ("terms",)
 
-    def __init__(self, rule: Callable[[int], int], resume=None) -> None:
-        _set(self, "rule", rule)
-        _set(self, "resume", resume)
+    def __init__(self, terms: Callable[[list[int], Optional[EventTrace]], Iterator[int]]) -> None:
+        _set(self, "terms", terms)
 
 
-class Process(Record):
-    """Term n is strategy(prefix, trace) with stage = len(prefix) + 1.
+class Lawlike(_Kind):
+    """A generator free of any trace: its stream never reads one."""
 
-    The prefix is the emitter's own list of the terms so far: a strategy
-    reads it and must not mutate it. resume, when given, is the live stream,
-    as for ``Lawlike``."""
+    __slots__ = ()
 
-    __slots__ = ("strategy", "resume")
-    _fields = ("strategy",)
+    @classmethod
+    def of(cls, rule: Callable[[int], int]) -> "Lawlike":
+        """Term n is rule(n), for n = len(prefix) + 1, + 2, ..."""
+        return cls(lambda prefix, trace: map(rule, count(len(prefix) + 1)))
 
-    def __init__(self, strategy: Callable[[Sequence[int], EventTrace], int], resume=None) -> None:
-        _set(self, "strategy", strategy)
-        _set(self, "resume", resume)
+
+class Process(_Kind):
+    """A generator driven by an event trace, which its stream may read at
+    any stage."""
+
+    __slots__ = ()
+
+    @classmethod
+    def of(cls, strategy: Callable[[Sequence[int], EventTrace], int]) -> "Process":
+        """Each term is strategy(prefix, trace) on the emitter's own list of
+        the terms so far."""
+        return cls(lambda prefix, trace: map(strategy, repeat(prefix), repeat(trace)))
 
 
 class Generator(NamedTuple):
@@ -196,22 +203,20 @@ def emit_prefix(
     Appends each validated term to head, a fresh list by default, so the
     stages before a refused one stay there; returns the newly emitted terms.
     The head must hold the first terms of g under the trace, and live, when
-    given, the stream that emitted them (``g.kind.resume``); a stream that
-    raised is spent, so a later call needs a fresh one.
+    given, the stream that emitted them; without it the terms come from a
+    fresh g.kind.terms(head, trace). A stream that raised is spent, so a
+    later call needs a fresh one.
     """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
-    kind = g.kind
-    lawlike = isinstance(kind, Lawlike)
-    if not lawlike and trace is None:
+    if trace is None and isinstance(g.kind, Process):
         raise ValueError(f"process generator {g.name or '?'} requires a trace")
     admits_first, admits_next = g.law.admits_first, g.law.admits_next
     prefix = [] if head is None else head
     start = len(prefix)
-    stream = live or (kind.resume and kind.resume(prefix, trace))
-    step = kind.rule if lawlike else lambda stage: kind.strategy(prefix, trace)
+    stream = live or g.kind.terms(prefix, trace)
     for stage in range(start + 1, n + 1):
-        value = next(stream) if stream else step(stage)
+        value = next(stream)
         if not (admits_next(prefix, value) if prefix else admits_first(value)):
             raise AdmissibilityError(stage, value, tuple(prefix))
         prefix.append(value)
@@ -234,22 +239,10 @@ def emit_prefix(
 # fixed target steps by its floor bits (``floor_steps``), e in 0..3; so
 # does a family that knows its members' floors, through its own
 # floor_steps(n): the steps into stages n, n+1, ... (vienna's F_n = 2^n - 1
-# steps by +1). A new target takes its floor from scratch, as centered_term
-# does. Targets are exact values (Dyadic, Fraction, int, or sqrt2-multiples
-# from the drift module).
-
-
-def centered_term(target, prefix: Sequence[int]) -> int:
-    """Admissible next index whose midpoint is nearest the target value."""
-    floor, exact = scaled_floor(target, len(prefix) + 2)
-    ceil = floor if exact else floor + 1
-    if not prefix:
-        g = floor >> 1
-        return g - 1 if ceil <= 2 * g + 1 else g
-    a = prefix[-1]
-    if ceil <= 4 * a + 3:
-        return 2 * a
-    return 2 * a + 1 if ceil <= 4 * a + 5 else 2 * a + 2
+# steps by +1). A new target takes its floor from scratch, as the per-stage
+# reference (``centered_term`` in tests/references.py) does at every stage.
+# Targets are exact values (Dyadic, Fraction, int, or sqrt2-multiples from
+# the drift module).
 
 
 def switch_terms(before, after, switch_at, prefix: Sequence[int], trace=None) -> Iterator[int]:
@@ -283,37 +276,3 @@ def switch_terms(before, after, switch_at, prefix: Sequence[int], trace=None) ->
         a = 2 * a + j
         e = d - 2 * j
         yield a
-
-
-def stream_rule(resume: Callable[[Sequence[int], None], Iterator[int]]) -> Callable[[int], int]:
-    """Lawlike rule reading term n off the stream resume((), None).
-
-    The rule keeps that stream and its last term, no list: asked for a
-    later stage it steps the stream on, asked for an earlier one it replays
-    stages 1..n. Emission asks in stage order, so h stages cost h steps.
-    """
-    stage, term, stream = 0, None, None
-
-    def rule(n: int) -> int:
-        nonlocal stage, term, stream
-        if stream is None or n < stage:
-            stage, stream = 0, resume((), None)
-        try:
-            for stage in range(stage + 1, n + 1):
-                term = next(stream)
-        except BaseException:
-            stream = None
-            raise
-        return term
-
-    return rule
-
-
-def centering_rule(target_at: Callable[[int], object]) -> Callable[[int], int]:
-    """Lawlike rule centering a per-stage target value (see ``stream_rule``)."""
-    never = lambda stage, trace: None
-    return stream_rule(lambda prefix, trace: switch_terms(target_at, None, never, prefix))
-
-
-def constant_zero_rule(n: int) -> int:
-    return 0

@@ -35,6 +35,7 @@ from brouwer.derivation import (
     Verified,
     parse_script,
 )
+from brouwer.dyadic import scaled_floor
 from brouwer.logic import (
     ATOM_POOL,
     BOT,
@@ -70,7 +71,6 @@ from brouwer.reals import (
     _unknown,
     lt_at,
 )
-from brouwer.spreads import centered_term
 
 
 # --- the sweep's models and formulas, listed ---
@@ -201,6 +201,20 @@ def spigot_digits(n: int) -> str:
 
 
 # --- centring, one scaled floor per stage ---
+
+
+def centered_term(target, prefix) -> int:
+    """Admissible next index whose midpoint is nearest the target value
+    (the rule is derived above ``spreads.switch_terms``)."""
+    floor, exact = scaled_floor(target, len(prefix) + 2)
+    ceil = floor if exact else floor + 1
+    if not prefix:
+        g = floor >> 1
+        return g - 1 if ceil <= 2 * g + 1 else g
+    a = prefix[-1]
+    if ceil <= 4 * a + 3:
+        return 2 * a
+    return 2 * a + 1 if ceil <= 4 * a + 5 else 2 * a + 2
 
 
 def centering_rule(target_at) -> Callable[[int], int]:

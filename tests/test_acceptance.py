@@ -205,7 +205,7 @@ def _random_continuation(base: Point, shared: int, length: int, rng) -> Point:
     while len(head) < length:
         head.append(2 * head[-1] + rng.randint(0, 2))
     terms = tuple(head)
-    return Point(Generator(rng_spread(), Lawlike(lambda k: terms[k - 1])))
+    return Point(Generator(rng_spread(), Lawlike.of(lambda k: terms[k - 1])))
 
 
 def test_criterion_6_continuity_moduli(report):

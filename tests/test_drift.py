@@ -30,7 +30,8 @@ from brouwer.reals import (
     zero_point,
 )
 from brouwer import drift as drift_module
-from brouwer.spreads import centered_term, never_trace, proved_at, refuted_at, rng_spread
+from brouwer.spreads import never_trace, proved_at, refuted_at, rng_spread
+from references import centered_term
 
 
 def test_bundled_drifts_validate():

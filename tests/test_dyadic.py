@@ -13,12 +13,12 @@ from brouwer.dyadic import (
     admissible_successors,
     floor_steps,
     interval_relate,
-    is_admissible_successor,
     lambda_interval,
     parse_dyadic,
     parse_interval,
     scaled_floor,
 )
+from brouwer.spreads import rng_spread
 
 dyadics = st.builds(Dyadic, st.integers(-10**6, 10**6), st.integers(0, 40))
 
@@ -104,7 +104,7 @@ def test_successors_nest(n, a):
             IntervalRelation.CONTAINED_IN,
             IntervalRelation.CONTAINS,
         )
-        assert nested == is_admissible_successor(a, z)
+        assert nested == rng_spread().admits_next((a,), z)
 
 
 def test_relations_exhaustive():

@@ -34,10 +34,9 @@ from brouwer.reals import (
 from brouwer.spreads import (
     Generator,
     Lawlike,
-    centered_term,
     rng_spread,
 )
-from references import centering_rule
+from references import centered_term, centering_rule
 
 # [PAPER]-anchored landmark, reproduced by the oracle itself at import
 SIX_NINES_AT = 762
@@ -441,14 +440,14 @@ def test_veldman_copies_then_reanchors():
 def veldman_f2_reference(
     family: ConvergentFamily, p: DecidableProperty, follower: Optional[Point] = None
 ) -> Point:
-    """Reference for veldman_f2: a private term list that runs the
-    follower's rule (by default, centering the limit) until the witness k
+    """Reference for veldman_f2: a private term list that reads the
+    follower's terms (by default, centering the limit) until the witness k
     shows, then centers xi_k on its own terms."""
     if follower is not None and not isinstance(follower.generator.kind, Lawlike):
         raise ValueError("the follower must be lawlike")
     witness = _least_witness_scan(p)
     base_rule = (
-        follower.generator.kind.rule
+        follower.term
         if follower is not None
         else centering_rule(lambda stage: family.limit)
     )
@@ -462,7 +461,7 @@ def veldman_f2_reference(
         return terms[n - 1]
 
     return Point(
-        Generator(rng_spread(), Lawlike(rule), name=f"veldman_f2[{p.name}]")
+        Generator(rng_spread(), Lawlike.of(rule), name=f"veldman_f2[{p.name}]")
     )
 
 
@@ -478,7 +477,7 @@ def berlin_r_reference(p: DecidableProperty) -> Point:
         return Fraction((-1) ** k, 1 << k)
 
     rule = centering_rule(target)
-    return Point(Generator(rng_spread(), Lawlike(rule), name=f"berlin_r[{p.name}]"))
+    return Point(Generator(rng_spread(), Lawlike.of(rule), name=f"berlin_r[{p.name}]"))
 
 
 def cambridge_c_reference(family: ConvergentFamily, p: DecidableProperty) -> Point:
@@ -494,7 +493,7 @@ def cambridge_c_reference(family: ConvergentFamily, p: DecidableProperty) -> Poi
 
     rule = centering_rule(target)
     return Point(
-        Generator(rng_spread(), Lawlike(rule), name=f"cambridge_c[{p.name}]")
+        Generator(rng_spread(), Lawlike.of(rule), name=f"cambridge_c[{p.name}]")
     )
 
 

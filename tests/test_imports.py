@@ -4,6 +4,7 @@ Each check runs in a fresh interpreter, since this test process has long
 since imported every module.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -26,9 +27,9 @@ Countermodel CriticalSearch DecidableProperty DigitOracle Drift Dyadic EventTrac
 Generator Interval IntervalRelation Lawlike Point Process Rejected Resolution
 ResourceLimitError SpreadLaw StageTree SweepBounds SweepResult Tag Verdict
 VerdictValue Verified Wing abs_diff_lt admissible_successors apart_at berlin_r
-berlin_s bundled_drift cambridge_c center centered_point centering_rule
-check_script checking_sequence coincide_refute continuity_modulus
-cpf_modulus critical_number default_oracle delay_map derivation drift dyadic
+berlin_s bundled_drift cambridge_c center centered_point check_script
+checking_sequence coincide_refute continuity_modulus cpf_modulus
+critical_number decide_pairs default_oracle delay_map derivation drift dyadic
 emit_prefix errors find_pattern flatten_checking fleeing forces format_trace
 geometric_family identity_map int_point interval_relate lambda_interval load_model
 logic lt_at lt_rational mapped_point negation_map never_trace one_point parse
@@ -148,3 +149,29 @@ def test_lazy_names_are_the_defining_modules_objects():
     assert brouwer.logic is logic
     with pytest.raises(AttributeError, match="no attribute 'scaled_floor'"):
         brouwer.scaled_floor  # defined in dyadic, never re-exported
+
+
+def test_every_public_function_and_class_in_src_has_a_production_use():
+    # test-only code lives in tests/references.py: a public def or class of
+    # a public module is exported by the package or read somewhere in src/
+    import brouwer
+
+    sources = sorted((ROOT / "src" / "brouwer").glob("*.py"))
+    trees = {path.stem: ast.parse(path.read_text()) for path in sources}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.alias):
+                used.add(node.name)
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items() if not module.startswith("_")
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and not node.name.startswith("_") and node.name not in used | set(brouwer._ORIGIN)
+    ]
+    assert unused == []

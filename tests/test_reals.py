@@ -51,7 +51,7 @@ def walk_point(start: int, moves: tuple[int, ...], name: str = "walk") -> Point:
             a = 2 * a + m
         return a
 
-    return Point(Generator(rng_spread(), Lawlike(rule), name=name))
+    return Point(Generator(rng_spread(), Lawlike.of(rule), name=name))
 
 
 walks = st.tuples(
@@ -250,7 +250,7 @@ def mapped_point_reference(name: str, a: Point) -> Point:
             out = apply(a.prefix(need))
         return out[n - 1]
 
-    return Point(Generator(rng_spread(), Lawlike(rule), name=f"{name}({a.generator.name})"))
+    return Point(Generator(rng_spread(), Lawlike.of(rule), name=f"{name}({a.generator.name})"))
 
 
 def _trace(kind: str, stage: int):
@@ -329,7 +329,7 @@ def test_mapped_point_reads_only_the_base_it_needs(name):
 def test_a_derailed_base_refuses_at_its_stage_through_a_map(name, k):
     # index 0 at every stage, then 5 at stage k: not a successor of 0
     def derailed():
-        return Point(Generator(rng_spread(), Lawlike(lambda n: 5 if n == k else 0)))
+        return Point(Generator(rng_spread(), Lawlike.of(lambda n: 5 if n == k else 0)))
 
     h = k  # delay reads 2h >= k base stages
     if name == "centred":  # recentred below the stage before the derailment

@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from brouwer.drift import Sqrt2Value
 from brouwer.dyadic import Dyadic, interval_relate, IntervalRelation, lambda_interval, scaled_floor
-from brouwer.reals import center
+from brouwer.reals import center, value_point, zero_point
 from brouwer.spreads import (
     AdmissibilityError,
     EventTrace,
@@ -11,9 +11,6 @@ from brouwer.spreads import (
     Lawlike,
     Process,
     Resolution,
-    centered_term,
-    centering_rule,
-    constant_zero_rule,
     emit_prefix,
     format_trace,
     never_trace,
@@ -28,6 +25,7 @@ from fractions import Fraction
 from itertools import islice
 
 import references
+from references import centered_term
 
 from test_dyadic import cmp_scaled
 
@@ -79,16 +77,16 @@ def test_trace_visibility():
 
 def test_lawlike_emission_checks_admissibility():
     # constant index 0 is always admissible (successors of 0 are {0,1,2})
-    assert emit_prefix(Generator(rng_spread(), Lawlike(lambda n: 0), "z"), 5) == (0,) * 5
+    assert emit_prefix(Generator(rng_spread(), Lawlike.of(lambda n: 0), "z"), 5) == (0,) * 5
     # a_n = n derails at stage 3: successors of 2 are {4,5,6}, not 3
-    bad = Generator(rng_spread(), Lawlike(lambda n: n))
+    bad = Generator(rng_spread(), Lawlike.of(lambda n: n))
     with pytest.raises(AdmissibilityError) as ei:
         emit_prefix(bad, 4)
     assert ei.value.stage == 3
 
 
 def test_process_requires_trace():
-    g = Generator(rng_spread(), Process(lambda prefix, tr: 0), "p")
+    g = Generator(rng_spread(), Process.of(lambda prefix, tr: 0), "p")
     with pytest.raises(ValueError):
         emit_prefix(g, 3)
     assert emit_prefix(g, 3, never_trace()) == (0, 0, 0)
@@ -101,19 +99,17 @@ def test_random_walks_admissible(start, moves):
     prefix = (start,)
     for m in moves:
         prefix += (2 * prefix[-1] + m,)
-    g = Generator(law, Lawlike(lambda n: prefix[n - 1]), "walk")
+    g = Generator(law, Lawlike.of(lambda n: prefix[n - 1]), "walk")
     assert emit_prefix(g, len(prefix)) == prefix
 
 
 def test_centering_zero_is_constant_minus_one():
-    rule = centering_rule(lambda n: 0)
-    assert [rule(n) for n in range(1, 8)] == [-1] * 7
+    assert value_point(0).prefix(7) == (-1,) * 7
 
 
 def test_centering_constant_target_contains_value():
     for target in (Fraction(1, 3), Fraction(-2, 7), Fraction(5, 8), 0, 1):
-        rule = centering_rule(lambda n, t=target: t)
-        prefix = tuple(rule(n) for n in range(1, 20))
+        prefix = value_point(target).prefix(19)
         law = rng_spread()
         for n, a in enumerate(prefix, start=1):
             if n > 1:
@@ -223,21 +219,21 @@ def test_process_strategy_sees_trace():
         base = prefix[-1] * 2 if prefix else 0
         return base + (2 if seen else 0)
 
-    g = Generator(rng_spread(), Process(strategy), "switcher")
+    g = Generator(rng_spread(), Process.of(strategy), "switcher")
     assert emit_prefix(g, 4, never_trace()) == (0, 0, 0, 0)
     assert emit_prefix(g, 4, proved_at(3)) == (0, 0, 2, 6)
 
 
-def test_a_centering_process_matches_the_rule():
-    rule = centering_rule(lambda n: Fraction(1, 3))
+def test_a_centering_process_matches_the_value_point():
+    # the strategy reads the emitter's own list, which grows stage by stage
     strategy = lambda prefix, trace: centered_term(Fraction(1, 3), prefix)
-    g = Generator(rng_spread(), Process(strategy), "c13")
-    assert emit_prefix(g, 10, never_trace()) == tuple(rule(n) for n in range(1, 11))
+    g = Generator(rng_spread(), Process.of(strategy), "c13")
+    assert emit_prefix(g, 10, never_trace()) == value_point(Fraction(1, 3)).prefix(10)
 
 
-def test_constant_zero_rule():
-    # index 0 at every stage: intervals [0, 2^(1-n)], the point zero
-    assert [constant_zero_rule(n) for n in range(1, 5)] == [0, 0, 0, 0]
+def test_zero_point_takes_index_zero_at_every_stage():
+    # intervals [0, 2^(1-n)], the point zero
+    assert zero_point().prefix(4) == (0, 0, 0, 0)
 
 
 def test_center_recursion_reference():

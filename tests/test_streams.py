@@ -1,6 +1,7 @@
 """One memoised term stream per point, and the one-pass coincidence refutation."""
 
 from fractions import Fraction
+from functools import partial
 from itertools import islice
 
 import pytest
@@ -57,7 +58,6 @@ from brouwer.spreads import (
     Generator,
     Lawlike,
     Process,
-    centering_rule,
     emit_prefix,
     never_trace,
     proved_at,
@@ -83,7 +83,7 @@ def pairwise_coincide_refute(a: Point, b: Point, horizon: int) -> Verdict:
 
 
 def sequence_point(law, terms: list[int]) -> Point:
-    return Point(Generator(law, Lawlike(lambda n: terms[n - 1]), name="seq"))
+    return Point(Generator(law, Lawlike.of(lambda n: terms[n - 1]), name="seq"))
 
 
 def walk_terms(start: int, moves: list[int]) -> list[int]:
@@ -145,7 +145,7 @@ def counting_point(rule, calls: list[int]) -> Point:
         calls.append(n)
         return rule(n)
 
-    return Point(Generator(rng_spread(), Lawlike(counted), name="counted"))
+    return Point(Generator(rng_spread(), Lawlike.of(counted), name="counted"))
 
 
 def test_lawlike_rule_called_once_per_stage():
@@ -158,50 +158,16 @@ def test_lawlike_rule_called_once_per_stage():
     assert calls == list(range(1, 13))
 
 
-def test_centering_rule_steps_on_and_replays_an_earlier_stage():
-    # the rule keeps no chain: a later stage steps its stream on, an earlier
-    # one replays stages 1..n
+def never(stage, trace):
+    return None
+
+
+def test_a_centring_stream_takes_one_target_per_stage_in_order():
     asked: list[int] = []
-
-    def target(stage: int):
-        asked.append(stage)
-        return Fraction(1, 3)
-
-    rule = centering_rule(target)
-    want = value_point(Fraction(1, 3)).prefix(9)
-    assert [rule(n) for n in (6, 6, 3, 9, 1)] == [want[n - 1] for n in (6, 6, 3, 9, 1)]
-    assert asked == [*range(1, 7), *range(1, 4), *range(4, 10), 1]
-
-
-def test_centering_rule_takes_one_target_per_stage_in_order():
-    asked: list[int] = []
-    rule = centering_rule(lambda stage: asked.append(stage) or Fraction(2, 7))
-    g = Generator(rng_spread(), Lawlike(rule), "c27")
+    target = lambda stage: asked.append(stage) or Fraction(2, 7)
+    g = Generator(rng_spread(), Lawlike(partial(switch_terms, target, None, never)), "c27")
     assert emit_prefix(g, 300) == value_point(Fraction(2, 7)).prefix(300)
     assert asked == list(range(1, 301))
-
-
-def test_centering_rule_replays_after_its_target_raises():
-    # a stream that raised is spent: the next ask replays from stage 1
-    fail_at = [4]
-
-    def target(stage: int):
-        if stage == fail_at[0]:
-            raise ResourceLimitError("no target", requested=stage, limit=stage - 1)
-        return Fraction(1, 3)
-
-    rule = centering_rule(target)
-    with pytest.raises(ResourceLimitError):
-        rule(6)
-    fail_at[0] = None
-    assert rule(6) == value_point(Fraction(1, 3)).term(6)
-
-
-def test_veldman_rule_reads_its_chain_in_any_order():
-    # "4" first shows at position 2: the chain centers the limit, then re-anchors
-    rule = veldman_f2(geometric_family(), pattern_property("4")).generator.kind.rule
-    fresh = veldman_f2(geometric_family(), pattern_property("4")).prefix(9)
-    assert [rule(n) for n in (6, 2, 9, 1)] == [fresh[n - 1] for n in (6, 2, 9, 1)]
 
 
 def switcher_strategy(prefix, trace):
@@ -211,7 +177,7 @@ def switcher_strategy(prefix, trace):
 
 
 def test_process_point_keeps_a_stream_per_trace():
-    g = Generator(rng_spread(), Process(switcher_strategy), "switcher")
+    g = Generator(rng_spread(), Process.of(switcher_strategy), "switcher")
     for trace in (never_trace(), proved_at(3), refuted_at(2)):
         p = Point(g, trace)
         for n in (5, 3, 8, 7, 9):
@@ -219,15 +185,21 @@ def test_process_point_keeps_a_stream_per_trace():
             assert p.prefix(n) == want
             assert p.term(n) == want[-1]
     assert Point(g, proved_at(3)).prefix(8) == (0, 0, 2, 6, 14, 30, 62, 126)
-    # a continuation from a list head equals the same stages emitted fresh
-    head = list(emit_prefix(g, 4, proved_at(3)))
-    fresh = emit_prefix(g, 9, proved_at(3))
-    assert emit_prefix(g, 9, proved_at(3), head) == fresh[4:]
-    assert tuple(head) == fresh
+    # a continuation from a list head equals the same stages emitted fresh,
+    # for a process, a lawlike rule and a lawlike switch point alike
+    for gen, trace in (
+        (g, proved_at(3)),
+        (Generator(rng_spread(), Lawlike.of(lambda n: (1 << n) - 2), "one"), None),
+        (veldman_f2(geometric_family(), pattern_property("4")).generator, None),
+    ):
+        head = list(emit_prefix(gen, 4, trace))
+        fresh = emit_prefix(gen, 9, trace)
+        assert emit_prefix(gen, 9, trace, head) == fresh[4:]
+        assert tuple(head) == fresh
 
 
 def test_process_point_without_trace_still_refuses():
-    p = Point(Generator(rng_spread(), Process(switcher_strategy), "switcher"))
+    p = Point(Generator(rng_spread(), Process.of(switcher_strategy), "switcher"))
     with pytest.raises(ValueError, match="requires a trace"):
         p.prefix(0)
     with pytest.raises(ValueError, match="non-negative"):
@@ -332,14 +304,6 @@ def test_every_centred_point_matches_one_scaled_floor_per_stage(name, point, tar
     fresh = Point(pt.generator, pt.trace)
     for n in (1, 37, 36, 300, STAGES):
         assert fresh.prefix(n) == want[:n]
-    # and the per-stage forms of the kind agree with it
-    kind = pt.generator.kind
-    if pt.trace is None:
-        assert [kind.rule(n) for n in (40, 1, 7)] == [want[39], want[0], want[6]]
-    else:
-        assert [kind.strategy(want[: n - 1], pt.trace) for n in (40, 1, 7)] == [
-            want[39], want[0], want[6]
-        ]
 
 
 # --- a moving target steps from its last floor ---
@@ -369,11 +333,16 @@ def test_a_stepped_family_is_asked_for_a_member_once_per_stream(name):
         return member(n)
 
     before.floor_steps = member.floor_steps
-    never = lambda stage, trace: None
     want = references.centred_prefix(member, STAGES)
     assert tuple(islice(switch_terms(before, None, never, ()), STAGES)) == want
     assert tuple(islice(switch_terms(before, None, never, want[:100]), STAGES - 100)) == want[100:]
     assert asked == [1, 101]
+    # a point keeps one stream across its reads, so it asks at stage 1 alone
+    asked.clear()
+    pt = Point(Generator(rng_spread(), Lawlike(partial(switch_terms, before, None, never))))
+    for n in (5, 3, 80, 12, STAGES):
+        assert pt.prefix(n) == want[:n]
+    assert asked == [1]
 
 
 # --- a stream that refused restarts from the stages kept ---
