@@ -170,6 +170,46 @@ def test_a_centring_stream_takes_one_target_per_stage_in_order():
     assert asked == list(range(1, 301))
 
 
+def centring_point(target) -> Point:
+    return Point(Generator(rng_spread(), Lawlike(partial(switch_terms, target, None, never)), "c"))
+
+
+def test_a_centring_point_steps_on_and_reads_earlier_stages_from_its_stream():
+    # a later stage steps the kept stream on; an earlier one is read, not replayed
+    asked: list[int] = []
+    pt = centring_point(lambda stage: asked.append(stage) or Fraction(1, 3))
+    want = value_point(Fraction(1, 3)).prefix(9)
+    assert [pt.term(n) for n in (6, 6, 3, 9, 1)] == [want[n - 1] for n in (6, 6, 3, 9, 1)]
+    assert asked == list(range(1, 10))
+
+
+def test_a_centring_point_resumes_after_its_target_raises():
+    # a stream that raised is spent: the next read restarts from the stages kept
+    asked: list[int] = []
+    fail_at = [4]
+
+    def target(stage: int):
+        asked.append(stage)
+        if stage == fail_at[0]:
+            raise ResourceLimitError("no target", requested=stage, limit=stage - 1)
+        return Fraction(1, 3)
+
+    pt = centring_point(target)
+    with pytest.raises(ResourceLimitError):
+        pt.prefix(6)
+    assert len(pt._terms) == 3
+    fail_at[0] = None
+    assert pt.prefix(6) == value_point(Fraction(1, 3)).prefix(6)
+    assert asked == [1, 2, 3, 4, 4, 5, 6]
+
+
+def test_veldman_point_reads_its_chain_in_any_order():
+    # "4" first shows at position 2: the chain centres the limit, then re-anchors
+    pt = veldman_f2(geometric_family(), pattern_property("4"))
+    fresh = veldman_f2(geometric_family(), pattern_property("4")).prefix(9)
+    assert [pt.term(n) for n in (6, 2, 9, 1)] == [fresh[n - 1] for n in (6, 2, 9, 1)]
+
+
 def switcher_strategy(prefix, trace):
     seen = trace.visible_at(len(prefix) + 1)
     base = prefix[-1] * 2 if prefix else 0
