@@ -49,23 +49,6 @@ class Sqrt2Value(Record):
         # floor(-y) = -ceil(y) and y = sqrt(2)*|p|*2^k/q is never an integer
         return (floor, not p) if p >= 0 else (-floor - 1, False)
 
-    def floor_steps(self, k: int):
-        """``dyadic.floor_steps`` from scale k on a root and its remainder:
-        with root = floor(sqrt(2)*|p|*2^j) and rest = 2(|p|*2^j)^2 - root^2,
-        the next root is 2*root + 1 exactly when rest > root; root mod q
-        carries the division by q."""
-        p, q = self.coef.numerator, self.coef.denominator
-        x = abs(p) << k
-        root = isqrt(2 * x * x)
-        rest, low = 2 * x * x - root * root, root % q
-        while True:
-            b = rest > root
-            rest, root, low = 4 * rest - b * (4 * root + 1), 2 * root + b, 2 * low + b
-            carry = low >= q
-            low -= carry * q
-            # floor(-y) = -floor(y) - 1, since y = sqrt(2)*|p|*2^j/q is irrational for p != 0
-            yield (carry if p >= 0 else 1 - carry), not p
-
     def __neg__(self) -> "Sqrt2Value":
         return Sqrt2Value(-self.coef)
 
@@ -327,8 +310,13 @@ def rationality_descriptor(drift: Drift, kind: CheckingKind, trace: EventTrace) 
     return {"kind": drift.resolve_ref(switch)[1].value}
 
 
-def _visible(stage: int, trace: EventTrace) -> Optional[Resolution]:
-    return trace.visible_at(stage)
+def _visible(stage: int, trace: EventTrace) -> tuple[Optional[Resolution], Optional[int]]:
+    """The switch_at of a trace-driven switch point: the resolution once
+    visible, else None and the stage before it fires (None: it never does)."""
+    r = trace.resolution
+    if r.kind == NEVER:
+        return None, None
+    return (r, None) if r.stage <= stage else (None, r.stage - 1)
 
 
 def flatten_checking(drift: Drift, kind: CheckingKind, trace: EventTrace) -> Point:
@@ -341,7 +329,7 @@ def flatten_checking(drift: Drift, kind: CheckingKind, trace: EventTrace) -> Poi
         return drift.kernel_value if switch is None else drift.resolve_ref(switch)[0]
 
     name = f"checking[{drift.name},{kind.value}]"
-    return _switch_point(name, lambda stage: drift.kernel_value, after, _visible, trace)
+    return _switch_point(name, drift.kernel_value, after, _visible, trace)
 
 
 def berlin_s(trace: EventTrace) -> Point:

@@ -177,23 +177,17 @@ def scaled_floor(value, k: int) -> tuple[int, bool]:
     return q, q << shift == num
 
 
-def floor_steps(value, k: int):
-    """One floor state of value from scale k: yields, for j = k+1, k+2, ...,
-    the step floor(value * 2**j) - 2*floor(value * 2**(j-1)) and whether
-    value * 2**j is an integer. A rational steps by long division, one
-    remainder doubling below its denominator; any other value (a sqrt2
-    multiple, a moving target of spreads.switch_terms) supplies its own.
+_BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
+
+
+def floor_bits(value, k: int, m: int):
+    """floor(value * 2**k) and, for j = k+1 .. k+m in turn, the step
+    floor(value * 2**j) - 2*floor(value * 2**(j-1)) with whether value * 2**j
+    is an integer, all read off one floor at scale k+m: the steps are its low
+    m bits, most significant first, and scale j is exact when scale k+m is
+    and the bits below j's are all zero. m must be positive.
     """
-    if not isinstance(value, (Dyadic, int, Fraction)):
-        return value.floor_steps(k)
-    value = value.as_fraction() if isinstance(value, Dyadic) else Fraction(value)
-    return _division_steps((value.numerator << k) % value.denominator, value.denominator)
-
-
-def _division_steps(rem: int, den: int):
-    while True:
-        rem <<= 1
-        bit = rem >= den
-        if bit:
-            rem -= den
-        yield bit, not rem
+    top, exact = scaled_floor(value, k + m)
+    bits = format(top & ((1 << m) - 1), f"0{m}b").encode().translate(_BIT_VALUES)
+    inexact = max(bits.rfind(1), 0) if exact else m  # the scales before the last 1
+    return top >> m, zip(bits, b"\0" * inexact + b"\1" * (m - inexact))

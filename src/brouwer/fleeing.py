@@ -118,12 +118,16 @@ class DecidableProperty(NamedTuple):
     """A property of positions, decidable by inspection of finitely many digits.
 
     holds(n) tests one position; least(horizon) is the least position at or
-    below the horizon where it holds, else None.
+    below the horizon where it holds, else None. held(lo, hi), when given,
+    computes no digit: of the positions lo..hi that the digits already held
+    decide, it returns the least where the property holds, else None, and
+    the last it decides.
     """
 
     name: str
     holds: Callable[[int], bool]
     least: Callable[[int], Optional[int]]
+    held: Optional[Callable[[int, int], tuple[Optional[int], int]]] = None
 
 
 def run_property(
@@ -201,7 +205,12 @@ def pattern_property(
         orc._cover(end)  # refuses when the limit cut the window short
         return None
 
-    return DecidableProperty(f"pattern({pattern})", holds, least)
+    def held(lo: int, hi: int) -> tuple[Optional[int], int]:
+        end = min(hi + width - 1, len(orc._cache))
+        i = orc._cache.find(pattern, lo - 1, end)
+        return (None if i == -1 else i + 1), end - width + 1
+
+    return DecidableProperty(f"pattern({pattern})", holds, least, held)
 
 
 def find_pattern(pattern: str, limit: int, oracle: Optional[DigitOracle] = None) -> Optional[int]:
@@ -229,19 +238,30 @@ def critical_number(p: DecidableProperty, horizon: int) -> CriticalSearch:
     return CriticalSearch(p, horizon, p.least(horizon))
 
 
-def _least_witness_scan(p: DecidableProperty) -> Callable[..., Optional[int]]:
-    # the least witness of p visible at a stage, asked in any order (the
-    # switch_at of a lawlike switch point, so it takes no trace): it tests
-    # each position once, in turn, and retests one that raised
+def _least_witness_scan(p: DecidableProperty) -> Callable[..., tuple[Optional[int], Optional[int]]]:
+    """The switch_at of a lawlike switch point (``spreads.switch_terms``;
+    it takes no trace): at a stage asked in any order, the least witness of
+    p visible there, else None and the last stage known to show none.
+
+    It first searches, with p.held, the digits the oracle already holds, up
+    to twice the stage ahead, where a stream's next block ends. Past them
+    it tests each position in turn, as a stage needs it, and retests one
+    that raised; so it computes no digit that testing stage by stage would
+    not, and refuses at the same stage."""
     found, tested = None, 0
 
-    def upto(stage: int, trace=None) -> Optional[int]:
+    def upto(stage: int, trace=None) -> tuple[Optional[int], Optional[int]]:
         nonlocal found, tested
+        if found is None and p.held is not None and tested < 2 * stage:
+            found, last = p.held(tested + 1, 2 * stage + 64)
+            tested = max(tested, last)
         while found is None and tested < stage:
             if p.holds(tested + 1):
                 found = tested + 1
             tested += 1
-        return found if found is not None and found <= stage else None
+        if found is not None and found <= stage:
+            return found, None
+        return None, (tested if found is None else found - 1)
 
     return upto
 
@@ -255,7 +275,7 @@ def _witness_point(name: str, p: DecidableProperty, before, after) -> Point:
 
 def berlin_r(p: DecidableProperty) -> Point:
     """Centers 0 until the least witness K of p is visible, then (-2)^(-K) forever."""
-    return _witness_point("berlin_r", p, lambda stage: 0, lambda k: Fraction((-1) ** k, 1 << k))
+    return _witness_point("berlin_r", p, 0, lambda k: Fraction((-1) ** k, 1 << k))
 
 
 class ConvergentFamily(NamedTuple):
@@ -277,7 +297,7 @@ def geometric_family() -> ConvergentFamily:
 def veldman_f2(family: ConvergentFamily, p: DecidableProperty) -> Point:
     """Centers the limit value until the least witness k of p is visible,
     then re-anchors admissibly and centers xi_k forever."""
-    return _witness_point("veldman_f2", p, lambda stage: family.limit, family.member)
+    return _witness_point("veldman_f2", p, family.limit, family.member)
 
 
 def cambridge_c(family: ConvergentFamily, p: DecidableProperty) -> Point:

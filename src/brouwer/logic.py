@@ -971,9 +971,6 @@ SCHEMAS: dict[str, Schema] = {
     )
 }
 
-EXPECTED_VALID = ("ic1", "ic2", "ic3", "md")
-EXPECTED_REFUTED = ("cs4", "cs5")
-
 DEFAULT_SWEEP_CAP = 50_000_000
 
 

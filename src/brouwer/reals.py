@@ -13,7 +13,8 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import count, repeat
+from itertools import compress, count, repeat
+from operator import lshift, lt, sub
 from typing import Callable, Iterable, NamedTuple, Optional, Sequence, Union
 
 from ._record import Record, _set
@@ -120,11 +121,11 @@ def _unknown(horizon: int) -> Verdict:
 
 
 def _least_hit(horizon: int, hits: Iterable[bool]) -> Verdict:
-    """Holds at the first index (from 1) whose hit is true, else unknown."""
-    for n, hit in enumerate(hits, 1):
-        if hit:
-            return Verdict(VerdictValue.HOLDS, horizon, witness=n)
-    return _unknown(horizon)
+    """Holds at the first index (from 1) whose hit is true, else unknown.
+    The verdicts below pass hits as maps over the terms, so the scan runs
+    in C."""
+    n = next(compress(count(1), hits), None)
+    return _unknown(horizon) if n is None else Verdict(VerdictValue.HOLDS, horizon, witness=n)
 
 
 # --- canonical lawlike points ---
@@ -137,30 +138,31 @@ def zero_point() -> Point:
 
 def one_point() -> Point:
     """a_n = 2^n - 2: intervals [1 - 2^(1-n), 1]."""
-    return Point(Generator(rng_spread(), Lawlike.of(lambda n: (1 << n) - 2), name="one"))
+    terms = lambda prefix, trace: map(sub, map((1).__lshift__, count(len(prefix) + 1)), repeat(2))
+    return Point(Generator(rng_spread(), Lawlike(terms), name="one"))
 
 
 def _switch_point(name: str, before, after, switch_at, trace: Optional[EventTrace] = None) -> Point:
     """The one construction behind every centred point: term n centres
-    before(n) until switch_at(n, trace) shows a switch s (a witness, a
-    resolution), then after(s) forever. A point on a trace is a process;
-    any other is lawlike, its switch found by switch_at alone."""
+    before (a value, or before(n)) until switch_at(n, trace) shows a switch
+    s (a witness, a resolution), then after(s) forever; see
+    ``spreads.switch_terms``. A point on a trace is a process; any other is
+    lawlike, its switch found by switch_at alone."""
     terms = partial(switch_terms, before, after, switch_at)
     kind = Lawlike(terms) if trace is None else Process(terms)
     return Point(Generator(rng_spread(), kind, name=name), trace)
 
 
 def value_point(value, name: str = "") -> Point:
-    """Lawlike point centering a fixed exact value at every stage: the
-    switch to it shows at stage 1."""
-    return _switch_point(name or f"value({value})", None, lambda v: v, lambda n, tr: value)
+    """Lawlike point centering a fixed exact value at every stage: a switch
+    point whose switch never shows."""
+    return _switch_point(name or f"value({value})", value, None, lambda n, trace: (None, None))
 
 
 def int_point(m: int) -> Point:
     """a_n = m*2^n - 1: intervals centered exactly on the integer m."""
-    return Point(
-        Generator(rng_spread(), Lawlike.of(lambda n: m * (1 << n) - 1), name=f"int({m})")
-    )
+    terms = lambda prefix, trace: map(sub, map(m.__lshift__, count(len(prefix) + 1)), repeat(1))
+    return Point(Generator(rng_spread(), Lawlike(terms), name=f"int({m})"))
 
 
 # --- order relations ---
@@ -168,8 +170,7 @@ def int_point(m: int) -> Point:
 
 def lt_at(a: Point, b: Point, horizon: int) -> Verdict:
     """a < b iff some index n has a_n + 2 < b_n. Never Fails."""
-    pairs = zip(a.prefix(horizon), b.prefix(horizon))
-    return _least_hit(horizon, (x + 2 < y for x, y in pairs))
+    return _least_hit(horizon, map((2).__lt__, map(sub, b.prefix(horizon), a.prefix(horizon))))
 
 
 def _as_fraction(r) -> Fraction:
@@ -184,17 +185,24 @@ def lt_rational(a: Point, r, horizon: int) -> Verdict:
     """a < r iff some index n has (a_n + 2)/2^n < r."""
     rv = _as_fraction(r)
     num, den = rv.numerator, rv.denominator
-    terms = enumerate(a.prefix(horizon), 1)
-    return _least_hit(horizon, ((x + 2) * den < num << n for n, x in terms))
+    lhs = map(den.__mul__, map((2).__add__, a.prefix(horizon)))
+    return _least_hit(horizon, map(lt, lhs, map(lshift, repeat(num), count(1))))
 
 
 def apart_at(a: Point, b: Point, horizon: int) -> Verdict:
     """a # b iff a < b or b < a; the found direction is recorded. The least n
     with |a_n - b_n| > 2 witnesses one direction: lt if a_n < b_n, else gt."""
-    for n, (x, y) in enumerate(zip(a.prefix(horizon), b.prefix(horizon)), 1):
-        if abs(x - y) > 2:
-            return Verdict(VerdictValue.HOLDS, horizon, witness=n, direction="lt" if x < y else "gt")
-    return _unknown(horizon)
+    xs, ys = a.prefix(horizon), b.prefix(horizon)
+    n = _first_apart(xs, ys)
+    if n is None:
+        return _unknown(horizon)
+    direction = "lt" if xs[n - 1] < ys[n - 1] else "gt"
+    return Verdict(VerdictValue.HOLDS, horizon, witness=n, direction=direction)
+
+
+def _first_apart(xs: Sequence[int], ys: Sequence[int]) -> Optional[int]:
+    """The least n whose intervals are disjoint, |x_n - y_n| > 2, else None."""
+    return next(compress(count(1), map((2).__lt__, map(abs, map(sub, xs, ys)))), None)
 
 
 def coincide_refute(a: Point, b: Point, horizon: int) -> Verdict:
@@ -202,12 +210,19 @@ def coincide_refute(a: Point, b: Point, horizon: int) -> Verdict:
 
     The witness is the least h such that indices i, j <= h exhibit disjointness.
     Never Holds: coincidence itself is not finitely affirmable.
-    One pass, nested or not: with each side's greatest lower end and least
-    upper end over stages 1..h (units of 2^-h), some i <= h pairs disjointly
-    with stage h exactly when one side's least upper end is below the other's
-    lower end at h, or its greatest lower end above the other's upper end.
+    Two points of the rng law have nested intervals, so stages i and j
+    disjoint makes stage max(i, j) disjoint: the witness is ``apart_at``'s.
+    Under any other law, one pass: with each side's greatest lower end and
+    least upper end over stages 1..h (units of 2^-h), some i <= h pairs
+    disjointly with stage h exactly when one side's least upper end is below
+    the other's lower end at h, or its greatest lower end above the other's
+    upper end.
     """
-    for h, (x, y) in enumerate(zip(a.prefix(horizon), b.prefix(horizon)), 1):
+    xs, ys = a.prefix(horizon), b.prefix(horizon)
+    if a.generator.law is b.generator.law is rng_spread():
+        h = _first_apart(xs, ys)
+        return _unknown(horizon) if h is None else Verdict(VerdictValue.FAILS, horizon, witness=h)
+    for h, (x, y) in enumerate(zip(xs, ys), 1):
         if h == 1:
             lo_a, hi_a, lo_b, hi_b = x, x + 2, y, y + 2
         else:
@@ -222,8 +237,9 @@ def abs_diff_lt(a: Point, b: Point, bound, horizon: int) -> Verdict:
     """|a - b| < bound iff some n has (|a_n - b_n| + 2)/2^n < bound."""
     bv = _as_fraction(bound)
     num, den = bv.numerator, bv.denominator
-    pairs = enumerate(zip(a.prefix(horizon), b.prefix(horizon)), 1)
-    return _least_hit(horizon, ((abs(x - y) + 2) * den < num << n for n, (x, y) in pairs))
+    gaps = map(abs, map(sub, a.prefix(horizon), b.prefix(horizon)))
+    lhs = map(den.__mul__, map((2).__add__, gaps))
+    return _least_hit(horizon, map(lt, lhs, map(lshift, repeat(num), count(1))))
 
 
 # --- centering ---

@@ -13,11 +13,12 @@ trace) extends it from where it stopped; a generator reading anything else
 
 from __future__ import annotations
 
-from itertools import count, repeat
+from itertools import count, islice, repeat
+from operator import add, sub
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from ._record import Record, _set
-from .dyadic import floor_steps, scaled_floor
+from .dyadic import floor_bits
 from .errors import ResourceLimitError
 
 
@@ -53,13 +54,17 @@ def universal_spread() -> SpreadLaw:
     )
 
 
+_RNG = SpreadLaw(
+    name="rng",
+    admits_first=lambda v: True,
+    admits_next=lambda prefix, v: 0 <= v - 2 * prefix[-1] <= 2,
+)
+
+
 def rng_spread() -> SpreadLaw:
-    """Nested lambda-interval law: any first index, then z in {2a, 2a+1, 2a+2}."""
-    return SpreadLaw(
-        name="rng",
-        admits_first=lambda v: True,
-        admits_next=lambda prefix, v: 0 <= v - 2 * prefix[-1] <= 2,
-    )
+    """Nested lambda-interval law: any first index, then z in {2a, 2a+1, 2a+2}.
+    Always the one law object, which ``emit_prefix`` vets in one pass."""
+    return _RNG
 
 
 # --- event traces ---
@@ -198,29 +203,49 @@ def emit_prefix(
     g: Generator, n: int, trace: Optional[EventTrace] = None,
     head: Optional[list[int]] = None, live: Optional[Iterator[int]] = None,
 ) -> tuple[int, ...]:
-    """Terms len(head)+1 .. n of g, validating admissibility stage by stage.
+    """Terms len(head)+1 .. n of g, every one vetted against its spread law.
 
-    Appends each validated term to head, a fresh list by default, so the
-    stages before a refused one stay there; returns the newly emitted terms.
-    The head must hold the first terms of g under the trace, and live, when
-    given, the stream that emitted them; without it the terms come from a
-    fresh g.kind.terms(head, trace). A stream that raised is spent, so a
-    later call needs a fresh one.
+    Appends the terms to head, a fresh list by default, in one read of the
+    stream, then vets the run it appended, in one pass under the rng law:
+    at the first refused term, also when the stream raised later in the
+    read, it cuts head back to the stages before it and raises
+    AdmissibilityError there. Returns the newly emitted terms. The head must
+    hold the first terms of g under the trace, and live, when given, the
+    stream that emitted them; without it the terms come from a fresh
+    g.kind.terms(head, trace). A stream that raised is spent, so a later
+    call needs a fresh one.
     """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
     if trace is None and isinstance(g.kind, Process):
         raise ValueError(f"process generator {g.name or '?'} requires a trace")
-    admits_first, admits_next = g.law.admits_first, g.law.admits_next
     prefix = [] if head is None else head
     start = len(prefix)
     stream = live or g.kind.terms(prefix, trace)
-    for stage in range(start + 1, n + 1):
-        value = next(stream)
-        if not (admits_next(prefix, value) if prefix else admits_first(value)):
-            raise AdmissibilityError(stage, value, tuple(prefix))
-        prefix.append(value)
+    try:
+        prefix.extend(islice(stream, max(n - start, 0)))
+    finally:
+        bad = _first_refused(g.law, prefix, start)
+        if bad is not None:
+            value = prefix[bad]
+            del prefix[bad:]
+            raise AdmissibilityError(bad + 1, value, tuple(prefix))
     return tuple(prefix[start:])
+
+
+def _first_refused(law: SpreadLaw, prefix: list[int], start: int) -> Optional[int]:
+    """The index in prefix of the first term from start that law refuses."""
+    if law is _RNG:  # every step b - 2a in 0..2, checked in C
+        lo = max(start, 1)
+        before = prefix[lo - 1 : -1]
+        if set(map(sub, prefix[lo:], map(add, before, before))) <= {0, 1, 2}:
+            return None
+    seen = prefix[:start]
+    for value in prefix[start:]:
+        if not law.admits(seen, value):
+            return len(seen)
+        seen.append(value)
+    return None
 
 
 # --- nearest-midpoint centering emitter ---
@@ -232,47 +257,65 @@ def emit_prefix(
 # near exactly when ceil(t) <= 2b+3. After a previous index a the
 # candidates 2a, 2a+1, 2a+2 split at t = 4a+3 and t = 4a+5. At stage 1 the
 # target lies between the midpoints of g-1 and g, g = floor(t/2), which
-# split at t = 2g+1. A stream keeps the residual e = F_n - 2a_n of its
-# index a_n, F_n = floor(t_n*2^(n+1)) for the stage-n target t_n; whatever
-# the targets, the next choice reads F_(n+1) - 4a_n = 2e + (F_(n+1) - 2F_n),
-# so given that step only the new index 2a + j is a big-int operation. A
-# fixed target steps by its floor bits (``floor_steps``), e in 0..3; so
-# does a family that knows its members' floors, through its own
-# floor_steps(n): the steps into stages n, n+1, ... (vienna's F_n = 2^n - 1
-# steps by +1). A new target takes its floor from scratch, as the per-stage
-# reference (``centered_term`` in tests/references.py) does at every stage.
-# Targets are exact values (Dyadic, Fraction, int, or sqrt2-multiples from
-# the drift module).
+# split at t = 2g+1: the same split as after a stage-0 index (g-1) >> 1.
+#
+# A stream keeps the residual e = F_n - 2a_n of its index a_n, where F_n =
+# floor(t_n*2^(n+1)) for the stage-n target t_n. Whatever the targets, the
+# next choice compares c = d, or d + 1 when t_(n+1)*2^(n+2) is not an
+# integer, with 3 and 5, where d = F_(n+1) - 4a_n = 2e + s and s is the
+# step F_(n+1) - 2F_n; only the new index 2a + j is a big-int operation. A
+# fixed target's steps into stages n+1 .. n+k are the low k bits of
+# F_(n+k), and F_n is the rest (``dyadic.floor_bits``): a block of stages
+# costs one scaled floor. Right after a target change d may lie far
+# outside 0..7, and the same comparisons read it. A block ends where the
+# switch may show: switch_at(n, trace) returns the switch visible at stage
+# n, or None and the last stage known to show none, n or later (None:
+# never), from what it already holds. Blocks double from 16 stages to
+# _BLOCK. A callable before(n) is a moving target, asked once per stage,
+# unless it steps its members' floors itself through floor_steps(n): the
+# (step, exact) pairs into stages n, n+1, ... (vienna's F_n = 2^n - 1
+# steps by +1), which feed the same loop. Targets are exact values
+# (Dyadic, Fraction, int, or sqrt2-multiples from the drift module); the
+# per-stage reference is ``centered_term`` in tests/references.py.
+
+_BLOCK = 1024
 
 
 def switch_terms(before, after, switch_at, prefix: Sequence[int], trace=None) -> Iterator[int]:
-    """The centred terms after prefix: stage n centres before(n) until
-    switch_at(n, trace) shows a switch s, then after(s) at every stage on.
+    """The centred terms after prefix: stage n centres before (a value, or
+    before(n) when callable) until switch_at(n, trace) shows a switch s,
+    then the value after(s) at every stage on.
 
-    after is taken once per stream, and its value never changes again. A
-    before with floor_steps (see above) is called at the first stage only.
+    after is taken once per stream and switch_at once per block; a callable
+    before is asked once per stage in order, or at the first stage only when
+    it has floor_steps (see above).
     """
-    n, a = len(prefix), (prefix[-1] if prefix else None)
-    target = steps = switch = None
-    moving = hasattr(before, "floor_steps")
+    n, a, e = len(prefix), (prefix[-1] if prefix else None), 0
+    target, steps, switch, quiet, size = before, None, None, None, 16
     while True:
-        n += 1
         if switch is None:
-            switch = switch_at(n, trace)
-            t = (before if moving else before(n)) if switch is None else after(switch)
-        if t is target:
-            if steps is None:
-                steps = floor_steps(t, n)
-            step, exact = next(steps)
-            d = 2 * e + step
+            switch, quiet = switch_at(n + 1, trace)
+            if switch is not None:
+                target, steps, quiet = after(switch), None, None
+        k = size if quiet is None else min(size, quiet - n)
+        size = min(2 * size, _BLOCK)
+        if steps is not None:
+            pairs = islice(steps, k)
         else:
-            target, steps = t, None
-            floor, exact = scaled_floor(before(n) if t is before else t, n + 1)
-            if a is None:  # stage 1: g-1 and g, g = floor(2t), are successors of a
-                a = ((floor >> 1) - 1) >> 1
-            d = floor - 4 * a
-        c = d if exact else d + 1
-        j = 0 if c <= 3 else 1 if c <= 5 else 2
-        a = 2 * a + j
-        e = d - 2 * j
-        yield a
+            value = target
+            if callable(target):
+                k, value = 1, target(n + 1)
+                if hasattr(target, "floor_steps"):
+                    steps = target.floor_steps(n + 2)
+            floor, pairs = floor_bits(value, n + 1, k)
+            if a is None:
+                a = (floor - 1) >> 1
+            e = floor - 2 * a
+        for step, exact in pairs:
+            d = 2 * e + step
+            c = d if exact else d + 1
+            j = 0 if c <= 3 else 1 if c <= 5 else 2
+            a = 2 * a + j
+            e = d - 2 * j
+            yield a
+        n += k

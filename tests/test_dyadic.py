@@ -11,7 +11,7 @@ from brouwer.dyadic import (
     Interval,
     IntervalRelation,
     admissible_successors,
-    floor_steps,
+    floor_bits,
     interval_relate,
     lambda_interval,
     parse_dyadic,
@@ -156,15 +156,15 @@ floor_targets = st.one_of(
 
 @given(floor_targets, st.integers(0, 120), st.integers(1, 160))
 @settings(max_examples=300)
-def test_floor_steps_hold_to_scaled_floor_at_every_step(value, k, steps):
-    # one state from scale k on, against a fresh scaled floor per scale
-    state = floor_steps(value, k)
-    floor, _ = scaled_floor(value, k)
-    for j in range(k + 1, k + steps + 1):
-        bit, exact = next(state)
+def test_floor_bits_hold_to_scaled_floor_at_every_scale(value, k, m):
+    # one floor at scale k+m, read as steps, against a fresh scaled floor per scale
+    floor, steps = floor_bits(value, k, m)
+    assert floor == scaled_floor(value, k)[0]
+    for j, (bit, exact) in enumerate(steps, k + 1):
         assert bit in (0, 1)
         assert (2 * floor + bit, bool(exact)) == scaled_floor(value, j), (value, j)
         floor = 2 * floor + bit
+    assert j == k + m
 
 
 def cmp_scaled(value, k: int, target: int) -> int:

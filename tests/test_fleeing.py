@@ -11,7 +11,6 @@ from brouwer.fleeing import (
     ConvergentFamily,
     DecidableProperty,
     DigitOracle,
-    _least_witness_scan,
     berlin_r,
     cambridge_c,
     critical_number,
@@ -437,6 +436,58 @@ def test_veldman_copies_then_reanchors():
         assert law.admits(prefix[:k], prefix[k])
 
 
+def per_stage_witness(p: DecidableProperty):
+    """The least witness of p visible at a stage, found as the switch
+    constructions found it stage by stage: each position tested once, in
+    turn, at the first stage that needs it."""
+    found, tested = None, 0
+
+    def upto(stage: int) -> Optional[int]:
+        nonlocal found, tested
+        while found is None and tested < stage:
+            if p.holds(tested + 1):
+                found = tested + 1
+            tested += 1
+        return found if found is not None and found <= stage else None
+
+    return upto
+
+
+@pytest.mark.parametrize("self_test", [0, 100])
+@pytest.mark.parametrize("limit", [300, 5000])
+@pytest.mark.parametrize("pattern", ["999999", "0123456", "26535", "3"])
+def test_a_witness_point_computes_the_digits_a_per_stage_scan_computes(pattern, limit, self_test):
+    # after each read the oracle holds as many digits as after testing the
+    # same stages one by one, and a read past the limit refuses at the same stage
+    orc, ref_orc = (DigitOracle(self_test_digits=self_test, limit=limit) for _ in range(2))
+    pt = berlin_r(pattern_property(pattern, orc))
+    witness = per_stage_witness(pattern_property(pattern, ref_orc))
+    for n in (1, 5, 40, 70, 64, 200, 290, 400, 1500):
+        refused = None
+        try:
+            for stage in range(1, n + 1):
+                witness(stage)
+        except ResourceLimitError:
+            refused = stage
+        if refused is None:
+            assert len(pt.prefix(n)) == n
+        else:
+            with pytest.raises(ResourceLimitError):
+                pt.prefix(n)
+            assert len(pt._terms) == refused - 1
+        assert len(orc._cache) == len(ref_orc._cache), n
+
+
+def test_held_digits_decide_only_the_positions_asked_for():
+    # the six nines start at 762; held computes no digit and answers within lo..hi
+    orc = DigitOracle(self_test_digits=1000, limit=10**4)
+    p = pattern_property("999999", orc)
+    assert p.held(1, 10) == (None, 10)
+    assert p.held(1, 800) == (762, 800)
+    assert p.held(763, 2000) == (None, 995)  # the last position 1000 digits decide
+    assert len(orc._cache) == 1000
+
+
 def veldman_f2_reference(
     family: ConvergentFamily, p: DecidableProperty, follower: Optional[Point] = None
 ) -> Point:
@@ -445,7 +496,7 @@ def veldman_f2_reference(
     shows, then centers xi_k on its own terms."""
     if follower is not None and not isinstance(follower.generator.kind, Lawlike):
         raise ValueError("the follower must be lawlike")
-    witness = _least_witness_scan(p)
+    witness = per_stage_witness(p)
     base_rule = (
         follower.term
         if follower is not None
@@ -468,7 +519,7 @@ def veldman_f2_reference(
 def berlin_r_reference(p: DecidableProperty) -> Point:
     """Reference for berlin_r: centers 0 until the least witness K of p is
     visible, then (-2)^(-K) forever."""
-    witness = _least_witness_scan(p)
+    witness = per_stage_witness(p)
 
     def target(stage: int):
         k = witness(stage)
@@ -483,7 +534,7 @@ def berlin_r_reference(p: DecidableProperty) -> Point:
 def cambridge_c_reference(family: ConvergentFamily, p: DecidableProperty) -> Point:
     """Reference for cambridge_c: follows the family values a_n until the
     least witness K is visible, then stays at a_K."""
-    witness = _least_witness_scan(p)
+    witness = per_stage_witness(p)
 
     def target(stage: int):
         k = witness(stage)

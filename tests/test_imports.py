@@ -151,9 +151,22 @@ def test_lazy_names_are_the_defining_modules_objects():
         brouwer.scaled_floor  # defined in dyadic, never re-exported
 
 
+def _defined_names(node: ast.stmt) -> list[str]:
+    """The names a top-level statement defines: a def, a class, or the plain
+    names an assignment binds."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        return [t.id for t in node.targets if isinstance(t, ast.Name)]
+    if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+        return [node.target.id]
+    return []
+
+
 def test_every_public_function_and_class_in_src_has_a_production_use():
-    # test-only code lives in tests/references.py: a public def or class of
-    # a public module is exported by the package or read somewhere in src/
+    # test-only code and data live in tests/: a public def, class or
+    # top-level assignment of a public module is exported by the package or
+    # read somewhere in src/
     import brouwer
 
     sources = sorted((ROOT / "src" / "brouwer").glob("*.py"))
@@ -168,10 +181,9 @@ def test_every_public_function_and_class_in_src_has_a_production_use():
             elif isinstance(node, ast.alias):
                 used.add(node.name)
     unused = [
-        f"{module}.{node.name}"
+        f"{module}.{name}"
         for module, tree in trees.items() if not module.startswith("_")
-        for node in tree.body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_") and node.name not in used | set(brouwer._ORIGIN)
+        for node in tree.body for name in _defined_names(node)
+        if not name.startswith("_") and name not in used | set(brouwer._ORIGIN)
     ]
     assert unused == []

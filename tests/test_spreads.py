@@ -22,7 +22,7 @@ from brouwer.spreads import (
     universal_spread,
 )
 from fractions import Fraction
-from itertools import islice
+from itertools import count, islice
 
 import references
 from references import centered_term
@@ -83,6 +83,54 @@ def test_lawlike_emission_checks_admissibility():
     with pytest.raises(AdmissibilityError) as ei:
         emit_prefix(bad, 4)
     assert ei.value.stage == 3
+
+
+def refusing_stream(terms, raise_at=None):
+    """A lawlike stream of the given terms; at stage raise_at it raises."""
+
+    def stream(prefix, trace):
+        for n in count(len(prefix) + 1):
+            if n == raise_at:
+                raise RuntimeError(f"stream fails at stage {n}")
+            yield terms[n - 1]
+
+    return Generator(rng_spread(), Lawlike(stream), "refusing")
+
+
+@pytest.mark.parametrize("bad", [-1, 3, 7])
+@pytest.mark.parametrize("raise_at", [None, 6, 9])
+@pytest.mark.parametrize("start", [0, 1, 2])
+def test_emission_keeps_the_stages_before_a_refused_term(bad, raise_at, start):
+    # stage 4 is no successor of 0 (those are 0, 1, 2); the stream may fail
+    # after it in the same read
+    terms = [0, 0, 0, bad] + [bad << k for k in range(1, 6)]
+    g = refusing_stream(terms, raise_at)
+    head = terms[:start]
+    with pytest.raises(AdmissibilityError) as err:
+        emit_prefix(g, 9, head=head)
+    assert (err.value.stage, err.value.value, err.value.prefix) == (4, bad, (0, 0, 0))
+    assert head == [0, 0, 0]
+    # a read that stops before the refused term keeps what it read
+    head = terms[:start]
+    assert emit_prefix(g, 3, head=head) == (0,) * (3 - start) and head == [0, 0, 0]
+
+
+def test_emission_lets_a_stream_error_through_when_every_term_read_is_admissible():
+    g = refusing_stream([0] * 9, raise_at=6)
+    head: list[int] = []
+    with pytest.raises(RuntimeError, match="stage 6"):
+        emit_prefix(g, 9, head=head)
+    assert head == [0] * 5
+
+
+def test_emission_vets_a_first_term_and_any_other_law():
+    # the universal law refuses a negative term, first or later
+    for terms, stage in (([-1, 0], 1), ([3, 2, -4, 0], 3)):
+        g = Generator(universal_spread(), Lawlike.of(lambda n, terms=terms: terms[n - 1]))
+        head: list[int] = []
+        with pytest.raises(AdmissibilityError) as err:
+            emit_prefix(g, len(terms), head=head)
+        assert err.value.stage == stage and head == terms[: stage - 1]
 
 
 def test_process_requires_trace():
@@ -189,7 +237,7 @@ def test_centered_term_matches_the_reference(target, centred, start, moves):
 
 
 def no_switch(stage, trace):
-    return None
+    return None, None
 
 
 @given(

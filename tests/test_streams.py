@@ -25,7 +25,6 @@ from brouwer.drift import (
 from brouwer.dyadic import (
     Dyadic,
     IntervalRelation,
-    floor_steps,
     interval_relate,
     lambda_interval,
     scaled_floor,
@@ -159,7 +158,7 @@ def test_lawlike_rule_called_once_per_stage():
 
 
 def never(stage, trace):
-    return None
+    return None, None
 
 
 def test_a_centring_stream_takes_one_target_per_stage_in_order():
@@ -356,7 +355,7 @@ FAMILIES = {"vienna": vienna_family().member, "geometric": geometric_family().me
 def test_a_family_steps_its_members_floors_at_their_own_stages(name, start, steps):
     # F_n = floor(member(n) * 2^(n+1)); the step into stage n is F_n - 2F_(n-1)
     member = FAMILIES[name]
-    state = floor_steps(member, start)
+    state = member.floor_steps(start)
     for n in range(start, min(start + steps, STAGES + 1)):
         floor, exact = scaled_floor(member(n), n + 1)
         step, stepped_exact = next(state)
@@ -383,6 +382,41 @@ def test_a_stepped_family_is_asked_for_a_member_once_per_stream(name):
     for n in (5, 3, 80, 12, STAGES):
         assert pt.prefix(n) == want[:n]
     assert asked == [1]
+
+
+# --- a fixed target's blocks of stages against one centered term per stage ---
+
+# a fresh stream's blocks end at stages 16, 48, 112, 240 and 496, that is
+# at scales 17, 49, 113, 241 and 497: a dyadic with one of those exponents
+# turns exact at a block's last stage, one more or less just inside the next
+# or this one; exponent 2 with an odd numerator ties at stage 1
+BLOCK_SCALES = [e + d for e in (2, 17, 49, 113, 241) for d in (-1, 0, 1)]
+block_targets = st.one_of(
+    st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
+    st.builds(Dyadic, st.integers(-(10**6), 10**6).map(lambda v: 2 * v + 1),
+              st.sampled_from(BLOCK_SCALES) | st.integers(0, 260)),
+    st.integers(-50, 50),
+    st.builds(Sqrt2Value, st.fractions(min_value=-50, max_value=50, max_denominator=10**4)),
+)
+
+
+@given(block_targets, block_targets, st.integers(1, 320), st.integers(1, 300),
+       st.lists(st.integers(1, 300), max_size=4))
+@settings(max_examples=300, deadline=None)
+def test_block_centring_matches_one_centered_term_per_stage(before, after, switch, ahead, cuts):
+    # the switch to after shows at its stage; before that the switch_at knows
+    # the stages up to `ahead` past the one asked, so blocks are cut short too
+    def switch_at(n, trace):
+        return (switch, None) if n >= switch else (None, min(switch - 1, n + ahead))
+
+    h = 300
+    want = references.centred_prefix(lambda n: before if n < switch else after, h)
+    pt = Point(Generator(rng_spread(), Lawlike(partial(switch_terms, before, lambda s: after, switch_at))))
+    for n in sorted(cuts) + [h]:  # reads cut at random points
+        assert pt.prefix(n) == want[:n], (before, after, switch, n)
+    # a stream started after any emitted prefix continues it
+    m = min(cuts, default=0)
+    assert tuple(islice(switch_terms(before, lambda s: after, switch_at, want[:m]), h - m)) == want[m:]
 
 
 # --- a stream that refused restarts from the stages kept ---
