@@ -310,13 +310,12 @@ def rationality_descriptor(drift: Drift, kind: CheckingKind, trace: EventTrace) 
     return {"kind": drift.resolve_ref(switch)[1].value}
 
 
-def _visible(stage: int, trace: EventTrace) -> tuple[Optional[Resolution], Optional[int]]:
+def _visible(stage: int, trace: EventTrace, end: int) -> tuple[Optional[Resolution], Optional[int]]:
     """The switch_at of a trace-driven switch point: the resolution once
     visible, else None and the stage before it fires (None: it never does)."""
-    r = trace.resolution
-    if r.kind == NEVER:
-        return None, None
-    return (r, None) if r.stage <= stage else (None, r.stage - 1)
+    r = trace.visible_at(stage)
+    fires = trace.resolution.stage  # None for a never-resolution
+    return (r, None) if r is not None else (None, None if fires is None else fires - 1)
 
 
 def flatten_checking(drift: Drift, kind: CheckingKind, trace: EventTrace) -> Point:

@@ -118,16 +118,16 @@ class DecidableProperty(NamedTuple):
     """A property of positions, decidable by inspection of finitely many digits.
 
     holds(n) tests one position; least(horizon) is the least position at or
-    below the horizon where it holds, else None. held(lo, hi), when given,
-    computes no digit: of the positions lo..hi that the digits already held
-    decide, it returns the least where the property holds, else None, and
-    the last it decides.
+    below the horizon where it holds, else None. held(lo, hi) computes no
+    digit: of the positions lo..hi that the digits already held decide, it
+    returns the least where the property holds, else None, and the last it
+    decides.
     """
 
     name: str
     holds: Callable[[int], bool]
     least: Callable[[int], Optional[int]]
-    held: Optional[Callable[[int, int], tuple[Optional[int], int]]] = None
+    held: Callable[[int, int], tuple[Optional[int], int]]
 
 
 def run_property(
@@ -244,16 +244,16 @@ def _least_witness_scan(p: DecidableProperty) -> Callable[..., tuple[Optional[in
     p visible there, else None and the last stage known to show none.
 
     It first searches, with p.held, the digits the oracle already holds, up
-    to twice the stage ahead, where a stream's next block ends. Past them
-    it tests each position in turn, as a stage needs it, and retests one
-    that raised; so it computes no digit that testing stage by stage would
-    not, and refuses at the same stage."""
+    to the end of the block asked for. Past them it tests each position in
+    turn, as a stage needs it, and retests one that raised; so it computes
+    no digit that testing stage by stage would not, and refuses at the same
+    stage."""
     found, tested = None, 0
 
-    def upto(stage: int, trace=None) -> tuple[Optional[int], Optional[int]]:
+    def upto(stage: int, trace, end: int) -> tuple[Optional[int], Optional[int]]:
         nonlocal found, tested
-        if found is None and p.held is not None and tested < 2 * stage:
-            found, last = p.held(tested + 1, 2 * stage + 64)
+        if found is None and tested < end:
+            found, last = p.held(tested + 1, end)
             tested = max(tested, last)
         while found is None and tested < stage:
             if p.holds(tested + 1):

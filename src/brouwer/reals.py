@@ -144,8 +144,8 @@ def one_point() -> Point:
 
 def _switch_point(name: str, before, after, switch_at, trace: Optional[EventTrace] = None) -> Point:
     """The one construction behind every centred point: term n centres
-    before (a value, or before(n)) until switch_at(n, trace) shows a switch
-    s (a witness, a resolution), then after(s) forever; see
+    before (a value, or before(n)) until switch_at(n, trace, end) shows a
+    switch s (a witness, a resolution), then after(s) forever; see
     ``spreads.switch_terms``. A point on a trace is a process; any other is
     lawlike, its switch found by switch_at alone."""
     terms = partial(switch_terms, before, after, switch_at)
@@ -156,7 +156,7 @@ def _switch_point(name: str, before, after, switch_at, trace: Optional[EventTrac
 def value_point(value, name: str = "") -> Point:
     """Lawlike point centering a fixed exact value at every stage: a switch
     point whose switch never shows."""
-    return _switch_point(name or f"value({value})", value, None, lambda n, trace: (None, None))
+    return _switch_point(name or f"value({value})", value, None, lambda n, trace, end: (None, None))
 
 
 def int_point(m: int) -> Point:

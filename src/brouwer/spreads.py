@@ -209,11 +209,11 @@ def emit_prefix(
     stream, then vets the run it appended, in one pass under the rng law:
     at the first refused term, also when the stream raised later in the
     read, it cuts head back to the stages before it and raises
-    AdmissibilityError there. Returns the newly emitted terms. The head must
-    hold the first terms of g under the trace, and live, when given, the
-    stream that emitted them; without it the terms come from a fresh
-    g.kind.terms(head, trace). A stream that raised is spent, so a later
-    call needs a fresh one.
+    AdmissibilityError there; a stream ending short of n raises
+    RuntimeError. Returns the newly emitted terms. The head must hold the
+    first terms of g under the trace, and live, when given, the stream that
+    emitted them; without it the terms come from a fresh g.kind.terms(head,
+    trace). A stream that raised is spent, so a later call needs a fresh one.
     """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
@@ -230,6 +230,8 @@ def emit_prefix(
             value = prefix[bad]
             del prefix[bad:]
             raise AdmissibilityError(bad + 1, value, tuple(prefix))
+    if len(prefix) < n:
+        raise RuntimeError(f"generator {g.name or '?'} ended after stage {len(prefix)} of {n}")
     return tuple(prefix[start:])
 
 
@@ -267,23 +269,24 @@ def _first_refused(law: SpreadLaw, prefix: list[int], start: int) -> Optional[in
 # fixed target's steps into stages n+1 .. n+k are the low k bits of
 # F_(n+k), and F_n is the rest (``dyadic.floor_bits``): a block of stages
 # costs one scaled floor. Right after a target change d may lie far
-# outside 0..7, and the same comparisons read it. A block ends where the
-# switch may show: switch_at(n, trace) returns the switch visible at stage
-# n, or None and the last stage known to show none, n or later (None:
-# never), from what it already holds. Blocks double from 16 stages to
-# _BLOCK. A callable before(n) is a moving target, asked once per stage,
-# unless it steps its members' floors itself through floor_steps(n): the
-# (step, exact) pairs into stages n, n+1, ... (vienna's F_n = 2^n - 1
-# steps by +1), which feed the same loop. Targets are exact values
-# (Dyadic, Fraction, int, or sqrt2-multiples from the drift module); the
-# per-stage reference is ``centered_term`` in tests/references.py.
+# outside 0..7, and the same comparisons read it. Blocks double from 16
+# stages to _BLOCK and end where the switch may show: switch_at(n, trace,
+# end), end the stage the block would end at, returns the switch visible
+# at stage n, or None and the last stage known to show none, n or later
+# (None: never), from what it holds without looking past end. A callable
+# before(n) is a moving target, asked once per stage, unless it steps its
+# members' floors itself through floor_steps(n): the (step, exact) pairs
+# into stages n, n+1, ... (vienna's F_n = 2^n - 1 steps by +1), which feed
+# the same loop. Targets are exact values (Dyadic, Fraction, int, or
+# sqrt2-multiples from the drift module); the per-stage reference is
+# ``centered_term`` in tests/references.py.
 
 _BLOCK = 1024
 
 
 def switch_terms(before, after, switch_at, prefix: Sequence[int], trace=None) -> Iterator[int]:
     """The centred terms after prefix: stage n centres before (a value, or
-    before(n) when callable) until switch_at(n, trace) shows a switch s,
+    before(n) when callable) until switch_at(n, trace, end) shows a switch s,
     then the value after(s) at every stage on.
 
     after is taken once per stream and switch_at once per block; a callable
@@ -294,7 +297,7 @@ def switch_terms(before, after, switch_at, prefix: Sequence[int], trace=None) ->
     target, steps, switch, quiet, size = before, None, None, None, 16
     while True:
         if switch is None:
-            switch, quiet = switch_at(n + 1, trace)
+            switch, quiet = switch_at(n + 1, trace, n + size)
             if switch is not None:
                 target, steps, quiet = after(switch), None, None
         k = size if quiet is None else min(size, quiet - n)

@@ -123,6 +123,15 @@ def test_emission_lets_a_stream_error_through_when_every_term_read_is_admissible
     assert head == [0] * 5
 
 
+def test_emission_refuses_a_stream_that_ends_short_of_the_read():
+    g = Generator(rng_spread(), Lawlike(lambda prefix, trace: iter([0] * (5 - len(prefix)))), "five")
+    head: list[int] = []
+    with pytest.raises(RuntimeError, match="five ended after stage 5 of 9"):
+        emit_prefix(g, 9, head=head)
+    assert head == [0] * 5
+    assert emit_prefix(g, 5) == (0,) * 5
+
+
 def test_emission_vets_a_first_term_and_any_other_law():
     # the universal law refuses a negative term, first or later
     for terms, stage in (([-1, 0], 1), ([3, 2, -4, 0], 3)):
@@ -236,7 +245,7 @@ def test_centered_term_matches_the_reference(target, centred, start, moves):
             break
 
 
-def no_switch(stage, trace):
+def no_switch(stage, trace, end):
     return None, None
 
 

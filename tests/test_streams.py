@@ -157,7 +157,7 @@ def test_lawlike_rule_called_once_per_stage():
     assert calls == list(range(1, 13))
 
 
-def never(stage, trace):
+def never(stage, trace, end):
     return None, None
 
 
@@ -406,7 +406,7 @@ block_targets = st.one_of(
 def test_block_centring_matches_one_centered_term_per_stage(before, after, switch, ahead, cuts):
     # the switch to after shows at its stage; before that the switch_at knows
     # the stages up to `ahead` past the one asked, so blocks are cut short too
-    def switch_at(n, trace):
+    def switch_at(n, trace, end):
         return (switch, None) if n >= switch else (None, min(switch - 1, n + ahead))
 
     h = 300
