@@ -43,11 +43,11 @@ class Sqrt2Value(Record):
     def __init__(self, coef: Fraction) -> None:
         _set(self, "coef", coef)
 
-    def scaled_floor(self, k: int) -> tuple[int, bool]:
+    def scaled_floor(self, k: int) -> int:
         p, q = self.coef.numerator, self.coef.denominator
         floor = isqrt(2 * (p << k) ** 2) // q
         # floor(-y) = -ceil(y) and y = sqrt(2)*|p|*2^k/q is never an integer
-        return (floor, not p) if p >= 0 else (-floor - 1, False)
+        return floor if p >= 0 else -floor - 1
 
     def __neg__(self) -> "Sqrt2Value":
         return Sqrt2Value(-self.coef)
@@ -198,8 +198,7 @@ def rational_right_drift() -> Drift:
     kernel = Sqrt2Value(Fraction(1, 2))
 
     def value_at(v: int) -> Fraction:
-        f, _ = kernel.scaled_floor(v)
-        return Fraction(f + 2, 1 << v)
+        return Fraction(kernel.scaled_floor(v) + 2, 1 << v)
 
     return Drift("rational-right", kernel, right=value_at)
 
@@ -349,10 +348,10 @@ class IncreasingFamily(NamedTuple):
 
 
 def vienna_family() -> IncreasingFamily:
-    """a_v = 1/2 - 2^-(v+1), increasing to 1/2. floor(a_v*2^(v+1)) = 2^v - 1,
-    so a member's floor at its own stage steps by +1, exactly."""
+    """a_v = 1/2 - 2^-(v+1), increasing to 1/2. ceil(a_v*2^(v+1)) = 2^v - 1,
+    so a member's ceiling at its own stage drops by 2(2^(v-1) - 1) - (2^v - 1) = -1."""
     member = lambda v: Fraction((1 << v) - 1, 1 << (v + 1))
-    member.floor_steps = lambda k: repeat((1, True))  # see spreads.switch_terms
+    member.ceiling_drops = lambda k: repeat(-1)  # see spreads.switch_terms
     return IncreasingFamily("vienna", Fraction(1, 2), member)
 
 

@@ -152,8 +152,8 @@ def interval_relate(p: Interval, q: Interval) -> IntervalRelation:
     return IntervalRelation.OVERLAP
 
 
-def scaled_floor(value, k: int) -> tuple[int, bool]:
-    """floor(value * 2**k) plus a flag telling whether the product is exact.
+def scaled_floor(value, k: int) -> int:
+    """floor(value * 2**k), for k >= 0.
 
     Accepts Dyadic, Fraction, int, or any object with a scaled_floor(k)
     method (used by exact irrational values elsewhere). A Fraction whose
@@ -162,32 +162,25 @@ def scaled_floor(value, k: int) -> tuple[int, bool]:
     if isinstance(value, Dyadic):
         num, exp = value.num, value.exp
     elif isinstance(value, int):
-        return value << k, True
+        return value << k
     elif not isinstance(value, Fraction):
         return value.scaled_floor(k)
     elif (den := value.denominator) & (den - 1):
-        q, r = divmod(value.numerator << k, den)
-        return q, r == 0
+        return (value.numerator << k) // den
     else:
         num, exp = value.numerator, den.bit_length() - 1
-    if k >= exp:
-        return num << (k - exp), True
-    shift = exp - k
-    q = num >> shift
-    return q, q << shift == num
+    return num << (k - exp) if k >= exp else num >> (exp - k)
 
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\0\1")
 
 
-def floor_bits(value, k: int, m: int):
-    """floor(value * 2**k) and, for j = k+1 .. k+m in turn, the step
-    floor(value * 2**j) - 2*floor(value * 2**(j-1)) with whether value * 2**j
-    is an integer, all read off one floor at scale k+m: the steps are its low
-    m bits, most significant first, and scale j is exact when scale k+m is
-    and the bits below j's are all zero. m must be positive.
+def ceiling_drops(value, k: int, m: int) -> tuple[int, bytes]:
+    """ceil(value * 2**k) and, for j = k+1 .. k+m in turn, the drop
+    2*ceil(value * 2**(j-1)) - ceil(value * 2**j), 0 or 1, all read off one
+    floor f of -value at scale k+m: ceil(value * 2**j) = -(f >> (k+m-j)), so
+    the drops are f's low m bits, most significant first. value must also
+    negate; m must be positive.
     """
-    top, exact = scaled_floor(value, k + m)
-    bits = format(top & ((1 << m) - 1), f"0{m}b").encode().translate(_BIT_VALUES)
-    inexact = max(bits.rfind(1), 0) if exact else m  # the scales before the last 1
-    return top >> m, zip(bits, b"\0" * inexact + b"\1" * (m - inexact))
+    f = scaled_floor(-value, k + m)
+    return -(f >> m), format(f & ((1 << m) - 1), f"0{m}b").encode().translate(_BIT_VALUES)

@@ -287,10 +287,10 @@ class ConvergentFamily(NamedTuple):
 
 
 def geometric_family() -> ConvergentFamily:
-    """xi_v = 2^(-v), decreasing to 0. floor(xi_v*2^(v+1)) = 2, so a
-    member's floor at its own stage steps by 2 - 2*2 = -2, exactly."""
+    """xi_v = 2^(-v), decreasing to 0. ceil(xi_v*2^(v+1)) = 2, so a
+    member's ceiling at its own stage drops by 2*2 - 2 = 2."""
     member = lambda v: Fraction(1, 1 << v)
-    member.floor_steps = lambda k: repeat((-2, True))  # see spreads.switch_terms
+    member.ceiling_drops = lambda k: repeat(2)  # see spreads.switch_terms
     return ConvergentFamily("geometric", Fraction(0), member)
 
 

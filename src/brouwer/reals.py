@@ -31,7 +31,8 @@ from .spreads import (
 
 
 class Point(Record):
-    """A generator over the interval law, bundled with its trace.
+    """A generator over the interval law, bundled with its trace; a
+    generator under any other law is refused.
 
     Keeps one append-only list of terms and the live stream that emitted
     them (the generator's terms(list, trace)), and extends the list in place
@@ -45,6 +46,8 @@ class Point(Record):
     _fields = ("generator", "trace")
 
     def __init__(self, generator: Generator, trace: Optional[EventTrace] = None) -> None:
+        if generator.law is not rng_spread():
+            raise ValueError(f"a point needs the rng law, not {generator.law.name!r}")
         _set(self, "generator", generator)
         _set(self, "trace", trace)
         _set(self, "_terms", [])
@@ -176,8 +179,6 @@ def lt_at(a: Point, b: Point, horizon: int) -> Verdict:
 def _as_fraction(r) -> Fraction:
     if isinstance(r, Dyadic):
         return r.as_fraction()
-    if isinstance(r, tuple):
-        return Fraction(r[0], r[1])
     return Fraction(r)
 
 
@@ -210,27 +211,11 @@ def coincide_refute(a: Point, b: Point, horizon: int) -> Verdict:
 
     The witness is the least h such that indices i, j <= h exhibit disjointness.
     Never Holds: coincidence itself is not finitely affirmable.
-    Two points of the rng law have nested intervals, so stages i and j
-    disjoint makes stage max(i, j) disjoint: the witness is ``apart_at``'s.
-    Under any other law, one pass: with each side's greatest lower end and
-    least upper end over stages 1..h (units of 2^-h), some i <= h pairs
-    disjointly with stage h exactly when one side's least upper end is below
-    the other's lower end at h, or its greatest lower end above the other's
-    upper end.
+    Points have nested intervals, so stages i and j disjoint makes stage
+    max(i, j) disjoint: the witness is ``apart_at``'s.
     """
-    xs, ys = a.prefix(horizon), b.prefix(horizon)
-    if a.generator.law is b.generator.law is rng_spread():
-        h = _first_apart(xs, ys)
-        return _unknown(horizon) if h is None else Verdict(VerdictValue.FAILS, horizon, witness=h)
-    for h, (x, y) in enumerate(zip(xs, ys), 1):
-        if h == 1:
-            lo_a, hi_a, lo_b, hi_b = x, x + 2, y, y + 2
-        else:
-            lo_a, hi_a = max(2 * lo_a, x), min(2 * hi_a, x + 2)
-            lo_b, hi_b = max(2 * lo_b, y), min(2 * hi_b, y + 2)
-        if hi_a < y or y + 2 < lo_a or hi_b < x or x + 2 < lo_b:
-            return Verdict(VerdictValue.FAILS, horizon, witness=h)
-    return _unknown(horizon)
+    h = _first_apart(a.prefix(horizon), b.prefix(horizon))
+    return _unknown(horizon) if h is None else Verdict(VerdictValue.FAILS, horizon, witness=h)
 
 
 def abs_diff_lt(a: Point, b: Point, bound, horizon: int) -> Verdict:

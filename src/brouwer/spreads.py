@@ -18,7 +18,7 @@ from operator import add, sub
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from ._record import Record, _set
-from .dyadic import floor_bits
+from .dyadic import ceiling_drops
 from .errors import ResourceLimitError
 
 
@@ -254,32 +254,28 @@ def _first_refused(law: SpreadLaw, prefix: list[int], start: int) -> Optional[in
 #
 # The choice at stage n is the admissible index a whose interval midpoint
 # (a+1)/2^n lies nearest the target value; ties go to the smaller index.
-# Indices b and b+1 have midpoints (b+1)/2^n and (b+2)/2^n, equally near
-# their mean (2b+3)/2^(n+1); so with t = target*2^(n+1), b is at least as
-# near exactly when ceil(t) <= 2b+3. After a previous index a the
-# candidates 2a, 2a+1, 2a+2 split at t = 4a+3 and t = 4a+5. At stage 1 the
-# target lies between the midpoints of g-1 and g, g = floor(t/2), which
-# split at t = 2g+1: the same split as after a stage-0 index (g-1) >> 1.
+# With C_n = ceil(target*2^(n+1)), index b is at least as near as b+1
+# exactly when C_n <= 2b+3, so after index a the candidates 2a, 2a+1, 2a+2
+# split at C_n = 4a+3 and 4a+5. The stage-0 index (C_0 >> 1) - 1 makes the
+# same split give stage 1's nearest index, (C_1 - 2) >> 1.
 #
-# A stream keeps the residual e = F_n - 2a_n of its index a_n, where F_n =
-# floor(t_n*2^(n+1)) for the stage-n target t_n. Whatever the targets, the
-# next choice compares c = d, or d + 1 when t_(n+1)*2^(n+2) is not an
-# integer, with 3 and 5, where d = F_(n+1) - 4a_n = 2e + s and s is the
-# step F_(n+1) - 2F_n; only the new index 2a + j is a big-int operation. A
-# fixed target's steps into stages n+1 .. n+k are the low k bits of
-# F_(n+k), and F_n is the rest (``dyadic.floor_bits``): a block of stages
-# costs one scaled floor. Right after a target change d may lie far
-# outside 0..7, and the same comparisons read it. Blocks double from 16
-# stages to _BLOCK and end where the switch may show: switch_at(n, trace,
-# end), end the stage the block would end at, returns the switch visible
-# at stage n, or None and the last stage known to show none, n or later
-# (None: never), from what it holds without looking past end. A callable
-# before(n) is a moving target, asked once per stage, unless it steps its
-# members' floors itself through floor_steps(n): the (step, exact) pairs
-# into stages n, n+1, ... (vienna's F_n = 2^n - 1 steps by +1), which feed
-# the same loop. Targets are exact values (Dyadic, Fraction, int, or
-# sqrt2-multiples from the drift module); the per-stage reference is
-# ``centered_term`` in tests/references.py.
+# A stream keeps the residual e = C_n - 2a_n; whatever the targets, the
+# next choice compares d = C_(n+1) - 4a_n = 2e - b with 3 and 5, where b is
+# the drop 2C_n - C_(n+1); only the new index 2a + j is a big-int
+# operation. A fixed target's drops into stages n+1 .. n+k are the low k
+# bits of one floor of the negated target (``dyadic.ceiling_drops``), so a
+# block of stages costs one scaled floor. After a target change e is taken
+# from the new target's ceiling, and d may lie far outside 0..7.
+# Blocks double from 16 stages to _BLOCK and end where the switch may show:
+# switch_at(n, trace, end), end the stage the block would end at, returns
+# the switch visible at stage n, or None and the last stage known to show
+# none, n or later (None: never), from what it holds without looking past
+# end. A callable before(n) is a moving target, asked once per stage,
+# unless it yields its members' drops itself through ceiling_drops(n), the
+# drops into stages n, n+1, ... (vienna's C_n = 2^n - 1 drops by -1).
+# Targets are exact values (Dyadic, Fraction, int, or sqrt2-multiples from
+# the drift module); the per-stage reference is ``centered_term`` in
+# tests/references.py.
 
 _BLOCK = 1024
 
@@ -291,33 +287,32 @@ def switch_terms(before, after, switch_at, prefix: Sequence[int], trace=None) ->
 
     after is taken once per stream and switch_at once per block; a callable
     before is asked once per stage in order, or at the first stage only when
-    it has floor_steps (see above).
+    it has ceiling_drops (see above).
     """
     n, a, e = len(prefix), (prefix[-1] if prefix else None), 0
-    target, steps, switch, quiet, size = before, None, None, None, 16
+    target, member_drops, switch, quiet, size = before, None, None, None, 16
     while True:
         if switch is None:
             switch, quiet = switch_at(n + 1, trace, n + size)
             if switch is not None:
-                target, steps, quiet = after(switch), None, None
+                target, member_drops, quiet = after(switch), None, None
         k = size if quiet is None else min(size, quiet - n)
         size = min(2 * size, _BLOCK)
-        if steps is not None:
-            pairs = islice(steps, k)
+        if member_drops is not None:
+            drops = islice(member_drops, k)
         else:
             value = target
             if callable(target):
                 k, value = 1, target(n + 1)
-                if hasattr(target, "floor_steps"):
-                    steps = target.floor_steps(n + 2)
-            floor, pairs = floor_bits(value, n + 1, k)
+                if hasattr(target, "ceiling_drops"):
+                    member_drops = target.ceiling_drops(n + 2)
+            ceil, drops = ceiling_drops(value, n + 1, k)
             if a is None:
-                a = (floor - 1) >> 1
-            e = floor - 2 * a
-        for step, exact in pairs:
-            d = 2 * e + step
-            c = d if exact else d + 1
-            j = 0 if c <= 3 else 1 if c <= 5 else 2
+                a = (ceil >> 1) - 1
+            e = ceil - 2 * a
+        for b in drops:
+            d = 2 * e - b
+            j = 0 if d <= 3 else 1 if d <= 5 else 2
             a = 2 * a + j
             e = d - 2 * j
             yield a

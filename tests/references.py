@@ -15,15 +15,19 @@
   every step keeps its block path, and Discharge closes a block by comparing
   paths;
 - centring as it stood before points kept a live stream: one
-  ``centered_term`` per stage, each taking a fresh scaled floor of the
-  stage's target, on a list of the chain that the rule keeps itself.
+  ``centered_term`` per stage, each taking a fresh ceiling of the stage's
+  target, on a list of the chain that the rule keeps itself; the ceiling
+  comes from ``Fraction`` arithmetic, or for a multiple of sqrt(2) from
+  integer squares, not from ``dyadic.scaled_floor``.
 """
 
 from __future__ import annotations
 
 import functools
 import itertools
+from fractions import Fraction
 from itertools import count, islice
+from math import ceil, isqrt
 from typing import Callable, Iterator, Optional, Union
 
 from brouwer.derivation import (
@@ -35,7 +39,8 @@ from brouwer.derivation import (
     Verified,
     parse_script,
 )
-from brouwer.dyadic import scaled_floor
+from brouwer.drift import Sqrt2Value
+from brouwer.dyadic import Dyadic
 from brouwer.logic import (
     ATOM_POOL,
     BOT,
@@ -200,21 +205,37 @@ def spigot_digits(n: int) -> str:
     return "".join(map(str, islice(_spigot_stream(), 1, n + 1)))
 
 
-# --- centring, one scaled floor per stage ---
+# --- centring, one ceiling per stage ---
+
+
+def ceil_scaled(value, k: int) -> int:
+    """ceil(value * 2**k) for a Fraction, Dyadic or int, by Fraction
+    arithmetic; for a multiple of sqrt(2), from the squares that bound it."""
+    if not isinstance(value, Sqrt2Value):
+        if isinstance(value, Dyadic):
+            value = Fraction(value.num, 1 << value.exp)
+        return ceil(Fraction(value) * (1 << k))
+    p, q = value.coef.numerator, value.coef.denominator
+    square = 2 * (abs(p) << k) ** 2  # (|value| * 2**k * q)**2
+    c = isqrt(square) // q  # a first guess; the squares below decide
+    while (c * q) ** 2 > square:
+        c -= 1
+    while ((c + 1) * q) ** 2 <= square:
+        c += 1
+    # c = floor(|value| * 2**k)
+    return -c if p < 0 else c + ((c * q) ** 2 < square)
 
 
 def centered_term(target, prefix) -> int:
     """Admissible next index whose midpoint is nearest the target value
     (the rule is derived above ``spreads.switch_terms``)."""
-    floor, exact = scaled_floor(target, len(prefix) + 2)
-    ceil = floor if exact else floor + 1
-    if not prefix:
-        g = floor >> 1
-        return g - 1 if ceil <= 2 * g + 1 else g
+    c = ceil_scaled(target, len(prefix) + 2)
+    if not prefix:  # the b with 2b+1 < c <= 2b+3
+        return (c - 2) >> 1
     a = prefix[-1]
-    if ceil <= 4 * a + 3:
+    if c <= 4 * a + 3:
         return 2 * a
-    return 2 * a + 1 if ceil <= 4 * a + 5 else 2 * a + 2
+    return 2 * a + 1 if c <= 4 * a + 5 else 2 * a + 2
 
 
 def centering_rule(target_at) -> Callable[[int], int]:

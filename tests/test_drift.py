@@ -356,13 +356,11 @@ def test_sqrt2_value_scaled_floor():
 
     s = Sqrt2Value(Fraction(1, 2))
     for k in range(0, 50, 7):
-        fl, exact = s.scaled_floor(k)
-        assert not exact  # sqrt(2)/2 is never a dyadic rational
+        fl = s.scaled_floor(k)
+        # sqrt(2)/2 is never a dyadic rational: its ceiling is one above its floor
+        assert -(-s).scaled_floor(k) == fl + 1
         # integer-only oracle: floor(sqrt(2 * 4^k) / 2) computed via isqrt
-        import math as _m
-        want = _m.isqrt(2 * (1 << (2 * k))) // 2
+        want = math.isqrt(2 * (1 << (2 * k))) // 2
         assert fl == want
     neg = -s
-    fl, _ = neg.scaled_floor(10)
-    fl_pos, _ = s.scaled_floor(10)
-    assert fl == -fl_pos - 1  # strict floor for a non-dyadic negative
+    assert neg.scaled_floor(10) == -s.scaled_floor(10) - 1  # strict floor for a non-dyadic negative

@@ -11,7 +11,7 @@ from brouwer.dyadic import (
     Interval,
     IntervalRelation,
     admissible_successors,
-    floor_bits,
+    ceiling_drops,
     interval_relate,
     lambda_interval,
     parse_dyadic,
@@ -19,6 +19,7 @@ from brouwer.dyadic import (
     scaled_floor,
 )
 from brouwer.spreads import rng_spread
+from references import ceil_scaled
 
 dyadics = st.builds(Dyadic, st.integers(-10**6, 10**6), st.integers(0, 40))
 
@@ -120,30 +121,24 @@ def test_relations_exhaustive():
 
 @given(st.fractions(min_value=-100, max_value=100), st.integers(0, 20))
 def test_scaled_floor_matches_fraction_floor(x, k):
-    fl, exact = scaled_floor(x, k)
-    target = x * (1 << k)
-    assert fl == target // 1
-    assert exact == (fl == target)
+    assert scaled_floor(x, k) == x * (1 << k) // 1
 
 
 @given(dyadics, st.integers(0, 20))
 def test_scaled_floor_on_dyadics(d, k):
-    fl, exact = scaled_floor(d, k)
-    f2, e2 = scaled_floor(d.as_fraction(), k)
-    assert (fl, exact) == (f2, e2)
+    assert scaled_floor(d, k) == scaled_floor(d.as_fraction(), k)
 
 
-def divmod_floor(value: Fraction, k: int) -> tuple[int, bool]:
-    """floor(value * 2**k) and its exactness by long division, the route
-    scaled_floor takes for a Fraction whose denominator is not a power of two."""
-    q, r = divmod(value.numerator << k, value.denominator)
-    return q, r == 0
+def division_floor(value: Fraction, k: int) -> int:
+    """floor(value * 2**k) by long division, the route scaled_floor takes
+    for a Fraction whose denominator is not a power of two."""
+    return (value.numerator << k) // value.denominator
 
 
 @given(st.integers(-(2**200), 2**200), st.integers(0, 300), st.integers(0, 300))
 def test_scaled_floor_shifts_dyadic_fractions_as_the_division_would(num, exp, k):
     value = Fraction(num, 1 << exp)
-    assert scaled_floor(value, k) == divmod_floor(value, k)
+    assert scaled_floor(value, k) == division_floor(value, k)
 
 
 floor_targets = st.one_of(
@@ -154,28 +149,31 @@ floor_targets = st.one_of(
 )
 
 
+@given(floor_targets, st.integers(0, 120))
+@settings(max_examples=300)
+def test_scaled_floor_of_the_negation_is_the_negated_ceiling(value, k):
+    assert scaled_floor(-value, k) == -ceil_scaled(value, k)
+
+
 @given(floor_targets, st.integers(0, 120), st.integers(1, 160))
 @settings(max_examples=300)
-def test_floor_bits_hold_to_scaled_floor_at_every_scale(value, k, m):
-    # one floor at scale k+m, read as steps, against a fresh scaled floor per scale
-    floor, steps = floor_bits(value, k, m)
-    assert floor == scaled_floor(value, k)[0]
-    for j, (bit, exact) in enumerate(steps, k + 1):
-        assert bit in (0, 1)
-        assert (2 * floor + bit, bool(exact)) == scaled_floor(value, j), (value, j)
-        floor = 2 * floor + bit
+def test_ceiling_drops_hold_to_a_fresh_ceiling_at_every_scale(value, k, m):
+    # one floor at scale k+m, read as drops, against a fresh ceiling per scale
+    ceil, drops = ceiling_drops(value, k, m)
+    assert ceil == ceil_scaled(value, k)
+    for j, drop in enumerate(drops, k + 1):
+        assert drop in (0, 1)
+        ceil = 2 * ceil - drop
+        assert ceil == ceil_scaled(value, j), (value, j)
     assert j == k + m
 
 
 def cmp_scaled(value, k: int, target: int) -> int:
-    """Sign of (value * 2**k - target), exactly: the comparison the
-    reference centering emitter (tests/test_spreads.py) is built on."""
-    floor, exact = scaled_floor(value, k)
-    if floor < target:
-        return -1
-    if floor > target:
-        return 1
-    return 0 if exact else 1
+    """Sign of (value * 2**k - target), exactly, from the floors of value and
+    of -value: the comparison the reference centering emitter
+    (tests/test_spreads.py) is built on."""
+    above = -scaled_floor(-value, k) > target  # ceil(value * 2**k) > target
+    return above - (scaled_floor(value, k) < target)
 
 
 @given(st.fractions(min_value=-50, max_value=50), st.integers(0, 12), st.integers(-800, 800))

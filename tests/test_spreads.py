@@ -206,7 +206,7 @@ def centered_term_reference(target, prefix):
     comparisons per stage, each taking its own scaled floor."""
     n = len(prefix) + 1
     if not prefix:
-        f, _ = scaled_floor(target, 1)
+        f = scaled_floor(target, 1)
         return _nearer_reference(target, 1, f - 1, f)
     a = prefix[-1]
     best = 2 * a

@@ -1,4 +1,4 @@
-"""One memoised term stream per point, and the one-pass coincidence refutation."""
+"""One memoised term stream per point, and the coincidence refutation."""
 
 from fractions import Fraction
 from functools import partial
@@ -27,7 +27,6 @@ from brouwer.dyadic import (
     IntervalRelation,
     interval_relate,
     lambda_interval,
-    scaled_floor,
 )
 from brouwer.errors import ResourceLimitError
 from brouwer.fleeing import (
@@ -105,14 +104,6 @@ def walk_pairs(starts):
     )
 
 
-# the same kind of pairs on the universal spread, some terms knocked off
-# course, so neither side's intervals nest
-jolts = st.lists(st.sampled_from((0,) * 6 + (-2, -1, 1, 2)), min_size=HORIZON, max_size=HORIZON)
-rough_pairs = st.tuples(walk_pairs(st.integers(0, 3)), jolts, jolts).map(
-    lambda w: tuple([max(0, x + j) for x, j in zip(terms, js)] for terms, js in zip(w[0], w[1:]))
-)
-
-
 @given(walk_pairs(st.integers(-3, 3)), st.integers(0, HORIZON))
 @settings(max_examples=300)
 def test_coincide_matches_pairwise_scan_on_walks(pair, h):
@@ -121,22 +112,9 @@ def test_coincide_matches_pairwise_scan_on_walks(pair, h):
     assert coincide_refute(b, a, h) == pairwise_coincide_refute(b, a, h)
 
 
-@given(rough_pairs, st.integers(0, HORIZON))
-@settings(max_examples=300)
-def test_coincide_matches_pairwise_scan_without_nesting(pair, h):
-    a, b = (sequence_point(universal_spread(), terms) for terms in pair)
-    assert coincide_refute(a, b, h) == pairwise_coincide_refute(a, b, h)
-    assert coincide_refute(b, a, h) == pairwise_coincide_refute(b, a, h)
-
-
-def test_coincide_sees_an_early_stage_against_a_late_one():
-    # the stage-1 intervals touch and the stage-2 ones overlap, but a's
-    # [0, 1] at stage 1 misses b's [5/4, 7/4] at stage 2
-    a = sequence_point(universal_spread(), [0, 4])
-    b = sequence_point(universal_spread(), [2, 5])
-    assert interval_relate(a.interval(2), b.interval(2)) is IntervalRelation.OVERLAP
-    assert pairwise_coincide_refute(a, b, 2).witness == 2
-    assert coincide_refute(a, b, 2).witness == 2
+def test_a_point_refuses_any_law_but_the_interval_law():
+    with pytest.raises(ValueError, match="rng law, not 'universal'"):
+        sequence_point(universal_spread(), [0, 4])
 
 
 def counting_point(rule, calls: list[int]) -> Point:
@@ -277,7 +255,7 @@ STAGES = 512
 TRACES = (never_trace(), proved_at(5), refuted_at(3))
 
 
-# a family with no floor_steps: its targets take a scaled floor per stage
+# a family with no ceiling_drops: its targets take a scaled floor per stage
 THIRDS = ConvergentFamily("thirds", Fraction(0), lambda v: Fraction(1, 3 * v))
 
 
@@ -345,22 +323,20 @@ def test_every_centred_point_matches_one_scaled_floor_per_stage(name, point, tar
         assert fresh.prefix(n) == want[:n]
 
 
-# --- a moving target steps from its last floor ---
+# --- a moving target drops from its last ceiling ---
 
 FAMILIES = {"vienna": vienna_family().member, "geometric": geometric_family().member}
 
 
 @given(st.sampled_from(sorted(FAMILIES)), st.integers(1, 512), st.integers(1, 64))
 @settings(max_examples=200, deadline=None)
-def test_a_family_steps_its_members_floors_at_their_own_stages(name, start, steps):
-    # F_n = floor(member(n) * 2^(n+1)); the step into stage n is F_n - 2F_(n-1)
+def test_a_family_drops_its_members_ceilings_at_their_own_stages(name, start, steps):
+    # C_n = ceil(member(n) * 2^(n+1)); the drop into stage n is 2C_(n-1) - C_n
     member = FAMILIES[name]
-    state = member.floor_steps(start)
+    state = member.ceiling_drops(start)
     for n in range(start, min(start + steps, STAGES + 1)):
-        floor, exact = scaled_floor(member(n), n + 1)
-        step, stepped_exact = next(state)
-        assert step == floor - 2 * scaled_floor(member(n - 1), n)[0], (name, n)
-        assert bool(stepped_exact) == exact, (name, n)
+        ceil = references.ceil_scaled(member(n), n + 1)
+        assert next(state) == 2 * references.ceil_scaled(member(n - 1), n) - ceil, (name, n)
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))
@@ -371,7 +347,7 @@ def test_a_stepped_family_is_asked_for_a_member_once_per_stream(name):
         asked.append(n)
         return member(n)
 
-    before.floor_steps = member.floor_steps
+    before.ceiling_drops = member.ceiling_drops
     want = references.centred_prefix(member, STAGES)
     assert tuple(islice(switch_terms(before, None, never, ()), STAGES)) == want
     assert tuple(islice(switch_terms(before, None, never, want[:100]), STAGES - 100)) == want[100:]
