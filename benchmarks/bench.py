@@ -44,7 +44,8 @@ The sections:
   class tables list, checked against every model's root class (from
   tests/references.py), and the distinct formula masks per model: the size
   of the mask algebra the sweep closes on each model, against the formula
-  count. Seconds are the median of three runs.
+  count. Then ``validity_sweep`` of one schema at the bounds of perfbench's
+  logic-proofs sweeps, with its counts. Times are the median of three runs.
 - cold: the median of seven fresh processes for a bare interpreter, for
   ``import argparse, json, fractions`` (what the CLI needs before any
   brouwer module) and for each README command with --json, run in a
@@ -85,6 +86,9 @@ REPEATS = 3
 HORIZONS = (1_000, 4_000, 16_000)
 VERDICT_HORIZONS = (32, 512, 16_000)
 BOUNDS = ((3, 2, 2), (5, 2, 2), (4, 3, 2), (6, 2, 2), (5, 3, 1), (6, 2, 1), (7, 2, 1))
+# single-schema sweeps at the bounds of perfbench's logic-proofs jobs
+SCHEMA_SWEEPS = (("ic1", 6, 2, 1), ("ic2", 6, 2, 1), ("ic1", 5, 2, 1), ("ic1", 4, 3, 1),
+                 ("ic1", 4, 2, 2))
 
 MODEL = json.dumps({"nodes": [{"id": "root", "atoms": []},
                               {"id": "later", "parent": "root", "atoms": ["q"]}]})
@@ -213,12 +217,15 @@ def verdicts(horizons=VERDICT_HORIZONS) -> dict:
 
 def _classes_and_masks(bounds) -> tuple:
     """The root classes, as the sweep's class tables list them, and each
-    model's distinct mask count. The classes are checked against the root
-    class of every model."""
+    model's distinct mask count from the sweep's own closure. The classes
+    are checked against the root class of every model."""
     from brouwer import logic
 
     ref = references()
-    starts = logic._level_starts(bounds)
+    if hasattr(logic, "_mask_set"):
+        closure = functools.partial(logic._mask_set, depth=bounds.max_operand_depth)
+    else:  # a checkout from before the set closure ranks every mask
+        closure = functools.partial(logic._mask_closure, starts=logic._level_starts(bounds))
     types: dict = {}
     memo: dict = {}
     listed, keyed = set(), set()
@@ -232,13 +239,13 @@ def _classes_and_masks(bounds) -> tuple:
         implies = functools.cache(masks.implies_mask)
         for v in valuations:
             keyed.add(ref._root_class(masks.m.children, v, types))
-            counts.append(len(logic._mask_closure(v, starts, implies)))
+            counts.append(len(closure(v, implies=implies)))
     assert listed == keyed, f"listed classes differ from keyed ones at {bounds}"
     return len(listed), counts
 
 
-def sweep(bounds=BOUNDS) -> dict:
-    from brouwer.logic import SweepBounds, _level_starts, principle_suite
+def sweep(bounds=BOUNDS, schemas=SCHEMA_SWEEPS) -> dict:
+    from brouwer.logic import SweepBounds, _level_starts, principle_suite, validity_sweep
 
     def suite(b):
         # the answer in values that compare equal across runs (a countermodel's tree does not)
@@ -259,7 +266,18 @@ def sweep(bounds=BOUNDS) -> dict:
             "models_per_s": models / seconds, "masks_mean": sum(counts) / len(counts),
             "masks_max": max(counts),
         })
-    return {"rows": rows}
+
+    def alone(name, b):
+        r = validity_sweep(name, b)
+        return r.models_checked, r.instances_checked, r.valid_up_to_bounds
+
+    single = []
+    for name, nodes, atoms, depth in schemas:
+        b = SweepBounds(max_nodes=nodes, max_atoms=atoms, max_operand_depth=depth)
+        (models, instances, valid), seconds = timed_median(alone, name, b)
+        single.append({"schema": name, "bounds": f"({nodes},{atoms},{depth})", "models": models,
+                       "instances": instances, "valid": valid, "ms": seconds * 1e3})
+    return {"rows": rows, "schemas": single}
 
 
 def cold(checkouts, repeats=7) -> list:

@@ -50,9 +50,7 @@ from typing import NamedTuple, Optional, Union
 
 from .logic import (
     And,
-    Atom,
     BOT,
-    Box,
     Countermodel,
     Formula,
     FormulaSyntaxError,
@@ -60,10 +58,9 @@ from .logic import (
     Not,
     Or,
     SCHEMAS,
-    SomeStage,
     SweepBounds,
+    _Parser,
     atoms_of,
-    parse,
     show,
     validity_sweep,
 )
@@ -132,6 +129,8 @@ CheckResult = Union[Verified, Rejected]
 
 
 def _split_biconditional(text: str) -> Optional[tuple[str, str]]:
+    if "<->" not in text:
+        return None
     depth = 0
     for i in range(len(text) - 2):
         c = text[i]
@@ -145,6 +144,7 @@ def _split_biconditional(text: str) -> Optional[tuple[str, str]]:
 
 
 def _script_formula(text: str, lawlike: frozenset[str], line_no: int) -> Formula:
+    """The formula of a script line, its atoms lawlike exactly when declared so."""
     if "!" in text:
         raise ScriptSyntaxError(
             "mark lawlike assertions with 'assert <id> lawlike', not '!'", line_no
@@ -155,25 +155,11 @@ def _script_formula(text: str, lawlike: frozenset[str], line_no: int) -> Formula
             left, right = halves
             if _split_biconditional(left) or _split_biconditional(right):
                 raise ScriptSyntaxError("chained <-> needs parentheses", line_no)
-            l, r = parse(left), parse(right)
-            f: Formula = And(Implies(l, r), Implies(r, l))
-        else:
-            f = parse(text)
+            l, r = _Parser(left, lawlike).parse(), _Parser(right, lawlike).parse()
+            return And(Implies(l, r), Implies(r, l))
+        return _Parser(text, lawlike).parse()
     except FormulaSyntaxError as e:
         raise ScriptSyntaxError(f"bad formula {text.strip()!r}: {e}", line_no) from None
-    return _normalize(f, lawlike)
-
-
-def _normalize(f: Formula, lawlike: frozenset[str]) -> Formula:
-    if isinstance(f, Atom):
-        return Atom(f.name, f.name in lawlike)
-    if isinstance(f, (And, Or, Implies)):
-        return type(f)(_normalize(f.left, lawlike), _normalize(f.right, lawlike))
-    if isinstance(f, Box):
-        return Box(f.n, _normalize(f.operand, lawlike))
-    if isinstance(f, SomeStage):
-        return SomeStage(_normalize(f.operand, lawlike))
-    return f
 
 
 _RULE_ALIASES = {

@@ -33,7 +33,8 @@ import itertools
 import json
 import math
 import re
-from typing import Callable, NamedTuple, Optional, Union
+from operator import and_, or_
+from typing import Callable, Iterator, NamedTuple, Optional, Union
 
 from ._record import Record, _set
 from .errors import ResourceLimitError
@@ -273,10 +274,12 @@ MAX_NESTING = 100
 
 
 class _Parser:
-    """Recursive descent; each rule returns (formula, nesting levels)."""
+    """Recursive descent; each rule returns (formula, nesting levels). An
+    atom is lawlike when marked '!' or named in lawlike."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, lawlike: frozenset[str] = frozenset()):
         self.text = text
+        self.lawlike = lawlike
         self.toks = _tokenize(text)
         self.pos = 0
         self.open = 0  # levels open around the current token
@@ -358,14 +361,15 @@ class _Parser:
         if kind == "|":
             # prefix tested-now sugar: |a
             self.eat()
-            tok = self.eat("name")
-            name, lawlike = tok[1]
-            return tested_now(Atom(name, lawlike)), 1
+            return tested_now(self.atom(self.eat("name")[1])), 1
         if kind == "name":
             self.eat()
-            name, lawlike = value
-            return self._postfix(Atom(name, lawlike)), 1
+            return self._postfix(self.atom(value)), 1
         raise FormulaSyntaxError(f"expected a formula, found {kind!r}", pos)
+
+    def atom(self, value: tuple[str, bool]) -> Atom:
+        name, marked = value
+        return Atom(name, marked or name in self.lawlike)
 
     def _postfix(self, f: Formula) -> Formula:
         # postfix tested-later sugar: a| reads as sugar only when no
@@ -566,6 +570,16 @@ def forces(m: StageTree, w: int, f: Formula) -> bool:
 # --- bitmask engine (used by the sweeps) ---
 
 
+def _spread(table: list[int], bits: int) -> int:
+    """The union of table[u] over the nodes u in bits."""
+    acc = 0
+    while bits:
+        low = bits & -bits
+        acc |= table[low.bit_length() - 1]
+        bits ^= low
+    return acc
+
+
 class _Masks:
     def __init__(self, m: StageTree, max_box: int):
         self.m = m
@@ -575,43 +589,26 @@ class _Masks:
         for w in range(n):
             for c in m.children[w]:
                 self.childmask[w] |= 1 << c
-        self.descmask = [0] * n
+        self.ancmask = [0] * n
         for w in range(n):
             for u in m.descendants_or_self(w):
-                self.descmask[w] |= 1 << u
-        depth = m.depth
-        self.n_some = depth + 1
-        k_max = max(max_box, self.n_some)
-        succ = [self.childmask[w] or (1 << w) for w in range(n)]
-        self.stepmask = [[1 << w for w in range(n)]]
-        for _ in range(k_max):
-            prev = self.stepmask[-1]
-            cur = []
-            for w in range(n):
-                acc = 0
-                bits = prev[w]
-                while bits:
-                    low = bits & -bits
-                    acc |= succ[low.bit_length() - 1]
-                    bits ^= low
-                cur.append(acc)
-            self.stepmask.append(cur)
+                self.ancmask[u] |= 1 << w
+        self.n_some = m.depth + 1
+        # premask[k][u]: the nodes k successor steps back from u, a leaf
+        # being its own successor
+        pred = [(0 if p is None else 1 << p) | (0 if self.childmask[u] else 1 << u)
+                for u, p in enumerate(m.parents)]
+        self.premask = [[1 << u for u in range(n)]]
+        for _ in range(max(max_box, self.n_some)):
+            self.premask.append([_spread(self.premask[-1], bits) for bits in pred])
 
     def implies_mask(self, l: int, r: int) -> int:
-        bad = l & ~r
-        acc = 0
-        for w in range(self.m.size):
-            if not (bad & self.descmask[w]):
-                acc |= 1 << w
-        return acc
+        """All but the ancestors-or-self of the nodes forcing l but not r."""
+        return self.full & ~_spread(self.ancmask, l & ~r)
 
     def box_mask(self, n: int, operand: int) -> int:
-        acc = 0
-        for w in range(self.m.size):
-            s = self.stepmask[n][w]
-            if s & operand == s:
-                acc |= 1 << w
-        return acc
+        """All but the nodes n steps back from a node outside operand."""
+        return self.full & ~_spread(self.premask[n], self.full & ~operand)
 
     def somestage_mask(self, operand: int) -> int:
         acc = 0
@@ -631,27 +628,26 @@ class _Masks:
             bits ^= low
         return True
 
-    def eval(self, f: Formula, memo: dict) -> int:
-        """f's mask; memo maps id(g) to g's mask and must hold f's atoms."""
-        key = id(f)
-        if key in memo:
-            return memo[key]
-        if isinstance(f, Bottom):
-            v = 0
-        elif isinstance(f, And):
-            v = self.eval(f.left, memo) & self.eval(f.right, memo)
-        elif isinstance(f, Or):
-            v = self.eval(f.left, memo) | self.eval(f.right, memo)
-        elif isinstance(f, Implies):
-            v = self.implies_mask(self.eval(f.left, memo), self.eval(f.right, memo))
-        elif isinstance(f, Box):
-            v = self.box_mask(f.n, self.eval(f.operand, memo))
-        elif isinstance(f, SomeStage):
-            v = self.somestage_mask(self.eval(f.operand, memo))
-        else:
-            raise TypeError(f"no mask for {f!r}")
-        memo[key] = v
-        return v
+
+def _mask_function(t: Formula) -> Callable[[_Masks, int], int]:
+    """Template t as a function of an engine and phi's mask: each atom of t
+    is phi, and each connective its operation on masks."""
+    if isinstance(t, Atom):
+        return lambda mm, x: x
+    if isinstance(t, Bottom):
+        return lambda mm, x: 0
+    if isinstance(t, Box):
+        n, f = t.n, _mask_function(t.operand)
+        return lambda mm, x: mm.box_mask(n, f(mm, x))
+    if isinstance(t, SomeStage):
+        f = _mask_function(t.operand)
+        return lambda mm, x: mm.somestage_mask(f(mm, x))
+    l, r = _mask_function(t.left), _mask_function(t.right)
+    if isinstance(t, And):
+        return lambda mm, x: l(mm, x) & r(mm, x)
+    if isinstance(t, Or):
+        return lambda mm, x: l(mm, x) | r(mm, x)
+    return lambda mm, x: mm.implies_mask(l(mm, x), r(mm, x))
 
 
 # --- enumeration ---
@@ -756,51 +752,41 @@ def _level_starts(bounds: SweepBounds) -> list[int]:
     return starts
 
 
-def _mask_closure(atom_masks: tuple[int, ...], starts: list[int], implies) -> dict[int, int]:
-    """Each distinct mask of the formulas in _level_starts' order on one
-    model, mapped to the index of its first formula.
+def _mask_set(atom_masks: tuple[int, ...], depth: int, implies) -> set[int]:
+    """The distinct masks of the formulas up to operand depth on one model:
+    M_0 is the atom masks and _|_'s, and M_d adds a & b, a | b and a -> b
+    for every a, b in M_(d-1). A pair with both operands below level d - 1
+    is a formula of a lower level, so M_d is exactly level d's masks and
+    those below. It stops early once a level adds nothing."""
+    masks = {*atom_masks, 0}
+    for _ in range(depth):
+        pairs = list(itertools.product(masks, repeat=2))
+        grown = {*itertools.starmap(and_, pairs), *itertools.starmap(or_, pairs),
+                 *itertools.starmap(implies, pairs)}
+        if grown <= masks:
+            break
+        masks |= grown
+    return masks
 
-    A mask pair (a, b) stands for every operand pair with those masks. With
-    FA(a) a's first index on any lower level and FT(a) on the level just
-    below, the least pair with an operand on that level is (FA(a), FA(b))
-    if FA(a) is on it, else (FA(a), FT(b)), else (FT(a), FA(b))."""
-    first: dict[int, int] = {}
-    for i, a in enumerate(atom_masks + (0,)):
-        first.setdefault(a, i)
-    top = dict(first)
+
+def _formula_masks(atom_masks: tuple[int, ...], starts: list[int], implies) -> Iterator[int]:
+    """Each formula's mask on one model, in _level_starts' order: each pair
+    of operands is decoded as _formula_at does, rows below the level first."""
+    masks = [*atom_masks, 0]
+    yield from masks
     for lo, size in zip(starts, starts[1:-1]):
-        level: dict[int, int] = {}
-        for a, fa in first.items():
-            for b, fb in first.items():
-                if fa >= lo:
-                    l, r = fa, fb
-                elif b in top:
-                    l, r = fa, top[b]
-                elif a in top:
-                    l, r = top[a], fb
-                else:
-                    continue
-                # rank among the level's pairs: rows below lo pair with top operands only
-                if l < lo:
-                    pair = l * (size - lo) + r - lo
-                else:
-                    pair = lo * (size - lo) + (l - lo) * size + r
-                index = size + 3 * pair
-                for v in (a & b, a | b, implies(a, b)):
-                    if level.get(v, index + 1) > index:
-                        level[v] = index
-                    index += 1
-        top = level
-        for v, index in level.items():
-            first.setdefault(v, index)
-    return first
+        for l in range(size):
+            for r in range(lo if l < lo else 0, size):
+                a, b = masks[l], masks[r]
+                masks += (a & b, a | b, implies(a, b))
+                yield from masks[-3:]
 
 
 def _formula_at(index: int, starts: list[int], atoms: tuple[str, ...]) -> Formula:
-    """The formula at index in _level_starts' order: _mask_closure's rank
-    undone. The level is the last start at or below index; its offset there
-    splits by 3 into the operand pair and the connective, and the pair into
-    its operands' indices, rows below the level first."""
+    """The formula at index in _level_starts' order. The level is the last
+    start at or below index; its offset there splits by 3 into the operand
+    pair and the connective, and the pair into its operands' indices, rows
+    below the level first."""
     level = sum(start <= index for start in starts[1:])
     if level == 0:
         return Atom(atoms[index]) if index < len(atoms) else BOT
@@ -1029,10 +1015,10 @@ def _sweep(
     _refuse_if_huge(bounds, cap)
     starts = _level_starts(bounds)
     atoms = ATOM_POOL[: bounds.max_atoms]
-    # each instance is built once, over a placeholder atom for phi
+    # each instance template is compiled once, to a function of phi's mask
     slot = Atom("phi")
     instances = {
-        name: [(indices, build, build(slot)) for indices, build in SCHEMAS[name].instances(bounds)]
+        name: [(indices, build, _mask_function(build(slot))) for indices, build in SCHEMAS[name].instances(bounds)]
         for name in schema_names
     }
     found: dict[str, Optional[Countermodel]] = {name: None for name in schema_names}
@@ -1040,8 +1026,8 @@ def _sweep(
     instances_checked = {name: 0 for name in schema_names}
     monotone_ok = True
     # root class -> the distinct mask count of the model it was visited on;
-    # every model of the class has the same masks in the same order and the
-    # same verdicts, all of which hold for a schema still unfound
+    # every model of the class has the same masks and the same verdicts, all
+    # of which hold for a schema still unfound
     types: dict = {}
     classes: dict[int, int] = {}
     memo: dict = {}  # _class_table per (code, root label), for codes below max_nodes
@@ -1059,34 +1045,20 @@ def _sweep(
             the shape: (first instance failing on mask, lowest node not forcing it)}."""
             ok, fails = upclosed(mask), {}
             for name in pending:
-                for j, (_, _, template) in enumerate(instances[name]):
-                    inst_mask = mm.eval(template, {id(slot): mask})
+                for j, (_, _, instance) in enumerate(instances[name]):
+                    inst_mask = instance(mm, mask)
                     ok = upclosed(inst_mask) and ok
                     if inst_mask != mm.full:
                         fails[name] = j, (~inst_mask & inst_mask + 1).bit_length() - 1
                         break
             return ok, fails
 
-        def visit(atom_masks: tuple[int, ...], found: dict, checked: dict) -> tuple[int, bool]:
-            """One pass over a model's distinct masks for each schema unfound in
-            found, refutations going into found. Returns (mask count, audit)."""
-            closure = _mask_closure(atom_masks, starts, implies)
-            ok, least = True, {}
-            for mask, index in closure.items():
-                audit, fails = check(mask)
-                ok = ok and audit
-                for name, fail in fails.items():
-                    if found[name] is None:
-                        least[name] = min(least.get(name, (index, fail)), (index, fail))
-            for name in pending:
-                if found[name] is None and name not in least:
-                    checked[name] += len(closure) * len(instances[name])
-            for name, (index, (j, node)) in least.items():
-                checked[name] += sum(i < index for i in closure.values()) * len(instances[name]) + j + 1
-                indices, build, _ = instances[name][j]
-                phi = _formula_at(index, starts, atoms)
-                found[name] = Countermodel(_stage_tree(shape, atoms, atom_masks), node, phi, indices, build(phi))
-            return len(closure), ok
+        def visit(atom_masks: tuple[int, ...]) -> tuple[int, bool, set]:
+            """A model's mask count, its audit and the schemas still unfound
+            that one of its masks refutes."""
+            verdicts = list(map(check, _mask_set(atom_masks, bounds.max_operand_depth, implies)))
+            refuted = {name for _, fails in verdicts for name in fails if found[name] is None}
+            return len(verdicts), all(ok for ok, _ in verdicts), refuted
 
         table: dict = {}
         for label in range(1 << len(atoms)):
@@ -1098,25 +1070,43 @@ def _sweep(
         # pass finds what it refutes; if none does, the shape adds their counts
         for cls, (_, labels) in table.items():
             if cls not in classes:
-                trial = dict(found)
-                masks = tuple(sum(1 << w for w in range(n) if labels >> (w * len(atoms) + a) & 1) for a in range(len(atoms)))
-                classes[cls], ok = visit(masks, trial, dict.fromkeys(schema_names, 0))
+                # node w's bit of atom a is bit w * atoms + a of labels
+                bits = format(labels, f"0{n * len(atoms)}b")[::-1]
+                masks = tuple(int(bits[a :: len(atoms)][::-1], 2) for a in range(len(atoms)))
+                classes[cls], ok, refuted = visit(masks)
                 monotone_ok = monotone_ok and ok
-                if trial != found:
+                if refuted:
                     break
         else:
             models_checked += sum(models for models, _ in table.values())
             per_instance = sum(models * classes[cls] for cls, (models, _) in table.items())
-            for name in schema_names:
-                if found[name] is None:
-                    instances_checked[name] += per_instance * len(instances[name])
+            for name in pending:
+                instances_checked[name] += per_instance * len(instances[name])
             continue
 
         # the countermodel pass: the shape holds a first countermodel, so it
-        # is visited model by model, in listed order, until every schema is refuted
+        # is visited model by model, in listed order, until every schema is
+        # refuted; a refuting model's formula ranks are read in formula order
         for atom_masks in itertools.product(_upclosed_sets(shape), repeat=len(atoms)):
             models_checked += 1
-            monotone_ok = visit(atom_masks, found, instances_checked)[1] and monotone_ok
+            count, ok, refuted = visit(atom_masks)
+            monotone_ok = monotone_ok and ok
+            for name in pending:
+                if found[name] is None and name not in refuted:
+                    instances_checked[name] += count * len(instances[name])
+            seen: set[int] = set()  # on a refuting model, the distinct masks in formula order
+            for index, mask in enumerate(_formula_masks(atom_masks, starts, implies) if refuted else ()):
+                if mask in seen:
+                    continue
+                for name, (j, node) in check(mask)[1].items():
+                    if name in refuted and found[name] is None:
+                        instances_checked[name] += len(seen) * len(instances[name]) + j + 1
+                        indices, build, _ = instances[name][j]
+                        phi = _formula_at(index, starts, atoms)
+                        found[name] = Countermodel(_stage_tree(shape, atoms, atom_masks), node, phi, indices, build(phi))
+                if all(found[name] is not None for name in refuted):
+                    break
+                seen.add(mask)
             if all(found[name] is not None for name in schema_names):
                 break
         if all(found[name] is not None for name in schema_names):
@@ -1147,21 +1137,24 @@ def validity_sweep(schema: str, bounds: SweepBounds) -> SweepResult:
     stage-free formula form an up-set, its mask, and &, | and -> act on
     masks as meet, join and implication of the finite Heyting algebra of
     up-sets, so an instance's verdict depends only on phi's mask. Per model
-    the atom masks and _|_ are closed under the connectives level by level,
-    keeping each mask's first formula (_mask_closure). Per shape each phi
-    mask is checked once, for its and its instances' audits and each
-    schema's first instance failing on it. A visit adds masks x instances
-    to a schema none refutes, else reads the countermodel and the
-    per-formula scan's partial count off the least failing formula index.
+    the atom masks and _|_ are closed under the connectives level by level
+    into a plain set (_mask_set). Per shape each phi mask is checked once,
+    through each instance template compiled to a function of phi's mask
+    (_mask_function), for its and its instances' audits and each schema's
+    first instance failing on it. A visit adds masks x instances to a
+    schema none refutes. Only a visit that refutes a schema still unfound
+    reads formula ranks: a pass over the masks in formula order
+    (_formula_masks) finds the least failing formula index, and the masks
+    before it are the per-formula scan's partial count.
 
     Forcing is invariant under bisimulation of the successor relation with
     leaves looping to themselves, and every node is reachable from the
-    root, so models with bisimilar roots have the same distinct masks in
-    the same order and the same verdicts. So each shape's root classes are
-    listed with their model counts (_class_table), and the closure, the
-    instance checks and the monotonicity audit run once per class new to
-    the sweep, on one model of it; the shape then adds each class's models
-    and masks x instances, and the cost follows classes, not models.
+    root, so models with bisimilar roots have the same distinct masks and
+    the same verdicts. So each shape's root classes are listed with their
+    model counts (_class_table), and the closure, the instance checks and
+    the monotonicity audit run once per class new to the sweep, on one
+    model of it; the shape then adds each class's models and masks x
+    instances, and the cost follows classes, not models.
 
     A shape where such a check refutes a schema still unfound holds that
     schema's first countermodel. The countermodel pass visits its models in

@@ -347,8 +347,9 @@ def _image_point(name: str, a: Point, term, need, closed=None) -> Point:
 
 
 def centered_point(a: Point, n: int) -> Point:
-    """Same tail as a, first n terms rewritten by the centering recursion."""
-    head = center(a.prefix(n), n)
+    """Same tail as a, first n terms rewritten by the centering recursion,
+    which reads term n alone."""
+    head = center((0,) * (n - 1) + (a.term(n),), n)
     name = f"centered({a.generator.name or '?'},{n})"
     closed = lambda k: head[k - 1] if k <= n else a.term(k)
     return _image_point(name, a, lambda p, k: head[k - 1] if k <= n else p[k - 1], _same, closed)

@@ -3,8 +3,12 @@
 
 - the model and formula lists, element by element, that the sweep reaches
   through codes, up-sets and a formula rank;
-- the mask of any formula on a model, its atoms seeded from the valuation
-  (the sweep seeds only phi's mask, so the engine takes no atom itself);
+- the mask of any formula on a model, its atoms seeded from the valuation,
+  by a walk over the formula tree (the sweep compiles its instance
+  templates to functions of phi's mask instead);
+- each model's distinct formula masks with the index of each mask's first
+  formula, ranked pair by pair level by level (the sweep closes a plain set
+  and reads ranks by a pass in formula order, on a refuting visit only);
 - each model's root class, computed node by node, which must equal the
   class ids the sweep's class tables intern;
 - pi from a streaming spigot, exact digit by digit with no guard digits;
@@ -50,6 +54,7 @@ from brouwer.logic import (
     SCHEMAS,
     And,
     Atom,
+    Bottom,
     Box,
     Formula,
     Implies,
@@ -124,10 +129,33 @@ def enumerate_box_free(bounds: SweepBounds) -> list[Formula]:
 # --- formula masks with atoms ---
 
 
+def eval_mask(mm: _Masks, f: Formula, memo: dict) -> int:
+    """f's mask; memo maps id(g) to g's mask and must hold f's atoms."""
+    key = id(f)
+    if key in memo:
+        return memo[key]
+    if isinstance(f, Bottom):
+        v = 0
+    elif isinstance(f, And):
+        v = eval_mask(mm, f.left, memo) & eval_mask(mm, f.right, memo)
+    elif isinstance(f, Or):
+        v = eval_mask(mm, f.left, memo) | eval_mask(mm, f.right, memo)
+    elif isinstance(f, Implies):
+        v = mm.implies_mask(eval_mask(mm, f.left, memo), eval_mask(mm, f.right, memo))
+    elif isinstance(f, Box):
+        v = mm.box_mask(f.n, eval_mask(mm, f.operand, memo))
+    elif isinstance(f, SomeStage):
+        v = mm.somestage_mask(eval_mask(mm, f.operand, memo))
+    else:
+        raise TypeError(f"no mask for {f!r}")
+    memo[key] = v
+    return v
+
+
 def masks_eval(mm: _Masks, f: Formula, memo: dict) -> int:
-    """mm.eval(f, memo) for a formula with atoms: each atom of f not yet in
-    memo goes in first, by id, with the mask of the nodes whose valuation
-    holds it."""
+    """eval_mask(mm, f, memo) for a formula with atoms: each atom of f not
+    yet in memo goes in first, by id, with the mask of the nodes whose
+    valuation holds it."""
     stack = [f]
     while stack:
         g = stack.pop()
@@ -139,7 +167,47 @@ def masks_eval(mm: _Masks, f: Formula, memo: dict) -> int:
             stack += (g.left, g.right)
         elif isinstance(g, (Box, SomeStage)):
             stack.append(g.operand)
-    return mm.eval(f, memo)
+    return eval_mask(mm, f, memo)
+
+
+def mask_closure(atom_masks: tuple[int, ...], starts: list[int], implies) -> dict[int, int]:
+    """Each distinct mask of the formulas in _level_starts' order on one
+    model, mapped to the index of its first formula.
+
+    A mask pair (a, b) stands for every operand pair with those masks. With
+    FA(a) a's first index on any lower level and FT(a) on the level just
+    below, the least pair with an operand on that level is (FA(a), FA(b))
+    if FA(a) is on it, else (FA(a), FT(b)), else (FT(a), FA(b))."""
+    first: dict[int, int] = {}
+    for i, a in enumerate(atom_masks + (0,)):
+        first.setdefault(a, i)
+    top = dict(first)
+    for lo, size in zip(starts, starts[1:-1]):
+        level: dict[int, int] = {}
+        for a, fa in first.items():
+            for b, fb in first.items():
+                if fa >= lo:
+                    l, r = fa, fb
+                elif b in top:
+                    l, r = fa, top[b]
+                elif a in top:
+                    l, r = top[a], fb
+                else:
+                    continue
+                # rank among the level's pairs: rows below lo pair with top operands only
+                if l < lo:
+                    pair = l * (size - lo) + r - lo
+                else:
+                    pair = lo * (size - lo) + (l - lo) * size + r
+                index = size + 3 * pair
+                for v in (a & b, a | b, implies(a, b)):
+                    if level.get(v, index + 1) > index:
+                        level[v] = index
+                    index += 1
+        top = level
+        for v, index in level.items():
+            first.setdefault(v, index)
+    return first
 
 
 # --- root classes, model by model ---

@@ -38,10 +38,12 @@ from brouwer.logic import (
     SweepResult,
     _codes,
     _level_starts,
-    _mask_closure,
     _Masks,
     _class_table,
     _formula_at,
+    _formula_masks,
+    _mask_function,
+    _mask_set,
     _preorder,
     _refuse_if_huge,
     _stage_tree,
@@ -67,6 +69,8 @@ from references import (
     enumerate_box_free,
     enumerate_models,
     enumerate_shapes,
+    eval_mask,
+    mask_closure,
     masks_eval,
 )
 
@@ -490,13 +494,16 @@ def test_masks_match_forces_random(data):
         assert bool(mask >> w & 1) == forces(m, w, f)
 
 
-def test_mask_engine_takes_atoms_only_from_the_memo():
+def test_mask_walk_takes_atoms_only_from_the_memo():
     masks = _Masks(StageTree((None, 0), (frozenset(), frozenset({"p"}))), 2)
     for f in (P, SomeStage(P), Implies(Q, BOT)):
         with pytest.raises(TypeError, match="no mask for Atom"):
-            masks.eval(f, {})
-    assert masks.eval(SomeStage(P), {id(P): 0b10}) == 0b11
+            eval_mask(masks, f, {})
+    assert eval_mask(masks, SomeStage(P), {id(P): 0b10}) == 0b11
     assert masks_eval(masks, SomeStage(P), {}) == 0b11
+    # a compiled template reads every atom as phi, from phi's mask alone
+    assert _mask_function(SomeStage(P))(masks, 0b10) == 0b11
+    assert _mask_function(Implies(Q, BOT))(masks, 0) == 0b11
 
 
 # --- enumeration counts ---
@@ -783,7 +790,8 @@ def _reference_sweep(
     schema_names: list[str], bounds: SweepBounds, cap: int
 ) -> tuple[dict[str, SweepResult], bool]:
     """The per-formula sweep the mask algebra replaced, kept verbatim as the
-    oracle but for taking its instances from the pinned builders."""
+    oracle but for taking its instances from the pinned builders and its
+    masks from the reference walk."""
     _refuse_if_huge(bounds, cap)
     formulas = enumerate_box_free(bounds)
     instances = {
@@ -801,7 +809,7 @@ def _reference_sweep(
         memo = {id(atom): masks_eval(mm, atom, {}) for atom in atoms}
         seen_masks: set[int] = set()
         for phi in formulas:
-            mask = mm.eval(phi, memo)
+            mask = eval_mask(mm, phi, memo)
             if monotone_ok and not mm.upclosed(mask):
                 monotone_ok = False
             if mask in seen_masks:
@@ -841,8 +849,9 @@ def _reference_sweep(
 def _per_model_sweep(
     schema_names: list[str], bounds: SweepBounds, cap: int
 ) -> tuple[dict[str, SweepResult], bool]:
-    """The mask sweep as it was before root classes: the closure, the
-    instance checks and the monotonicity audit on every model."""
+    """The mask sweep as it was before root classes: the ranked closure,
+    the instance checks (by the reference walk) and the monotonicity audit
+    on every model."""
     _refuse_if_huge(bounds, cap)
     formulas = functools.cache(lambda: enumerate_box_free(bounds))  # for countermodels only
     starts = _level_starts(bounds)
@@ -864,7 +873,7 @@ def _per_model_sweep(
         verdicts: dict[tuple[str, int, int], int] = {}
         for atom_masks in valuations:
             models_checked += 1
-            closure = _mask_closure(atom_masks, starts, implies)
+            closure = mask_closure(atom_masks, starts, implies)
             for index, mask in sorted((i, m) for m, i in closure.items()):
                 if monotone_ok and not mm.upclosed(mask):
                     monotone_ok = False
@@ -874,7 +883,7 @@ def _per_model_sweep(
                     for j, (indices, build, template) in enumerate(instances[name]):
                         inst_mask = verdicts.get((name, j, mask))
                         if inst_mask is None:
-                            inst_mask = verdicts[name, j, mask] = mm.eval(template, {id(slot): mask})
+                            inst_mask = verdicts[name, j, mask] = eval_mask(mm, template, {id(slot): mask})
                             if monotone_ok and not mm.upclosed(inst_mask):
                                 monotone_ok = False
                         instances_checked[name] += 1
@@ -1011,29 +1020,36 @@ def test_a_sweep_leaves_no_reference_cycle():
 )
 def test_a_sweep_audits_and_evaluates_each_mask_once_per_shape(monkeypatch, run):
     # the answers are pinned against the oracles above; this pins the work.
-    # Audits count by (shape, mask); evaluations of an instance template by
-    # (shape, template, phi mask), not the nested calls on its subformulas.
+    # Audits count by (shape, mask); evaluations of a compiled instance
+    # template by (shape, template, phi mask), not the nested calls that
+    # compute its parts.
     audits: Counter = Counter()
     evals: Counter = Counter()
-    upclosed, evaluate = _Masks.upclosed, _Masks.eval
+    upclosed, compile_template = _Masks.upclosed, _mask_function
     depth = [0]
 
     def counted_upclosed(self, mask):
         audits[self.m.parents, mask] += 1
         return upclosed(self, mask)
 
-    def counted_eval(self, f, memo):
-        if not depth[0]:
-            (phi_mask,) = memo.values()  # the sweep seeds phi's mask alone
-            evals[self.m.parents, id(f), phi_mask] += 1
-        depth[0] += 1
-        try:
-            return evaluate(self, f, memo)
-        finally:
-            depth[0] -= 1
+    def counted_compile(t):
+        # the compiler recurses through the module's name, so every part of
+        # a template is wrapped too; only the outermost call counts
+        fn = compile_template(t)
+
+        def counted(mm, phi_mask):
+            if not depth[0]:
+                evals[mm.m.parents, id(t), phi_mask] += 1
+            depth[0] += 1
+            try:
+                return fn(mm, phi_mask)
+            finally:
+                depth[0] -= 1
+
+        return counted
 
     monkeypatch.setattr(_Masks, "upclosed", counted_upclosed)
-    monkeypatch.setattr(_Masks, "eval", counted_eval)
+    monkeypatch.setattr("brouwer.logic._mask_function", counted_compile)
     run()
     assert audits and evals
     assert max(audits.values()) == 1
@@ -1116,16 +1132,16 @@ def test_class_table_counts_the_models_of_each_root_class(nodes, atoms):
 )
 def test_every_mask_is_upclosed_on_every_model(bounds):
     # the sweep audits once per root class; this audits every model
-    starts = _level_starts(bounds)
     slot = Atom("phi")
     templates = [build(slot) for s in SCHEMAS.values() for _, build in s.instances(bounds)]
+    compiled = [_mask_function(t) for t in templates]
     for shape, valuations in _valued_shapes(bounds):
         mm = _Masks(StageTree(shape, (frozenset(),) * len(shape)), bounds.max_box_index)
         for atom_masks in valuations:
-            for mask in _mask_closure(atom_masks, starts, mm.implies_mask):
+            for mask in _mask_set(atom_masks, bounds.max_operand_depth, mm.implies_mask):
                 assert mm.upclosed(mask), (shape, atom_masks, mask)
-                for t in templates:
-                    assert mm.upclosed(mm.eval(t, {id(slot): mask})), (shape, atom_masks, show(t))
+                for t, fn in zip(templates, compiled):
+                    assert mm.upclosed(fn(mm, mask)), (shape, atom_masks, show(t))
 
 
 # --- root classes ---
@@ -1251,7 +1267,8 @@ def test_mask_sweep_matches_reference_random(names, nodes, atoms, box, depth):
 )
 def test_mask_closure_matches_a_formula_scan(bounds):
     # the sweep's verdicts only see the order of the first indices, so the
-    # indices themselves are checked here, formula by formula
+    # indices themselves are checked here, formula by formula: the ranked
+    # oracle's, the set closure's masks and the formula-order pass's
     formulas = enumerate_box_free(bounds)
     starts = _level_starts(bounds)
     for shape, valuations in _valued_shapes(bounds):
@@ -1262,7 +1279,74 @@ def test_mask_closure_matches_a_formula_scan(bounds):
             first: dict[int, int] = {}
             for i, f in enumerate(formulas):
                 first.setdefault(masks_eval(masks, f, memo), i)
-            assert _mask_closure(atom_masks, starts, implies) == first, (shape, atom_masks)
+            assert mask_closure(atom_masks, starts, implies) == first, (shape, atom_masks)
+            assert _mask_set(atom_masks, bounds.max_operand_depth, implies) == set(first)
+            passed: dict[int, int] = {}
+            for i, mask in enumerate(_formula_masks(atom_masks, starts, implies)):
+                passed.setdefault(mask, i)
+            assert passed == first, (shape, atom_masks)
+            assert i == len(formulas) - 1
+
+
+@pytest.mark.parametrize(
+    "bounds",
+    [SweepBounds(4, 2, 3, 2), SweepBounds(5, 2, 3, 1), SweepBounds(2, 3, 3, 2), SweepBounds(4, 3, 3, 1)],
+    ids=["4-2-2", "5-2-1", "2-3-2", "4-3-1"],
+)
+def test_a_refuting_visit_reads_the_ranked_oracles_index_and_partial_count(bounds):
+    # whichever of a model's masks fails first, the sweep's ranks (the pass
+    # in formula order, each mask at its first index) are the oracle's: its
+    # least index, and the count of masks before it
+    starts = _level_starts(bounds)
+    for shape, valuations in _valued_shapes(bounds):
+        implies = functools.cache(_Masks(StageTree(shape, (frozenset(),) * len(shape)), 1).implies_mask)
+        for atom_masks in valuations:
+            oracle = mask_closure(atom_masks, starts, implies)
+            got: dict[int, tuple[int, int]] = {}
+            for index, mask in enumerate(_formula_masks(atom_masks, starts, implies)):
+                got.setdefault(mask, (index, len(got)))
+            want = {mask: (index, sum(i < index for i in oracle.values())) for mask, index in oracle.items()}
+            assert got == want, (shape, atom_masks)
+
+
+@st.composite
+def _shapes_and_valuations(draw):
+    """A shape of up to 5 nodes, each child after its parent, and up to 3
+    atom up-sets on it."""
+    n = draw(st.integers(1, 5))
+    shape = (None, *(draw(st.integers(0, w - 1)) for w in range(1, n)))
+    atoms = draw(st.integers(1, 3))
+    ups = _upclosed_sets(shape)
+    return shape, tuple(draw(st.sampled_from(ups)) for _ in range(atoms))
+
+
+@given(_shapes_and_valuations(), st.integers(0, 2))
+@settings(max_examples=60, deadline=None)
+def test_mask_set_is_the_set_of_every_formulas_mask(drawn, depth):
+    shape, atom_masks = drawn
+    bounds = SweepBounds(max_nodes=len(shape), max_atoms=len(atom_masks), max_operand_depth=depth)
+    model = _stage_tree(shape, ATOM_POOL[: len(atom_masks)], atom_masks)
+    mm = _Masks(model, 1)
+    memo: dict = {}
+    want = {masks_eval(mm, f, memo) for f in enumerate_box_free(bounds)}
+    assert _mask_set(atom_masks, depth, mm.implies_mask) == want
+
+
+@given(st.data())
+@settings(max_examples=40, deadline=None)
+def test_compiled_instances_match_forces(data):
+    # the production route from phi's mask to an instance's verdicts, against
+    # the reference semantics node by node
+    bounds = SweepBounds(max_nodes=4, max_atoms=2, max_box_index=3, max_operand_depth=1)
+    model = data.draw(st.sampled_from(list(enumerate_models(bounds))))
+    phi = data.draw(st.sampled_from(enumerate_box_free(bounds)))
+    schema = data.draw(st.sampled_from(sorted(SCHEMAS)))
+    mm = _Masks(model, bounds.max_box_index)
+    phi_mask = masks_eval(mm, phi, {})
+    for _, build in SCHEMAS[schema].instances(bounds):
+        mask = _mask_function(build(Atom("phi")))(mm, phi_mask)
+        instance = build(phi)
+        assert [mask >> w & 1 for w in range(model.size)] == [forces(model, w, instance) for w in range(model.size)]
 
 
 @pytest.mark.parametrize(
@@ -1298,7 +1382,8 @@ def test_formula_count_without_building_the_formulas(monkeypatch):
         raise AssertionError("a formula or a closure was built before the cap check")
 
     monkeypatch.setattr("brouwer.logic._formula_at", never)
-    monkeypatch.setattr("brouwer.logic._mask_closure", never)
+    monkeypatch.setattr("brouwer.logic._mask_set", never)
+    monkeypatch.setattr("brouwer.logic._formula_masks", never)
     with pytest.raises(ResourceLimitError) as ei:
         validity_sweep("ic1", SweepBounds(max_operand_depth=3))
     assert ei.value.requested == 1254 * 21_918_630
@@ -1348,9 +1433,12 @@ def test_a_depth_three_sweep_builds_no_formula_list():
 
 
 def test_sweep_bounds_script_runs():
-    record = bench_writer.bench.sweep(((3, 2, 2),))
+    record = bench_writer.bench.sweep(((3, 2, 2),), (("ic1", 3, 2, 2),))
     (row,) = record["rows"]
     assert list(row) == ["bounds", "formulas", "models", "classes", "seconds", "models_per_s",
                          "masks_mean", "masks_max"]
     assert [row[k] for k in list(row)[:4]] == ["(3,2,2)", 2703, 54, 24]
+    (single,) = record["schemas"]
+    assert list(single) == ["schema", "bounds", "models", "instances", "valid", "ms"]
+    assert [single[k] for k in list(single)[:5]] == ["ic1", "(3,2,2)", 54, 540, True]
     assert bench_writer.survives_json(record)

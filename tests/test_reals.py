@@ -184,6 +184,30 @@ def test_centered_point_coincides(w, n):
     assert c.prefix(20)[n:] == a.prefix(20)[n:]
 
 
+@given(walks, st.integers(-3, 9), st.integers(1, 30), st.booleans())
+@settings(max_examples=60)
+def test_a_centred_head_is_the_recentred_prefix(w, num, n, closed):
+    # the head is read off term n alone; the recursion over the whole prefix
+    # is the reference
+    base = (lambda: value_point(Fraction(num, 7))) if closed else (lambda: walk_point(*w))
+    assert centered_point(base(), n).prefix(n) == center(base().prefix(n), n)
+
+
+@pytest.mark.parametrize("name", ["value(1/3)", "zero", "berlin_s(proved at 5)"])
+def test_a_centred_image_over_a_closed_form_leaves_its_base_unread(name):
+    build = {"value(1/3)": lambda: value_point(Fraction(1, 3)), "zero": zero_point,
+             "berlin_s(proved at 5)": lambda: berlin_s(proved_at(5))}[name]
+    base = build()
+    assert base._closed is not None
+    image = centered_point(base, 40)
+    assert base._terms == []
+    assert [image.term(k) for k in range(1, 41)] == list(center(build().prefix(40), 40))
+    assert base._terms == []
+    for n in (0, -2):
+        with pytest.raises(ValueError):
+            centered_point(base, n)
+
+
 def test_cpf_moduli():
     a = value_point(Fraction(1, 3))
     for m in (1, 3, 6):
@@ -306,11 +330,13 @@ def test_points_compare_without_their_stream():
 
 @pytest.mark.parametrize("name", [*sorted(MAPS), "centred"])
 def test_mapped_point_reads_only_the_base_it_needs(name):
-    # a centred point recentres 16 terms: its base holds max(16, h)
+    # a centred point recentres 16 terms off the base's closed term 16, so
+    # its base holds only what the image reads
     calls = []
     base = value_point(Fraction(1, 3))
     if name == "centred":
-        image, need = centered_point(base, 16), lambda h: max(16, h)
+        image, need = centered_point(base, 16), lambda h: h
+        assert base._terms == []
     else:
         f = MAPS[name]()
 
@@ -324,7 +350,7 @@ def test_mapped_point_reads_only_the_base_it_needs(name):
         image.prefix(h)
         most = max(most, h)
         assert len(base._terms) == need(most)
-        assert need(most) == {"delay": 2 * most, "centred": max(16, most)}.get(name, most)
+        assert need(most) == {"delay": 2 * most}.get(name, most)
     assert calls == ([] if name == "centred" else list(range(1, 301)))
 
 
