@@ -619,14 +619,8 @@ class _Masks:
         return acc
 
     def upclosed(self, mask: int) -> bool:
-        bits = mask
-        while bits:
-            low = bits & -bits
-            w = low.bit_length() - 1
-            if self.childmask[w] & ~mask:
-                return False
-            bits ^= low
-        return True
+        """Whether every child of a node in mask is in mask."""
+        return not _spread(self.childmask, mask) & ~mask
 
 
 def _mask_function(t: Formula) -> Callable[[_Masks, int], int]:

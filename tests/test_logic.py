@@ -1144,6 +1144,15 @@ def test_every_mask_is_upclosed_on_every_model(bounds):
                     assert mm.upclosed(fn(mm, mask)), (shape, atom_masks, show(t))
 
 
+def test_the_audit_accepts_exactly_the_up_sets():
+    # the sweep's audit never fails on a sound engine, so its False branch
+    # is pinned here: of every node set, the up-sets and no others pass
+    for shape in enumerate_shapes(5):
+        mm = _Masks(StageTree(shape, (frozenset(),) * len(shape)), 1)
+        passed = [mask for mask in range(1 << len(shape)) if mm.upclosed(mask)]
+        assert passed == _upclosed_sets(shape), shape
+
+
 # --- root classes ---
 
 
