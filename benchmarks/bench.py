@@ -9,7 +9,7 @@ file. Each section runs per checkout in fresh child processes whose
 working directory is that checkout and whose PYTHONPATH is its src/, with
 BW_DIGIT_LIMIT unset. The checkouts take turns so that both sides share
 the machine's drift: pi size by size, streams and verdicts horizon by
-horizon, cold command by command (the side that goes first flips each
+horizon, schemas row by row, cold command by command (the side that goes first flips each
 time), the other sections section by section.
 The sections:
 
@@ -44,8 +44,10 @@ The sections:
   class tables list, checked against every model's root class (from
   tests/references.py), and the distinct formula masks per model: the size
   of the mask algebra the sweep closes on each model, against the formula
-  count. Then ``validity_sweep`` of one schema at the bounds of perfbench's
-  logic-proofs sweeps, with its counts. Times are the median of three runs.
+  count. Seconds are the median of three runs.
+- schemas: ``validity_sweep`` of one schema at the bounds of perfbench's
+  logic-proofs sweeps, with its counts, the median of three runs; the
+  checkouts take turns row by row.
 - cold: the median of seven fresh processes for a bare interpreter, for
   ``import argparse, json, fractions`` (what the CLI needs before any
   brouwer module) and for each README command with --json, run in a
@@ -79,7 +81,7 @@ import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SECTIONS = ("pi", "streams", "verdicts", "sweep", "cold", "tier1", "perfbench")
+SECTIONS = ("pi", "streams", "verdicts", "sweep", "schemas", "cold", "tier1", "perfbench")
 
 PI_DIGITS = (1_000, 10_000, 50_000, 100_000, 200_000, 1_000_000)
 REPEATS = 3
@@ -244,8 +246,8 @@ def _classes_and_masks(bounds) -> tuple:
     return len(listed), counts
 
 
-def sweep(bounds=BOUNDS, schemas=SCHEMA_SWEEPS) -> dict:
-    from brouwer.logic import SweepBounds, _level_starts, principle_suite, validity_sweep
+def sweep(bounds=BOUNDS) -> dict:
+    from brouwer.logic import SweepBounds, _level_starts, principle_suite
 
     def suite(b):
         # the answer in values that compare equal across runs (a countermodel's tree does not)
@@ -266,18 +268,23 @@ def sweep(bounds=BOUNDS, schemas=SCHEMA_SWEEPS) -> dict:
             "models_per_s": models / seconds, "masks_mean": sum(counts) / len(counts),
             "masks_max": max(counts),
         })
+    return {"rows": rows}
+
+
+def schemas(sweeps=SCHEMA_SWEEPS) -> dict:
+    from brouwer.logic import SweepBounds, validity_sweep
 
     def alone(name, b):
         r = validity_sweep(name, b)
         return r.models_checked, r.instances_checked, r.valid_up_to_bounds
 
-    single = []
-    for name, nodes, atoms, depth in schemas:
+    rows = []
+    for name, nodes, atoms, depth in sweeps:
         b = SweepBounds(max_nodes=nodes, max_atoms=atoms, max_operand_depth=depth)
         (models, instances, valid), seconds = timed_median(alone, name, b)
-        single.append({"schema": name, "bounds": f"({nodes},{atoms},{depth})", "models": models,
-                       "instances": instances, "valid": valid, "ms": seconds * 1e3})
-    return {"rows": rows, "schemas": single}
+        rows.append({"schema": name, "bounds": f"({nodes},{atoms},{depth})", "models": models,
+                     "instances": instances, "valid": valid, "ms": seconds * 1e3})
+    return {"rows": rows}
 
 
 def cold(checkouts, repeats=7) -> list:
@@ -380,7 +387,8 @@ def run_section(section: str, checkouts: list) -> list:
     """The section's record for each checkout."""
     if section == "cold":
         return cold(checkouts)
-    sizes = {"pi": PI_DIGITS, "streams": HORIZONS, "verdicts": VERDICT_HORIZONS}.get(section)
+    sizes = {"pi": PI_DIGITS, "streams": HORIZONS, "verdicts": VERDICT_HORIZONS,
+             "schemas": SCHEMA_SWEEPS}.get(section)
     if sizes is None:
         return [run_child(checkout, section) for checkout in checkouts]
     # one child per size and checkout; each checkout's rows are joined in size order

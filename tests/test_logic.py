@@ -1442,12 +1442,18 @@ def test_a_depth_three_sweep_builds_no_formula_list():
 
 
 def test_sweep_bounds_script_runs():
-    record = bench_writer.bench.sweep(((3, 2, 2),), (("ic1", 3, 2, 2),))
+    record = bench_writer.bench.sweep(((3, 2, 2),))
     (row,) = record["rows"]
     assert list(row) == ["bounds", "formulas", "models", "classes", "seconds", "models_per_s",
                          "masks_mean", "masks_max"]
     assert [row[k] for k in list(row)[:4]] == ["(3,2,2)", 2703, 54, 24]
-    (single,) = record["schemas"]
-    assert list(single) == ["schema", "bounds", "models", "instances", "valid", "ms"]
-    assert [single[k] for k in list(single)[:5]] == ["ic1", "(3,2,2)", 54, 540, True]
+    assert bench_writer.survives_json(record)
+
+
+def test_schema_sweeps_script_runs():
+    record = bench_writer.bench.schemas((("ic1", 3, 2, 2), ("cs5", 2, 2, 1)))
+    assert [list(row) for row in record["rows"]] == [
+        ["schema", "bounds", "models", "instances", "valid", "ms"]] * 2
+    assert [[row[k] for k in list(row)[:5]] for row in record["rows"]] == [
+        ["ic1", "(3,2,2)", 54, 540, True], ["cs5", "(2,2,1)", 6, 12, False]]
     assert bench_writer.survives_json(record)
