@@ -46,8 +46,9 @@ The sections:
   of the mask algebra the sweep closes on each model, against the formula
   count. Seconds are the median of three runs.
 - schemas: ``validity_sweep`` of one schema at the bounds of perfbench's
-  logic-proofs sweeps, with its counts, the median of three runs; the
-  checkouts take turns row by row.
+  logic-proofs sweeps, with its counts: the median over five rounds of
+  fresh children, each the median of three runs; the checkouts take turns
+  row by row.
 - cold: the median of seven fresh processes for a bare interpreter, for
   ``import argparse, json, fractions`` (what the CLI needs before any
   brouwer module) and for each README command with --json, run in a
@@ -383,12 +384,29 @@ def run_child(checkout: str, section: str, *args) -> dict:
     return json.loads(done.stdout)
 
 
+def schema_rounds(checkouts: list, rounds=5) -> list:
+    """One record per checkout: each single-schema sweep's median over
+    rounds of fresh children, the checkouts taking turns row by row."""
+    runs = [in_turn(checkouts, i, run_child, "schemas", (row,))
+            for i, row in enumerate(SCHEMA_SWEEPS * rounds)]
+    records = []
+    for k in range(len(checkouts)):
+        rows = []
+        for j in range(len(SCHEMA_SWEEPS)):
+            mine = [run[k]["rows"][0] for run in runs[j :: len(SCHEMA_SWEEPS)]]
+            assert all({**r, "ms": 0} == {**mine[0], "ms": 0} for r in mine), "a sweep changed its counts"
+            rows.append({**mine[0], "ms": statistics.median(r["ms"] for r in mine)})
+        records.append({"rounds": rounds, "rows": rows})
+    return records
+
+
 def run_section(section: str, checkouts: list) -> list:
     """The section's record for each checkout."""
     if section == "cold":
         return cold(checkouts)
-    sizes = {"pi": PI_DIGITS, "streams": HORIZONS, "verdicts": VERDICT_HORIZONS,
-             "schemas": SCHEMA_SWEEPS}.get(section)
+    if section == "schemas":
+        return schema_rounds(checkouts)
+    sizes = {"pi": PI_DIGITS, "streams": HORIZONS, "verdicts": VERDICT_HORIZONS}.get(section)
     if sizes is None:
         return [run_child(checkout, section) for checkout in checkouts]
     # one child per size and checkout; each checkout's rows are joined in size order
