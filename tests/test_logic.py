@@ -126,33 +126,35 @@ def test_pipe_sugar():
 
 
 @pytest.mark.parametrize(
-    "text",
+    "text,message,pos",
     [
-        "",
-        "p &",
-        "& p",
-        "(p",
-        "p)",
-        "p q",
-        "[0]p",  # stage indices start at 1
-        "[]p",
-        "[2p",
-        "<*>",
-        "~",
-        "p -> -> q",
-        "[1][2]p",  # no stacked stage operators
-        "<*>[1]p",
-        "[1]<*>p",
-        "P",  # names are lowercase
-        "p ! q",
-        "[n]p",  # index variables live only in the schema templates
-        "[n+m]p",
+        ("", "expected a formula, found 'end'", 0),
+        ("p &", "expected a formula, found 'end'", 3),
+        ("& p", "expected a formula, found '&'", 0),
+        ("(p", "expected ')', found 'end'", 2),
+        ("p)", "trailing input ')'", 1),
+        ("p q", "trailing input 'name'", 2),
+        ("[0]p", "stage index must be >= 1", 0),  # stage indices start at 1
+        ("[]p", "malformed stage index", 0),
+        ("[2p", "malformed stage index", 0),
+        ("<*>", "expected a formula, found 'end'", 3),
+        ("~", "expected a formula, found 'end'", 1),
+        ("p -> -> q", "expected a formula, found '->'", 5),
+        # no stacked stage operators
+        ("[1][2]p", "[1] operand contains a stage operator: [2]p", 0),
+        ("<*>[1]p", "<*> operand contains a stage operator: [1]p", 0),
+        ("[1]<*>p", "[1] operand contains a stage operator: <*>p", 0),
+        ("P", "unexpected character 'P'", 0),  # names are lowercase
+        ("p ! q", "unexpected character '!'", 2),
+        # index variables live only in the schema templates
+        ("[n]p", "malformed stage index", 0),
+        ("[n+m]p", "malformed stage index", 0),
     ],
 )
-def test_syntax_errors(text):
+def test_syntax_errors(text, message, pos):
     with pytest.raises(FormulaSyntaxError) as ei:
         parse(text)
-    assert ei.value.pos >= 0
+    assert str(ei.value) == f"{message} (at offset {pos})" and ei.value.pos == pos
 
 
 def _nested(shape: str, levels: int) -> str:
