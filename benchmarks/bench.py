@@ -9,7 +9,7 @@ file. Each section runs per checkout in fresh child processes whose
 working directory is that checkout and whose PYTHONPATH is its src/, with
 BW_DIGIT_LIMIT unset. The checkouts take turns so that both sides share
 the machine's drift: pi size by size, streams and verdicts horizon by
-horizon, schemas row by row, cold command by command (the side that goes first flips each
+horizon, schemas and parse row by row, cold command by command (the side that goes first flips each
 time), the other sections section by section.
 The sections:
 
@@ -49,6 +49,14 @@ The sections:
   logic-proofs sweeps, with its counts: the median over five rounds of
   fresh children, each the median of three runs; the checkouts take turns
   row by row.
+- parse: ``derivation.parse_script`` on each bundled script, and
+  ``logic.parse`` on a fixed list of 200 formula texts (seeded random trees
+  of operand depth 1 to 4, every operand parenthesised, as perfbench's
+  logic-proofs writes them), in microseconds per script (over 100 reads)
+  or per formula:
+  the median over five rounds of fresh children, each the median of three
+  runs of a loop; the checkouts take turns row by row. Each child first
+  checks its readings against the reference parser of tests/references.py.
 - cold: the median of seven fresh processes for a bare interpreter, for
   ``import argparse, json, fractions`` (what the CLI needs before any
   brouwer module) and for each README command with --json, run in a
@@ -66,12 +74,14 @@ A failing cross-check or Tier-1 run stops it before it writes anything.
 """
 
 import argparse
+import collections
 import functools
 import glob
 import importlib.util
 import json
 import os
 import platform
+import random
 import re
 import shlex
 import site
@@ -82,7 +92,8 @@ import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SECTIONS = ("pi", "streams", "verdicts", "sweep", "schemas", "cold", "tier1", "perfbench")
+SECTIONS = ("pi", "streams", "verdicts", "sweep", "schemas", "parse", "cold", "tier1",
+            "perfbench")
 
 PI_DIGITS = (1_000, 10_000, 50_000, 100_000, 200_000, 1_000_000)
 REPEATS = 3
@@ -92,6 +103,9 @@ BOUNDS = ((3, 2, 2), (5, 2, 2), (4, 3, 2), (6, 2, 2), (5, 3, 1), (6, 2, 1), (7, 
 # single-schema sweeps at the bounds of perfbench's logic-proofs jobs
 SCHEMA_SWEEPS = (("ic1", 6, 2, 1), ("ic2", 6, 2, 1), ("ic1", 5, 2, 1), ("ic1", 4, 3, 1),
                  ("ic1", 4, 2, 2))
+PARSE_ROWS = ("vienna-dense", "drift-direct", "conditional-ks", "cambridge-reduced",
+              "200 formulas")
+PARSE_LOOPS = 100
 
 MODEL = json.dumps({"nodes": [{"id": "root", "atoms": []},
                               {"id": "later", "parent": "root", "atoms": ["q"]}]})
@@ -288,6 +302,48 @@ def schemas(sweeps=SCHEMA_SWEEPS) -> dict:
     return {"rows": rows}
 
 
+def formula_texts(count=200, seed=35) -> list:
+    """count formula texts fixed by seed: random trees of operand depth 1 to
+    4, with [n] and <*> over stage-free operands, every operand in parentheses."""
+    rng = random.Random(seed)
+
+    def text(depth, staged):
+        if depth == 0 or rng.random() < 0.2:
+            return "_|_" if rng.random() < 0.08 else rng.choice(("p", "q", "r", "alpha", "e_hits"))
+        r = rng.random()
+        if staged and r < 0.3:
+            op = f"[{rng.randint(1, 3)}]" if rng.random() < 0.5 else "<*>"
+            return f"{op}({text(depth - 1, False)})"
+        if r < 0.42:
+            return f"~({text(depth - 1, staged)})"
+        op = rng.choice(("&", "|", "->"))
+        return f"({text(depth - 1, staged)}) {op} ({text(depth - 1, staged)})"
+
+    return [text(1 + i % 4, True) for i in range(count)]
+
+
+def parse(rows=PARSE_ROWS) -> dict:
+    from brouwer import derivation, logic
+
+    refs = references()
+    texts = formula_texts()
+    out = []
+    for row in rows:
+        if row in derivation.BUNDLED_SCRIPTS:
+            text = derivation.BUNDLED_SCRIPTS[row]
+            script = derivation.parse_script(text)
+            assert script == refs.reference_parse_script(text), f"{row} reads unlike the reference"
+            formulas = len(script.premises) + len(script.defaxioms) + len(script.steps)
+            read, batch = derivation.parse_script, [text] * PARSE_LOOPS
+        else:
+            assert list(map(logic.parse, texts)) == list(map(refs.reference_parse, texts)), \
+                "formulas read unlike the reference"
+            read, formulas, batch = logic.parse, len(texts), texts
+        _, seconds = timed_median(lambda: collections.deque(map(read, batch), maxlen=0))
+        out.append({"text": row, "formulas": formulas, "us": seconds * 1e6 / len(batch)})
+    return {"rows": out}
+
+
 def cold(checkouts, repeats=7) -> list:
     """One record per checkout; each command runs on every checkout in turn."""
     commands = {"python -c pass": ["-c", "pass"],
@@ -384,19 +440,20 @@ def run_child(checkout: str, section: str, *args) -> dict:
     return json.loads(done.stdout)
 
 
-def schema_rounds(checkouts: list, rounds=5) -> list:
-    """One record per checkout: each single-schema sweep's median over
+def row_rounds(checkouts: list, section: str, rows: tuple, key: str, rounds=5) -> list:
+    """One record per checkout: each row's median time (under key) over
     rounds of fresh children, the checkouts taking turns row by row."""
-    runs = [in_turn(checkouts, i, run_child, "schemas", (row,))
-            for i, row in enumerate(SCHEMA_SWEEPS * rounds)]
+    runs = [in_turn(checkouts, i, run_child, section, (row,))
+            for i, row in enumerate(rows * rounds)]
     records = []
     for k in range(len(checkouts)):
-        rows = []
-        for j in range(len(SCHEMA_SWEEPS)):
-            mine = [run[k]["rows"][0] for run in runs[j :: len(SCHEMA_SWEEPS)]]
-            assert all({**r, "ms": 0} == {**mine[0], "ms": 0} for r in mine), "a sweep changed its counts"
-            rows.append({**mine[0], "ms": statistics.median(r["ms"] for r in mine)})
-        records.append({"rounds": rounds, "rows": rows})
+        medians = []
+        for j in range(len(rows)):
+            mine = [run[k]["rows"][0] for run in runs[j :: len(rows)]]
+            assert all({**r, key: 0} == {**mine[0], key: 0} for r in mine), \
+                f"{section} changed its counts"
+            medians.append({**mine[0], key: statistics.median(r[key] for r in mine)})
+        records.append({"rounds": rounds, "rows": medians})
     return records
 
 
@@ -405,7 +462,9 @@ def run_section(section: str, checkouts: list) -> list:
     if section == "cold":
         return cold(checkouts)
     if section == "schemas":
-        return schema_rounds(checkouts)
+        return row_rounds(checkouts, section, SCHEMA_SWEEPS, "ms")
+    if section == "parse":
+        return row_rounds(checkouts, section, PARSE_ROWS, "us")
     sizes = {"pi": PI_DIGITS, "streams": HORIZONS, "verdicts": VERDICT_HORIZONS}.get(section)
     if sizes is None:
         return [run_child(checkout, section) for checkout in checkouts]

@@ -46,6 +46,7 @@ status comes from the assert declarations alone.
 
 from __future__ import annotations
 
+import re
 from typing import NamedTuple, Optional, Union
 
 from .logic import (
@@ -60,6 +61,7 @@ from .logic import (
     SCHEMAS,
     SweepBounds,
     _Parser,
+    _TOKEN,
     atoms_of,
     show,
     validity_sweep,
@@ -128,19 +130,19 @@ CheckResult = Union[Verified, Rejected]
 # --- script parsing ---
 
 
-def _split_biconditional(text: str) -> Optional[tuple[str, str]]:
-    if "<->" not in text:
-        return None
-    depth = 0
-    for i in range(len(text) - 2):
-        c = text[i]
-        if c == "(":
+def _biconditionals(text: str) -> list[int]:
+    """The offset of each '<->' outside parentheses, read off the formula
+    tokens: a '<' token glued to a '->' one."""
+    depth, found = 0, []
+    for m in _TOKEN.finditer(text):
+        tok = m[1]
+        if tok == "(":
             depth += 1
-        elif c == ")":
+        elif tok == ")":
             depth -= 1
-        elif text[i : i + 3] == "<->" and depth == 0:
-            return text[:i], text[i + 3 :]
-    return None
+        elif tok == "<" and not depth and text.startswith("->", m.end()):
+            found.append(m.start(1))
+    return found
 
 
 def _script_formula(text: str, lawlike: frozenset[str], line_no: int) -> Formula:
@@ -149,13 +151,12 @@ def _script_formula(text: str, lawlike: frozenset[str], line_no: int) -> Formula
         raise ScriptSyntaxError(
             "mark lawlike assertions with 'assert <id> lawlike', not '!'", line_no
         )
-    halves = _split_biconditional(text)
     try:
-        if halves is not None:
-            left, right = halves
-            if _split_biconditional(left) or _split_biconditional(right):
+        if "<->" in text and (splits := _biconditionals(text)):
+            if len(splits) > 1:
                 raise ScriptSyntaxError("chained <-> needs parentheses", line_no)
-            l, r = _Parser(left, lawlike).parse(), _Parser(right, lawlike).parse()
+            i = splits[0]
+            l, r = _Parser(text[:i], lawlike).parse(), _Parser(text[i + 3 :], lawlike).parse()
             return And(Implies(l, r), Implies(r, l))
         return _Parser(text, lawlike).parse()
     except FormulaSyntaxError as e:
@@ -185,16 +186,21 @@ _ARITY = {"Premise": 0, "DefAxiom": 0, "Assume": 0, "Discharge": 1, "MP": 2, "An
           "AndElim": 1, "OrIntro": 1, "ContraPos": 1, "DNE": 1}
 
 
+# a rule name, then optionally its references: from the first '(' to a
+# closing ')' that ends the text
+_RULE = re.compile(r"([^(]*)(?:\((.*)\))?", re.S)
+
+
 def _parse_rule(text: str, line_no: int) -> tuple[str, tuple[int, ...]]:
     text = text.strip()
-    name, refs = text, ()
-    if "(" in text:
-        if not text.endswith(")"):
-            raise ScriptSyntaxError(f"malformed rule {text!r}", line_no)
-        name, inner = text[: text.index("(")], text[text.index("(") + 1 : -1]
-        parts = [p.strip() for p in inner.split(",")] if inner.strip() else []
+    m = _RULE.fullmatch(text)
+    if m is None:
+        raise ScriptSyntaxError(f"malformed rule {text!r}", line_no)
+    name, inner = m.groups()
+    refs: tuple[int, ...] = ()
+    if inner and not inner.isspace():
         try:
-            refs = tuple(int(p) for p in parts)
+            refs = tuple(map(int, map(str.strip, inner.split(","))))
         except ValueError:
             raise ScriptSyntaxError(
                 f"rule references must be step numbers: {text!r}", line_no

@@ -213,55 +213,20 @@ class FormulaSyntaxError(ValueError):
         super().__init__(f"{message} (at offset {pos})")
 
 
-_NAME_START = "abcdefghijklmnopqrstuvwxyz"
-_NAME_CHARS = _NAME_START + "0123456789_"
+# One findall of this pattern reads a formula: each match is a token
+# after its whitespace, a name (with its '!'), _|_, ->, <*>, a stage index
+# of ASCII digits, or any other single character. The parser consumes no
+# single character that is not a connective or a name, so text with one
+# always fails to parse, and the failure names that character instead.
+_TOKEN = re.compile(r"\s*([a-z][a-z0-9_]*!?|_\|_|->|<\*>|\[[0-9]+\]|\S)")
+_KINDS = {"": "end", "_|_": "bottom"}
 
 
-def _tokenize(text: str) -> list[tuple[str, object, int]]:
-    toks: list[tuple[str, object, int]] = []
-    i, n = 0, len(text)
-    while i < n:
-        c = text[i]
-        if c.isspace():
-            i += 1
-            continue
-        if c in _NAME_START:
-            j = i
-            while j < n and text[j] in _NAME_CHARS:
-                j += 1
-            name = text[i:j]
-            lawlike = j < n and text[j] == "!"
-            toks.append(("name", (name, lawlike), i))
-            i = j + (1 if lawlike else 0)
-            continue
-        if text.startswith("_|_", i):
-            toks.append(("bottom", None, i))
-            i += 3
-            continue
-        if text.startswith("->", i):
-            toks.append(("->", None, i))
-            i += 2
-            continue
-        if text.startswith("<*>", i):
-            toks.append(("<*>", None, i))
-            i += 3
-            continue
-        if c == "[":
-            j = i + 1
-            while j < n and text[j].isdigit():
-                j += 1
-            if j == i + 1 or j >= n or text[j] != "]":
-                raise FormulaSyntaxError("malformed stage index", i)
-            toks.append(("box", int(text[i + 1 : j]), i))
-            i = j + 1
-            continue
-        if c in "~&|()":
-            toks.append((c, None, i))
-            i += 1
-            continue
-        raise FormulaSyntaxError(f"unexpected character {c!r}", i)
-    toks.append(("end", None, n))
-    return toks
+def _kind(tok: str) -> str:
+    """tok's kind as the error messages name it; "" is the end."""
+    if "a" <= tok[:1] <= "z":
+        return "name"
+    return "box" if tok[:1] == "[" else _KINDS.get(tok, tok)
 
 
 _UNARY_STARTERS = {"name", "bottom", "~", "box", "<*>", "(", "|"}
@@ -271,115 +236,129 @@ _UNARY_STARTERS = {"name", "bottom", "~", "box", "<*>", "(", "|"}
 # connective, a prefix operator, a parenthesised group or an atom (with
 # its |a or a| sugar).
 MAX_NESTING = 100
+_TOO_DEEP = f"formula nested deeper than {MAX_NESTING} levels"
 
 
 class _Parser:
-    """Recursive descent; each rule returns (formula, nesting levels). An
-    atom is lawlike when marked '!' or named in lawlike."""
+    """Recursive descent over the token list, which ends in two "" end
+    tokens so that lookahead is a plain index. Each rule takes d, the levels
+    open around it, and returns (formula, nesting levels); a level is
+    refused on the way down (before the recursion can overflow) once the
+    levels open and a formula inside them pass the bound. An atom is
+    lawlike when marked '!' or named in lawlike."""
 
     def __init__(self, text: str, lawlike: frozenset[str] = frozenset()):
         self.text = text
         self.lawlike = lawlike
-        self.toks = _tokenize(text)
+        self.toks = _TOKEN.findall(text)
+        self.toks += ("", "")
         self.pos = 0
-        self.open = 0  # levels open around the current token
 
-    def peek(self, ahead: int = 0):
-        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
-
-    def eat(self, kind: Optional[str] = None):
-        tok = self.toks[self.pos]
-        if kind is not None and tok[0] != kind:
-            raise FormulaSyntaxError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
-        self.pos += 1
-        return tok
-
-    def nest(self, levels: int, pos: int) -> int:
-        if levels > MAX_NESTING:
-            raise FormulaSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", pos)
-        return levels
-
-    def inner(self, rule: Callable[[], tuple[Formula, int]], pos: int) -> tuple[Formula, int]:
-        """rule's result one level further in, refused on the way down
-        (before the recursion can overflow) once the levels open and a
-        formula inside them pass the bound."""
-        self.open += 1
-        self.nest(self.open + 1, pos)
-        f, levels = rule()
-        self.open -= 1
-        return f, self.nest(levels + 1, pos)
+    def error(self, message: str, i: int) -> FormulaSyntaxError:
+        """message at token i, or, since the text is read before the
+        grammar, the error of its first unreadable character."""
+        for j, tok in enumerate(self.toks):
+            if len(tok) == 1 and not ("a" <= tok <= "z" or tok in "~&|()"):
+                message = "malformed stage index" if tok == "[" else f"unexpected character {tok!r}"
+                i = j
+                break
+        starts = [m.start(1) for m in _TOKEN.finditer(self.text)]
+        return FormulaSyntaxError(message, starts[i] if i < len(starts) else len(self.text))
 
     def parse(self) -> Formula:
-        f, _ = self.imp()
-        tok = self.peek()
-        if tok[0] != "end":
-            raise FormulaSyntaxError(f"trailing input {tok[0]!r}", tok[2])
+        f, _ = self.imp(0)
+        if self.toks[self.pos]:
+            raise self.error(f"trailing input {_kind(self.toks[self.pos])!r}", self.pos)
         return f
 
-    def imp(self) -> tuple[Formula, int]:
-        left, levels = self.disj()
-        if self.peek()[0] == "->":
-            pos = self.eat()[2]
-            right, deeper = self.inner(self.imp, pos)
-            return Implies(left, right), self.nest(max(levels + 1, deeper), pos)
-        return left, levels
+    def imp(self, d: int) -> tuple[Formula, int]:
+        left, levels = self.disj(d)
+        i = self.pos
+        if self.toks[i] != "->":
+            return left, levels
+        if d + 2 > MAX_NESTING:
+            raise self.error(_TOO_DEEP, i)
+        self.pos = i + 1
+        right, deeper = self.imp(d + 1)
+        levels = max(levels, deeper) + 1
+        if levels > MAX_NESTING:
+            raise self.error(_TOO_DEEP, i)
+        return Implies(left, right), levels
 
-    def disj(self) -> tuple[Formula, int]:
-        f, levels = self.conj()
-        while self.peek()[0] == "|" and self.peek(1)[0] in _UNARY_STARTERS:
-            pos = self.eat()[2]
-            g, deeper = self.conj()
-            f, levels = Or(f, g), self.nest(max(levels, deeper) + 1, pos)
+    def disj(self, d: int) -> tuple[Formula, int]:
+        f, levels = self.conj(d)
+        toks = self.toks
+        while toks[self.pos] == "|" and _kind(toks[self.pos + 1]) in _UNARY_STARTERS:
+            i = self.pos
+            self.pos = i + 1
+            g, deeper = self.conj(d)
+            f, levels = Or(f, g), max(levels, deeper) + 1
+            if levels > MAX_NESTING:
+                raise self.error(_TOO_DEEP, i)
         return f, levels
 
-    def conj(self) -> tuple[Formula, int]:
-        f, levels = self.unary()
-        while self.peek()[0] == "&":
-            pos = self.eat()[2]
-            g, deeper = self.unary()
-            f, levels = And(f, g), self.nest(max(levels, deeper) + 1, pos)
+    def conj(self, d: int) -> tuple[Formula, int]:
+        f, levels = self.unary(d)
+        toks = self.toks
+        while toks[self.pos] == "&":
+            i = self.pos
+            self.pos = i + 1
+            g, deeper = self.unary(d)
+            f, levels = And(f, g), max(levels, deeper) + 1
+            if levels > MAX_NESTING:
+                raise self.error(_TOO_DEEP, i)
         return f, levels
 
-    def unary(self) -> tuple[Formula, int]:
-        kind, value, pos = self.peek()
-        if kind in ("~", "box", "<*>"):
-            self.eat()
-            f, levels = self.inner(self.unary, pos)
-            try:
-                f = Not(f) if kind == "~" else Box(value, f) if kind == "box" else SomeStage(f)
-                return f, levels
-            except ValueError as e:
-                raise FormulaSyntaxError(str(e), pos) from None
-        if kind == "(":
-            self.eat()
-            f, levels = self.inner(self.imp, pos)
-            self.eat(")")
-            return self._postfix(f), levels
-        if kind == "bottom":
-            self.eat()
+    def unary(self, d: int) -> tuple[Formula, int]:
+        i = self.pos
+        tok = self.toks[i]
+        self.pos = i + 1
+        if "a" <= tok[:1] <= "z":
+            return self._postfix(self.atom(tok)), 1
+        if tok == "_|_":
             return BOT, 1
-        if kind == "|":
+        if tok == "|":
             # prefix tested-now sugar: |a
-            self.eat()
-            return tested_now(self.atom(self.eat("name")[1])), 1
-        if kind == "name":
-            self.eat()
-            return self._postfix(self.atom(value)), 1
-        raise FormulaSyntaxError(f"expected a formula, found {kind!r}", pos)
+            name = self.toks[i + 1]
+            if not "a" <= name[:1] <= "z":
+                raise self.error(f"expected 'name', found {_kind(name)!r}", i + 1)
+            self.pos = i + 2
+            return tested_now(self.atom(name)), 1
+        opens = tok == "("
+        if not (opens or tok == "~" or tok == "<*>" or tok[:1] == "[" and len(tok) > 1):
+            raise self.error(f"expected a formula, found {_kind(tok)!r}", i)
+        if d + 2 > MAX_NESTING:
+            raise self.error(_TOO_DEEP, i)
+        f, levels = self.imp(d + 1) if opens else self.unary(d + 1)
+        levels += 1
+        if levels > MAX_NESTING:
+            raise self.error(_TOO_DEEP, i)
+        if opens:
+            if self.toks[self.pos] != ")":
+                raise self.error(f"expected ')', found {_kind(self.toks[self.pos])!r}", self.pos)
+            self.pos += 1
+            return self._postfix(f), levels
+        try:
+            f = Not(f) if tok == "~" else SomeStage(f) if tok == "<*>" else Box(int(tok[1:-1]), f)
+        except ValueError as e:
+            raise self.error(str(e), i) from None
+        return f, levels
 
-    def atom(self, value: tuple[str, bool]) -> Atom:
-        name, marked = value
-        return Atom(name, marked or name in self.lawlike)
+    def atom(self, name: str) -> Atom:
+        if name[-1] == "!":
+            return Atom(name[:-1], True)
+        return Atom(name, name in self.lawlike)
 
     def _postfix(self, f: Formula) -> Formula:
         # postfix tested-later sugar: a| reads as sugar only when no
         # operand can follow the pipe (otherwise it is the Or connective)
+        toks = self.toks
         if (
-            isinstance(f, Atom)
-            and self.peek()[0] == "|"
-            and self.peek(1)[0] not in _UNARY_STARTERS
+            toks[self.pos] == "|"
+            and isinstance(f, Atom)
+            and _kind(toks[self.pos + 1]) not in _UNARY_STARTERS
         ):
-            self.eat()
+            self.pos += 1
             return tested_later(f)
         return f
 

@@ -17,6 +17,11 @@
   ``reals.lt_rational``; ``apart_at`` as two ``lt_at`` scans, one per
   direction, and ``scan_apart_at`` as one; ``virtual_order_check`` reading
   the table pair by pair inside its loops;
+- the formula tokenizer and parser as they stood before one ``findall``
+  read a formula: a character loop with a clamped ``peek``, the open levels
+  kept on the parser; and the script's formula and rule readers, which
+  split a top-level ``<->`` by a character scan (stage indices here are
+  any ``str.isdigit`` characters, where the program takes ASCII digits);
 - ``check_script`` as it stood before blocks became step-number intervals:
   every step keeps its block path, and Discharge closes a block by comparing
   paths;
@@ -36,13 +41,17 @@ from itertools import compress, count, islice, repeat
 from math import ceil, isqrt
 from operator import lshift, lt, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from unittest import mock
 
+from brouwer import derivation
 from brouwer.derivation import (
     _ARITY,
     _INSTANCE_RULES,
+    _RULE_ALIASES,
     CheckResult,
     Rejected,
     Script,
+    ScriptSyntaxError,
     Verified,
     parse_script,
 )
@@ -51,12 +60,14 @@ from brouwer.dyadic import Dyadic
 from brouwer.logic import (
     ATOM_POOL,
     BOT,
+    MAX_NESTING,
     SCHEMAS,
     And,
     Atom,
     Bottom,
     Box,
     Formula,
+    FormulaSyntaxError,
     Implies,
     Not,
     Or,
@@ -70,6 +81,8 @@ from brouwer.logic import (
     _upclosed_sets,
     atoms_of,
     show,
+    tested_later,
+    tested_now,
 )
 from brouwer.reals import (
     OrderReport,
@@ -640,3 +653,236 @@ def check_script(source: Union[str, Script]) -> CheckResult:
         warnings=tuple(warnings),
         step_count=len(script.steps),
     )
+
+
+# --- the formula and script readers as they stood before one findall ---
+
+
+_NAME_START = "abcdefghijklmnopqrstuvwxyz"
+_NAME_CHARS = _NAME_START + "0123456789_"
+
+
+def _tokenize(text: str) -> list[tuple[str, object, int]]:
+    toks: list[tuple[str, object, int]] = []
+    i, n = 0, len(text)
+    while i < n:
+        c = text[i]
+        if c.isspace():
+            i += 1
+            continue
+        if c in _NAME_START:
+            j = i
+            while j < n and text[j] in _NAME_CHARS:
+                j += 1
+            name = text[i:j]
+            lawlike = j < n and text[j] == "!"
+            toks.append(("name", (name, lawlike), i))
+            i = j + (1 if lawlike else 0)
+            continue
+        if text.startswith("_|_", i):
+            toks.append(("bottom", None, i))
+            i += 3
+            continue
+        if text.startswith("->", i):
+            toks.append(("->", None, i))
+            i += 2
+            continue
+        if text.startswith("<*>", i):
+            toks.append(("<*>", None, i))
+            i += 3
+            continue
+        if c == "[":
+            j = i + 1
+            while j < n and text[j].isdigit():
+                j += 1
+            if j == i + 1 or j >= n or text[j] != "]":
+                raise FormulaSyntaxError("malformed stage index", i)
+            toks.append(("box", int(text[i + 1 : j]), i))
+            i = j + 1
+            continue
+        if c in "~&|()":
+            toks.append((c, None, i))
+            i += 1
+            continue
+        raise FormulaSyntaxError(f"unexpected character {c!r}", i)
+    toks.append(("end", None, n))
+    return toks
+
+
+_UNARY_STARTERS = {"name", "bottom", "~", "box", "<*>", "(", "|"}
+
+
+class _Parser:
+    """Recursive descent; each rule returns (formula, nesting levels). An
+    atom is lawlike when marked '!' or named in lawlike."""
+
+    def __init__(self, text: str, lawlike: frozenset[str] = frozenset()):
+        self.text = text
+        self.lawlike = lawlike
+        self.toks = _tokenize(text)
+        self.pos = 0
+        self.open = 0  # levels open around the current token
+
+    def peek(self, ahead: int = 0):
+        return self.toks[min(self.pos + ahead, len(self.toks) - 1)]
+
+    def eat(self, kind: Optional[str] = None):
+        tok = self.toks[self.pos]
+        if kind is not None and tok[0] != kind:
+            raise FormulaSyntaxError(f"expected {kind!r}, found {tok[0]!r}", tok[2])
+        self.pos += 1
+        return tok
+
+    def nest(self, levels: int, pos: int) -> int:
+        if levels > MAX_NESTING:
+            raise FormulaSyntaxError(f"formula nested deeper than {MAX_NESTING} levels", pos)
+        return levels
+
+    def inner(self, rule: Callable[[], tuple[Formula, int]], pos: int) -> tuple[Formula, int]:
+        """rule's result one level further in, refused on the way down
+        (before the recursion can overflow) once the levels open and a
+        formula inside them pass the bound."""
+        self.open += 1
+        self.nest(self.open + 1, pos)
+        f, levels = rule()
+        self.open -= 1
+        return f, self.nest(levels + 1, pos)
+
+    def parse(self) -> Formula:
+        f, _ = self.imp()
+        tok = self.peek()
+        if tok[0] != "end":
+            raise FormulaSyntaxError(f"trailing input {tok[0]!r}", tok[2])
+        return f
+
+    def imp(self) -> tuple[Formula, int]:
+        left, levels = self.disj()
+        if self.peek()[0] == "->":
+            pos = self.eat()[2]
+            right, deeper = self.inner(self.imp, pos)
+            return Implies(left, right), self.nest(max(levels + 1, deeper), pos)
+        return left, levels
+
+    def disj(self) -> tuple[Formula, int]:
+        f, levels = self.conj()
+        while self.peek()[0] == "|" and self.peek(1)[0] in _UNARY_STARTERS:
+            pos = self.eat()[2]
+            g, deeper = self.conj()
+            f, levels = Or(f, g), self.nest(max(levels, deeper) + 1, pos)
+        return f, levels
+
+    def conj(self) -> tuple[Formula, int]:
+        f, levels = self.unary()
+        while self.peek()[0] == "&":
+            pos = self.eat()[2]
+            g, deeper = self.unary()
+            f, levels = And(f, g), self.nest(max(levels, deeper) + 1, pos)
+        return f, levels
+
+    def unary(self) -> tuple[Formula, int]:
+        kind, value, pos = self.peek()
+        if kind in ("~", "box", "<*>"):
+            self.eat()
+            f, levels = self.inner(self.unary, pos)
+            try:
+                f = Not(f) if kind == "~" else Box(value, f) if kind == "box" else SomeStage(f)
+                return f, levels
+            except ValueError as e:
+                raise FormulaSyntaxError(str(e), pos) from None
+        if kind == "(":
+            self.eat()
+            f, levels = self.inner(self.imp, pos)
+            self.eat(")")
+            return self._postfix(f), levels
+        if kind == "bottom":
+            self.eat()
+            return BOT, 1
+        if kind == "|":
+            # prefix tested-now sugar: |a
+            self.eat()
+            return tested_now(self.atom(self.eat("name")[1])), 1
+        if kind == "name":
+            self.eat()
+            return self._postfix(self.atom(value)), 1
+        raise FormulaSyntaxError(f"expected a formula, found {kind!r}", pos)
+
+    def atom(self, value: tuple[str, bool]) -> Atom:
+        name, marked = value
+        return Atom(name, marked or name in self.lawlike)
+
+    def _postfix(self, f: Formula) -> Formula:
+        # postfix tested-later sugar: a| reads as sugar only when no
+        # operand can follow the pipe (otherwise it is the Or connective)
+        if (
+            isinstance(f, Atom)
+            and self.peek()[0] == "|"
+            and self.peek(1)[0] not in _UNARY_STARTERS
+        ):
+            self.eat()
+            return tested_later(f)
+        return f
+
+
+def reference_parse(text: str, lawlike: frozenset[str] = frozenset()) -> Formula:
+    return _Parser(text, lawlike).parse()
+
+
+def _split_biconditional(text: str) -> Optional[tuple[str, str]]:
+    if "<->" not in text:
+        return None
+    depth = 0
+    for i in range(len(text) - 2):
+        c = text[i]
+        if c == "(":
+            depth += 1
+        elif c == ")":
+            depth -= 1
+        elif text[i : i + 3] == "<->" and depth == 0:
+            return text[:i], text[i + 3 :]
+    return None
+
+
+def _script_formula(text: str, lawlike: frozenset[str], line_no: int) -> Formula:
+    """The formula of a script line, its atoms lawlike exactly when declared so."""
+    if "!" in text:
+        raise ScriptSyntaxError(
+            "mark lawlike assertions with 'assert <id> lawlike', not '!'", line_no
+        )
+    halves = _split_biconditional(text)
+    try:
+        if halves is not None:
+            left, right = halves
+            if _split_biconditional(left) or _split_biconditional(right):
+                raise ScriptSyntaxError("chained <-> needs parentheses", line_no)
+            l, r = _Parser(left, lawlike).parse(), _Parser(right, lawlike).parse()
+            return And(Implies(l, r), Implies(r, l))
+        return _Parser(text, lawlike).parse()
+    except FormulaSyntaxError as e:
+        raise ScriptSyntaxError(f"bad formula {text.strip()!r}: {e}", line_no) from None
+
+
+def _parse_rule(text: str, line_no: int) -> tuple[str, tuple[int, ...]]:
+    text = text.strip()
+    name, refs = text, ()
+    if "(" in text:
+        if not text.endswith(")"):
+            raise ScriptSyntaxError(f"malformed rule {text!r}", line_no)
+        name, inner = text[: text.index("(")], text[text.index("(") + 1 : -1]
+        parts = [p.strip() for p in inner.split(",")] if inner.strip() else []
+        try:
+            refs = tuple(int(p) for p in parts)
+        except ValueError:
+            raise ScriptSyntaxError(
+                f"rule references must be step numbers: {text!r}", line_no
+            ) from None
+    key = name.strip().lower().replace("-", "").replace("_", "")
+    if key not in _RULE_ALIASES:
+        raise ScriptSyntaxError(f"unknown rule {name.strip()!r}", line_no)
+    return _RULE_ALIASES[key], refs
+
+
+def reference_parse_script(text: str) -> Script:
+    """derivation.parse_script with its formula and rule readers swapped for
+    the ones above."""
+    with mock.patch.multiple(derivation, _script_formula=_script_formula, _parse_rule=_parse_rule):
+        return derivation.parse_script(text)

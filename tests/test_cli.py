@@ -352,6 +352,14 @@ def test_an_over_deep_formula_is_an_error(capsys, tmp_path, shape):
         assert_clean_error(capsys, code)
 
 
+@pytest.mark.parametrize("index", ["\u00b2", "\u0663"])
+def test_a_non_ascii_stage_index_is_malformed(capsys, tmp_path, index):
+    path = tmp_path / "model.json"
+    path.write_text('{"nodes": [{"id": "root", "atoms": ["q"]}]}')
+    code = main(["logic", "eval", "--model", str(path), "--at", "root", "--formula", f"[{index}]q"])
+    assert code == 1 and capsys.readouterr().err == "error: malformed stage index (at offset 0)\n"
+
+
 def test_a_script_with_an_over_deep_step_is_an_error(capsys, tmp_path):
     path = tmp_path / "deep.drv"
     path.write_text(f"premise q\n1: q ; Premise\n2: {DEEP_FORMULAS['3000 negations']} ; Premise\n")

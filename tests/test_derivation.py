@@ -7,11 +7,13 @@ import json
 from types import SimpleNamespace
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from brouwer.derivation import (
     BUNDLED_SCRIPTS,
+    _parse_rule,
+    _script_formula,
     Rejected,
     Script,
     ScriptSyntaxError,
@@ -40,8 +42,10 @@ from brouwer.logic import (
     parse,
     show,
 )
+from references import _parse_rule as reference_parse_rule
+from references import _script_formula as reference_script_formula
 from references import check_script as reference_check_script
-from references import enumerate_shapes
+from references import enumerate_shapes, reference_parse_script
 
 EXPECTED = {
     "vienna-dense": ("(alpha! | ~alpha!) & ~e_is_half", 13, 1),
@@ -138,6 +142,76 @@ def test_script_syntax_errors(src, fragment):
         parse_script(src)
     assert fragment in str(ei.value)
     assert ei.value.line_no >= 1
+
+
+# --- the script reader against the reference reader ---
+
+
+def _read(read, *args):
+    """read's result, or its syntax error's message and line."""
+    try:
+        return read(*args)
+    except ScriptSyntaxError as e:
+        return str(e), e.line_no
+
+
+def _negations(text: str):
+    """text with each numbered step's formula negated in turn."""
+    lines = text.splitlines()
+    for i, line in enumerate(lines):
+        num, colon, rest = line.partition(":")
+        if colon and num.strip().isdigit():
+            formula, _, rule = rest.rpartition(";")
+            negated = f"{num}: ~({formula.strip()}) ; {rule.strip()}"
+            yield "\n".join(lines[:i] + [negated] + lines[i + 1 :])
+
+
+@pytest.mark.parametrize("name", sorted(BUNDLED_SCRIPTS))
+def test_script_reader_matches_the_reference_reader(name):
+    texts = [BUNDLED_SCRIPTS[name], *_negations(BUNDLED_SCRIPTS[name])]
+    outcomes = [_read(parse_script, text) for text in texts]
+    assert outcomes == [_read(reference_parse_script, text) for text in texts]
+    # a negated <-> step is a syntax error: '<' is no connective inside parentheses
+    assert isinstance(outcomes[0], Script) and any(isinstance(o, tuple) for o in outcomes)
+
+
+_formula_texts = st.builds(
+    "".join,
+    st.lists(st.sampled_from(["p", "q", " ", "(", ")", "<->", "<", "->", "-", ">", "&", "|", "~",
+                              "_|_", "!", "[2]", "<*>"]), max_size=12),
+)
+
+
+@example("p < q <-> r", frozenset())
+@example("(p <-> q) <-> ~(r)", frozenset("p"))
+@example("p <-> q <-> r", frozenset())
+@example("p) <-> (q", frozenset())
+@example("p < -> q", frozenset())
+@given(_formula_texts, st.frozensets(st.sampled_from("pq")))
+def test_script_formulas_read_as_the_reference_reads_them(text, lawlike):
+    expected = _read(reference_script_formula, text, lawlike, 3)
+    assert _read(_script_formula, text, lawlike, 3) == expected
+
+
+_rule_texts = st.builds(
+    "".join,
+    st.lists(
+        st.sampled_from(["MP", "mp", "And", "Elim", "-", "_", "CS5R-inst", "(", ")", ",", " ",
+                         "\t", "1", "12", "+3", "\u0663", "x", "Premise"]),
+        max_size=8,
+    ),
+)
+
+
+@example("MP( )")
+@example("MP()")
+@example(" and-elim( 3 ) ")
+@example("MP(1")
+@example("MP(1,,2)")
+@example("Premise (1)x")
+@given(_rule_texts)
+def test_rules_read_as_the_reference_reads_them(text):
+    assert _read(_parse_rule, text, 3) == _read(reference_parse_rule, text, 3)
 
 
 def test_comments_and_blank_lines_ignored():

@@ -32,3 +32,16 @@ def test_sweep_grid_matches_its_hashes(golden_cwd):
     assert [case["argv"] for case in expected] == cli_golden.SWEEP_GRID
     for case in expected:
         assert cli_golden.digest(case["argv"]) == case, case["argv"]
+
+
+def test_a_non_ascii_stage_index_is_a_syntax_error(golden_cwd):
+    # beside branches.json's syntax_error.txt: a refusal, not a bare ValueError from int()
+    reason = "line 7: bad formula '[\u00b2]p -> p': malformed stage index (at offset 1)"
+    text = cli_golden.run(["derive", "check", "stage_index.txt"])
+    assert (text["exit"], text["stdout"], text["stderr"]) == (1, f"syntax error: {reason}\n", "")
+    payload = cli_golden.run(["derive", "check", "stage_index.txt", "--json"])
+    assert payload["exit"] == 1 and payload["stderr"] == ""
+    assert json.loads(payload["stdout"]) == {
+        "command": "derive-check", "reason": reason, "script": "stage_index.txt", "seed": 0,
+        "status": "syntax-error",
+    }

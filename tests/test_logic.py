@@ -4,6 +4,7 @@ import functools
 import gc
 import itertools
 import json
+import re
 import tracemalloc
 from collections import Counter
 from typing import Optional
@@ -48,6 +49,7 @@ from brouwer.logic import (
     _refuse_if_huge,
     _stage_tree,
     _sweep,
+    _Parser,
     _upclosed_sets,
     atoms_of,
     count_models,
@@ -65,6 +67,7 @@ from brouwer.logic import tested_later as sugar_later
 from brouwer.logic import tested_now as sugar_now
 from references import (
     _root_class,
+    reference_parse,
     _valued_shapes,
     enumerate_box_free,
     enumerate_models,
@@ -149,6 +152,9 @@ def test_pipe_sugar():
         # index variables live only in the schema templates
         ("[n]p", "malformed stage index", 0),
         ("[n+m]p", "malformed stage index", 0),
+        # stage indices are ASCII digits, as names are ASCII letters
+        ("[\u00b2]p", "malformed stage index", 0),
+        ("[\u0663]p", "malformed stage index", 0),
     ],
 )
 def test_syntax_errors(text, message, pos):
@@ -259,6 +265,81 @@ _formulas = st.recursive(
 @given(_formulas)
 def test_show_parse_roundtrip(f):
     assert parse(show(f)) == f
+
+
+# --- the parser against the reference parser ---
+
+
+def _read(read, text, *args):
+    """read's formula, or its error's type, message and offset."""
+    try:
+        return read(text, *args)
+    except ValueError as e:
+        return type(e), str(e), getattr(e, "pos", None)
+
+
+def _parser_parse(text, lawlike):
+    return _Parser(text, lawlike).parse()
+
+
+def _ascii_indices(text: str) -> str:
+    """text as the reference parser must read it to refuse what parse
+    refuses: each non-ASCII digit in a stage index made a plain non-digit,
+    so that the reference, like parse, finds that index malformed at its
+    '[' (it reads [\u0663] as [3] and fails on [\u00b2] with a bare ValueError)."""
+    return re.sub(r"\[[0-9\u00b2\u0663]+", lambda m: re.sub("[\u00b2\u0663]", "x", m[0]), text)
+
+
+_UNICODE_SPACES = "".join(c for c in map(chr, range(0x3001)) if c.isspace())
+_EDIT_CHARS = "[]0123456789\u00b2\u0663<*>-|_!~&()" + _UNICODE_SPACES
+
+
+@st.composite
+def _edited_texts(draw):
+    """show of a formula after one to three one-character insertions or deletions."""
+    text = show(draw(_formulas))
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        if i < len(text) and draw(st.booleans()):
+            text = text[:i] + text[i + 1 :]
+        else:
+            text = text[:i] + draw(st.sampled_from(_EDIT_CHARS)) + text[i:]
+    return text
+
+
+@given(_formulas, st.frozensets(_names))
+def test_parse_matches_the_reference_parser(f, lawlike):
+    text = show(f)
+    assert _read(parse, text) == _read(reference_parse, text) == f
+    assert _read(_parser_parse, text, lawlike) == _read(reference_parse, text, lawlike)
+
+
+@given(_edited_texts(), st.frozensets(_names))
+def test_edited_formulas_read_as_the_reference_reads_them(text, lawlike):
+    expected = _read(reference_parse, _ascii_indices(text), lawlike)
+    assert _read(_parser_parse, text, lawlike) == expected
+    if not lawlike:
+        assert _read(parse, text) == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["<*>(alpha | ~alpha) -> e_hits", "[2](p -> q) & |r | s| -> _|_", "~~~a -> ~<*>~~a",
+     "(p!)| & [10]~q"],
+)
+def test_every_one_character_edit_reads_as_the_reference_reads_it(text):
+    edits = [text[:i] + text[i + 1 :] for i in range(len(text))]
+    edits += [text[:i] + c + text[i:] for i in range(len(text) + 1) for c in _EDIT_CHARS]
+    for edited in edits:
+        expected = _read(reference_parse, _ascii_indices(edited), frozenset({"q"}))
+        assert _read(_parser_parse, edited, frozenset({"q"})) == expected, edited
+
+
+@pytest.mark.parametrize("shape", NESTING_SHAPES)
+@pytest.mark.parametrize("levels", [MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1])
+def test_the_nesting_bound_matches_the_reference_parser(shape, levels):
+    text = _nested(shape, levels)
+    assert _read(parse, text) == _read(reference_parse, text)
 
 
 # --- stage trees ---
