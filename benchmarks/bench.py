@@ -9,8 +9,8 @@ file. Each section runs per checkout in fresh child processes whose
 working directory is that checkout and whose PYTHONPATH is its src/, with
 BW_DIGIT_LIMIT unset. The checkouts take turns so that both sides share
 the machine's drift: pi size by size, streams and verdicts horizon by
-horizon, schemas and parse row by row, cold command by command (the side that goes first flips each
-time), the other sections section by section.
+horizon, schemas and parse row by row, cold command by command (the side
+that goes first flips each time), the other sections section by section.
 The sections:
 
 - pi: ``chudnovsky_digits(n)``, and a fresh ``DigitOracle()`` (its
@@ -53,10 +53,10 @@ The sections:
   ``logic.parse`` on a fixed list of 200 formula texts (seeded random trees
   of operand depth 1 to 4, every operand parenthesised, as perfbench's
   logic-proofs writes them), in microseconds per script (over 100 reads)
-  or per formula:
-  the median over five rounds of fresh children, each the median of three
-  runs of a loop; the checkouts take turns row by row. Each child first
-  checks its readings against the reference parser of tests/references.py.
+  or per formula: the median over five rounds of fresh children, each the
+  median of three runs; the checkouts take turns row by row. Each child
+  first checks its readings against the reference parser of
+  tests/references.py.
 - cold: the median of seven fresh processes for a bare interpreter, for
   ``import argparse, json, fractions`` (what the CLI needs before any
   brouwer module) and for each README command with --json, run in a

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import bench_writer
 from brouwer.derivation import (
     BUNDLED_SCRIPTS,
     _parse_rule,
@@ -987,3 +988,10 @@ def test_stage_rules_are_sound_on_every_shape(rule):
         for refs, formula in (([], Implies(premise, conclusion)), ([premise], conclusion)):
             accepted += _assert_sound(_step_script(rule, refs, formula))
     assert accepted > 0
+
+
+def test_parse_section_script_runs():
+    record = bench_writer.bench.parse(("vienna-dense", "200 formulas"))
+    assert [list(row) for row in record["rows"]] == [["text", "formulas", "us"]] * 2
+    assert [row["formulas"] for row in record["rows"]] == [17, 200]
+    assert bench_writer.survives_json(record)
