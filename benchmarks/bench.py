@@ -27,9 +27,11 @@ The sections:
   vienna_e and berlin_s on a trace that never resolves, the other four
   ``real cmp`` point specs (zero, one, half, and berlin_r on the first run
   of six 9s in pi, its defaults), and the centred sqrt(2)/2, the point
-  ``validate_drift`` builds for an irrational kernel. vienna_e's target at
-  stage n is a fraction over 2^(n+1): taken by a division per stage, the
-  stream would cost O(h^3). Term n is an n-bit integer, so even a linear
+  ``validate_drift`` builds for an irrational kernel; and the negation
+  image of a fresh 1/3 grown by reads of 16 stages up to h, for what many
+  short reads of one point cost. vienna_e's target at stage n is a
+  fraction over 2^(n+1): taken by a division per stage, the stream would
+  cost O(h^3). Term n is an n-bit integer, so even a linear
   stream costs more per stage as h grows.
 - verdicts: the median of three runs of ``lt_at``, ``apart_at`` and
   ``abs_diff_lt`` (bound 2^-20) at horizon h, each on two fresh points: a
@@ -194,10 +196,18 @@ def streams(horizons=HORIZONS) -> dict:
         "berlin_r(9,6)": lambda: fleeing.berlin_r(fleeing.run_property(9, 6)),
         "value(sqrt2/2)": lambda: reals.value_point(drift.Sqrt2Value(Fraction(1, 2))),
     }
+    reads = {name: lambda h, build=build: build().prefix(h) for name, build in points.items()}
+
+    def grown(h):
+        image = reals.mapped_point(reals.negation_map(), third())
+        for n in range(16, h + 16, 16):
+            image.prefix(min(n, h))
+
+    reads["negation(value) by 16"] = grown
     rows = []
     for h in horizons:
-        for name, build in points.items():
-            seconds = statistics.median(timed(build().prefix, h)[1] for _ in range(REPEATS))
+        for name, read in reads.items():
+            seconds = statistics.median(timed(read, h)[1] for _ in range(REPEATS))
             rows.append({"point": name, "stages": h, "ms": seconds * 1e3,
                          "us_per_stage": seconds * 1e6 / h})
     return {"rows": rows}

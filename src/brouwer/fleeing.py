@@ -244,7 +244,7 @@ def _least_witness_scan(p: DecidableProperty) -> Callable[..., tuple[Optional[in
     p visible there, else None and the last stage known to show none.
 
     It first searches, with p.held, the digits the oracle already holds, up
-    to the end of the block asked for. Past them it tests each position in
+    to the end of the read asked for. Past them it tests each position in
     turn, as a stage needs it, and retests one that raised; so it computes
     no digit that testing stage by stage would not, and refuses at the same
     stage."""

@@ -2,7 +2,7 @@
 
 A point is one sequence: a generator over the nested-interval law, bundled
 with the event trace that drives it (none for a lawlike generator), read
-through one memoised stream of terms; a built-in point also has a closed
+through one memoised list of terms; a built-in point also has a closed
 form, term n alone in O(1) scaled floors. Comparisons probe the horizon and
 bisect on the terms, and return three-valued verdicts: the strict order
 and apartness can only ever Hold or stay unknown at the horizon,
@@ -15,7 +15,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import count, repeat
+from itertools import repeat
 from operator import sub
 from typing import Callable, NamedTuple, Optional, Sequence, Union
 
@@ -36,16 +36,14 @@ class Point(Record):
     """A generator over the interval law, bundled with its trace; a
     generator under any other law is refused.
 
-    Keeps one append-only list of terms and the live stream that emitted
-    them (the generator's terms(list, trace)), and extends the list in place
-    from where it stopped, so each stage is emitted once; sound because
-    emission is a pure function of (generator, trace). A stream that raised
-    is dropped, so the next read starts a fresh one after the stages kept
-    and refuses at the same stage again. An image point's pull grows its
-    base once per read (``_image_point``); a built-in point's closed form
-    (``_point``) gives ``term`` the stages past those held."""
+    Keeps one append-only list of terms, and a read past it is one
+    ``emit_prefix`` from the list, so each stage is emitted once; sound
+    because emission is a pure function of (generator, trace). A read that
+    raised keeps the stages before the failure, and a later read refuses at
+    the same stage again. A built-in point's closed form (``_point``) gives
+    ``term`` the stages past those held."""
 
-    __slots__ = ("generator", "trace", "_terms", "_live", "_pull", "_closed", "_memo")
+    __slots__ = ("generator", "trace", "_terms", "_closed", "_memo")
     _fields = ("generator", "trace")
 
     def __init__(self, generator: Generator, trace: Optional[EventTrace] = None) -> None:
@@ -54,22 +52,12 @@ class Point(Record):
         _set(self, "generator", generator)
         _set(self, "trace", trace)
         _set(self, "_terms", [])
-        _set(self, "_live", None)
-        _set(self, "_pull", None)
         _set(self, "_closed", None)
         _set(self, "_memo", {})
 
     def _stream(self, n: int) -> list[int]:
         if not 0 < n <= len(self._terms):  # emit_prefix also vets n and the trace
-            if self._pull is not None:
-                self._pull(n)
-            if self._live is None:
-                _set(self, "_live", self.generator.kind.terms(self._terms, self.trace))
-            try:
-                emit_prefix(self.generator, n, self.trace, self._terms, self._live)
-            except BaseException:
-                _set(self, "_live", None)
-                raise
+            emit_prefix(self.generator, n, self.trace, self._terms)
         return self._terms
 
     def prefix(self, n: int) -> tuple[int, ...]:
@@ -153,13 +141,14 @@ def _holds(horizon: int, n: Optional[int], direction: Optional[str] = None) -> V
 
 def _shifted(name: str, m: int, c: int) -> Point:
     """The lawlike point a_n = m*2^n - c."""
-    terms = lambda prefix, trace: map(sub, map(m.__lshift__, count(len(prefix) + 1)), repeat(c))
+    terms = lambda prefix, trace, n: map(sub, map(m.__lshift__, range(len(prefix) + 1, n + 1)),
+                                         repeat(c))
     return _point(name, Lawlike(terms), lambda n: (m << n) - c)
 
 
 def zero_point() -> Point:
     """The constant-0 generator: intervals [0, 2^(1-n)]."""
-    return _point("zero", Lawlike(lambda prefix, trace: repeat(0)), lambda n: 0)
+    return _point("zero", Lawlike(lambda prefix, trace, n: repeat(0, n - len(prefix))), lambda n: 0)
 
 
 def one_point() -> Point:
@@ -324,26 +313,22 @@ def _image_point(name: str, a: Point, term, need, closed=None) -> Point:
     """Term k is term(a's terms, k), read once a holds need(k) terms; its
     closed form is closed(k) when a has one.
 
-    A read of n terms first grows a to need(n) in one call. A refusal there
-    is left to the stream, which meets it again at the stage that needs it,
-    so the image keeps the stages a per-stage read keeps, then raises."""
+    A read to stage n reads a once, to need(n), and maps term over a's
+    list. If a refuses, the image first yields the stages a still covers,
+    so it keeps the stages a per-stage read keeps, then raises."""
 
-    def terms(prefix, trace):
-        base = a._terms
-        for k in count(len(prefix) + 1):
-            if need(k) > len(base):
-                a._stream(need(k))
-            yield term(base, k)
-
-    def pull(n: int) -> None:
+    def terms(prefix, trace, n):
+        base, m = a._terms, n
         try:
             a._stream(need(n))
         except Exception:
-            pass  # the stream raises it again, at its own stage
+            while need(m) > len(base):
+                m -= 1
+            yield from map(term, repeat(base), range(len(prefix) + 1, m + 1))
+            raise
+        yield from map(term, repeat(base), range(len(prefix) + 1, n + 1))
 
-    point = _point(name, Lawlike(terms), None if a._closed is None else closed)
-    _set(point, "_pull", pull)
-    return point
+    return _point(name, Lawlike(terms), None if a._closed is None else closed)
 
 
 def centered_point(a: Point, n: int) -> Point:

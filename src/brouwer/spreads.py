@@ -1,19 +1,19 @@
 """Spread laws, generators, event traces, and prefix emission.
 
 A spread law says which integers may start a sequence and which may follow
-a given prefix. A generator is a stream of terms: terms(prefix, trace)
-yields the terms after an emitted prefix, in turn, a lawlike one ignoring
-the trace, a process one reading the event trace (the record of when an
-assertion got decided, if ever). Emitting a prefix is a pure function of
-(generator, trace) and appends to one list, so a caller that keeps the list
-and the live stream that filled it (``reals.Point``, one per generator and
-trace) extends it from where it stopped; a generator reading anything else
-(a random source) must be read through ``emit_prefix`` alone.
+a given prefix. A generator is a stream of terms: terms(prefix, trace, n)
+yields the terms after an emitted prefix up to stage n, in turn, a lawlike
+one ignoring the trace, a process one reading the event trace (the record
+of when an assertion got decided, if ever). Emitting a prefix is a pure
+function of (generator, trace) and appends to one list, so a caller that
+keeps the list (``reals.Point``, one per generator and trace) extends it
+from where it stopped with a fresh stream; a generator reading anything
+else (a random source) must be read through ``emit_prefix`` alone.
 """
 
 from __future__ import annotations
 
-from itertools import count, islice, repeat
+from itertools import islice, repeat
 from operator import add, sub
 from typing import Callable, Iterator, NamedTuple, Optional, Sequence, Union
 
@@ -145,16 +145,16 @@ def parse_trace(text: str) -> EventTrace:
 
 
 class _Kind(Record):
-    """A generator's one field, terms(prefix, trace): its live stream.
+    """A generator's one field, terms(prefix, trace, n): its stream to stage n.
 
-    The stream yields the terms after an emitted prefix, in turn, and keeps
-    its state from stage to stage. prefix is the emitter's own list, which
-    grows as the terms are emitted; a stream reads it and must not mutate
-    it."""
+    The stream yields the terms after an emitted prefix up to stage n, in
+    turn, and reads nothing a later stage needs. prefix is the emitter's
+    own list, which grows as the terms are emitted; a stream reads it and
+    must not mutate it."""
 
     __slots__ = ("terms",)
 
-    def __init__(self, terms: Callable[[list[int], Optional[EventTrace]], Iterator[int]]) -> None:
+    def __init__(self, terms: Callable[[list[int], Optional[EventTrace], int], Iterator[int]]) -> None:
         _set(self, "terms", terms)
 
 
@@ -165,8 +165,8 @@ class Lawlike(_Kind):
 
     @classmethod
     def of(cls, rule: Callable[[int], int]) -> "Lawlike":
-        """Term n is rule(n), for n = len(prefix) + 1, + 2, ..."""
-        return cls(lambda prefix, trace: map(rule, count(len(prefix) + 1)))
+        """Term k is rule(k), for k = len(prefix) + 1 .. n."""
+        return cls(lambda prefix, trace, n: map(rule, range(len(prefix) + 1, n + 1)))
 
 
 class Process(_Kind):
@@ -179,7 +179,8 @@ class Process(_Kind):
     def of(cls, strategy: Callable[[Sequence[int], EventTrace], int]) -> "Process":
         """Each term is strategy(prefix, trace) on the emitter's own list of
         the terms so far."""
-        return cls(lambda prefix, trace: map(strategy, repeat(prefix), repeat(trace)))
+        return cls(lambda prefix, trace, n:
+                   map(strategy, repeat(prefix, n - len(prefix)), repeat(trace)))
 
 
 class Generator(NamedTuple):
@@ -201,19 +202,17 @@ def charge_stages(n: int) -> int:
 
 def emit_prefix(
     g: Generator, n: int, trace: Optional[EventTrace] = None,
-    head: Optional[list[int]] = None, live: Optional[Iterator[int]] = None,
+    head: Optional[list[int]] = None,
 ) -> tuple[int, ...]:
     """Terms len(head)+1 .. n of g, every one vetted against its spread law.
 
-    Appends the terms to head, a fresh list by default, in one read of the
-    stream, then vets the run it appended, in one pass under the rng law:
-    at the first refused term, also when the stream raised later in the
-    read, it cuts head back to the stages before it and raises
-    AdmissibilityError there; a stream ending short of n raises
+    Appends the terms of one stream, g.kind.terms(head, trace, n), to head,
+    a fresh list by default, then vets the run it appended, in one pass
+    under the rng law: at the first refused term, also when the stream
+    raised later in the read, it cuts head back to the stages before it and
+    raises AdmissibilityError there; a stream ending short of n raises
     RuntimeError. Returns the newly emitted terms. The head must hold the
-    first terms of g under the trace, and live, when given, the stream that
-    emitted them; without it the terms come from a fresh g.kind.terms(head,
-    trace). A stream that raised is spent, so a later call needs a fresh one.
+    first terms of g under the trace.
     """
     if n < 0:
         raise ValueError("prefix length must be non-negative")
@@ -221,9 +220,8 @@ def emit_prefix(
         raise ValueError(f"process generator {g.name or '?'} requires a trace")
     prefix = [] if head is None else head
     start = len(prefix)
-    stream = live or g.kind.terms(prefix, trace)
     try:
-        prefix.extend(islice(stream, max(n - start, 0)))
+        prefix.extend(islice(g.kind.terms(prefix, trace, n), max(n - start, 0)))
     finally:
         bad = _first_refused(g.law, prefix, start)
         if bad is not None:
@@ -266,38 +264,35 @@ def _first_refused(law: SpreadLaw, prefix: list[int], start: int) -> Optional[in
 # bits of one floor of the negated target (``dyadic.ceiling_drops``), so a
 # block of stages costs one scaled floor. After a target change e is taken
 # from the new target's ceiling, and d may lie far outside 0..7.
-# Blocks double from 16 stages to _BLOCK and end where the switch may show:
-# switch_at(n, trace, end), end the stage the block would end at, returns
-# the switch visible at stage n, or None and the last stage known to show
-# none, n or later (None: never), from what it holds without looking past
-# end. A callable before(n) is a moving target, asked once per stage,
-# unless it yields its members' drops itself through ceiling_drops(n), the
-# drops into stages n, n+1, ... (vienna's C_n = 2^n - 1 drops by -1).
-# Targets are exact values (Dyadic, Fraction, int, or sqrt2-multiples from
-# the drift module); the per-stage reference is ``centered_term`` in
+# A block runs to the read's end, or to the stage before the switch may
+# show: switch_at(n, trace, end), end the read's last stage, returns the
+# switch visible at stage n, or None and the last stage known to show none,
+# n or later (None: never), from what it holds without looking past end. A
+# callable before(n) is a moving target, asked once per stage, unless it
+# yields its members' drops itself through ceiling_drops(n), the drops into
+# stages n, n+1, ... (vienna's C_n = 2^n - 1 drops by -1). Targets are
+# exact values (Dyadic, Fraction, int, or sqrt2-multiples from the drift
+# module); the per-stage reference is ``centered_term`` in
 # tests/references.py.
 
-_BLOCK = 1024
 
-
-def switch_terms(before, after, switch_at, prefix: Sequence[int], trace=None) -> Iterator[int]:
-    """The centred terms after prefix: stage n centres before (a value, or
-    before(n) when callable) until switch_at(n, trace, end) shows a switch s,
-    then the value after(s) at every stage on.
+def switch_terms(before, after, switch_at, prefix: Sequence[int], trace, end: int) -> Iterator[int]:
+    """The centred terms after prefix up to stage end: stage n centres before
+    (a value, or before(n) when callable) until switch_at(n, trace, end)
+    shows a switch s, then the value after(s) at every stage on.
 
     after is taken once per stream and switch_at once per block; a callable
     before is asked once per stage in order, or at the first stage only when
     it has ceiling_drops (see above).
     """
     n, a, e = len(prefix), (prefix[-1] if prefix else None), 0
-    target, member_drops, switch, quiet, size = before, None, None, None, 16
-    while True:
+    target, member_drops, switch, quiet = before, None, None, None
+    while n < end:
         if switch is None:
-            switch, quiet = switch_at(n + 1, trace, n + size)
+            switch, quiet = switch_at(n + 1, trace, end)
             if switch is not None:
                 target, member_drops, quiet = after(switch), None, None
-        k = size if quiet is None else min(size, quiet - n)
-        size = min(2 * size, _BLOCK)
+        k = (end if quiet is None else min(end, quiet)) - n
         if member_drops is not None:
             drops = islice(member_drops, k)
         else:

@@ -22,7 +22,6 @@ from brouwer.spreads import (
     universal_spread,
 )
 from fractions import Fraction
-from itertools import count, islice
 
 import references
 from references import centered_term
@@ -88,8 +87,8 @@ def test_lawlike_emission_checks_admissibility():
 def refusing_stream(terms, raise_at=None):
     """A lawlike stream of the given terms; at stage raise_at it raises."""
 
-    def stream(prefix, trace):
-        for n in count(len(prefix) + 1):
+    def stream(prefix, trace, end):
+        for n in range(len(prefix) + 1, end + 1):
             if n == raise_at:
                 raise RuntimeError(f"stream fails at stage {n}")
             yield terms[n - 1]
@@ -124,7 +123,7 @@ def test_emission_lets_a_stream_error_through_when_every_term_read_is_admissible
 
 
 def test_emission_refuses_a_stream_that_ends_short_of_the_read():
-    g = Generator(rng_spread(), Lawlike(lambda prefix, trace: iter([0] * (5 - len(prefix)))), "five")
+    g = Generator(rng_spread(), Lawlike(lambda prefix, trace, n: iter([0] * (5 - len(prefix)))), "five")
     head: list[int] = []
     with pytest.raises(RuntimeError, match="five ended after stage 5 of 9"):
         emit_prefix(g, 9, head=head)
@@ -264,10 +263,10 @@ def test_a_stream_matches_one_centered_term_per_stage(runs, resume_at):
         return schedule[min(n, len(schedule)) - 1]
 
     want = references.centred_prefix(target_at, h)
-    assert tuple(islice(switch_terms(target_at, None, no_switch, ()), h)) == want
+    assert tuple(switch_terms(target_at, None, no_switch, (), None, h)) == want
     # a stream started after any emitted prefix continues it
     m = min(resume_at, h)
-    assert tuple(islice(switch_terms(target_at, None, no_switch, want[:m]), h - m)) == want[m:]
+    assert tuple(switch_terms(target_at, None, no_switch, want[:m], None, h)) == want[m:]
 
 
 def test_process_strategy_sees_trace():

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 from functools import partial
-from itertools import islice
+from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -155,7 +155,7 @@ def centring_point(target) -> Point:
 
 
 def test_a_centring_point_steps_on_and_reads_earlier_stages_from_its_stream():
-    # a later stage steps the kept stream on; an earlier one is read, not replayed
+    # a later stage reads on from the terms kept; an earlier one is read, not replayed
     asked: list[int] = []
     pt = centring_point(lambda stage: asked.append(stage) or Fraction(1, 3))
     want = value_point(Fraction(1, 3)).prefix(9)
@@ -164,7 +164,7 @@ def test_a_centring_point_steps_on_and_reads_earlier_stages_from_its_stream():
 
 
 def test_a_centring_point_resumes_after_its_target_raises():
-    # a stream that raised is spent: the next read restarts from the stages kept
+    # the next read starts a fresh stream after the stages kept
     asked: list[int] = []
     fail_at = [4]
 
@@ -252,6 +252,82 @@ def test_term_and_interval_indices_are_one_based(n):
             read(n)
 
 
+# --- a read hands its stream the stage it ends at ---
+
+
+def recording_point(asked: list, bad_at=None) -> Point:
+    """A lawlike point of zeros, but 7 at stage bad_at, whose stream records
+    (the terms held, the stage the read ends at)."""
+
+    def terms(prefix, trace, n):
+        asked.append((len(prefix), n))
+        return (7 if k == bad_at else 0 for k in range(len(prefix) + 1, n + 1))
+
+    return Point(Generator(rng_spread(), Lawlike(terms), "recorded"))
+
+
+def test_emission_hands_the_stream_the_reads_end():
+    asked: list = []
+    g = recording_point(asked).generator
+    head: list[int] = []
+    assert emit_prefix(g, 5, head=head) == (0,) * 5
+    assert emit_prefix(g, 9, None, head) == (0,) * 4
+    # a point opens one stream per read that emits, after the terms it holds
+    pt = recording_point(asked)
+    pt.prefix(3), pt.prefix(2), pt.term(7), pt.prefix(7), pt.interval(9)
+    assert asked == [(0, 5), (5, 9), (0, 3), (3, 7), (7, 9)]
+
+
+def test_no_stream_is_read_past_the_reads_end():
+    # each records the stages its stream asks for: a rule's and a strategy's
+    # stages, a switch's stages and ends, a witness scan's positions
+    rule, strategy, switch, scan = [], [], [], []
+
+    def switch_at(n, trace, end):
+        switch.extend((n, end))
+        return (n, None) if n >= 40 else (None, min(39, n + 3))
+
+    def holds(n: int) -> bool:
+        scan.append(n)
+        return n == 40
+
+    witness = DecidableProperty("at(40)", holds, None, lambda lo, hi: scan.append(hi) or (None, lo - 1))
+    points = {
+        "rule": (Point(Generator(rng_spread(), Lawlike.of(lambda n: rule.append(n) or 0))), rule),
+        "strategy": (Point(Generator(rng_spread(), Process.of(
+            lambda prefix, trace: strategy.append(len(prefix) + 1) or 0)), never_trace()), strategy),
+        "switch": (_switch_point("s", Fraction(1, 3), lambda s: Fraction(1, 5), switch_at), switch),
+        "witness": (berlin_r(witness), scan),
+    }
+    for name, (pt, asked) in points.items():
+        reach = 0
+        for n in (7, 3, 45, 60):
+            pt.prefix(n)
+            reach = max(reach, n)
+            assert max(asked) <= reach, name
+        # the scan stops at the witness it found in the read to 45
+        assert max(asked) == (45 if name == "witness" else 60), name
+
+
+@pytest.mark.parametrize("through", ["identity", "negation", "delay", "centred"])
+def test_an_image_read_reads_its_base_once(through):
+    asked: list = []
+    need = (lambda n: 2 * n) if through == "delay" else (lambda n: n)
+    image = IMAGES[through][0](recording_point(asked))
+    asked.clear()  # a centred image reads its base's term 3 when built
+    for n in (4, 9, 6, 30):
+        image.prefix(n)
+    assert [end for _, end in asked] == [need(4), need(9), need(30)]
+    # a base that refuses is read once too; the image keeps what it covers
+    asked.clear()
+    image = IMAGES[through][0](recording_point(asked, bad_at=12))
+    asked.clear()
+    with pytest.raises(AdmissibilityError) as err:
+        image.prefix(20)
+    assert err.value.stage == 12 and [end for _, end in asked] == [need(20)]
+    assert len(image._terms) == (5 if through == "delay" else 11)
+
+
 # --- every centred construction against one scaled floor per stage ---
 
 STAGES = 512
@@ -330,7 +406,7 @@ def test_every_centred_point_matches_one_scaled_floor_per_stage(name, point, tar
     if pt._closed is not None:
         stages = range(STAGES, 0, -1)
         assert [pt.term(n) for n in stages] == [want[n - 1] for n in stages]
-        assert pt._terms == [] and pt._live is None
+        assert pt._terms == []
 
 
 def run_at(k):
@@ -431,24 +507,27 @@ def test_a_stepped_family_is_asked_for_a_member_once_per_stream(name):
 
     before.ceiling_drops = member.ceiling_drops
     want = references.centred_prefix(member, STAGES)
-    assert tuple(islice(switch_terms(before, None, never, ()), STAGES)) == want
-    assert tuple(islice(switch_terms(before, None, never, want[:100]), STAGES - 100)) == want[100:]
+    assert tuple(switch_terms(before, None, never, (), None, STAGES)) == want
+    assert tuple(switch_terms(before, None, never, want[:100], None, STAGES)) == want[100:]
     assert asked == [1, 101]
-    # a point keeps one stream across its reads, so it asks at stage 1 alone
+    # each read that emits opens one stream after the terms kept, which asks
+    # at its first stage alone; a read of kept terms asks nothing
     asked.clear()
     pt = Point(Generator(rng_spread(), Lawlike(partial(switch_terms, before, None, never))))
     for n in (5, 3, 80, 12, STAGES):
         assert pt.prefix(n) == want[:n]
-    assert asked == [1]
+    assert asked == [1, 6, 81]
 
 
 # --- a fixed target's blocks of stages against one centered term per stage ---
 
-# a fresh stream's blocks end at stages 16, 48, 112, 240 and 496, that is
-# at scales 17, 49, 113, 241 and 497: a dyadic with one of those exponents
-# turns exact at a block's last stage, one more or less just inside the next
-# or this one; exponent 2 with an odd numerator ties at stage 1
-BLOCK_SCALES = [e + d for e in (2, 17, 49, 113, 241) for d in (-1, 0, 1)]
+# a block ends where its read ends; besides its random cuts the test reads
+# to stages 16, 48, 112, 240 and 300, that is to scales 17, 49, 113, 241
+# and 301: a dyadic with one of those exponents turns exact at a block's
+# last stage, one more or less just inside the next or this one; exponent 2
+# with an odd numerator ties at stage 1
+READ_ENDS = (16, 48, 112, 240)
+BLOCK_SCALES = [e + d for e in (2, 17, 49, 113, 241, 301) for d in (-1, 0, 1)]
 block_targets = st.one_of(
     st.fractions(min_value=-50, max_value=50, max_denominator=10**6),
     st.builds(Dyadic, st.integers(-(10**6), 10**6).map(lambda v: 2 * v + 1),
@@ -481,11 +560,11 @@ def test_block_centring_matches_one_centered_term_per_stage(before, after, switc
     pt = _switch_point("block", before, lambda s: after, switch_at)
     probes = [n for n in (*cuts, switch - 1, switch, h) if 0 < n <= h]
     assert [pt.term(n) for n in probes] == [want[n - 1] for n in probes]
-    for n in sorted(cuts) + [h]:  # reads cut at random points
+    for n in sorted({*cuts, *READ_ENDS}) + [h]:  # reads cut at fixed and random points
         assert pt.prefix(n) == want[:n], (before, after, switch, n)
     # a stream started after any emitted prefix continues it
     m = min(cuts, default=0)
-    assert tuple(islice(switch_terms(before, lambda s: after, switch_at, want[:m]), h - m)) == want[m:]
+    assert tuple(switch_terms(before, lambda s: after, switch_at, want[:m], None, h)) == want[m:]
 
 
 # --- a stream that refused restarts from the stages kept ---
