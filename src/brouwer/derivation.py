@@ -53,6 +53,7 @@ from .logic import (
     And,
     BOT,
     Countermodel,
+    DEFAULT_SWEEP_CAP,
     Formula,
     FormulaSyntaxError,
     Implies,
@@ -62,9 +63,9 @@ from .logic import (
     SweepBounds,
     _Parser,
     _TOKEN,
+    _sweep,
     atoms_of,
     show,
-    validity_sweep,
 )
 
 
@@ -545,9 +546,9 @@ class PrerequisiteReport(NamedTuple):
 def ks_prerequisite_report(bounds: SweepBounds = SweepBounds()) -> PrerequisiteReport:
     """Why the classical "every real is rational or irrational" shortcut
     does not survive staging: the two rules it needs both have stage-tree
-    countermodels, produced live by the sweep."""
-    cs4 = validity_sweep("cs4", bounds)
-    cs5 = validity_sweep("cs5", bounds)
+    countermodels, produced live by one sweep of the two."""
+    results, _ = _sweep(["cs4", "cs5"], bounds, DEFAULT_SWEEP_CAP)
+    cs4, cs5 = results["cs4"], results["cs5"]
     assert cs4.countermodel is not None and cs5.countermodel is not None
     return PrerequisiteReport(
         claim=(

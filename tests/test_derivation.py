@@ -42,6 +42,7 @@ from brouwer.logic import (
     load_model,
     parse,
     show,
+    validity_sweep,
 )
 from references import _parse_rule as reference_parse_rule
 from references import _script_formula as reference_script_formula
@@ -529,6 +530,19 @@ def test_ks_prerequisite_report():
     m = load_model(json.dumps(doc["blocked"][1]["countermodel"]["model"]))
     inst = parse(doc["blocked"][1]["countermodel"]["instance"])
     assert not forces(m, m.index_of(doc["blocked"][1]["countermodel"]["node"]), inst)
+
+
+@pytest.mark.parametrize("bounds", [
+    SweepBounds(3, 1, 2, 1), SweepBounds(3, 2, 2, 1), SweepBounds(4, 2, 3, 2),
+    SweepBounds(3, 3, 2, 2), SweepBounds(),
+])
+def test_ks_report_finds_the_countermodels_each_schema_alone_finds(bounds):
+    # the report sweeps both schemata in one pass; each countermodel is the
+    # first in enumeration order, the one a sweep of that schema alone finds
+    report = ks_prerequisite_report(bounds)
+    assert [b.countermodel.as_dict() for b in report.blocked] == [
+        validity_sweep(schema, bounds).countermodel.as_dict() for schema in ("cs4", "cs5")
+    ]
 
 
 # --- the stage rules against the hand-written checker they replaced ---
