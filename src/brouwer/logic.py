@@ -6,8 +6,9 @@ from now") and <*> ("settled at some future stage"). ~p abbreviates
 p -> _|_. Operands of [n] and <*> must themselves be stage-free.
 
 Surface sugar: |a is tested-now (~a | ~~a) and a| is tested-later
-(<*>(~a | ~~a)); the pipe must be glued to the atom, and the postfix
-form only reads as sugar when no operand can follow.
+(<*>(~a | ~~a)); spaces may part the pipe from its atom ('| a', 'a |'),
+a postfix pipe also follows an atom in parentheses ('(a)|', '((a))|'),
+and the postfix form only reads as sugar when no operand can follow.
 
 Grammar (precedence low to high):
 

@@ -60,6 +60,7 @@ BRANCHES = [
     EVAL + ["--at", "later", "--formula", "q"],
     EVAL + ["--at", "nowhere", "--formula", "q"],
     EVAL + ["--at", "root", "--formula", "q &"],
+    EVAL + ["--at", "later", "--formula", "| q -> ( q )|"],  # the spaced pipe sugar
     ["spread", "sample", "--law", "universal"],
     ["pi", "find", "--pattern", "0000000", "--limit", "500"],
     ["fleeing", "critical", "--digit", "0", "--run", "6", "--horizon", "300"],

@@ -128,6 +128,19 @@ def test_pipe_sugar():
     assert parse("|p & |q") == And(sugar_now(P), sugar_now(Q))
 
 
+@pytest.mark.parametrize("text, expected", [
+    ("| p", sugar_now(P)),
+    ("p |", sugar_later(P)),
+    ("( p )|", sugar_later(P)),
+    ("((p))|", sugar_later(P)),
+    ("| p -> ( q )|", Implies(sugar_now(P), sugar_later(Q))),
+])
+def test_pipe_sugar_may_be_spaced_and_follow_an_atom_in_parentheses(text, expected):
+    # the module docstring's grammar: whitespace may part the pipe from its
+    # atom, and a postfix pipe reads through parentheses around an atom
+    assert parse(text) == expected
+
+
 @pytest.mark.parametrize(
     "text,message,pos",
     [
