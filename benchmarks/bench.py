@@ -8,9 +8,10 @@ of the parent commit and this one, say) for a before and an after in one
 file. Each section runs per checkout in fresh child processes whose
 working directory is that checkout and whose PYTHONPATH is its src/, with
 BW_DIGIT_LIMIT unset. The checkouts take turns so that both sides share
-the machine's drift: pi size by size, streams and verdicts horizon by
-horizon, schemas and parse row by row, cold command by command (the side
-that goes first flips each time), the other sections section by section.
+the machine's drift: pi size by size, verdicts horizon by horizon,
+streams, schemas and parse row by row (a streams row is a horizon), cold
+command by command (the side that goes first flips each time), the other
+sections section by section.
 The sections:
 
 - pi: ``chudnovsky_digits(n)``, and a fresh ``DigitOracle()`` (its
@@ -21,7 +22,8 @@ The sections:
   reads up to 10**6 digits at a time. The Machin enclosure (to 5*10**4
   digits) and the spigot of tests/references.py (to 10**4, its cost is
   quadratic) must equal Chudnovsky.
-- streams: the median of three ``prefix(h)`` reads, each of a fresh point:
+- streams: the median over five rounds of fresh children, one per horizon
+  h, each the median of three ``prefix(h)`` reads, each of a fresh point:
   the centred value 1/3, that point through the identity, negation and delay
   maps (delay reads its base to 2h), the point recentred below stage 16,
   vienna_e and berlin_s on a trace that never resolves, the other four
@@ -31,8 +33,8 @@ The sections:
   image of a fresh 1/3 grown by reads of 16 stages up to h, for what many
   short reads of one point cost. vienna_e's target at stage n is a
   fraction over 2^(n+1): taken by a division per stage, the stream would
-  cost O(h^3). Term n is an n-bit integer, so even a linear
-  stream costs more per stage as h grows.
+  cost O(h^3). Term n is an n-bit integer, so even a linear stream costs
+  more per stage as h grows.
 - verdicts: the median of three runs of ``lt_at``, ``apart_at`` and
   ``abs_diff_lt`` (bound 2^-20) at horizon h, each on two fresh points: a
   pair whose order shows within a few stages and one that stays unknown,
@@ -50,7 +52,8 @@ The sections:
 - schemas: ``validity_sweep`` of one schema at the bounds of perfbench's
   logic-proofs sweeps, with its counts: the median over five rounds of
   fresh children, each the median of three runs; the checkouts take turns
-  row by row.
+  row by row. Each section timed in rounds also records, per row, the
+  interquartile range of its rounds (``ms_iqr``, ``us_iqr``).
 - parse: ``derivation.parse_script`` on each bundled script, and
   ``logic.parse`` on a fixed list of 200 formula texts (seeded random trees
   of operand depth 1 to 4, every operand parenthesised, as perfbench's
@@ -450,19 +453,24 @@ def run_child(checkout: str, section: str, *args) -> dict:
     return json.loads(done.stdout)
 
 
-def row_rounds(checkouts: list, section: str, rows: tuple, key: str, rounds=5) -> list:
-    """One record per checkout: each row's median time (under key) over
-    rounds of fresh children, the checkouts taking turns row by row."""
+def row_rounds(checkouts: list, section: str, rows: tuple, keys: tuple, rounds=5) -> list:
+    """One record per checkout: each row's median times (under keys) over
+    rounds of fresh children, the checkouts taking turns row by row, and
+    the interquartile range of the first of them; a child may return
+    several rows for its argument."""
     runs = [in_turn(checkouts, i, run_child, section, (row,))
             for i, row in enumerate(rows * rounds)]
+    untimed = dict.fromkeys(keys, 0)
     records = []
     for k in range(len(checkouts)):
         medians = []
         for j in range(len(rows)):
-            mine = [run[k]["rows"][0] for run in runs[j :: len(rows)]]
-            assert all({**r, key: 0} == {**mine[0], key: 0} for r in mine), \
-                f"{section} changed its counts"
-            medians.append({**mine[0], key: statistics.median(r[key] for r in mine)})
+            for mine in zip(*(run[k]["rows"] for run in runs[j :: len(rows)])):
+                assert all({**r, **untimed} == {**mine[0], **untimed} for r in mine), \
+                    f"{section} changed its counts"
+                q1, _, q3 = statistics.quantiles([r[keys[0]] for r in mine], n=4)
+                medians.append({**mine[0], **{key: statistics.median(r[key] for r in mine)
+                                              for key in keys}, f"{keys[0]}_iqr": q3 - q1})
         records.append({"rounds": rounds, "rows": medians})
     return records
 
@@ -472,10 +480,12 @@ def run_section(section: str, checkouts: list) -> list:
     if section == "cold":
         return cold(checkouts)
     if section == "schemas":
-        return row_rounds(checkouts, section, SCHEMA_SWEEPS, "ms")
+        return row_rounds(checkouts, section, SCHEMA_SWEEPS, ("ms",))
     if section == "parse":
-        return row_rounds(checkouts, section, PARSE_ROWS, "us")
-    sizes = {"pi": PI_DIGITS, "streams": HORIZONS, "verdicts": VERDICT_HORIZONS}.get(section)
+        return row_rounds(checkouts, section, PARSE_ROWS, ("us",))
+    if section == "streams":
+        return row_rounds(checkouts, section, HORIZONS, ("ms", "us_per_stage"))
+    sizes = {"pi": PI_DIGITS, "verdicts": VERDICT_HORIZONS}.get(section)
     if sizes is None:
         return [run_child(checkout, section) for checkout in checkouts]
     # one child per size and checkout; each checkout's rows are joined in size order

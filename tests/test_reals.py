@@ -385,6 +385,27 @@ def test_point_streams_script_runs():
     assert bench_writer.survives_json(record)
 
 
+def test_rounds_take_each_rows_median_and_quartile_spread(monkeypatch):
+    # a child may return several rows: each row's timed keys take their
+    # median over the rounds, and its first timed key its interquartile range
+    bench, runs = bench_writer.bench, iter(range(10))
+
+    def child(checkout, section, horizons):
+        (h,), i = horizons, next(runs)
+        return {"rows": [{"point": p, "stages": h, "ms": i + j, "us_per_stage": (i + j) / h}
+                         for j, p in enumerate("ab")]}
+
+    monkeypatch.setattr(bench, "run_child", child)
+    [record] = bench.row_rounds(["."], "streams", (10, 20), ("ms", "us_per_stage"))
+    # rounds of h = 10 are runs 0, 2, .., 8; quartiles 1 and 7 of 0, 2, .., 8
+    assert record == {"rounds": 5, "rows": [
+        {"point": "a", "stages": 10, "ms": 4, "us_per_stage": 0.4, "ms_iqr": 6.0},
+        {"point": "b", "stages": 10, "ms": 5, "us_per_stage": 0.5, "ms_iqr": 6.0},
+        {"point": "a", "stages": 20, "ms": 5, "us_per_stage": 0.25, "ms_iqr": 6.0},
+        {"point": "b", "stages": 20, "ms": 6, "us_per_stage": 0.3, "ms_iqr": 6.0},
+    ]}
+
+
 def test_verdict_script_runs():
     record = bench_writer.bench.verdicts((32,))
     pairs = ("value early", "value unknown", "switch early", "switch unknown", "mapped early",
