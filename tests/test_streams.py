@@ -1,8 +1,7 @@
-"""One memoised term stream per point, and the coincidence refutation."""
+"""One memoised list of terms per point, one stream a read, and the coincidence refutation."""
 
 from fractions import Fraction
 from functools import partial
-from itertools import repeat
 
 import pytest
 from hypothesis import given, settings, strategies as st
