@@ -252,10 +252,7 @@ def _classes_and_masks(bounds) -> tuple:
     from brouwer import logic
 
     ref = references()
-    if hasattr(logic, "_mask_set"):
-        closure = functools.partial(logic._mask_set, depth=bounds.max_operand_depth)
-    else:  # a checkout from before the set closure ranks every mask
-        closure = functools.partial(logic._mask_closure, starts=logic._level_starts(bounds))
+    closure = functools.partial(logic._mask_set, depth=bounds.max_operand_depth)
     types: dict = {}
     memo: dict = {}
     listed, keyed = set(), set()

@@ -4,11 +4,11 @@ no generated code, and no import that pulls in ``inspect``.
 A subclass names its fields in ``__slots__``, or in ``_fields`` when a slot
 is a cache kept out of equality and repr, and writes its own ``__init__``
 with ``_set``. It inherits equality and hashing on its fields within its
-own class (``And(p, q) != Or(p, q)``), the repr ``Name(field=value, ...)``,
-and the refusal of every assignment. Records on a hot path define
-``__eq__`` and ``__hash__`` over the same fields themselves, since the
-inherited ones build a tuple per call: the formula records of ``logic``,
-which the parser and the derivation checker compare.
+own class, the repr ``Name(field=value, ...)``, and the refusal of every
+assignment. A record is not a tuple: numbers such as ``Dyadic`` must not
+pick up tuple ``+`` and ``*``, and ``Point`` and ``Schema`` keep caches
+beside their fields. The formulas of ``logic``, which need neither, are
+named tuples instead.
 """
 
 _set = object.__setattr__

@@ -53,7 +53,6 @@ from .logic import (
     And,
     BOT,
     Countermodel,
-    DEFAULT_SWEEP_CAP,
     Formula,
     FormulaSyntaxError,
     Implies,
@@ -547,7 +546,7 @@ def ks_prerequisite_report(bounds: SweepBounds = SweepBounds()) -> PrerequisiteR
     """Why the classical "every real is rational or irrational" shortcut
     does not survive staging: the two rules it needs both have stage-tree
     countermodels, produced live by one sweep of the two."""
-    results, _ = _sweep(["cs4", "cs5"], bounds, DEFAULT_SWEEP_CAP)
+    results = _sweep(["cs4", "cs5"], bounds)
     cs4, cs5 = results["cs4"], results["cs5"]
     assert cs4.countermodel is not None and cs5.countermodel is not None
     return PrerequisiteReport(

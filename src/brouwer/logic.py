@@ -34,6 +34,7 @@ import itertools
 import json
 import math
 import re
+from collections import namedtuple
 from operator import and_, or_
 from typing import Callable, Iterator, NamedTuple, Optional, Union
 
@@ -48,99 +49,69 @@ class FormulaNestingError(ValueError):
     pass
 
 
-class Atom(Record):
-    __slots__ = ("name", "lawlike")
-
-    def __init__(self, name: str, lawlike: bool = False) -> None:
-        _set(self, "name", name)
-        _set(self, "lawlike", lawlike)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return self.name == other.name and self.lawlike == other.lawlike
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.name, self.lawlike))
+_tuple_eq, _tuple_ne = tuple.__eq__, tuple.__ne__  # looked up once, not per comparison
 
 
-class Bottom(Record):
+class _Formula:
+    """The formula kinds' shared half: a kind is a named tuple of its fields,
+    equal only to a formula of its own kind with equal fields (And(p, q) !=
+    Or(p, q), and no formula equals a plain tuple), hashed as its fields."""
+
     __slots__ = ()
 
     def __eq__(self, other):
-        return True if other.__class__ is self.__class__ else NotImplemented
+        return type(other) is type(self) and _tuple_eq(self, other)
 
-    def __hash__(self) -> int:
-        return hash(())
+    def __ne__(self, other):  # tuple's own ignores the class
+        return type(other) is not type(self) or _tuple_ne(self, other)
 
+    __hash__ = tuple.__hash__
 
-class _Binary(Record):
-    __slots__ = ("left", "right")
-
-    def __init__(self, left: Formula, right: Formula) -> None:
-        _set(self, "left", left)
-        _set(self, "right", right)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.left, self.right) == (other.left, other.right)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.left, self.right))
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
 
 
-class And(_Binary):
+class Atom(_Formula, namedtuple("Atom", "name lawlike", defaults=(False,))):
     __slots__ = ()
 
 
-class Or(_Binary):
+class Bottom(_Formula, namedtuple("Bottom", "")):
     __slots__ = ()
 
 
-class Implies(_Binary):
+_Pair = namedtuple("_Pair", "left right")
+
+
+class And(_Formula, _Pair):
     __slots__ = ()
 
 
-class Box(Record):
-    __slots__ = ("n", "operand")
+class Or(_Formula, _Pair):
+    __slots__ = ()
 
-    def __init__(self, n: int, operand: Formula) -> None:
+
+class Implies(_Formula, _Pair):
+    __slots__ = ()
+
+
+class Box(_Formula, namedtuple("Box", "n operand")):
+    __slots__ = ()
+
+    def __new__(cls, n: int, operand: Formula) -> Box:
         if n < 1:
             raise ValueError("stage index must be >= 1")
         if not is_stage_free(operand):
-            raise FormulaNestingError(
-                f"[{n}] operand contains a stage operator: {show(operand)}"
-            )
-        _set(self, "n", n)
-        _set(self, "operand", operand)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.n, self.operand) == (other.n, other.operand)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.operand))
+            raise FormulaNestingError(f"[{n}] operand contains a stage operator: {show(operand)}")
+        return tuple.__new__(cls, (n, operand))
 
 
-class SomeStage(Record):
-    __slots__ = ("operand",)
+class SomeStage(_Formula, namedtuple("SomeStage", "operand")):
+    __slots__ = ()
 
-    def __init__(self, operand: Formula) -> None:
+    def __new__(cls, operand: Formula) -> SomeStage:
         if not is_stage_free(operand):
-            raise FormulaNestingError(
-                f"<*> operand contains a stage operator: {show(operand)}"
-            )
-        _set(self, "operand", operand)
-
-    def __eq__(self, other):
-        if other.__class__ is self.__class__:
-            return (self.operand,) == (other.operand,)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.operand,))
+            raise FormulaNestingError(f"<*> operand contains a stage operator: {show(operand)}")
+        return tuple.__new__(cls, (operand,))
 
 
 Formula = Union[Atom, Bottom, And, Or, Implies, Box, SomeStage]
@@ -983,10 +954,8 @@ def _refuse_if_huge(bounds: SweepBounds, cap: int) -> None:
         )
 
 
-def _sweep(
-    schema_names: list[str], bounds: SweepBounds, cap: int
-) -> tuple[dict[str, SweepResult], bool]:
-    _refuse_if_huge(bounds, cap)
+def _sweep(schema_names: list[str], bounds: SweepBounds) -> dict[str, SweepResult]:
+    _refuse_if_huge(bounds, DEFAULT_SWEEP_CAP)
     starts = _level_starts(bounds)
     atoms = ATOM_POOL[: bounds.max_atoms]
     # each instance template is compiled once, to a function of phi's mask
@@ -1086,7 +1055,7 @@ def _sweep(
         if all(found[name] is not None for name in schema_names):
             break
 
-    results = {
+    return {
         name: SweepResult(
             schema=name,
             bounds=bounds,
@@ -1097,7 +1066,6 @@ def _sweep(
         )
         for name in schema_names
     }
-    return results, monotone_ok
 
 
 def validity_sweep(schema: str, bounds: SweepBounds) -> SweepResult:
@@ -1137,8 +1105,7 @@ def validity_sweep(schema: str, bounds: SweepBounds) -> SweepResult:
     phi is built, from its index (_formula_at)."""
     if schema not in SCHEMAS:
         raise ValueError(f"unknown schema {schema!r}; pick from {sorted(SCHEMAS)}")
-    results, _ = _sweep([schema], bounds, DEFAULT_SWEEP_CAP)
-    return results[schema]
+    return _sweep([schema], bounds)[schema]
 
 
 class SuiteReport(NamedTuple):
@@ -1157,5 +1124,6 @@ class SuiteReport(NamedTuple):
 
 def principle_suite(bounds: SweepBounds = SweepBounds()) -> SuiteReport:
     """One shared pass deciding all six schemata plus the monotonicity audit."""
-    results, monotone_ok = _sweep(list(SCHEMAS), bounds, DEFAULT_SWEEP_CAP)
+    results = _sweep(list(SCHEMAS), bounds)
+    monotone_ok = all(r.monotone_ok for r in results.values())
     return SuiteReport(bounds=bounds, results=results, monotone_ok=monotone_ok)

@@ -135,7 +135,8 @@ def parse_trace(text: str) -> EventTrace:
     if body == "never":
         return EventTrace(Resolution(NEVER), lawlike)
     head, sep, stage = body.partition(":")
-    if sep != ":" or head not in ("true", "false") or not stage.isdigit():
+    # the stage is ASCII digits: str.isdigit alone also admits '²' and '٣'
+    if sep != ":" or head not in ("true", "false") or not (stage.isascii() and stage.isdigit()):
         raise ValueError(f"malformed trace line: {text!r}")
     kind = PROVED if head == "true" else REFUTED
     return EventTrace(Resolution(kind, int(stage)), lawlike)

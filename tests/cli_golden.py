@@ -71,6 +71,7 @@ BRANCHES = [
     ["real", "cmp", "--lhs", "half", "--rhs", "zero", "--horizon", "20001"],
     ["spread", "sample", "--stages", "20001"],
     ["drift", "run", "--drift", "berlin", "--kind", "osc", "--trace", "true:2", "--terms", "20001"],
+    ["drift", "run", "--trace", "true:²"],  # a trace stage is ASCII digits
 ]
 USAGE_ERRORS = [
     [],

@@ -24,6 +24,7 @@ from brouwer.derivation import (
     ks_prerequisite_report,
     parse_script,
 )
+from brouwer.errors import ResourceLimitError
 from brouwer.logic import (
     BOT,
     And,
@@ -530,6 +531,14 @@ def test_ks_prerequisite_report():
     m = load_model(json.dumps(doc["blocked"][1]["countermodel"]["model"]))
     inst = parse(doc["blocked"][1]["countermodel"]["instance"])
     assert not forces(m, m.index_of(doc["blocked"][1]["countermodel"]["node"]), inst)
+
+
+def test_ks_prerequisite_report_refuses_over_the_patched_cap(monkeypatch):
+    # the report reads the sweep cap where validity_sweep does, in logic
+    monkeypatch.setattr("brouwer.logic.DEFAULT_SWEEP_CAP", 1000)
+    with pytest.raises(ResourceLimitError) as ei:
+        ks_prerequisite_report()
+    assert ei.value.requested > ei.value.limit == 1000
 
 
 @pytest.mark.parametrize("bounds", [

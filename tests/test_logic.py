@@ -1,9 +1,11 @@
 """Stage logic: grammar, tree models, forcing, and the validity sweep."""
 
+import copy
 import functools
 import gc
 import itertools
 import json
+import pickle
 import re
 import tracemalloc
 from collections import Counter
@@ -1021,9 +1023,9 @@ def _outcome(result: SweepResult):
 
 
 def _assert_same_sweep(names, bounds, oracle=_reference_sweep):
-    got, got_ok = _sweep(names, bounds, DEFAULT_SWEEP_CAP)
-    want, want_ok = oracle(names, bounds, DEFAULT_SWEEP_CAP)
-    assert got_ok == want_ok
+    # each outcome holds its result's monotone_ok, the run's audit
+    got = _sweep(names, bounds)
+    want, _ = oracle(names, bounds, DEFAULT_SWEEP_CAP)
     assert {n: _outcome(got[n]) for n in names} == {n: _outcome(want[n]) for n in names}
 
 
@@ -1187,6 +1189,16 @@ def test_formula_records_compare_by_kind_and_fields():
         p.name = "q"
     with pytest.raises(AttributeError):
         p.extra = 1  # no instance dictionary either
+    # formulas are named tuples, yet equal no plain tuple, from either side
+    assert And(p, q) != (p, q) and not And(p, q) == (p, q)
+    assert BOT != () and () != BOT and not BOT == ()
+    kinds = [p, Atom("p", True), BOT, And(p, q), Or(p, q), Implies(p, q), Box(2, p), SomeStage(q)]
+    for f in kinds:
+        assert hash(f) == hash(tuple(getattr(f, name) for name in f._fields))
+        for g in kinds + [tuple(f)]:
+            assert (f != g) is (not f == g) and (g != f) is (not g == f)
+    for f in (Box(2, p), p):  # unpickling reruns __new__, and with it Box's checks
+        assert pickle.loads(pickle.dumps(f)) == copy.copy(f) == copy.deepcopy(f) == f
     bounds = SweepBounds(max_nodes=3)
     assert bounds == SweepBounds(3) and bounds != SweepBounds(4)
     assert bounds.as_dict() == {

@@ -53,8 +53,10 @@ def test_trace_validation_and_roundtrip():
     assert format_trace(never_trace()) == "never"
     assert format_trace(proved_at(4)) == "true:4"
     assert format_trace(refuted_at(1)) == "false:1"
-    with pytest.raises(ValueError):
-        parse_trace("maybe:2")
+    # a stage is ASCII digits, though str.isdigit also admits '٣' and '²'
+    for text in ("maybe:2", "true:\u0663", "true:\u00b2"):
+        with pytest.raises(ValueError, match="^malformed trace line: "):
+            parse_trace(text)
 
 
 def test_lawlike_flag_roundtrip():
