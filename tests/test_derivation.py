@@ -120,6 +120,28 @@ premise p
     assert result.ok and show(result.conclusion) == "(p | q) & p"
 
 
+# every rule spelling a script may use, once case, '-' and '_' are set aside
+RULE_SPELLINGS = {
+    "premise": "Premise", "defaxiom": "DefAxiom", "defax": "DefAxiom", "assume": "Assume",
+    "discharge": "Discharge", "mp": "MP", "andintro": "AndIntro", "andelim": "AndElim",
+    "orintro": "OrIntro", "contrapos": "ContraPos", "dne": "DNE", "mdinst": "MD-inst",
+    "ic1inst": "IC1-inst", "ic2inst": "IC2-inst", "ic3inst": "IC3-inst", "cs5rinst": "CS5R-inst",
+}
+
+
+@pytest.mark.parametrize("spelling", [*RULE_SPELLINGS, "def-ax", "IC1_Inst", "CS5R-INST"])
+def test_each_rule_spelling_names_its_rule(spelling):
+    key = spelling.lower().replace("-", "").replace("_", "")
+    assert _parse_rule(f"{spelling}(1)", 3) == (RULE_SPELLINGS[key], (1,))
+
+
+@pytest.mark.parametrize("spelling", ["defaxioms", "def", "ic4inst", "cs5inst", "md", "modus"])
+def test_no_other_rule_spelling_is_accepted(spelling):
+    with pytest.raises(ScriptSyntaxError) as ei:
+        _parse_rule(spelling, 3)
+    assert str(ei.value) == f"line 3: unknown rule {spelling!r}" and ei.value.line_no == 3
+
+
 GOOD_HEADER = "assert a lawlike\npremise a\n"
 
 
