@@ -163,27 +163,16 @@ def _script_formula(text: str, lawlike: frozenset[str], line_no: int) -> Formula
         raise ScriptSyntaxError(f"bad formula {text.strip()!r}: {e}", line_no) from None
 
 
-_RULE_ALIASES = {
-    "premise": "Premise",
-    "defaxiom": "DefAxiom",
-    "defax": "DefAxiom",
-    "assume": "Assume",
-    "discharge": "Discharge",
-    "mp": "MP",
-    "andintro": "AndIntro",
-    "andelim": "AndElim",
-    "orintro": "OrIntro",
-    "contrapos": "ContraPos",
-    "dne": "DNE",
-}
 # the stage rules are the schemata the sweep validates; CS5R is the restricted cs5
 _INSTANCE_RULES = {
     "MD-inst": "md", "IC1-inst": "ic1", "IC2-inst": "ic2", "IC3-inst": "ic3", "CS5R-inst": "cs5"
 }
-_RULE_ALIASES.update({rule.lower().replace("-", ""): rule for rule in _INSTANCE_RULES})
 # how many steps each other rule cites; the stage rules take 0 or 1
 _ARITY = {"Premise": 0, "DefAxiom": 0, "Assume": 0, "Discharge": 1, "MP": 2, "AndIntro": 2,
           "AndElim": 1, "OrIntro": 1, "ContraPos": 1, "DNE": 1}
+# each rule's name lower-cased without '-', and the one abbreviation
+_RULE_ALIASES = {rule.lower().replace("-", ""): rule for rule in (*_ARITY, *_INSTANCE_RULES)}
+_RULE_ALIASES["defax"] = "DefAxiom"
 
 
 # a rule name, then optionally its references: from the first '(' to a
