@@ -382,13 +382,12 @@ class StageTree:
                 self.children[p].append(i)
         if roots != [0]:
             raise ModelError("exactly one root is required, at index 0")
-        # reachability doubles as the cycle check
+        # each node sits in one parent's child list, so the walk from the root
+        # meets no node twice; a cycle's nodes are unreachable from the root
         seen = [False] * n
         stack = [0]
         while stack:
             w = stack.pop()
-            if seen[w]:
-                raise ModelError("parent links form a cycle")
             seen[w] = True
             stack.extend(self.children[w])
         if not all(seen):

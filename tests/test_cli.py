@@ -49,6 +49,9 @@ def test_config_errors_exit_2(capsys, tmp_path, monkeypatch):
     (tmp_path / "brouwer.toml").write_text("digits = soon\n")
     assert main(["pi", "digits", "3"]) == 2
     assert "needs an integer" in capsys.readouterr().err
+    (tmp_path / "brouwer.toml").write_text("# sizes\ndigits 7\n")
+    assert main(["pi", "digits", "3"]) == 2
+    assert "brouwer.toml:2: expected 'key = value'" in capsys.readouterr().err
 
 
 def test_load_config_defaults_without_file(tmp_path, monkeypatch):

@@ -169,6 +169,12 @@ def test_script_syntax_errors(src, fragment):
     assert ei.value.line_no >= 1
 
 
+def test_a_line_that_is_no_declaration_and_no_step_is_refused_at_its_line():
+    with pytest.raises(ScriptSyntaxError) as ei:
+        parse_script("premise p\n\n1 p ; Premise\n")
+    assert str(ei.value) == "line 3: cannot parse line '1 p ; Premise'" and ei.value.line_no == 3
+
+
 # --- the script reader against the reference reader ---
 
 

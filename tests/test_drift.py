@@ -91,6 +91,22 @@ def test_validate_drift_catches_degenerate_counting_numbers():
         validate_drift(broken, depth=2)
 
 
+@pytest.mark.parametrize("drift,message", [
+    (Drift("on", Fraction(1, 2), right=lambda v: Fraction(1, 2)),
+     "kernel not apart from c_1 at horizon 18"),
+    (Drift("below", Fraction(0), right=lambda v: Fraction(-1, v)),
+     "c_1 sits on the wrong side of the kernel"),
+    (Drift("above", Fraction(0), left=lambda v: Fraction(1, v)),
+     "c_1 sits on the wrong side of the kernel"),
+    (Drift("flat", Fraction(0), right=lambda v: Fraction(1)),
+     "counting numbers c_1, c_2 not apart at horizon 22"),
+])
+def test_validate_drift_names_the_check_that_fails(drift, message):
+    with pytest.raises(DriftValidationError) as ei:
+        validate_drift(drift, depth=2)
+    assert str(ei.value) == message
+
+
 # the tags the bundled drifts declared before tags were read off the values:
 # the kernel's, then those of c_1..c_8, r_1..r_8 and l_1..l_8 ("" where the
 # drift has no such wing); R is rational, I irrational

@@ -170,6 +170,10 @@ def test_pipe_sugar_may_be_spaced_and_follow_an_atom_in_parentheses(text, expect
         # stage indices are ASCII digits, as names are ASCII letters
         ("[\u00b2]p", "malformed stage index", 0),
         ("[\u0663]p", "malformed stage index", 0),
+        # too deep once an operand is read: at the '->' of an implication,
+        # at the '(' of a group
+        ("(" * 99 + "p" + ")" * 99 + " -> q", "formula nested deeper than 100 levels", 200),
+        ("(" + "~" * 98 + "p -> q)", "formula nested deeper than 100 levels", 0),
     ],
 )
 def test_syntax_errors(text, message, pos):
@@ -394,19 +398,24 @@ def test_tree_shape_queries():
 
 
 @pytest.mark.parametrize(
-    "parents,vals",
+    "parents,size,ids,message",
     [
-        ((), ()),  # empty
-        ((None, 0), (frozenset({"p"}),)),  # valuation size mismatch
-        ((None, None), (frozenset(), frozenset())),  # two roots
-        ((0, 0), (frozenset(), frozenset())),  # no root
-        ((None, 5), (frozenset(), frozenset())),  # parent out of range
-        ((None, 1), (frozenset(), frozenset())),  # self-parent cycle
+        ((), 0, None, "a stage tree needs at least one node"),
+        ((None, 0), 1, None, "valuation size does not match node count"),
+        ((None, None), 2, None, "exactly one root is required, at index 0"),
+        ((0, 0), 2, None, "exactly one root is required, at index 0"),  # no root
+        ((None, 5), 2, None, "node n1 has an unknown parent"),
+        # a cycle's nodes are unreachable from the root
+        ((None, 1), 2, None, "disconnected nodes in the tree"),  # self-parent
+        ((None, 2, 1), 3, None, "disconnected nodes in the tree"),
+        ((None, 0), 2, ("a", "a"), "node ids must be unique and cover every node"),
+        ((None, 0), 2, ("a",), "node ids must be unique and cover every node"),
     ],
 )
-def test_bad_trees_rejected(parents, vals):
-    with pytest.raises(ModelError):
-        StageTree(parents, vals)
+def test_bad_trees_rejected(parents, size, ids, message):
+    with pytest.raises(ModelError) as ei:
+        StageTree(parents, (frozenset(),) * size, ids)
+    assert str(ei.value) == message
 
 
 def test_monotone_valuation_enforced():
@@ -450,19 +459,25 @@ def test_load_model_accepts_root_anywhere():
 
 
 @pytest.mark.parametrize(
-    "doc",
+    "doc,message",
     [
-        "not json {",
-        '{"nodes": []}',
-        '{"nodes": [{"id": "a"}, {"id": "a"}]}',
-        '{"nodes": [{"id": "a"}, {"id": "b"}]}',  # two roots
-        '{"nodes": [{"id": "a", "parent": "ghost"}]}',
-        '{"nodes": [{"id": "a", "atoms": ["p"]}, {"id": "b", "parent": "a"}]}',
+        ("not json {", "model file is not valid JSON: Expecting value: line 1 column 1 (char 0)"),
+        ('{"nodes": []}', "model JSON needs a non-empty 'nodes' list"),
+        ('{"nodes": [{"id": "a"}, {"id": "a"}]}', "duplicate node ids"),
+        ('{"nodes": [{"id": "a"}, {"id": "b"}]}', "model JSON needs exactly one root node"),
+        ('{"nodes": [{"id": "a", "parent": "ghost"}]}', "model JSON needs exactly one root node"),
+        ('{"nodes": [{"id": "r"}, {"id": "a", "parent": "ghost"}]}',
+         "node 'a' references unknown parent 'ghost'"),
+        ('{"nodes": [{"id": "r"}, {"id": "a", "parent": "b"}, {"id": "b", "parent": "a"}]}',
+         "disconnected nodes in the tree"),
+        ('{"nodes": [{"id": "a", "atoms": ["p"]}, {"id": "b", "parent": "a"}]}',
+         "valuation not monotone: atom 'p' is lost at node b"),
     ],
 )
-def test_load_model_rejects(doc):
-    with pytest.raises(ModelError):
+def test_load_model_rejects(doc, message):
+    with pytest.raises(ModelError) as ei:
         load_model(doc)
+    assert str(ei.value) == message
 
 
 @pytest.mark.parametrize(
@@ -1460,7 +1475,10 @@ def test_compiled_instances_match_forces(data):
     schema = data.draw(st.sampled_from(sorted(SCHEMAS)))
     mm = _Masks(model, bounds.max_box_index)
     phi_mask = masks_eval(mm, phi, {})
-    for _, build in SCHEMAS[schema].instances(bounds):
+    # no schema template has '&': one more template compiles it
+    builds = [build for _, build in SCHEMAS[schema].instances(bounds)]
+    builds.append(lambda a: And(a, Implies(Box(1, a), Not(a))))
+    for build in builds:
         mask = _mask_function(build(Atom("phi")))(mm, phi_mask)
         instance = build(phi)
         assert [mask >> w & 1 for w in range(model.size)] == [forces(model, w, instance) for w in range(model.size)]

@@ -230,6 +230,9 @@ def test_continuity_modulus_closed_forms():
         assert q_neg == q_id
         q_del = continuity_modulus(delay_map(), a, m0)
         assert q_del.as_fraction() == Fraction(1, 2 ** (2 * m0 + 6))
+    # a scan that runs out hands its unknown verdict on
+    v = continuity_modulus(identity_map(), a, 30, 20)
+    assert v.value is VerdictValue.UNKNOWN and v.horizon == 20
 
 
 def test_moduli_refuse_a_negative_horizon():
