@@ -5,67 +5,65 @@
 
 CHECKOUT defaults to the checkout that holds this script; give two (a copy
 of the parent commit and this one, say) for a before and an after in one
-file. Each section runs per checkout in fresh child processes whose
-working directory is that checkout and whose PYTHONPATH is its src/, with
-BW_DIGIT_LIMIT unset. The checkouts take turns so that both sides share
-the machine's drift: pi size by size, verdicts horizon by horizon,
-streams, schemas and parse row by row (a streams row is a horizon), cold
-command by command (the side that goes first flips each time), the other
-sections section by section.
+file. Every section runs in fresh child processes whose working directory
+is the checkout and whose PYTHONPATH is its src/, with BW_DIGIT_LIMIT
+unset. tier1 and perfbench run whole; the others run five rounds of one
+child per row (a pi size, a horizon, a script, ...) and checkout, the
+checkouts taking turns and the first side flipping from row to row and
+round to round, so that both sides share the machine's drift. Each timed
+key of a row gets its median over the rounds, ``<key>_iqr`` and, with two
+checkouts, ``<key>_better_in``: the rounds in which the second read lower,
+ties to neither. A key a row did not time stays None; the other keys must
+repeat. In a child each time is the median of three runs, which must give
+the same answer.
 The sections:
 
 - pi: ``chudnovsky_digits(n)``, and a fresh ``DigitOracle()`` (its
   1000-digit self-test included) scanning ``critical_number(run_property(0,
-  6), n)``, each the median of three runs. Pi has no run of six zeros below
-  10**6, so the scan must answer none-below:n; it reads the series once
-  past the self-test, to the end of its window, since a 6-digit search
-  reads up to 10**6 digits at a time. The Machin enclosure (to 5*10**4
-  digits) and the spigot of tests/references.py (to 10**4, its cost is
-  quadratic) must equal Chudnovsky.
-- streams: the median over five rounds of fresh children, one per horizon
-  h, each the median of three ``prefix(h)`` reads, each of a fresh point:
-  the centred value 1/3, that point through the identity, negation and delay
-  maps (delay reads its base to 2h), the point recentred below stage 16,
-  vienna_e and berlin_s on a trace that never resolves, the other four
-  ``real cmp`` point specs (zero, one, half, and berlin_r on the first run
-  of six 9s in pi, its defaults), and the centred sqrt(2)/2, the point
+  6), n)``. Pi has no run of six zeros below 10**6, so the scan must answer
+  none-below:n; it reads the series once past the self-test, to the end of
+  its window, since a 6-digit search reads up to 10**6 digits at a time.
+  The Machin enclosure (to 5*10**4 digits) and the spigot of
+  tests/references.py (to 10**4, its cost is quadratic), each timed once,
+  must equal Chudnovsky.
+- streams: per horizon h, ``prefix(h)`` of a fresh point: the centred value
+  1/3, that point through the identity, negation and delay maps (delay
+  reads its base to 2h), the point recentred below stage 16, vienna_e and
+  berlin_s on a trace that never resolves, the other four ``real cmp``
+  point specs (zero, one, half, and berlin_r on the first run of six 9s in
+  pi, its defaults), and the centred sqrt(2)/2, the point
   ``validate_drift`` builds for an irrational kernel; and the negation
   image of a fresh 1/3 grown by reads of 16 stages up to h, for what many
   short reads of one point cost. vienna_e's target at stage n is a
   fraction over 2^(n+1): taken by a division per stage, the stream would
   cost O(h^3). Term n is an n-bit integer, so even a linear stream costs
   more per stage as h grows.
-- verdicts: the median of three runs of ``lt_at``, ``apart_at`` and
-  ``abs_diff_lt`` (bound 2^-20) at horizon h, each on two fresh points: a
-  pair whose order shows within a few stages and one that stays unknown,
-  of value points (1/3 against 1/2, and against itself), of switch points
-  (zero against berlin_s proved at stage 5, and on a trace that never
-  resolves) and of mapped points (the negation and the identity of 1/3,
-  against 1/3). Equal points decide ``abs_diff_lt`` early and stay
-  unknown to the other two, so each row records the verdict it timed.
+- verdicts: ``lt_at``, ``apart_at`` and ``abs_diff_lt`` (bound 2^-20) at
+  horizon h, each on two fresh points: a pair whose order shows within a
+  few stages and one that stays unknown, of value points (1/3 against 1/2,
+  and against itself), of switch points (zero against berlin_s proved at
+  stage 5, and on a trace that never resolves) and of mapped points (the
+  negation and the identity of 1/3, against 1/3). Equal points decide
+  ``abs_diff_lt`` early and stay unknown to the other two, so each row
+  records the verdict it timed.
 - sweep: ``principle_suite`` (all six schemata, stage indices up to 3) at
   fixed (nodes, atoms, operand depth), with the root classes the sweep's
   class tables list, checked against every model's root class (from
   tests/references.py), and the distinct formula masks per model: the size
   of the mask algebra the sweep closes on each model, against the formula
-  count. Seconds are the median of three runs.
+  count. ``models_per_s`` is taken at the median seconds.
 - schemas: ``validity_sweep`` of one schema at the bounds of perfbench's
-  logic-proofs sweeps, with its counts: the median over five rounds of
-  fresh children, each the median of three runs; the checkouts take turns
-  row by row. Each section timed in rounds also records, per row, the
-  interquartile range of its rounds (``ms_iqr``, ``us_iqr``).
+  logic-proofs sweeps, with its counts.
 - parse: ``derivation.parse_script`` on each bundled script, and
   ``logic.parse`` on a fixed list of 200 formula texts (seeded random trees
   of operand depth 1 to 4, every operand parenthesised, as perfbench's
   logic-proofs writes them), in microseconds per script (over 100 reads)
-  or per formula: the median over five rounds of fresh children, each the
-  median of three runs; the checkouts take turns row by row. Each child
-  first checks its readings against the reference parser of
-  tests/references.py.
-- cold: the median of seven fresh processes for a bare interpreter, for
-  ``import argparse, json, fractions`` (what the CLI needs before any
-  brouwer module) and for each README command with --json, run in a
-  scratch directory that holds the README's model.json and no brouwer.toml.
+  or per formula. Each child first checks its readings against the
+  reference parser of tests/references.py.
+- cold: a bare interpreter, ``import argparse, json, fractions`` (what the
+  CLI needs before any brouwer module) and each README command with
+  --json, started from a scratch directory that holds the README's
+  model.json and no brouwer.toml; its stdout must repeat.
 - tier1: the Tier-1 pytest run: wall time, counts, the ten slowest tests
   and each acceptance criterion's time against its budget.
 - perfbench: ``perfbench/report.py`` at seed 7 and 20 s per workload, whole.
@@ -84,6 +82,7 @@ import functools
 import glob
 import importlib.util
 import json
+import operator
 import os
 import platform
 import random
@@ -97,8 +96,6 @@ import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
-SECTIONS = ("pi", "streams", "verdicts", "sweep", "schemas", "parse", "cold", "tier1",
-            "perfbench")
 
 PI_DIGITS = (1_000, 10_000, 50_000, 100_000, 200_000, 1_000_000)
 REPEATS = 3
@@ -127,6 +124,9 @@ README = (
     "derive ks-report",
     "replay vienna-9",
 )
+COLD = {"python -c pass": ["-c", "pass"],
+        "import argparse, json, fractions": ["-c", "import argparse, json, fractions"],
+        **{line: ["-m", "brouwer.cli", *shlex.split(line), "--json"] for line in README}}
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
@@ -210,7 +210,7 @@ def streams(horizons=HORIZONS) -> dict:
     rows = []
     for h in horizons:
         for name, read in reads.items():
-            seconds = statistics.median(timed(read, h)[1] for _ in range(REPEATS))
+            _, seconds = timed_median(read, h)
             rows.append({"point": name, "stages": h, "ms": seconds * 1e3,
                          "us_per_stage": seconds * 1e6 / h})
     return {"rows": rows}
@@ -290,8 +290,7 @@ def sweep(bounds=BOUNDS) -> dict:
         rows.append({
             "bounds": f"({nodes},{atoms},{depth})", "formulas": _level_starts(b)[-1],
             "models": models, "classes": classes, "seconds": seconds,
-            "models_per_s": models / seconds, "masks_mean": sum(counts) / len(counts),
-            "masks_max": max(counts),
+            "masks_mean": sum(counts) / len(counts), "masks_max": max(counts),
         })
     return {"rows": rows}
 
@@ -354,29 +353,19 @@ def parse(rows=PARSE_ROWS) -> dict:
     return {"rows": out}
 
 
-def cold(checkouts, repeats=7) -> list:
-    """One record per checkout; each command runs on every checkout in turn."""
-    commands = {"python -c pass": ["-c", "pass"],
-                "import argparse, json, fractions": ["-c", "import argparse, json, fractions"]}
-    for line in README:
-        commands[line] = ["-m", "brouwer.cli", *shlex.split(line), "--json"]
-    times = [{line: [] for line in commands} for _ in checkouts]
+def cold(lines=tuple(COLD)) -> dict:
     with tempfile.TemporaryDirectory() as cwd:
         with open(os.path.join(cwd, "model.json"), "w", encoding="utf-8") as fh:
             fh.write(MODEL)
 
-        def start(checkout, line):
-            done, seconds = timed(subprocess.run, [sys.executable, *commands[line]], cwd=cwd,
-                                  env=child_env(checkout), capture_output=True, text=True)
+        def start(line):
+            done = subprocess.run([sys.executable, *COLD[line]], cwd=cwd, capture_output=True,
+                                  text=True)
             assert done.returncode == 0, f"{line} exited {done.returncode}: {done.stderr}"
-            return seconds * 1e3
+            return done.stdout
 
-        for i in range(repeats):
-            for line in commands:
-                for k, ms in enumerate(in_turn(checkouts, i, start, line)):
-                    times[k][line].append(ms)
-    return [{"repeats": repeats, "rows": [{"command": line, "median_ms": statistics.median(ms)}
-                                          for line, ms in t.items()]} for t in times]
+        return {"rows": [{"command": line, "ms": timed_median(start, line)[1] * 1e3}
+                         for line in lines]}
 
 
 def tier1() -> dict:
@@ -432,14 +421,6 @@ def child_env(checkout: str) -> dict:
     return env
 
 
-def in_turn(checkouts: list, i: int, fn, *args) -> list:
-    """fn(checkout, *args) for each checkout, in checkout order; the first
-    checkout goes first at even i and last at odd i."""
-    order = range(len(checkouts)) if i % 2 == 0 else reversed(range(len(checkouts)))
-    done = {k: fn(checkouts[k], *args) for k in order}
-    return [done[k] for k in range(len(checkouts))]
-
-
 def run_child(checkout: str, section: str, *args) -> dict:
     code = (f"import json, sys; sys.path.insert(0, {HERE!r}); import bench; "
             f"print(json.dumps(bench.{section}(*{args!r})))")
@@ -450,45 +431,62 @@ def run_child(checkout: str, section: str, *args) -> dict:
     return json.loads(done.stdout)
 
 
+def spread(values: list, sides: list) -> tuple:
+    """The median and interquartile range of values, and the rounds in which
+    the last side read lower than the first; None for all three when
+    nothing was timed."""
+    if None in values:
+        return None, None, None
+    q1, _, q3 = statistics.quantiles(values, n=4)
+    return statistics.median(values), q3 - q1, sum(map(operator.lt, sides[-1], sides[0]))
+
+
 def row_rounds(checkouts: list, section: str, rows: tuple, keys: tuple, rounds=5) -> list:
-    """One record per checkout: each row's median times (under keys) over
-    rounds of fresh children, the checkouts taking turns row by row, and
-    the interquartile range of the first of them; a child may return
-    several rows for its argument."""
-    runs = [in_turn(checkouts, i, run_child, section, (row,))
-            for i, row in enumerate(rows * rounds)]
-    untimed = dict.fromkeys(keys, 0)
-    records = []
-    for k in range(len(checkouts)):
-        medians = []
-        for j in range(len(rows)):
-            for mine in zip(*(run[k]["rows"] for run in runs[j :: len(rows)])):
-                assert all({**r, **untimed} == {**mine[0], **untimed} for r in mine), \
-                    f"{section} changed its counts"
-                q1, _, q3 = statistics.quantiles([r[keys[0]] for r in mine], n=4)
-                medians.append({**mine[0], **{key: statistics.median(r[key] for r in mine)
-                                              for key in keys}, f"{keys[0]}_iqr": q3 - q1})
-        records.append({"rounds": rounds, "rows": medians})
+    """One record per checkout, from rounds of one child per row and
+    checkout; a child may return several rows for its row."""
+    sides, runs = range(len(checkouts)), {}
+    for r in range(rounds):
+        for j, row in enumerate(rows):  # the first side flips from row to row and round to round
+            for k in sides if (r + j) % 2 == 0 else reversed(sides):
+                runs[r, j, k] = run_child(checkouts[k], section, (row,))
+    # per checkout, each row a child returned, as read in every round
+    taken = [[reads for j in range(len(rows))
+              for reads in zip(*(runs[r, j, k]["rows"] for r in range(rounds)))] for k in sides]
+    untimed = dict.fromkeys(keys)
+    records = [{**runs[0, 0, k], "rounds": rounds, "rows": []} for k in sides]
+    for k, mine in enumerate(taken):
+        for i, reads in enumerate(mine):
+            assert all({**r, **untimed} == {**reads[0], **untimed} for r in reads), \
+                f"{section} changed its counts"
+            records[k]["rows"].append(row := dict(reads[0]))
+            for key in keys:
+                values = [[r[key] for r in side[i]] for side in taken]
+                row[key], row[f"{key}_iqr"], better = spread(values[k], values)
+                if len(taken) == 2:
+                    row[f"{key}_better_in"] = better
+            if section == "sweep":
+                row["models_per_s"] = row["models"] / row["seconds"]
     return records
 
 
+# each section timed row by row: the rows its children take, and the keys they time
+ROWS = {
+    "pi": (PI_DIGITS, ("chudnovsky_s", "critical_s", "machin_s", "spigot_s")),
+    "streams": (HORIZONS, ("ms", "us_per_stage")),
+    "verdicts": (VERDICT_HORIZONS, ("us",)),
+    "sweep": (BOUNDS, ("seconds",)),
+    "schemas": (SCHEMA_SWEEPS, ("ms",)),
+    "parse": (PARSE_ROWS, ("us",)),
+    "cold": (tuple(COLD), ("ms",)),
+}
+SECTIONS = (*ROWS, "tier1", "perfbench")
+
+
 def run_section(section: str, checkouts: list) -> list:
-    """The section's record for each checkout."""
-    if section == "cold":
-        return cold(checkouts)
-    if section == "schemas":
-        return row_rounds(checkouts, section, SCHEMA_SWEEPS, ("ms",))
-    if section == "parse":
-        return row_rounds(checkouts, section, PARSE_ROWS, ("us",))
-    if section == "streams":
-        return row_rounds(checkouts, section, HORIZONS, ("ms", "us_per_stage"))
-    sizes = {"pi": PI_DIGITS, "verdicts": VERDICT_HORIZONS}.get(section)
-    if sizes is None:
-        return [run_child(checkout, section) for checkout in checkouts]
-    # one child per size and checkout; each checkout's rows are joined in size order
-    parts = [in_turn(checkouts, i, run_child, section, (n,)) for i, n in enumerate(sizes)]
-    return [{**column[0], "rows": [row for part in column for row in part["rows"]]}
-            for column in zip(*parts)]
+    """The section's record for each checkout; tier1 and perfbench run whole."""
+    if section in ROWS:
+        return row_rounds(checkouts, section, *ROWS[section])
+    return [run_child(checkout, section) for checkout in checkouts]
 
 
 def cell(value) -> str:

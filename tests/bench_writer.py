@@ -1,8 +1,9 @@
 """``benchmarks/bench.py`` loaded as a module, so that tests can run its
-pi, streams and sweep sections in-process at their smallest sizes.
+sections in-process at their smallest sizes, and its rounds with a
+stand-in for the child processes.
 
-The cold, Tier-1 and perfbench sections start processes and take minutes,
-so only ``python benchmarks/bench.py`` runs them.
+The Tier-1 and perfbench sections take minutes, so only ``python
+benchmarks/bench.py`` runs them.
 """
 
 import importlib.util

@@ -1,8 +1,11 @@
 """The command-line surface, driven through main() without a subprocess."""
 
 import json
+from pathlib import Path
 
 import pytest
+
+import bench_writer
 
 from brouwer import fleeing, reals, spreads
 from brouwer.cli import DEFAULTS, DRIFT_KINDS, REPLAYS, load_config, main
@@ -420,3 +423,14 @@ def test_an_over_deep_model_file_is_an_error(capsys, tmp_path):
     for flag in ([], ["--json"]):
         code = main(["logic", "eval", "--model", str(path), "--at", "root", "--formula", "q", *flag])
         assert_clean_error(capsys, code)
+
+
+def test_cold_section_script_runs(monkeypatch):
+    # the bench starts each command afresh, from a scratch directory that
+    # holds the README's model.json
+    monkeypatch.setenv("PYTHONPATH", str(Path(__file__).resolve().parent.parent / "src"))
+    lines = ("python -c pass", "logic eval --model model.json --at root --formula '<*>q -> q'")
+    record = bench_writer.bench.cold(lines)
+    assert [list(row) for row in record["rows"]] == [["command", "ms"]] * 2
+    assert [row["command"] for row in record["rows"]] == list(lines)
+    assert bench_writer.survives_json(record)

@@ -1,9 +1,12 @@
 """The standard-library Chudnovsky route against the independent routes,
 and the digits the Machin enclosure proves against the spigot."""
 
+import shutil
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from functools import cache
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -285,3 +288,16 @@ def test_benchmark_script_runs():
     assert row["digits"] == 1_000
     assert all(isinstance(row[k], float) for k in list(row)[1:])  # both cross-checks ran
     assert bench_writer.survives_json(record)
+
+
+def test_a_failing_cross_check_stops_the_benchmark_before_it_writes(tmp_path, monkeypatch):
+    # a checkout whose critical-number search finds a run of six zeros at once
+    src = Path(bench_writer.bench.HERE).parent / "src" / "brouwer"
+    shutil.copytree(src, tmp_path / "src" / "brouwer", ignore=shutil.ignore_patterns("__pycache__"))
+    with open(tmp_path / "src" / "brouwer" / "fleeing.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef critical_number(prop, limit):\n    return 'found-at:1'\n")
+    out = tmp_path / "out.json"
+    monkeypatch.setattr(sys, "argv", ["bench.py", str(out), str(tmp_path)])
+    with pytest.raises(SystemExit) as ei:
+        bench_writer.bench.main()
+    assert "a run of six zeros below 1000" in str(ei.value.code) and not out.exists()

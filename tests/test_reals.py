@@ -389,24 +389,64 @@ def test_point_streams_script_runs():
 
 
 def test_rounds_take_each_rows_median_and_quartile_spread(monkeypatch):
-    # a child may return several rows: each row's timed keys take their
-    # median over the rounds, and its first timed key its interquartile range
-    bench, runs = bench_writer.bench, iter(range(10))
+    # a child may return several rows: each timed key of each row takes its
+    # median and interquartile range over the rounds and, with two
+    # checkouts, the rounds in which the second read lower; a key a row did
+    # not time stays None, and the child's other keys are kept
+    bench, calls = bench_writer.bench, []
 
     def child(checkout, section, horizons):
-        (h,), i = horizons, next(runs)
-        return {"rows": [{"point": p, "stages": h, "ms": i + j, "us_per_stage": (i + j) / h}
-                         for j, p in enumerate("ab")]}
+        (h,) = horizons
+        calls.append((checkout, h))
+        r = calls.count((checkout, h)) - 1  # the round
+        ms = r if checkout == "a" else 4 - r  # "b" reads lower in rounds 3 and 4, ties in 2
+        return {"backend": checkout, "rows": [
+            {"point": p, "stages": h, "ms": ms + j, "us_per_stage": None if j else ms / h}
+            for j, p in enumerate("xy")]}
 
     monkeypatch.setattr(bench, "run_child", child)
-    [record] = bench.row_rounds(["."], "streams", (10, 20), ("ms", "us_per_stage"))
-    # rounds of h = 10 are runs 0, 2, .., 8; quartiles 1 and 7 of 0, 2, .., 8
-    assert record == {"rounds": 5, "rows": [
-        {"point": "a", "stages": 10, "ms": 4, "us_per_stage": 0.4, "ms_iqr": 6.0},
-        {"point": "b", "stages": 10, "ms": 5, "us_per_stage": 0.5, "ms_iqr": 6.0},
-        {"point": "a", "stages": 20, "ms": 5, "us_per_stage": 0.25, "ms_iqr": 6.0},
-        {"point": "b", "stages": 20, "ms": 6, "us_per_stage": 0.3, "ms_iqr": 6.0},
-    ]}
+    records = bench.row_rounds(["a", "b"], "streams", (4, 8), ("ms", "us_per_stage"))
+    # the first side flips from row to row and from round to round
+    assert calls == [(c, h) for r in range(5) for j, h in enumerate((4, 8))
+                     for c in ("ab" if (r + j) % 2 == 0 else "ba")]
+    # reads 0..4 (plus the row's index): median 2, quartiles 0.5 and 3.5
+    rows = [
+        {"point": "x", "stages": 4, "ms": 2, "ms_iqr": 3.0, "ms_better_in": 2,
+         "us_per_stage": 0.5, "us_per_stage_iqr": 0.75, "us_per_stage_better_in": 2},
+        {"point": "y", "stages": 4, "ms": 3, "ms_iqr": 3.0, "ms_better_in": 2,
+         "us_per_stage": None, "us_per_stage_iqr": None, "us_per_stage_better_in": None},
+        {"point": "x", "stages": 8, "ms": 2, "ms_iqr": 3.0, "ms_better_in": 2,
+         "us_per_stage": 0.25, "us_per_stage_iqr": 0.375, "us_per_stage_better_in": 2},
+        {"point": "y", "stages": 8, "ms": 3, "ms_iqr": 3.0, "ms_better_in": 2,
+         "us_per_stage": None, "us_per_stage_iqr": None, "us_per_stage_better_in": None},
+    ]
+    assert records == [{"backend": c, "rounds": 5, "rows": rows} for c in "ab"]
+    # one checkout: no count of better rounds
+    calls.clear()
+    [record] = bench.row_rounds(["a"], "streams", (4, 8), ("ms", "us_per_stage"))
+    assert record["rows"][0] == {"point": "x", "stages": 4, "ms": 2, "ms_iqr": 3.0,
+                                 "us_per_stage": 0.5, "us_per_stage_iqr": 0.75}
+    # the sweep's rate is taken at its median seconds
+    seconds = iter([3.0, 1.0, 2.0, 6.0, 4.0])
+    monkeypatch.setattr(bench, "run_child", lambda checkout, section, rows: {
+        "rows": [{"models": 6, "seconds": next(seconds)}]})
+    [record] = bench.row_rounds(["a"], "sweep", ((3, 2, 2),), ("seconds",))
+    assert record["rows"] == [{"models": 6, "seconds": 3.0, "seconds_iqr": 3.5,
+                               "models_per_s": 2.0}]
+
+    def drifting(checkout, section, rows):
+        calls.append(checkout)
+        return {"rows": [{"models": len(calls), "ms": 1.0}]}
+
+    monkeypatch.setattr(bench, "run_child", drifting)
+    with pytest.raises(AssertionError, match="schemas changed its counts"):
+        bench.row_rounds(["a"], "schemas", (4,), ("ms",))
+    # every section but tier1 and perfbench is timed row by row
+    monkeypatch.setattr(bench, "row_rounds", lambda checkouts, section, rows, keys: "rows")
+    monkeypatch.setattr(bench, "run_child", lambda checkout, section: "whole")
+    assert {s: bench.run_section(s, ["a"]) for s in bench.SECTIONS} == {
+        "pi": "rows", "streams": "rows", "verdicts": "rows", "sweep": "rows", "schemas": "rows",
+        "parse": "rows", "cold": "rows", "tier1": ["whole"], "perfbench": ["whole"]}
 
 
 def test_verdict_script_runs():
