@@ -434,6 +434,7 @@ def test_rounds_take_each_rows_median_and_quartile_spread(monkeypatch):
     assert record["rows"] == [{"models": 6, "seconds": 3.0, "seconds_iqr": 3.5,
                                "models_per_s": 2.0}]
 
+    # a count that changes between rounds stops the run
     def drifting(checkout, section, rows):
         calls.append(checkout)
         return {"rows": [{"models": len(calls), "ms": 1.0}]}
