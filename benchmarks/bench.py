@@ -7,25 +7,26 @@ CHECKOUT defaults to the checkout that holds this script; give two (a copy
 of the parent commit and this one, say) for a before and an after in one
 file. Every section runs in fresh child processes whose working directory
 is the checkout and whose PYTHONPATH is its src/, with BW_DIGIT_LIMIT
-unset. tier1 and perfbench run whole; the others run five rounds of one
-child per row (a pi size, a horizon, a script, ...) and checkout, the
-checkouts taking turns and the first side flipping from row to row and
+unset. checks, tier1 and perfbench run whole; the others run five rounds
+of one child per row (a pi size, a horizon, a script, ...) and checkout,
+the checkouts taking turns and the first side flipping from row to row and
 round to round, so that both sides share the machine's drift. Each timed
 key of a row gets its median over the rounds, ``<key>_iqr`` and, with two
 checkouts, ``<key>_better_in``: the rounds in which the second read lower,
-ties to neither. A key a row did not time stays None; the other keys must
-repeat. In a child each time is the median of three runs, which must give
-the same answer.
+ties to neither. The other keys must repeat. In a child each time is the
+median of three runs, which must give the same answer.
 The sections:
 
+- checks: the Machin enclosure (to 5*10**4 digits) and the spigot of
+  tests/references.py (to 10**4, its cost is quadratic) must equal
+  ``chudnovsky_digits(n)`` at every pi size up to their tops; each is timed
+  once. It runs first, once per checkout, so a wrong route stops the run
+  before any timing.
 - pi: ``chudnovsky_digits(n)``, and a fresh ``DigitOracle()`` (its
   1000-digit self-test included) scanning ``critical_number(run_property(0,
   6), n)``. Pi has no run of six zeros below 10**6, so the scan must answer
   none-below:n; it reads the series once past the self-test, to the end of
   its window, since a 6-digit search reads up to 10**6 digits at a time.
-  The Machin enclosure (to 5*10**4 digits) and the spigot of
-  tests/references.py (to 10**4, its cost is quadratic), each timed once,
-  must equal Chudnovsky.
 - streams: per horizon h, ``prefix(h)`` of a fresh point: the centred value
   1/3, that point through the identity, negation and delay maps (delay
   reads its base to 2h), the point recentred below stage 16, vienna_e and
@@ -61,9 +62,10 @@ The sections:
   or per formula. Each child first checks its readings against the
   reference parser of tests/references.py.
 - cold: a bare interpreter, ``import argparse, json, fractions`` (what the
-  CLI needs before any brouwer module) and each README command with
-  --json, started from a scratch directory that holds the README's
-  model.json and no brouwer.toml; its stdout must repeat.
+  CLI needs before any brouwer module) and each README command of
+  tests/cli_golden.py with --json, started from a scratch directory that
+  holds a copy of tests/golden/model.json and no brouwer.toml; its stdout
+  must repeat.
 - tier1: the Tier-1 pytest run: wall time, counts, the ten slowest tests
   and each acceptance criterion's time against its budget.
 - perfbench: ``perfbench/report.py`` at seed 7 and 20 s per workload, whole.
@@ -88,6 +90,7 @@ import platform
 import random
 import re
 import shlex
+import shutil
 import site
 import statistics
 import subprocess
@@ -96,6 +99,12 @@ import tempfile
 import time
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+# the tests of this script's own tree: the README commands, the model file
+# they read and the reference routes no production path calls
+TESTS = os.path.join(os.path.dirname(HERE), "tests")
+if TESTS not in sys.path:
+    sys.path.insert(0, TESTS)
+import cli_golden  # noqa: E402
 
 PI_DIGITS = (1_000, 10_000, 50_000, 100_000, 200_000, 1_000_000)
 REPEATS = 3
@@ -109,24 +118,9 @@ PARSE_ROWS = ("vienna-dense", "drift-direct", "conditional-ks", "cambridge-reduc
               "200 formulas")
 PARSE_LOOPS = 100
 
-MODEL = json.dumps({"nodes": [{"id": "root", "atoms": []},
-                              {"id": "later", "parent": "root", "atoms": ["q"]}]})
-README = (
-    "pi digits 20",
-    "pi find --pattern 999999 --limit 2000",
-    "fleeing critical --digit 3 --run 1",
-    "spread sample --seed 11 --stages 9",
-    "real cmp --lhs berlin-s --rhs zero --lhs-trace never --horizon 100",
-    "drift run --drift two-winged-mixed --kind osc --trace false:2",
-    "logic eval --model model.json --at root --formula '<*>q -> q'",
-    "logic sweep --schema cs5 --nodes 4 --atoms 2",
-    "derive check conditional-ks",
-    "derive ks-report",
-    "replay vienna-9",
-)
 COLD = {"python -c pass": ["-c", "pass"],
         "import argparse, json, fractions": ["-c", "import argparse, json, fractions"],
-        **{line: ["-m", "brouwer.cli", *shlex.split(line), "--json"] for line in README}}
+        **{shlex.join(argv): ["-m", "brouwer.cli", *argv, "--json"] for argv in cli_golden.README}}
 TIER1 = ("-m", "pytest", "-q", "--continue-on-collection-errors")
 
 
@@ -144,36 +138,34 @@ def timed_median(fn, *args):
     return out, statistics.median(seconds for _, seconds in runs)
 
 
-def references():
-    """tests/references.py of this script's own tree: the routes no
-    production path calls, which the cross-checks compare against."""
-    tests = os.path.join(os.path.dirname(HERE), "tests")
-    if tests not in sys.path:
-        sys.path.insert(0, tests)
+def checks(sizes=PI_DIGITS) -> dict:
+    """Each pi reference route against Chudnovsky, at every size up to its
+    top, each timed once."""
     import references
+    from brouwer import _pi_backends
 
-    return references
+    routes = {"machin": (_pi_backends.machin_digits, 50_000),
+              "spigot": (references.spigot_digits, 10_000)}
+    rows = []
+    for route, (digits, top) in routes.items():
+        for n in (n for n in sizes if n <= top):
+            out, seconds = timed(digits, n)
+            assert out == _pi_backends.chudnovsky_digits(n), f"{route} diverged at {n} digits"
+            rows.append({"route": route, "digits": n, "seconds": seconds})
+    return {"rows": rows}
 
 
 def pi(sizes=PI_DIGITS) -> dict:
     from brouwer import _pi_backends
     from brouwer.fleeing import DigitOracle, critical_number, run_property
 
-    checks = {"machin_s": (_pi_backends.machin_digits, 50_000),
-              "spigot_s": (references().spigot_digits, 10_000)}
     rows = []
     for n in sizes:
-        reference, chudnovsky = timed_median(_pi_backends.chudnovsky_digits, n)
+        _, chudnovsky = timed_median(_pi_backends.chudnovsky_digits, n)
         search, critical = timed_median(
             lambda: str(critical_number(run_property(0, 6, DigitOracle()), n)))
         assert search == f"none-below:{n}", f"a run of six zeros below {n}"
-        row = {"digits": n, "chudnovsky_s": chudnovsky, "critical_s": critical}
-        for column, (route, top) in checks.items():
-            row[column] = None
-            if n <= top:
-                digits, row[column] = timed(route, n)
-                assert digits == reference, f"{column[:-2]} diverged at {n} digits"
-        rows.append(row)
+        rows.append({"digits": n, "chudnovsky_s": chudnovsky, "critical_s": critical})
     return {"backend": _pi_backends.BACKEND, "rows": rows}
 
 
@@ -249,9 +241,9 @@ def _classes_and_masks(bounds) -> tuple:
     """The root classes, as the sweep's class tables list them, and each
     model's distinct mask count from the sweep's own closure. The classes
     are checked against the root class of every model."""
+    import references as ref
     from brouwer import logic
 
-    ref = references()
     closure = functools.partial(logic._mask_set, depth=bounds.max_operand_depth)
     types: dict = {}
     memo: dict = {}
@@ -260,7 +252,8 @@ def _classes_and_masks(bounds) -> tuple:
     codes = [code for n in range(1, bounds.max_nodes + 1) for code in logic._codes(n)]
     for code, (shape, valuations) in zip(codes, ref._valued_shapes(bounds)):
         for label in range(1 << bounds.max_atoms):
-            listed.update(logic._class_table(code, label, bounds.max_atoms, types, memo))
+            memo[code, label] = logic._class_table(code, label, bounds.max_atoms, types, memo)
+            listed.update(memo[code, label])
         tree = logic.StageTree(shape, (frozenset(),) * len(shape))
         masks = logic._Masks(tree, bounds.max_box_index)
         implies = functools.cache(masks.implies_mask)
@@ -332,9 +325,9 @@ def formula_texts(count=200, seed=35) -> list:
 
 
 def parse(rows=PARSE_ROWS) -> dict:
+    import references as refs
     from brouwer import derivation, logic
 
-    refs = references()
     texts = formula_texts()
     out = []
     for row in rows:
@@ -355,8 +348,7 @@ def parse(rows=PARSE_ROWS) -> dict:
 
 def cold(lines=tuple(COLD)) -> dict:
     with tempfile.TemporaryDirectory() as cwd:
-        with open(os.path.join(cwd, "model.json"), "w", encoding="utf-8") as fh:
-            fh.write(MODEL)
+        shutil.copy(os.path.join(TESTS, "golden", "model.json"), cwd)
 
         def start(line):
             done = subprocess.run([sys.executable, *COLD[line]], cwd=cwd, capture_output=True,
@@ -433,10 +425,7 @@ def run_child(checkout: str, section: str, *args) -> dict:
 
 def spread(values: list, sides: list) -> tuple:
     """The median and interquartile range of values, and the rounds in which
-    the last side read lower than the first; None for all three when
-    nothing was timed."""
-    if None in values:
-        return None, None, None
+    the last side read lower than the first."""
     q1, _, q3 = statistics.quantiles(values, n=4)
     return statistics.median(values), q3 - q1, sum(map(operator.lt, sides[-1], sides[0]))
 
@@ -471,7 +460,7 @@ def row_rounds(checkouts: list, section: str, rows: tuple, keys: tuple, rounds=5
 
 # each section timed row by row: the rows its children take, and the keys they time
 ROWS = {
-    "pi": (PI_DIGITS, ("chudnovsky_s", "critical_s", "machin_s", "spigot_s")),
+    "pi": (PI_DIGITS, ("chudnovsky_s", "critical_s")),
     "streams": (HORIZONS, ("ms", "us_per_stage")),
     "verdicts": (VERDICT_HORIZONS, ("us",)),
     "sweep": (BOUNDS, ("seconds",)),
@@ -479,11 +468,11 @@ ROWS = {
     "parse": (PARSE_ROWS, ("us",)),
     "cold": (tuple(COLD), ("ms",)),
 }
-SECTIONS = (*ROWS, "tier1", "perfbench")
+SECTIONS = ("checks", *ROWS, "tier1", "perfbench")
 
 
 def run_section(section: str, checkouts: list) -> list:
-    """The section's record for each checkout; tier1 and perfbench run whole."""
+    """The section's record for each checkout; checks, tier1 and perfbench run whole."""
     if section in ROWS:
         return row_rounds(checkouts, section, *ROWS[section])
     return [run_child(checkout, section) for checkout in checkouts]

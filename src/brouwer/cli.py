@@ -69,8 +69,9 @@ def load_config(path: str = CONFIG_FILE) -> dict:
                     f"{path}:{line_no}: unknown key {key!r} (known: {', '.join(CONFIG_KEYS)})"
                 )
             try:
-                cfg[key] = int(value.strip('"').strip("'"))
-            except ValueError:
+                # read as ASCII bytes: int() of a str also reads '٣٠' as 30
+                cfg[key] = int(value.strip('"').strip("'").encode("ascii"))
+            except ValueError:  # UnicodeEncodeError included
                 raise ValueError(f"{path}:{line_no}: {key} needs an integer") from None
     return cfg
 
@@ -78,8 +79,11 @@ def load_config(path: str = CONFIG_FILE) -> dict:
 # --- point specs for `real cmp` ---
 
 POINT_SPECS = ("zero", "one", "half", "berlin-s", "berlin-r", "vienna-e")
-# the keys of drift.KIND_ALIASES, sorted; spelled out so the parser needs no drift import
+# the keys of drift.KIND_ALIASES, sorted, of drift.BUNDLED_DRIFTS and of logic.SCHEMAS;
+# spelled out so the parser needs no drift or logic import
 DRIFT_KINDS = ("cond", "conditional", "direct", "osc", "oscillatory")
+DRIFT_NAMES = ("rational-right", "two-winged-mixed", "berlin")
+SCHEMA_NAMES = ("ic1", "ic2", "ic3", "md", "cs4", "cs5")
 
 
 def _build_point(spec: str, trace: EventTrace, digit: int, run: int):
@@ -460,8 +464,7 @@ def build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("drift", help="checking sequences")
     ds = d.add_subparsers(dest="drift_cmd", required=True)
     dr = ds.add_parser("run", help="emit a checking sequence")
-    dr.add_argument("--drift", choices=("rational-right", "two-winged-mixed", "berlin"),
-                    default="rational-right")
+    dr.add_argument("--drift", choices=DRIFT_NAMES, default="rational-right")
     dr.add_argument("--kind", choices=DRIFT_KINDS, default="direct")
     dr.add_argument("--trace", default="never", help="never | true:k | false:k")
     dr.add_argument("--terms", type=int, default=8)
@@ -473,8 +476,7 @@ def build_parser() -> argparse.ArgumentParser:
     le.add_argument("--at", required=True, help="node id")
     le.add_argument("--formula", required=True)
     lw = ls.add_parser("sweep", help="exhaustive schema check")
-    lw.add_argument("--schema", required=True,
-                    choices=("ic1", "ic2", "ic3", "md", "cs4", "cs5"))
+    lw.add_argument("--schema", required=True, choices=SCHEMA_NAMES)
     lw.add_argument("--nodes", type=int, default=None)
     lw.add_argument("--atoms", type=int, default=None)
     lw.add_argument("--box", type=int, default=3)

@@ -122,7 +122,7 @@ class Drift(Record):
         if ref == "c":
             return self.kernel_value, self.kernel_tag
         head, _, idx = ref.partition("_")
-        v = int(idx) if idx.isdecimal() else 0
+        v = int(idx) if idx.isascii() and idx.isdecimal() else 0
         if v < 1:
             raise ValueError(f"term ref {ref!r} needs a counting index >= 1")
         if head == "c":

@@ -41,7 +41,8 @@ def _env_limit() -> int:
     env = os.environ.get(_ENV_LIMIT)
     if not env:
         return DEFAULT_DIGIT_LIMIT
-    if not env.strip().isdecimal():
+    # str.isdecimal alone also admits '٣' and other non-ASCII digits
+    if not (env.isascii() and env.strip().isdecimal()):
         raise SettingError(f"{_ENV_LIMIT} must be a non-negative integer, got {env!r}")
     return int(env)
 

@@ -757,8 +757,9 @@ def _class_table(code: tuple, label: int, atoms: int, types: dict, memo: dict) -
 
     The children are folded in one at a time, each over every label that
     keeps its parent's atoms, the state being the set of child classes seen
-    so far: bisimulation ignores multiplicity, and counts multiply. A
-    child's table is kept in memo under (code, label)."""
+    so far: bisimulation ignores multiplicity, and counts multiply. memo
+    must hold each child's table under (code, label): callers list the codes
+    by size and store each table they list."""
     states = {frozenset(): (1, label)}
     shift = atoms
     for sub in code:
@@ -766,10 +767,7 @@ def _class_table(code: tuple, label: int, atoms: int, types: dict, memo: dict) -
         for below in range(label, 1 << atoms):
             if below & label != label:
                 continue
-            table = memo.get((sub, below))
-            if table is None:
-                table = memo[sub, below] = _class_table(sub, below, atoms, types, memo)
-            for cls, (count, rep) in table.items():
+            for cls, (count, rep) in memo[sub, below].items():
                 rep <<= shift
                 for kids, (models, labels) in states.items():
                     grown = kids | {cls}

@@ -8,9 +8,10 @@ import pytest
 import bench_writer
 
 from brouwer import fleeing, reals, spreads
-from brouwer.cli import DEFAULTS, DRIFT_KINDS, REPLAYS, load_config, main
-from brouwer.drift import KIND_ALIASES
+from brouwer.cli import DEFAULTS, DRIFT_KINDS, DRIFT_NAMES, REPLAYS, SCHEMA_NAMES, load_config, main
+from brouwer.drift import BUNDLED_DRIFTS, KIND_ALIASES
 from brouwer.errors import ResourceLimitError
+from brouwer.logic import SCHEMAS
 from test_fleeing import scan_reference
 
 PI_50 = "14159265358979323846264338327950288419716939937510"
@@ -52,6 +53,10 @@ def test_config_errors_exit_2(capsys, tmp_path, monkeypatch):
     (tmp_path / "brouwer.toml").write_text("digits = soon\n")
     assert main(["pi", "digits", "3"]) == 2
     assert "needs an integer" in capsys.readouterr().err
+    # int() alone reads '٣٠' as 30: fleeing critical ran at horizon 30
+    (tmp_path / "brouwer.toml").write_text("horizon = ٣٠\n", encoding="utf-8")
+    assert main(["fleeing", "critical"]) == 2
+    assert "brouwer.toml:1: horizon needs an integer" in capsys.readouterr().err
     (tmp_path / "brouwer.toml").write_text("# sizes\ndigits 7\n")
     assert main(["pi", "digits", "3"]) == 2
     assert "brouwer.toml:2: expected 'key = value'" in capsys.readouterr().err
@@ -398,7 +403,10 @@ def test_replays_pass(capsys, name):
 
 
 def test_drift_kinds_are_the_alias_table(capsys):
+    # the parser's choices are copies of the tables, so that it imports neither
     assert DRIFT_KINDS == tuple(sorted(KIND_ALIASES))
+    assert DRIFT_NAMES == tuple(BUNDLED_DRIFTS)
+    assert SCHEMA_NAMES == tuple(SCHEMAS)
     with pytest.raises(SystemExit) as ei:
         main(["drift", "run", "--kind", "sideways"])
     assert ei.value.code == 2

@@ -62,7 +62,7 @@ def test_counting_index_refs_resolve_through_the_enumeration(name):
     drift = bundled_drift(name)
     for v in range(1, 9):
         assert drift.resolve_ref(f"c_{v}") == drift.resolve_ref(drift.counting_ref(v))
-    for ref in ("c_0", "r_0", "l_0", "c_-1", "r_-2", "c_x", "c_1.5", "c_"):
+    for ref in ("c_0", "r_0", "l_0", "c_-1", "r_-2", "c_x", "c_1.5", "c_", "c_٣"):
         with pytest.raises(ValueError):
             drift.resolve_ref(ref)
 

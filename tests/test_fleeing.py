@@ -98,7 +98,7 @@ def test_env_limit(monkeypatch):
     assert orc.limit == 123
 
 
-@pytest.mark.parametrize("value", ["abc", "-5", "1.5", "12abc"])
+@pytest.mark.parametrize("value", ["abc", "-5", "1.5", "12abc", "٣٠٠"])
 def test_env_limit_must_be_a_non_negative_integer(monkeypatch, value):
     monkeypatch.setenv("BW_DIGIT_LIMIT", value)
     with pytest.raises(SettingError, match="BW_DIGIT_LIMIT"):

@@ -4,6 +4,8 @@ tests/cli_golden.py lists the commands and rewrites the files.
 """
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -17,6 +19,15 @@ def golden_cwd(monkeypatch):
     monkeypatch.delenv("BW_DIGIT_LIMIT", raising=False)
     monkeypatch.setenv("COLUMNS", cli_golden.COLUMNS)
     monkeypatch.setattr(fleeing, "_default_oracle", None)
+
+
+def test_the_readme_cli_block_is_the_golden_readme_list():
+    # one list feeds the goldens, the bench's cold rows and the README
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## CLI\n\n```\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()
+                if line.startswith("brouwer ")]
+    assert commands == [["brouwer", *argv] for argv in cli_golden.README]
 
 
 @pytest.mark.parametrize("group", sorted(cli_golden.GROUPS))

@@ -1225,8 +1225,8 @@ def test_formula_records_compare_by_kind_and_fields():
 
 @pytest.mark.parametrize("nodes,atoms", [(6, 2), (4, 3), (9, 1)])
 def test_class_table_counts_the_models_of_each_root_class(nodes, atoms):
-    # the model-by-model root classes are the oracle; tables are memoised
-    # and classes interned across shapes, as in the sweep
+    # the model-by-model root classes are the oracle; tables are stored as
+    # they are listed and classes interned across shapes, as in the sweep
     types: dict = {}
     memo: dict = {}
     total = 0
@@ -1236,7 +1236,8 @@ def test_class_table_counts_the_models_of_each_root_class(nodes, atoms):
             children = _children(shape)
             table = {}
             for label in range(1 << atoms):
-                table.update(_class_table(code, label, atoms, types, memo))
+                memo[code, label] = _class_table(code, label, atoms, types, memo)
+                table.update(memo[code, label])
             valuations = itertools.product(_upclosed_sets(shape), repeat=atoms)
             want = Counter(_root_class(children, masks, types) for masks in valuations)
             assert {cls: models for cls, (models, _) in table.items()} == want, code

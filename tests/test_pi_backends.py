@@ -284,20 +284,42 @@ def test_decimal_split_matches_int_split(k):
 def test_benchmark_script_runs():
     record = bench_writer.bench.pi((1_000,))
     (row,) = record["rows"]
-    assert list(row) == ["digits", "chudnovsky_s", "critical_s", "machin_s", "spigot_s"]
+    assert list(row) == ["digits", "chudnovsky_s", "critical_s"]
     assert row["digits"] == 1_000
-    assert all(isinstance(row[k], float) for k in list(row)[1:])  # both cross-checks ran
+    assert all(isinstance(row[k], float) for k in list(row)[1:])
     assert bench_writer.survives_json(record)
 
 
-def test_a_failing_cross_check_stops_the_benchmark_before_it_writes(tmp_path, monkeypatch):
-    # a checkout whose critical-number search finds a run of six zeros at once
-    src = Path(bench_writer.bench.HERE).parent / "src" / "brouwer"
+def test_benchmark_checks_each_reference_route_up_to_its_top():
+    # 10,001 digits is past the spigot's top, not Machin's
+    record = bench_writer.bench.checks((1_000, 10_001))
+    assert [(r["route"], r["digits"]) for r in record["rows"]] == [
+        ("machin", 1_000), ("machin", 10_001), ("spigot", 1_000)]
+    assert all(isinstance(r["seconds"], float) for r in record["rows"])
+    assert bench_writer.survives_json(record)
+
+
+@pytest.mark.parametrize("module,patch,first,stop", [
+    # a checkout whose Machin route is wrong: the checks stop the run before
+    # pi, whose oracle self-test would refuse it
+    ("_pi_backends.py", "def machin_digits(n):\n    return '0' * n\n", "checks",
+     "machin diverged at 1000 digits"),
+    # a checkout whose critical-number search finds a run of six zeros at
+    # once; its checks pass (in ~10 s at full size), so the run starts at pi
+    ("fleeing.py", "def critical_number(prop, limit):\n    return 'found-at:1'\n", "pi",
+     "a run of six zeros below 1000"),
+], ids=["machin", "critical"])
+def test_a_failing_cross_check_stops_the_benchmark_before_it_writes(
+        tmp_path, monkeypatch, module, patch, first, stop):
+    bench = bench_writer.bench
+    src = Path(bench.HERE).parent / "src" / "brouwer"
     shutil.copytree(src, tmp_path / "src" / "brouwer", ignore=shutil.ignore_patterns("__pycache__"))
-    with open(tmp_path / "src" / "brouwer" / "fleeing.py", "a", encoding="utf-8") as fh:
-        fh.write("\n\ndef critical_number(prop, limit):\n    return 'found-at:1'\n")
+    with open(tmp_path / "src" / "brouwer" / module, "a", encoding="utf-8") as fh:
+        fh.write("\n\n" + patch)
     out = tmp_path / "out.json"
     monkeypatch.setattr(sys, "argv", ["bench.py", str(out), str(tmp_path)])
+    monkeypatch.setattr(bench, "SECTIONS", bench.SECTIONS[bench.SECTIONS.index(first):])
     with pytest.raises(SystemExit) as ei:
-        bench_writer.bench.main()
-    assert "a run of six zeros below 1000" in str(ei.value.code) and not out.exists()
+        bench.main()
+    message = str(ei.value.code)
+    assert message.startswith(f"{first} failed in") and stop in message and not out.exists()

@@ -391,8 +391,8 @@ def test_point_streams_script_runs():
 def test_rounds_take_each_rows_median_and_quartile_spread(monkeypatch):
     # a child may return several rows: each timed key of each row takes its
     # median and interquartile range over the rounds and, with two
-    # checkouts, the rounds in which the second read lower; a key a row did
-    # not time stays None, and the child's other keys are kept
+    # checkouts, the rounds in which the second read lower; the child's other
+    # keys are kept
     bench, calls = bench_writer.bench, []
 
     def child(checkout, section, horizons):
@@ -401,7 +401,7 @@ def test_rounds_take_each_rows_median_and_quartile_spread(monkeypatch):
         r = calls.count((checkout, h)) - 1  # the round
         ms = r if checkout == "a" else 4 - r  # "b" reads lower in rounds 3 and 4, ties in 2
         return {"backend": checkout, "rows": [
-            {"point": p, "stages": h, "ms": ms + j, "us_per_stage": None if j else ms / h}
+            {"point": p, "stages": h, "ms": ms + j, "us_per_stage": (ms + j) / h}
             for j, p in enumerate("xy")]}
 
     monkeypatch.setattr(bench, "run_child", child)
@@ -414,11 +414,11 @@ def test_rounds_take_each_rows_median_and_quartile_spread(monkeypatch):
         {"point": "x", "stages": 4, "ms": 2, "ms_iqr": 3.0, "ms_better_in": 2,
          "us_per_stage": 0.5, "us_per_stage_iqr": 0.75, "us_per_stage_better_in": 2},
         {"point": "y", "stages": 4, "ms": 3, "ms_iqr": 3.0, "ms_better_in": 2,
-         "us_per_stage": None, "us_per_stage_iqr": None, "us_per_stage_better_in": None},
+         "us_per_stage": 0.75, "us_per_stage_iqr": 0.75, "us_per_stage_better_in": 2},
         {"point": "x", "stages": 8, "ms": 2, "ms_iqr": 3.0, "ms_better_in": 2,
          "us_per_stage": 0.25, "us_per_stage_iqr": 0.375, "us_per_stage_better_in": 2},
         {"point": "y", "stages": 8, "ms": 3, "ms_iqr": 3.0, "ms_better_in": 2,
-         "us_per_stage": None, "us_per_stage_iqr": None, "us_per_stage_better_in": None},
+         "us_per_stage": 0.375, "us_per_stage_iqr": 0.375, "us_per_stage_better_in": 2},
     ]
     assert records == [{"backend": c, "rounds": 5, "rows": rows} for c in "ab"]
     # one checkout: no count of better rounds
@@ -442,12 +442,14 @@ def test_rounds_take_each_rows_median_and_quartile_spread(monkeypatch):
     monkeypatch.setattr(bench, "run_child", drifting)
     with pytest.raises(AssertionError, match="schemas changed its counts"):
         bench.row_rounds(["a"], "schemas", (4,), ("ms",))
-    # every section but tier1 and perfbench is timed row by row
+    # the checks run first; every section but checks, tier1 and perfbench is
+    # timed row by row
     monkeypatch.setattr(bench, "row_rounds", lambda checkouts, section, rows, keys: "rows")
     monkeypatch.setattr(bench, "run_child", lambda checkout, section: "whole")
-    assert {s: bench.run_section(s, ["a"]) for s in bench.SECTIONS} == {
-        "pi": "rows", "streams": "rows", "verdicts": "rows", "sweep": "rows", "schemas": "rows",
-        "parse": "rows", "cold": "rows", "tier1": ["whole"], "perfbench": ["whole"]}
+    assert [(s, bench.run_section(s, ["a"])) for s in bench.SECTIONS] == [
+        ("checks", ["whole"]), ("pi", "rows"), ("streams", "rows"), ("verdicts", "rows"),
+        ("sweep", "rows"), ("schemas", "rows"), ("parse", "rows"), ("cold", "rows"),
+        ("tier1", ["whole"]), ("perfbench", ["whole"])]
 
 
 def test_verdict_script_runs():
