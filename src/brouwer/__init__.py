@@ -6,12 +6,15 @@ interval sequences stage by stage, `reals` the three-valued comparisons
 between the points those sequences determine, `fleeing` the properties
 of the decimal expansion of pi that nobody has yet decided, `drift` the
 kernel/counting-number constructions riding on such properties, `logic`
-a stage-indexed modal semantics with an exhaustive small-model sweep,
-and `derivation` a checker for the sequent scripts that use it.
+a stage-indexed modal semantics whose exhaustive small-model sweep runs
+on the engine in `_masks`, `derivation` a checker for the sequent
+scripts that use it, and `cli` the `brouwer` command's parser, whose
+handlers live in the modules they drive.
 
 Importing the package loads none of these modules: each public name is
 resolved on first use (PEP 562), so a program pays only for the modules it
-touches.
+touches. Within them the same holds: `logic` loads `_masks` when a sweep
+runs, and `drift` loads `reals` when it builds a point.
 """
 
 from importlib import import_module as _import_module

@@ -47,12 +47,11 @@ status comes from the assert declarations alone.
 from __future__ import annotations
 
 import re
-from typing import NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, NamedTuple, Optional, Union
 
 from .logic import (
     And,
     BOT,
-    Countermodel,
     Formula,
     FormulaSyntaxError,
     Implies,
@@ -62,10 +61,12 @@ from .logic import (
     SweepBounds,
     _Parser,
     _TOKEN,
-    _sweep,
     atoms_of,
     show,
 )
+
+if TYPE_CHECKING:
+    from ._masks import Countermodel
 
 
 class ScriptSyntaxError(ValueError):
@@ -535,6 +536,8 @@ def ks_prerequisite_report(bounds: SweepBounds = SweepBounds()) -> PrerequisiteR
     """Why the classical "every real is rational or irrational" shortcut
     does not survive staging: the two rules it needs both have stage-tree
     countermodels, produced live by one sweep of the two."""
+    from ._masks import _sweep
+
     results = _sweep(["cs4", "cs5"], bounds)
     cs4, cs5 = results["cs4"], results["cs5"]
     assert cs4.countermodel is not None and cs5.countermodel is not None
@@ -565,3 +568,127 @@ def ks_prerequisite_report(bounds: SweepBounds = SweepBounds()) -> PrerequisiteR
         ),
         bounds=bounds,
     )
+
+
+# the `derive` and `replay` commands' handlers, which brouwer.cli.main runs and prints
+def _cmd_derive(args, cfg) -> tuple[int, dict, str]:
+    if args.derive_cmd == "ks-report":
+        report = ks_prerequisite_report()
+        lines = [f"claim: {report.claim}", "available:"]
+        lines += [f"  - {line}" for line in report.available]
+        lines.append("blocked:")
+        for b in report.blocked:
+            cm = b.countermodel
+            lines.append(f"  - {b.rule} [{b.schema}]: {b.role}")
+            lines.append(f"    countermodel: {len(cm.model.parents)} nodes, instance "
+                         f"{show(cm.instance)} fails at {cm.model.ids[cm.node]}")
+        return 0, {"command": "derive-ks-report", **report.as_dict()}, "\n".join(lines)
+
+    target = args.script
+    if target.replace("_", "-") in BUNDLED_SCRIPTS:
+        target = target.replace("_", "-")
+        text = BUNDLED_SCRIPTS[target]
+    else:
+        with open(target, encoding="utf-8") as fh:
+            text = fh.read()
+    try:
+        result = check_script(text)
+    except ScriptSyntaxError as e:
+        payload = {"command": "derive-check", "script": target, "status": "syntax-error",
+                   "reason": str(e)}
+        return 1, payload, f"syntax error: {e}"
+    payload = {"command": "derive-check", "script": target, **result.as_dict()}
+    if not result.ok:
+        return 1, payload, f"rejected at step {result.step}: {result.reason}"
+    lines = [f"verified: {show(result.conclusion)} ({result.step_count} steps)"]
+    lines += [f"warning: {w}" for w in result.warnings]
+    return 0, payload, "\n".join(lines)
+
+
+def _replay_checks(name: str) -> list[tuple[str, bool]]:
+    # every replay checks a bundled script; each branch imports the rest itself
+    checks: list[tuple[str, bool]] = []
+
+    def expect(label: str, ok: bool) -> None:
+        checks.append((label, bool(ok)))
+
+    if name == "vienna-9":
+        from fractions import Fraction
+
+        from .drift import vienna_e
+        from .spreads import never_trace, proved_at
+
+        res = check_script(BUNDLED_SCRIPTS["vienna-dense"])
+        expect("script verifies", res.ok)
+        expect("conclusion decides the assertion and moves the limit off 1/2",
+               res.ok and show(res.conclusion) == "(alpha! | ~alpha!) & ~e_is_half")
+        expect("exactly one stage-collapse warning", res.ok and len(res.warnings) == 1)
+        moved = vienna_e(proved_at(3))
+        expect("resolved limit settles at 7/16",
+               moved.interval(20).contains_fraction(Fraction(7, 16)))
+        expect("unresolved limit stays at 1/2",
+               vienna_e(never_trace()).interval(20).contains_fraction(Fraction(1, 2)))
+    elif name == "drift-11":
+        from .drift import CheckingKind, bundled_drift, checking_sequence, rationality_descriptor
+        from .spreads import never_trace, proved_at
+
+        res = check_script(BUNDLED_SCRIPTS["drift-direct"])
+        expect("script verifies", res.ok)
+        expect("conclusion is the tested-now disjunction",
+               res.ok and show(res.conclusion) == "~rat_d | ~~rat_d")
+        expect("no stage collapse used", res.ok and not res.warnings)
+        drift = bundled_drift("rational-right")
+        run = checking_sequence(drift, CheckingKind.DIRECT, proved_at(3), 5)
+        expect("direct switch lands on c_3 at the resolution stage",
+               run.terms == ("c", "c", "c_3", "c_3", "c_3") and run.limit == "c_3")
+        lc = rationality_descriptor(drift, CheckingKind.DIRECT, never_trace())
+        expect("unresolved limit stays in the kernel class",
+               lc == {"kind": "kernel-class", "kernel_tag": "irrational"})
+    elif name == "ks-12":
+        from .logic import forces
+
+        res = check_script(BUNDLED_SCRIPTS["conditional-ks"])
+        expect("script verifies", res.ok)
+        expect("irrationality refuted under the scenario premise",
+               res.ok and show(res.conclusion) == "~~rat_f")
+        expect("derivation avoids every stage-collapse rule",
+               res.ok and not res.warnings and "CS5R" not in BUNDLED_SCRIPTS["conditional-ks"])
+        report = ks_prerequisite_report()
+        cs4, cs5 = report.blocked
+        expect("case-split blocked by a 3-node countermodel", cs4.countermodel.model.size == 3)
+        expect("collapse blocked by a 2-node countermodel", cs5.countermodel.model.size == 2)
+        expect("countermodels re-verified against the reference semantics",
+               not any(forces(b.countermodel.model, b.countermodel.node, b.countermodel.instance)
+                       for b in (cs4, cs5)))
+    elif name == "cambridge-13":
+        from .drift import berlin_s
+        from .fleeing import find_pattern
+        from .reals import apart_at, zero_point
+        from .spreads import never_trace, proved_at
+
+        res = check_script(BUNDLED_SCRIPTS["cambridge-reduced"])
+        expect("script verifies", res.ok)
+        expect("conclusion decides the assertion and separates the checker from zero",
+               res.ok and show(res.conclusion) == "alpha! & ~c_is_zero")
+        expect("exactly one stage-collapse warning", res.ok and len(res.warnings) == 1)
+        z = zero_point()
+        v = apart_at(berlin_s(proved_at(2)), z, 40)
+        expect("resolved checking number is apart from zero",
+               v.holds and v.direction == "gt" and v.witness == 4)
+        v0 = apart_at(berlin_s(never_trace()), z, 40)
+        expect("unresolved checking number stays unseparated", not v0.holds)
+        pos = find_pattern("999999", 2000)
+        expect("the six-nines milestone sits where expected", pos == 762)
+    else:
+        raise ValueError(f"unknown replay {name!r}")
+    return checks
+
+
+def _cmd_replay(args, cfg) -> tuple[int, dict, str]:
+    checks = _replay_checks(args.name)
+    ok = all(flag for _, flag in checks)
+    payload = {"command": "replay", "name": args.name, "ok": ok,
+               "checks": [{"label": label, "ok": flag} for label, flag in checks]}
+    lines = [f"{'ok' if flag else 'FAIL'}: {label}" for label, flag in checks]
+    lines.append(f"replay {args.name}: {'ok' if ok else 'FAILED'}")
+    return 0 if ok else 1, payload, "\n".join(lines)

@@ -28,11 +28,15 @@ from enum import Enum
 from fractions import Fraction
 from itertools import repeat
 from math import isqrt
-from typing import Callable, NamedTuple, Optional
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional
 
 from ._record import Record, _set
-from .reals import Point, Verdict, _switch_point, apart_at, value_point
-from .spreads import NEVER, PROVED, EventTrace, Resolution
+from .spreads import NEVER, PROVED, EventTrace, Resolution, charge_stages, parse_trace
+
+# the point builders and validate_drift import reals when called, so a
+# checking sequence read as refs (`drift run`) loads no point machinery
+if TYPE_CHECKING:
+    from .reals import Point, Verdict
 
 
 class Sqrt2Value(Record):
@@ -161,6 +165,8 @@ class DriftValidationError(Exception):
 def validate_drift(drift: Drift, depth: int = 4) -> list[Verdict]:
     """Check apartness of (kernel, c_v) pairs and of counting pairs, with
     wing direction, for v up to depth. Raises when any verdict fails to hold."""
+    from .reals import apart_at, value_point
+
     verdicts = []
     refs = [drift.counting_ref(v) for v in range(1, depth + 1)]
     kernel = value_point(drift.kernel_value, name="kernel")
@@ -320,6 +326,8 @@ def _visible(stage: int, trace: EventTrace, end: int) -> tuple[Optional[Resoluti
 def flatten_checking(drift: Drift, kind: CheckingKind, trace: EventTrace) -> Point:
     """The checking number as a single point: term n centers the exact value
     of the n-th checking term (nearest-midpoint emitter)."""
+    from .reals import _switch_point
+
     _switch_ref(drift, kind, trace.resolution)  # refuses a kind the drift's wings cannot carry
 
     def after(r: Resolution):
@@ -369,6 +377,24 @@ def vienna_run(trace: EventTrace, terms: int) -> tuple[str, ...]:
 def vienna_e(trace: EventTrace) -> Point:
     """The family follower as a point: term n centers a_n until any
     resolution at stage v freezes the target at a_v."""
+    from .reals import _switch_point
+
     fam = vienna_family()
     name = f"vienna_e[{fam.name}]"
     return _switch_point(name, fam.member, lambda r: fam.member(r.stage), _visible, trace)
+
+
+# the `drift run` command's handler, which brouwer.cli.main runs and prints
+def _cmd_drift(args, cfg) -> tuple[int, dict, str]:
+    charge_stages(args.terms)
+    drift = bundled_drift(args.drift)
+    kind = KIND_ALIASES[args.kind]
+    trace = parse_trace(args.trace)
+    run = checking_sequence(drift, kind, trace, args.terms)
+    lc = rationality_descriptor(drift, kind, trace)
+    payload = {"command": "drift-run", "drift": args.drift, "kind": kind.value,
+               "trace": args.trace, "terms": list(run.terms), "limit": run.limit,
+               "limit_class": lc}
+    text = (f"terms: {' '.join(run.terms)}\nlimit: {run.limit}\n"
+            f"class: {', '.join(f'{k}={v}' for k, v in sorted(lc.items()))}")
+    return 0, payload, text

@@ -305,3 +305,26 @@ def cambridge_c(family: ConvergentFamily, p: DecidableProperty) -> Point:
     """Follows the family values a_n until the least witness K is visible,
     then stays at a_K: term n centers a_min(n, K)."""
     return _witness_point("cambridge_c", p, family.member, family.member)
+
+
+# the `pi` and `fleeing` commands' handlers, which brouwer.cli.main runs and prints
+def _cmd_pi(args, cfg) -> tuple[int, dict, str]:
+    oracle = default_oracle()
+    if args.pi_cmd == "digits":
+        n = args.n if args.n is not None else cfg["digits"]
+        digits = oracle.digits(n)
+        return 0, {"command": "pi-digits", "n": n, "digits": digits}, digits
+    limit = args.limit
+    pos = find_pattern(args.pattern, limit, oracle)
+    verdict = f"found-at:{pos}" if pos is not None else f"none-below:{limit}"
+    payload = {"command": "pi-find", "pattern": args.pattern, "limit": limit, "position": pos,
+               "verdict": verdict}
+    return 0, payload, verdict
+
+
+def _cmd_fleeing(args, cfg) -> tuple[int, dict, str]:
+    horizon = args.horizon if args.horizon is not None else cfg["horizon"]
+    search = critical_number(run_property(args.digit, args.run), horizon)
+    payload = {"command": "fleeing-critical", "digit": args.digit, "run": args.run,
+               "horizon": horizon, "found_at": search.found_at, "verdict": str(search)}
+    return 0, payload, str(search)

@@ -26,7 +26,9 @@ from .spreads import (
     Generator,
     Lawlike,
     Process,
+    charge_stages,
     emit_prefix,
+    parse_trace,
     rng_spread,
     switch_terms,
 )
@@ -529,3 +531,52 @@ def virtual_order_check(size: int, table: dict[tuple[int, int], PairRelation]) -
             if None not in pair and pair not in ((EQ, EQ), (LT, GT), (GT, LT)):
                 violations.append(OrderViolation(1, (i, j), "pair stored with clashing relations"))
     return OrderReport(ok=not violations, violations=tuple(violations))
+
+
+# the `real cmp` command's point specs and handler, which brouwer.cli.main runs and prints
+def _build_point(spec: str, trace: EventTrace, digit: int, run: int):
+    # each spec imports what it builds from: only berlin-r needs the pi oracle
+    if spec == "zero":
+        return zero_point()
+    if spec == "one":
+        return one_point()
+    if spec == "half":
+        return value_point(Fraction(1, 2))
+    if spec == "berlin-s":
+        from .drift import berlin_s
+
+        return berlin_s(trace)
+    if spec == "berlin-r":
+        from .fleeing import berlin_r, run_property
+
+        return berlin_r(run_property(digit, run))
+    if spec == "vienna-e":
+        from .drift import vienna_e
+
+        return vienna_e(trace)
+    raise ValueError(f"unknown point spec {spec!r}")
+
+
+def _cmd_real(args, cfg) -> tuple[int, dict, str]:
+    horizon = charge_stages(args.horizon if args.horizon is not None else cfg["horizon"])
+    lhs_trace = parse_trace(args.lhs_trace)
+    rhs_trace = parse_trace(args.rhs_trace)
+    x = _build_point(args.lhs, lhs_trace, args.digit, args.run)
+    y = _build_point(args.rhs, rhs_trace, args.digit, args.run)
+    verdicts = {
+        "lt": lt_at(x, y, horizon),
+        "gt": lt_at(y, x, horizon),
+        "apart": apart_at(x, y, horizon),
+        "coincide": coincide_refute(x, y, horizon),
+    }
+    payload = {"command": "real-cmp", "lhs": args.lhs, "rhs": args.rhs, "horizon": horizon,
+               "verdicts": {k: v.as_dict() for k, v in verdicts.items()}}
+    lines = []
+    for name, v in verdicts.items():
+        extras = [f"horizon={v.horizon}"]
+        if v.witness is not None:
+            extras.append(f"witness={v.witness}")
+        if v.direction is not None:
+            extras.append(f"direction={v.direction}")
+        lines.append(f"{name}: {v.value.value} ({', '.join(extras)})")
+    return 0, payload, "\n".join(lines)

@@ -313,3 +313,27 @@ def switch_terms(before, after, switch_at, prefix: Sequence[int], trace, end: in
             e = d - 2 * j
             yield a
         n += k
+
+
+# the `spread sample` command's handler, which brouwer.cli.main runs and prints
+def _cmd_spread(args, cfg) -> tuple[int, dict, str]:
+    import random
+
+    charge_stages(args.stages)
+    seed = args.seed if args.seed is not None else cfg["seed"]
+    law = rng_spread() if args.law == "rng" else universal_spread()
+    rng = random.Random(seed)
+
+    def strategy(prefix, trace):
+        if not prefix:
+            return rng.randint(-4, 4) if args.law == "rng" else rng.randint(0, 8)
+        if args.law == "rng":
+            a = prefix[-1]
+            return rng.choice((2 * a, 2 * a + 1, 2 * a + 2))
+        return rng.randint(0, 8)
+
+    g = Generator(law, Process.of(strategy), name=f"sample[{args.law}]")
+    prefix = emit_prefix(g, args.stages, never_trace())
+    payload = {"command": "spread-sample", "law": args.law, "stages": args.stages,
+               "prefix": list(prefix), "seed": seed}
+    return 0, payload, " ".join(map(str, prefix))

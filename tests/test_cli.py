@@ -422,6 +422,21 @@ def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as ei:
         main(["pi"])
     assert ei.value.code == 2
+    # an integer flag takes ASCII digits only: int() of a str reads '٣' as 3
+    for argv, flag, value in [
+        (["pi", "digits", "٣"], "n", "٣"),
+        (["pi", "find", "--pattern", "9", "--limit", "١٠"], "--limit", "١٠"),
+        (["fleeing", "critical", "--run", "١"], "--run", "١"),
+        (["spread", "sample", "--seed", "٧"], "--seed", "٧"),
+        (["real", "cmp", "--lhs", "half", "--rhs", "zero", "--horizon", "٤٠"], "--horizon", "٤٠"),
+        (["drift", "run", "--terms", "٣"], "--terms", "٣"),
+        (["logic", "sweep", "--schema", "ic1", "--nodes", "٤"], "--nodes", "٤"),
+    ]:
+        with pytest.raises(SystemExit) as ei:
+            main(argv)
+        captured = capsys.readouterr()
+        assert ei.value.code == 2 and captured.out == ""
+        assert captured.err.endswith(f"error: argument {flag}: invalid int value: {value!r}\n")
 
 
 def test_an_over_deep_model_file_is_an_error(capsys, tmp_path):

@@ -558,8 +558,8 @@ def test_ks_prerequisite_report():
 
 
 def test_ks_prerequisite_report_refuses_over_the_patched_cap(monkeypatch):
-    # the report reads the sweep cap where validity_sweep does, in logic
-    monkeypatch.setattr("brouwer.logic.DEFAULT_SWEEP_CAP", 1000)
+    # the report reads the sweep cap where validity_sweep does, in the engine module
+    monkeypatch.setattr("brouwer._masks.DEFAULT_SWEEP_CAP", 1000)
     with pytest.raises(ResourceLimitError) as ei:
         ks_prerequisite_report()
     assert ei.value.requested > ei.value.limit == 1000

@@ -275,10 +275,10 @@ def test_flattened_point_centres_the_symbolic_run(name):
 
 
 def test_reading_a_checking_number_builds_no_point(monkeypatch):
+    # validate_drift imports value_point from reals when called, so the hook goes there
     built = []
-    real = drift_module.value_point
     monkeypatch.setattr(
-        drift_module, "value_point", lambda *a, **k: built.append(a) or real(*a, **k)
+        "brouwer.reals.value_point", lambda *a, **k: built.append(a) or value_point(*a, **k)
     )
     berlin_s(proved_at(3)).prefix(512)
     mixed = bundled_drift("two-winged-mixed")

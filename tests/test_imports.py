@@ -40,6 +40,7 @@ vienna_family vienna_run virtual_order_check zero_point
 """.split()
 
 HEAVY = {"brouwer.logic", "brouwer.derivation", "brouwer.drift"}
+ENGINE = "brouwer._masks"  # the sweep engine
 PI = {"brouwer.fleeing", "brouwer._pi_backends"}
 RECORD_MAKERS = {"dataclasses", "inspect"}
 POINTS = {"brouwer.reals", "brouwer.spreads"}
@@ -103,19 +104,36 @@ def test_importing_every_module_loads_no_dataclasses_or_inspect():
     "args, absent",
     [
         (("fleeing", "critical", "--digit", "3", "--run", "1"), HEAVY | POINTS),
+        # the sweep engine loads only for a sweep or the ks-report
+        (("logic", "eval", "--model", "model.json", "--at", "root", "--formula", "q"), {ENGINE}),
+        (("derive", "check", "conditional-ks"), {ENGINE}),
+        (("replay", "vienna-9"), PI | {ENGINE}),
+        # a checking sequence is read as refs, with no point built
+        (("drift", "run", "--drift", "two-winged-mixed", "--kind", "osc", "--trace", "false:2"),
+         {"brouwer.reals"} | PI),
         (("derive", "ks-report"), {"brouwer.fleeing", "brouwer.reals", "brouwer.drift"}),
         (("spread", "sample", "--seed", "11"), HEAVY | {"brouwer.fleeing", "brouwer.reals"}),
         # only the berlin-r spec and the cambridge-13 replay read pi
         (("real", "cmp", "--lhs", "berlin-s", "--rhs", "zero"),
          PI | {"brouwer.logic", "brouwer.derivation"}),
-        (("replay", "vienna-9"), PI),
         (("replay", "ks-12"),
          PI | {"brouwer.drift", "brouwer.reals", "brouwer.spreads", "brouwer.dyadic"}),
     ],
 )
 def test_each_command_loads_only_its_modules(args, absent):
-    loaded, _ = imported_modules(*args)
-    assert not loaded & absent
+    loaded, out = loaded_modules(*args, cwd=cli_golden.GOLDEN)
+    assert out and not loaded & absent
+
+
+def test_the_sweep_commands_load_the_engine():
+    for args in (("logic", "sweep", "--schema", "cs5", "--nodes", "2"), ("derive", "ks-report")):
+        assert ENGINE in imported_modules(*args)[0]
+
+
+def test_importing_the_cli_loads_only_the_cli_and_its_errors():
+    probe = ("import json, sys, brouwer.cli\n"
+             "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'brouwer')))")
+    assert json.loads(python("-c", probe).stdout) == ["brouwer", "brouwer.cli", "brouwer.errors"]
 
 
 def test_package_surface_is_unchanged():
@@ -187,3 +205,81 @@ def test_every_public_function_and_class_in_src_has_a_production_use():
         if not name.startswith("_") and name not in used | set(brouwer._ORIGIN)
     ]
     assert unused == []
+
+
+def _names_at_import() -> dict:
+    """{module: the names in its vars()} for every brouwer module, right after
+    a fresh interpreter imports it (a patch, or a name read, in this test
+    process can have added to them since)."""
+    modules = sorted(path.stem for path in (ROOT / "src" / "brouwer").glob("*.py"))
+    probe = (
+        "import importlib, json\n"
+        f"print(json.dumps({{m: sorted(vars(importlib.import_module('brouwer.' + m)))"
+        f" for m in {modules!r} if m != '__init__'}}))\n"
+    )
+    return {f"brouwer.{m}": set(names) for m, names in json.loads(python("-c", probe).stdout).items()}
+
+
+def _patched_names(tree: ast.Module) -> list[tuple[int, str, str]]:
+    """(line, module, name) of each brouwer module attribute a test file
+    patches: monkeypatch.setattr("brouwer.m.name", ...), or setattr, patch.object
+    and patch.multiple on a name the file bound to a brouwer module."""
+    modules = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "brouwer":
+            modules.update({a.asname or a.name: f"brouwer.{a.name}" for a in node.names
+                            if (ROOT / "src" / "brouwer" / f"{a.name}.py").exists()})
+        elif isinstance(node, ast.Import):
+            modules.update({a.asname: a.name for a in node.names if a.asname and "brouwer." in a.name})
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.args):
+            continue
+        target = node.args[0]
+        if node.func.attr == "setattr" and isinstance(target, ast.Constant):
+            module, _, name = str(target.value).rpartition(".")
+            if module.startswith("brouwer."):
+                found.append((node.lineno, module, name))
+        elif isinstance(target, ast.Name) and target.id in modules:
+            if node.func.attr in ("setattr", "object") and len(node.args) > 1:
+                found.append((node.lineno, modules[target.id], node.args[1].value))
+            elif node.func.attr == "multiple":
+                found += [(node.lineno, modules[target.id], k.arg) for k in node.keywords]
+    return found
+
+
+def test_every_patch_replaces_a_name_its_module_defines():
+    # a module's __getattr__ (logic forwards the sweep engine's names) lets a
+    # patch of a name it does not hold succeed, and patch nothing the code reads
+    at_import = _names_at_import()
+    patches, stray = [], []
+    for path in sorted((ROOT / "tests").glob("*.py")):
+        for line, module, name in _patched_names(ast.parse(path.read_text(encoding="utf-8"))):
+            patches.append((module, name))
+            if name not in at_import[module]:
+                stray.append(f"{path.name}:{line}: {module}.{name}")
+    assert stray == []
+    # both spellings are read: the engine's cap by string, drift's switch by module
+    assert {("brouwer._masks", "DEFAULT_SWEEP_CAP"), ("brouwer.drift", "_switch_ref")} <= set(patches)
+
+
+def test_the_names_the_benchmarks_read_from_logic_resolve():
+    # perfbench, bench.py and the references read logic's names, the sweep
+    # engine's among them, from whichever checkout they time; and perfbench's
+    # logic.sweep span wraps validity_sweep only if logic itself defines it
+    files = [*sorted((ROOT / "perfbench").glob("*.py")), ROOT / "benchmarks" / "bench.py",
+             ROOT / "tests" / "references.py"]
+    names = set()
+    for path in files:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and getattr(node.value, "id", None) == "logic":
+                names.add(node.attr)
+            elif isinstance(node, ast.ImportFrom) and node.module == "brouwer.logic":
+                names.update(alias.name for alias in node.names)
+    assert {"count_models", "_class_table", "_Masks", "validity_sweep"} <= names
+    probe = (
+        "import json, brouwer.logic as logic\n"
+        "own = 'validity_sweep' in vars(logic)\n"
+        f"print(json.dumps([own, [n for n in {sorted(names)!r} if not hasattr(logic, n)]]))\n"
+    )
+    assert json.loads(python("-c", probe).stdout) == [True, []]

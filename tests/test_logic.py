@@ -725,8 +725,8 @@ def test_cap_refuses_without_enumerating(monkeypatch):
     def never(*args):
         raise AssertionError("the cap enumerated shapes or up-sets")
 
-    monkeypatch.setattr("brouwer.logic._preorder", never)
-    monkeypatch.setattr("brouwer.logic._upclosed_sets", never)
+    monkeypatch.setattr("brouwer._masks._preorder", never)
+    monkeypatch.setattr("brouwer._masks._upclosed_sets", never)
     with pytest.raises(ResourceLimitError) as ei:
         validity_sweep("ic1", SweepBounds(max_nodes=12))
     assert ei.value.requested == 255_347_535 * 2_703 == 690_204_387_105
@@ -741,8 +741,8 @@ def test_cap_charges_a_pass_over_the_nodes(monkeypatch, capsys):
     def never(*args):
         raise AssertionError("the cap enumerated shapes or up-sets")
 
-    monkeypatch.setattr("brouwer.logic._preorder", never)
-    monkeypatch.setattr("brouwer.logic._upclosed_sets", never)
+    monkeypatch.setattr("brouwer._masks._preorder", never)
+    monkeypatch.setattr("brouwer._masks._upclosed_sets", never)
     with pytest.raises(ResourceLimitError) as ei:
         validity_sweep("ic1", SweepBounds(max_nodes=13, max_atoms=1, max_operand_depth=0))
     assert ei.value.requested == 4_178_899 * 13 == 54_325_687
@@ -807,7 +807,7 @@ def test_unknown_schema():
 
 
 def test_sweep_refuses_over_cap(monkeypatch):
-    monkeypatch.setattr("brouwer.logic.DEFAULT_SWEEP_CAP", 1000)
+    monkeypatch.setattr("brouwer._masks.DEFAULT_SWEEP_CAP", 1000)
     with pytest.raises(ResourceLimitError) as ei:
         validity_sweep("ic1", SweepBounds())
     assert ei.value.requested > ei.value.limit == 1000
@@ -1162,7 +1162,7 @@ def test_a_sweep_audits_and_evaluates_each_mask_once_per_shape(monkeypatch, run)
         return counted
 
     monkeypatch.setattr(_Masks, "upclosed", counted_upclosed)
-    monkeypatch.setattr("brouwer.logic._mask_function", counted_compile)
+    monkeypatch.setattr("brouwer._masks._mask_function", counted_compile)
     run()
     assert audits and evals
     assert max(audits.values()) == 1
@@ -1517,9 +1517,9 @@ def test_formula_count_without_building_the_formulas(monkeypatch):
     def never(*args):
         raise AssertionError("a formula or a closure was built before the cap check")
 
-    monkeypatch.setattr("brouwer.logic._formula_at", never)
-    monkeypatch.setattr("brouwer.logic._mask_set", never)
-    monkeypatch.setattr("brouwer.logic._formula_masks", never)
+    monkeypatch.setattr("brouwer._masks._formula_at", never)
+    monkeypatch.setattr("brouwer._masks._mask_set", never)
+    monkeypatch.setattr("brouwer._masks._formula_masks", never)
     with pytest.raises(ResourceLimitError) as ei:
         validity_sweep("ic1", SweepBounds(max_operand_depth=3))
     assert ei.value.requested == 1254 * 21_918_630
