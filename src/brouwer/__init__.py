@@ -8,8 +8,8 @@ of the decimal expansion of pi that nobody has yet decided, `drift` the
 kernel/counting-number constructions riding on such properties, `logic`
 a stage-indexed modal semantics whose exhaustive small-model sweep runs
 on the engine in `_masks`, `derivation` a checker for the sequent
-scripts that use it, and `cli` the `brouwer` command's parser, whose
-handlers live in the modules they drive.
+scripts that use it, and `cli` the `brouwer` command's parser and
+dispatch (each command's handler lives in the module it drives).
 
 Importing the package loads none of these modules: each public name is
 resolved on first use (PEP 562), so a program pays only for the modules it
