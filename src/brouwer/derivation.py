@@ -181,6 +181,14 @@ _RULE_ALIASES["defax"] = "DefAxiom"
 _RULE = re.compile(r"([^(]*)(?:\((.*)\))?", re.S)
 
 
+def _step_number(text: str) -> int:
+    """text as a step number: one or more ASCII digits between blanks. int()
+    alone would also read '\u0661', '+1' and '0_2'."""
+    if not ((text := text.strip()).isdigit() and text.isascii()):
+        raise ValueError(text)
+    return int(text)
+
+
 def _parse_rule(text: str, line_no: int) -> tuple[str, tuple[int, ...]]:
     text = text.strip()
     m = _RULE.fullmatch(text)
@@ -190,7 +198,7 @@ def _parse_rule(text: str, line_no: int) -> tuple[str, tuple[int, ...]]:
     refs: tuple[int, ...] = ()
     if inner and not inner.isspace():
         try:
-            refs = tuple(map(int, map(str.strip, inner.split(","))))
+            refs = tuple(map(_step_number, inner.split(",")))
         except ValueError:
             raise ScriptSyntaxError(
                 f"rule references must be step numbers: {text!r}", line_no
@@ -241,7 +249,7 @@ def parse_script(text: str) -> Script:
             raise ScriptSyntaxError(f"cannot parse line {line!r}", line_no)
         num_txt, rest = line.split(":", 1)
         try:
-            number = int(num_txt.strip())
+            number = _step_number(num_txt)
         except ValueError:
             raise ScriptSyntaxError(f"bad step number {num_txt.strip()!r}", line_no) from None
         if ";" not in rest:

@@ -78,7 +78,7 @@ class Dyadic(Record):
         return f"{self.num}/2^{self.exp}"
 
 
-_DYADIC_RE = re.compile(r"^(-?\d+)/2\^(\d+)$")
+_DYADIC_RE = re.compile(r"^(-?[0-9]+)/2\^([0-9]+)$")
 
 
 def parse_dyadic(text: str) -> Dyadic:

@@ -202,6 +202,8 @@ def _kind(tok: str) -> str:
 
 
 _UNARY_STARTERS = {"name", "bottom", "~", "box", "<*>", "(", "|"}
+# each connective's binding power and the formula it builds
+_BINDING = {"->": (1, Implies), "|": (2, Or), "&": (3, And)}
 
 # parse refuses formulas nested deeper than this: show, forces and the
 # records' == and hash recurse once or a few times a level. A level is a
@@ -212,12 +214,13 @@ _TOO_DEEP = f"formula nested deeper than {MAX_NESTING} levels"
 
 
 class _Parser:
-    """Recursive descent over the token list, which ends in two "" end
-    tokens so that lookahead is a plain index. Each rule takes d, the levels
-    open around it, and returns (formula, nesting levels); a level is
-    refused on the way down (before the recursion can overflow) once the
-    levels open and a formula inside them pass the bound. An atom is
-    lawlike when marked '!' or named in lawlike."""
+    """Precedence climbing over the token list, which ends in two "" end
+    tokens so that lookahead is a plain index: unary reads an operand, and
+    binary joins operands by the connectives' binding powers. Each method
+    takes d, the levels open around it, and returns (formula, nesting
+    levels); a level is refused on the way down (before the recursion can
+    overflow) once the levels open and a formula inside them pass the
+    bound. An atom is lawlike when marked '!' or named in lawlike."""
 
     def __init__(self, text: str, lawlike: frozenset[str] = frozenset()):
         self.text = text
@@ -238,48 +241,30 @@ class _Parser:
         return FormulaSyntaxError(message, starts[i] if i < len(starts) else len(self.text))
 
     def parse(self) -> Formula:
-        f, _ = self.imp(0)
+        f, _ = self.binary(0)
         if self.toks[self.pos]:
             raise self.error(f"trailing input {_kind(self.toks[self.pos])!r}", self.pos)
         return f
 
-    def imp(self, d: int) -> tuple[Formula, int]:
-        left, levels = self.disj(d)
-        i = self.pos
-        if self.toks[i] != "->":
-            return left, levels
-        if d + 2 > MAX_NESTING:
-            raise self.error(_TOO_DEEP, i)
-        self.pos = i + 1
-        right, deeper = self.imp(d + 1)
-        levels = max(levels, deeper) + 1
-        if levels > MAX_NESTING:
-            raise self.error(_TOO_DEEP, i)
-        return Implies(left, right), levels
-
-    def disj(self, d: int) -> tuple[Formula, int]:
-        f, levels = self.conj(d)
-        toks = self.toks
-        while toks[self.pos] == "|" and _kind(toks[self.pos + 1]) in _UNARY_STARTERS:
-            i = self.pos
-            self.pos = i + 1
-            g, deeper = self.conj(d)
-            f, levels = Or(f, g), max(levels, deeper) + 1
-            if levels > MAX_NESTING:
-                raise self.error(_TOO_DEEP, i)
-        return f, levels
-
-    def conj(self, d: int) -> tuple[Formula, int]:
+    def binary(self, d: int, power: int = 1) -> tuple[Formula, int]:
+        """unary's formula joined by each connective that binds at least power."""
         f, levels = self.unary(d)
         toks = self.toks
-        while toks[self.pos] == "&":
+        while True:
             i = self.pos
+            bind, join = _BINDING.get(toks[i], (0, None))
+            if bind < power or toks[i] == "|" and _kind(toks[i + 1]) not in _UNARY_STARTERS:
+                return f, levels
             self.pos = i + 1
-            g, deeper = self.unary(d)
-            f, levels = And(f, g), max(levels, deeper) + 1
+            if join is Implies:  # right-associative, one level further in
+                if d + 2 > MAX_NESTING:
+                    raise self.error(_TOO_DEEP, i)
+                g, deeper = self.binary(d + 1)
+            else:
+                g, deeper = self.binary(d, bind + 1)  # left-associative
+            f, levels = join(f, g), max(levels, deeper) + 1
             if levels > MAX_NESTING:
                 raise self.error(_TOO_DEEP, i)
-        return f, levels
 
     def unary(self, d: int) -> tuple[Formula, int]:
         i = self.pos
@@ -301,7 +286,7 @@ class _Parser:
             raise self.error(f"expected a formula, found {_kind(tok)!r}", i)
         if d + 2 > MAX_NESTING:
             raise self.error(_TOO_DEEP, i)
-        f, levels = self.imp(d + 1) if opens else self.unary(d + 1)
+        f, levels = self.binary(d + 1) if opens else self.unary(d + 1)
         levels += 1
         if levels > MAX_NESTING:
             raise self.error(_TOO_DEEP, i)
@@ -324,13 +309,9 @@ class _Parser:
     def _postfix(self, f: Formula) -> Formula:
         # postfix tested-later sugar: a| reads as sugar only when no
         # operand can follow the pipe (otherwise it is the Or connective)
-        toks = self.toks
-        if (
-            toks[self.pos] == "|"
-            and isinstance(f, Atom)
-            and _kind(toks[self.pos + 1]) not in _UNARY_STARTERS
-        ):
-            self.pos += 1
+        toks, i = self.toks, self.pos
+        if toks[i] == "|" and isinstance(f, Atom) and _kind(toks[i + 1]) not in _UNARY_STARTERS:
+            self.pos = i + 1
             return tested_later(f)
         return f
 
@@ -577,7 +558,7 @@ class Schema(Record):
         _set(self, "_exprs", tuple(exprs))
 
     def _show(self, f: Formula) -> str:
-        return re.sub(r"\[(\d+)\]", lambda m: f"[{'+'.join(self._exprs[int(m[1]) - 1])}]", show(f))
+        return re.sub(r"\[([0-9]+)\]", lambda m: f"[{'+'.join(self._exprs[int(m[1]) - 1])}]", show(f))
 
     def sides(self) -> tuple[str, str]:
         """The premise and conclusion of an implication template, as printed."""

@@ -869,12 +869,11 @@ def _parse_rule(text: str, line_no: int) -> tuple[str, tuple[int, ...]]:
             raise ScriptSyntaxError(f"malformed rule {text!r}", line_no)
         name, inner = text[: text.index("(")], text[text.index("(") + 1 : -1]
         parts = [p.strip() for p in inner.split(",")] if inner.strip() else []
-        try:
-            refs = tuple(int(p) for p in parts)
-        except ValueError:
-            raise ScriptSyntaxError(
-                f"rule references must be step numbers: {text!r}", line_no
-            ) from None
+        # a reference is one or more of the ten ASCII digits: no sign, no
+        # underscore, no other script's digits
+        if not all(p and set(p) <= set("0123456789") for p in parts):
+            raise ScriptSyntaxError(f"rule references must be step numbers: {text!r}", line_no)
+        refs = tuple(int(p) for p in parts)
     key = name.strip().lower().replace("-", "").replace("_", "")
     if key not in _RULE_ALIASES:
         raise ScriptSyntaxError(f"unknown rule {name.strip()!r}", line_no)

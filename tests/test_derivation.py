@@ -143,6 +143,8 @@ def test_no_other_rule_spelling_is_accepted(spelling):
 
 
 GOOD_HEADER = "assert a lawlike\npremise a\n"
+# steps 1 and 2, which a step 3 may cite as MP(1, 2)
+MP_STEPS = "premise p\npremise p -> q\n1: p ; Premise\n2: p -> q ; Premise\n"
 
 
 @pytest.mark.parametrize(
@@ -153,6 +155,13 @@ GOOD_HEADER = "assert a lawlike\npremise a\n"
         ("1: a & ; Premise", "bad formula", 1),
         ("1: a  Premise", "needs ';", 1),
         ("one: a ; Premise", "bad step number", 1),
+        # step numbers and references are ASCII digits, which int() alone
+        # does not require
+        ("premise p\n\u0661: p ; Premise", "bad step number '\u0661'", 2),
+        ("premise p\n+1: p ; Premise", "bad step number '+1'", 2),
+        (MP_STEPS + "3: q ; MP(\u0661, \u0662)", "must be step numbers: 'MP(\u0661, \u0662)'", 5),
+        (MP_STEPS + "3: q ; MP(+1, 0_2)", "must be step numbers: 'MP(+1, 0_2)'", 5),
+        ("premise p\n1: p ; Premise\n2: p | q ; OrIntro(-1)", "step numbers: 'OrIntro(-1)'", 3),
         ("1: a ; Conjure", "unknown rule", 1),
         ("1: a ; MP(x)", "step numbers", 1),
         ("1: a ; MP(1", "malformed rule", 1),
@@ -236,6 +245,8 @@ _rule_texts = st.builds(
 @example("MP(1")
 @example("MP(1,,2)")
 @example("Premise (1)x")
+@example("MP(\u0663, 12)")
+@example("AndElim( +3 )")
 @given(_rule_texts)
 def test_rules_read_as_the_reference_reads_them(text):
     assert _read(_parse_rule, text, 3) == _read(reference_parse_rule, text, 3)
@@ -363,11 +374,10 @@ def _nested(*steps: str) -> str:
         ("premise ~p\n1: ~p ; Premise\n2: p ; Assume\n3: _|_ ; MP(2, 1)\n4: q ; Assume\n"
          "5: ~q ; Discharge(3)",
          Rejected(5, "Discharge: the _|_ at step 3 is not inside the current block")),
-        # no step 0, no negative steps, no citing the step itself: no suffix
+        # no step 0, no citing the step itself: no suffix (a negative
+        # reference is a syntax error, see test_script_syntax_errors)
         ("premise p\n1: p ; Premise\n2: p | q ; OrIntro(0)",
          Rejected(2, "OrIntro: step 0 is not citable here")),
-        ("premise p\n1: p ; Premise\n2: p | q ; OrIntro(-1)",
-         Rejected(2, "OrIntro: step -1 is not citable here")),
         ("premise p\n1: p ; Premise\n2: p | q ; OrIntro(2)",
          Rejected(2, "OrIntro: step 2 is not citable here")),
     ],

@@ -71,7 +71,8 @@ def test_string_roundtrip(d):
 
 
 def test_parse_rejects_junk():
-    for bad in ["", "3/4", "1/2^", "x/2^3", "1/3^2", "2^3"]:
+    # the digits are ASCII: '\u0663' is an Arabic-Indic three
+    for bad in ["", "3/4", "1/2^", "x/2^3", "1/3^2", "2^3", "\u0663/2^\u0661", "3/2^\u0661"]:
         with pytest.raises(ValueError):
             parse_dyadic(bad)
 

@@ -7,6 +7,7 @@ since imported every module.
 import ast
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -205,6 +206,47 @@ def test_every_public_function_and_class_in_src_has_a_production_use():
         if not name.startswith("_") and name not in used | set(brouwer._ORIGIN)
     ]
     assert unused == []
+
+
+# a \d in pattern source: a backslash and a d, the backslash not itself escaped
+_DIGIT_CLASS = re.compile(r"(?<!\\)(?:\\\\)*\\d")
+
+
+def _unicode_digit_patterns(source: str) -> tuple[int, list[int]]:
+    """How many literal patterns source passes to a re function, and the
+    line of each one that holds a \\d but is not compiled with re.ASCII."""
+    patterns, lines = 0, []
+    for node in ast.walk(ast.parse(source)):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                and getattr(node.func.value, "id", None) == "re" and node.args
+                and isinstance(node.args[0], ast.Constant) and isinstance(node.args[0].value, str)):
+            continue
+        patterns += 1
+        flags = {n.attr for arg in [*node.args[1:], *(k.value for k in node.keywords)]
+                 for n in ast.walk(arg)
+                 if isinstance(n, ast.Attribute) and getattr(n.value, "id", None) == "re"}
+        if _DIGIT_CLASS.search(node.args[0].value) and not flags & {"ASCII", "A"}:
+            lines.append(node.lineno)
+    return patterns, lines
+
+
+def test_no_pattern_in_src_reads_unicode_digits():
+    # in a str pattern \d matches every Unicode decimal digit ('\u0663' among
+    # them) unless re.ASCII is set, so a reader spells the class [0-9]
+    found, total = [], 0
+    for path in sorted((ROOT / "src" / "brouwer").glob("*.py")):
+        patterns, lines = _unicode_digit_patterns(path.read_text(encoding="utf-8"))
+        total += patterns
+        found += [f"{path.name}:{line}" for line in lines]
+    assert total >= 5 and found == []
+    probe = (
+        'A = re.compile(r"[\\d]+")\n'
+        'B = re.sub(r"\\\\d", "", text)\n'
+        'C = re.match(r"\\\\\\d", text)\n'
+        'D = re.compile(r"\\d", re.S | re.ASCII)\n'
+        'E = re.fullmatch(r"\\d", text, flags=re.A)\n'
+    )
+    assert _unicode_digit_patterns(probe) == (5, [1, 3])
 
 
 def _names_at_import() -> dict:

@@ -182,6 +182,14 @@ def test_syntax_errors(text, message, pos):
     assert str(ei.value) == f"{message} (at offset {pos})" and ei.value.pos == pos
 
 
+def _grouped(op: str, levels: int) -> str:
+    """(q op (q op (... q))), `levels` deep: each op and each group is a level."""
+    text = "q"
+    for level in range(2, levels + 1):
+        text = f"q {op} {text}" if level % 2 == 0 else f"({text})"
+    return text
+
+
 def _nested(shape: str, levels: int) -> str:
     """A formula `levels` deep: a connective, a prefix operator or a
     parenthesised group is one level, the atom q another."""
@@ -193,10 +201,15 @@ def _nested(shape: str, levels: int) -> str:
         "->": " -> ".join(["q"] * levels),
         "[1]~": "[1]" + "~" * (levels - 2) + "q",
         "<*>~": "<*>" + "~" * (levels - 2) + "q",
+        # mixed: a connective inside groups, negations or another connective
+        "(&)": _grouped("&", levels),
+        "(|)": _grouped("|", levels),
+        "->~": "q" + " -> ~q" * (levels - 2),
+        "->&": " -> ".join(["q & q"] * (levels - 1)),
     }[shape]
 
 
-NESTING_SHAPES = ["~", "(", "&", "|", "->", "[1]~", "<*>~"]
+NESTING_SHAPES = ["~", "(", "&", "|", "->", "[1]~", "<*>~", "(&)", "(|)", "->~", "->&"]
 
 
 @pytest.mark.parametrize("shape", NESTING_SHAPES)
