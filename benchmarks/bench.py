@@ -17,16 +17,20 @@ ties to neither. The other keys must repeat. In a child each time is the
 median of three runs, which must give the same answer.
 The sections:
 
-- checks: the Machin enclosure (to 5*10**4 digits) and the spigot of
-  tests/references.py (to 10**4, its cost is quadratic) must equal
+- checks: the Machin enclosure (to 5*10**4 digits), and from
+  tests/references.py the spigot (to 10**4, its cost is quadratic) and
+  Chudnovsky ending in one ``decimal`` division (to 10**6), must equal
   ``chudnovsky_digits(n)`` at every pi size up to their tops; each is timed
   once. It runs first, once per checkout, so a wrong route stops the run
   before any timing.
-- pi: ``chudnovsky_digits(n)``, and a fresh ``DigitOracle()`` (its
-  1000-digit self-test included) scanning ``critical_number(run_property(0,
-  6), n)``. Pi has no run of six zeros below 10**6, so the scan must answer
-  none-below:n; it reads the series once past the self-test, to the end of
-  its window, since a 6-digit search reads up to 10**6 digits at a time.
+- pi: ``chudnovsky_digits(n)``; as ``tail_s``, a second
+  ``chudnovsky_digits(n, series)`` on a series the first read filled, which
+  redoes only the square root, the quotient and the string; and a fresh
+  ``DigitOracle()`` (its 1000-digit self-test included) scanning
+  ``critical_number(run_property(0, 6), n)``. Pi has no run of six zeros
+  below 10**6, so the scan must answer none-below:n; it reads the series
+  once past the self-test, to the end of its window, since a 6-digit
+  search reads up to 10**6 digits at a time.
 - streams: per horizon h, ``prefix(h)`` of a fresh point: the centred value
   1/3, that point through the identity, negation and delay maps (delay
   reads its base to 2h), the point recentred below stage 16, vienna_e and
@@ -145,7 +149,8 @@ def checks(sizes=PI_DIGITS) -> dict:
     from brouwer import _pi_backends
 
     routes = {"machin": (_pi_backends.machin_digits, 50_000),
-              "spigot": (references.spigot_digits, 10_000)}
+              "spigot": (references.spigot_digits, 10_000),
+              "division": (references.division_digits, 1_000_000)}
     rows = []
     for route, (digits, top) in routes.items():
         for n in (n for n in sizes if n <= top):
@@ -162,10 +167,14 @@ def pi(sizes=PI_DIGITS) -> dict:
     rows = []
     for n in sizes:
         _, chudnovsky = timed_median(_pi_backends.chudnovsky_digits, n)
+        series = _pi_backends.ChudnovskySeries()
+        _pi_backends.chudnovsky_digits(n, series)
+        _, tail = timed_median(_pi_backends.chudnovsky_digits, n, series)
         search, critical = timed_median(
             lambda: str(critical_number(run_property(0, 6, DigitOracle()), n)))
         assert search == f"none-below:{n}", f"a run of six zeros below {n}"
-        rows.append({"digits": n, "chudnovsky_s": chudnovsky, "critical_s": critical})
+        rows.append({"digits": n, "chudnovsky_s": chudnovsky, "tail_s": tail,
+                     "critical_s": critical})
     return {"backend": _pi_backends.BACKEND, "rows": rows}
 
 
@@ -460,7 +469,7 @@ def row_rounds(checkouts: list, section: str, rows: tuple, keys: tuple, rounds=5
 
 # each section timed row by row: the rows its children take, and the keys they time
 ROWS = {
-    "pi": (PI_DIGITS, ("chudnovsky_s", "critical_s")),
+    "pi": (PI_DIGITS, ("chudnovsky_s", "tail_s", "critical_s")),
     "streams": (HORIZONS, ("ms", "us_per_stage")),
     "verdicts": (VERDICT_HORIZONS, ("us",)),
     "sweep": (BOUNDS, ("seconds",)),

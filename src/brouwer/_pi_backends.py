@@ -4,8 +4,9 @@ Two routes, independent of each other:
 
 * Chudnovsky binary splitting - the production path. Python ints at the
   leaves of the splitting, libmpdec (``decimal``) integers above them, a
-  multiplication-only Newton iteration for 1/sqrt(10005) and one
-  ``decimal`` division. Python int division and int-to-string are
+  multiplication-only Newton iteration for 1/sqrt(10005) and a quotient
+  from multiplications too, a Newton reciprocal at half the precision
+  and one Karp-Markstein step. Python int division and int-to-string are
   quadratic; libmpdec multiplies with a number-theoretic transform and
   prints in linear time. The leaves fold their terms in one at a time
   and divide out the factors P and the next term's q share, and they hand
@@ -15,17 +16,19 @@ Two routes, independent of each other:
   first N terms combine with those of terms N..N'-1 into the same sums one
   split of the first N' terms gives, equal T/Q and P/Q, so a read at a
   higher precision splits only the new terms and redoes just the square
-  root, the division and the string.
+  root, the quotient and the string.
 * Certified Machin enclosure (16 atan 1/5 - 4 atan 1/239) - the
   self-test of ``fleeing.DigitOracle`` and the cross-check of the tests.
   Integers lo < 10**m * pi < hi, term by term with floor divisions whose
   errors are all counted, so the digits it returns are proved, not
-  guarded; quadratic, but 1.5-2 ms for a thousand digits.
+  guarded; quadratic, about 1 ms for a thousand digits, four times what
+  Chudnovsky takes.
 
 Both return the decimal expansion after the leading integer part, so
-digits(5) == "14159". The tests and ``benchmarks/`` check them against a
-third route that no production path calls: a streaming spigot, exact
-digit by digit with no guard digits, in ``tests/references.py``.
+digits(5) == "14159". The tests and ``benchmarks/`` check them against
+routes that no production path calls, in ``tests/references.py``: a
+streaming spigot, exact digit by digit with no guard digits, and
+Chudnovsky ending in one correctly rounded ``decimal`` division.
 
 BACKEND names the Chudnovsky core in benchmark records. It is always
 "int": the Chudnovsky route above, on Python ints and libmpdec.
@@ -35,6 +38,7 @@ from __future__ import annotations
 
 import decimal
 from decimal import Decimal
+from functools import lru_cache
 from math import gcd, sqrt
 
 BACKEND = "int"
@@ -110,6 +114,7 @@ def _chud_split_dec(a: int, b: int) -> tuple[Decimal, Decimal, Decimal]:
     return _merge(*_chud_split_dec(a, m), *_chud_split_dec(m, b))
 
 
+@lru_cache(maxsize=64)  # each rung of a Newton ladder takes one
 def _rounding(digits: int) -> decimal.Context:
     """Round-half-even to the given significant digits, any exponent."""
     return decimal.Context(
@@ -120,27 +125,57 @@ def _rounding(digits: int) -> decimal.Context:
     )
 
 
-def _inv_sqrt(a: int, digits: int) -> Decimal:
-    """1/sqrt(a) with relative error below 10**-(digits - 2), by multiplications.
+def _newton(step, y: Decimal, digits: int) -> Decimal:
+    """y, within 10**-15 relative, refined by Newton's ``step(y, ctx)`` to
+    within 10**-(digits - 2). A step at p digits that turns an error e into
+    less than 1.5*e**2 + 16*10**-p turns 10**-(q - 2) into 10**-(p - 2)
+    whenever p <= 2*q - 6; from the start's q = 17 the precisions double
+    under that rule."""
+    if digits > 2 * 17 - 6:
+        y = _newton(step, y, (digits + 7) // 2)
+    return step(y, _rounding(digits))
 
-    Newton's step y += y*(1 - a*y*y)/2 turns a relative error e into one
-    below 1.5*e**2. Run at p significant digits, its roundings add less than
-    11*10**-p, so an error below 10**-(q - 2) from the step before becomes
-    one below 10**-(p - 2) whenever p <= 2*q - 6. The precisions double
-    under that rule from the float start, whose error is below
-    2**-52 < 10**-15, that is, good for q = 17.
-    """
-    steps = []
-    while digits > 2 * 17 - 6:
-        steps.append(digits)
-        digits = (digits + 7) // 2
-    steps.append(digits)
-    y = Decimal(1 / sqrt(a))
-    for p in reversed(steps):
-        ctx = _rounding(p)
+
+def _inv_sqrt(a: int, digits: int) -> Decimal:
+    """1/sqrt(a) with relative error below 10**-(digits - 2), by multiplications:
+    y += y*(1 - a*y*y)/2 turns e into 1.5*e**2 at most, its roundings add
+    less than 11*10**-p (the two in a*y*y count half), and the float start
+    errs by less than 2**-52."""
+
+    def step(y, ctx):
         r = ctx.subtract(1, ctx.multiply(a, ctx.multiply(y, y)))
-        y = ctx.add(y, ctx.multiply(ctx.multiply(y, r), Decimal("0.5")))
-    return y
+        return ctx.add(y, ctx.multiply(ctx.multiply(y, r), Decimal("0.5")))
+
+    return _newton(step, Decimal(1 / sqrt(a)), digits)
+
+
+def _quotient(n: Decimal, t: Decimal, digits: int) -> Decimal:
+    """n/t with relative error below 11*10**-digits, by multiplications only.
+
+    z += z*(1 - t*z), t rounded to the step's p digits, turns t*z = 1 + d
+    into 1 - d*d plus roundings below 16*10**-p (those of t, t*z and the
+    sum; the rest count times d). Run to h = (digits + 7) // 2, it leaves
+    |d| < 10**-(h - 2). x = n*z at h digits, n rounded first, is
+    n/t*(1 + d)*(1 + r), |r| < 1.01*10**-(h - 1), and the Karp-Markstein
+    step x + z*(n - t*x) is n/t*(1 - d*d - d*r - d*d*r): within
+    1.12*10**-(digits + 2), as digits <= 2h - 6. At digits, its roundings
+    of t*x and of the sum cost 5*10**-digits each, with a few percent to
+    spare, the others 10**-(h - 2) of that. The start, 1/t of t's leading
+    17 digits in a float, errs by less than 3*10**-16; it is scaled in
+    ``_EXACT``, since the default context ends at 10**-999999.
+    """
+
+    def step(z, ctx):
+        e = ctx.subtract(1, ctx.multiply(ctx.plus(t), z))
+        return ctx.add(z, ctx.multiply(z, e))
+
+    shift = t.adjusted()
+    start = _EXACT.scaleb(Decimal(1 / float(_rounding(17).scaleb(t, -shift))), -shift)
+    half = (digits + 7) // 2
+    z = _newton(step, start, half)
+    x = _rounding(half).multiply(_rounding(half).plus(n), z)
+    ctx = _rounding(digits)
+    return ctx.add(x, ctx.multiply(z, ctx.subtract(n, ctx.multiply(t, x))))
 
 
 class ChudnovskySeries:
@@ -178,16 +213,17 @@ def _chudnovsky_str(prec: int, series: ChudnovskySeries) -> str:
     The series is extended to enough terms that the tail it leaves is
     below 10**-(prec + 14); its sums are exact. The rest runs at prec + 10
     significant digits, where a rounding costs at most 5*10**-(prec + 10)
-    relative: 1/sqrt(10005) carries less than 10**-(prec + 8) and the five
-    roundings after it add at most 2.5*10**-(prec + 9). The relative error
-    stays below 1.3*10**-(prec + 8), the absolute one, pi being below 4,
-    below 10**-(prec + 7).
+    relative: 1/sqrt(10005) carries less than 10**-(prec + 8), the four
+    roundings of the scale, Q, T and scale*Q add at most 2*10**-(prec + 9),
+    and ``_quotient`` adds less than 1.1*10**-(prec + 9). The relative
+    error stays below 1.32*10**-(prec + 8), the absolute one, pi being
+    below 4, below 10**-(prec + 7).
     """
     series.extend(max(2, int(prec / 14.18) + 2))
     ctx = _rounding(prec + 10)
     # 426880*sqrt(10005) = 426880*10005 / sqrt(10005)
     scale = ctx.multiply(426880 * 10005, _inv_sqrt(10005, prec + 10))
-    pi = ctx.divide(ctx.multiply(scale, ctx.plus(series.q)), ctx.plus(series.t))
+    pi = _quotient(ctx.multiply(scale, ctx.plus(series.q)), ctx.plus(series.t), prec + 10)
     return str(pi).replace(".", "")
 
 

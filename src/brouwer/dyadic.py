@@ -50,12 +50,21 @@ class Dyadic(Record):
     def __abs__(self) -> "Dyadic":
         return Dyadic(abs(self.num), self.exp)
 
-    # --- comparison (exact, cross-multiplied) ---
+    # --- comparison (exact) ---
 
     def _cmp(self, other: "Dyadic") -> int:
-        lhs = self.num << other.exp
-        rhs = other.num << self.exp
-        return (lhs > rhs) - (lhs < rhs)
+        # a against b << d for d > 0 (and the mirror): when b << d has more
+        # bits than a, b's sign decides; else the shift is no longer than a
+        a, b, d = self.num, other.num, self.exp - other.exp
+        if d > 0:
+            if b and b.bit_length() + d > a.bit_length():
+                return -1 if b > 0 else 1
+            b <<= d
+        elif d < 0:
+            if a and a.bit_length() - d > b.bit_length():
+                return 1 if a > 0 else -1
+            a <<= -d
+        return (a > b) - (a < b)
 
     def __lt__(self, other: "Dyadic") -> bool:
         return self._cmp(other) < 0

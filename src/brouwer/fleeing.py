@@ -64,6 +64,8 @@ class DigitOracle:
         self.limit = _env_limit() if limit is None else limit
         if self.limit < 0:
             raise ValueError(f"digit limit must be non-negative, got {self.limit}")
+        if self_test_digits < 0:
+            raise ValueError(f"self-test digit count must be non-negative, got {self_test_digits}")
         self._series = _pi_backends.ChudnovskySeries()
         self._cache = ""
         if self_test_digits:

@@ -12,6 +12,8 @@
 - each model's root class, computed node by node, which must equal the
   class ids the sweep's class tables intern;
 - pi from a streaming spigot, exact digit by digit with no guard digits;
+- Chudnovsky's last step as it stood before its quotient was built from
+  multiplications: one correctly rounded ``decimal`` division;
 - the verdicts as they stood before they bisected: each scans the whole
   prefix to the horizon for the least hit; ``gt_rational``, the mirror of
   ``reals.lt_rational``; ``apart_at`` as two ``lt_at`` scans, one per
@@ -43,7 +45,7 @@ from operator import lshift, lt, sub
 from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 from unittest import mock
 
-from brouwer import derivation
+from brouwer import _pi_backends, derivation
 from brouwer.derivation import (
     _ARITY,
     _INSTANCE_RULES,
@@ -285,6 +287,29 @@ def spigot_digits(n: int) -> str:
     if n < 1:
         return ""
     return "".join(map(str, islice(_spigot_stream(), 1, n + 1)))
+
+
+# --- Chudnovsky's division tail ---
+
+
+def quotient(n, t, digits: int):
+    """n/t correctly rounded to the given significant digits."""
+    return _pi_backends._rounding(digits).divide(n, t)
+
+
+def divided_chudnovsky_str(prec: int, series) -> str:
+    """``_pi_backends._chudnovsky_str`` with the division as its quotient."""
+    series.extend(max(2, int(prec / 14.18) + 2))
+    ctx = _pi_backends._rounding(prec + 10)
+    scale = ctx.multiply(426880 * 10005, _pi_backends._inv_sqrt(10005, prec + 10))
+    pi = quotient(ctx.multiply(scale, ctx.plus(series.q)), ctx.plus(series.t), prec + 10)
+    return str(pi).replace(".", "")
+
+
+def division_digits(n: int) -> str:
+    """``chudnovsky_digits(n)``, each pass read by ``divided_chudnovsky_str``."""
+    with mock.patch.object(_pi_backends, "_chudnovsky_str", divided_chudnovsky_str):
+        return _pi_backends.chudnovsky_digits(n)
 
 
 # --- centring, one ceiling per stage ---

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -63,6 +64,33 @@ def test_arithmetic_matches_fractions(a, b):
     assert (a < b) == (fa < fb)
     assert (a <= b) == (fa <= fb)
     assert (a == b) == (fa == fb)
+
+
+# numerators near powers of two and exponents close together: the binary
+# orders of the two sides often tie, and the comparison must shift
+near_orders = st.builds(lambda sign, bits, delta, exp: Dyadic(sign * ((1 << bits) + delta), exp),
+                        st.sampled_from([-1, 0, 1]), st.integers(0, 70), st.integers(-3, 3),
+                        st.integers(0, 70))
+
+
+@given(near_orders, near_orders)
+def test_comparisons_match_fractions_where_the_orders_tie(a, b):
+    fa, fb = a.as_fraction(), b.as_fraction()
+    assert (a < b, a <= b, a > b, a >= b) == (fa < fb, fa <= fb, fa > fb, fa >= fb)
+
+
+@pytest.mark.parametrize("text", ["[1/2^10000000, 1/2^1]", "[-1/2^1, -1/2^10000000]",
+                                  "[1/2^10000000, 3/2^10000000]"])
+def test_comparing_far_exponents_stays_small(text):
+    # shifting each numerator by the other's exponent builds a 10**7-bit
+    # integer, 1.3 MB; the orders decide these without a shift
+    tracemalloc.start()
+    try:
+        iv = parse_interval(text)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert iv.lo < iv.hi and peak < 64_000
 
 
 @given(dyadics)

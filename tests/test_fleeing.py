@@ -115,6 +115,8 @@ def test_negative_limit_is_rejected():
         DigitOracle(limit=-1)
     with pytest.raises(ValueError, match="non-negative"):
         DigitOracle(self_test_digits=0, limit=-1)
+    with pytest.raises(ValueError, match="non-negative"):
+        DigitOracle(self_test_digits=-5)
 
 
 def test_six_nines_landmark():

@@ -1,6 +1,8 @@
 """The standard-library Chudnovsky route against the independent routes,
 and the digits the Machin enclosure proves against the spigot."""
 
+import ast
+import decimal
 import shutil
 import sys
 from decimal import Decimal
@@ -22,6 +24,8 @@ from brouwer._pi_backends import (
     _chud_split_dec,
     _inv_sqrt,
     _machin_enclosure,
+    _quotient,
+    _rounding,
     ChudnovskySeries,
     chudnovsky_digits,
     machin_digits,
@@ -270,6 +274,85 @@ def test_inv_sqrt_error_bound(digits):
     assert residual < Decimal("2.1").scaleb(2 - digits)
 
 
+def _within_quotient_bound(n, t, x, digits, units=11):
+    """|t*x - n| < units*10**-digits * |n|, that is, x is n/t within that
+    relative error; exact on libmpdec."""
+    residual = _EXACT.abs(_EXACT.subtract(_EXACT.multiply(t, x), n))
+    return residual <= _EXACT.multiply(_EXACT.abs(n), Decimal(units).scaleb(-digits, _EXACT))
+
+
+def _pi_operands(digits):
+    """The numerator and divisor ``_chudnovsky_str`` hands ``_quotient``."""
+    series = ChudnovskySeries()
+    series.extend(max(2, int(digits / 14.18) + 2))
+    ctx = _rounding(digits)
+    scale = ctx.multiply(426880 * 10005, _inv_sqrt(10005, digits))
+    return ctx.multiply(scale, ctx.plus(series.q)), ctx.plus(series.t)
+
+
+@pytest.mark.parametrize("digits", [3, 17, 27, 28, 29, 30, 49, 50, 51, 52, 100, 1031, 5000])
+@pytest.mark.parametrize("operands", ["pi", "nines"])
+def test_quotient_error_bound(digits, operands):
+    # on both sides of the ladders' steps: the square root's gains its
+    # second rung past 28 digits, the reciprocal's, run to h = (digits + 7)
+    # // 2, past 50, and h leaves 17 past 28; the nines put the divisor's
+    # leading digits next to a power of ten
+    if operands == "pi":
+        n, t = _pi_operands(digits)
+    else:
+        n, t = Decimal(1), _EXACT.subtract(Decimal(f"1E{digits}"), 1)
+    assert _within_quotient_bound(n, t, _quotient(n, t, digits), digits)
+
+
+def _decimals(max_digits):
+    return st.builds(lambda m, e: Decimal(m).scaleb(e, _EXACT),
+                     st.integers(-10**max_digits, 10**max_digits),
+                     st.one_of(st.integers(-40, 40), st.integers(-2 * 10**6, 2 * 10**6)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 120), st.data())
+def test_quotient_is_within_its_bound_of_the_division(digits, data):
+    # the reference is correctly rounded, within 5*10**-digits of n/t, so
+    # the two differ by less than 16*10**-digits of n/t
+    n = data.draw(_decimals(2 * digits))
+    t = data.draw(_decimals(2 * digits).filter(bool))
+    x = _quotient(n, t, digits)
+    assert _within_quotient_bound(n, t, x, digits)
+    reference = references.quotient(n, t, digits)
+    gap = _EXACT.abs(_EXACT.multiply(t, _EXACT.subtract(x, reference)))
+    assert gap <= _EXACT.multiply(_EXACT.abs(n), Decimal(16).scaleb(-digits, _EXACT))
+
+
+def test_a_quotient_past_the_default_exponent_range():
+    # the default context's exponents end at 10**-999999: a start scaled in
+    # it underflows to zero, and every step after keeps the zero
+    n, t = Decimal(3), _EXACT.add(Decimal("7E1500000"), 3)
+    x = _quotient(n, t, 50)
+    assert x.adjusted() == -1_500_001 and _within_quotient_bound(n, t, x, 50)
+    # a context that traps every rounding: an operation that fell back on it
+    # would raise
+    hostile = decimal.Context(prec=1, traps=[decimal.Inexact, decimal.Rounded])
+    with decimal.localcontext(hostile):
+        assert _quotient(n, t, 50) == x
+        assert chudnovsky_digits(1000) == SPIGOT_1001[:1000]
+
+
+def test_division_reference_reads_the_same_digits():
+    # the division tail and the quotient agree past both guard protocols'
+    # cuts, the six nines included
+    for n in (1, 761, 767, 1001, 20_000):
+        assert references.division_digits(n) == chudnovsky_digits(n)
+
+
+def test_no_decimal_division_in_the_pi_module():
+    # ``decimal`` divides only in tests/references.py; the module's ``/`` are
+    # float and int ones
+    tree = ast.parse(Path(_pi_backends.__file__).read_text(encoding="utf-8"))
+    assert not {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)} & {
+        "divide", "divide_int", "divmod", "remainder", "remainder_near", "sqrt", "ln", "log10"}
+
+
 @pytest.mark.parametrize("k", [1, 2, _LEAF_TERMS - 1, _LEAF_TERMS, _LEAF_TERMS + 1, 65, 300])
 def test_decimal_split_matches_int_split(k):
     # the integers depend on where the leaves fall, the sums do not: the int
@@ -284,17 +367,19 @@ def test_decimal_split_matches_int_split(k):
 def test_benchmark_script_runs():
     record = bench_writer.bench.pi((1_000,))
     (row,) = record["rows"]
-    assert list(row) == ["digits", "chudnovsky_s", "critical_s"]
+    assert list(row) == ["digits", "chudnovsky_s", "tail_s", "critical_s"]
     assert row["digits"] == 1_000
     assert all(isinstance(row[k], float) for k in list(row)[1:])
     assert bench_writer.survives_json(record)
 
 
 def test_benchmark_checks_each_reference_route_up_to_its_top():
-    # 10,001 digits is past the spigot's top, not Machin's
-    record = bench_writer.bench.checks((1_000, 10_001))
+    # 10,001 digits is past the spigot's top, not Machin's; 60,000 is past
+    # Machin's too, not the division tail's
+    record = bench_writer.bench.checks((1_000, 10_001, 60_000))
     assert [(r["route"], r["digits"]) for r in record["rows"]] == [
-        ("machin", 1_000), ("machin", 10_001), ("spigot", 1_000)]
+        ("machin", 1_000), ("machin", 10_001), ("spigot", 1_000),
+        ("division", 1_000), ("division", 10_001), ("division", 60_000)]
     assert all(isinstance(r["seconds"], float) for r in record["rows"])
     assert bench_writer.survives_json(record)
 
