@@ -18,8 +18,9 @@ median of three runs, which must give the same answer.
 The sections:
 
 - checks: the Machin enclosure (to 5*10**4 digits), and from
-  tests/references.py the spigot (to 10**4, its cost is quadratic) and
-  Chudnovsky ending in one ``decimal`` division (to 10**6), must equal
+  tests/references.py the enclosure from Gregory's series and the spigot
+  (to 10**4, their costs are quadratic) and Chudnovsky ending in one
+  ``decimal`` division (to 10**6), must equal
   ``chudnovsky_digits(n)`` at every pi size up to their tops; each is timed
   once. It runs first, once per checkout, so a wrong route stops the run
   before any timing.
@@ -30,7 +31,9 @@ The sections:
   ``critical_number(run_property(0, 6), n)``. Pi has no run of six zeros
   below 10**6, so the scan must answer none-below:n; it reads the series
   once past the self-test, to the end of its window, since a 6-digit
-  search reads up to 10**6 digits at a time.
+  search reads up to 10**6 digits at a time. ``selftest_s`` is one fresh
+  ``DigitOracle()`` alone, the same in every row: its 1000-digit
+  Chudnovsky read and the Machin enclosure that proves it.
 - streams: per horizon h, ``prefix(h)`` of a fresh point: the centred value
   1/3, that point through the identity, negation and delay maps (delay
   reads its base to 2h), the point recentred below stage 16, vienna_e and
@@ -149,6 +152,7 @@ def checks(sizes=PI_DIGITS) -> dict:
     from brouwer import _pi_backends
 
     routes = {"machin": (_pi_backends.machin_digits, 50_000),
+              "gregory": (references.gregory_digits, 10_000),
               "spigot": (references.spigot_digits, 10_000),
               "division": (references.division_digits, 1_000_000)}
     rows = []
@@ -173,8 +177,9 @@ def pi(sizes=PI_DIGITS) -> dict:
         search, critical = timed_median(
             lambda: str(critical_number(run_property(0, 6, DigitOracle()), n)))
         assert search == f"none-below:{n}", f"a run of six zeros below {n}"
+        _, selftest = timed_median(lambda: DigitOracle().digits(1))
         rows.append({"digits": n, "chudnovsky_s": chudnovsky, "tail_s": tail,
-                     "critical_s": critical})
+                     "critical_s": critical, "selftest_s": selftest})
     return {"backend": _pi_backends.BACKEND, "rows": rows}
 
 
@@ -469,7 +474,7 @@ def row_rounds(checkouts: list, section: str, rows: tuple, keys: tuple, rounds=5
 
 # each section timed row by row: the rows its children take, and the keys they time
 ROWS = {
-    "pi": (PI_DIGITS, ("chudnovsky_s", "tail_s", "critical_s")),
+    "pi": (PI_DIGITS, ("chudnovsky_s", "tail_s", "critical_s", "selftest_s")),
     "streams": (HORIZONS, ("ms", "us_per_stage")),
     "verdicts": (VERDICT_HORIZONS, ("us",)),
     "sweep": (BOUNDS, ("seconds",)),

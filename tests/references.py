@@ -12,6 +12,9 @@
 - each model's root class, computed node by node, which must equal the
   class ids the sweep's class tables intern;
 - pi from a streaming spigot, exact digit by digit with no guard digits;
+- the Machin enclosure as it stood before Euler's series: Gregory's
+  alternating series for each arctangent, two long divisions per term and
+  every floor's error counted on both sides;
 - Chudnovsky's last step as it stood before its quotient was built from
   multiplications: one correctly rounded ``decimal`` division;
 - the verdicts as they stood before they bisected: each scans the whole
@@ -287,6 +290,55 @@ def spigot_digits(n: int) -> str:
     if n < 1:
         return ""
     return "".join(map(str, islice(_spigot_stream(), 1, n + 1)))
+
+
+# --- the Machin enclosure from Gregory's series ---
+
+
+def _gregory_atan_inv_floor(x: int, one: int) -> tuple[int, int]:
+    """(s, b) with |one * atan(1/x) - s| < b, for integers x >= 2, one >= 1.
+
+    atan(1/x) = sum_k (-1)**k T_k / one, T_k = one / ((2k+1) * x**(2k+1)).
+    p_k = p_{k-1} // x**2 from p_0 = one // x is floor(one / x**(2k+1)),
+    because floor(floor(a/b)/c) = floor(a/(bc)) for positive integers; so
+    t_k = p_k // (2k+1) is floor(T_k), and T_k lies in [t_k, t_k + 1).
+    The loop stops at the first K with p_K = 0, that is one < x**(2K+1),
+    where every later T_k is below 1: the omitted alternating tail, its
+    terms decreasing, is at most T_K < 1 in size. The K kept floors err by
+    less than 1 each, and s sums them with their signs, so the total error
+    is below K + 1 = b.
+    """
+    x2 = x * x
+    p = one // x
+    s = k = 0
+    while p:
+        t = p // (2 * k + 1)
+        s += -t if k & 1 else t
+        p //= x2
+        k += 1
+    return s, k + 1
+
+
+def gregory_enclosure(m: int) -> tuple[int, int]:
+    """Integers lo < 10**m * pi < hi from pi = 16 atan(1/5) - 4 atan(1/239).
+
+    With |10**m atan(1/5) - s5| < b5 and |10**m atan(1/239) - s239| < b239
+    (``_gregory_atan_inv_floor``), 10**m * pi lies within 16*b5 + 4*b239 of
+    16*s5 - 4*s239. The width is about 25*m: near a thousand digits, the
+    last five of the m are uncertain.
+    """
+    one = 10**m
+    s5, b5 = _gregory_atan_inv_floor(5, one)
+    s239, b239 = _gregory_atan_inv_floor(239, one)
+    mid = 16 * s5 - 4 * s239
+    err = 16 * b5 + 4 * b239
+    return mid - err, mid + err
+
+
+def gregory_digits(n: int) -> str:
+    """``machin_digits(n)``, each pass enclosed by ``gregory_enclosure``."""
+    with mock.patch.object(_pi_backends, "_machin_enclosure", gregory_enclosure):
+        return _pi_backends.machin_digits(n)
 
 
 # --- Chudnovsky's division tail ---

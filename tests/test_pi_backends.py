@@ -246,16 +246,45 @@ def test_building_an_oracle_leaves_the_spigot_alone(monkeypatch):
     assert DigitOracle().digits(20) == SPIGOT_1001[:20]
 
 
-@pytest.mark.parametrize("x", [2, 5, 239])
-@pytest.mark.parametrize("m", [0, 1, 7, 40])
+def _euler_atan(x, one):
+    """one * atan(1/x) within 10**-60 below, from Euler's terms in exact
+    Fractions: each is below 1/y of the last, so the tail after term n is
+    below T_n * y/(y - 1)."""
+    y = 1 + x * x
+    term, total, n = Fraction(x, y), Fraction(0), 0
+    while one * term * y / (y - 1) >= Fraction(1, 10**60):
+        total += term
+        n += 1
+        term = term * 2 * n / ((2 * n + 1) * y)
+    return one * total
+
+
+@pytest.mark.parametrize("x", [1, 2, 5, 239])
+@pytest.mark.parametrize("m", [0, 1, 7, 40, 300])
 def test_atan_floor_sum_error_bound(x, m):
-    # 200 exact terms: the tail they leave is below 10**-60 for every case here
+    # every floor drops a part of a term, so the sum falls short by less than b
     one = 10**m
     s, b = _atan_inv_floor(x, one)
-    exact = sum(
-        Fraction((-1) ** k * one, (2 * k + 1) * x ** (2 * k + 1)) for k in range(200)
-    )
-    assert abs(exact - s) < b - Fraction(1, 10**60)
+    low = _euler_atan(x, one)  # one * atan(1/x) lies in [low, low + 10**-60)
+    assert 0 <= low - s < b - Fraction(1, 10**60)
+
+
+@pytest.mark.parametrize("x", [1, 2, 5, 239])
+@pytest.mark.parametrize("m", [0, 1, 7, 40, 300])
+def test_atan_floor_bound_covers_the_worst_drops(x, m):
+    # the shortfall is sum_n d_n * C_n, d_n in [0, 1) the nth floor's drop and
+    # C_n what the terms after carry of it; b must cover every d_n near 1, not
+    # only the drops these sizes happen to make
+    one, y = 10**m, 1 + x * x
+    t, n = one * x // y, 0
+    carried = worst = Fraction(1)  # term 0's drop, at 1
+    while t:  # each term down to the first zero adds a drop of 1
+        n += 1
+        t = t * (2 * n) // ((2 * n + 1) * y)
+        carried = carried * 2 * n / ((2 * n + 1) * y) + 1
+        worst += carried
+    # the omitted tail carries the last term's on, each ratio below 1/y
+    assert worst + carried / (y - 1) <= _atan_inv_floor(x, one)[1]
 
 
 def test_machin_enclosure_brackets_pi():
@@ -264,6 +293,45 @@ def test_machin_enclosure_brackets_pi():
         lo, hi = _machin_enclosure(m)
         floor_pi = ref // 10 ** (1000 - m)
         assert lo <= floor_pi < hi
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 3_000))
+def test_both_enclosures_bracket_pi_and_euler_is_the_narrower(m):
+    floor_pi = int("3" + chudnovsky_digits(m + 30)[:m])
+    if m <= 1_000:
+        assert floor_pi == int("3" + SPIGOT_1001[:m])
+    lo, hi = _machin_enclosure(m)
+    ref_lo, ref_hi = references.gregory_enclosure(m)
+    assert lo <= floor_pi < hi and ref_lo <= floor_pi < ref_hi
+    assert hi - lo <= ref_hi - ref_lo
+
+
+@pytest.mark.parametrize("n", [*range(61), *range(755, 771), 999, 1000, 1001, 5000])
+def test_euler_enclosure_proves_the_gregory_digits(n):
+    assert machin_digits(n) == references.gregory_digits(n)
+
+
+def test_the_machin_route_shares_no_code_with_chudnovsky():
+    # the self-test is a check only while its route stands apart: no
+    # Chudnovsky name, no libmpdec context or ladder, and ``decimal`` only in
+    # the Decimal that prints the proved integer
+    tree = ast.parse(Path(_pi_backends.__file__).read_text(encoding="utf-8"))
+    route = {"_atan_inv_floor", "_machin_enclosure", "machin_digits"}
+    bodies = [node for node in tree.body
+              if isinstance(node, ast.FunctionDef) and node.name in route]
+    assert {node.name for node in bodies} == route
+    names = [node.id if isinstance(node, ast.Name) else node.attr
+             for body in bodies for node in ast.walk(body)
+             if isinstance(node, (ast.Name, ast.Attribute))]
+    assert not [name for name in names if name.startswith(("_CH_", "_chud")) or name in {
+        "ChudnovskySeries", "_rounding", "_EXACT", "_newton", "_quotient"}]
+    decimals = [node for body in bodies for node in ast.walk(body)
+                if isinstance(node, ast.Name) and node.id in {"decimal", "Decimal"}]
+    prints = [node.args[0].func for body in bodies for node in ast.walk(body)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+              and node.func.id == "str" and node.args and isinstance(node.args[0], ast.Call)]
+    assert len(decimals) == 1 and decimals[0] in prints
 
 
 @pytest.mark.parametrize("digits", [3, 17, 28, 29, 30, 100, 1031, 5000])
@@ -367,18 +435,18 @@ def test_decimal_split_matches_int_split(k):
 def test_benchmark_script_runs():
     record = bench_writer.bench.pi((1_000,))
     (row,) = record["rows"]
-    assert list(row) == ["digits", "chudnovsky_s", "tail_s", "critical_s"]
+    assert list(row) == ["digits", "chudnovsky_s", "tail_s", "critical_s", "selftest_s"]
     assert row["digits"] == 1_000
     assert all(isinstance(row[k], float) for k in list(row)[1:])
     assert bench_writer.survives_json(record)
 
 
 def test_benchmark_checks_each_reference_route_up_to_its_top():
-    # 10,001 digits is past the spigot's top, not Machin's; 60,000 is past
-    # Machin's too, not the division tail's
+    # 10,001 digits is past the tops of Gregory's enclosure and the spigot,
+    # not Machin's; 60,000 is past Machin's too, not the division tail's
     record = bench_writer.bench.checks((1_000, 10_001, 60_000))
     assert [(r["route"], r["digits"]) for r in record["rows"]] == [
-        ("machin", 1_000), ("machin", 10_001), ("spigot", 1_000),
+        ("machin", 1_000), ("machin", 10_001), ("gregory", 1_000), ("spigot", 1_000),
         ("division", 1_000), ("division", 10_001), ("division", 60_000)]
     assert all(isinstance(r["seconds"], float) for r in record["rows"])
     assert bench_writer.survives_json(record)
